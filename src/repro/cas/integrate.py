@@ -9,9 +9,12 @@ Every integral the DG weak form needs has the separable structure
 where each 1-D factor ``g_k`` is a product of (at most three) Legendre
 polynomials, possibly differentiated, possibly multiplied by a monomial
 ``xi^r`` coming from the phase-space flux.  This module memoizes those 1-D
-integrals in exact rational arithmetic; the d-dimensional tensors are then
-assembled as products of table lookups, which keeps kernel generation fast
-even for the 112-DOF p=2 Serendipity basis in 5D.
+integrals in exact rational arithmetic and is their single source:
+:mod:`repro.kernels.generator` evaluates each one once per ``(degrees,
+power)``, scales the per-dimension table to integers and assembles the
+d-dimensional tensors as vectorised element-wise products of table gathers.
+The cost of generation is therefore the array arithmetic (about 0.1 s for the
+48-mode 2X2V p=2 bundle), not the number of ``Fraction`` operations.
 """
 
 from __future__ import annotations

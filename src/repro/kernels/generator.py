@@ -14,13 +14,27 @@ polynomial in the reference coordinates, and a float scale (normalization of
 the field basis function, signs from the cross product).  Because the Vlasov
 flux :math:`\\alpha = (v, (q/m)(E + v \\times B))` is polynomial in phase
 space, this description is exact and the resulting scheme is alias-free.
+
+Assembly is factorised.  Every integral separates into 1-D integrals
+``int x^r P_a D P_b dx`` (:mod:`repro.cas.integrate`); per dimension that
+small table is scaled by the lcm of its denominators to integers and gathered
+on the basis multi-indices, so the tensor of one flux monomial is an
+element-wise product over dimensions of ``(nout, nin)`` integer arrays, and
+monomials add as integers over the lcm of their coefficient denominators
+(Python ints in ``object`` arrays: no overflow).  An entry is kept iff its
+numerator is non-zero; its float is ``numerator / denominator`` -- one
+correctly rounded division, which is what ``float(Fraction)`` does -- times
+the float normalisations in a fixed left-to-right order, so the generated
+kernels are reproducible to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..basis.legendre import legendre_value_at_one
 from ..basis.modal import ModalBasis
@@ -55,22 +69,94 @@ class FluxSpec:
     terms: Tuple[FluxTerm, ...]
 
 
-def _pair_integral(
-    alpha_m: Tuple[int, ...],
-    alpha_l: Tuple[int, ...],
-    deriv_dim: int,
-    q_expo: Tuple[int, ...],
-) -> Fraction:
-    """Exact ``int prod_k xi_k^{r_k} P_{a_m,k} D^{[k==deriv]} P_{a_l,k}``."""
-    val = Fraction(1)
-    for k, (am, al) in enumerate(zip(alpha_m, alpha_l)):
-        fac = legendre_product_integral_1d(
-            (am, al), (False, k == deriv_dim), q_expo[k]
-        )
-        if fac == 0:
-            return Fraction(0)
-        val *= fac
-    return val
+# One dimension of the factorisation: ``(den, table)`` where ``table[r] / den``
+# is that dimension's exact factor for the monomial power ``r``.
+_Factor = Tuple[int, Sequence]
+
+
+def _factors(
+    terms: Sequence[FluxTerm], col_deg: np.ndarray, row_deg: np.ndarray, deriv_dim: int = -1
+) -> List[_Factor]:
+    """Per dimension ``k``: ``int x^r P_col D P_row dx`` (``D`` only for
+    ``k == deriv_dim``) for every power ``r`` the terms use, as Python ints
+    over one common denominator, gathered on the ``(nin, ndim)`` / ``(nout,
+    ndim)`` Legendre degrees of the modes into ``(nout, nin)`` object arrays."""
+    out = []
+    for k in range(col_deg.shape[1]):
+        rmax = max((e[k] for t in terms for e in t.poly.coeffs), default=0)
+        nrow, ncol = int(row_deg[:, k].max()) + 1, int(col_deg[:, k].max()) + 1
+        vals = [
+            legendre_product_integral_1d((a, b), (False, k == deriv_dim), r)
+            for r in range(rmax + 1)
+            for b in range(nrow)
+            for a in range(ncol)
+        ]
+        den = lcm(*(v.denominator for v in vals))
+        table = np.array([int(v * den) for v in vals], dtype=object)
+        table = table.reshape(rmax + 1, nrow, ncol)
+        out.append((den, table[:, row_deg[:, k, None], col_deg[None, :, k]]))
+    return out
+
+
+def _norms(basis: ModalBasis) -> np.ndarray:
+    return np.array([basis.norm(i) for i in range(basis.num_basis)])
+
+
+_Exact = List[Tuple[FluxTerm, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _exact_terms(
+    terms: Sequence[FluxTerm], factors: Sequence[_Factor], shape: Tuple[int, int]
+) -> _Exact:
+    """Per term, the exactly integrated tensor ``sum_mono c prod_k factor_k``:
+    its non-zeros in row-major ``(l, m)`` order and their correctly rounded
+    float values, as ``(term, rows, cols, values)``."""
+    fden = prod(den for den, _ in factors)
+    out: _Exact = []
+    for term in terms:
+        monos = term.poly.coeffs
+        cden = lcm(*(c.denominator for c in monos.values()))
+        num = np.zeros(shape, dtype=object)
+        for expo, c in monos.items():
+            mono = int(c * cden)
+            for (_, table), r in zip(factors, expo):
+                mono = mono * table[r]
+            num = num + mono
+        rows, cols = np.nonzero(num)
+        den = cden * fden
+        vals = np.array([n / den for n in num[rows, cols]], dtype=float)
+        out.append((term, rows, cols, vals))
+    return out
+
+
+def _termset(
+    shape: Tuple[int, int],
+    prefix: Symbol,
+    exact: _Exact,
+    weights: Sequence[Tuple[np.ndarray, np.ndarray]],
+    sign: float = 1.0,
+) -> TermSet:
+    """Package exact entries as a kernel.  The coefficient is the exact value
+    times each ``(row, column)`` weight pair in order, then ``term.scale`` and
+    ``sign`` -- evaluated left to right, which fixes the float64 bits."""
+    chunks: Dict[Symbol, list] = {}
+    for term, rows, cols, vals in exact:
+        for wrow, wcol in weights:
+            vals = vals * wrow[rows] * wcol[cols]
+        vals = vals * term.scale * sign
+        chunks.setdefault(prefix + term.sym, []).append((rows, cols, vals))
+    return TermSet.from_arrays(*shape, chunks)
+
+
+def _pair_termset(
+    basis: ModalBasis, terms: Sequence[FluxTerm], prefix: Symbol, deriv_dim: int = -1
+) -> TermSet:
+    """``int Q_s w_m D_{deriv_dim} w_l`` kernel (no derivative for ``-1``)."""
+    shape = (basis.num_basis, basis.num_basis)
+    deg = np.array(basis.indices)
+    norms = _norms(basis)
+    exact = _exact_terms(terms, _factors(terms, deg, deg, deriv_dim), shape)
+    return _termset(shape, prefix, exact, [(norms, norms)])
 
 
 def generate_volume_termset(basis: ModalBasis, flux: FluxSpec) -> TermSet:
@@ -80,27 +166,7 @@ def generate_volume_termset(basis: ModalBasis, flux: FluxSpec) -> TermSet:
     ``out[l] += rdx_dim * sum_s aux_s * sum_m K_s[l, m] f[m]`` with
     ``K_s[l, m] = int Q_s w_m (d w_l / d xi_dim) dxi``.
     """
-    np_ = basis.num_basis
-    d = flux.dim
-    entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
-    norms = [basis.norm(i) for i in range(np_)]
-    rdx = f"rdx{d}"
-    for term in flux.terms:
-        sym = (rdx,) + term.sym
-        bucket = entries.setdefault(sym, [])
-        monos = list(term.poly.coeffs.items())
-        for l in range(np_):
-            if basis.indices[l][d] == 0:
-                continue  # derivative of a constant mode vanishes
-            al = basis.indices[l]
-            for m in range(np_):
-                am = basis.indices[m]
-                total = Fraction(0)
-                for expo, c in monos:
-                    total += c * _pair_integral(am, al, d, expo)
-                if total != 0:
-                    bucket.append((l, m, float(total) * norms[l] * norms[m] * term.scale))
-    return TermSet(np_, np_, entries)
+    return _pair_termset(basis, flux.terms, (f"rdx{flux.dim}",), flux.dim)
 
 
 def generate_surface_termsets(
@@ -117,58 +183,34 @@ def generate_surface_termsets(
 
     with the runtime choosing upwind/central weights reproduces the weak-form
     surface integral exactly.  The flux polynomial is restricted to the face
-    by substituting ``xi_dim = +-1`` on the *state* side.
+    by substituting ``xi_dim = +-1`` on the *state* side; the exact tensor
+    depends on the state side only and serves both test sides.
     """
-    np_ = basis.num_basis
+    shape = (basis.num_basis, basis.num_basis)
     d = flux.dim
-    norms = [basis.norm(i) for i in range(np_)]
-    rdx = f"rdx{d}"
-    out: Dict[Tuple[str, str], TermSet] = {}
-    for test_side, test_sign, global_sign in (("L", 1, -1.0), ("R", -1, 1.0)):
-        for state_side, state_sign in (("L", 1), ("R", -1)):
-            entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
-            for term in flux.terms:
-                sym = (rdx,) + term.sym
-                bucket = entries.setdefault(sym, [])
-                monos = list(term.poly.coeffs.items())
-                for l in range(np_):
-                    al = basis.indices[l]
-                    pl = legendre_value_at_one(al[d], test_sign)
-                    for m in range(np_):
-                        am = basis.indices[m]
-                        pm = legendre_value_at_one(am[d], state_sign)
-                        total = Fraction(0)
-                        for expo, c in monos:
-                            # xi_dim factor of the flux polynomial at the face
-                            face_fac = c * (state_sign ** expo[d])
-                            val = Fraction(1)
-                            for k in range(basis.ndim):
-                                if k == d:
-                                    continue
-                                fac = legendre_product_integral_1d(
-                                    (am[k], al[k]), (False, False), expo[k]
-                                )
-                                if fac == 0:
-                                    val = Fraction(0)
-                                    break
-                                val *= fac
-                            total += face_fac * val
-                        if total != 0:
-                            bucket.append(
-                                (
-                                    l,
-                                    m,
-                                    float(total)
-                                    * pl
-                                    * pm
-                                    * norms[l]
-                                    * norms[m]
-                                    * term.scale
-                                    * global_sign,
-                                )
-                            )
-            out[(test_side, state_side)] = TermSet(np_, np_, entries)
-    return out
+    norms = _norms(basis)
+    deg = np.array(basis.indices)
+    factors = _factors(flux.terms, deg, deg)
+    face = {
+        sign: np.array([legendre_value_at_one(a[d], sign) for a in basis.indices])
+        for sign in (1, -1)
+    }
+    exact = {}
+    for state_sign in (1, -1):
+        # xi_dim factor of the flux polynomial at the face
+        factors[d] = (1, [state_sign**r for r in range(len(factors[d][1]))])
+        exact[state_sign] = _exact_terms(flux.terms, factors, shape)
+    return {
+        (test_side, state_side): _termset(
+            shape,
+            (f"rdx{d}",),
+            exact[state_sign],
+            [(face[test_sign], face[state_sign]), (norms, norms)],
+            global_sign,
+        )
+        for test_side, test_sign, global_sign in (("L", 1, -1.0), ("R", -1, 1.0))
+        for state_side, state_sign in (("L", 1), ("R", -1))
+    }
 
 
 def generate_moment_termset(
@@ -190,40 +232,12 @@ def generate_moment_termset(
     ``M_k(cfg cell) = sum_{v cells} vjac * sum_s aux_s (W_s f)[k]`` with
     ``vjac = prod_j dv_j / 2``.
     """
-    np_ = phase_basis.num_basis
-    npc = cfg_basis.num_basis
-    pdim = phase_basis.ndim
-    norms_p = [phase_basis.norm(i) for i in range(np_)]
-    norms_c = [cfg_basis.norm(i) for i in range(npc)]
-    entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
-    for term in weight_terms:
-        sym = ("vjac",) + term.sym
-        bucket = entries.setdefault(sym, [])
-        monos = list(term.poly.coeffs.items())
-        for k in range(npc):
-            ak = cfg_basis.indices[k]
-            for m in range(np_):
-                am = phase_basis.indices[m]
-                total = Fraction(0)
-                for expo, c in monos:
-                    val = Fraction(1)
-                    for j in range(pdim):
-                        if j < cdim:
-                            fac = legendre_product_integral_1d(
-                                (am[j], ak[j]), (False, False), expo[j]
-                            )
-                        else:
-                            fac = legendre_product_integral_1d(
-                                (am[j],), (False,), expo[j]
-                            )
-                        if fac == 0:
-                            val = Fraction(0)
-                            break
-                        val *= fac
-                    total += c * val
-                if total != 0:
-                    bucket.append((k, m, float(total) * norms_c[k] * norms_p[m] * term.scale))
-    return TermSet(npc, np_, entries)
+    shape = (cfg_basis.num_basis, phase_basis.num_basis)
+    pdeg = np.array(phase_basis.indices)
+    # lifted to phase space, phi_k is constant (P_0) in the velocity dimensions
+    cdeg = np.pad(np.array(cfg_basis.indices), ((0, 0), (0, phase_basis.ndim - cdim)))
+    exact = _exact_terms(weight_terms, _factors(weight_terms, pdeg, cdeg), shape)
+    return _termset(shape, ("vjac",), exact, [(_norms(cfg_basis), _norms(phase_basis))])
 
 
 def generate_multiply_termset(
@@ -237,19 +251,4 @@ def generate_multiply_termset(
     Used e.g. to multiply by a configuration-space thermal-speed field in the
     LBO collision operator without introducing aliasing.
     """
-    np_ = basis.num_basis
-    norms = [basis.norm(i) for i in range(np_)]
-    entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
-    for term in multiplier_terms:
-        bucket = entries.setdefault(term.sym, [])
-        monos = list(term.poly.coeffs.items())
-        for l in range(np_):
-            al = basis.indices[l]
-            for m in range(np_):
-                am = basis.indices[m]
-                total = Fraction(0)
-                for expo, c in monos:
-                    total += c * _pair_integral(am, al, -1, expo)
-                if total != 0:
-                    bucket.append((l, m, float(total) * norms[l] * norms[m] * term.scale))
-    return TermSet(np_, np_, entries)
+    return _pair_termset(basis, multiplier_terms, ())

@@ -1,9 +1,11 @@
 """Process-wide cache of generated kernel bundles.
 
-Kernel generation (exact symbolic integration) is a one-time cost per
-``(cdim, vdim, poly_order, family)`` combination — the analogue of Gkeyll
-pre-generating its C++ kernels with Maxima.  The registry memoizes bundles
-so solvers, tests, and benchmarks share them.
+Kernel generation (exact symbolic integration) is paid once per
+``(cdim, vdim, poly_order, family)`` combination and process — the analogue
+of Gkeyll pre-generating its C++ kernels with Maxima.  It is cheap (about
+0.1 s for the 48-mode 2X2V p=2 bundle, milliseconds in 1X1V), so bundles are
+memoized in memory only: there is no on-disk kernel cache to validate or
+corrupt.  Concurrent callers of one key wait for a single build.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from .vlasov import VlasovKernels, build_vlasov_kernels
 
 __all__ = ["get_vlasov_kernels", "clear_registry", "registry_stats"]
 
+_Key = Tuple[int, int, int, str]
+
 _LOCK = threading.Lock()
-_CACHE: Dict[Tuple[int, int, int, str], VlasovKernels] = {}
+_CACHE: Dict[_Key, VlasovKernels] = {}
+_BUILD_LOCKS: Dict[_Key, threading.Lock] = {}
 
 
 def get_vlasov_kernels(
@@ -26,12 +31,17 @@ def get_vlasov_kernels(
     key = (int(cdim), int(vdim), int(poly_order), str(family))
     with _LOCK:
         bundle = _CACHE.get(key)
-    if bundle is not None:
-        return bundle
-    bundle = build_vlasov_kernels(*key)
-    with _LOCK:
-        _CACHE.setdefault(key, bundle)
-    return _CACHE[key]
+        if bundle is not None:
+            return bundle
+        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
+    with build_lock:  # one build per key; later arrivals find it published
+        with _LOCK:
+            bundle = _CACHE.get(key)
+        if bundle is None:
+            bundle = build_vlasov_kernels(*key)
+            with _LOCK:
+                _CACHE[key] = bundle
+    return bundle
 
 
 def clear_registry() -> None:

@@ -30,6 +30,8 @@ import scipy.sparse as sp
 
 Symbol = Tuple[str, ...]
 AuxValue = Union[float, np.ndarray]
+# COO entries of one symbol as parallel arrays: rows, columns, coefficients
+EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = ["Term", "TermSet", "symbol_value", "merge_termsets", "stack_termsets"]
 
@@ -86,21 +88,43 @@ class TermSet:
     entries:
         COO triples grouped by symbol:
         ``{sym: [(l, m, coeff), ...]}``.
+
+    Entries are stored as parallel ``(rows, cols, coeffs)`` arrays per symbol
+    (:meth:`from_arrays` takes them directly); a symbol's entry order is kept,
+    since plan digests hash it.
     """
 
     def __init__(self, nout: int, nin: int, entries: Dict[Symbol, List[Tuple[int, int, float]]]):
+        chunks = {sym: [tuple(zip(*t))] for sym, t in entries.items() if len(t)}
+        self._set(nout, nin, chunks)
+
+    @classmethod
+    def from_arrays(
+        cls, nout: int, nin: int, chunks: Dict[Symbol, List[EntryArrays]]
+    ) -> "TermSet":
+        """Build from ``{sym: [(rows, cols, coeffs), ...]}`` array chunks; a
+        symbol's chunks are concatenated in order.  Equivalent to passing the
+        same entries as triples, without the per-entry Python round trip."""
+        self = cls.__new__(cls)
+        self._set(nout, nin, chunks)
+        return self
+
+    def _set(self, nout: int, nin: int, chunks: Dict[Symbol, List[EntryArrays]]) -> None:
         self.nout = int(nout)
         self.nin = int(nin)
         self.terms: List[Term] = []
-        self._entries = {sym: list(e) for sym, e in entries.items() if e}
-        for sym in sorted(self._entries):
-            triples = self._entries[sym]
-            rows = np.array([t[0] for t in triples], dtype=np.int64)
-            cols = np.array([t[1] for t in triples], dtype=np.int64)
-            vals = np.array([t[2] for t in triples], dtype=float)
-            active = np.unique(cols)
-            remap = {c: j for j, c in enumerate(active)}
-            cols_r = np.array([remap[c] for c in cols], dtype=np.int64)
+        self._arrays: Dict[Symbol, EntryArrays] = {}
+        for sym, parts in chunks.items():
+            rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+            if rows.size:
+                self._arrays[sym] = (
+                    rows.astype(np.int64, copy=False),
+                    cols.astype(np.int64, copy=False),
+                    vals.astype(float, copy=False),
+                )
+        for sym in sorted(self._arrays):
+            rows, cols, vals = self._arrays[sym]
+            active, cols_r = np.unique(cols, return_inverse=True)
             mat = sp.csr_matrix(
                 (vals, (rows, cols_r)), shape=(self.nout, active.size)
             )
@@ -118,7 +142,10 @@ class TermSet:
 
     def entries_by_symbol(self) -> Dict[Symbol, List[Tuple[int, int, float]]]:
         """COO triples keyed by symbol (for code generation / inspection)."""
-        return {sym: list(e) for sym, e in self._entries.items()}
+        return {
+            sym: list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+            for sym, (rows, cols, vals) in self._arrays.items()
+        }
 
     def is_empty(self) -> bool:
         return not self.terms
@@ -126,12 +153,12 @@ class TermSet:
     def scaled(self, factor: float) -> "TermSet":
         """A copy with every coefficient multiplied by ``factor`` (folds
         constant flux weights into the generated entries)."""
-        return TermSet(
+        return TermSet.from_arrays(
             self.nout,
             self.nin,
             {
-                sym: [(l, m, c * factor) for l, m, c in triples]
-                for sym, triples in self._entries.items()
+                sym: [(rows, cols, vals * factor)]
+                for sym, (rows, cols, vals) in self._arrays.items()
             },
         )
 
@@ -239,13 +266,13 @@ def merge_termsets(termsets: List["TermSet"]) -> "TermSet":
     if not termsets:
         raise ValueError("need at least one termset")
     nout, nin = termsets[0].nout, termsets[0].nin
-    entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
+    chunks: Dict[Symbol, List[EntryArrays]] = {}
     for ts in termsets:
         if (ts.nout, ts.nin) != (nout, nin):
             raise ValueError("merge requires identical (nout, nin)")
-        for sym, triples in ts.entries_by_symbol().items():
-            entries.setdefault(sym, []).extend(triples)
-    return TermSet(nout, nin, entries)
+        for sym, arrays in ts._arrays.items():
+            chunks.setdefault(sym, []).append(arrays)
+    return TermSet.from_arrays(nout, nin, chunks)
 
 
 def stack_termsets(termsets: List["TermSet"]) -> "TermSet":
@@ -259,14 +286,12 @@ def stack_termsets(termsets: List["TermSet"]) -> "TermSet":
     if not termsets:
         raise ValueError("need at least one termset")
     nin = termsets[0].nin
-    entries: Dict[Symbol, List[Tuple[int, int, float]]] = {}
+    chunks: Dict[Symbol, List[EntryArrays]] = {}
     offset = 0
     for ts in termsets:
         if ts.nin != nin:
             raise ValueError("stack requires identical nin")
-        for sym, triples in ts.entries_by_symbol().items():
-            entries.setdefault(sym, []).extend(
-                (l + offset, m, c) for l, m, c in triples
-            )
+        for sym, (rows, cols, vals) in ts._arrays.items():
+            chunks.setdefault(sym, []).append((rows + offset, cols, vals))
         offset += ts.nout
-    return TermSet(offset, nin, entries)
+    return TermSet.from_arrays(offset, nin, chunks)

@@ -1,0 +1,81 @@
+"""Generated kernels are pinned bit for bit.
+
+The golden digests below were produced by the scalar ``Fraction`` loop-nest
+generator this repo shipped up to PR 11.  Any generator must reproduce the
+same symbols, the same entry order and the same float64 bits: plan digests,
+the on-disk plan cache and every cross-mode bit-identity invariant hash
+exactly these bytes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.collisions import LBOCollisions
+from repro.grid import Grid, PhaseGrid
+from repro.kernels import get_vlasov_kernels, registry, registry_stats
+from repro.kernels.flops import modal_update_multiplications
+
+_SIDES = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
+
+
+def termsets_digest(termsets) -> str:
+    """sha256 over every termset's symbols, ``(l, m)`` int64 bytes and
+    coefficient float64 bytes, in ``entries_by_symbol()`` order."""
+    h = hashlib.sha256()
+    for ts in termsets:
+        h.update(f"{ts.nout}x{ts.nin};".encode())
+        for sym, triples in ts.entries_by_symbol().items():
+            h.update(repr(tuple(sym)).encode())
+            h.update(np.array([(l, m) for l, m, _ in triples], dtype=np.int64).tobytes())
+            h.update(np.array([c for _, _, c in triples], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def bundle_termsets(k):
+    out = list(k.vol_stream) + list(k.vol_accel)
+    for sides in k.surf_stream + k.surf_accel:
+        out.extend(sides[s] for s in _SIDES)
+    out.extend(k.moments[name] for name in sorted(k.moments))
+    return out
+
+
+def lbo_termsets(lbo):
+    ops = list(lbo._drag_vol) + list(lbo._unit_vol)
+    for sides in lbo._drag_surf + lbo._unit_surf:
+        ops.extend(sides[s] for s in _SIDES)
+    ops.append(lbo._vtsq_mult)
+    return [op.termset for op in ops]
+
+
+GOLDEN_BUNDLES = {
+    (1, 1, 1, "serendipity"): "2e6c06afbbf5de8349397622a6708e8122e39ca5d7ca0444b36852e8d2e918f3",
+    (1, 1, 2, "serendipity"): "68c0fecfbed9d276ff9112337b0f5fca529b704772e8e905c7988b13fdb1f900",
+    (1, 1, 2, "tensor"): "bb08b7847c386f8845405f0dcbc4bba416a4239bba322bba8208242db89ba5f7",
+    (1, 2, 2, "serendipity"): "8953505a0659f9aaa98f69686bcaad4fb35357067305938cb6c18bab57377071",
+    (2, 2, 1, "serendipity"): "c82d26faa5f361df9fb950a13eeefb15a4923fc00bcc8c4a81924aaba7d56273",
+    (2, 2, 2, "serendipity"): "ae6ab88b22d790b43e1f87ec3d603556f912523aca06c1f4e6f06dea3132e461",
+}
+GOLDEN_LBO_1X1V_P2 = "b1ee8cd6870d1a9af1527fddc433d18ed0c3eff7e218a409262ce9872d00d197"
+GOLDEN_2X2V_P2_NNZ = 34464
+GOLDEN_2X2V_P2_MULTS = 69588
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_BUNDLES))
+def test_bundle_bits_match_golden(key):
+    assert termsets_digest(bundle_termsets(get_vlasov_kernels(*key))) == GOLDEN_BUNDLES[key]
+
+
+def test_2x2v_p2_counts_match_golden(monkeypatch):
+    key = (2, 2, 2, "serendipity")
+    bundle = get_vlasov_kernels(*key)
+    monkeypatch.setattr(registry, "_CACHE", {key: bundle})
+    assert registry_stats() == {"bundles": 1, "total_nnz": GOLDEN_2X2V_P2_NNZ}
+    assert modal_update_multiplications(bundle)["total"] == GOLDEN_2X2V_P2_MULTS
+
+
+def test_lbo_bits_match_golden():
+    pg = PhaseGrid(Grid([0.0], [1.0], [2]), Grid([-4.0], [4.0], [4]))
+    lbo = LBOCollisions(pg, 2, nu=1.0)
+    assert termsets_digest(lbo_termsets(lbo)) == GOLDEN_LBO_1X1V_P2

@@ -101,3 +101,58 @@ def test_termset_scale_parameter(rng):
     out2 = np.zeros_like(f)
     ts.apply(-0.5 * f, {}, out2)
     assert np.allclose(out1, out2, atol=1e-15)
+
+
+def _triple_built_terms(nout, entries):
+    """The per-entry construction ``TermSet`` used before it stored arrays:
+    ``[(sym, csr_matrix, active_cols)]`` from lists of Python triples."""
+    import scipy.sparse as sp
+
+    terms = []
+    for sym in sorted(s for s, e in entries.items() if e):
+        triples = entries[sym]
+        rows = np.array([t[0] for t in triples], dtype=np.int64)
+        cols = np.array([t[1] for t in triples], dtype=np.int64)
+        vals = np.array([t[2] for t in triples], dtype=float)
+        active = np.unique(cols)
+        remap = {c: j for j, c in enumerate(active)}
+        cols_r = np.array([remap[c] for c in cols], dtype=np.int64)
+        mat = sp.csr_matrix((vals, (rows, cols_r)), shape=(nout, active.size))
+        terms.append((sym, mat, active))
+    return terms
+
+
+def _assert_same_csr_bits(termset, entries):
+    assert termset.entries_by_symbol() == {s: e for s, e in entries.items() if e}
+    expected = _triple_built_terms(termset.nout, entries)
+    assert [t.sym for t in termset.terms] == [sym for sym, _, _ in expected]
+    for term, (_, mat, active) in zip(termset.terms, expected):
+        assert np.array_equal(term.cols, active) and term.cols.dtype == active.dtype
+        assert term.matrix.shape == mat.shape
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(term.matrix, attr), getattr(mat, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_array_construction_matches_triple_built_csr_bits(bundle_1x2v):
+    """Array-backed construction, ``scaled`` and ``stack_termsets`` produce the
+    triples and csr bits of the per-entry Python construction."""
+    from repro.kernels.termset import merge_termsets, stack_termsets
+
+    sides = bundle_1x2v.surf_accel[0]
+    for ts in (bundle_1x2v.vol_accel[1], sides[("L", "R")], bundle_1x2v.moments["M2"]):
+        entries = ts.entries_by_symbol()
+        _assert_same_csr_bits(ts, entries)
+        _assert_same_csr_bits(TermSet(ts.nout, ts.nin, entries), entries)
+        scaled = {s: [(l, m, c * -0.5) for l, m, c in e] for s, e in entries.items()}
+        _assert_same_csr_bits(ts.scaled(-0.5), scaled)
+
+    pair = [sides[("L", "L")], sides[("R", "L")]]
+    stacked, merged = {}, {}
+    for i, ts in enumerate(pair):
+        for sym, triples in ts.entries_by_symbol().items():
+            stacked.setdefault(sym, []).extend((l + i * ts.nout, m, c) for l, m, c in triples)
+            merged.setdefault(sym, []).extend(triples)
+    _assert_same_csr_bits(stack_termsets(pair), stacked)
+    # merging repeats (l, m) slots under one symbol: csr construction adds them
+    _assert_same_csr_bits(merge_termsets(pair), merged)
