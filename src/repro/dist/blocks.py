@@ -10,10 +10,12 @@ to a serial one.  Three things make that work:
   (``dx``, centers, edges are taken from the parent, never recomputed from
   the block's own bounds, whose floating-point rounding could differ by an
   ulp and leak into every kernel coefficient);
-* the streaming/Maxwell surface terms are evaluated in a "shifted trace"
-  form: where the serial code rolls a periodic array, the block code reads
-  the same neighbour values out of its ghost layer and accumulates them in
-  the same order;
+* the Maxwell surface terms are evaluated in a "shifted trace" form: where
+  the serial code rolls a periodic array, the block code reads the same
+  neighbour values out of its ghost layer and accumulates them in the same
+  order; the Vlasov streaming terms do the same in the face-mode space —
+  the padded state is traced once and a neighbour's face trace is a
+  shifted view of that reduced array;
 * every dense product batches over the block's cells with unchanged
   per-cell shapes, and the engine's products are per-cell independent.
 
@@ -25,9 +27,8 @@ single ``memcpy``-shaped block transfers), and the block interior of a
 ``ascontiguousarray`` staging at all on that path.
 
 The serial solvers remain the single source of truth for the per-cell
-math: blocks reuse their compiled operators (``_vol_op``,
-``_surf_stream_ops``, ``_surf_accel_ops``) and private helpers directly
-rather than duplicating them.
+math: blocks run their compiled operators (volume, trace, face flux, lift)
+and their face-flux methods rather than duplicating them.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ import numpy as np
 from ..grid.cartesian import Grid
 from ..grid.phase import PhaseGrid
 from ..moments.calc import MomentCalculator
-from ..vlasov.modal_solver import (
-    VlasovModalSolver,
-    _add_rolled,
-    _axis_slice,
-    _roll_mul,
-)
+from ..vlasov.modal_solver import VlasovModalSolver
 from .plan import HaloStats, ShardPlan
 
 __all__ = ["BlockGrid", "BlockSpecies", "BlockMaxwellRHS", "fill_padded"]
@@ -153,8 +149,8 @@ class BlockSpecies:
 
     Wraps a :class:`~repro.vlasov.modal_solver.VlasovModalSolver` built on
     the block's phase grid and evaluates the Vlasov RHS from the padded
-    state, mirroring the serial solver's volume -> streaming -> acceleration
-    accumulation order bit for bit.
+    state with the serial solver's operators in the serial order (volume,
+    trace, face fluxes, lift), so the result is the serial one bit for bit.
     """
 
     def __init__(
@@ -184,6 +180,11 @@ class BlockSpecies:
             + (solver.num_basis,)
             + g.vel.cells
         )
+        self._trace_pad_shape = (
+            self.pad_shape[: self.cdim]
+            + (solver.trace_shape[self.cdim],)
+            + g.vel.cells
+        )
         self._interior = tuple(
             slice(p, p + n) for n, p in zip(g.conf.cells, pad)
         )
@@ -206,74 +207,52 @@ class BlockSpecies:
             self._f_int = self._f_buf
         return self._f_int
 
-    def _shift_view(self, f_pad: np.ndarray, axis_j: int, shift: int) -> np.ndarray:
-        """Interior view shifted by ``shift`` cells along config axis j."""
-        sl = list(self._interior)
-        p = self.pad[axis_j]
-        n = self.cells[axis_j]
-        sl[axis_j] = slice(p + shift, p + shift + n)
-        return f_pad[tuple(sl)]
-
     def rhs(self, f_pad: np.ndarray, em_block: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``df/dt`` on the block interior (``out`` is interior-shaped)."""
         solver = self.solver
         f_int = self.interior(f_pad)
         aux = solver.field_aux(em_block)
-        solver._accumulate_volume(f_int, aux, out)
-        self._streaming(f_pad, f_int, aux, out)
-        solver._accumulate_acceleration_surfaces(f_int, aux, out)
+        solver._vol_op.apply(f_int, aux, out, accumulate=False)
+        # both face traces of every padded cell, ghosts included; the fluxes
+        # go to the interior-shaped buffer the lift reads
+        g_pad = solver.pool.get("block.trace", self._trace_pad_shape)
+        solver._trace_op.apply(f_pad, aux, g_pad, accumulate=False)
+        g = solver.pool.get("solver.trace", solver.trace_shape)
+        g_int = g_pad[self._interior]
+        for j in range(self.cdim):
+            if self.pad[j]:
+                self._ghost_streaming_flux(j, g_pad, g, aux)
+            else:  # the block spans this axis: the serial periodic roll
+                solver._streaming_flux(j, g_int, g, aux)
+        for j in range(self.vdim):
+            solver._acceleration_flux(j, g_int, g, aux)
+        solver._lift_op.apply(g, aux, out)
         return out
 
-    def _streaming(self, f_pad, f_int, aux, out) -> None:
+    def _ghost_streaming_flux(self, j, g_pad, g, aux) -> None:
+        """:meth:`VlasovModalSolver._streaming_flux` along a decomposed
+        axis: the ``n + 1`` faces touching the block's cells, the outer two
+        taking one trace from the ghost layer instead of a periodic roll."""
         solver = self.solver
-        pool = solver.pool
-        lay = solver.layout
-        cdim = self.cdim
-        npb = solver.num_basis
-        ndim = f_int.ndim
-        f_left = pool.get("solver.fl", lay.shape)
-        f_right = pool.get("solver.fr", lay.shape)
-        sbuf = pool.get(
-            "solver.sstack", lay.shape[:cdim] + (2 * npb,) + lay.shape[cdim + 1 :]
-        )
-        half_a = _axis_slice(ndim, cdim, slice(0, npb))
-        half_b = _axis_slice(ndim, cdim, slice(npb, 2 * npb))
-        for j in range(cdim):
-            axis = j  # cfg axis j leads in cell-major layout
-            ops = solver._surf_stream_ops[j]
-            sides = solver._surf_stream_sides[j]
-            pos = solver._upwind_pos_b[j]
-            neg = solver._upwind_neg_b[j]
-            if not self.pad[j]:
-                # the block spans this axis: the serial periodic-roll path
-                np.multiply(f_int, pos, out=f_left)
-                _roll_mul(f_int, -1, axis, neg, out=f_right)
-                ops["L"].apply(f_left, aux, sbuf, accumulate=False)
-                ops["R"].apply(f_right, aux, sbuf)
-                out += sbuf[half_a]
-                _add_rolled(sbuf[half_b], 1, axis, out)
-                continue
-            # decomposed axis: neighbour values come from the ghost layer.
-            # The per-side operators replay the serial stacked accumulation
-            # order exactly — (L,L) then (L,R) into one buffer, (R,L) then
-            # (R,R) into the other — with each shifted trace read out of
-            # the padded state instead of rolled.
-            # Faces aligned with each interior cell i (cell i as left cell):
-            #   f_left = f[i] * pos, f_right = f[i+1] * neg
-            buf_a = pool.get("solver.sbufa", lay.shape)
-            buf_b = pool.get("solver.sbufb", lay.shape)
-            np.multiply(f_int, pos, out=f_left)
-            np.multiply(self._shift_view(f_pad, j, +1), neg, out=f_right)
-            sides[("L", "L")].apply(f_left, aux, buf_a, accumulate=False)
-            sides[("L", "R")].apply(f_right, aux, buf_a)
-            out += buf_a
-            # faces one cell back (cell i as right cell): the serial code
-            # rolls the stacked buffer's right-cell half forward by one
-            np.multiply(self._shift_view(f_pad, j, -1), pos, out=f_left)
-            np.multiply(f_int, neg, out=f_right)
-            sides[("R", "L")].apply(f_left, aux, buf_b, accumulate=False)
-            sides[("R", "R")].apply(f_right, aux, buf_b)
-            out += buf_b
+        n = self.cells[j]
+        up, dn = solver._slots[j]
+
+        def window(start):  # padded cells start .. start + n along axis j
+            sl = list(self._interior)
+            sl[j] = slice(start, start + n + 1)
+            return g_pad[tuple(sl)]
+
+        gface, fhat = solver._face_buffers(n + 1, j)
+        # entry i is the lower face of block cell i (padded cell i + 1)
+        np.multiply(window(0)[up], solver._upwind_pos_b[j], out=gface)
+        np.multiply(window(1)[dn], solver._upwind_neg_b[j], out=fhat)
+        gface += fhat
+        solver._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
+        lower = [slice(None)] * fhat.ndim
+        upper = list(lower)
+        lower[j], upper[j] = slice(0, n), slice(1, n + 1)
+        g[up] = fhat[tuple(upper)]
+        g[dn] = fhat[tuple(lower)]
 
 
 # --------------------------------------------------------------------- #

@@ -27,13 +27,7 @@ operator blocks once, ahead of time, into a flat program:
   in-place parameter mutation behaves exactly as interpreted.
   :meth:`apply_trusted` lets a caller that already performed the identity
   scan (:class:`~repro.kernels.grouped.GroupedOperator`) skip the guard
-  entirely;
-* velocity-weighted input states are **shared across plans** within one
-  RHS evaluation: when the owning solver declares its stage state stable
-  (:meth:`~repro.engine.pool.ScratchPool.mark_stable_state`), the weighted
-  copy ``f * w`` is computed once per distinct velocity-factor key and
-  reused by every fused plan weighting the same state — elementwise the
-  identical product, so results are unchanged.
+  entirely.
 
 When numba is importable (``repro.cas.codegen.select_tier``), the merged
 sweeps additionally run through an emitted ``@njit(cache=True)`` kernel that
@@ -42,7 +36,7 @@ the vectorized numpy tier above runs — same results, both validated against
 the interpreted path by the equivalence tests.
 
 A FusedPlan wraps (and delegates unknown attributes to) its interpreted
-plan, so plan introspection — ``stats``, ``signature``, ``_fact`` — and the
+plan, so plan introspection — ``stats``, ``signature`` — and the
 scratch-pool copy audit behave identically.
 """
 
@@ -178,7 +172,7 @@ class _CfgStep:
     __slots__ = (
         "vel_names",
         "items",
-        "block",      # dense stack: ``hat`` under factorization, else ``mats``
+        "block",      # dense operator stack (the group's ``mats``)
         "n_items",
         "coef",       # pooled (n_items, ncfg) coefficient buffer
         "coef_t",     # transposed view, the GEMM operand
@@ -193,7 +187,7 @@ class _CfgStep:
     def __init__(self, plan: ExecutionPlan, grp) -> None:
         self.vel_names = grp.vel_names
         self.items = grp.items
-        self.block = grp.hat if grp.hat is not None else grp.mats
+        self.block = grp.mats
         self.n_items = len(grp.items)
         self.coef = plan.pool.get("plan.coef", (self.n_items, plan.ncfg))
         self.coef_t = self.coef.T
@@ -290,34 +284,18 @@ class FusedPlan:
         self._nin, self._nout = plan.nin, plan.nout
         self._f3shape = (plan.ncfg, plan.nin, plan.nvel)
         self._o3shape = (plan.ncfg, plan.nout, plan.nvel)
-        self._fact = plan._fact
         self._fallback = plan._fallback
         backend = plan.backend
         self._gemm = backend.gemm
         self._bgemm = backend.batched_gemm
         self._bgemm_acc = backend.batched_gemm_acc
         if self._cfg_steps:
-            if plan._fact is not None:
-                _u, _vt, r_out, r_in = plan._fact
-                self._gt = pool.get("plan.gt", (plan.ncfg, r_in, plan.nvel))
-                self._outhat = pool.get(
-                    "plan.outhat", (plan.ncfg, r_out, plan.nvel)
-                )
-                rows, cols = r_out, r_in
-                if any(s.vel_names for s in self._cfg_steps):
-                    self._gc = pool.get(
-                        "plan.gc", (plan.ncfg, cols, plan.nvel)
-                    )
-            else:
-                rows, cols = plan.nout, plan.nin
-            self._amat = pool.get("plan.amat", (plan.ncfg, rows * cols))
-            self._a3 = self._amat.reshape(plan.ncfg, rows, cols)
-        # velocity-weighted input buffers, one per distinct factor key;
-        # ``fusedg:`` tags are written only by fused plans, which all follow
-        # the stable-state sharing protocol below
-        wanted = {s.vel_names for s in self._sparse if s.vel_names}
-        if plan._fact is None:
-            wanted |= {s.vel_names for s in self._cfg_steps if s.vel_names}
+            self._amat = pool.get("plan.amat", (plan.ncfg, plan.nout * plan.nin))
+            self._a3 = self._amat.reshape(plan.ncfg, plan.nout, plan.nin)
+        # velocity-weighted input buffers, one per distinct factor key
+        wanted = {
+            s.vel_names for s in self._sparse + self._cfg_steps if s.vel_names
+        }
         self._gbufs: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
         for names in wanted:
             g = pool.get(f"fusedg:{'*'.join(names)}", plan.in_shape)
@@ -606,46 +584,18 @@ class FusedPlan:
         fin: np.ndarray,
         wcache: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]],
     ) -> Tuple[np.ndarray, ...]:
-        """The weighted input ``fin * w`` as ``(buffer, flat, 3-D)`` views.
-
-        Within one apply the product is computed at most once per factor key
-        (``wcache``); across plans it is additionally shared through the
-        pool when the solver has declared ``fin`` stable for the current
-        RHS evaluation — the multiply is elementwise, so whichever plan
-        computes it produces bit-identical data.
-        """
+        """The weighted input ``fin * w`` as ``(buffer, flat, 3-D)`` views,
+        computed at most once per factor key within one apply."""
         entry = wcache.get(names)
-        if entry is not None:
-            return entry
-        entry = self._gbufs[names]
-        pool = self._pool
-        key = (names, self._in_shape)
-        if pool.stable_id == id(fin):
-            if key not in pool.shared_weights:
-                np.multiply(fin, self._velb[names], out=entry[0])
-                pool.shared_weights.add(key)
-        else:
-            # weighting a transient buffer (rolled/upwinded state): the
-            # shared copy for this key no longer holds the stable state
+        if entry is None:
+            entry = wcache[names] = self._gbufs[names]
             np.multiply(fin, self._velb[names], out=entry[0])
-            pool.shared_weights.discard(key)
-        wcache[names] = entry
         return entry
 
     def _apply_cfg(self, f3, fin, aux, outc, wcache, accumulate: bool) -> None:
         p = self._plan
         bgemm, bgemm_acc = self._bgemm, self._bgemm_acc
-        fact = self._fact
-        if fact is not None:
-            gt = self._gt
-            bgemm(fact[1], f3, out=gt)
-            acc = self._outhat
-            work = gt
-            first = True
-        else:
-            acc = outc
-            work = f3
-            first = not accumulate
+        first = not accumulate
         a3 = self._a3
         amat = self._amat
         gemm = self._gemm
@@ -653,29 +603,14 @@ class FusedPlan:
             step.assemble(p, aux)
             gemm(step.coef_t, step.block, out=amat)
             if step.vel_names:
-                if fact is not None:
-                    # recomputed per apply exactly as interpreted (the
-                    # product is velocity-axis sized, i.e. tiny)
-                    vprod = p._vel_product(step.vel_names, aux)
-                    velfac = np.broadcast_to(
-                        vprod.reshape(vprod.shape[p.cdim:]), p.vel_shape
-                    ).reshape(1, 1, self._nvel)
-                    gc = self._gc
-                    np.multiply(work, velfac, out=gc)
-                else:
-                    gc = self._weighted(step.vel_names, fin, wcache)[2]
+                gc = self._weighted(step.vel_names, fin, wcache)[2]
             else:
-                gc = work
+                gc = f3
             if first:
-                bgemm(a3, gc, out=acc)
+                bgemm(a3, gc, out=outc)
                 first = False
             else:
-                bgemm_acc(a3, gc, acc)
-        if fact is not None:
-            if accumulate:
-                bgemm_acc(fact[0], acc, outc)
-            else:
-                bgemm(fact[0], acc, out=outc)
+                bgemm_acc(a3, gc, outc)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FusedPlan(tier={self.tier!r}, {self._plan!r})"

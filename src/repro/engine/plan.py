@@ -179,14 +179,13 @@ class _UniformGroup:
 class _CfgGroup:
     """Terms with configuration-varying operators: pre-stacked dense blocks."""
 
-    __slots__ = ("vel_names", "items", "mats", "hat")
+    __slots__ = ("vel_names", "items", "mats")
 
     def __init__(self, vel_names: Tuple[str, ...]):
         self.vel_names = vel_names
         # each item: (scalar_names, cfg_names); row i of ``mats`` is its block
         self.items: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
         self.mats: Optional[np.ndarray] = None  # (n_items, nout * nin)
-        self.hat: Optional[np.ndarray] = None   # (n_items, r_out * r_in)
 
 
 class ExecutionPlan:
@@ -274,9 +273,8 @@ class ExecutionPlan:
 
         The stored metadata must match the identity this plan would compile
         to (signature, shapes); mismatches raise ``ValueError`` so callers
-        treat stale payloads as cache misses.  Hydration skips the analysis
-        and the SVD factorization entirely — the expensive parts of
-        ``_compile`` — and is bit-identical to a fresh compile.
+        treat stale payloads as cache misses.  Hydration skips the symbol
+        analysis of ``_compile`` and is bit-identical to a fresh compile.
         """
         self = cls.__new__(cls)
         self._setup(termset, cdim, vdim, aux, cell_shape, backend, pool)
@@ -340,67 +338,16 @@ class ExecutionPlan:
         self._fallback = (
             TermSet(self.nout, self.nin, fallback) if fallback else None
         )
-        self._factorize_cfg()
-
-    def _factorize_cfg(self) -> None:
-        """Shared low-rank factorization of the dense operator stacks.
-
-        Surface kernels act through a face trace, so every block of a
-        surface plan shares row/column spaces of dimension = the number of
-        face modes (20 of 96 x 48 for 2X2V p=2 serendipity).  When the
-        structural rank is low enough to pay for the extra trace/lift
-        products, blocks are stored as ``K_i = U H_i V^T`` and applications
-        run in the reduced space: one trace product, small batched GEMMs,
-        one lift product.  The factorization is orthonormal and exact to
-        roundoff (verified here; falls back to the direct stacks if not).
-        """
-        self._fact = None
-        if not self._cfg:
-            return
-        K = np.concatenate(
-            [g.mats.reshape(len(g.items), self.nout, self.nin) for g in self._cfg]
-        )
-        _, s_in, vt = np.linalg.svd(K.reshape(-1, self.nin), full_matrices=False)
-        _, s_out, wt = np.linalg.svd(
-            np.swapaxes(K, 1, 2).reshape(-1, self.nout), full_matrices=False
-        )
-        if s_in.size == 0 or s_in[0] == 0.0:
-            return
-        r_in = int(np.sum(s_in > s_in[0] * 1e-10))
-        r_out = int(np.sum(s_out > s_out[0] * 1e-10))
-        ngroups = len(self._cfg)
-        direct = ngroups * self.nout * self.nin
-        factored = (
-            r_in * self.nin + ngroups * r_out * r_in + self.nout * r_out
-        )
-        if factored >= 0.85 * direct:
-            return
-        vt = np.ascontiguousarray(vt[:r_in])          # (r_in, nin)
-        u = np.ascontiguousarray(wt[:r_out].T)        # (nout, r_out)
-        hat = np.matmul(np.matmul(u.T, K), vt.T)      # (n_total, r_out, r_in)
-        recon = np.matmul(np.matmul(u, hat), vt)
-        scale = np.max(np.abs(K)) or 1.0
-        if np.max(np.abs(recon - K)) > 1e-12 * scale:  # pragma: no cover
-            return
-        start = 0
-        for grp in self._cfg:
-            n = len(grp.items)
-            grp.hat = hat[start : start + n].reshape(n, r_out * r_in).copy()
-            grp.mats = None  # the dense stack is fully replaced by its factors
-            start += n
-        self._fact = (u, vt, r_out, r_in)
 
     # ------------------------------------------------------------------ #
     def to_artifacts(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """Serialize the compiled operator blocks to ``(meta, arrays)``.
 
-        The payload holds everything ``_compile`` + ``_factorize_cfg``
-        produce that is expensive or non-trivial to rebuild: per-cell
-        sparse blocks (the kron expansion is cheap and cell-count-bound,
-        so only the per-cell form is stored), dense stacks or their
-        low-rank ``hat`` factors, and the shared ``U``/``V^T`` factors.
-        Symbol structure and the fallback's entries come back from the
-        termset, which the loader always has in hand.
+        The payload holds what ``_compile`` produces that is non-trivial
+        to rebuild: per-cell sparse blocks (the kron expansion is cheap and
+        cell-count-bound, so only the per-cell form is stored) and the
+        dense operator stacks.  Symbol structure and the fallback's entries
+        come back from the termset, which the loader always has in hand.
         """
         meta: dict = {
             "nout": self.nout,
@@ -411,7 +358,6 @@ class ExecutionPlan:
             "signature": [[name, tok] for name, tok in self.signature],
             "uniform": [],
             "cfg": [],
-            "fact": None,
             "fallback_syms": [],
         }
         arrays: Dict[str, np.ndarray] = {}
@@ -433,15 +379,9 @@ class ExecutionPlan:
                     "items": [
                         [list(sn), list(cn)] for sn, cn in grp.items
                     ],
-                    "kind": "hat" if grp.hat is not None else "mats",
                 }
             )
-            arrays[f"c{gi}"] = grp.hat if grp.hat is not None else grp.mats
-        if self._fact is not None:
-            u, vt, r_out, r_in = self._fact
-            meta["fact"] = [int(r_out), int(r_in)]
-            arrays["factu"] = u
-            arrays["factvt"] = vt
+            arrays[f"c{gi}"] = grp.mats
         if self._fallback is not None:
             meta["fallback_syms"] = [
                 list(sym) for sym in self._fallback.entries_by_symbol()
@@ -486,28 +426,13 @@ class ExecutionPlan:
                 )
             self._uniform.append(grp)
         self._cfg = []
-        fact_meta = meta.get("fact")
         for gi, gmeta in enumerate(meta["cfg"]):
             grp = _CfgGroup(tuple(gmeta["vel_names"]))
             grp.items = [
                 (tuple(sn), tuple(cn)) for sn, cn in gmeta["items"]
             ]
-            block = np.ascontiguousarray(arrays[f"c{gi}"], dtype=float)
-            if gmeta["kind"] == "hat":
-                grp.hat = block
-            else:
-                grp.mats = block
+            grp.mats = np.ascontiguousarray(arrays[f"c{gi}"], dtype=float)
             self._cfg.append(grp)
-        if fact_meta is not None:
-            r_out, r_in = int(fact_meta[0]), int(fact_meta[1])
-            self._fact = (
-                np.ascontiguousarray(arrays["factu"], dtype=float),
-                np.ascontiguousarray(arrays["factvt"], dtype=float),
-                r_out,
-                r_in,
-            )
-        else:
-            self._fact = None
         fb_syms = [tuple(sym) for sym in meta.get("fallback_syms", [])]
         if fb_syms:
             self._fallback = TermSet(
@@ -671,18 +596,6 @@ class ExecutionPlan:
         with one batched GEMM per group, straight from/to the cell-major
         state views (assigned when ``accumulate`` is False)."""
         pool, backend = self.pool, self.backend
-        if self._fact is not None:
-            u, vt, r_out, r_in = self._fact
-            # reduced space: trace once, per-group small products, lift once
-            gt = pool.get("plan.gt", (self.ncfg, r_in, self.nvel))
-            backend.batched_gemm(vt, f3, out=gt)
-            acc = pool.get("plan.outhat", (self.ncfg, r_out, self.nvel))
-            work, rows, cols = gt, r_out, r_in
-            acc_assigned = False  # the reduced accumulator starts fresh
-        else:
-            acc = outc
-            work, rows, cols = f3, self.nout, self.nin
-            acc_assigned = accumulate  # outc already holds a carried result
         for igrp, grp in enumerate(self._cfg):
             n_items = len(grp.items)
             coef = pool.get("plan.coef", (n_items, self.ncfg))
@@ -693,36 +606,21 @@ class ExecutionPlan:
                 np.multiply(self._cfg_row(aux[cfg_names[0]]), c, out=coef[i])
                 for name in cfg_names[1:]:
                     coef[i] *= self._cfg_row(aux[name])
-            amat = pool.get("plan.amat", (self.ncfg, rows * cols))
-            backend.gemm(coef.T, grp.hat if self._fact is not None else grp.mats, out=amat)
-            a3 = amat.reshape(self.ncfg, rows, cols)
+            amat = pool.get("plan.amat", (self.ncfg, self.nout * self.nin))
+            backend.gemm(coef.T, grp.mats, out=amat)
+            a3 = amat.reshape(self.ncfg, self.nout, self.nin)
             if grp.vel_names:
-                if self._fact is not None:
-                    # column scaling commutes with the trace product, so it
-                    # is applied in the (cheap) reduced space
-                    vprod = self._vel_product(grp.vel_names, aux)
-                    velfac = np.broadcast_to(
-                        vprod.reshape(vprod.shape[self.cdim :]), self.vel_shape
-                    ).reshape(1, 1, self.nvel)
-                    gc = pool.get("plan.gc", (self.ncfg, cols, self.nvel))
-                    np.multiply(work, velfac, out=gc)
-                else:
-                    # full-width weighted state, shared with the sparse part
-                    gc = self._weighted(fin, grp.vel_names, aux, wcache).reshape(
-                        self.ncfg, cols, self.nvel
-                    )
+                # full-width weighted state, shared with the sparse part
+                gc = self._weighted(fin, grp.vel_names, aux, wcache).reshape(
+                    self.ncfg, self.nin, self.nvel
+                )
             else:
-                gc = work
-            if igrp == 0 and not acc_assigned:
-                backend.batched_gemm(a3, gc, out=acc)
+                gc = f3
+            if igrp == 0 and not accumulate:
+                backend.batched_gemm(a3, gc, out=outc)
             else:
                 # in-place accumulation: no staging buffer, no extra pass
-                backend.batched_gemm_acc(a3, gc, acc)
-        if self._fact is not None:
-            if accumulate:
-                backend.batched_gemm_acc(u, acc, outc)
-            else:
-                backend.batched_gemm(u, acc, out=outc)
+                backend.batched_gemm_acc(a3, gc, outc)
 
     # ------------------------------------------------------------------ #
     @property

@@ -38,7 +38,7 @@ __all__ = [
 
 #: bumped whenever the artifact layout changes; part of every digest, so a
 #: version bump invalidates the whole cache without any migration logic
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _META_KEY = "__meta__"
 

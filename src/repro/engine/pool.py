@@ -41,23 +41,6 @@ class ScratchPool:
         self.copy_debug = False
         #: cumulative count of layout-normalizing copies (diagnostics)
         self.layout_copies = 0
-        #: id() of the state the owning solver declared content-stable for
-        #: the current RHS evaluation (see :meth:`mark_stable_state`)
-        self.stable_id: int | None = None
-        #: velocity-factor keys whose shared weighted copy of the stable
-        #: state is current (:meth:`repro.engine.fused.FusedPlan._weighted`)
-        self.shared_weights: set = set()
-
-    def mark_stable_state(self, state: np.ndarray) -> None:
-        """Declare ``state`` content-stable until the next call.
-
-        Solvers call this once per RHS evaluation with the stage state all
-        their operators read; fused plans then compute each distinct
-        velocity-weighted copy of it once and share it across operators.
-        The multiply is elementwise, so sharing is bit-exact.
-        """
-        self.stable_id = id(state)
-        self.shared_weights.clear()
 
     def record_layout_copy(self, tag: str, shape: Tuple[int, ...] = ()) -> None:
         """Note (or, under ``copy_debug``, reject) a copy made solely to
@@ -99,5 +82,3 @@ class ScratchPool:
 
     def clear(self) -> None:
         self._arrays.clear()
-        self.stable_id = None
-        self.shared_weights.clear()

@@ -2,8 +2,10 @@
 
 from .flops import compare_costs, modal_update_multiplications, nodal_update_multiplications
 from .generator import (
+    FaceKernels,
     FluxSpec,
     FluxTerm,
+    generate_face_termsets,
     generate_moment_termset,
     generate_multiply_termset,
     generate_surface_termsets,
@@ -25,6 +27,8 @@ __all__ = [
     "FluxTerm",
     "generate_volume_termset",
     "generate_surface_termsets",
+    "FaceKernels",
+    "generate_face_termsets",
     "generate_moment_termset",
     "generate_multiply_termset",
     "VlasovKernels",

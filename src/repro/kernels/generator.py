@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..basis.legendre import legendre_value_at_one
+from ..basis.legendre import legendre_norm_squared, legendre_value_at_one
 from ..basis.modal import ModalBasis
 from ..cas.integrate import legendre_product_integral_1d
 from ..cas.poly import Poly
@@ -47,6 +47,9 @@ __all__ = [
     "FluxSpec",
     "generate_volume_termset",
     "generate_surface_termsets",
+    "FaceKernels",
+    "FACE_SIGN",
+    "generate_face_termsets",
     "generate_moment_termset",
     "generate_multiply_termset",
 ]
@@ -211,6 +214,74 @@ def generate_surface_termsets(
         for test_side, test_sign, global_sign in (("L", 1, -1.0), ("R", -1, 1.0))
         for state_side, state_sign in (("L", 1), ("R", -1))
     }
+
+
+#: outward-normal sign ``sigma_t`` of the face's left / right cell
+FACE_SIGN = {"L": -1.0, "R": 1.0}
+
+
+@dataclass(frozen=True)
+class FaceKernels:
+    """One direction's surface kernels, factored through the face modes:
+    ``K[(t, s)] = FACE_SIGN[t] * trace[t].T @ flux @ trace[s]`` exactly.
+
+    ``trace[side]`` is ``(Nf, Np)`` with one entry per phase mode and no
+    runtime symbol (``"L"``: the left cell's trace at ``xi_dim = +1``,
+    ``"R"``: the right cell's at ``-1``); ``flux`` is the ``(Nf, Nf)`` kernel
+    ``int psi_a alpha psi_b`` carrying the flux's runtime symbols."""
+
+    dim: int
+    trace: Dict[str, TermSet]
+    flux: TermSet
+
+
+def _mode_norms(indices: Sequence[Tuple[int, ...]]) -> np.ndarray:
+    """Orthonormalisation constants of Legendre-product modes (the formula of
+    :meth:`~repro.basis.modal.ModalBasis.norm`)."""
+    return np.array(
+        [float(np.sqrt(float(prod(1 / legendre_norm_squared(a) for a in alpha)))) for alpha in indices]
+    )
+
+
+def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
+    """Surface kernels of :func:`generate_surface_termsets` in the face-mode
+    space, for a flux that does not depend on ``xi_dim``.
+
+    A mode restricted to the face ``xi_dim = +-1`` is its 1-D factor's value
+    there, ``sqrt((2 l_dim + 1) / 2) (+-1)^l_dim``, times the mode ``a(l)`` of
+    the orthonormal basis of the same family in the remaining ``ndim - 1``
+    variables (``l`` with its ``dim``-th index dropped).  So the weak-form
+    face integral is taken once over the ``Nf`` face modes and the traces
+    carry the rest; ``ValueError`` if a flux polynomial contains ``xi_dim``.
+    """
+    d = flux.dim
+    if any(expo[d] for term in flux.terms for expo in term.poly.coeffs):
+        raise ValueError(f"face kernels need a flux independent of xi_{d}")
+    dropped = [a[:d] + a[d + 1 :] for a in basis.indices]
+    modes = sorted(set(dropped), key=lambda a: (sum(a), a))  # canonical order
+    where = {a: i for i, a in enumerate(modes)}
+    nf, npb = len(modes), basis.num_basis
+    rows = np.array([where[a] for a in dropped])
+    deg_d = [a[d] for a in basis.indices]
+    one_d = _mode_norms([(a,) for a in deg_d])
+    trace = {
+        side: TermSet.from_arrays(
+            nf,
+            npb,
+            {(): [(rows, np.arange(npb), one_d * [legendre_value_at_one(a, sign) for a in deg_d])]},
+        )
+        for side, sign in (("L", 1), ("R", -1))
+    }
+    # face modes lifted back to ndim variables as degree 0 in xi_dim, whose
+    # factor is then the flux polynomial's (constant) value on the face
+    deg = np.insert(np.array(modes, dtype=int).reshape(nf, -1), d, 0, axis=1)
+    factors = _factors(flux.terms, deg, deg)
+    factors[d] = (1, [1])
+    norms = _mode_norms(modes)
+    exact = _exact_terms(flux.terms, factors, (nf, nf))
+    return FaceKernels(
+        dim=d, trace=trace, flux=_termset((nf, nf), (f"rdx{d}",), exact, [(norms, norms)])
+    )
 
 
 def generate_moment_termset(

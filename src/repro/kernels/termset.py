@@ -162,6 +162,17 @@ class TermSet:
             },
         )
 
+    def transposed(self) -> "TermSet":
+        """The kernel of the transposed matrices, symbol by symbol."""
+        return TermSet.from_arrays(
+            self.nin,
+            self.nout,
+            {
+                sym: [(cols, rows, vals)]
+                for sym, (rows, cols, vals) in self._arrays.items()
+            },
+        )
+
     # ------------------------------------------------------------------ #
     def apply(
         self,

@@ -27,8 +27,10 @@ from ..basis.legendre import legendre_coefficients
 from ..basis.modal import ModalBasis
 from ..cas.poly import Poly
 from .generator import (
+    FaceKernels,
     FluxSpec,
     FluxTerm,
+    generate_face_termsets,
     generate_moment_termset,
     generate_surface_termsets,
     generate_volume_termset,
@@ -154,6 +156,10 @@ class VlasovKernels:
     vol_accel: List[TermSet]                       # per velocity dim
     surf_stream: List[Dict[Tuple[str, str], TermSet]]
     surf_accel: List[Dict[Tuple[str, str], TermSet]]
+    # the same surface terms factored through the face modes (what the
+    # solvers apply; surf_* stay as the paper's Fig. 1/2 cost model)
+    face_stream: List[FaceKernels]
+    face_accel: List[FaceKernels]
     moments: Dict[str, TermSet]
 
     @property
@@ -177,18 +183,18 @@ def build_vlasov_kernels(
     pdim = cdim + vdim
     phase_basis = ModalBasis(pdim, poly_order, family)
     cfg_basis = ModalBasis(cdim, poly_order, family)
-    vol_stream = []
-    surf_stream = []
+    vol_stream, surf_stream, face_stream = [], [], []
     for j in range(cdim):
         flux = streaming_flux(cdim, vdim, j)
         vol_stream.append(generate_volume_termset(phase_basis, flux))
         surf_stream.append(generate_surface_termsets(phase_basis, flux))
-    vol_accel = []
-    surf_accel = []
+        face_stream.append(generate_face_termsets(phase_basis, flux))
+    vol_accel, surf_accel, face_accel = [], [], []
     for j in range(vdim):
         flux = acceleration_flux(cfg_basis, cdim, vdim, j)
         vol_accel.append(generate_volume_termset(phase_basis, flux))
         surf_accel.append(generate_surface_termsets(phase_basis, flux))
+        face_accel.append(generate_face_termsets(phase_basis, flux))
     moments = {}
     names = ["M0", "M2"] + [f"M1{'xyz'[d]}" for d in range(vdim)]
     for name in names:
@@ -206,5 +212,7 @@ def build_vlasov_kernels(
         vol_accel=vol_accel,
         surf_stream=surf_stream,
         surf_accel=surf_accel,
+        face_stream=face_stream,
+        face_accel=face_accel,
         moments=moments,
     )

@@ -20,10 +20,23 @@ distribution coefficients are ``(*cfg_cells, Np, *vel_cells)`` and the EM
 state is ``(*cfg_cells, 8, Npc)``, so every batched per-cell product in the
 precompiled-plan engine (:mod:`repro.engine`) reads and writes the state
 directly — no transpose or ``ascontiguousarray`` pass anywhere in the
-steady-state RHS.  The velocity-space surface terms exploit the layout too:
-instead of gathering strided face slices, both face-trace operators are
-applied to the full contiguous state and the (cheap) boundary-invalid cells
-are simply excluded from the shifted scatter-adds.
+steady-state RHS.
+
+The surface terms :math:`U_{lm} \\hat F_m` are evaluated in the **face-mode
+space**.  In the orthonormal basis a mode restricted to the face
+:math:`\\xi_d = \\pm 1` is a number times one of the :math:`N_f` modes of
+the same family in the other :math:`d - 1` variables (20 of 48 for 2X2V
+p=2 serendipity), and the Vlasov flux along :math:`d` does not depend on
+:math:`\\xi_d`, so every surface kernel factors exactly as
+:math:`\\sigma_t (T^t)^T \\hat H T^s`
+(:func:`~repro.kernels.generator.generate_face_termsets`).  One RHS is:
+volume operator → **trace** (one sparse pass over ``f`` giving both face
+traces of every cell for all directions, ``(*cfg, 2 d Nf, *vel)``) → per
+direction, the face state (upwinded and periodic for streaming; central on
+interior faces, zero on the velocity-domain boundary for acceleration) and
+its ``Nf x Nf`` **flux** operator, whose result overwrites the trace slots
+→ **lift** (one sparse pass adding every direction's face fluxes to the
+cell).  The operators are ordinary termsets run by the plan engine.
 
 Numerical fluxes follow Juno et al. (2018) / Gkeyll:
 
@@ -47,6 +60,7 @@ from ..engine.backend import ArrayBackend, get_backend
 from ..engine.layout import StateLayout
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
+from ..kernels.generator import FACE_SIGN
 from ..kernels.grouped import GroupedOperator
 from ..kernels.registry import get_vlasov_kernels
 from ..kernels.termset import merge_termsets, stack_termsets
@@ -123,14 +137,9 @@ class VlasovModalSolver:
             self._upwind_pos_b.append(self.layout.bcast(pos))
             self._upwind_neg_b.append(self.layout.bcast(1.0 - pos))
         # Every termset runs through a plan-cached GroupedOperator sharing
-        # one scratch pool and backend: the field-coupled (acceleration)
-        # kernels compile to batched dense products, the streaming kernels
-        # keep their exact sparsity and gain in-place accumulation.  Kernels
-        # consuming the same state are merged so each application makes one
-        # pass: all volume kernels form a single operator, and the two face
-        # kernels reading one trace state are row-stacked into a
-        # double-height operator whose halves are the left-/right-cell
-        # increments.
+        # one scratch pool and backend: field-coupled kernels compile to
+        # batched dense products, the others keep their exact sparsity.  All
+        # volume kernels are merged into a single operator (one pass over f).
         cdim, vdim = phase_grid.cdim, phase_grid.vdim
 
         def _op(ts):
@@ -138,45 +147,34 @@ class VlasovModalSolver:
                 ts, cdim, vdim, backend=self.backend, pool=self.pool
             )
 
-        self._op = _op
-        self._vol_op = _op(
-            merge_termsets(self.kernels.vol_stream + self.kernels.vol_accel)
+        kern = self.kernels
+        self._vol_op = _op(merge_termsets(kern.vol_stream + kern.vol_accel))
+        # Surface terms in the face-mode space.  Phase direction q owns the
+        # trace-buffer slots [2 q Nf, 2 (q+1) Nf): first the cell's trace on
+        # its upper face (the face's "L" state), then on its lower face; the
+        # lift reads each cell's upper-/lower-face flux from the same slots.
+        faces = kern.face_stream + kern.face_accel
+        sides = [(fk, side) for fk in faces for side in ("L", "R")]
+        self.num_face_modes = nf = faces[0].flux.nout
+        self._trace_op = _op(stack_termsets([fk.trace[side] for fk, side in sides]))
+        self._lift_op = _op(
+            stack_termsets(
+                [fk.trace[side].scaled(FACE_SIGN[side]) for fk, side in sides]
+            ).transposed()
         )
-        # streaming faces: the two kernels consuming one trace state are
-        # row-stacked (same-symbol matrices merge), so each upwind-weighted
-        # state is velocity-weighted and swept once; halves of the stacked
-        # output are the face's left-cell (aligned) and right-cell (+1 roll)
-        # increments.  The per-side operators stay available for the shard
-        # blocks, whose ghost reads replace the rolls on decomposed axes.
-        self._surf_stream_sides = [
-            {side: _op(ts) for side, ts in sides.items()}
-            for sides in self.kernels.surf_stream
+        self._stream_flux_ops = [_op(fk.flux) for fk in kern.face_stream]
+        # the central-flux 1/2 is folded into the generated coefficients
+        self._accel_flux_ops = [_op(fk.flux.scaled(0.5)) for fk in kern.face_accel]
+        shape = self.layout.shape
+        ndim = len(shape)
+        self._slots = [
+            tuple(
+                _axis_slice(ndim, cdim, slice((2 * q + k) * nf, (2 * q + k + 1) * nf))
+                for k in (0, 1)
+            )
+            for q in range(len(faces))
         ]
-        self._surf_stream_ops = [
-            {
-                "L": _op(stack_termsets([sides[("L", "L")], sides[("R", "L")]])),
-                "R": _op(stack_termsets([sides[("L", "R")], sides[("R", "R")]])),
-            }
-            for sides in self.kernels.surf_stream
-        ]
-        # per velocity dim: operator for the left trace (stacked increments
-        # to the face's left and right cells) and for the right trace, with
-        # the central-flux 1/2 folded into the generated coefficients
-        self._surf_accel_ops = [
-            {
-                "L": _op(
-                    stack_termsets(
-                        [sides[("L", "L")].scaled(0.5), sides[("R", "L")].scaled(0.5)]
-                    )
-                ),
-                "R": _op(
-                    stack_termsets(
-                        [sides[("L", "R")].scaled(0.5), sides[("R", "R")].scaled(0.5)]
-                    )
-                ),
-            }
-            for sides in self.kernels.surf_accel
-        ]
+        self.trace_shape = shape[:cdim] + (2 * len(faces) * nf,) + shape[cdim + 1 :]
 
     # ------------------------------------------------------------------ #
     # aux symbol assembly
@@ -243,149 +241,75 @@ class VlasovModalSolver:
         if out is None:
             out = self.backend.empty(f.shape)
         aux = self.field_aux(em)
-        # f is read-only for the rest of this evaluation: fused plans may
-        # share its velocity-weighted copies across the operators below
-        self.pool.mark_stable_state(f)
-        self._accumulate_volume(f, aux, out)
-        self._accumulate_streaming_surfaces(f, aux, out)
-        self._accumulate_acceleration_surfaces(f, aux, out)
-        return out
-
-    def _accumulate_volume(self, f, aux, out) -> None:
         # the volume operator owns the first write into out (no zero pass)
         self._vol_op.apply(f, aux, out, accumulate=False)
-
-    def _accumulate_streaming_surfaces(self, f, aux, out) -> None:
-        """Periodic, upwinded configuration-space face terms.  Configuration
-        axes lead in cell-major layout, so the rolled copies move contiguous
-        slabs; the stacked per-trace operators compute both cell increments
-        of every face in one weighted pass."""
-        cdim = self.grid.cdim
-        npb = self.num_basis
-        ndim = f.ndim
-        f_left = self.pool.get("solver.fl", f.shape)
-        f_right = self.pool.get("solver.fr", f.shape)
-        sbuf = self.pool.get(
-            "solver.sstack", f.shape[:cdim] + (2 * npb,) + f.shape[cdim + 1 :]
-        )
-        half_a = _axis_slice(ndim, cdim, slice(0, npb))
-        half_b = _axis_slice(ndim, cdim, slice(npb, 2 * npb))
+        g = self.pool.get("solver.trace", self.trace_shape)
+        self._trace_op.apply(f, aux, g, accumulate=False)
         for j in range(self.grid.cdim):
-            axis = j  # cfg axis j is array axis j in cell-major layout
-            ops = self._surf_stream_ops[j]
-            pos = self._upwind_pos_b[j]
-            neg = self._upwind_neg_b[j]
-            # weighted left/right states at each face (f_right rolled to
-            # align with the face's left cell)
-            np.multiply(f, pos, out=f_left)
-            _roll_mul(f, -1, axis, neg, out=f_right)
-            ops["L"].apply(f_left, aux, sbuf, accumulate=False)
-            ops["R"].apply(f_right, aux, sbuf)
-            # aligned half: increments to the face's left cell; rolled
-            # half: increments to its right cell (shift back by one)
-            out += sbuf[half_a]
-            _add_rolled(sbuf[half_b], 1, axis, out)
-
-    def _accumulate_acceleration_surfaces(self, f, aux, out) -> None:
-        """Central-flux velocity-space face terms with zero-flux domain
-        boundaries (interior faces only).
-
-        The acceleration operators have no dependence on their own velocity
-        direction, so both face-trace operators are applied to *full
-        contiguous* states — batched products straight off the cell-major
-        layout, no strided face gather.  The R trace consumes the state
-        rolled one cell back along the face direction, which face-aligns it
-        with the L trace: both accumulate into one stacked buffer whose
-        halves are then the complete left-/right-cell increments of each
-        interior face (entries at the rolled-over boundary face are simply
-        never scattered — zero-flux boundaries).
-        """
-        cdim = self.grid.cdim
-        npb = self.num_basis
-        ndim = f.ndim
-        stacked_shape = f.shape[:cdim] + (2 * npb,) + f.shape[cdim + 1 :]
+            self._streaming_flux(j, g, g, aux)
         for j in range(self.grid.vdim):
-            axis = cdim + 1 + j
-            n = f.shape[axis]
-            if n < 2:
-                continue
-            sides = self._surf_accel_ops[j]
-            f_roll = self.pool.get("solver.accroll", f.shape)
-            _roll_copy(f, -1, axis, f_roll)
-            buf = self.pool.get("solver.accbuf", stacked_shape)
-            # buf[i] = face i+1/2: L trace of cell i plus R trace of cell
-            # i+1 (the rolled state), valid for i <= n-2
-            sides["L"].apply(f, aux, buf, accumulate=False)
-            sides["R"].apply(f_roll, aux, buf)
-            lo, hi = slice(0, n - 1), slice(1, n)
-            sl_lo = _axis_slice(ndim, axis, lo)
-            sl_hi = _axis_slice(ndim, axis, hi)
-            out[sl_lo] += buf[_half_slice(ndim, cdim, 0, npb, axis, lo)]
-            out[sl_hi] += buf[_half_slice(ndim, cdim, npb, 2 * npb, axis, lo)]
-            if self.velocity_flux == "penalty":
-                self._accumulate_penalty(f, aux, out, j, axis, sl_lo, sl_hi)
+            self._acceleration_flux(j, g, g, aux)
+        self._lift_op.apply(g, aux, out)
+        return out
 
-    def _accumulate_penalty(self, f, aux, out, j, axis, sl_lo, sl_hi) -> None:
-        """Local Lax-type penalty correction ``-(tau/2)(f_R - f_L)`` through
-        the face 'mass' operators (sliced face states are re-weighted into
-        pooled contiguous buffers; no layout copies)."""
-        cdim = self.grid.cdim
-        npb = self.num_basis
-        n = f.shape[axis]
-        tau = self._penalty_speed(aux, j)
-        face_shape = f[sl_lo].shape
-        corr_l = self.pool.get("solver.pcl", face_shape)
-        corr_r = self.pool.get("solver.pcr", face_shape)
-        np.multiply(f[sl_lo], 0.5 * tau, out=corr_l)
-        np.multiply(f[sl_hi], -0.5 * tau, out=corr_r)
-        pbuf = self.pool.get(
-            "solver.pbuf", face_shape[:cdim] + (2 * npb,) + face_shape[cdim + 1 :]
+    def _face_buffers(self, n: int, axis: int):
+        """Two pooled contiguous ``Nf``-wide buffers with ``n`` cells along
+        ``axis``: the face state and its flux."""
+        shape = list(self.layout.shape)
+        shape[self.grid.cdim] = self.num_face_modes
+        shape[axis] = n
+        return (
+            self.pool.get("solver.gface", tuple(shape)),
+            self.pool.get("solver.fhat", tuple(shape)),
         )
-        pen = self._penalty_ops(j)
-        pen["L"].apply(corr_l, aux, pbuf, accumulate=False)
-        pen["R"].apply(corr_r, aux, pbuf)
-        ndim = f.ndim
-        full = slice(0, n - 1)
-        out[sl_lo] += pbuf[_half_slice(ndim, cdim, 0, npb, axis, full)]
-        out[sl_hi] += pbuf[_half_slice(ndim, cdim, npb, 2 * npb, axis, full)]
+
+    def _streaming_flux(self, j, g, glift, aux) -> None:
+        """Upwinded flux through the periodic faces normal to configuration
+        direction ``j``: reads the traces in ``g`` (any strides), writes each
+        cell's upper- and lower-face flux into the same slots of ``glift``
+        (``g`` itself in the serial solver)."""
+        up, dn = self._slots[j]
+        gface, fhat = self._face_buffers(self.layout.shape[j], j)
+        # face i+1/2: upper-face trace of cell i, lower-face trace of cell i+1
+        np.multiply(g[up], self._upwind_pos_b[j], out=gface)
+        _roll_mul(g[dn], -1, j, self._upwind_neg_b[j], out=fhat)
+        gface += fhat
+        self._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
+        glift[up] = fhat
+        _roll_copy(fhat, 1, j, glift[dn])
+
+    def _acceleration_flux(self, j, g, glift, aux) -> None:
+        """Central flux through the interior faces normal to velocity
+        direction ``j`` (plus the optional penalty); the two domain-boundary
+        faces carry zero flux.  Same ``g``/``glift`` contract as
+        :meth:`_streaming_flux`."""
+        cdim = self.grid.cdim
+        axis = cdim + 1 + j
+        n = self.layout.shape[axis]
+        ndim = g.ndim
+        up, dn = self._slots[cdim + j]
+        lo = _axis_slice(ndim, axis, slice(0, n - 1))
+        hi = _axis_slice(ndim, axis, slice(1, n))
+        gface, fhat = self._face_buffers(n, axis)
+        g_up, g_dn = g[up], g[dn]
+        # entry i is face i+1/2; the last one is the upper domain boundary
+        np.add(g_up[lo], g_dn[hi], out=gface[lo])
+        gface[_axis_slice(ndim, axis, slice(n - 1, n))] = 0.0
+        self._accel_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
+        if self.velocity_flux == "penalty":
+            # local Lax-type jump penalty; the unit-flux face mass is the
+            # identity in the orthonormal face basis
+            np.subtract(g_up[lo], g_dn[hi], out=gface[lo])
+            gface *= 0.5 * self._penalty_speed(aux, j) * aux[f"rdx{cdim + j}"]
+            fhat += gface
+        glift[up] = fhat
+        glift_dn = glift[dn]
+        glift_dn[hi] = fhat[lo]
+        glift_dn[_axis_slice(ndim, axis, slice(0, 1))] = 0.0
 
     # ------------------------------------------------------------------ #
     # penalty support (optional robustness flux)
     # ------------------------------------------------------------------ #
-    def _face_mass(self, j: int):
-        """Face 'mass' termsets for the penalty flux, generated lazily with a
-        unit flux polynomial along velocity dim j."""
-        cache = getattr(self, "_face_mass_cache", None)
-        if cache is None:
-            cache = {}
-            self._face_mass_cache = cache
-        if j not in cache:
-            from ..cas.poly import Poly
-            from ..kernels.generator import FluxSpec, FluxTerm, generate_surface_termsets
-
-            dim = self.grid.cdim + j
-            spec = FluxSpec(
-                dim=dim,
-                terms=(FluxTerm(sym=(), poly=Poly.one(self.grid.pdim)),),
-            )
-            cache[j] = generate_surface_termsets(self.kernels.phase_basis, spec)
-        return cache[j]
-
-    def _penalty_ops(self, j: int):
-        """Stacked face-mass operators for the penalty flux: the L (R) trace
-        operator computes both cell increments of its face in one pass."""
-        cache = getattr(self, "_penalty_ops_cache", None)
-        if cache is None:
-            cache = {}
-            self._penalty_ops_cache = cache
-        if j not in cache:
-            fm = self._face_mass(j)
-            cache[j] = {
-                "L": self._op(stack_termsets([fm[("L", "L")], fm[("R", "L")]])),
-                "R": self._op(stack_termsets([fm[("L", "R")], fm[("R", "R")]])),
-            }
-        return cache[j]
-
     def _penalty_speed(self, aux, j: int) -> float:
         """Conservative scalar estimate of max |alpha_vj| for the penalty."""
         phi0 = self.kernels.cfg_basis.norm(0)
@@ -438,15 +362,6 @@ def _axis_slice(ndim: int, axis: int, sl: slice):
     return tuple(out)
 
 
-def _half_slice(ndim: int, basis_axis: int, b0: int, b1: int, axis: int, sl: slice):
-    """Combined index: basis-half ``[b0:b1]`` at the basis axis plus a cell
-    slice along ``axis``."""
-    out = [slice(None)] * ndim
-    out[basis_axis] = slice(b0, b1)
-    out[axis] = sl
-    return tuple(out)
-
-
 def _roll_copy(src: np.ndarray, shift: int, axis: int, out: np.ndarray):
     """``out = roll(src, shift, axis)`` without temporaries (two slab copies)."""
     n = src.shape[axis]
@@ -483,20 +398,4 @@ def _roll_mul(src: np.ndarray, shift: int, axis: int, weight, out: np.ndarray):
     src_tail = _axis_slice(src.ndim, axis, slice(0, n - shift))
     np.multiply(src[src_head], weight, out=out[dst_head])
     np.multiply(src[src_tail], weight, out=out[dst_tail])
-    return out
-
-
-def _add_rolled(src: np.ndarray, shift: int, axis: int, out: np.ndarray):
-    """``out += roll(src, shift, axis)`` without temporaries."""
-    n = src.shape[axis]
-    shift %= n
-    if shift == 0:
-        out += src
-        return out
-    out[_axis_slice(src.ndim, axis, slice(0, shift))] += src[
-        _axis_slice(src.ndim, axis, slice(n - shift, n))
-    ]
-    out[_axis_slice(src.ndim, axis, slice(shift, n))] += src[
-        _axis_slice(src.ndim, axis, slice(0, n - shift))
-    ]
     return out

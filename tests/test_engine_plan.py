@@ -266,34 +266,6 @@ def test_scaled_termset():
 
 
 # --------------------------------------------------------------------- #
-def test_low_rank_factorization_is_exact():
-    """Plans detect shared low-rank structure (the face-trace structure of
-    surface kernels) and stay exact through the reduced-space path."""
-    rng = np.random.default_rng(21)
-    nout, nin, r = 12, 10, 2
-    u = rng.standard_normal((nout, r))
-    v = rng.standard_normal((nin, r))
-    entries = {}
-    for i, name in enumerate(["e0", "e1", "e2"]):
-        k = u @ rng.standard_normal((r, r)) @ v.T
-        entries[(name,)] = [
-            (l, m, k[l, m]) for l in range(nout) for m in range(nin)
-        ]
-    ts = TermSet(nout, nin, entries)
-    cfg_shape, vel_shape = (4,), (5,)
-    aux = {n: rng.standard_normal(cfg_shape + (1,)) for n in ["e0", "e1", "e2"]}
-    plan = ExecutionPlan(ts, 1, 1, aux, cfg_shape + vel_shape)
-    assert plan._fact is not None
-    assert plan._fact[2] <= 2 * r and plan._fact[3] <= 2 * r
-    f = rng.standard_normal((nin,) + cfg_shape + vel_shape)
-    ref = np.zeros((nout,) + cfg_shape + vel_shape)
-    ts.apply(f, aux, ref)
-    got = np.zeros(cfg_shape + (nout,) + vel_shape)
-    plan.apply(phase_to_cell_major(f, 1), aux, got)
-    scale = max(np.max(np.abs(ref)), 1.0)
-    assert np.max(np.abs(got - phase_to_cell_major(ref, 1))) / scale < 1e-12
-
-
 def test_plan_accepts_strided_input():
     """A non-contiguous (strided) cell-major input still evaluates
     exactly — through one audited normalizing copy."""

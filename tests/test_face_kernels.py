@@ -1,0 +1,179 @@
+"""Surface kernels in the face-mode space.
+
+``generate_face_termsets`` factors each direction's four ``Np x Np`` side
+kernels as ``K[(t, s)] = sigma_t trace[t].T @ flux @ trace[s]``.  The solvers
+apply only the factors, so the pinned side kernels (``test_kernel_bits.py``)
+are the oracle here: every entry of every side kernel must come back from the
+factors, with the same sparsity pattern.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.basis.modal import ModalBasis
+from repro.basis.multiindex import FAMILIES, multi_indices
+from repro.cas.poly import Poly
+from repro.grid import Grid, PhaseGrid
+from repro.kernels import get_vlasov_kernels
+from repro.kernels.flops import modal_update_multiplications
+from repro.kernels.generator import (
+    FACE_SIGN,
+    FluxSpec,
+    FluxTerm,
+    generate_face_termsets,
+    generate_surface_termsets,
+)
+from repro.vlasov.modal_solver import VlasovModalSolver
+from test_generator_exact import _assert_matches, _legendre_product, _reference
+
+BUNDLES = [
+    (1, 1, 1, "serendipity"),
+    (1, 1, 2, "serendipity"),
+    (1, 2, 2, "serendipity"),
+    (2, 2, 1, "serendipity"),
+    (2, 2, 2, "serendipity"),
+    (1, 1, 2, "tensor"),
+    (1, 1, 2, "maximal-order"),
+]
+#: "4 ulp", measured as a relative distance of 4 * 2**-52
+ULP4 = 4 * np.finfo(float).eps
+
+
+def _by_slot(termset):
+    return {
+        sym: {(l, m): c for l, m, c in triples}
+        for sym, triples in termset.entries_by_symbol().items()
+    }
+
+
+def _side_kernel_from_factors(face, test_side, state_side):
+    """``{sym: {(l, m): value}}`` of ``sigma_t trace[t].T @ flux @ trace[s]``."""
+    trace = {}
+    for side in (test_side, state_side):
+        (triples,) = face.trace[side].entries_by_symbol().values()
+        assert [l for _, l, _ in triples] == list(range(face.trace[side].nin))
+        trace[side] = [(a, value) for a, _, value in triples]
+    out = {}
+    for sym, slots in _by_slot(face.flux).items():
+        out[sym] = {
+            (l, m): FACE_SIGN[test_side] * tl * slots[(a, b)] * tm
+            for l, (a, tl) in enumerate(trace[test_side])
+            for m, (b, tm) in enumerate(trace[state_side])
+            if (a, b) in slots
+        }
+    return out
+
+
+@pytest.mark.parametrize("key", BUNDLES, ids=str)
+def test_face_factors_reproduce_the_side_kernels(key):
+    k = get_vlasov_kernels(*key)
+    nf = len(multi_indices(k.cdim + k.vdim - 1, k.poly_order, k.family))
+    pairs = list(zip(k.face_stream, k.surf_stream)) + list(zip(k.face_accel, k.surf_accel))
+    assert [face.dim for face, _ in pairs] == list(range(k.cdim + k.vdim))
+    for face, sides in pairs:
+        assert (face.flux.nout, face.flux.nin) == (nf, nf)
+        for (test_side, state_side), termset in sides.items():
+            want = _by_slot(termset)
+            got = _side_kernel_from_factors(face, test_side, state_side)
+            assert set(got) == set(want)
+            for sym in want:
+                assert set(got[sym]) == set(want[sym])  # same sparsity pattern
+                for slot, value in want[sym].items():
+                    assert abs(got[sym][slot] - value) <= ULP4 * abs(value)
+
+
+@pytest.mark.parametrize("key", BUNDLES, ids=str)
+def test_face_space_costs_fewer_multiplications(key):
+    mults = modal_update_multiplications(get_vlasov_kernels(*key))
+    assert mults["surface_streaming_face"] < mults["surface_streaming"]
+    assert mults["surface_acceleration_face"] < mults["surface_acceleration"]
+    assert mults["total_face"] < mults["total"]
+
+
+@st.composite
+def face_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(FAMILIES))
+    poly_order = draw(st.integers(0, 2))
+    dim = draw(st.integers(0, ndim - 1))
+    expo = st.tuples(*[st.just(0) if k == dim else st.integers(0, 3) for k in range(ndim)])
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    poly = st.dictionaries(expo, coeff, min_size=0, max_size=3).map(lambda d: Poly(ndim, d))
+    scale = st.sampled_from([1.0, -1.0, 2.0, 0.7071067811865476, -1.5811388300841898])
+    terms = [
+        FluxTerm(sym=(f"s{i}",), poly=draw(poly), scale=draw(scale))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    return ndim, poly_order, family, dim, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(face_cases())
+def test_face_generator_matches_brute_force(case):
+    ndim, poly_order, family, dim, terms = case
+    basis = ModalBasis(ndim, poly_order, family)
+    face = generate_face_termsets(basis, FluxSpec(dim=dim, terms=tuple(terms)))
+    # the face modes are the same family's basis in the other variables
+    modes = multi_indices(ndim - 1, poly_order, family) if ndim > 1 else [()]
+    norms = [float(np.sqrt(np.prod([(2 * a + 1) / 2 for a in alpha]))) for alpha in modes]
+    polys = [_legendre_product(ndim - 1, alpha) for alpha in modes]
+    _assert_matches(
+        face.flux,
+        _reference(
+            terms, (f"rdx{dim}",), polys, polys, norms, norms,
+            restrict=lambda poly: poly.drop_var(dim),
+        ),
+    )
+    for side, sign in (("L", 1), ("R", -1)):
+        want = {
+            (modes.index(alpha[:dim] + alpha[dim + 1 :]), l): np.sqrt((2 * alpha[dim] + 1) / 2)
+            * sign ** alpha[dim]
+            for l, alpha in enumerate(basis.indices)
+        }
+        assert _by_slot(face.trace[side]) == {(): want}
+
+
+def test_flux_depending_on_the_normal_coordinate_is_rejected():
+    basis = ModalBasis(2, 1, "serendipity")
+    flux = FluxSpec(dim=1, terms=(FluxTerm(sym=("a",), poly=Poly.variable(2, 1)),))
+    generate_surface_termsets(basis, flux)  # the four-sided form has no such limit
+    with pytest.raises(ValueError, match="xi_1"):
+        generate_face_termsets(basis, flux)
+
+
+@pytest.mark.parametrize("vel_cells", [(6,), (5, 4)], ids=["1x1v", "1x2v"])
+def test_penalty_flux_equals_the_face_mass_formulation(vel_cells):
+    """``velocity_flux="penalty"`` adds ``rdx (tau/2)(g+_i - g-_{i+1})`` to the
+    face flux.  Reference: the formulation with generated face-mass kernels —
+    unit-flux side kernels applied to ``+-(tau/2) f`` of the two cells."""
+    vdim = len(vel_cells)
+    pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-3.0] * vdim, [3.0] * vdim, list(vel_cells)))
+    solvers = {flux: VlasovModalSolver(pg, 2, velocity_flux=flux) for flux in ("central", "penalty")}
+    solver = solvers["penalty"]
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(solver.layout.shape)
+    em = rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis))
+    want = solvers["central"].rhs(f, em)
+    aux = solver.field_aux(em)
+    for j in range(vdim):
+        dim, axis = 1 + j, 2 + j
+        mass = generate_surface_termsets(
+            solver.kernels.phase_basis,
+            FluxSpec(dim=dim, terms=(FluxTerm(sym=(), poly=Poly.one(pg.pdim)),)),
+        )
+        lo = [slice(None)] * f.ndim
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        half_tau = 0.5 * solver._penalty_speed(aux, j)
+        states = {"L": half_tau * f[lo], "R": -half_tau * f[hi]}
+        for test_side, cells in (("L", lo), ("R", hi)):
+            inc = np.zeros_like(states["L"])
+            for state_side, state in states.items():
+                mass[(test_side, state_side)].apply_cm(state, aux, inc, 1)
+            want[cells] += inc
+    got = solver.rhs(f, em)
+    assert not np.array_equal(got, solvers["central"].rhs(f, em))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -41,6 +41,13 @@ def bundle_termsets(k):
     return out
 
 
+def face_termsets(k):
+    out = []
+    for face in k.face_stream + k.face_accel:
+        out.extend([face.trace["L"], face.trace["R"], face.flux])
+    return out
+
+
 def lbo_termsets(lbo):
     ops = list(lbo._drag_vol) + list(lbo._unit_vol)
     for sides in lbo._drag_surf + lbo._unit_surf:
@@ -57,6 +64,16 @@ GOLDEN_BUNDLES = {
     (2, 2, 1, "serendipity"): "c82d26faa5f361df9fb950a13eeefb15a4923fc00bcc8c4a81924aaba7d56273",
     (2, 2, 2, "serendipity"): "ae6ab88b22d790b43e1f87ec3d603556f912523aca06c1f4e6f06dea3132e461",
 }
+# face-mode factors of the surface kernels (goldens from the PR that added
+# generate_face_termsets; the side kernels above are unchanged by it)
+GOLDEN_FACES = {
+    (1, 1, 1, "serendipity"): "6b4af07cd88c95b59e99109367216c7bfd8314056831ad4d62816df34ad6160b",
+    (1, 1, 2, "serendipity"): "8301cab4c9f4b8d4999c83950d6306e0b2832992d58723debb86c4cf3ae2cb7f",
+    (1, 1, 2, "tensor"): "b04754fffb40eb7c0570c7e69edc4743d6aa1c9f9e5b9a33f2ae051fde803ca0",
+    (1, 2, 2, "serendipity"): "4c884c6206478b2781a59c888580cdfba3ee8a0703dfaa6cebcb9f4ef4d0a78d",
+    (2, 2, 1, "serendipity"): "07f92e8ac642d68080a13d07e65428144afeea74ed5de5c8d1c3aafd14a84e1f",
+    (2, 2, 2, "serendipity"): "2984b97b41e5f3c647d8178b6435ff9eae18f183fdaaa73ecbb35361ec12a3da",
+}
 GOLDEN_LBO_1X1V_P2 = "b1ee8cd6870d1a9af1527fddc433d18ed0c3eff7e218a409262ce9872d00d197"
 GOLDEN_2X2V_P2_NNZ = 34464
 GOLDEN_2X2V_P2_MULTS = 69588
@@ -65,6 +82,11 @@ GOLDEN_2X2V_P2_MULTS = 69588
 @pytest.mark.parametrize("key", sorted(GOLDEN_BUNDLES))
 def test_bundle_bits_match_golden(key):
     assert termsets_digest(bundle_termsets(get_vlasov_kernels(*key))) == GOLDEN_BUNDLES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_BUNDLES))
+def test_face_kernel_bits_match_golden(key):
+    assert termsets_digest(face_termsets(get_vlasov_kernels(*key))) == GOLDEN_FACES[key]
 
 
 def test_2x2v_p2_counts_match_golden(monkeypatch):

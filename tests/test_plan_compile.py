@@ -345,3 +345,30 @@ def test_compile_plan_counts_kernels(case, tmp_path):
 def test_default_config_is_fused_auto():
     cfg = CompilerConfig()
     assert cfg.mode == "fused" and cfg.tier == "auto" and cfg.cache is None
+
+
+@pytest.mark.parametrize("mode,tier", [("fused", "numpy"), ("interpreted", "auto")])
+def test_whole_run_is_bitwise_equal_across_executors(mode, tier):
+    """Serial runs under every executor end in the same bytes, energy history
+    included.  In the numpy tier the moment plans weight the state by the
+    same velocity factors as the solver's volume plan, and in-place stepping
+    keeps the state in one array: a weighted copy kept from one apply must
+    never be served to the next."""
+    from repro.runtime import Driver, build
+
+    spec = build("weibel_2x2v", nx=4, nv=6, poly_order=1, steps=3)
+
+    def final_state():
+        drv = Driver(spec)
+        drv.run()
+        state = {k: np.array(v) for k, v in drv.app.state().items()}
+        for name, vals in drv.history.particle_energy.items():
+            state["particle_energy/" + name] = np.array(vals)
+        return state
+
+    want = final_state()
+    with compiler_config(mode=mode, tier=tier):
+        got = final_state()
+    assert set(got) == set(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
