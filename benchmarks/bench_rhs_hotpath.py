@@ -14,11 +14,9 @@ machine drift cancels):
 
 Results are printed and optionally written as JSON for CI trend tracking.
 
-The engine is additionally measured in both plan-execution modes —
-**fused** (AOT-lowered merged-sweep kernels, the default) and
-**interpreted** (the per-term reference path) — and the JSON records the
-plan-compilation counters of each build (compiles, disk-cache hits/misses,
-kernels built/loaded, compile wall seconds), so a CI pair of cold+warm runs
+The JSON also records the plan-compilation counters of the engine build
+(compiles, disk-cache hits/misses, sweep kernels built/loaded, compile wall
+seconds), so a CI pair of cold+warm runs against one ``--cache`` directory
 can assert the warm run compiled nothing.
 
 Usage::
@@ -28,7 +26,7 @@ Usage::
     python benchmarks/bench_rhs_hotpath.py --smoke --json bench.json
     python benchmarks/bench_rhs_hotpath.py --require-speedup 2.0
     python benchmarks/bench_rhs_hotpath.py --require-layout-speedup 1.15
-    python benchmarks/bench_rhs_hotpath.py --cache /tmp/plans --require-fused-speedup 1.05
+    python benchmarks/bench_rhs_hotpath.py --cache /tmp/plans   # twice: cold, warm
     python benchmarks/bench_rhs_hotpath.py --require-obs-overhead 0.02
 
 Not collected by pytest (no ``test_`` functions) — run it as a script.
@@ -89,8 +87,8 @@ def _two_stream_maxwell_spec(nx: int, nv: int) -> SimulationSpec:
     )
 
 
-def _build(config: str, smoke: bool, backend: str, plan_mode: str, cache: str):
-    overrides = {"backend": backend, "plan_mode": plan_mode, "plan_cache": cache}
+def _build(config: str, smoke: bool, backend: str, cache: str):
+    overrides = {"backend": backend, "plan_cache": cache}
     if config == "weibel":
         nx, nv = (4, 8) if smoke else (6, 14)
         spec = build("weibel_2x2v", nx=nx, nv=nv).with_overrides(overrides)
@@ -159,13 +157,6 @@ def main(argv=None) -> int:
         "mode-major PR 2 engine reaches this factor",
     )
     ap.add_argument(
-        "--require-fused-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero unless the coupled-RHS speedup of the fused "
-        "plan mode over the interpreted mode reaches this factor",
-    )
-    ap.add_argument(
         "--require-obs-overhead",
         type=float,
         default=None,
@@ -183,7 +174,7 @@ def main(argv=None) -> int:
     iters = args.iters or (3 if args.smoke else 8)
 
     stats0 = STATS.snapshot()
-    spec, app = _build(args.config, args.smoke, args.backend, "fused", args.cache)
+    spec, app = _build(args.config, args.smoke, args.backend, args.cache)
     name = app.species[0].name
     solver = app.solvers[name]
     cdim = app.conf_grid.ndim
@@ -228,33 +219,12 @@ def main(argv=None) -> int:
     mm_solver(f_mm, em_mm, out_mm)
     mm_coupled(state_mm, out_state_mm)
     legacy_coupled(state_mm)
-    plans_fused = STATS.delta(STATS.snapshot(), stats0)
-
-    # the interpreted-mode adversary: same spec, per-term reference plans
-    stats0 = STATS.snapshot()
-    _, app_interp = _build(
-        args.config, args.smoke, args.backend, "interpreted", args.cache
-    )
-    state_interp = app_interp.state()
-    out_state_interp = {k: np.empty_like(v) for k, v in state_interp.items()}
-    app_interp.rhs(state_interp, out=out_state_interp)
-    plans_interp = STATS.delta(STATS.snapshot(), stats0)
-    app.rhs(state, out=out_state)
-    fused_err = max(
-        float(np.max(np.abs(out_state[k] - out_state_interp[k])))
-        for k in out_state
-    ) / scale
-    if fused_err > 2e-15:
-        print(f"FATAL: fused mode deviates from interpreted mode ({fused_err:.2e})")
-        return 1
+    plans = STATS.delta(STATS.snapshot(), stats0)
 
     t_solver_new = _best(lambda: solver.rhs(f, em, out), repeats, iters)
     t_solver_mm = _best(lambda: mm_solver(f_mm, em_mm, out_mm), repeats, iters)
     t_solver_old = _best(lambda: legacy_solver(f_mm, em_mm, out_mm), repeats, iters)
     t_app_new = _best(lambda: app.rhs(state, out=out_state), repeats, iters)
-    t_app_interp = _best(
-        lambda: app_interp.rhs(state_interp, out=out_state_interp), repeats, iters
-    )
     t_app_mm = _best(lambda: mm_coupled(state_mm, out_state_mm), repeats, iters)
     t_app_old = _best(lambda: legacy_coupled(state_mm), repeats, iters)
     dt = app.suggested_dt()
@@ -293,17 +263,14 @@ def main(argv=None) -> int:
         "solver_layout_speedup": t_solver_mm / t_solver_new,
         "coupled_rhs_ms": {
             "engine": 1e3 * t_app_new,
-            "interpreted": 1e3 * t_app_interp,
             "modemajor": 1e3 * t_app_mm,
             "legacy": 1e3 * t_app_old,
         },
         "coupled_rhs_speedup": t_app_old / t_app_new,
         "coupled_layout_speedup": t_app_mm / t_app_new,
-        "fused_speedup": t_app_interp / t_app_new,
-        "fused_rel_err": fused_err,
         "kernel_tier": select_tier("auto"),
         "plan_cache": args.cache,
-        "plans": {"fused": plans_fused, "interpreted": plans_interp},
+        "plans": plans,
         "step_ms": 1e3 * t_step,
         "obs": {
             "bare_rhs_ms": 1e3 * t_rhs_bare,
@@ -326,18 +293,11 @@ def main(argv=None) -> int:
           f"legacy {1e3*t_app_old:8.2f} ms | "
           f"{result['coupled_rhs_speedup']:.2f}x vs seed, "
           f"{result['coupled_layout_speedup']:.2f}x vs mode-major")
-    print(f"fused mode : {1e3*t_app_new:8.2f} ms | "
-          f"interpreted {1e3*t_app_interp:8.2f} ms | "
-          f"{result['fused_speedup']:.2f}x (tier={result['kernel_tier']}, "
-          f"agreement {fused_err:.1e})")
-    print(f"plan builds: fused compiled {plans_fused['compiled']} "
-          f"hydrated {plans_fused['hydrated']} "
-          f"kernels built {plans_fused['kernels_built']} "
-          f"loaded {plans_fused['kernels_loaded']} "
-          f"({plans_fused['compile_seconds']:.2f}s); "
-          f"interpreted compiled {plans_interp['compiled']} "
-          f"hydrated {plans_interp['hydrated']} "
-          f"({plans_interp['compile_seconds']:.2f}s)")
+    print(f"plan builds: compiled {plans['compiled']} "
+          f"hydrated {plans['hydrated']} "
+          f"kernels built {plans['kernels_built']} "
+          f"loaded {plans['kernels_loaded']} "
+          f"({plans['compile_seconds']:.2f}s, tier={result['kernel_tier']})")
     print(f"full SSP-RK3 step: {1e3*t_step:.2f} ms")
     print(f"obs off-mode : bare {1e3*t_rhs_bare:8.2f} ms | "
           f"wrapped {1e3*t_rhs_wrapped:8.2f} ms | "
@@ -362,13 +322,6 @@ def main(argv=None) -> int:
             rc = 1
         else:
             print(f"OK: layout speedup >= {args.require_layout_speedup}x")
-    if args.require_fused_speedup is not None:
-        if result["fused_speedup"] < args.require_fused_speedup:
-            print(f"FAIL: fused speedup {result['fused_speedup']:.2f}x "
-                  f"< required {args.require_fused_speedup}x")
-            rc = 1
-        else:
-            print(f"OK: fused speedup >= {args.require_fused_speedup}x")
     if args.require_obs_overhead is not None:
         if obs_overhead > args.require_obs_overhead:
             print(f"FAIL: obs off-mode overhead {100.0*obs_overhead:.2f}% "

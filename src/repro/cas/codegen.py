@@ -14,24 +14,20 @@ products pulled out.  This module does the same in Python, at two levels:
   ``(*cfg_cells, N, *vel_cells)`` directly (``f[:, :, m]``), so the same
   unrolled source applies to batched state arrays, not just per-cell
   coefficient vectors.
-* :func:`emit_fused_sweep_source` lowers the *compiled* form — the merged
+* :func:`emit_fused_sweep_c` lowers the *compiled* form — the merged
   per-cell sparse blocks an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes — into one fused loop nest per plan: a single pass over cell
-  blocks covering every uniform sweep with its velocity-factor weighting
-  applied in-register.  The source is plain Python written in the
-  restricted style numba's ``@njit`` compiles; when numba is installed the
-  emitted kernel is jitted with ``cache=True`` (AOT-style persistent
-  compilation), and when it is not the emitted source still executes under
-  plain ``exec`` so the lowering is testable without numba.
-* :func:`emit_fused_sweep_c` emits the same program as C — exactly
-  Gkeyll's artifact shape — for the ``cc`` tier:
+  freezes — into one fused C loop nest per plan, exactly Gkeyll's artifact
+  shape: a single pass over cell blocks covering every uniform sweep with
+  its velocity-factor weighting applied in-register.
   :func:`compile_fused_sweep` shells out to the system C compiler
   (``-O3 -ffp-contract=off``: vectorized but no FMA contraction and no
-  reassociation, so results stay bit-identical to the interpreted path),
-  loads the shared object through :mod:`ctypes`, and keys the artifact by
-  a content digest of the source plus compiler version, so repeated runs —
-  and sibling worker processes — reuse the compiled kernel without
-  recompiling.
+  reassociation, so results stay bit-identical to scipy's ``csr_matvecs``
+  over the same blocks), loads the shared object through :mod:`ctypes`, and
+  keys the artifact by a content digest of the source plus compiler
+  version, so repeated runs — and sibling worker processes — reuse the
+  compiled kernel without recompiling.  Without a compiler (or under
+  ``$REPRO_KERNEL_TIER=numpy``) it returns None and the plan runs the scipy
+  sweep instead: two sweep kernels, picked by what the process can observe.
 """
 
 from __future__ import annotations
@@ -52,20 +48,17 @@ __all__ = [
     "emit_kernel_source",
     "compile_kernel",
     "count_multiplications",
-    "emit_fused_sweep_source",
     "emit_fused_sweep_c",
     "compile_fused_sweep",
-    "numba_available",
     "cc_available",
     "select_tier",
     "KERNEL_TIERS",
 ]
 
-#: recognized fused-execution tiers: ``numba`` jits the emitted sweep
-#: source, ``cc`` compiles the emitted C through the system compiler,
-#: ``numpy`` runs the vectorized fallback, ``auto`` picks the best
-#: available (numba, then cc, then numpy)
-KERNEL_TIERS = ("auto", "numba", "cc", "numpy")
+#: recognized sparse-sweep tiers: ``cc`` compiles the emitted C through the
+#: system compiler, ``numpy`` runs scipy's ``csr_matvecs``, ``auto`` picks
+#: ``cc`` when a compiler is present
+KERNEL_TIERS = ("auto", "cc", "numpy")
 
 
 def _format_coeff(value: float) -> str:
@@ -147,15 +140,6 @@ def count_multiplications(termset: "TermSet") -> int:
 # fused per-cell-block sweep lowering (the AOT tier)
 
 
-def numba_available() -> bool:
-    """True when numba imports cleanly (the container may lack it)."""
-    try:  # pragma: no cover - environment-dependent branch
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True  # pragma: no cover
-
-
 _CC = None  # cached (compiler path, version line) or False
 
 
@@ -189,80 +173,23 @@ def cc_available() -> Optional[Tuple[str, str]]:
 
 
 def select_tier(tier: str = "auto") -> str:
-    """Resolve a tier request (``auto``/``numba``/``cc``/``numpy``,
-    overridable via ``$REPRO_KERNEL_TIER``) to the tier that will actually
-    run.
+    """Resolve a tier request (``auto``/``cc``/``numpy``) to the sweep
+    kernel that will actually run.
 
-    Unavailable tiers degrade (``numba`` → ``cc`` → ``numpy``) — the
-    fallback tier is always available, never an error.
+    An explicit ``cc``/``numpy`` argument wins; ``$REPRO_KERNEL_TIER``
+    replaces only ``auto`` (it is how CI exercises the compiler-less
+    platform on a box that has a compiler).  ``cc`` without a compiler
+    degrades to ``numpy`` — always available, never an error.
     """
-    env = os.environ.get("REPRO_KERNEL_TIER")
-    if env:
-        tier = env
+    if tier == "auto":
+        tier = os.environ.get("REPRO_KERNEL_TIER") or "auto"
     if tier not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel tier {tier!r} (known: {', '.join(KERNEL_TIERS)})"
         )
-    if tier == "numpy":
+    if tier == "numpy" or not cc_available():
         return "numpy"
-    if tier == "cc":
-        return "cc" if cc_available() else "numpy"
-    if tier == "numba":
-        return "numba" if numba_available() else "numpy"
-    if numba_available():  # pragma: no cover - requires numba
-        return "numba"
-    return "cc" if cc_available() else "numpy"
-
-
-def emit_fused_sweep_source(
-    name: str, nout: int, weighted: Sequence[bool]
-) -> str:
-    """Source of one fused sweep kernel over cell blocks.
-
-    The kernel covers every uniform sparse group of one compiled plan in a
-    single pass over configuration cells: for each group ``g`` it sweeps
-    the merged per-cell CSR block ``(d{g}, p{g}, i{g})`` (scalar factors
-    already folded into the data, term entries concatenated in-row in term
-    order, so the accumulation order is exactly the interpreted path's)
-    and, when ``weighted[g]`` is true, applies the group's velocity factor
-    ``w{g}`` in-register — the weighting/sweep fusion that removes the
-    interpreted tier's full-state weighted temporaries.
-
-    Signature: ``name(f3, out3, d0, p0, i0[, w0], d1, p1, i1[, w1], ...)``
-    with ``f3``/``out3`` the ``(ncfg, n, nvel)`` cell-major views.  The
-    emitted source is restricted Python (range loops, scalar arithmetic,
-    2-D indexing) that numba's ``@njit`` compiles as-is and plain ``exec``
-    runs for testing.
-    """
-    args = ["f3", "out3"]
-    for g, w in enumerate(weighted):
-        args += [f"d{g}", f"p{g}", f"i{g}"]
-        if w:
-            args.append(f"w{g}")
-    lines = [
-        f"def {name}({', '.join(args)}):",
-        f'    """Auto-generated fused uniform-sweep kernel ({len(weighted)} groups)."""',
-        "    ncfg = f3.shape[0]",
-        "    nvel = f3.shape[2]",
-        "    for c in range(ncfg):",
-        "        fo = f3[c]",
-        "        oo = out3[c]",
-    ]
-    for g, w in enumerate(weighted):
-        lines.append(f"        for r in range({nout}):")
-        lines.append(f"            for k in range(p{g}[r], p{g}[r + 1]):")
-        lines.append(f"                a = d{g}[k]")
-        lines.append(f"                j = i{g}[k]")
-        lines.append("                for v in range(nvel):")
-        if w:
-            lines.append(
-                f"                    oo[r, v] += a * (fo[j, v] * w{g}[v])"
-            )
-        else:
-            lines.append("                    oo[r, v] += a * fo[j, v]")
-    if not weighted:
-        lines.append("        pass")
-    return "\n".join(lines) + "\n"
+    return "cc"
 
 
 def emit_fused_sweep_c(
@@ -276,9 +203,9 @@ def emit_fused_sweep_c(
     factors folded into ``d``) and, for weighted groups, the flattened
     ``(nvel,)`` velocity factor.  The accumulation per output element is
     group order then in-row entry order with the weight applied as
-    ``a * (f * w)`` — statement-for-statement the numpy tier's (and hence
-    the interpreted path's) float operation sequence, so compiling with
-    contraction disabled keeps results bit-identical.
+    ``a * (f * w)`` — statement-for-statement the numpy tier's float
+    operation sequence (weight the state, then ``csr_matvecs``), so
+    compiling with contraction disabled keeps results bit-identical.
     """
     args = ["const double* restrict f", "double* restrict y"]
     for g, w in enumerate(weighted):
@@ -417,41 +344,22 @@ def _compile_sweep_cc(
 
 
 def compile_fused_sweep(
-    name: str,
+    ncfg: int,
     nout: int,
+    nin: int,
+    nvel: int,
     weighted: Sequence[bool],
     tier: str = "auto",
-    ncfg: int = 0,
-    nin: int = 0,
-    nvel: int = 0,
     kernel_dir: Optional[str] = None,
-) -> Optional[Tuple[object, str]]:
-    """Compile one fused sweep kernel; returns ``(kernel, tier)`` or None.
+) -> Optional[CcSweep]:
+    """Compile one fused sweep kernel, or return None for the scipy sweep.
 
-    Under the ``numba`` tier the emitted Python source is jitted with
-    ``@njit(cache=True)`` (persistently compiled, shared across processes
-    by numba's own disk cache).  Under the ``cc`` tier the emitted C is
-    compiled through the system compiler into a content-addressed shared
-    object in ``kernel_dir`` (or a process temp dir) and returned as a
-    :class:`CcSweep`.  Under ``numpy`` — or on any toolchain failure —
-    this returns None and the caller runs the vectorized fallback; fused
-    execution never hard-fails on a compiler.
+    Under the ``cc`` tier the emitted C is compiled through the system
+    compiler into a content-addressed shared object in ``kernel_dir`` (or a
+    process temp dir).  Under ``numpy`` — or on any toolchain failure —
+    this returns None and the caller sweeps with ``csr_matvecs``; execution
+    never hard-fails on a compiler.
     """
-    resolved = select_tier(tier)
-    if resolved == "cc":
-        kern = _compile_sweep_cc(ncfg, nout, nin, nvel, weighted, kernel_dir)
-        return (kern, "cc") if kern is not None else None
-    if resolved != "numba":
+    if select_tier(tier) != "cc":
         return None
-    source = emit_fused_sweep_source(name, nout, weighted)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, f"<generated:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    try:  # pragma: no cover - requires numba
-        from numba import njit
-
-        jitted = njit(cache=True, fastmath=False)(fn)
-        jitted.__source__ = source  # type: ignore[attr-defined]
-        return jitted, "numba"
-    except Exception:  # pragma: no cover - jit toolchain failure
-        return None
+    return _compile_sweep_cc(ncfg, nout, nin, nvel, weighted, kernel_dir)

@@ -8,9 +8,15 @@ and for all layers:
 * :mod:`~repro.engine.plan` compiles a :class:`~repro.kernels.termset.TermSet`
   into an :class:`ExecutionPlan` — symbols pre-split into scalar /
   configuration-varying / velocity-varying factors, dense operator blocks
-  pre-stacked, sparse blocks kept full-width for in-place accumulation —
+  pre-stacked, sparse terms merged into one sweep per velocity factor —
   keyed by the aux *signature* so a plan is compiled once and reused for
-  every RK stage of every step (and invalidated if the signature changes);
+  every RK stage of every step (and invalidated if the signature changes).
+  The plan is also its own, only, executor; the one thing that varies is
+  the sparse-sweep kernel (emitted C when a compiler is present, scipy
+  otherwise — ``$REPRO_KERNEL_TIER``), and both produce the same bits;
+* :mod:`~repro.engine.compile` is the seam every plan is built through:
+  compile or hydrate from the content-addressed disk cache
+  (:mod:`~repro.engine.plancache`), under one process-wide configuration;
 * :mod:`~repro.engine.pool` owns preallocated scratch buffers so steady-state
   kernel application performs no array allocation;
 * :mod:`~repro.engine.backend` abstracts the dense batched products (and
@@ -50,7 +56,6 @@ from .compile import (
     configure,
     configure_from_spec,
 )
-from .fused import FusedPlan
 from .plan import (
     ExecutionPlan,
     PlanSignatureError,
@@ -69,7 +74,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "ExecutionPlan",
-    "FusedPlan",
     "PlanSignatureError",
     "aux_signature",
     "classify_aux_value",

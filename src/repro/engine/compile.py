@@ -1,23 +1,18 @@
-"""The plan-compilation seam: interpreted vs fused, memory vs disk.
+"""The plan-compilation seam: memory vs disk, and the process-wide config.
 
 Every plan the engine builds — :class:`~repro.kernels.grouped.GroupedOperator`
 misses, sharded worker blocks, campaign fleet members — routes through
-:func:`compile_plan`, which makes three decisions per plan key
-(termset content, aux signature, cell shape):
-
-1. **Disk cache**: when a cache root is configured, the key is hashed
-   (:func:`repro.engine.plan.plan_digest`) and a stored payload is
-   hydrated via :meth:`ExecutionPlan.from_artifacts` — bit-identical to a
-   fresh compile, skipping the symbol analysis and SVD factorization.  Any
-   load failure (missing, stale, corrupt) falls back to compiling and
-   re-publishing atomically.
-2. **Execution mode**: ``fused`` (default) wraps the plan in a
-   :class:`~repro.engine.fused.FusedPlan` — AOT-lowered merged sweeps and
-   vectorized coefficient assembly; ``interpreted`` returns the plan as-is
-   (the PR 4 reference path, and the adversary in the equivalence tests).
-3. **Kernel tier** (fused mode): ``numba`` jit of the emitted sweep source
-   when importable, the vectorized ``numpy`` tier otherwise
-   (:func:`repro.cas.codegen.select_tier`).
+:func:`compile_plan`, which per plan key (termset content, aux signature,
+cell shape) either compiles an :class:`~repro.engine.plan.ExecutionPlan`
+or, when a cache root is configured, hashes the key
+(:func:`repro.engine.plan.plan_digest`) and hydrates a stored payload via
+:meth:`ExecutionPlan.from_artifacts` — bit-identical to a fresh compile,
+skipping the symbol analysis.  Any load failure (missing, stale, corrupt)
+falls back to compiling and re-publishing atomically.  Either way the plan
+picks its sparse-sweep kernel from the configured ``tier``
+(:func:`repro.cas.codegen.select_tier`: the emitted C sweep when a compiler
+is present, scipy's ``csr_matvecs`` otherwise); compiled sweep kernels are
+content-addressed files beside the plan payloads.
 
 Configuration is process-global (set from ``SimulationSpec`` by the runtime
 driver, from the environment for library use) because plan identity is
@@ -38,7 +33,6 @@ from ..kernels.termset import AuxValue, TermSet
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from .backend import ArrayBackend
-from .fused import FusedPlan
 from .plan import ExecutionPlan, aux_signature, plan_digest
 from .plancache import PlanCache, resolve_cache_root
 from .pool import ScratchPool
@@ -54,8 +48,6 @@ __all__ = [
     "compile_plan",
 ]
 
-PLAN_MODES = ("fused", "interpreted")
-
 
 @dataclass(frozen=True)
 class CompilerConfig:
@@ -68,14 +60,12 @@ class CompilerConfig:
     default), any other string is a cache directory.
     """
 
-    mode: str = "fused"
     tier: str = "auto"
     cache: Optional[str] = None
 
 
 def _env_default() -> CompilerConfig:
     return CompilerConfig(
-        mode=os.environ.get("REPRO_PLAN_MODE", "fused"),
         tier=os.environ.get("REPRO_KERNEL_TIER", "auto"),
         cache=os.environ.get("REPRO_PLAN_CACHE"),
     )
@@ -89,19 +79,12 @@ def active_config() -> CompilerConfig:
 
 
 def configure(
-    mode: Optional[str] = None,
     tier: Optional[str] = None,
     cache: Optional[str] = None,
 ) -> CompilerConfig:
     """Update the process-global compiler configuration (None = keep)."""
     global _config
     updates = {}
-    if mode is not None:
-        if mode not in PLAN_MODES:
-            raise ValueError(
-                f"unknown plan mode {mode!r} (known: {', '.join(PLAN_MODES)})"
-            )
-        updates["mode"] = mode
     if tier is not None:
         updates["tier"] = tier
     if cache is not None:
@@ -111,15 +94,14 @@ def configure(
 
 
 def configure_from_spec(spec) -> CompilerConfig:
-    """Adopt a spec's ``plan_mode``/``plan_cache`` (the driver calls this
-    before building the app, so every plan of the run — including the ones
-    sharded workers compile after forking — follows the spec)."""
-    return configure(mode=spec.plan_mode, cache=spec.plan_cache)
+    """Adopt a spec's ``plan_cache`` (the driver calls this before building
+    the app, so every plan of the run — including the ones sharded workers
+    compile after forking — follows the spec)."""
+    return configure(cache=spec.plan_cache)
 
 
 @contextmanager
 def compiler_config(
-    mode: Optional[str] = None,
     tier: Optional[str] = None,
     cache: Optional[str] = None,
 ):
@@ -127,7 +109,7 @@ def compiler_config(
     global _config
     saved = _config
     try:
-        configure(mode=mode, tier=tier, cache=cache)
+        configure(tier=tier, cache=cache)
         yield _config
     finally:
         _config = saved
@@ -150,8 +132,6 @@ class CompileStats:
         "cache_hits",
         "cache_misses",
         "cache_stores",
-        "fused",
-        "interpreted",
         "kernels_built",
         "kernels_loaded",
         "compile_seconds",
@@ -166,8 +146,6 @@ class CompileStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_stores = 0
-        self.fused = 0
-        self.interpreted = 0
         self.kernels_built = 0
         self.kernels_loaded = 0
         self.compile_seconds = 0.0
@@ -194,13 +172,20 @@ def compile_plan(
     cell_shape: Tuple[int, ...],
     backend: Union[str, ArrayBackend, None] = None,
     pool: Optional[ScratchPool] = None,
-) -> Union[ExecutionPlan, FusedPlan]:
+) -> ExecutionPlan:
     """Compile (or hydrate) the plan for one plan key, per the active
-    configuration.  The returned object satisfies the plan protocol
-    (``apply``, ``stats``, ``signature``, ...) in either mode."""
+    configuration."""
     cfg = _config
     t0 = time.perf_counter()
     root = resolve_cache_root(cfg.cache)
+    # the plan's sweep kernel follows the configured tier; compiled kernels
+    # live beside the plan payloads
+    build = dict(
+        backend=backend,
+        pool=pool,
+        tier=cfg.tier,
+        kernel_dir=str(root) if root is not None else None,
+    )
     plan: Optional[ExecutionPlan] = None
     digest = None
     cache = None
@@ -216,15 +201,7 @@ def compile_plan(
         if payload is not None:
             try:
                 plan = ExecutionPlan.from_artifacts(
-                    termset,
-                    cdim,
-                    vdim,
-                    aux,
-                    cell_shape,
-                    payload[0],
-                    payload[1],
-                    backend=backend,
-                    pool=pool,
+                    termset, cdim, vdim, aux, cell_shape, *payload, **build
                 )
                 STATS.cache_hits += 1
                 STATS.hydrated += 1
@@ -235,30 +212,21 @@ def compile_plan(
             STATS.cache_misses += 1
     hydrated = plan is not None
     if plan is None:
+
+        def publish(compiled: ExecutionPlan) -> None:
+            if cache is not None and cache.store(digest, *compiled.to_artifacts()):
+                STATS.cache_stores += 1
+
         plan = ExecutionPlan(
-            termset, cdim, vdim, aux, cell_shape, backend=backend, pool=pool
+            termset, cdim, vdim, aux, cell_shape, **build, on_compiled=publish
         )
         STATS.compiled += 1
-        if cache is not None and digest is not None:
-            meta, arrays = plan.to_artifacts()
-            if cache.store(digest, meta, arrays):
-                STATS.cache_stores += 1
     if digest is not None:
         plan.obs_label = f"plan_apply:{digest[:12]}"
-    if cfg.mode == "fused":
-        STATS.fused += 1
-        result: Union[ExecutionPlan, FusedPlan] = FusedPlan(
-            plan,
-            tier=cfg.tier,
-            kernel_dir=str(root) if root is not None else None,
-        )
-        if result.kernel_status == "built":
-            STATS.kernels_built += 1
-        elif result.kernel_status == "loaded":
-            STATS.kernels_loaded += 1
-    else:
-        STATS.interpreted += 1
-        result = plan
+    if plan.kernel_status == "built":
+        STATS.kernels_built += 1
+    elif plan.kernel_status == "loaded":
+        STATS.kernels_loaded += 1
     STATS.compile_seconds += time.perf_counter() - t0
     if _OBS.on:
         # mirror into the obs registry so one snapshot carries the whole
@@ -268,4 +236,4 @@ def compile_plan(
             "plan_compile", t0,
             _OBS_SLOT[slot], _OBS_SLOT["plan_compile_ms"],
         )
-    return result
+    return plan

@@ -5,31 +5,46 @@ symbolically; *how* to evaluate it efficiently depends on where each factor
 varies.  An :class:`ExecutionPlan` performs that analysis once — against an
 **aux signature**, the classification of every symbol as scalar (``s``),
 configuration-varying (``c``), velocity-varying (``v``) or irregular
-(``x``) — and freezes the result:
+(``x``) — and freezes the result into a flat program, its one executor:
 
 * terms whose symbols carry no configuration dependence share one operator
-  for every phase-space cell; they are kept as full-width sparse matrices
-  and applied as in-place sparse×dense products, one configuration cell's
-  contiguous ``(nin, nvel)`` block at a time (zero temporaries);
+  for every phase-space cell.  Each velocity-factor group's terms are
+  **merged into one sparse sweep**: the per-cell CSR blocks are concatenated
+  row-wise in term order with the scalar factors folded into the data, so
+  the per-output-element accumulation sequence is entry for entry that of
+  applying the terms one after another (the sha256 goldens in
+  ``tests/test_plan_compile.py`` pin it);
 * terms with configuration-varying factors (the acceleration kernels' modal
   field coefficients) are pre-stacked into dense operator blocks; per
-  application one small GEMM assembles the per-cell operators
+  application one gather plus one broadcast multiply fills the coefficient
+  rows, one small GEMM assembles the per-cell operators
   ``A[c] = Σ_i coef_i[c] K_i`` and one batched GEMM applies them — the
   near-BLAS-throughput form of the paper's headline claim;
 * symbols varying on both cell groups fall back to the exact sparse
-  reference path.
+  reference path (:meth:`TermSet.apply_cm`).
+
+The executor's single variation point is the **sparse-sweep kernel**
+(:func:`repro.cas.codegen.select_tier`): the emitted C sweep, one call per
+apply covering every group with the velocity weighting done in-register,
+when a C compiler is present and the build succeeds (``cc``); otherwise
+scipy's ``csr_matvecs`` over the block-diagonal expansion of the merged
+blocks (``numpy``) — built only in that case.  Both produce the same bits.
+
+Everything shape-dependent is prebound when the plan is built (scratch
+buffers, reshaped views, the C argument vector, bound backend methods), and
+runtime symbol values are **bound under an identity guard**: the same aux
+value objects arriving again (every RK stage of every step) skip all
+dictionary walking and scalar evaluation.  Arrays are bound as views, and
+scalars held in mutable size-one arrays are re-read on every apply, so
+in-place parameter mutation is always seen.
 
 State is **cell-major** (:mod:`repro.engine.layout`): ``fin``/``out`` are
 ``(*cfg_cells, n, *vel_cells)``, whose C-contiguous view *is* the
-``(ncfg, n, nvel)`` batch the dense products consume.  The phase-major
-transform-assign shims of the previous engine (gather into cell-major
-scratch, transpose-add back) are gone: the batched GEMMs read the state and
-write the output directly.
-
-Plans own no state except references into a shared
+``(ncfg, n, nvel)`` batch the dense products and sweeps consume.  Plans own
+no state except references into a shared
 :class:`~repro.engine.pool.ScratchPool`, so steady-state application
-allocates nothing — and, with the layout flip, copies nothing: the one
-remaining normalizing copy (a non-contiguous ``fin``) is reported through
+allocates nothing and copies nothing: the one normalizing copy (a
+non-contiguous ``fin``) is reported through
 :meth:`ScratchPool.record_layout_copy`, which the copy-assert tests turn
 into a hard failure.  A plan is only valid for the signature and cell shape
 it was compiled against; :class:`~repro.kernels.grouped.GroupedOperator`
@@ -42,12 +57,13 @@ from __future__ import annotations
 import hashlib
 import json
 from time import perf_counter as _perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate
+from ..cas.codegen import compile_fused_sweep
+from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from .backend import ArrayBackend, get_backend
@@ -156,36 +172,134 @@ def _scalar_value(val: AuxValue) -> float:
 
 
 class _UniformGroup:
-    """Terms with one shared operator per cell: sparse, applied in place.
+    """Terms with one shared operator per cell and one velocity factor,
+    merged into a single sparse sweep."""
 
-    At compile time each term's csr matrix is expanded to the block-diagonal
-    ``kron(I_ncfg, M)`` over the plan's configuration cells, so one
-    ``csr_matvecs`` call sweeps every cell's contiguous ``(nin, nvel)``
-    block — per-row arithmetic identical to the per-cell kernel, without
-    ``ncfg`` Python-level calls."""
-
-    __slots__ = ("vel_names", "terms")
+    __slots__ = (
+        "vel_names",
+        "terms",    # [(scalar factor names, per-cell csr)], in term order
+        "indptr",   # merged per-cell block (int64, the C sweep's index type)
+        "indices",
+        "base",     # merged data, unscaled
+        "tid",      # term index per merged entry
+        "data",     # merged data with the scalar factors folded in
+        "spmat",    # numpy tier: block-diagonal expansion over cells ...
+        "kdata",    # ... and its data as (ncfg, nnz) rows of ``data``
+        "cc_w",     # cc tier: contiguous (vel_shape) weight buffer
+    )
 
     def __init__(self, vel_names: Tuple[str, ...]):
         self.vel_names = vel_names
-        # each term: (scalar_names, batched kron csr, preallocated
-        #             scaled-data buffer for the kron data, per-cell csr —
-        #             kept for serialization and the fused lowering)
-        self.terms: List[
-            Tuple[Tuple[str, ...], sp.csr_matrix, np.ndarray, sp.csr_matrix]
-        ] = []
+        self.terms: List[Tuple[Tuple[str, ...], sp.csr_matrix]] = []
+
+    def merge(self, nout: int) -> None:
+        """Concatenate the terms' blocks row-wise in term order: within each
+        output row the merged entries replay term 0's additions, then term
+        1's, ... — exactly the sequence of one sweep per term."""
+        mats = [mat for _names, mat in self.terms]
+        rows = np.concatenate(
+            [np.repeat(np.arange(nout), np.diff(m.indptr)) for m in mats]
+        )
+        order = np.argsort(rows, kind="stable")
+        self.indices = np.concatenate([m.indices for m in mats])[order].astype(np.int64)
+        self.base = np.concatenate([m.data for m in mats])[order]
+        self.tid = np.concatenate(
+            [np.full(m.data.size, t) for t, m in enumerate(mats)]
+        )[order]
+        self.indptr = np.zeros(nout + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nout), out=self.indptr[1:])
+        scaled = any(names for names, _mat in self.terms)
+        self.data = np.empty_like(self.base) if scaled else self.base
+        self.spmat = self.kdata = self.cc_w = None
+
+    def expand(self, ncfg: int, nout: int, nin: int) -> None:
+        """Block-diagonal expansion over configuration cells, so one
+        ``csr_matvecs`` call sweeps every cell's contiguous block.  Built
+        from the raw arrays: ``sp.kron`` would canonicalize (sort, merge
+        duplicates) and destroy the accumulation order of :meth:`merge`."""
+        nnz = self.base.size
+        cells = np.arange(ncfg, dtype=np.int64)[:, None]
+        self.spmat = sp.csr_matrix(
+            (
+                np.empty(ncfg * nnz),
+                (self.indices + cells * nin).ravel(),
+                np.append(0, (self.indptr[1:] + cells * nnz).ravel()),
+            ),
+            shape=(ncfg * nout, ncfg * nin),
+        )
+        self.kdata = self.spmat.data.reshape(ncfg, nnz)
+        self.kdata[:] = self.base
+
+    def rescale(self, svals: Dict[str, float]) -> None:
+        """Fold the current scalar factor values into the sweep data — per
+        entry ``base * c_term``."""
+        if self.data is self.base:
+            return
+        scale = np.array([symbol_value(svals, names) for names, _mat in self.terms])
+        np.multiply(self.base, scale[self.tid], out=self.data)
+        if self.kdata is not None:
+            self.kdata[:] = self.data
 
 
 class _CfgGroup:
-    """Terms with configuration-varying operators: pre-stacked dense blocks."""
+    """Terms with configuration-varying operators: pre-stacked dense blocks
+    with vectorized coefficient assembly."""
 
-    __slots__ = ("vel_names", "items", "mats")
+    __slots__ = (
+        "vel_names",
+        "items",     # [(scalar names, cfg names)]; row i of ``mats`` is its block
+        "mats",      # (n_items, nout * nin) dense operator stack
+        "coef",      # pooled (n_items, ncfg) coefficient buffer ...
+        "coef_t",    # ... its transpose, the GEMM operand ...
+        "flat",      # ... and its flattening, the gather destination
+        "scal",      # (n_items, 1) per-item scalar products
+        "extras",    # [(item index, (further cfg names...))], multi-factor items
+        "rows",      # bound per-item cfg rows ((ncfg,) views)
+        "volatile",  # some row is a copy, not a view: re-gather every apply
+    )
 
     def __init__(self, vel_names: Tuple[str, ...]):
         self.vel_names = vel_names
-        # each item: (scalar_names, cfg_names); row i of ``mats`` is its block
         self.items: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-        self.mats: Optional[np.ndarray] = None  # (n_items, nout * nin)
+        self.mats: Optional[np.ndarray] = None
+
+    def lower(self, pool: ScratchPool, ncfg: int) -> None:
+        self.coef = pool.get("plan.coef", (len(self.items), ncfg))
+        self.coef_t = self.coef.T
+        self.flat = self.coef.reshape(-1)
+        self.scal = np.ones((len(self.items), 1))
+        self.extras = [
+            (i, cfg_names[1:])
+            for i, (_sn, cfg_names) in enumerate(self.items)
+            if len(cfg_names) > 1
+        ]
+        self.rows: List[np.ndarray] = []
+        self.volatile = False
+
+    def bind(self, plan: "ExecutionPlan", aux, svals: Dict[str, float]) -> None:
+        self.rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.items]
+        # broadcast-expanded rows are snapshots; they must be re-gathered
+        # per apply to track in-place aux mutation
+        self.volatile = not all(
+            np.shares_memory(row, np.asarray(aux[cn[0]]))
+            for row, (_sn, cn) in zip(self.rows, self.items)
+        )
+        for i, (scalar_names, _cn) in enumerate(self.items):
+            self.scal[i, 0] = symbol_value(svals, scalar_names)
+
+    def assemble(self, plan: "ExecutionPlan", aux) -> None:
+        """Fill ``coef`` with the per-item coefficient rows ``row * c`` —
+        one gather, one broadcast multiply."""
+        if self.volatile:
+            rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.items]
+        else:
+            rows = self.rows
+        coef = self.coef
+        np.concatenate(rows, out=self.flat)
+        np.multiply(coef, self.scal, out=coef)
+        for i, extra_names in self.extras:
+            for name in extra_names:
+                coef[i] *= plan._cfg_row(aux[name])
 
 
 class ExecutionPlan:
@@ -210,9 +324,19 @@ class ExecutionPlan:
         scratch buffers are sized for it.
     backend, pool:
         Dense-product strategy and shared scratch arena.
+    tier, kernel_dir:
+        Sparse-sweep kernel request (``auto`` / ``cc`` / ``numpy``, see
+        :func:`repro.cas.codegen.select_tier`) and where compiled sweep
+        kernels are kept (None: a process-lifetime temp dir).  ``tier`` and
+        ``kernel_status`` (``built`` / ``loaded`` / None) report the outcome.
+    on_compiled:
+        Called with the plan once its operator blocks exist
+        (:meth:`to_artifacts` works) and before the sweep kernel is built —
+        where :func:`~repro.engine.compile.compile_plan` publishes the
+        payload, so sibling workers racing on a cold cache see it without
+        waiting out a C compile.
     """
 
-    # class-level default keeps plans unpickled from older caches valid
     obs_label = "plan_apply"
 
     def __init__(
@@ -224,9 +348,15 @@ class ExecutionPlan:
         cell_shape: Tuple[int, ...],
         backend: Optional[ArrayBackend] = None,
         pool: Optional[ScratchPool] = None,
+        tier: str = "auto",
+        kernel_dir: Optional[str] = None,
+        on_compiled: Optional[Callable[["ExecutionPlan"], None]] = None,
     ):
         self._setup(termset, cdim, vdim, aux, cell_shape, backend, pool)
         self._compile(dict(self.signature))
+        if on_compiled is not None:
+            on_compiled(self)
+        self._lower(tier, kernel_dir)
 
     def _setup(
         self,
@@ -268,6 +398,8 @@ class ExecutionPlan:
         arrays: Dict[str, np.ndarray],
         backend: Optional[ArrayBackend] = None,
         pool: Optional[ScratchPool] = None,
+        tier: str = "auto",
+        kernel_dir: Optional[str] = None,
     ) -> "ExecutionPlan":
         """Rebuild a plan from serialized artifacts instead of compiling.
 
@@ -279,6 +411,7 @@ class ExecutionPlan:
         self = cls.__new__(cls)
         self._setup(termset, cdim, vdim, aux, cell_shape, backend, pool)
         self._hydrate(meta, arrays)
+        self._lower(tier, kernel_dir)
         return self
 
     # ------------------------------------------------------------------ #
@@ -317,24 +450,11 @@ class ExecutionPlan:
                 grp = uniform.get(key)
                 if grp is None:
                     grp = uniform[key] = _UniformGroup(key)
-                # block-diagonal expansion over configuration cells: the
-                # batched sweep multiplies the same per-cell rows, so the
-                # result is bit-identical to the per-cell kernel
-                bmat = sp.kron(
-                    sp.identity(self.ncfg, format="csr"), mat, format="csr"
-                )
-                grp.terms.append(
-                    (
-                        tuple(scalar_names),
-                        bmat,
-                        np.empty_like(bmat.data) if scalar_names else None,
-                        mat,
-                    )
-                )
+                grp.terms.append((tuple(scalar_names), mat))
         for key, grp in cfg_groups.items():
-            grp.mats = np.stack(cfg_mats[key]) if cfg_mats[key] else None
+            grp.mats = np.stack(cfg_mats[key])
         self._uniform = list(uniform.values())
-        self._cfg = [g for g in cfg_groups.values() if g.mats is not None]
+        self._cfg = list(cfg_groups.values())
         self._fallback = (
             TermSet(self.nout, self.nin, fallback) if fallback else None
         )
@@ -344,10 +464,10 @@ class ExecutionPlan:
         """Serialize the compiled operator blocks to ``(meta, arrays)``.
 
         The payload holds what ``_compile`` produces that is non-trivial
-        to rebuild: per-cell sparse blocks (the kron expansion is cheap and
-        cell-count-bound, so only the per-cell form is stored) and the
-        dense operator stacks.  Symbol structure and the fallback's entries
-        come back from the termset, which the loader always has in hand.
+        to rebuild: the per-term per-cell sparse blocks (merging them is
+        cheap, so only the unmerged form is stored) and the dense operator
+        stacks.  Symbol structure and the fallback's entries come back from
+        the termset, which the loader always has in hand.
         """
         meta: dict = {
             "nout": self.nout,
@@ -365,10 +485,10 @@ class ExecutionPlan:
             meta["uniform"].append(
                 {
                     "vel_names": list(grp.vel_names),
-                    "terms": [list(t[0]) for t in grp.terms],
+                    "terms": [list(names) for names, _mat in grp.terms],
                 }
             )
-            for tj, (_sn, _bmat, _dbuf, mat) in enumerate(grp.terms):
+            for tj, (_names, mat) in enumerate(grp.terms):
                 arrays[f"u{gi}t{tj}d"] = mat.data
                 arrays[f"u{gi}t{tj}i"] = mat.indices
                 arrays[f"u{gi}t{tj}p"] = mat.indptr
@@ -413,17 +533,7 @@ class ExecutionPlan:
                     ),
                     shape=(self.nout, self.nin),
                 )
-                bmat = sp.kron(
-                    sp.identity(self.ncfg, format="csr"), mat, format="csr"
-                )
-                grp.terms.append(
-                    (
-                        tuple(scalar_names),
-                        bmat,
-                        np.empty_like(bmat.data) if scalar_names else None,
-                        mat,
-                    )
-                )
+                grp.terms.append((tuple(scalar_names), mat))
             self._uniform.append(grp)
         self._cfg = []
         for gi, gmeta in enumerate(meta["cfg"]):
@@ -442,6 +552,95 @@ class ExecutionPlan:
             self._fallback = None
 
     # ------------------------------------------------------------------ #
+    def _lower(self, tier: str, kernel_dir: Optional[str]) -> None:
+        """Freeze the executor over the compiled groups: merge the sweeps,
+        pick the sweep kernel, prebind scratch, views and backend methods."""
+        pool = self.pool
+        # identity guard over every symbol value; scalar values held in
+        # mutable size-one arrays are re-read per apply (cheap) so in-place
+        # mutation stays visible — immutable Python numbers are guarded by
+        # identity alone
+        self._scalar_names = [n for n, tok in self.signature if tok == "s"]
+        self._guard_names = [
+            n for n, tok in self.signature if tok != "s"
+        ] + self._scalar_names
+        self._bound_ids: Optional[List[object]] = None  # None: never bound
+        self._bound_svals: Optional[Tuple[float, ...]] = None
+        self._gemm = self.backend.gemm
+        self._bgemm = self.backend.batched_gemm
+        self._bgemm_acc = self.backend.batched_gemm_acc
+        for grp in self._cfg:
+            grp.lower(pool, self.ncfg)
+        if self._cfg:
+            self._amat = pool.get("plan.amat", (self.ncfg, self.nout * self.nin))
+            self._a3 = self._amat.reshape(self.ncfg, self.nout, self.nin)
+        for grp in self._uniform:
+            grp.merge(self.nout)
+        self.tier = "numpy"
+        self.kernel_status: Optional[str] = None
+        self._cc = None
+        kern = None
+        if self._uniform:
+            kern = compile_fused_sweep(
+                self.ncfg,
+                self.nout,
+                self.nin,
+                self.nvel,
+                [bool(g.vel_names) for g in self._uniform],
+                tier=tier,
+                kernel_dir=kernel_dir,
+            )
+        if kern is not None:
+            # the ctypes argument vector: per group the (stable) data and
+            # index pointers plus a contiguous weight buffer refreshed from
+            # the bound velocity factor before each call
+            args: List[int] = [0, 0]  # f, y pointers patched per call
+            for grp in self._uniform:
+                args += [
+                    grp.data.ctypes.data,
+                    grp.indptr.ctypes.data,
+                    grp.indices.ctypes.data,
+                ]
+                if grp.vel_names:
+                    grp.cc_w = np.empty(self.vel_shape)
+                    args.append(grp.cc_w.ctypes.data)
+            self._cc, self._cc_args = kern.fn, args
+            self.tier = "cc"
+            self.kernel_status = "built" if kern.fresh else "loaded"
+        else:
+            for grp in self._uniform:
+                grp.expand(self.ncfg, self.nout, self.nin)
+        # velocity-weighted input buffers, one per distinct factor key that
+        # some product reads (the C sweep weights in-register instead)
+        wanted = {g.vel_names for g in self._cfg}
+        if self._cc is None:
+            wanted |= {g.vel_names for g in self._uniform}
+        self._gbufs: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
+        for names in wanted - {()}:
+            g = pool.get(f"plan.g:{'*'.join(names)}", self.in_shape)
+            self._gbufs[names] = (g,) + self._views(g, self.nin)
+        # per-array reshape memos (bounded; entries pin their array alive,
+        # which is fine — callers pass persistent state/pool arrays)
+        self._fviews: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._oviews: Dict[int, Tuple[np.ndarray, ...]] = {}
+
+    def _views(self, arr: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(ncfg * n, nvel)`` sweep view and the ``(ncfg, n, nvel)``
+        batch view of a contiguous cell-major array."""
+        return (
+            arr.reshape(self.ncfg * n, self.nvel),
+            arr.reshape(self.ncfg, n, self.nvel),
+        )
+
+    def _views_of(self, arr, memo, n):
+        entry = memo.get(id(arr))
+        if entry is None or entry[0] is not arr:
+            if len(memo) > 16:
+                memo.clear()
+            entry = memo[id(arr)] = (arr,) + self._views(arr, n)
+        return entry
+
+    # ------------------------------------------------------------------ #
     def ensure_signature(self, aux: Dict[str, AuxValue]) -> None:
         """Raise :class:`PlanSignatureError` if ``aux`` no longer matches the
         signature this plan was compiled against."""
@@ -457,21 +656,6 @@ class ExecutionPlan:
                 f"({'; '.join(changed)}); rebuild the plan"
             )
 
-    # ------------------------------------------------------------------ #
-    def _vel_product(self, names: Tuple[str, ...], aux: Dict[str, AuxValue]):
-        """Product of velocity-varying factors (small, velocity-axis sized),
-        shaped over the ``(*cfg, *vel)`` cell axes."""
-        val = np.asarray(aux[names[0]])
-        for name in names[1:]:
-            val = val * np.asarray(aux[name])
-        return val
-
-    def _vel_factor_b(self, names: Tuple[str, ...], aux) -> np.ndarray:
-        """Velocity factor with the basis axis inserted, broadcastable
-        against cell-major state."""
-        val = self._vel_product(names, aux)
-        return val.reshape(val.shape[: self.cdim] + (1,) + val.shape[self.cdim :])
-
     def _cfg_row(self, val: AuxValue) -> np.ndarray:
         """A configuration-varying factor flattened to ``(ncfg,)`` —
         a view in the standard layout ``cfg_cells + (1,)*vdim``."""
@@ -483,6 +667,50 @@ class ExecutionPlan:
         ).reshape(self.ncfg)
 
     # ------------------------------------------------------------------ #
+    def _bind(self, aux: Dict[str, AuxValue]) -> None:
+        """Bind the runtime symbol values of ``aux`` into the program."""
+        svals = {n: _scalar_value(aux[n]) for n in self._scalar_names}
+        stuple = tuple(svals.values())
+        if stuple != self._bound_svals:
+            for grp in self._uniform:
+                grp.rescale(svals)
+            self._bound_svals = stuple
+        for grp in self._cfg:
+            grp.bind(self, aux, svals)
+        self._vol_scalar_names = tuple(
+            n for n in self._scalar_names if not isinstance(aux[n], (float, int))
+        )
+        self._bound_vsvals = tuple(svals[n] for n in self._vol_scalar_names)
+        # velocity factors, shaped over the cell axes with the basis axis
+        # inserted: a single-name factor is a reshaped *view* of its aux
+        # array (fresh under in-place mutation); a multi-name product gets a
+        # buffer that every apply recomputes in place
+        self._velb, self._vel_products = {}, []
+        for grp in self._uniform + self._cfg:
+            names = grp.vel_names
+            if not names or names in self._velb:
+                continue
+            vals = [np.asarray(aux[n]) for n in names]
+            prod = vals[0]
+            if len(vals) > 1:
+                prod = np.empty(np.broadcast_shapes(*(v.shape for v in vals)))
+                self._vel_products.append((vals, prod))
+            self._velb[names] = prod.reshape(
+                prod.shape[: self.cdim] + (1,) + prod.shape[self.cdim :]
+            )
+        if self._cc is not None:
+            # broadcast views of the bound factors, flattened into the
+            # per-group contiguous weight buffers before every call
+            self._cc_weights = []
+            for grp in self._uniform:
+                if grp.vel_names:
+                    velb = self._velb[grp.vel_names]
+                    wsrc = velb.reshape(velb.shape[self.cdim + 1 :])
+                    self._cc_weights.append(
+                        (np.broadcast_to(wsrc, self.vel_shape), grp.cc_w)
+                    )
+        self._bound_ids = [aux[n] for n in self._guard_names]
+
     def apply(
         self,
         fin: np.ndarray,
@@ -501,20 +729,42 @@ class ExecutionPlan:
         discarded (``out = K f`` rather than ``out += K f``) without the
         caller having to zero it — the first dense write assigns.
         """
-        if _OBS.on:
-            t0 = _perf_counter()
-            out = self._apply_impl(fin, aux, out, accumulate)
-            _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
-            return out
-        return self._apply_impl(fin, aux, out, accumulate)
+        bound = self._bound_ids
+        if bound is not None and not all(
+            aux[n] is b for n, b in zip(self._guard_names, bound)
+        ):
+            self._bind(aux)
+        return self.apply_trusted(fin, aux, out, accumulate)
 
-    def _apply_impl(
+    def apply_trusted(
         self,
         fin: np.ndarray,
         aux: Dict[str, AuxValue],
         out: np.ndarray,
         accumulate: bool = True,
     ) -> np.ndarray:
+        """:meth:`apply`, skipping the aux identity scan.
+
+        The caller asserts that every aux value object is identical to the
+        previous application through this plan — which is exactly what
+        :class:`~repro.kernels.grouped.GroupedOperator`'s value-identity
+        fast path already established, so re-scanning here would be pure
+        overhead.  Mutable scalar values are still re-read.
+        """
+        if self._bound_ids is None or (
+            self._vol_scalar_names
+            and tuple(_scalar_value(aux[n]) for n in self._vol_scalar_names)
+            != self._bound_vsvals
+        ):
+            self._bind(aux)
+        if _OBS.on:
+            t0 = _perf_counter()
+            out = self._run(fin, aux, out, accumulate)
+            _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
+            return out
+        return self._run(fin, aux, out, accumulate)
+
+    def _run(self, fin, aux, out, accumulate: bool) -> np.ndarray:
         if fin.shape != self.in_shape:
             raise ValueError(
                 f"plan compiled for input {self.in_shape}, got {fin.shape}"
@@ -525,50 +775,54 @@ class ExecutionPlan:
             )
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous (accumulated in place)")
-        pool = self.pool
         if not fin.flags.c_contiguous:
             # cell-major callers hand contiguous state everywhere in steady
             # state; this normalizing copy only fires on exotic inputs and
             # is audited so the copy-assert tests can prove it never runs
+            pool = self.pool
             pool.record_layout_copy("plan.fcontig", fin.shape)
             fcontig = pool.get("plan.fcontig", fin.shape)
             np.copyto(fcontig, fin)
             fin = fcontig
-        f3 = fin.reshape(self.ncfg, self.nin, self.nvel)
-        out3 = out.reshape(self.ncfg, self.nout, self.nvel)
+        for vals, prod in self._vel_products:
+            np.multiply(vals[0], vals[1], out=prod)
+            for val in vals[2:]:
+                np.multiply(prod, val, out=prod)
+        _a, f2, f3 = self._views_of(fin, self._fviews, self.nin)
+        _a, o2, o3 = self._views_of(out, self._oviews, self.nout)
         # velocity-weighted states, computed once per distinct factor and
         # shared between the dense (cfg-batched) and sparse parts — the
         # volume plan's acceleration and streaming groups read the same
         # ``f * w_j`` products
-        wcache: Dict[Tuple[str, ...], np.ndarray] = {}
+        wcache: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
 
         # dense (configuration-batched) part first: in non-accumulating
-        # mode its result is *assigned* into out, saving a zero pass; the
-        # sparse parts below always accumulate on top
-        if self._cfg:
-            self._apply_cfg_into(f3, fin, aux, out3, wcache, accumulate=accumulate)
-        elif not accumulate:
+        # mode its first result is *assigned* into out, saving a zero pass;
+        # everything after accumulates on top
+        first = not accumulate
+        for grp in self._cfg:
+            grp.assemble(self, aux)
+            self._gemm(grp.coef_t, grp.mats, out=self._amat)
+            gc = self._weighted(grp.vel_names, fin, wcache)[2] if grp.vel_names else f3
+            if first:
+                self._bgemm(self._a3, gc, out=o3)
+                first = False
+            else:
+                self._bgemm_acc(self._a3, gc, o3)
+        if first:
             out.fill(0.0)
 
-        for grp in self._uniform:
-            if grp.vel_names:
-                g = self._weighted(fin, grp.vel_names, aux, wcache)
-                x2 = g.reshape(self.ncfg * self.nin, self.nvel)
-            else:
-                x2 = fin.reshape(self.ncfg * self.nin, self.nvel)
-            y2 = out.reshape(self.ncfg * self.nout, self.nvel)
-            for scalar_names, bmat, dbuf, _mat in grp.terms:
-                if scalar_names:
-                    c = 1.0
-                    for name in scalar_names:
-                        c *= _scalar_value(aux[name])
-                    np.multiply(bmat.data, c, out=dbuf)
-                    data = dbuf
-                else:
-                    data = bmat.data  # no scalar factors: no data pass
-                # one batched sweep over every configuration cell's
-                # contiguous block (block-diagonal kron, bit-identical rows)
-                csr_accumulate(bmat, data, x2, y2)
+        if self._cc is not None:
+            for wsrc, wbuf in self._cc_weights:
+                np.copyto(wbuf, wsrc)
+            args = self._cc_args
+            args[0] = fin.ctypes.data
+            args[1] = out.ctypes.data
+            self._cc(*args)
+        else:
+            for grp in self._uniform:
+                x2 = self._weighted(grp.vel_names, fin, wcache)[1] if grp.vel_names else f2
+                csr_accumulate(grp.spmat, grp.spmat.data, x2, o2)
 
         if self._fallback is not None:
             self._fallback.apply_cm(fin, aux, out, self.cdim)
@@ -576,59 +830,19 @@ class ExecutionPlan:
 
     def _weighted(
         self,
-        fin: np.ndarray,
         names: Tuple[str, ...],
-        aux: Dict[str, AuxValue],
-        wcache: Dict[Tuple[str, ...], np.ndarray],
-    ) -> np.ndarray:
-        """``fin`` times the velocity factor named by ``names`` — computed
-        once per apply and shared across groups (pooled per factor)."""
-        g = wcache.get(names)
-        if g is None:
-            velfac = self._vel_factor_b(names, aux)
-            g = self.pool.get(f"plan.g:{'*'.join(names)}", self.in_shape)
-            np.multiply(fin, velfac, out=g)
-            wcache[names] = g
-        return g
-
-    def _apply_cfg_into(self, f3, fin, aux, outc, wcache, accumulate: bool) -> None:
-        """Assemble per-cell operators with one small GEMM and apply them
-        with one batched GEMM per group, straight from/to the cell-major
-        state views (assigned when ``accumulate`` is False)."""
-        pool, backend = self.pool, self.backend
-        for igrp, grp in enumerate(self._cfg):
-            n_items = len(grp.items)
-            coef = pool.get("plan.coef", (n_items, self.ncfg))
-            for i, (scalar_names, cfg_names) in enumerate(grp.items):
-                c = 1.0
-                for name in scalar_names:
-                    c *= _scalar_value(aux[name])
-                np.multiply(self._cfg_row(aux[cfg_names[0]]), c, out=coef[i])
-                for name in cfg_names[1:]:
-                    coef[i] *= self._cfg_row(aux[name])
-            amat = pool.get("plan.amat", (self.ncfg, self.nout * self.nin))
-            backend.gemm(coef.T, grp.mats, out=amat)
-            a3 = amat.reshape(self.ncfg, self.nout, self.nin)
-            if grp.vel_names:
-                # full-width weighted state, shared with the sparse part
-                gc = self._weighted(fin, grp.vel_names, aux, wcache).reshape(
-                    self.ncfg, self.nin, self.nvel
-                )
-            else:
-                gc = f3
-            if igrp == 0 and not accumulate:
-                backend.batched_gemm(a3, gc, out=outc)
-            else:
-                # in-place accumulation: no staging buffer, no extra pass
-                backend.batched_gemm_acc(a3, gc, outc)
+        fin: np.ndarray,
+        wcache: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]],
+    ) -> Tuple[np.ndarray, ...]:
+        """The weighted input ``fin * w`` as ``(buffer, sweep view, batch
+        view)``, computed at most once per factor key within one apply."""
+        entry = wcache.get(names)
+        if entry is None:
+            entry = wcache[names] = self._gbufs[names]
+            np.multiply(fin, self._velb[names], out=entry[0])
+        return entry
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_pure_cfg(self) -> bool:
-        """True when every term is configuration-batched (no sparse or
-        fallback parts)."""
-        return not self._uniform and self._fallback is None
-
     @property
     def stats(self) -> Dict[str, int]:
         """Compile-time shape of the plan (for tests and diagnostics)."""
@@ -645,5 +859,5 @@ class ExecutionPlan:
         return (
             f"ExecutionPlan(cells={self.cell_shape}, uniform={s['uniform_terms']}, "
             f"cfg={s['cfg_items']}, fallback={s['fallback_terms']}, "
-            f"backend={self.backend.describe()})"
+            f"tier={self.tier!r}, backend={self.backend.describe()})"
         )

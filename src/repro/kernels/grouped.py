@@ -94,11 +94,9 @@ class GroupedOperator:
         # identity cannot be recycled
         self._fast_vals = None
         self._fast_shape = None
-        self._fast_plan: Optional[ExecutionPlan] = None
-        # bound ``apply_trusted`` of the fast plan (fused plans only): on an
-        # identity hit the plan's own aux guard would re-scan the very same
-        # objects, so :meth:`apply` skips it
-        self._fast_trusted = None
+        # the remembered plan's ``apply_trusted``: on an identity hit the
+        # plan's own aux guard would re-scan the very same objects
+        self._fast_apply = None
 
     # ------------------------------------------------------------------ #
     def plan_for(
@@ -108,11 +106,9 @@ class GroupedOperator:
         on first use; a changed aux signature compiles a fresh plan).
 
         Compilation routes through :func:`repro.engine.compile.compile_plan`,
-        so the returned object is a :class:`~repro.engine.fused.FusedPlan`
-        or a bare :class:`ExecutionPlan` — and may be hydrated from the
-        content-addressed disk cache rather than compiled — per the active
-        compiler configuration.  Either way it satisfies the plan protocol
-        and is cached here under the same ``(cell shape, signature)`` key.
+        so the plan may be hydrated from the content-addressed disk cache
+        rather than compiled, per the active compiler configuration; either
+        way it is cached here under the same ``(cell shape, signature)`` key.
         """
         sig = aux_signature(self._names, aux, self.cdim, self.vdim)
         key = (tuple(cell_shape), sig)
@@ -164,39 +160,9 @@ class GroupedOperator:
             and cell_shape == self._fast_shape
             and all(a is b for a, b in zip(vals, fast))
         ):
-            # identity hit: the plan's aux binding is known-current, so a
-            # fused plan can skip its own (redundant) guard scan
-            trusted = self._fast_trusted
-            if trusted is not None:
-                return trusted(fin, aux, out, accumulate)
-            return self._fast_plan.apply(fin, aux, out, accumulate=accumulate)
-        plan = self._remember(vals, cell_shape, aux)
-        return plan.apply(fin, aux, out, accumulate=accumulate)
-
-    def plan_fast(
-        self, aux: Dict[str, AuxValue], cell_shape: Tuple[int, ...]
-    ) -> ExecutionPlan:
-        """Like :meth:`plan_for`, but returning the cached plan through the
-        value-identity fast path (no signature recomputation when the same
-        aux objects arrive again)."""
-        try:
-            vals = [aux[n] for n in self._names]
-        except KeyError:
-            vals = None
-        fast = self._fast_vals
-        if (
-            vals is not None
-            and fast is not None
-            and cell_shape == self._fast_shape
-            and all(a is b for a, b in zip(vals, fast))
-        ):
-            return self._fast_plan
-        return self._remember(vals, cell_shape, aux)
-
-    def _remember(self, vals, cell_shape, aux) -> ExecutionPlan:
+            return self._fast_apply(fin, aux, out, accumulate)
         plan = self.plan_for(aux, cell_shape)
         self._fast_vals = vals
         self._fast_shape = cell_shape
-        self._fast_plan = plan
-        self._fast_trusted = getattr(plan, "apply_trusted", None)
-        return plan
+        self._fast_apply = plan.apply_trusted
+        return plan.apply(fin, aux, out, accumulate=accumulate)

@@ -32,8 +32,8 @@ per-phase time breakdown and the top plans by self-time from them.
 
 The compiled-plan disk cache (``~/.cache/repro`` or ``$REPRO_CACHE_DIR``)
 is controlled per run through the spec: ``--set plan_cache=off`` disables
-it, ``--set plan_cache=/some/dir`` redirects it, and
-``--set plan_mode=interpreted`` bypasses fused kernels entirely.
+it and ``--set plan_cache=/some/dir`` redirects it; ``$REPRO_KERNEL_TIER=numpy``
+runs the plans' sparse sweeps without the C compiler (same bits).
 ``repro plans warm <scenario>`` pre-compiles and stores a scenario's plans
 so subsequent runs (including sharded workers) start warm.
 

@@ -51,10 +51,10 @@ def build_app(spec: SimulationSpec):
     """Instantiate the :class:`~repro.systems.system.System` described by
     ``spec`` (ICs projected, t=0).
 
-    The spec's ``plan_mode``/``plan_cache`` are adopted as the process-global
-    compiler configuration *before* anything compiles, so every plan of the
-    run — including plans sharded workers compile after forking — follows
-    the spec.
+    The spec's ``plan_cache`` is adopted into the process-global compiler
+    configuration *before* anything compiles, so every plan of the run —
+    including plans sharded workers compile after forking — follows the
+    spec.
 
     A ``process[:N]`` backend returns the serial system wrapped in a
     :class:`repro.dist.ShardedApp`: construction forks N persistent worker

@@ -442,9 +442,6 @@ class SimulationSpec:
     scheme: str = "modal"
     stepper: str = "ssp-rk3"
     backend: str = "numpy"
-    #: plan execution mode: ``"fused"`` (AOT-lowered kernels, the default)
-    #: or ``"interpreted"`` (the reference per-term path)
-    plan_mode: str = "fused"
     #: plan/kernel disk cache: ``"auto"`` ($REPRO_CACHE_DIR or
     #: ``~/.cache/repro``), ``"off"``, or an explicit directory
     plan_cache: str = "auto"
@@ -458,7 +455,7 @@ class SimulationSpec:
     _FIELDS = (
         "name", "model", "conf_grid", "species", "field", "external_field",
         "poly_order", "family", "cfl", "scheme", "stepper", "backend",
-        "plan_mode", "plan_cache", "t_end",
+        "plan_cache", "t_end",
         "steps", "epsilon0", "neutralize", "diagnostics", "observability",
     )
 
@@ -479,7 +476,6 @@ class SimulationSpec:
             "scheme": self.scheme,
             "stepper": self.stepper,
             "backend": self.backend,
-            "plan_mode": self.plan_mode,
             "plan_cache": self.plan_cache,
             "t_end": self.t_end,
             "steps": self.steps,
@@ -495,6 +491,15 @@ class SimulationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str = "spec") -> "SimulationSpec":
+        if isinstance(data, Mapping) and "plan_mode" in data:
+            # legacy key: specs stored before the plan executors were merged
+            # (checkpoints, serve job.json) carry it; both of its values ran
+            # bit-identically, so it is dropped rather than rejected
+            if data["plan_mode"] not in ("fused", "interpreted"):
+                raise SpecError(
+                    f"{path}.plan_mode", f"unknown plan mode {data['plan_mode']!r}"
+                )
+            data = {k: v for k, v in data.items() if k != "plan_mode"}
         _reject_unknown(data, path, cls._FIELDS)
         for key in ("name", "model", "conf_grid", "species"):
             if key not in data:
@@ -529,7 +534,6 @@ class SimulationSpec:
             scheme=data.get("scheme", "modal"),
             stepper=data.get("stepper", "ssp-rk3"),
             backend=data.get("backend", "numpy"),
-            plan_mode=data.get("plan_mode", "fused"),
             plan_cache=data.get("plan_cache", "auto"),
             t_end=_num(data.get("t_end", 10.0), f"{path}.t_end"),
             steps=None if steps is None else _num(steps, f"{path}.steps", integer=True),
@@ -583,14 +587,6 @@ class SimulationSpec:
             get_backend(self.backend)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"{path}.backend", str(exc)) from exc
-        from ..engine.compile import PLAN_MODES
-
-        if self.plan_mode not in PLAN_MODES:
-            raise SpecError(
-                f"{path}.plan_mode",
-                f"unknown plan mode {self.plan_mode!r} "
-                f"(known: {', '.join(PLAN_MODES)})",
-            )
         if not isinstance(self.plan_cache, str) or not self.plan_cache:
             raise SpecError(
                 f"{path}.plan_cache",

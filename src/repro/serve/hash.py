@@ -8,7 +8,7 @@ result with zero compute.
 
 What the hash deliberately ignores:
 
-* ``backend`` / ``plan_mode`` / ``plan_cache`` — the repo-wide invariant
+* ``backend`` / ``plan_cache`` — the repo-wide invariant
   (tested since PR 3/PR 6) is that every backend and kernel tier produces
   **bit-identical** results, so execution strategy is not part of the
   result's identity;
@@ -35,7 +35,7 @@ __all__ = ["normalized_spec_dict", "canonical_spec_dict", "spec_digest"]
 
 #: execution-strategy fields excluded from the content hash (results are
 #: bit-identical across them by construction)
-NONSEMANTIC_FIELDS = ("backend", "plan_mode", "plan_cache", "observability")
+NONSEMANTIC_FIELDS = ("backend", "plan_cache", "observability")
 
 SpecLike = Union[SimulationSpec, Mapping]
 

@@ -214,31 +214,43 @@ def test_process_backend_validates_in_spec():
     assert err.value.field == "spec.backend"
 
 
-def test_plan_mode_and_cache_roundtrip_and_validation():
-    spec = _minimal_spec(plan_mode="interpreted", plan_cache="off").validate()
-    assert spec.plan_mode == "interpreted"
+def test_plan_cache_roundtrip_and_validation():
+    spec = _minimal_spec(plan_cache="off").validate()
     again = SimulationSpec.from_dict(spec.to_dict())
     assert again == spec
     assert again.plan_cache == "off"
     # defaults survive the dict round-trip too
     base = _minimal_spec().validate()
-    assert base.plan_mode == "fused" and base.plan_cache == "auto"
+    assert base.plan_cache == "auto"
     assert SimulationSpec.from_dict(base.to_dict()) == base
 
-    with pytest.raises(SpecError) as err:
-        _minimal_spec(plan_mode="jit").validate()
-    assert err.value.field == "spec.plan_mode"
     with pytest.raises(SpecError) as err:
         _minimal_spec(plan_cache=7).validate()
     assert err.value.field == "spec.plan_cache"
 
 
-def test_plan_mode_override_dotted_path():
+def test_legacy_plan_mode_key_is_accepted_and_dropped():
+    """Stored specs (checkpoint metadata, serve job.json, HTTP bodies) from
+    before the executors were merged carry ``plan_mode``; both of its values
+    ran bit-identically, so they load as the same spec."""
+    base = _minimal_spec().validate()
+    assert "plan_mode" not in base.to_dict()
+    for legacy in ("fused", "interpreted"):
+        loaded = SimulationSpec.from_dict({**base.to_dict(), "plan_mode": legacy})
+        assert loaded == base
+    with pytest.raises(SpecError) as err:
+        SimulationSpec.from_dict({**base.to_dict(), "plan_mode": "jit"})
+    assert err.value.field == "spec.plan_mode"
+    # the knob itself is gone: it is not a settable field any more
+    with pytest.raises(SpecError):
+        base.with_overrides({"plan_mode": "interpreted"})
+
+
+def test_plan_cache_override_dotted_path():
     spec = _minimal_spec().validate()
-    out = spec.with_overrides({"plan_mode": "interpreted", "plan_cache": "off"})
-    assert out.plan_mode == "interpreted"
+    out = spec.with_overrides({"plan_cache": "off"})
     assert out.plan_cache == "off"
-    assert spec.plan_mode == "fused"  # frozen original untouched
+    assert spec.plan_cache == "auto"  # frozen original untouched
 
 
 def test_grid_spec_validation():

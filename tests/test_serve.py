@@ -91,7 +91,6 @@ def test_spec_digest_ignores_execution_strategy():
     # execution strategy is not identity
     d = spec.to_dict()
     d["backend"] = "process:2"
-    d["plan_mode"] = "interpreted"
     d["observability"] = {**d["observability"], "mode": "trace"}
     assert spec_digest(d) == base
     # output placement is not identity
@@ -109,6 +108,16 @@ def test_spec_digest_ignores_execution_strategy():
     canon = canonical_spec_dict(spec)
     for key in ("backend", "plan_mode", "plan_cache", "observability"):
         assert key not in canon
+
+
+def test_spec_digest_is_stable_across_the_plan_mode_removal():
+    """Dedup keys must not move: specs stored by the parent commit carry a
+    ``plan_mode`` key, and the digest below was computed there."""
+    spec = fast_spec()
+    pinned = "8b0cde614a1eeea2fdf24f22da18bd314f691b1caf7b817642c6f30e82887599"
+    assert spec_digest(spec) == pinned
+    for legacy in ("fused", "interpreted"):
+        assert spec_digest({**spec.to_dict(), "plan_mode": legacy}) == pinned
 
 
 # ---------------------------------------------------------------------- #
