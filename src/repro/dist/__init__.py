@@ -2,14 +2,14 @@
 
 The runtime counterpart of the paper's Sec. IV decomposition: configuration
 -cell blocks run on persistent worker processes with shared-memory halo
-exchange (:class:`ShardedApp`, selected via the ``process[:N]`` backend),
-and campaign entries are dispatched to independent worker processes/hosts
-through lock-file leases on the resumable manifest
-(:func:`claim_loop` / ``repro worker``).
+exchange (:class:`ShardedApp`, selected via the ``process[:N]`` backend).
+:class:`LeaseLock` is the lock-file lease the job queue
+(:mod:`repro.serve`, which ``repro campaign`` and ``repro worker`` run on)
+claims work through.
 """
 
 from .blocks import BlockGrid, BlockMaxwellRHS, BlockSpecies, fill_padded
-from .lease import LeaseLock, claim_loop, prepare_campaign_dir, run_dispatched
+from .lease import LeaseLock
 from .plan import HaloStats, ShardPlan
 from .sharded import ShardedApp
 
@@ -22,7 +22,4 @@ __all__ = [
     "ShardPlan",
     "ShardedApp",
     "LeaseLock",
-    "claim_loop",
-    "prepare_campaign_dir",
-    "run_dispatched",
 ]

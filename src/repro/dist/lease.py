@@ -1,22 +1,15 @@
-"""Multi-worker campaign dispatch through lock-file leases.
+"""Lock-file leases: the claim primitive of the job queue.
 
-``repro campaign --dispatch shard`` prepares a campaign directory (the
-existing resumable manifest) and lets **independent worker processes** —
-spawned locally, or started by hand on any host sharing the filesystem via
-``repro worker <dir>`` — claim entries one at a time:
+:class:`repro.serve.store.FileJobStore` — the one queue behind
+``repro campaign``, ``repro worker`` and ``repro serve`` — hands out run
+claims and serializes its metadata writes through :class:`LeaseLock`:
 
-* a claim is an ``O_CREAT | O_EXCL`` lease file ``locks/<pid>.lock``
-  (atomic on POSIX filesystems, no server needed) holding the claimant's
-  host/pid/timestamp;
-* a held lease is heartbeated by a daemon thread, so a *live* worker's
+* a lease is an ``O_CREAT | O_EXCL`` file (atomic on POSIX filesystems, no
+  server needed) holding the claimant's host/pid/timestamp;
+* a held lease is heartbeated by a daemon thread, so a *live* holder's
   lease never expires mid-run; a lease whose mtime stops advancing for
-  ``lease_timeout`` seconds is stale (crashed worker) and may be broken —
-  its entry returns to the claimable pool, so no entry is lost;
-* entry status transitions (``pending -> running -> done | failed``) are
-  serialized through a short-lived manifest lease, and an entry is only
-  claimable while not ``done`` — so no entry runs twice;
-* every claim appends a line to ``claims.log`` (O_APPEND, atomic for short
-  writes), giving tests and operators an exact record of who ran what.
+  ``timeout`` seconds is stale (crashed holder) and may be broken by any
+  contender — exactly one of them wins the re-race.
 """
 
 from __future__ import annotations
@@ -27,24 +20,9 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Optional, Union
 
-from ..runtime.campaign import (
-    MANIFEST_NAME,
-    CampaignSpec,
-    _run_point,
-    _write_manifest,
-    init_manifest,
-    load_manifest,
-)
-
-__all__ = [
-    "LeaseLock",
-    "prepare_campaign_dir",
-    "claim_loop",
-    "run_dispatched",
-    "validate_lease_timeout",
-]
+__all__ = ["LeaseLock", "validate_lease_timeout"]
 
 PathLike = Union[str, Path]
 LOCK_DIR = "locks"
@@ -169,7 +147,7 @@ class LeaseLock:
             pass
 
     def __enter__(self) -> "LeaseLock":
-        # blocking acquire with stale takeover (manifest critical sections)
+        # blocking acquire with stale takeover (store metadata critical sections)
         deadline = time.time() + max(self.timeout, 30.0)
         while not self.try_acquire():
             if time.time() > deadline:
@@ -179,171 +157,3 @@ class LeaseLock:
 
     def __exit__(self, *exc) -> None:
         self.release()
-
-
-# --------------------------------------------------------------------- #
-def prepare_campaign_dir(campaign: CampaignSpec, outdir: PathLike) -> dict:
-    """Materialize a campaign directory for lease-based workers: the
-    resumable manifest plus a copy of the campaign spec (so remote
-    ``repro worker`` invocations need nothing but the directory)."""
-    outdir = Path(outdir)
-    manifest, _pending, _skipped = init_manifest(campaign, outdir)
-    (outdir / "campaign.json").write_text(
-        json.dumps(campaign.to_dict(), indent=2)
-    )
-    (outdir / LOCK_DIR).mkdir(exist_ok=True)
-    return manifest
-
-
-def _update_entry(
-    outdir: Path, pid: str, lease_timeout: float, mutate: Callable[[dict], None]
-) -> dict:
-    """Read-modify-write one manifest entry under the manifest lease."""
-    with LeaseLock(outdir / LOCK_DIR / "manifest.lock", lease_timeout):
-        manifest = load_manifest(outdir)
-        if manifest is None:
-            raise FileNotFoundError(f"no {MANIFEST_NAME} in {outdir}")
-        entry = manifest["points"][pid]
-        mutate(entry)
-        _write_manifest(outdir / MANIFEST_NAME, manifest)
-    return entry
-
-
-def _worker_id() -> str:
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def claim_loop(
-    outdir: PathLike,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-    progress: Optional[Callable[[str, dict], None]] = None,
-    max_points: Optional[int] = None,
-) -> Dict[str, List[str]]:
-    """Claim and run campaign entries until none are claimable.
-
-    An entry is claimable when its status is not ``"done"`` and its lease is
-    free (or stale — a crashed claimant's entry is recovered).  Entries that
-    *failed* under a live worker stay failed; rerun the campaign to retry
-    them.  Returns ``{"ran": [...], "failed": [...]}`` for this worker.
-    """
-    outdir = Path(outdir)
-    lease_timeout = validate_lease_timeout(lease_timeout)
-    manifest = load_manifest(outdir)
-    if manifest is None:
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {outdir}")
-    scenario = manifest["campaign"]["scenario"]
-    me = _worker_id()
-    ran: List[str] = []
-    failed: List[str] = []
-    (outdir / LOCK_DIR).mkdir(exist_ok=True)
-
-    while max_points is None or len(ran) + len(failed) < max_points:
-        manifest = load_manifest(outdir)
-        claimed: Optional[str] = None
-        lock: Optional[LeaseLock] = None
-        for pid in sorted(manifest["points"]):
-            entry = manifest["points"][pid]
-            if entry.get("status") == "done":
-                continue
-            if entry.get("status") == "failed" and entry.get("worker"):
-                continue  # a live worker already tried it; leave for a rerun
-            cand = LeaseLock(outdir / LOCK_DIR / f"{pid}.lock", lease_timeout)
-            if not cand.try_acquire():
-                continue
-            # re-read under the lease: someone may have finished it between
-            # our manifest read and the acquire
-            current = load_manifest(outdir)["points"][pid]
-            if current.get("status") == "done":
-                cand.release()
-                continue
-            claimed, lock = pid, cand
-            break
-        if claimed is None:
-            break
-        try:
-            entry = _update_entry(
-                outdir, claimed, lease_timeout,
-                lambda e: e.update(status="running", worker=me),
-            )
-            with open(outdir / CLAIMS_LOG, "a") as fh:
-                fh.write(f"{claimed} {me}\n")
-            try:
-                result = _run_point(
-                    scenario, entry["overrides"], str(outdir / claimed)
-                )
-                entry = _update_entry(
-                    outdir, claimed, lease_timeout,
-                    lambda e: e.update(status="done", result=result, worker=me),
-                )
-                ran.append(claimed)
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                err = f"{type(exc).__name__}: {exc}"
-                entry = _update_entry(
-                    outdir, claimed, lease_timeout,
-                    lambda e: e.update(status="failed", error=err, worker=me),
-                )
-                failed.append(claimed)
-            if progress is not None:
-                progress(claimed, entry)
-        finally:
-            lock.release()
-    return {"ran": ran, "failed": failed}
-
-
-# --------------------------------------------------------------------- #
-def run_dispatched(
-    campaign: CampaignSpec,
-    outdir: PathLike,
-    workers: Optional[int] = None,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-    progress=None,
-) -> dict:
-    """Prepare a campaign directory and drain it with ``workers`` local
-    claim-loop processes (forked, so they share the parent's generated-
-    kernel cache).  Additional ``repro worker <dir>`` processes — on this
-    or any host sharing the filesystem — may join or finish the same
-    directory at any time.  Returns the final manifest with a summary.
-    """
-    import multiprocessing as mp
-
-    outdir = Path(outdir)
-    lease_timeout = validate_lease_timeout(lease_timeout)
-    prepare_campaign_dir(campaign, outdir)
-    workers = campaign.workers if workers is None else int(workers)
-    if workers <= 1:
-        claim_loop(outdir, lease_timeout, progress=progress)
-    else:
-        ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp
-        procs = [
-            ctx.Process(
-                target=claim_loop,
-                args=(str(outdir), lease_timeout),
-                daemon=False,
-                name=f"repro-campaign-worker-{w}",
-            )
-            for w in range(workers)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-        bad = [p.name for p in procs if p.exitcode not in (0, None)]
-        if bad:
-            raise RuntimeError(f"campaign workers crashed: {', '.join(bad)}")
-    # remote `repro worker` processes may still be updating entries: take
-    # the manifest lease for the final read-modify-write so their results
-    # are never clobbered by a stale copy
-    with LeaseLock(outdir / LOCK_DIR / "manifest.lock", lease_timeout):
-        manifest = load_manifest(outdir)
-        statuses = [e["status"] for e in manifest["points"].values()]
-        manifest["summary"] = {
-            "total": len(statuses),
-            "ran": sum(1 for e in manifest["points"].values() if e.get("worker")),
-            "skipped": sum(
-                1 for e in manifest["points"].values()
-                if e["status"] == "done" and not e.get("worker")
-            ),
-            "failed": statuses.count("failed"),
-        }
-        _write_manifest(outdir / MANIFEST_NAME, manifest)
-    return manifest

@@ -5,14 +5,13 @@ the generated-kernel solver stack: simulations are described by JSON-round-
 trippable :class:`SimulationSpec` objects, canonical setups live in a
 :mod:`~repro.runtime.scenarios` registry, a :class:`Driver` compiles specs
 into live apps with scheduled diagnostics and checkpoint/resume, and
-:mod:`~repro.runtime.campaign` batch-runs parameter scans with a resumable
-manifest.
+:mod:`~repro.runtime.campaign` turns a parameter scan into a batch submit
+to the :mod:`repro.serve` job store (imported only when a campaign runs).
 """
 
 from .campaign import (
     CampaignSpec,
     expand_points,
-    init_manifest,
     load_manifest,
     run_campaign,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "build_app",
     "CampaignSpec",
     "expand_points",
-    "init_manifest",
     "run_campaign",
     "load_manifest",
 ]

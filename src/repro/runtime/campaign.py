@@ -1,13 +1,15 @@
-"""Batch campaign runner: parameter scans over scenario overrides.
+"""Campaigns: a parameter scan is a batch submit to the job store.
 
 A campaign is a JSON file naming a scenario, a set of base overrides, and a
 scan — either a ``scan`` object (grid product over per-key value lists) or
-an explicit ``points`` list.  Points execute through a process pool (or
-serially for ``workers <= 1``), each in its own subdirectory, and a
-``manifest.json`` records per-point status and results after every
-completion.  Rerunning an interrupted campaign reads the manifest and skips
-every point already marked done — the batch-scan idiom of the related
-config-driven solver tooling.
+an explicit ``points`` list.  :func:`run_campaign` builds every point's
+spec, submits it to the :class:`~repro.serve.store.FileJobStore` rooted at
+the campaign directory (jobs are keyed by the spec's content hash), drains
+the store with the ordinary serve workers, and writes ``manifest.json`` — a
+report derived from the store's job records, never read back as state.
+Resume, "only the changed points re-run" and retry-of-failed are therefore
+the store's dedup: a finished job is ``cached``, a new digest is
+``scheduled``, a failed one is ``requeued``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
-from .driver import Driver
 from .errors import SpecError
 from .scenarios import build
 from .spec import _reject_unknown
@@ -28,7 +28,6 @@ from .spec import _reject_unknown
 __all__ = [
     "CampaignSpec",
     "expand_points",
-    "init_manifest",
     "run_campaign",
     "load_manifest",
 ]
@@ -63,6 +62,9 @@ class CampaignSpec:
         _reject_unknown(data, path, ("name", "scenario", "base", "scan", "points", "workers"))
         if "scenario" not in data:
             raise SpecError(f"{path}.scenario", "missing required field")
+        for key in ("scenario", "name"):
+            if not isinstance(data.get(key, ""), str):
+                raise SpecError(f"{path}.{key}", f"expected a string, got {data[key]!r}")
         scan = data.get("scan", {})
         if not isinstance(scan, Mapping):
             raise SpecError(f"{path}.scan", f"expected an object, got {scan!r}")
@@ -78,6 +80,12 @@ class CampaignSpec:
             for i, p in enumerate(points):
                 if not isinstance(p, Mapping):
                     raise SpecError(f"{path}.points[{i}]", f"expected an object, got {p!r}")
+            if scan:
+                raise SpecError(
+                    f"{path}.points",
+                    "give either `scan` or `points`, not both (an explicit "
+                    "point list would silently replace the scan grid)",
+                )
         base = data.get("base", {})
         if not isinstance(base, Mapping):
             raise SpecError(f"{path}.base", f"expected an object, got {base!r}")
@@ -121,19 +129,6 @@ def expand_points(campaign: CampaignSpec) -> List[Dict[str, object]]:
     return [{**campaign.base, **var} for var in variations]
 
 
-def _run_point(scenario: str, overrides: Dict[str, object], point_dir: str) -> Dict:
-    """Execute one scan point (top-level so it pickles into worker processes)."""
-    spec = build(scenario, **overrides)
-    driver = Driver(spec, outdir=point_dir)
-    try:
-        result = driver.run()
-    finally:
-        # a process-sharded point holds worker processes + shared segments
-        driver.close()
-    Path(point_dir, "result.json").write_text(json.dumps(result, indent=2))
-    return result
-
-
 def _write_manifest(path: Path, manifest: dict) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(manifest, indent=2))
@@ -147,111 +142,80 @@ def load_manifest(outdir: PathLike) -> Optional[dict]:
     return json.loads(path.read_text())
 
 
-def init_manifest(campaign: CampaignSpec, outdir: PathLike):
-    """Create (or resume) the campaign manifest in ``outdir``.
-
-    Returns ``(manifest, pending_ids, skipped)``: points already marked
-    ``"done"`` with unchanged overrides are carried over; everything else is
-    reset to ``"pending"``.  The manifest is written atomically before
-    returning, so both the in-process runner and lease-based shard workers
-    (:mod:`repro.dist.lease`) start from the same on-disk state.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    points = expand_points(campaign)
-    ids = [f"p{i:04d}" for i in range(len(points))]
-
-    previous = load_manifest(outdir) or {"points": {}}
-    manifest = {
-        "name": campaign.name,
-        "campaign": campaign.to_dict(),
-        "points": {},
-    }
-    pending = []
-    skipped = 0
-    for pid, overrides in zip(ids, points):
-        old = previous.get("points", {}).get(pid)
-        if old and old.get("status") == "done" and old.get("overrides") == overrides:
-            manifest["points"][pid] = old
-            skipped += 1
-        else:
-            manifest["points"][pid] = {
-                "overrides": overrides,
-                "status": "pending",
-                "result": None,
-            }
-            pending.append(pid)
-    _write_manifest(outdir / MANIFEST_NAME, manifest)
-    return manifest, pending, skipped
-
-
 def run_campaign(
     campaign: CampaignSpec,
     outdir: PathLike,
     workers: Optional[int] = None,
-    progress=None,
+    lease_timeout: Optional[float] = None,
+    progress: Optional[Callable[[dict], None]] = None,
+    drain: bool = True,
 ) -> dict:
-    """Run (or resume) a campaign; returns the final manifest.
+    """Submit every point of ``campaign`` to the job store in ``outdir``,
+    drain it (unless ``drain`` is false: submit only, for ``repro worker``
+    / ``repro serve`` to pick up), and return the manifest.
 
-    The manifest carries one entry per point (id, overrides, status, result)
-    and is rewritten atomically after every completion, so a killed campaign
-    resumes by rerunning only the points not yet marked ``"done"``.  A point
-    whose stored overrides no longer match the campaign file is re-executed.
+    The manifest maps ``pNNNN`` to the point's overrides, its job digest,
+    the job's output directory relative to ``outdir``, what the submission
+    cost (``scheduled | attached | cached | requeued``) and the job
+    record's status, result and error.  Points whose specs hash alike
+    share one job.  A point whose spec does not build never becomes a job:
+    it is recorded ``failed`` with ``job: null`` and the others still run.
+    ``progress`` receives each finished job's record.
     """
+    # function-local: `import repro.runtime` must not pull in http.server
+    from ..serve.scheduler import WorkerPool, worker_loop
+    from ..serve.store import DEFAULT_LEASE_TIMEOUT, FileJobStore
+
     outdir = Path(outdir)
-    workers = campaign.workers if workers is None else workers
-    manifest, pending, skipped = init_manifest(campaign, outdir)
-    manifest_path = outdir / MANIFEST_NAME
+    if lease_timeout is None:
+        lease_timeout = DEFAULT_LEASE_TIMEOUT
+    store = FileJobStore(outdir, lease_timeout)
+    points: Dict[str, dict] = {}
+    for i, overrides in enumerate(expand_points(campaign)):
+        entry = {"overrides": overrides, "job": None, "outdir": None, "compute": None}
+        try:
+            spec = build(campaign.scenario, **overrides)
+        except (SpecError, TypeError, ValueError) as exc:
+            # TypeError/ValueError: a scenario factory computing with a
+            # mistyped parameter before the spec validators see it
+            error = f"{type(exc).__name__}: {exc}"
+            entry.update(status="failed", result=None, error=error)
+        else:
+            record, entry["compute"] = store.submit(spec)
+            entry["job"] = record["id"]
+            entry["outdir"] = str(store.outdir(record["id"]).relative_to(outdir))
+        points[f"p{i:04d}"] = entry
+    manifest = {"name": campaign.name, "campaign": campaign.to_dict(), "points": points}
 
-    def finish(pid: str, result: Optional[dict], error: Optional[str]) -> None:
-        entry = manifest["points"][pid]
-        entry["status"] = "done" if error is None else "failed"
-        entry["result"] = result
-        if error is not None:
-            entry["error"] = error
-        _write_manifest(manifest_path, manifest)
-        if progress is not None:
-            progress(pid, entry)
+    def refresh() -> None:
+        for entry in points.values():
+            if entry["job"] is not None:
+                record = store.get(entry["job"])
+                entry.update({k: record[k] for k in ("status", "result", "error")})
 
+    # written at submit too: the index exists while workers (here, or
+    # `repro worker` on another host) are still running
+    refresh()
+    _write_manifest(outdir / MANIFEST_NAME, manifest)
+    if not drain:
+        return manifest
+    # a daemon that drained this directory left its STOP sentinel behind
+    store.clear_stop()
+    skipped = sum(e["compute"] == "cached" for e in points.values())
+    runnable = sum(e["job"] is not None for e in points.values()) - skipped
+    workers = min(campaign.workers if workers is None else int(workers), runnable)
     if workers <= 1:
-        for pid in pending:
-            try:
-                result = _run_point(
-                    campaign.scenario,
-                    manifest["points"][pid]["overrides"],
-                    str(outdir / pid),
-                )
-                finish(pid, result, None)
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                finish(pid, None, f"{type(exc).__name__}: {exc}")
+        worker_loop(outdir, lease_timeout, exit_when_idle=True, on_finish=progress)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _run_point,
-                    campaign.scenario,
-                    manifest["points"][pid]["overrides"],
-                    str(outdir / pid),
-                ): pid
-                for pid in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    pid = futures[fut]
-                    try:
-                        finish(pid, fut.result(), None)
-                    except Exception as exc:  # noqa: BLE001
-                        finish(pid, None, f"{type(exc).__name__}: {exc}")
-
+        WorkerPool(
+            outdir, workers, lease_timeout, exit_when_idle=True, on_finish=progress
+        ).start().join()
+    refresh()
     manifest["summary"] = {
-        "total": len(manifest["points"]),
-        "ran": len(pending),
+        "total": len(points),
+        "ran": len(points) - skipped,
         "skipped": skipped,
-        "failed": sum(
-            1 for e in manifest["points"].values() if e["status"] == "failed"
-        ),
+        "failed": sum(e["status"] == "failed" for e in points.values()),
     }
-    _write_manifest(manifest_path, manifest)
+    _write_manifest(outdir / MANIFEST_NAME, manifest)
     return manifest

@@ -7,19 +7,23 @@ Subcommands::
     repro show <scenario>              # the scenario's spec as JSON
     repro run <scenario> [--set k=v]   # build + run one simulation
     repro resume <checkpoint.npz>      # continue an interrupted run
-    repro campaign <file.json>         # parameter-scan batch runner
-    repro worker <manifest-dir>        # claim campaign entries (lease-based)
+    repro campaign <file.json>         # submit a parameter scan + drain it
+    repro worker <store-dir>           # drain a job store (campaign or serve dir)
     repro plans list|clear|warm        # inspect/manage the compiled-plan cache
     repro report <outdir>              # render a run's observability output
     repro serve <dir>                  # job-service daemon (HTTP, dedup, workers)
     repro submit <scenario|spec.json>  # submit a job to a serve daemon
     repro jobs                         # list a serve daemon's jobs
 
-``repro serve <dir>`` turns the directory into a job store and serves it
-over HTTP: submissions are deduplicated by a canonical content hash of the
-spec (an identical resubmission returns the finished result with zero
-compute), queued jobs run on a pool of persistent lease-heartbeated worker
-processes, and ``GET /jobs/<id>/diagnostics`` streams the running job's
+There is one queue.  ``repro campaign`` submits every scan point to the
+job store in its ``--outdir`` (jobs keyed by a canonical content hash of
+the spec, so a rerun finds finished points ``cached``) and drains it with
+``--workers`` lease-heartbeated worker processes; ``--prepare-only`` stops
+after the submit.  ``repro worker <dir>`` drains any store directory from
+any host sharing the filesystem, and ``repro serve <dir>`` serves the same
+directory over HTTP with persistent workers: an identical resubmission
+returns the finished result with zero compute, and
+``GET /jobs/<id>/diagnostics`` streams the running job's
 ``diagnostics.jsonl`` incrementally.  SIGTERM drains gracefully.
 ``repro submit`` and ``repro jobs`` talk to a daemon via ``--url`` or
 ``--dir <store-dir>`` (the daemon drops a ``serve.json`` rendezvous file).
@@ -43,10 +47,7 @@ so subsequent runs (including sharded workers) start warm.
 fallback, so ``--set cells=[8,8]`` and ``--set family=serendipity`` both work.
 
 ``--backend process:4`` runs a simulation across four real worker processes
-(shared-memory halo exchange, bit-identical to serial);
-``repro campaign ... --dispatch shard --workers N`` drains a campaign with N
-lease-based claim workers, and ``repro worker <dir>`` joins (or remotely
-drains) such a campaign from any host sharing the filesystem.
+(shared-memory halo exchange, bit-identical to serial).
 """
 
 from __future__ import annotations
@@ -162,56 +163,44 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _campaign_progress(pid, entry) -> None:
-    status = entry["status"]
-    detail = entry.get("error", "")
-    if status == "done" and entry["result"]:
-        detail = f"t={entry['result']['time']:.4g} steps={entry['result']['steps']}"
-    print(f"[{pid}] {status} {detail}")
+def _job_progress(record) -> None:
+    detail = record.get("error") or ""
+    if record["status"] == "done" and record["result"]:
+        detail = f"t={record['result']['time']:.4g} steps={record['result']['steps']}"
+    print(f"[{record['id'][:16]}] {record['status']} {detail}", flush=True)
 
 
 def _cmd_campaign(args) -> int:
-    if args.prepare_only and args.dispatch != "shard":
-        raise SpecError(
-            "--prepare-only",
-            "only meaningful with --dispatch shard (the pool dispatcher "
-            "has no claimable manifest to prepare)",
-        )
     campaign = CampaignSpec.from_file(args.file)
     outdir = args.outdir or f"{campaign.name}_out"
-
-    if args.dispatch == "shard":
-        from ..dist.lease import prepare_campaign_dir, run_dispatched
-
-        if args.prepare_only:
-            manifest = prepare_campaign_dir(campaign, outdir)
-            pending = sum(
-                1 for e in manifest["points"].values() if e["status"] != "done"
-            )
-            print(
-                f"campaign {campaign.name!r}: {len(manifest['points'])} points "
-                f"({pending} claimable) prepared in {outdir}; start workers "
-                f"with `repro worker {outdir}`"
-            )
-            return 0
-        manifest = run_dispatched(
-            campaign,
-            outdir,
-            workers=args.workers,
-            lease_timeout=_checked_lease_timeout(args.lease_timeout),
-            progress=_campaign_progress,
+    manifest = run_campaign(
+        campaign,
+        outdir,
+        workers=args.workers,
+        lease_timeout=_checked_lease_timeout(args.lease_timeout),
+        progress=_job_progress,
+        drain=not args.prepare_only,
+    )
+    statuses = [e["status"] for e in manifest["points"].values()]
+    # after a drain: points another live worker still holds (or a crashed
+    # one's lease still covers)
+    unfinished = sum(s in ("queued", "running") for s in statuses)
+    if args.prepare_only:
+        print(
+            f"campaign {campaign.name!r}: {len(statuses)} points "
+            f"({unfinished} claimable) submitted to {outdir}; drain with "
+            f"`repro worker {outdir}` or `repro serve {outdir}`"
         )
-    else:
-        manifest = run_campaign(
-            campaign, outdir, workers=args.workers, progress=_campaign_progress
-        )
+        return 1 if "failed" in statuses else 0
     summary = manifest["summary"]
     print(
         f"campaign {campaign.name!r}: {summary['total']} points — "
         f"{summary['ran']} ran, {summary['skipped']} skipped, "
-        f"{summary['failed']} failed (manifest: {outdir}/manifest.json)"
+        f"{summary['failed']} failed"
+        + (f", {unfinished} unfinished" if unfinished else "")
+        + f" (manifest: {outdir}/manifest.json)"
     )
-    return 1 if summary["failed"] else 0
+    return 1 if summary["failed"] or unfinished else 0
 
 
 def _checked_lease_timeout(value) -> float:
@@ -226,13 +215,24 @@ def _checked_lease_timeout(value) -> float:
 
 
 def _cmd_worker(args) -> int:
-    from ..dist.lease import claim_loop
+    from ..serve.scheduler import worker_loop
+    from ..serve.store import JOBS_DIR
 
-    summary = claim_loop(
+    lease_timeout = _checked_lease_timeout(args.lease_timeout)
+    # FileJobStore creates its root; a mistyped directory must stay an error
+    if not (Path(args.dir) / JOBS_DIR).is_dir():
+        raise SpecError(
+            "dir",
+            f"{args.dir} is not a job store (no {JOBS_DIR}/ directory); create "
+            f"one with `repro campaign <file> --prepare-only --outdir {args.dir}` "
+            f"or `repro serve {args.dir}`",
+        )
+    summary = worker_loop(
         args.dir,
-        lease_timeout=_checked_lease_timeout(args.lease_timeout),
-        progress=_campaign_progress,
-        max_points=args.max_points,
+        lease_timeout=lease_timeout,
+        exit_when_idle=True,
+        max_jobs=args.max_points,
+        on_finish=_job_progress,
     )
     print(
         f"worker done: {len(summary['ran'])} points ran, "
@@ -491,20 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="run a parameter-scan campaign")
     p_camp.add_argument("file", help="campaign JSON file")
-    p_camp.add_argument("--outdir", default=None)
+    p_camp.add_argument("--outdir", default=None, help="job store directory")
     p_camp.add_argument("--workers", type=int, default=None)
-    p_camp.add_argument(
-        "--dispatch",
-        choices=("pool", "shard"),
-        default="pool",
-        help="pool: in-process worker pool (default); shard: lease-based "
-        "claim workers that other hosts can join via `repro worker`",
-    )
     p_camp.add_argument(
         "--prepare-only",
         action="store_true",
-        help="with --dispatch shard: write the manifest and exit without "
-        "running anything (start workers separately)",
+        help="submit the points and exit without running anything (drain "
+        "with `repro worker` or `repro serve` on the same directory)",
     )
     p_camp.add_argument(
         "--lease-timeout",
@@ -515,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_worker = sub.add_parser(
-        "worker", help="claim and run entries from a dispatched campaign"
+        "worker", help="claim and run queued jobs from a store directory until idle"
     )
-    p_worker.add_argument("dir", help="campaign directory (holds manifest.json)")
+    p_worker.add_argument("dir", help="campaign --outdir or serve directory")
     p_worker.add_argument(
         "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT
     )

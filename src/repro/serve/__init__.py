@@ -1,20 +1,22 @@
-"""``repro.serve``: the job service — campaign queue promoted to a daemon.
+"""``repro.serve``: the job queue — one store, batch submits and a daemon.
 
 The paper's workload is large parameter scans, and at serving scale
 "millions of users mostly re-run the same scans": the highest-leverage
-layer is a daemon that **content-hashes every submitted spec for result
-dedup** and schedules the genuinely new ones onto persistent workers.
-This package wires the prerequisites the earlier PRs built into one
-service:
+layer is a queue that **content-hashes every submitted spec for result
+dedup** and schedules only the genuinely new ones onto workers.  There is
+one such queue: ``repro campaign`` batch-submits a scan to a store
+directory and drains it, ``repro worker <dir>`` joins any store directory,
+and ``repro serve <dir>`` puts an HTTP daemon with persistent workers in
+front of the same directory.  The pieces:
 
 * :mod:`repro.serve.hash`      — canonical content hash of a
   JSON-round-trippable :class:`~repro.runtime.spec.SimulationSpec` (PR 1);
 * :mod:`repro.serve.store`     — a :class:`JobStore` protocol (pluggable:
   filesystem now, object store/Redis later) keyed by that hash, built on
-  the atomic-write + O_EXCL lease primitives of PR 3/PR 6;
-* :mod:`repro.serve.scheduler` — persistent worker processes with the
-  heartbeat/stale-takeover lease semantics of :mod:`repro.dist.lease`,
-  so a SIGKILLed worker's job is re-run exactly once;
+  atomic writes + the O_EXCL lease of :mod:`repro.dist.lease`;
+* :mod:`repro.serve.scheduler` — worker processes (persistent, or
+  exit-when-idle for a batch drain) with heartbeat/stale-takeover lease
+  semantics, so a SIGKILLed worker's job is re-run exactly once;
 * :mod:`repro.serve.http`      — the ``repro serve`` daemon: submit /
   status / result endpoints plus a chunked incremental tail of the
   per-record-flushed ``diagnostics.jsonl`` (PR 2/PR 8), graceful SIGTERM

@@ -7,11 +7,11 @@ through the store's heartbeated lease (:meth:`FileJobStore.try_claim`),
 run it with the ordinary :class:`~repro.runtime.driver.Driver` into the
 job's own output directory, record the outcome, release the lease.
 
-Crash recovery is the lease-file semantics proved out by the campaign
-queue (PR 3): a SIGKILLed worker's heartbeat stops, its lease goes stale
-after ``lease_timeout`` seconds, and the next scanning worker breaks it
-and re-runs the job — exactly once, because breaking a stale lease
-re-races through an exclusive create.  The re-run starts from a fresh
+Crash recovery is the lease-file semantics of :mod:`repro.dist.lease`: a
+SIGKILLed worker's heartbeat stops, its lease goes stale after
+``lease_timeout`` seconds, and the next scanning worker breaks it and
+re-runs the job — exactly once, because breaking a stale lease re-races
+through an exclusive create.  The re-run starts from a fresh
 Driver, which truncates any partial ``diagnostics.jsonl``, so the
 recovered job's output is byte-identical to an uninterrupted run.
 
@@ -19,6 +19,10 @@ Graceful drain: the daemon touches the store's ``STOP`` sentinel; workers
 finish the job they currently hold, claim nothing further, and exit.
 Queued-but-unclaimed jobs stay queued in the store and run when the
 service next starts.
+
+Batch drain: ``exit_when_idle`` workers leave once nothing is claimable —
+``repro campaign`` (submit every scan point, then drain) and ``repro
+worker <dir>`` (join any store directory from any host sharing it).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import os
 import signal
 import socket
 import time
-from typing import List, Optional, Union
+from typing import Callable, List, Optional
 
 from ..dist.lease import DEFAULT_LEASE_TIMEOUT, validate_lease_timeout
 from .store import FileJobStore, PathLike
@@ -74,13 +78,15 @@ def worker_loop(
     poll: float = DEFAULT_POLL,
     exit_when_idle: bool = False,
     max_jobs: Optional[int] = None,
+    on_finish: Optional[Callable[[dict], None]] = None,
 ) -> dict:
     """Claim and run jobs until drained (``STOP`` sentinel), idle (when
     ``exit_when_idle``), or ``max_jobs`` have been attempted.
 
     Runnable jobs are those ``queued``, plus ``running`` jobs whose lease
     went stale (crashed claimant).  A live claimant's lease never yields,
-    so no job runs twice concurrently.  Returns ``{"ran": [...],
+    so no job runs twice concurrently.  ``on_finish`` receives each job's
+    final record (the CLI's progress line).  Returns ``{"ran": [...],
     "failed": [...]}`` for this worker.
     """
     store = FileJobStore(root, validate_lease_timeout(lease_timeout))
@@ -108,35 +114,41 @@ def worker_loop(
         try:
             try:
                 result = run_job(store, claimed)
-                store.finish(claimed["id"], result, None)
+                record = store.finish(claimed["id"], result, None)
                 ran.append(claimed["id"])
             except Exception as exc:  # noqa: BLE001 - recorded per job
-                store.finish(
+                record = store.finish(
                     claimed["id"], None, f"{type(exc).__name__}: {exc}"
                 )
                 failed.append(claimed["id"])
+            if on_finish is not None:
+                on_finish(record)
         finally:
             lock.release()
     return {"ran": ran, "failed": failed}
 
 
 def _worker_main(
-    root: str, lease_timeout: float, poll: float
+    root: str, lease_timeout: float, poll: float, exit_when_idle: bool, on_finish
 ) -> None:
     """Entry point of a pool worker process.
 
-    SIGINT is ignored: an interactive Ctrl-C lands on the whole process
-    group, and drain must stay the parent's decision (it writes the STOP
-    sentinel and joins).  SIGTERM keeps its default (kill) so an operator
-    can still shoot an individual worker — its job is then recovered via
-    the stale-lease takeover.
+    A persistent worker ignores SIGINT: an interactive Ctrl-C lands on the
+    whole process group, and drain must stay the parent's decision (it
+    writes the STOP sentinel and joins).  A batch-drain worker has no such
+    parent, so Ctrl-C stops it — ``worker_loop`` releases its lease on the
+    way out and the job is claimable again at once.  SIGTERM keeps its
+    default (kill) so an operator can still shoot an individual worker —
+    its job is then recovered via the stale-lease takeover.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker_loop(root, lease_timeout=lease_timeout, poll=poll)
+    if not exit_when_idle:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    worker_loop(root, lease_timeout, poll, exit_when_idle, on_finish=on_finish)
 
 
 class WorkerPool:
-    """A fixed pool of persistent worker processes over one store root."""
+    """A fixed pool of worker processes over one store root: persistent
+    (until the STOP sentinel) or, with ``exit_when_idle``, a batch drain."""
 
     def __init__(
         self,
@@ -144,6 +156,8 @@ class WorkerPool:
         workers: int = 2,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll: float = DEFAULT_POLL,
+        exit_when_idle: bool = False,
+        on_finish: Optional[Callable[[dict], None]] = None,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -151,6 +165,8 @@ class WorkerPool:
         self.workers = int(workers)
         self.lease_timeout = validate_lease_timeout(lease_timeout)
         self.poll = float(poll)
+        self.exit_when_idle = bool(exit_when_idle)
+        self.on_finish = on_finish
         self._procs: List[mp.Process] = []
 
     def start(self) -> "WorkerPool":
@@ -164,7 +180,10 @@ class WorkerPool:
         self._procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(self.root, self.lease_timeout, self.poll),
+                args=(
+                    self.root, self.lease_timeout, self.poll,
+                    self.exit_when_idle, self.on_finish,
+                ),
                 daemon=False,
                 name=f"repro-serve-worker-{i}",
             )
@@ -181,8 +200,8 @@ class WorkerPool:
         return [p.pid for p in self._procs if p.pid is not None]
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every worker to exit (the STOP sentinel must already be
-        in place for them to want to).  Returns True when all exited."""
+        """Wait for every worker to exit (persistent workers want to only
+        once the STOP sentinel is in place).  Returns True when all exited."""
         deadline = None if timeout is None else time.monotonic() + timeout
         for p in self._procs:
             remaining = (

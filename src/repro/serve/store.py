@@ -8,8 +8,8 @@ outputs (``diagnostics.jsonl``, ``checkpoint.npz``, ``result.json``) land.
 
 :class:`JobStore` is the seam for alternative backends (object store,
 Redis): everything the scheduler and HTTP layer touch goes through it.
-:class:`FileJobStore` is the filesystem implementation — the same
-primitives the campaign queue (PR 3) proved out:
+:class:`FileJobStore` is the filesystem implementation — the one queue
+``repro campaign``, ``repro worker`` and ``repro serve`` all run on:
 
 * job metadata is a ``job.json`` per job, written atomically
   (``tmp + os.replace``) so readers never see a torn record;
@@ -28,12 +28,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-try:  # Protocol is 3.8+; keep the import local and degrade gracefully
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
 from ..dist.lease import (
     CLAIMS_LOG,
@@ -59,7 +54,8 @@ JOB_STATUSES = ("queued", "running", "done", "failed")
 TERMINAL_STATUSES = ("done", "failed")
 #: drain sentinel: workers stop claiming new jobs once this file exists
 STOP_FILE = "STOP"
-_JOBS_DIR = "jobs"
+#: what makes a directory a job store: ``jobs/<digest>/job.json`` records
+JOBS_DIR = "jobs"
 _META = "job.json"
 _OUT = "out"
 
@@ -94,14 +90,14 @@ class FileJobStore:
         self.root = Path(root)
         self.lease_timeout = validate_lease_timeout(lease_timeout)
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / _JOBS_DIR).mkdir(exist_ok=True)
+        (self.root / JOBS_DIR).mkdir(exist_ok=True)
         (self.root / LOCK_DIR).mkdir(exist_ok=True)
 
     # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
     def job_dir(self, job_id: str) -> Path:
-        return self.root / _JOBS_DIR / job_id
+        return self.root / JOBS_DIR / job_id
 
     def outdir(self, job_id: str) -> Path:
         """Where the job's Driver writes its outputs."""
@@ -160,13 +156,13 @@ class FileJobStore:
         """Resolve a full digest or an unambiguous prefix (>= 8 chars) to
         a stored job id; ``None`` when unknown, ``ValueError`` when the
         prefix matches more than one job."""
-        if (self.root / _JOBS_DIR / job_id / _META).exists():
+        if (self.root / JOBS_DIR / job_id / _META).exists():
             return job_id
         if len(job_id) < 8:
             return None
         matches = [
             p.name
-            for p in (self.root / _JOBS_DIR).iterdir()
+            for p in (self.root / JOBS_DIR).iterdir()
             if p.name.startswith(job_id)
         ]
         if len(matches) > 1:
@@ -179,7 +175,7 @@ class FileJobStore:
 
     def list_jobs(self) -> List[dict]:
         jobs = []
-        for path in sorted((self.root / _JOBS_DIR).iterdir()):
+        for path in sorted((self.root / JOBS_DIR).iterdir()):
             rec = self._read(path.name)
             if rec is not None:
                 jobs.append(rec)

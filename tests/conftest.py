@@ -32,9 +32,9 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "serve: repro.serve job-service tests (content-hash dedup, lease "
-        "crash recovery, HTTP streaming, SIGTERM drain); CI runs them as "
-        "their own matrix leg",
+        "serve: repro.serve job-queue tests (content-hash dedup, lease "
+        "crash recovery, campaigns as batch submits, HTTP streaming, "
+        "SIGTERM drain); CI runs them as their own matrix leg",
     )
 
 
