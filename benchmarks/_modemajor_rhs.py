@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.engine.backend import get_backend
 from repro.engine.plan import aux_signature
 from repro.engine.pool import ScratchPool
 from repro.kernels.termset import AuxValue, Symbol, TermSet, merge_termsets, stack_termsets
@@ -78,7 +77,7 @@ class ModeMajorPlan:
     applied to phase-major states with a cell-major-scratch transform-assign
     for the configuration-batched part."""
 
-    def __init__(self, termset, cdim, vdim, aux, cell_shape, backend=None, pool=None):
+    def __init__(self, termset, cdim, vdim, aux, cell_shape, pool=None):
         self.termset = termset
         self.cdim = int(cdim)
         self.vdim = int(vdim)
@@ -90,7 +89,6 @@ class ModeMajorPlan:
         self.ncfg = int(np.prod(self.cfg_shape)) if self.cfg_shape else 1
         self.nvel = int(np.prod(self.vel_shape)) if self.vel_shape else 1
         self.ncells = self.ncfg * self.nvel
-        self.backend = get_backend(backend)
         self.pool = pool if pool is not None else ScratchPool()
         self.names = sorted({n for sym in termset.entries_by_symbol() for n in sym})
         self.signature = aux_signature(self.names, aux, self.cdim, self.vdim)
@@ -245,14 +243,14 @@ class ModeMajorPlan:
         return outc
 
     def _apply_cfg_into(self, fin, aux, outc, accumulate):
-        pool, backend = self.pool, self.backend
+        pool = self.pool
         fc = pool.get("mm.fc", (self.ncfg, self.nin, self.nvel))
         fcv = fc.reshape(self.cfg_shape + (self.nin,) + self.vel_shape)
         np.copyto(fcv, np.moveaxis(fin, 0, self.cdim))
         if self._fact is not None:
             u, vt, r_out, r_in = self._fact
             gt = pool.get("mm.gt", (self.ncfg, r_in, self.nvel))
-            backend.batched_gemm(vt, fc, out=gt)
+            np.matmul(vt, fc, out=gt)
             acc = pool.get("mm.outhat", (self.ncfg, r_out, self.nvel))
             mm = pool.get("mm.mmhat", (self.ncfg, r_out, self.nvel))
             work, rows, cols = gt, r_out, r_in
@@ -273,7 +271,7 @@ class ModeMajorPlan:
                 for name in cfg_names[1:]:
                     coef[i] *= self._cfg_row(aux[name])
             amat = pool.get("mm.amat", (self.ncfg, rows * cols))
-            backend.gemm(coef.T, grp.hat if self._fact is not None else grp.mats, out=amat)
+            np.matmul(coef.T, grp.hat if self._fact is not None else grp.mats, out=amat)
             a3 = amat.reshape(self.ncfg, rows, cols)
             if grp.vel_names:
                 vprod = self._vel_product(grp.vel_names, aux)
@@ -285,17 +283,17 @@ class ModeMajorPlan:
             else:
                 gc = work
             if igrp == 0 and not acc_assigned:
-                backend.batched_gemm(a3, gc, out=acc)
+                np.matmul(a3, gc, out=acc)
             else:
-                backend.batched_gemm(a3, gc, out=mm)
+                np.matmul(a3, gc, out=mm)
                 acc += mm
         if self._fact is not None:
             if accumulate:
                 lift = pool.get("mm.lift", (self.ncfg, self.nout, self.nvel))
-                backend.batched_gemm(u, acc, out=lift)
+                np.matmul(u, acc, out=lift)
                 outc += lift
             else:
-                backend.batched_gemm(u, acc, out=outc)
+                np.matmul(u, acc, out=outc)
 
     @property
     def is_pure_cfg(self):
@@ -306,11 +304,10 @@ class ModeMajorGrouped:
     """PR 2 ``GroupedOperator``: plan cache keyed on (cell shape, signature)
     with the value-identity fast path."""
 
-    def __init__(self, termset, cdim, vdim, backend=None, pool=None):
+    def __init__(self, termset, cdim, vdim, pool=None):
         self.termset = termset
         self.cdim = int(cdim)
         self.vdim = int(vdim)
-        self.backend = get_backend(backend)
         self.pool = pool if pool is not None else ScratchPool()
         self._names = sorted({n for sym in termset.entries_by_symbol() for n in sym})
         self._plans = {}
@@ -337,7 +334,7 @@ class ModeMajorGrouped:
         if plan is None:
             plan = ModeMajorPlan(
                 self.termset, self.cdim, self.vdim, aux, cell_shape,
-                backend=self.backend, pool=self.pool,
+                pool=self.pool,
             )
             self._plans[key] = plan
         self._fast_vals = vals
@@ -401,7 +398,6 @@ class ModeMajorSolverRhs:
         self.num_basis = solver.num_basis
         self.num_conf_basis = solver.num_conf_basis
         self.pool = ScratchPool()
-        self.backend = get_backend("numpy")
         self._base_aux = g.base_aux()
         self._base_aux["qm"] = solver.charge / solver.mass
         self._aux = dict(self._base_aux)
@@ -412,7 +408,7 @@ class ModeMajorSolverRhs:
             self._upwind_pos.append(np.where(w > 0, 1.0, np.where(w < 0, 0.0, 0.5)))
 
         def _op(ts):
-            return ModeMajorGrouped(ts, cdim, vdim, backend=self.backend, pool=self.pool)
+            return ModeMajorGrouped(ts, cdim, vdim, pool=self.pool)
 
         k = solver.kernels
         self._vol_op = _op(merge_termsets(k.vol_stream + k.vol_accel))

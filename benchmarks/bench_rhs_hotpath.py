@@ -87,8 +87,8 @@ def _two_stream_maxwell_spec(nx: int, nv: int) -> SimulationSpec:
     )
 
 
-def _build(config: str, smoke: bool, backend: str, cache: str):
-    overrides = {"backend": backend, "plan_cache": cache}
+def _build(config: str, smoke: bool, cache: str):
+    overrides = {"plan_cache": cache}
     if config == "weibel":
         nx, nv = (4, 8) if smoke else (6, 14)
         spec = build("weibel_2x2v", nx=nx, nv=nv).with_overrides(overrides)
@@ -132,7 +132,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="weibel", help="weibel | two_stream")
     ap.add_argument("--smoke", action="store_true", help="tiny sizes / few reps (CI)")
     ap.add_argument("--json", default=None, metavar="PATH", help="write results as JSON")
-    ap.add_argument("--backend", default="numpy", help="engine backend to measure")
     ap.add_argument(
         "--cache",
         default="off",
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
     iters = args.iters or (3 if args.smoke else 8)
 
     stats0 = STATS.snapshot()
-    spec, app = _build(args.config, args.smoke, args.backend, args.cache)
+    spec, app = _build(args.config, args.smoke, args.cache)
     name = app.species[0].name
     solver = app.solvers[name]
     cdim = app.conf_grid.ndim
@@ -247,7 +246,6 @@ def main(argv=None) -> int:
 
     result = {
         "config": args.config,
-        "backend": args.backend,
         "smoke": args.smoke,
         "cells": list(app.phase_grids[name].cells),
         "num_basis": solver.num_basis,
@@ -280,8 +278,8 @@ def main(argv=None) -> int:
     }
 
     print(f"=== RHS hot path — {args.config} "
-          f"(cells {result['cells']}, Np={solver.num_basis}, "
-          f"backend={args.backend}{', smoke' if args.smoke else ''}) ===")
+          f"(cells {result['cells']}, Np={solver.num_basis}"
+          f"{', smoke' if args.smoke else ''}) ===")
     print(f"exactness: engine vs seed {rhs_err:.2e} | mode-major vs seed {mm_err:.2e}")
     print(f"solver RHS : engine {1e3*t_solver_new:8.2f} ms | "
           f"mode-major {1e3*t_solver_mm:8.2f} ms | "

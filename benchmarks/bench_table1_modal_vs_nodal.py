@@ -20,8 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.apps import FieldSpec, Species, VlasovMaxwellApp
 from repro.grid import Grid
+from repro.systems import FieldSpec, MaxwellBlock, Species, System
 
 POLY_ORDER = 2
 FAMILY = "serendipity"
@@ -29,7 +29,7 @@ CONF_CELLS = [4, 4]
 VEL_CELLS = [6, 6, 6]
 
 
-def _make_app(scheme: str) -> VlasovMaxwellApp:
+def _make_app(scheme: str) -> System:
     k = 2 * np.pi / 1.0
 
     def felc(x, y, vx, vy, vz):
@@ -48,11 +48,11 @@ def _make_app(scheme: str) -> VlasovMaxwellApp:
 
     elc = Species("elc", -1.0, 1.0, Grid([-5.0] * 3, [5.0] * 3, VEL_CELLS), felc)
     prot = Species("prot", +1.0, 25.0, Grid([-1.5] * 3, [1.5] * 3, VEL_CELLS), fprot)
-    return VlasovMaxwellApp(
+    return System(
         conf_grid=Grid([0.0, 0.0], [1.0, 1.0], CONF_CELLS),
         species=[elc, prot],
-        field=FieldSpec(
-            initial={"Ex": lambda x, y: 0.01 * np.sin(k * x)},
+        field=MaxwellBlock(
+            FieldSpec(initial={"Ex": lambda x, y: 0.01 * np.sin(k * x)})
         ),
         poly_order=POLY_ORDER,
         family=FAMILY,
@@ -62,7 +62,7 @@ def _make_app(scheme: str) -> VlasovMaxwellApp:
     )
 
 
-def _time_steps(app: VlasovMaxwellApp, n_steps: int = 2):
+def _time_steps(app: System, n_steps: int = 2):
     """Time full SSP-RK3 steps and the Vlasov-solve share separately."""
     dt = app.suggested_dt()
     app.step(dt)  # warm-up (also builds caches)

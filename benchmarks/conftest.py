@@ -1,7 +1,7 @@
 """Benchmark harness configuration.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index).  Benchmarks print the paper's
+(see the table in benchmarks/README.md).  Benchmarks print the paper's
 quantity next to the measured one; pytest-benchmark records the timings.
 Run with:  pytest benchmarks/ --benchmark-only
 """

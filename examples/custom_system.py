@@ -85,7 +85,6 @@ def build_driven_tracers(spec: SimulationSpec) -> System:
         poly_order=spec.poly_order,
         cfl=spec.cfl,
         stepper=spec.stepper,
-        backend=spec.backend,
         external=build_external_field(spec),
         name="driven_tracers",
     )

@@ -24,12 +24,10 @@ Quickstart::
         poly_order=2)
     system.run(10.0)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See README.md ("System API", "Library use") for the composition API and
+benchmarks/README.md for the scripts behind every paper table and figure.
 """
 
-from .apps.vlasov_maxwell import VlasovMaxwellApp
-from .apps.vlasov_poisson import VlasovPoissonApp
 from .basis.modal import ModalBasis
 from .basis.multiindex import FAMILIES, num_basis
 from .collisions.bgk import BGKCollisions
@@ -85,8 +83,6 @@ __all__ = [
     "NullFieldBlock",
     "register_system",
     "build_system",
-    "VlasovMaxwellApp",
-    "VlasovPoissonApp",
     "EnergyHistory",
     "fit_exponential_growth",
     "get_vlasov_kernels",

@@ -364,7 +364,6 @@ def build_block_species(app, plan: ShardPlan, shard: int) -> List[BlockSpecies]:
             sp.charge,
             sp.mass,
             velocity_flux=serial.velocity_flux,
-            backend="numpy",
         )
         moments = MomentCalculator(pg, solver.kernels, pool=solver.pool)
         collisions = _rebuild_collisions(sp.collisions, pg, app)

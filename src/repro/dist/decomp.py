@@ -5,7 +5,9 @@ Gkeyll decomposes a kinetic simulation at two levels:
 1. **configuration space** across nodes (distributed memory): each node owns
    a block of configuration cells *with the full velocity grid attached*;
    DG needs a single layer of configuration-space ghost cells, but in 5D/6D
-   even one layer is a 4D/5D object — the dominant communication cost;
+   even one layer is a 4D/5D object — the dominant communication cost.
+   :class:`ConfDecomposition` is this level; ``process:N`` sharding
+   (:class:`~repro.dist.plan.ShardPlan`) executes it;
 2. **velocity space** within a node (MPI-3 shared memory): intra-node ranks
    split the velocity grid *without any ghost layers*, since neighbours'
    data is directly addressable in shared memory.  This is the source of the
@@ -20,27 +22,18 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "factor_ranks",
-    "block_ranges",
-    "ConfDecomposition",
-    "VelocitySlabs",
-    "TwoLevelDecomposition",
-    "memory_report",
-]
+__all__ = ["factor_ranks", "block_ranges", "ConfDecomposition", "memory_report"]
 
 
 def factor_ranks(nranks: int, ndim: int, cells: Sequence[int]) -> Tuple[int, ...]:
     """Near-cubic factorization of ``nranks`` over ``ndim`` axes, preferring
     to cut the longest remaining axis (MPI_Dims_create flavoured)."""
     dims = [1] * ndim
-    remaining = nranks
     primes = _prime_factors(nranks)
     for p in sorted(primes, reverse=True):
         # assign to the axis with the most cells per current cut
         axis = max(range(ndim), key=lambda d: cells[d] / dims[d])
         dims[axis] *= p
-        remaining //= p
     if int(np.prod(dims)) != nranks:
         raise RuntimeError("factorization failed")
     return tuple(dims)
@@ -130,57 +123,12 @@ class ConfDecomposition:
             total += 2 * ghost * face
         return total
 
-
-@dataclass(frozen=True)
-class VelocitySlabs:
-    """Intra-node shared-memory split of the velocity grid along one axis."""
-
-    cells: Tuple[int, ...]
-    axis: int
-    nslabs: int
-
-    def ranges(self) -> List[Tuple[int, int]]:
-        return block_ranges(self.cells[self.axis], self.nslabs)
-
-    def slab_cells(self, slab: int) -> Tuple[int, ...]:
-        lo, hi = self.ranges()[slab]
-        out = list(self.cells)
-        out[self.axis] = hi - lo
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class TwoLevelDecomposition:
-    """nodes x cores-per-node decomposition of a phase-space problem."""
-
-    conf: ConfDecomposition
-    vel: VelocitySlabs
-
-    @classmethod
-    def create(
-        cls,
-        conf_cells: Sequence[int],
-        vel_cells: Sequence[int],
-        nodes: int,
-        cores_per_node: int,
-        vel_axis: int = -1,
-    ) -> "TwoLevelDecomposition":
-        vel_cells = tuple(int(c) for c in vel_cells)
-        axis = vel_axis % len(vel_cells)
-        return cls(
-            conf=ConfDecomposition.create(conf_cells, nodes),
-            vel=VelocitySlabs(cells=vel_cells, axis=axis, nslabs=cores_per_node),
-        )
-
-    def halo_doubles_per_step(self, num_basis: int, ghost: int = 1) -> int:
-        """Doubles exchanged per time step across nodes (both directions),
-        counting the full velocity grid attached to each configuration ghost
-        cell — the paper's observation that 5D/6D ghost layers are large."""
-        nvel = int(np.prod(self.vel.cells))
-        total = 0
-        for rank in range(self.conf.num_blocks):
-            total += self.conf.ghost_cells(rank, ghost) * nvel * num_basis
-        return total
+    def halo_doubles(self, rank: int, num_basis: int, nvel: int) -> int:
+        """The Fig. 3 traffic model: doubles of one distribution function
+        this rank receives per halo exchange — every configuration ghost
+        cell drags the full velocity grid times the phase basis with it
+        (the paper's observation that 5D/6D ghost layers are large)."""
+        return self.ghost_cells(rank) * nvel * num_basis
 
 
 def memory_report(
@@ -207,17 +155,11 @@ def memory_report(
 
     # shared-memory model
     shared = ConfDecomposition.create(conf_cells, nodes)
-    shared_bytes = 0.0
-    local = shared.local_cells(0)
-    padded = [
-        n + (2 * ghost if shared.dims[d] > 1 or nodes > 1 else 2 * ghost)
-        for d, n in enumerate(local)
-    ]
+    padded = [n + 2 * ghost for n in shared.local_cells(0)]
     shared_bytes = float(np.prod(padded)) * nvel * bytes_per_dof
 
     # pure per-core model: decompose phase space over nodes*cores ranks
     total_ranks = nodes * cores_per_node
-    pdim = len(conf_cells) + len(vel_cells)
     phase_cells = conf_cells + vel_cells
     pure = ConfDecomposition.create(phase_cells, total_ranks)
     local_p = pure.local_cells(0)

@@ -5,13 +5,10 @@ node-level decomposition (Sec. IV): the configuration grid is split into
 near-cubic contiguous blocks — one per persistent worker process — each
 padded by a single ghost layer along every decomposed axis, with the full
 velocity grid attached.  The block arithmetic is exactly
-:class:`repro.parallel.decomp.ConfDecomposition` (the object the Fig. 3
+:class:`repro.dist.decomp.ConfDecomposition` (the object the Fig. 3
 scaling model is built on), so the *measured* halo traffic of a sharded run
-can be compared against the model's prediction for the same decomposition.
-
-:class:`HaloStats` mirrors the counters of
-:class:`repro.parallel.comm.SimulatedComm` (messages / doubles), so the
-validation loop is: simulated decomposition -> model -> real sharded run.
+(:class:`HaloStats`: messages / doubles per shard) can be compared against
+the model's prediction for the same decomposition.
 """
 
 from __future__ import annotations
@@ -21,14 +18,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..parallel.decomp import ConfDecomposition
+from .decomp import ConfDecomposition
 
 __all__ = ["HaloStats", "ShardPlan"]
 
 
 @dataclass
 class HaloStats:
-    """Halo-exchange accounting for one shard (SimulatedComm-compatible)."""
+    """Halo-exchange accounting for one shard."""
 
     messages: int = 0
     doubles: int = 0
@@ -108,10 +105,10 @@ class ShardPlan:
         per halo exchange, summed over shards (each configuration ghost cell
         carries the full velocity grid times the phase basis)."""
         nvel = int(np.prod([int(c) for c in vel_cells])) if len(vel_cells) else 1
-        total = 0
-        for shard in range(self.nshards):
-            total += self.decomp.ghost_cells(shard, ghost=1) * nvel * num_basis
-        return int(total)
+        return sum(
+            self.decomp.halo_doubles(shard, num_basis, nvel)
+            for shard in range(self.nshards)
+        )
 
     def describe(self) -> str:
         return (

@@ -6,7 +6,7 @@ produced by a transparent model that combines
 * **measured** single-core kernel throughput (cells/s of the real modal or
   quadrature update, from this machine),
 * **real** halo-exchange volumes (ghost-layer doubles counted by the actual
-  decomposition in :mod:`repro.parallel.decomp` — in 6D one configuration
+  decomposition in :mod:`repro.dist.decomp` — in 6D one configuration
   ghost layer drags the whole attached 3D velocity grid with it), and
 * hardware constants (per-node bandwidth, message latency, a network
   contention factor, and an on-node efficiency exponent capturing the
@@ -117,9 +117,8 @@ class ClusterModel:
         )
 
         # ---- halo exchange ----------------------------------------------
-        ghost_cells = decomp.ghost_cells(0)  # config ghost cells received
         halo_doubles = (
-            ghost_cells * nvel * problem.num_basis * problem.num_species
+            decomp.halo_doubles(0, problem.num_basis, nvel) * problem.num_species
         )
         octaves = np.log(max(nodes, 1)) / np.log(8.0)
         bw = self.bandwidth_doubles_per_second / (1.0 + self.contention_per_octave * octaves)

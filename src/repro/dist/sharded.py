@@ -8,10 +8,8 @@ block of a :class:`~repro.dist.plan.ShardPlan`:
 
 * the global state arrays (every distribution function, the EM field) live
   in :mod:`multiprocessing.shared_memory`, so halo exchange is an in-place
-  copy out of the neighbour's slab — counted per shard in doubles/messages
-  exactly like :class:`~repro.parallel.comm.SimulatedComm` counts the
-  simulated decomposition, which lets the Fig. 3 traffic model be checked
-  against *measured* bytes;
+  copy out of the neighbour's slab — counted per shard in doubles/messages,
+  which lets the Fig. 3 traffic model be checked against *measured* bytes;
 * each worker compiles its own engine plans for its block
   (:mod:`repro.dist.blocks`) and advances its slab through the SSP-RK
   stages with two barriers per stage (writes-visible, reads-done), so a
@@ -466,7 +464,7 @@ class ShardedApp:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "process sharding requires the fork start method "
-                "(POSIX); use the numpy or threaded backend here"
+                "(POSIX); use backend 'numpy' here"
             )
         self._inner = app
         self.plan = ShardPlan.create(app.conf_grid.cells, int(shards))
@@ -633,7 +631,7 @@ class ShardedApp:
     # ------------------------------------------------------------------ #
     @property
     def halo_stats(self) -> dict:
-        """Cumulative measured halo traffic (mirrors SimulatedComm stats)."""
+        """Cumulative measured halo traffic."""
         total_f, total_em = HaloStats(), HaloStats()
         for entry in self.shard_stats:
             total_f.merge(HaloStats(**{k: entry["f"][k] for k in ("messages", "doubles")}))

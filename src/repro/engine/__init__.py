@@ -19,11 +19,6 @@ and for all layers:
   (:mod:`~repro.engine.plancache`), under one process-wide configuration;
 * :mod:`~repro.engine.pool` owns preallocated scratch buffers so steady-state
   kernel application performs no array allocation;
-* :mod:`~repro.engine.backend` abstracts the dense batched products (and
-  state allocation) behind an :class:`ArrayBackend` (``numpy`` default,
-  ``threaded`` chunked variant), selected per simulation via
-  ``SimulationSpec.backend`` / ``repro run --backend`` — the seam where
-  sharded or GPU execution plugs in later;
 * :mod:`~repro.engine.layout` fixes the canonical **cell-major** state
   layout ``(*cfg_cells, num_basis, *vel_cells)`` that plans, solvers, apps,
   steppers, and the sharded halo exchange all share — per-configuration-cell
@@ -31,14 +26,6 @@ and for all layers:
   transpose or gather passes.
 """
 
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    ThreadedBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from .layout import (
     StateLayout,
     conf_to_cell_major,
@@ -67,12 +54,6 @@ from .plancache import PlanCache, default_cache_dir, resolve_cache_root
 from .pool import ScratchPool
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "ThreadedBackend",
-    "get_backend",
-    "register_backend",
-    "available_backends",
     "ExecutionPlan",
     "PlanSignatureError",
     "aux_signature",

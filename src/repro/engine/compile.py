@@ -27,12 +27,11 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..kernels.termset import AuxValue, TermSet
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
-from .backend import ArrayBackend
 from .plan import ExecutionPlan, aux_signature, plan_digest
 from .plancache import PlanCache, resolve_cache_root
 from .pool import ScratchPool
@@ -170,7 +169,6 @@ def compile_plan(
     vdim: int,
     aux: Dict[str, AuxValue],
     cell_shape: Tuple[int, ...],
-    backend: Union[str, ArrayBackend, None] = None,
     pool: Optional[ScratchPool] = None,
 ) -> ExecutionPlan:
     """Compile (or hydrate) the plan for one plan key, per the active
@@ -181,7 +179,6 @@ def compile_plan(
     # the plan's sweep kernel follows the configured tier; compiled kernels
     # live beside the plan payloads
     build = dict(
-        backend=backend,
         pool=pool,
         tier=cfg.tier,
         kernel_dir=str(root) if root is not None else None,

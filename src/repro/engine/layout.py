@@ -21,9 +21,7 @@ benchmark baselines that preserve the old paths.
 :class:`StateLayout` owns the phase-space conventions (shapes, axis
 placement, broadcast and view helpers); the module-level functions convert
 between the canonical layout and the legacy mode-major layout for
-checkpoint compatibility.  Allocation helpers live on
-:class:`~repro.engine.backend.ArrayBackend` so a future device backend can
-place state in its own memory.
+checkpoint compatibility.
 """
 
 from __future__ import annotations

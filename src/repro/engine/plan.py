@@ -31,7 +31,7 @@ scipy's ``csr_matvecs`` over the block-diagonal expansion of the merged
 blocks (``numpy``) — built only in that case.  Both produce the same bits.
 
 Everything shape-dependent is prebound when the plan is built (scratch
-buffers, reshaped views, the C argument vector, bound backend methods), and
+buffers, reshaped views, the C argument vector), and
 runtime symbol values are **bound under an identity guard**: the same aux
 value objects arriving again (every RK stage of every step) skip all
 dictionary walking and scalar evaluation.  Arrays are bound as views, and
@@ -66,7 +66,6 @@ from ..cas.codegen import compile_fused_sweep
 from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
-from .backend import ArrayBackend, get_backend
 from .plancache import ARTIFACT_VERSION
 from .pool import ScratchPool
 
@@ -322,8 +321,8 @@ class ExecutionPlan:
         The ``(*cfg_cells, *vel_cells)`` axes of the states this plan will
         be applied to (the basis axis sits between them at runtime);
         scratch buffers are sized for it.
-    backend, pool:
-        Dense-product strategy and shared scratch arena.
+    pool:
+        Shared scratch arena.
     tier, kernel_dir:
         Sparse-sweep kernel request (``auto`` / ``cc`` / ``numpy``, see
         :func:`repro.cas.codegen.select_tier`) and where compiled sweep
@@ -346,13 +345,12 @@ class ExecutionPlan:
         vdim: int,
         aux: Dict[str, AuxValue],
         cell_shape: Tuple[int, ...],
-        backend: Optional[ArrayBackend] = None,
         pool: Optional[ScratchPool] = None,
         tier: str = "auto",
         kernel_dir: Optional[str] = None,
         on_compiled: Optional[Callable[["ExecutionPlan"], None]] = None,
     ):
-        self._setup(termset, cdim, vdim, aux, cell_shape, backend, pool)
+        self._setup(termset, cdim, vdim, aux, cell_shape, pool)
         self._compile(dict(self.signature))
         if on_compiled is not None:
             on_compiled(self)
@@ -365,7 +363,6 @@ class ExecutionPlan:
         vdim: int,
         aux: Dict[str, AuxValue],
         cell_shape: Tuple[int, ...],
-        backend: Optional[ArrayBackend],
         pool: Optional[ScratchPool],
     ) -> None:
         self.termset = termset
@@ -381,7 +378,6 @@ class ExecutionPlan:
         self.ncells = self.ncfg * self.nvel
         self.in_shape = self.cfg_shape + (self.nin,) + self.vel_shape
         self.out_shape = self.cfg_shape + (self.nout,) + self.vel_shape
-        self.backend = get_backend(backend)
         self.pool = pool if pool is not None else ScratchPool()
         self.names = sorted({n for sym in termset.entries_by_symbol() for n in sym})
         self.signature = aux_signature(self.names, aux, self.cdim, self.vdim)
@@ -396,7 +392,6 @@ class ExecutionPlan:
         cell_shape: Tuple[int, ...],
         meta: dict,
         arrays: Dict[str, np.ndarray],
-        backend: Optional[ArrayBackend] = None,
         pool: Optional[ScratchPool] = None,
         tier: str = "auto",
         kernel_dir: Optional[str] = None,
@@ -409,7 +404,7 @@ class ExecutionPlan:
         analysis of ``_compile`` and is bit-identical to a fresh compile.
         """
         self = cls.__new__(cls)
-        self._setup(termset, cdim, vdim, aux, cell_shape, backend, pool)
+        self._setup(termset, cdim, vdim, aux, cell_shape, pool)
         self._hydrate(meta, arrays)
         self._lower(tier, kernel_dir)
         return self
@@ -554,7 +549,7 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     def _lower(self, tier: str, kernel_dir: Optional[str]) -> None:
         """Freeze the executor over the compiled groups: merge the sweeps,
-        pick the sweep kernel, prebind scratch, views and backend methods."""
+        pick the sweep kernel, prebind scratch and views."""
         pool = self.pool
         # identity guard over every symbol value; scalar values held in
         # mutable size-one arrays are re-read per apply (cheap) so in-place
@@ -566,9 +561,6 @@ class ExecutionPlan:
         ] + self._scalar_names
         self._bound_ids: Optional[List[object]] = None  # None: never bound
         self._bound_svals: Optional[Tuple[float, ...]] = None
-        self._gemm = self.backend.gemm
-        self._bgemm = self.backend.batched_gemm
-        self._bgemm_acc = self.backend.batched_gemm_acc
         for grp in self._cfg:
             grp.lower(pool, self.ncfg)
         if self._cfg:
@@ -802,13 +794,17 @@ class ExecutionPlan:
         first = not accumulate
         for grp in self._cfg:
             grp.assemble(self, aux)
-            self._gemm(grp.coef_t, grp.mats, out=self._amat)
+            np.matmul(grp.coef_t, grp.mats, out=self._amat)
             gc = self._weighted(grp.vel_names, fin, wcache)[2] if grp.vel_names else f3
             if first:
-                self._bgemm(self._a3, gc, out=o3)
+                np.matmul(self._a3, gc, out=o3)
                 first = False
             else:
-                self._bgemm_acc(self._a3, gc, o3)
+                # staged accumulate: one batched matmul into scratch plus an
+                # in-place add beats ncfg BLAS beta=1 calls on these blocks
+                acc = self.pool.get("plan.acc", o3.shape)
+                np.matmul(self._a3, gc, out=acc)
+                o3 += acc
         if first:
             out.fill(0.0)
 
@@ -859,5 +855,5 @@ class ExecutionPlan:
         return (
             f"ExecutionPlan(cells={self.cell_shape}, uniform={s['uniform_terms']}, "
             f"cfg={s['cfg_items']}, fallback={s['fallback_terms']}, "
-            f"tier={self.tier!r}, backend={self.backend.describe()})"
+            f"tier={self.tier!r})"
         )

@@ -6,8 +6,7 @@ costs more than the arithmetic on the small grids the paper benchmarks, so
 plans draw them from a :class:`ScratchPool`: one persistent array per
 ``(tag, shape)``, reused across every plan and RK stage that shares the
 pool.  Pools are not thread-safe by design — one pool per solver instance,
-applied sequentially; parallel backends only thread *inside* a single dense
-product, never across pool users.
+applied sequentially.
 """
 
 from __future__ import annotations

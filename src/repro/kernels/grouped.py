@@ -36,11 +36,10 @@ plan instead of silently producing garbage.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..engine.backend import ArrayBackend, get_backend
 from ..engine.compile import compile_plan
 from ..engine.plan import ExecutionPlan, Signature, aux_signature
 from ..engine.pool import ScratchPool
@@ -61,9 +60,6 @@ class GroupedOperator:
         axes are treated as configuration fields, on the last ``vdim`` axes
         as velocity factors.  Symbols varying on both fall back to the
         sparse path.
-    backend:
-        An :class:`~repro.engine.backend.ArrayBackend` instance or name
-        (default ``"numpy"``).
     pool:
         Optional shared :class:`~repro.engine.pool.ScratchPool`; solvers
         pass one pool to all their operators so scratch is allocated once.
@@ -74,7 +70,6 @@ class GroupedOperator:
         termset: TermSet,
         cdim: int,
         vdim: int,
-        backend: Union[str, ArrayBackend, None] = None,
         pool: Optional[ScratchPool] = None,
     ):
         self.termset = termset
@@ -82,7 +77,6 @@ class GroupedOperator:
         self.vdim = int(vdim)
         self.nout = termset.nout
         self.nin = termset.nin
-        self.backend = get_backend(backend)
         self.pool = pool if pool is not None else ScratchPool()
         self._names = sorted(
             {n for sym in termset.entries_by_symbol() for n in sym}
@@ -120,7 +114,6 @@ class GroupedOperator:
                 self.vdim,
                 aux,
                 cell_shape,
-                backend=self.backend,
                 pool=self.pool,
             )
             self._plans[key] = plan

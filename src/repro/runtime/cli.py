@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--backend",
         default=None,
-        help="execution backend (numpy, threaded[:N], process[:N])",
+        help="where the cells run: numpy (serial) or process[:N] (N shard processes)",
     )
     p_run.add_argument("--json", action="store_true", help="print the summary as JSON")
     p_run.add_argument(
@@ -484,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument(
         "--backend",
         default=None,
-        help="execution backend (numpy, threaded[:N], process[:N])",
+        help="where the cells run: numpy (serial) or process[:N] (N shard processes)",
     )
     p_resume.add_argument("--json", action="store_true")
     p_resume.set_defaults(func=_cmd_resume)

@@ -33,7 +33,7 @@ from ..obs import configure_from_spec as _obs_configure
 from ..obs.metrics import SLOT as _OBS_SLOT
 from ..systems.registry import build_system
 from .errors import SpecError
-from .spec import SimulationSpec
+from .spec import SimulationSpec, parse_backend
 
 __all__ = ["Driver", "build_app"]
 
@@ -72,10 +72,8 @@ def build_app(spec: SimulationSpec):
 
 
 def _maybe_shard(app, spec: SimulationSpec):
-    from ..engine.backend import ProcessBackend, get_backend
-
-    backend = get_backend(spec.backend)
-    if not isinstance(backend, ProcessBackend):
+    shards = parse_backend(spec.backend)
+    if shards is None:
         return app
     from ..systems.registry import get_system_kind
 
@@ -83,12 +81,12 @@ def _maybe_shard(app, spec: SimulationSpec):
         raise SpecError(
             "spec.backend",
             f"system {spec.model!r} is registered as not shardable; "
-            "use the numpy or threaded backend",
+            "use backend 'numpy'",
         )
     from ..dist import ShardedApp
 
     try:
-        return ShardedApp(app, backend.shards)
+        return ShardedApp(app, shards)
     except ValueError as exc:
         raise SpecError("spec.backend", str(exc)) from exc
 

@@ -18,6 +18,8 @@ so errors from hand-edited JSON are actionable.
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import dataclass, field
 from dataclasses import field as _dc_field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -35,6 +37,7 @@ __all__ = [
     "ObservabilitySpec",
     "SimulationSpec",
     "SpecError",
+    "parse_backend",
 ]
 
 SCHEMES = ("modal", "quadrature")
@@ -51,6 +54,27 @@ def _reject_unknown(data: Mapping, path: str, known: Sequence[str]) -> None:
                 f"{path}.{key}",
                 f"unknown field (expected one of: {', '.join(known)})",
             )
+
+
+def parse_backend(value, path: str = "spec.backend") -> Optional[int]:
+    """The shard count a ``backend`` value asks for: ``None`` for ``numpy``
+    (serial), ``N`` for ``process:N``, the CPU count for a bare ``process``.
+
+    ``backend`` only says where the configuration cells run —
+    :func:`repro.runtime.driver.build_app` acts on it and nothing below
+    sees it; every value produces the same bits.
+    """
+    if value == "numpy":
+        return None
+    if value == "process":
+        return os.cpu_count() or 1
+    match = isinstance(value, str) and re.fullmatch(r"process:0*([1-9][0-9]*)", value)
+    if match:
+        return int(match[1])
+    raise SpecError(
+        path,
+        f"expected numpy, process or process:<N> (integer N >= 1), got {value!r}",
+    )
 
 
 def _num(value, path: str, *, integer: bool = False):
@@ -501,6 +525,9 @@ class SimulationSpec:
                 )
             data = {k: v for k, v in data.items() if k != "plan_mode"}
         _reject_unknown(data, path, cls._FIELDS)
+        backend = data.get("backend", "numpy")
+        if isinstance(backend, str) and re.fullmatch(r"threaded(:0*[1-9]\d*)?", backend):
+            backend = "numpy"  # legacy value in stored specs; it ran the same products
         for key in ("name", "model", "conf_grid", "species"):
             if key not in data:
                 raise SpecError(f"{path}.{key}", "missing required field")
@@ -533,7 +560,7 @@ class SimulationSpec:
             cfl=_num(data.get("cfl", 0.9), f"{path}.cfl"),
             scheme=data.get("scheme", "modal"),
             stepper=data.get("stepper", "ssp-rk3"),
-            backend=data.get("backend", "numpy"),
+            backend=backend,
             plan_cache=data.get("plan_cache", "auto"),
             t_end=_num(data.get("t_end", 10.0), f"{path}.t_end"),
             steps=None if steps is None else _num(steps, f"{path}.steps", integer=True),
@@ -581,12 +608,7 @@ class SimulationSpec:
                 f"unknown stepper {self.stepper!r} "
                 f"(known: {', '.join(available_steppers())})",
             )
-        from ..engine.backend import get_backend
-
-        try:
-            get_backend(self.backend)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{path}.backend", str(exc)) from exc
+        parse_backend(self.backend, f"{path}.backend")
         if not isinstance(self.plan_cache, str) or not self.plan_cache:
             raise SpecError(
                 f"{path}.plan_cache",

@@ -5,7 +5,7 @@ composition* of species blocks, a field closure, and couplings — not a
 bespoke class per equation set.  The package defines
 
 * :class:`~repro.systems.model.Model` — the protocol (the exact surface
-  the Driver, the sharded backend, the steppers, checkpoints, and the
+  the Driver, the sharded executor, the steppers, checkpoints, and the
   diagnostics recorders are allowed to touch), with
   :func:`~repro.systems.model.protocol_signature` pinning it;
 * :class:`~repro.systems.system.System` — the single Model implementation,

@@ -139,7 +139,7 @@ class KineticSpecies:
     baseline), the moment calculator, and the collision operator; projects
     the declared initial condition on demand.  The evolved distribution
     array itself lives in the owning :class:`~repro.systems.system.System`
-    state so sharded backends can rebind it to shared memory.
+    state so the sharded executor can rebind it to shared memory.
     """
 
     def __init__(
@@ -150,7 +150,6 @@ class KineticSpecies:
         family: str,
         scheme: str,
         velocity_flux: str,
-        backend,
         ic_quad_order: Optional[int],
     ):
         self.decl = decl
@@ -162,8 +161,7 @@ class KineticSpecies:
             from ..vlasov.modal_solver import VlasovModalSolver
 
             self.solver = VlasovModalSolver(
-                pg, poly_order, family, decl.charge, decl.mass, velocity_flux,
-                backend=backend,
+                pg, poly_order, family, decl.charge, decl.mass, velocity_flux
             )
             kernels = self.solver.kernels
         else:
@@ -171,7 +169,7 @@ class KineticSpecies:
             from ..vlasov.quadrature_solver import VlasovQuadratureSolver
 
             self.solver = VlasovQuadratureSolver(
-                pg, poly_order, family, decl.charge, decl.mass, backend=backend
+                pg, poly_order, family, decl.charge, decl.mass
             )
             kernels = get_vlasov_kernels(pg.cdim, pg.vdim, poly_order, family)
         self.moments = MomentCalculator(
@@ -264,7 +262,7 @@ class FieldBlock:
 
     ``kind``
         ``"maxwell"`` / ``"poisson"`` / ``"none"`` — the dispatch tag the
-        sharded backend keys block execution on.
+        sharded executor keys block execution on.
     ``in_state``
         whether the block contributes an ``"em"`` entry to the model state.
     ``evolves``

@@ -260,7 +260,6 @@ def build_vlasov_maxwell(spec) -> System:
         cfl=spec.cfl,
         scheme=spec.scheme,
         stepper=spec.stepper,
-        backend=spec.backend,
         external=build_external_field(spec),
         name="maxwell",
     )
@@ -310,7 +309,6 @@ def build_vlasov_poisson(spec) -> System:
         cfl=spec.cfl,
         scheme="modal",
         stepper=spec.stepper,
-        backend=spec.backend,
         external=build_external_field(spec),
         name="poisson",
     )
@@ -357,7 +355,6 @@ def build_advection(spec) -> System:
         cfl=spec.cfl,
         scheme=spec.scheme,
         stepper=spec.stepper,
-        backend=spec.backend,
         external=build_external_field(spec),
         name="advection",
     )

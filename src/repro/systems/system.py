@@ -3,14 +3,11 @@
 A :class:`System` is the single :class:`~repro.systems.model.Model`
 implementation behind every workload: Vlasov–Maxwell, Vlasov–Poisson,
 field-free advection, and anything else declared through the registry are
-all the *same* class wired with different blocks.  The hand-rolled
-``VlasovMaxwellApp`` / ``VlasovPoissonApp`` classes survive only as thin
-deprecation shims over this one.
+all the *same* class wired with different blocks.
 
 The execution structure (buffer reuse, accumulation order, stepping) is
-identical to the former apps', so a block-built system reproduces their
-results bit for bit — the property the conformance suite and the sharded
-backend's serial-equality tests pin down.
+what the conformance suite and the ``process:N`` serial-equality tests pin
+down bit for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ class System:
         stepper: str = "ssp-rk3",
         velocity_flux: str = "central",
         ic_quad_order: Optional[int] = None,
-        backend: str = "numpy",
         external: Optional[ExternalField] = None,
         name: Optional[str] = None,
     ):
@@ -106,7 +102,6 @@ class System:
         self.family = family
         self.cfl = float(cfl)
         self.scheme = scheme
-        self.backend = backend
         self.stepper = get_stepper(stepper)
         self.time = 0.0
         self.step_count = 0
@@ -119,12 +114,12 @@ class System:
         self.blocks: List[KineticSpecies] = [
             KineticSpecies(
                 sp, conf_grid, self.poly_order, family, scheme, velocity_flux,
-                backend, ic_quad_order,
+                ic_quad_order,
             )
             for sp in self.species
         ]
-        # legacy-named views of the block stacks (tests, examples, and the
-        # sharded backend address them this way)
+        # per-species views of the block stacks (tests, examples, and the
+        # sharded executor address them this way)
         self.phase_grids = {b.name: b.phase_grid for b in self.blocks}
         self.solvers = {b.name: b.solver for b in self.blocks}
         self.moments = {b.name: b.moments for b in self.blocks}

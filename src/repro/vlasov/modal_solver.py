@@ -52,11 +52,10 @@ Numerical fluxes follow Juno et al. (2018) / Gkeyll:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..engine.backend import ArrayBackend, get_backend
 from ..engine.layout import StateLayout
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
@@ -83,9 +82,6 @@ class VlasovModalSolver:
     velocity_flux:
         ``"central"`` (energy conserving, the paper's choice) or
         ``"penalty"`` (adds a local Lax-type jump penalty).
-    backend:
-        Array-execution backend name or instance (default ``"numpy"``); see
-        :mod:`repro.engine.backend`.
     """
 
     def __init__(
@@ -96,7 +92,6 @@ class VlasovModalSolver:
         charge: float = -1.0,
         mass: float = 1.0,
         velocity_flux: str = "central",
-        backend: Union[str, ArrayBackend, None] = None,
     ):
         if velocity_flux not in ("central", "penalty"):
             raise ValueError("velocity_flux must be 'central' or 'penalty'")
@@ -106,7 +101,6 @@ class VlasovModalSolver:
         self.charge = float(charge)
         self.mass = float(mass)
         self.velocity_flux = velocity_flux
-        self.backend = get_backend(backend)
         self.pool = ScratchPool()
         self.kernels = get_vlasov_kernels(
             phase_grid.cdim, phase_grid.vdim, poly_order, family
@@ -137,15 +131,13 @@ class VlasovModalSolver:
             self._upwind_pos_b.append(self.layout.bcast(pos))
             self._upwind_neg_b.append(self.layout.bcast(1.0 - pos))
         # Every termset runs through a plan-cached GroupedOperator sharing
-        # one scratch pool and backend: field-coupled kernels compile to
-        # batched dense products, the others keep their exact sparsity.  All
-        # volume kernels are merged into a single operator (one pass over f).
+        # one scratch pool: field-coupled kernels compile to batched dense
+        # products, the others keep their exact sparsity.  All volume
+        # kernels are merged into a single operator (one pass over f).
         cdim, vdim = phase_grid.cdim, phase_grid.vdim
 
         def _op(ts):
-            return GroupedOperator(
-                ts, cdim, vdim, backend=self.backend, pool=self.pool
-            )
+            return GroupedOperator(ts, cdim, vdim, pool=self.pool)
 
         kern = self.kernels
         self._vol_op = _op(merge_termsets(kern.vol_stream + kern.vol_accel))
@@ -239,7 +231,7 @@ class VlasovModalSolver:
                 f"f has shape {f.shape}, expected cell-major {self.layout.shape}"
             )
         if out is None:
-            out = self.backend.empty(f.shape)
+            out = np.empty(f.shape)
         aux = self.field_aux(em)
         # the volume operator owns the first write into out (no zero pass)
         self._vol_op.apply(f, aux, out, accumulate=False)

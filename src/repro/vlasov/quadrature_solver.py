@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..basis.modal import ModalBasis, tensor_gauss_points
-from ..engine.backend import ArrayBackend, get_backend
 from ..engine.layout import StateLayout, insert_basis_axis
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
@@ -56,7 +55,6 @@ class VlasovQuadratureSolver:
         charge: float = -1.0,
         mass: float = 1.0,
         quad_points_1d: Optional[int] = None,
-        backend: "ArrayBackend | str | None" = None,
     ):
         self.grid = phase_grid
         self.poly_order = int(poly_order)
@@ -64,9 +62,8 @@ class VlasovQuadratureSolver:
         self.charge = float(charge)
         self.mass = float(mass)
         # interpolation/projection matrices are fixed at construction (the
-        # quadrature analogue of a compiled plan); the backend and pool
-        # cover the dense products and their scratch
-        self.backend = get_backend(backend)
+        # quadrature analogue of a compiled plan); the pool covers the
+        # dense products' scratch
         self.pool = ScratchPool()
         pdim = phase_grid.pdim
         cdim = phase_grid.cdim
@@ -199,7 +196,7 @@ class VlasovQuadratureSolver:
         # contiguous per-configuration-cell blocks
         nq = self.vol_pts.shape[0]
         fq3 = self.pool.get("quad.fq", (ncfg, nq, nvel))
-        self.backend.batched_gemm(self.vol_interp_t, f3, out=fq3)
+        np.matmul(self.vol_interp_t, f3, out=fq3)
         fq = self._node_view(fq3, nq, vel_cells)
         wq = self.vol_wts.reshape((1,) * cdim + (-1,) + (1,) * vdim)
         flux3 = self.pool.get("quad.flux", (ncfg, nq, nvel))
@@ -209,7 +206,7 @@ class VlasovQuadratureSolver:
             alpha = self._alpha_at_points(d, self.vol_pts, self.cfg_vol_interp, em)
             np.multiply(alpha, fq, out=flux)
             flux *= wq
-            self.backend.batched_gemm(self.vol_deriv[d], flux3, out=proj3)
+            np.matmul(self.vol_deriv[d], flux3, out=proj3)
             proj3 *= rdx[d]
             out3 += proj3
 
@@ -231,8 +228,8 @@ class VlasovQuadratureSolver:
                 # periodic config faces, upwind by cell-center velocity sign
                 pos = self._upwind_pos[d]
                 f_right_cells = np.roll(f, -1, axis=axis)
-                self.backend.batched_gemm(interp_t["L"], f3, out=trl3)
-                self.backend.batched_gemm(
+                np.matmul(interp_t["L"], f3, out=trl3)
+                np.matmul(
                     interp_t["R"],
                     f_right_cells.reshape(ncfg, self.num_basis, nvel),
                     out=trr3,
@@ -242,9 +239,9 @@ class VlasovQuadratureSolver:
                 fhat = wqf * alpha * (pos * trace_l + (1.0 - pos) * trace_r)
                 fhat3 = fhat.reshape(ncfg, nqf, nvel)
                 inc3 = self.pool.get("quad.inc", (ncfg, self.num_basis, nvel))
-                self.backend.batched_gemm(interp["L"], fhat3, out=inc3)
+                np.matmul(interp["L"], fhat3, out=inc3)
                 out3 -= rdx[d] * inc3
-                self.backend.batched_gemm(interp["R"], fhat3, out=inc3)
+                np.matmul(interp["R"], fhat3, out=inc3)
                 inc = self._node_view(inc3, self.num_basis, vel_cells)
                 out += rdx[d] * np.roll(inc, 1, axis=axis)
             else:
@@ -256,8 +253,8 @@ class VlasovQuadratureSolver:
                 n = f.shape[axis]
                 if n < 2:
                     continue
-                self.backend.batched_gemm(interp_t["L"], f3, out=trl3)
-                self.backend.batched_gemm(interp_t["R"], f3, out=trr3)
+                np.matmul(interp_t["L"], f3, out=trl3)
+                np.matmul(interp_t["R"], f3, out=trr3)
                 trace_l = self._node_view(trl3, nqf, vel_cells)
                 trace_r = self._node_view(trr3, nqf, vel_cells)
                 sl_lo = _axis_slice(f.ndim, axis, slice(0, n - 1))
@@ -268,10 +265,10 @@ class VlasovQuadratureSolver:
                 nvel_f = nvel // n * (n - 1)
                 fhat3 = fhat.reshape(ncfg, nqf, nvel_f)
                 inc3 = self.pool.get("quad.incf", (ncfg, self.num_basis, nvel_f))
-                self.backend.batched_gemm(interp["L"], fhat3, out=inc3)
+                np.matmul(interp["L"], fhat3, out=inc3)
                 inc = inc3.reshape(fhat.shape[:cdim] + (self.num_basis,) + fhat.shape[cdim + 1 :])
                 out[sl_lo] -= rdx[d] * inc
-                self.backend.batched_gemm(interp["R"], fhat3, out=inc3)
+                np.matmul(interp["R"], fhat3, out=inc3)
                 out[sl_hi] += rdx[d] * inc
         return out
 

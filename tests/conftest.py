@@ -28,7 +28,7 @@ def pytest_configure(config):
         "markers",
         "systems: Model-protocol conformance over every registered system "
         "(state round-trip, rhs donation, checkpoint/resume, serial == "
-        "process:2) plus the public-API snapshot and deprecation shims",
+        "process:2) plus the public-API snapshot",
     )
     config.addinivalue_line(
         "markers",

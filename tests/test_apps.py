@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps import FieldSpec, Species, VlasovMaxwellApp
-from repro.apps.vlasov_poisson import VlasovPoissonApp
 from repro.diagnostics import EnergyHistory
 from repro.grid import Grid
 from repro.io import load_checkpoint, restore_app, save_app, save_checkpoint
+from repro.systems import FieldSpec, MaxwellBlock, PoissonBlock, Species, System
 
 
 def _two_species(k=0.5, nv=8, nx=4, p=1):
@@ -21,10 +20,10 @@ def _two_species(k=0.5, nv=8, nx=4, p=1):
 
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [nv]), felc)
     ion = Species("ion", +1.0, 25.0, Grid([-1.5], [1.5], [nv]), fion)
-    return VlasovMaxwellApp(
+    return System(
         Grid([0.0], [2 * np.pi / k], [nx]),
         [elc, ion],
-        FieldSpec(initial={"Ex": lambda x: -0.05 / k * np.sin(k * x)}),
+        field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.05 / k * np.sin(k * x)})),
         poly_order=p,
         cfl=0.4,
     )
@@ -52,10 +51,10 @@ def test_modal_and_quadrature_apps_agree():
 
     def make(scheme):
         elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [8]), f0)
-        return VlasovMaxwellApp(
+        return System(
             Grid([0.0], [2 * np.pi / k], [4]),
             [elc],
-            FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)}),
+            field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)})),
             poly_order=2,
             scheme=scheme,
             cfl=0.5,
@@ -77,10 +76,12 @@ def test_static_field_mode():
         return np.exp(-v ** 2 / 2)
 
     elc = Species("elc", -1.0, 1.0, Grid([-4.0], [4.0], [8]), f0)
-    app = VlasovMaxwellApp(
+    app = System(
         Grid([0.0], [1.0], [4]),
         [elc],
-        FieldSpec(initial={"Ex": lambda x: 0.3 * np.ones_like(x)}, evolve=False),
+        field=MaxwellBlock(
+            FieldSpec(initial={"Ex": lambda x: 0.3 * np.ones_like(x)}, evolve=False)
+        ),
         poly_order=1,
     )
     em0 = app.em.copy()
@@ -130,12 +131,16 @@ def test_app_validation_errors():
         return np.exp(-v ** 2)
 
     sp = Species("e", -1.0, 1.0, Grid([-2.0], [2.0], [4]), f0)
+    static = FieldSpec(evolve=False)
     with pytest.raises(ValueError):
-        VlasovMaxwellApp(Grid([0.0], [1.0], [4]), [], poly_order=1)
+        System(Grid([0.0], [1.0], [4]), [], field=MaxwellBlock(static), poly_order=1)
     with pytest.raises(ValueError):
-        VlasovMaxwellApp(Grid([0.0], [1.0], [4]), [sp, sp], poly_order=1)
+        System(Grid([0.0], [1.0], [4]), [sp, sp], field=MaxwellBlock(static), poly_order=1)
     with pytest.raises(ValueError):
-        VlasovMaxwellApp(Grid([0.0], [1.0], [4]), [sp], poly_order=1, scheme="pic")
+        System(
+            Grid([0.0], [1.0], [4]), [sp], field=MaxwellBlock(static), poly_order=1,
+            scheme="pic",
+        )
 
 
 def test_vlasov_poisson_requires_1d():
@@ -144,7 +149,7 @@ def test_vlasov_poisson_requires_1d():
 
     sp = Species("e", -1.0, 1.0, Grid([-2.0], [2.0], [4]), f0)
     with pytest.raises(ValueError):
-        VlasovPoissonApp(Grid([0.0, 0.0], [1.0, 1.0], [4, 4]), [sp])
+        System(Grid([0.0, 0.0], [1.0, 1.0], [4, 4]), [sp], field=PoissonBlock())
 
 
 def test_vlasov_poisson_neutralized_run():
@@ -154,7 +159,9 @@ def test_vlasov_poisson_neutralized_run():
         return (1 + 0.01 * np.cos(k * x)) * np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi)
 
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [12]), f0)
-    app = VlasovPoissonApp(Grid([0.0], [2 * np.pi / k], [6]), [elc], poly_order=1, cfl=0.5)
+    app = System(
+        Grid([0.0], [2 * np.pi / k], [6]), [elc], field=PoissonBlock(), poly_order=1, cfl=0.5
+    )
     n0 = app.particle_number("elc")
     app.run(0.5)
     assert abs(app.particle_number("elc") - n0) / n0 < 1e-12

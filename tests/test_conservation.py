@@ -10,10 +10,10 @@
 import numpy as np
 import pytest
 
-from repro.apps import FieldSpec, Species, VlasovMaxwellApp
 from repro.diagnostics import EnergyHistory
 from repro.grid import Grid
 from repro.moments import integrate_conf_field
+from repro.systems import FieldSpec, MaxwellBlock, Species, System
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,10 @@ def small_app():
         return (1 + 0.1 * np.cos(k * x)) * np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi)
 
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [12]), f0)
-    return VlasovMaxwellApp(
+    return System(
         conf_grid=Grid([0.0], [2 * np.pi / k], [6]),
         species=[elc],
-        field=FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)}),
+        field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)})),
         poly_order=2,
         cfl=0.5,
     )
@@ -68,10 +68,10 @@ def test_total_energy_drift_is_time_discretization_only():
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [12]), f0)
 
     def make(cfl):
-        app = VlasovMaxwellApp(
+        app = System(
             Grid([0.0], [2 * np.pi / k], [6]),
             [elc],
-            FieldSpec(initial={"Ex": lambda x: -0.2 / k * np.sin(k * x)}),
+            field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.2 / k * np.sin(k * x)})),
             poly_order=2,
             cfl=cfl,
         )
@@ -94,10 +94,12 @@ def test_upwind_maxwell_dissipates_not_gains():
         return np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi)
 
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [8]), f0)
-    app = VlasovMaxwellApp(
+    app = System(
         Grid([0.0], [2 * np.pi], [6]),
         [elc],
-        FieldSpec(initial={"Ey": lambda x: 0.1 * np.sin(k * x)}, flux="upwind"),
+        field=MaxwellBlock(
+            FieldSpec(initial={"Ey": lambda x: 0.1 * np.sin(k * x)}, flux="upwind")
+        ),
         poly_order=1,
         cfl=0.4,
     )
@@ -115,10 +117,10 @@ def test_penalty_velocity_flux_runs_stably():
         return (1 + 0.1 * np.cos(k * x)) * np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi)
 
     elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [8]), f0)
-    app = VlasovMaxwellApp(
+    app = System(
         Grid([0.0], [2 * np.pi / k], [4]),
         [elc],
-        FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)}),
+        field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)})),
         poly_order=1,
         velocity_flux="penalty",
         cfl=0.4,

@@ -1,25 +1,24 @@
-"""Two-level decomposition: partitions, halo exchange, decomposed == serial,
-memory accounting, and the scaling-model shapes."""
+"""Sec. IV decomposition arithmetic: partitions, the one halo-traffic
+formula, memory accounting, and the scaling-model shapes.  (Decomposed ==
+serial and measured == modelled halo bytes are asserted on the real
+``process:N`` path in ``test_dist_shard.py``.)"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.grid import Grid, PhaseGrid
-from repro.parallel import (
+from repro.dist import (
     ClusterModel,
     ConfDecomposition,
-    DecomposedVlasovRunner,
     ProblemSpec,
-    SimulatedComm,
+    ShardPlan,
     block_ranges,
     factor_ranks,
     memory_report,
     strong_scaling_series,
     weak_scaling_series,
 )
-from repro.vlasov import VlasovModalSolver
 
 
 # --------------------------------------------------------------------- #
@@ -64,81 +63,37 @@ def test_neighbor_periodicity():
             assert dec.neighbor(right, axis, -1) == rank
 
 
-# --------------------------------------------------------------------- #
-# simulated communicator
-# --------------------------------------------------------------------- #
-def test_comm_fifo_and_stats():
-    comm = SimulatedComm(2)
-    a = np.arange(4.0)
-    comm.send(0, 1, a)
-    comm.send(0, 1, 2 * a)
-    assert np.allclose(comm.recv(0, 1), a)
-    assert np.allclose(comm.recv(0, 1), 2 * a)
-    assert comm.stats.messages == 2
-    assert comm.stats.doubles == 8
-
-
-def test_comm_copies_on_send():
-    comm = SimulatedComm(2)
-    a = np.ones(3)
-    comm.send(0, 1, a)
-    a[:] = 99.0
-    assert np.allclose(comm.recv(0, 1), 1.0)
-
-
-def test_comm_missing_message_raises():
-    comm = SimulatedComm(2)
-    with pytest.raises(RuntimeError):
-        comm.recv(0, 1)
+def test_decomposition_rejects_oversubscription():
     with pytest.raises(ValueError):
-        comm.send(0, 5, np.ones(1))
+        ConfDecomposition.create((2, 2), 16)
 
 
-# --------------------------------------------------------------------- #
-# decomposed == serial
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("nodes,cores", [(1, 2), (2, 1), (2, 2), (3, 2)])
-def test_decomposed_rhs_matches_serial(nodes, cores, rng):
-    conf = Grid([0.0], [1.0], [6])
-    vel = Grid([-2.0, -2.0], [2.0, 2.0], [4, 6])
-    pg = PhaseGrid(conf, vel)
-    solver = VlasovModalSolver(pg, 1, "serendipity")
-    f = rng.standard_normal(conf.cells + (solver.num_basis,) + vel.cells)
-    em = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
-    serial = solver.rhs(f, em)
-    runner = DecomposedVlasovRunner(solver, nodes, cores)
-    dist = runner.rhs(f, em)
-    scale = max(float(np.max(np.abs(serial))), 1.0)
-    assert np.max(np.abs(dist - serial)) / scale < 1e-13
+def test_single_rank_has_no_ghosts():
+    dec = ConfDecomposition.create((8, 8), 1)
+    assert dec.ghost_cells(0) == 0
 
 
-def test_decomposed_2x_config(rng):
-    conf = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-    vel = Grid([-2.0, -2.0], [2.0, 2.0], [4, 4])
-    pg = PhaseGrid(conf, vel)
-    solver = VlasovModalSolver(pg, 1, "serendipity")
-    f = rng.standard_normal(conf.cells + (solver.num_basis,) + vel.cells)
-    em = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
-    serial = solver.rhs(f, em)
-    runner = DecomposedVlasovRunner(solver, 4, 2)
-    dist = runner.rhs(f, em)
-    scale = max(float(np.max(np.abs(serial))), 1.0)
-    assert np.max(np.abs(dist - serial)) / scale < 1e-13
-    assert runner.comm.stats.messages > 0
-    assert runner.comm.pending() == 0  # every ghost consumed
+def test_block_ranges_balance_property():
+    for n in (7, 16, 33):
+        for b in (1, 2, 3, 5, 7):
+            if b > n:
+                continue
+            sizes = [hi - lo for lo, hi in block_ranges(n, b)]
+            assert sum(sizes) == n
+            assert max(sizes) - min(sizes) <= 1
 
 
-def test_halo_bytes_match_decomposition_accounting(rng):
-    conf = Grid([0.0], [1.0], [6])
-    vel = Grid([-2.0], [2.0], [4])
-    pg = PhaseGrid(conf, vel)
-    solver = VlasovModalSolver(pg, 1, "serendipity")
-    f = rng.standard_normal(conf.cells + (solver.num_basis,) + vel.cells)
-    em = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
-    runner = DecomposedVlasovRunner(solver, 3, 1)
-    runner.rhs(f, em)
-    expected = runner.decomp.halo_doubles_per_step(solver.num_basis)
-    assert runner.comm.stats.doubles == expected
+def test_one_halo_traffic_formula():
+    """``ConfDecomposition.halo_doubles`` is the Fig. 3 traffic formula;
+    the shard plan and the cluster model both call it."""
+    conf, vel, npb = (8, 8), (4, 6), 20
+    dec = ConfDecomposition.create(conf, 4)
+    per_rank = [dec.halo_doubles(r, npb, 24) for r in range(4)]
+    assert per_rank == [dec.ghost_cells(r) * 24 * npb for r in range(4)]
+    assert ShardPlan.create(conf, 4).model_halo_doubles(npb, vel) == sum(per_rank)
+    problem = ProblemSpec(conf, vel, num_basis=npb, num_species=2)
+    rec = ClusterModel(cell_updates_per_second_core=1e5).time_per_step(problem, 4)
+    assert rec["halo_doubles_per_node"] == 2 * per_rank[0]
 
 
 # --------------------------------------------------------------------- #

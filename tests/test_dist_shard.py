@@ -254,10 +254,3 @@ def test_process_backend_rejects_quadrature_scheme():
     )
     with pytest.raises(SpecError, match="modal"):
         build_app(spec)
-
-
-def test_process_backend_spec_validation():
-    spec = build("landau_damping", **{"backend": "process:2"})
-    assert spec.backend == "process:2"
-    with pytest.raises(SpecError):
-        build("landau_damping", **{"backend": "process:zero"})

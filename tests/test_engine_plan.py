@@ -1,7 +1,7 @@
 """The precompiled execution engine must reproduce the sparse ``TermSet``
-reference exactly — across random termsets, phase splits, aux layouts, and
-backends — and must recompile (not silently reuse) plans when the aux
-signature changes."""
+reference exactly — across random termsets, phase splits and aux layouts —
+and must recompile (not silently reuse) plans when the aux signature
+changes."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     ExecutionPlan,
-    NumpyBackend,
     ScratchPool,
-    ThreadedBackend,
     aux_signature,
-    available_backends,
     classify_aux_value,
-    get_backend,
 )
 from repro.engine.layout import phase_to_cell_major, phase_to_mode_major
 from repro.kernels.grouped import GroupedOperator
@@ -59,10 +55,9 @@ def _random_termset(n, nout, nin, names, rng):
     seed=st.integers(0, 10**6),
     cdim=st.integers(1, 2),
     vdim=st.integers(1, 2),
-    backend=st.sampled_from(["numpy", "threaded:2"]),
     accumulate=st.booleans(),
 )
-def test_plan_matches_sparse_reference(seed, cdim, vdim, backend, accumulate):
+def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     """Randomized termsets: the planned/batched path equals ``TermSet.apply``
     to tight tolerance for every scalar/config/velocity aux mix."""
     rng = np.random.default_rng(seed)
@@ -81,7 +76,7 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, backend, accumulate):
 
     # the plan path consumes/produces the canonical cell-major layout
     f_cm = phase_to_cell_major(f, cdim)
-    op = GroupedOperator(ts, cdim, vdim, backend=backend)
+    op = GroupedOperator(ts, cdim, vdim)
     base = rng.standard_normal(phase_to_cell_major(ref, cdim).shape)
     got = base.copy()
     op.apply(f_cm, aux, got, accumulate=accumulate)
@@ -169,57 +164,6 @@ def test_classify_aux_value():
     assert classify_aux_value(np.ones((1, 3)), 1, 1) == "v"
     assert classify_aux_value(np.ones((3, 3)), 1, 1) == "x"
     assert classify_aux_value(np.ones(3), 1, 1) == "x"  # wrong rank
-
-
-# --------------------------------------------------------------------- #
-def test_backend_registry():
-    assert "numpy" in available_backends()
-    assert "threaded" in available_backends()
-    assert "process" in available_backends()
-    assert isinstance(get_backend(None), NumpyBackend)
-    assert isinstance(get_backend("numpy"), NumpyBackend)
-    tb = get_backend("threaded:3")
-    assert isinstance(tb, ThreadedBackend) and tb.workers == 3
-    b = NumpyBackend()
-    assert get_backend(b) is b
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_backend("cuda")
-
-
-def test_process_backend_is_numpy_at_the_product_level():
-    from repro.engine.backend import ProcessBackend
-
-    pb = get_backend("process:4")
-    assert isinstance(pb, ProcessBackend) and pb.shards == 4
-    assert isinstance(pb, NumpyBackend)  # bit-identical dense products
-    assert pb.describe() == "process(4)"
-    assert get_backend("process").shards >= 1
-    with pytest.raises(ValueError):
-        ProcessBackend(0)
-
-
-def test_threaded_backend_matches_numpy():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((40, 30))
-    b = rng.standard_normal((30, 500))
-    out_n = np.empty((40, 500))
-    out_t = np.empty((40, 500))
-    NumpyBackend().gemm(a, b, out_n)
-    ThreadedBackend(workers=4, min_work=1).gemm(a, b, out_t)
-    assert np.allclose(out_n, out_t, rtol=1e-14, atol=1e-14)
-    ab = rng.standard_normal((8, 10, 6))
-    bb = rng.standard_normal((8, 6, 50))
-    out_n3 = np.empty((8, 10, 50))
-    out_t3 = np.empty((8, 10, 50))
-    NumpyBackend().batched_gemm(ab, bb, out_n3)
-    ThreadedBackend(workers=4, min_work=1).batched_gemm(ab, bb, out_t3)
-    # disjoint output chunks; agreement to the dot-reassociation limit
-    assert np.allclose(out_n3, out_t3, rtol=1e-14, atol=1e-14)
-    # broadcast (2-D) first operand
-    a2 = rng.standard_normal((10, 6))
-    out_b = np.empty((8, 10, 50))
-    ThreadedBackend(workers=4, min_work=1).batched_gemm(a2, bb, out_b)
-    assert np.allclose(out_b, np.matmul(a2, bb), rtol=1e-14, atol=1e-14)
 
 
 # --------------------------------------------------------------------- #

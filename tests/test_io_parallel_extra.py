@@ -1,11 +1,8 @@
-"""Additional I/O and decomposition edge cases."""
+"""Additional checkpoint I/O edge cases."""
 
 import numpy as np
-import pytest
 
 from repro.io import checkpoint_roundtrip_equal, load_checkpoint, save_checkpoint
-from repro.parallel import ConfDecomposition, SimulatedComm, VelocitySlabs
-from repro.parallel.decomp import block_ranges
 
 
 def test_checkpoint_nested_keys(tmp_path):
@@ -58,40 +55,3 @@ def test_checkpoint_meta_types(tmp_path):
     save_checkpoint(tmp_path / "m.npz", {"a": np.zeros(2)}, meta)
     _, back = load_checkpoint(tmp_path / "m.npz")
     assert back == {**meta, "layout": "cell-major"}
-
-
-def test_velocity_slabs_cover():
-    slabs = VelocitySlabs(cells=(8, 12), axis=1, nslabs=5)
-    ranges = slabs.ranges()
-    assert ranges[0][0] == 0 and ranges[-1][1] == 12
-    total = sum(hi - lo for lo, hi in ranges)
-    assert total == 12
-    assert slabs.slab_cells(0)[0] == 8
-
-
-def test_decomposition_rejects_oversubscription():
-    with pytest.raises(ValueError):
-        ConfDecomposition.create((2, 2), 16)
-
-
-def test_single_rank_has_no_ghosts():
-    dec = ConfDecomposition.create((8, 8), 1)
-    assert dec.ghost_cells(0) == 0
-
-
-def test_comm_reset_stats():
-    comm = SimulatedComm(2)
-    comm.send(0, 1, np.ones(4))
-    comm.recv(0, 1)
-    comm.reset_stats()
-    assert comm.stats.messages == 0 and comm.stats.doubles == 0
-
-
-def test_block_ranges_balance_property():
-    for n in (7, 16, 33):
-        for b in (1, 2, 3, 5, 7):
-            if b > n:
-                continue
-            sizes = [hi - lo for lo, hi in block_ranges(n, b)]
-            assert sum(sizes) == n
-            assert max(sizes) - min(sizes) <= 1

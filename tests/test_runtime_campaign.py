@@ -187,7 +187,7 @@ def test_point_that_does_not_build_is_recorded_not_fatal(tmp_path, capsys):
 
 
 def test_points_with_one_content_hash_share_one_job(tmp_path):
-    camp = _campaign(scan={}, points=[{}, {"backend": "threaded:2"}, {}])
+    camp = _campaign(scan={}, points=[{}, {"plan_cache": "off"}, {}])
     manifest = run_campaign(camp, tmp_path)
     assert len({e["job"] for e in manifest["points"].values()}) == 1
     assert [e["compute"] for e in manifest["points"].values()] == [

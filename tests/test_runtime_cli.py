@@ -127,3 +127,25 @@ def test_bad_set_syntax_is_a_clean_error(capsys):
 def test_missing_campaign_file_is_a_clean_error(capsys, tmp_path):
     assert main(["campaign", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_importing_the_runtime_stays_light():
+    """``import repro.runtime`` (every CLI command, every serve job) pulls in
+    neither the sharding / serving layers nor dense LAPACK bindings; those
+    load when a spec asks for them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    heavy = ["scipy.linalg", "multiprocessing", "http.server", "repro.serve", "repro.dist"]
+    script = (
+        "import sys, repro.runtime\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

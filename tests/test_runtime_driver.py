@@ -187,7 +187,8 @@ def test_second_driver_hydrates_from_disk_cache(tmp_path):
 
 def test_resume_from_checkpoint_with_legacy_plan_mode(tmp_path):
     """Checkpoints written before the executors were merged embed
-    ``"plan_mode"`` in their spec; they still resume, bit-identically."""
+    ``"plan_mode"`` in their spec, and ones written before the ``threaded``
+    backend was deleted may name it; they still resume, bit-identically."""
     from repro.io import load_checkpoint, save_checkpoint
 
     common = dict(nx=4, nv=8, t_end=100.0)
@@ -198,10 +199,12 @@ def test_resume_from_checkpoint_with_legacy_plan_mode(tmp_path):
     state, meta = load_checkpoint(tmp_path / "checkpoint.npz")
     assert "plan_mode" not in meta["spec"]
     meta["spec"]["plan_mode"] = "interpreted"
+    meta["spec"]["backend"] = "threaded:2"
     save_checkpoint(tmp_path / "legacy.npz", state, meta)
 
     resumed = Driver.from_checkpoint(tmp_path / "legacy.npz", overrides={"steps": 6})
     resumed.run()
     assert "plan_mode" not in resumed.spec.to_dict()
+    assert resumed.spec.backend == "numpy"
     for key, want in ref.app.state().items():
         assert np.array_equal(want, resumed.app.state()[key]), key

@@ -1,12 +1,11 @@
 """Incremental JSONL diagnostics streaming and backend selection through the
-runtime layer (spec field, driver pass-through, CLI flag)."""
+runtime layer (spec field, CLI flag)."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.runtime import Driver, SpecError, build, build_app
+from repro.runtime import Driver, SpecError, build
 from repro.runtime.cli import main
 
 
@@ -72,33 +71,44 @@ def test_no_streaming_without_outdir_or_path():
 
 
 # --------------------------------------------------------------------- #
-def test_spec_backend_roundtrip_and_validation():
+def test_spec_backend_roundtrip_and_validation(capsys):
+    """``backend`` is ``numpy | process | process:<N >= 1>``: one parser, every
+    other value a ``SpecError`` at ``spec.backend`` (CLI exit 2)."""
+    import os
+
+    from repro.runtime.spec import SimulationSpec, parse_backend
+
     spec = build("two_stream", nx=4, nv=8)
     assert spec.backend == "numpy"
-    spec2 = spec.with_overrides({"backend": "threaded:2"})
-    assert spec2.backend == "threaded:2"
-    assert spec2.to_dict()["backend"] == "threaded:2"
-    with pytest.raises(SpecError, match="backend"):
-        spec.with_overrides({"backend": "cuda"})
-    # malformed worker suffixes fail at validation, not deep in the solver
-    with pytest.raises(SpecError, match="backend"):
-        spec.with_overrides({"backend": "threaded:four"})
-    with pytest.raises(SpecError, match="backend"):
-        spec.with_overrides({"backend": "threaded:0"})
-
-
-def test_backend_reaches_solver_and_results_match():
-    base = build("two_stream", nx=4, nv=8, steps=3)
-    app_n = build_app(base)
-    app_t = build_app(base.with_overrides({"backend": "threaded:2"}))
-    assert app_t.solvers["elc"].backend.name == "threaded"
-    for _ in range(3):
-        dt = min(app_n.suggested_dt(), app_t.suggested_dt())
-        app_n.step(dt)
-        app_t.step(dt)
-    fn, ft = app_n.f["elc"], app_t.f["elc"]
-    scale = max(np.max(np.abs(fn)), 1.0)
-    assert np.max(np.abs(fn - ft)) / scale < 1e-12
+    cpus = os.cpu_count() or 1
+    for value, shards in [
+        ("numpy", None), ("process", cpus), ("process:1", 1), ("process:4", 4),
+    ]:
+        assert parse_backend(value) == shards
+        again = SimulationSpec.from_dict(spec.with_overrides({"backend": value}).to_dict())
+        assert again.backend == again.to_dict()["backend"] == value
+    for bad in [
+        None, 3, True, ["numpy"], "", "cuda", "gpu", "NumPy", "numpy:3", "numpy:",
+        "process:", "process: 2", " process:2", "process:2 ", "process:0",
+        "process:-1", "process:two", "process:2.0", "process:2:2",
+        "threaded:0", "threaded:four", "threaded:", "threaded: 2",
+    ]:
+        for load in (
+            lambda: spec.with_overrides({"backend": bad}),
+            lambda: SimulationSpec.from_dict({**spec.to_dict(), "backend": bad}),
+        ):
+            with pytest.raises(SpecError, match="numpy, process or process:<N>") as err:
+                load()
+            assert err.value.field == "spec.backend", bad
+    # legacy value in stored specs: loads as numpy, is never written back
+    for legacy in ("threaded", "threaded:2", "threaded:16"):
+        loaded = SimulationSpec.from_dict({**spec.to_dict(), "backend": legacy})
+        assert loaded == spec and loaded.to_dict()["backend"] == "numpy"
+    # the CLI reports the grammar, not a Python TypeError text
+    assert main(["run", "two_stream", "--set", "backend=numpy:3", "--set", "steps=1"]) == 2
+    stderr = capsys.readouterr().err
+    assert "spec.backend" in stderr and "process:<N>" in stderr
+    assert "TypeError" not in stderr and "positional" not in stderr
 
 
 def test_cli_backend_flag(tmp_path, capsys):

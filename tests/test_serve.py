@@ -118,6 +118,8 @@ def test_spec_digest_is_stable_across_the_plan_mode_removal():
     assert spec_digest(spec) == pinned
     for legacy in ("fused", "interpreted"):
         assert spec_digest({**spec.to_dict(), "plan_mode": legacy}) == pinned
+    # likewise the deleted ``threaded`` backend value some stored specs name
+    assert spec_digest({**spec.to_dict(), "backend": "threaded:2"}) == pinned
 
 
 # ---------------------------------------------------------------------- #
