@@ -35,6 +35,9 @@ class BGKCollisions:
     ):
         self.grid = phase_grid
         self.nu = float(nu)
+        self.poly_order = int(poly_order)
+        self.family = family
+        self._quad_points_1d = quad_points_1d
         self.basis = ModalBasis(phase_grid.pdim, poly_order, family)
         self.cfg_basis = ModalBasis(phase_grid.cdim, poly_order, family)
         nq = quad_points_1d or poly_order + 2
@@ -43,7 +46,15 @@ class BGKCollisions:
         self._wts = wts
         self._vander = self.basis.eval_at(pts)             # (Np, Nq)
         self._cfg_vander = self.cfg_basis.eval_at(pts[:, : phase_grid.cdim])
-        self._vtsq_estimate = 1.0
+
+    def on_grid(self, phase_grid: PhaseGrid) -> "BGKCollisions":
+        """The same operator on another phase grid (collisions are
+        configuration-local, so on a block of this grid it is this operator
+        restricted to the block's cells)."""
+        return BGKCollisions(
+            phase_grid, self.poly_order, self.family, nu=self.nu,
+            quad_points_1d=self._quad_points_1d,
+        )
 
     # ------------------------------------------------------------------ #
     def maxwellian_coefficients(
@@ -63,9 +74,6 @@ class BGKCollisions:
             u_dot_m1 += weak_multiply(uj, m1, self.cfg_basis)
         m2 = moments.compute("M2", f)
         vtsq = weak_divide((m2 - u_dot_m1) / vdim, m0, self.cfg_basis)
-        self._vtsq_estimate = max(
-            float(np.max(np.abs(vtsq[..., 0]))) * self.cfg_basis.norm(0), 1e-30
-        )
 
         out = np.zeros_like(f)
         centers = g.conf.extend(g.vel).meshgrid_centers()
@@ -115,7 +123,8 @@ class BGKCollisions:
             out[...] = inc
         return out
 
-    def max_frequency(self) -> float:
+    def max_frequency(self, f: np.ndarray, moments: MomentCalculator) -> float:
+        """CFL estimate: the relaxation rate, whatever the state."""
         return self.nu
 
 

@@ -148,7 +148,17 @@ class LBOCollisions:
             for k in range(npc)
         ]
         self._vtsq_mult = _op(generate_multiply_termset(self.basis, mult_terms))
-        self._vtsq_estimate = 1.0  # refreshed on each rhs() for the CFL
+
+    def on_grid(self, phase_grid: PhaseGrid) -> "LBOCollisions":
+        """The same operator on another phase grid (collisions are
+        configuration-local, so on a block of this grid it is this operator
+        restricted to the block's cells)."""
+        if self.fixed_u is not None or self.fixed_vtsq is not None:
+            raise ValueError(
+                "frozen LBO moments are shaped on their grid; build the "
+                "operator on the new grid instead"
+            )
+        return LBOCollisions(phase_grid, self.poly_order, self.family, nu=self.nu)
 
     # ------------------------------------------------------------------ #
     def primitive_moments(self, f: np.ndarray, moments: MomentCalculator):
@@ -188,8 +198,6 @@ class LBOCollisions:
         g = self.grid
         cdim = g.cdim
         u, vtsq = self.primitive_moments(f, moments)
-        phi0 = self.cfg_basis.norm(0)
-        self._vtsq_estimate = max(float(np.max(np.abs(vtsq[..., 0]))) * phi0, 1e-30)
         aux: Dict[str, object] = dict(self._aux_base)
         for j in range(g.vdim):
             for k in range(self.cfg_basis.num_basis):
@@ -244,15 +252,21 @@ class LBOCollisions:
             out -= div  # out += -(unit advection RHS)(vg) = +d(vg)/dv
         return out
 
-    def max_frequency(self) -> float:
+    def max_frequency(self, f: np.ndarray, moments: MomentCalculator) -> float:
         """CFL estimate: drag ``nu (2p+1) vmax/dv`` plus parabolic diffusion
-        limit ``nu vtsq (2p+1)^2 / dv^2`` per velocity direction."""
+        limit ``nu vtsq (2p+1)^2 / dv^2`` per velocity direction, with
+        ``vtsq`` the largest cell-average thermal speed of ``f`` — a pure
+        function of the state, like the Vlasov solver's estimate."""
         g = self.grid
         p = self.poly_order
+        _, vtsq = self.primitive_moments(f, moments)
+        vtsq_max = max(
+            float(np.max(np.abs(vtsq[..., 0]))) * self.cfg_basis.norm(0), 1e-30
+        )
         freq = 0.0
         for j in range(g.vdim):
             dv = g.vel.dx[j]
             vmax = g.max_velocity(j)
             freq += self.nu * (2 * p + 1) * vmax / dv
-            freq += self.nu * self._vtsq_estimate * (2 * p + 1) ** 2 / dv ** 2
+            freq += self.nu * vtsq_max * (2 * p + 1) ** 2 / dv ** 2
         return freq

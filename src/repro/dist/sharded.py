@@ -1,30 +1,34 @@
 """Process-sharded model execution: real workers, shared-memory halos.
 
 :class:`ShardedApp` wraps a serial :class:`~repro.systems.system.System`
-(any field closure — Maxwell, Poisson, or field-free — dispatched on
-``system.field_kind``, never on concrete classes) and executes its time
-steps across persistent **worker processes**, one per configuration-cell
-block of a :class:`~repro.dist.plan.ShardPlan`:
+and executes its time steps across persistent **worker processes**, one per
+configuration-cell block of a :class:`~repro.dist.plan.ShardPlan`:
 
 * the global state arrays (every distribution function, the EM field) live
-  in :mod:`multiprocessing.shared_memory`, so halo exchange is an in-place
-  copy out of the neighbour's slab — counted per shard in doubles/messages,
-  which lets the Fig. 3 traffic model be checked against *measured* bytes;
-* each worker compiles its own engine plans for its block
-  (:mod:`repro.dist.blocks`) and advances its slab through the SSP-RK
-  stages with two barriers per stage (writes-visible, reads-done), so a
-  fast shard never overwrites state a slow neighbour is still reading;
-* every per-cell operation matches the serial solver bit for bit, so a
-  sharded run produces identical diagnostics and checkpoints to a serial
-  one — including checkpoint/resume, which serializes the gathered global
-  state through the unchanged Driver path.
+  in :mod:`multiprocessing.shared_memory`;
+* each worker *is* a ``System`` — the parent's declaration rebuilt on the
+  worker's :class:`~repro.dist.blocks.BlockGrid`
+  (:meth:`~repro.systems.system.System.on_block`), its state bound to the
+  block's slab of the shared arrays — and a step is ``system.step(dt)``:
+  the serial RHS, field closure, stepper and instrumentation, so a sharded
+  run produces a serial run's diagnostics and checkpoints bit for bit
+  (cross-backend resume included) by construction;
+* what is shard-specific is that system's halo collaborator,
+  :class:`_SharedHalo`: ghost layers are an in-place copy out of the
+  neighbours' slabs between two barriers (writes-visible, reads-done — a
+  fast shard never overwrites state a slow neighbour is still reading),
+  counted per shard in doubles/messages so the Fig. 3 traffic model can be
+  checked against *measured* bytes; the Poisson charge density is gathered
+  through one more shared array.
 
 The parent keeps the serial system for everything that is not stepping:
 initial-condition projection, diagnostics, energies, CFL, checkpoint
 gather/scatter — all through the :class:`~repro.systems.model.Model`
-protocol.  Workers are forked (Linux), so they inherit the parent's
-generated-kernel cache and system configuration without pickling; the
-parent never evaluates an RHS itself.
+protocol, on the shared arrays.  Workers are forked (Linux), so they
+inherit the parent's generated-kernel cache and system declaration without
+pickling.  The parent never evaluates an RHS itself, and need not: all it
+reports (``suggested_dt`` included) is a pure function of the state it
+shares with the workers — no RHS call caches anything a later answer reads.
 """
 
 from __future__ import annotations
@@ -45,15 +49,12 @@ from ..obs.metrics import SLOT as _OBS_SLOT
 from ..obs.ring import ObsChannel
 from ..obs.tracer import SpanEvent
 from ..systems.model import run_loop
-from .blocks import BlockMaxwellRHS, fill_padded, build_block_species
+from .blocks import BlockGrid, fill_padded
 from .plan import HaloStats, ShardPlan
 
 __all__ = ["ShardedApp"]
 
 _perf_counter = time.perf_counter
-_S_RK_STAGES = _OBS_SLOT["rk_stages"]
-_S_RHS = _OBS_SLOT["rhs_calls"]
-_S_RHS_MS = _OBS_SLOT["rhs_ms"]
 _S_HALO = _OBS_SLOT["halo_exchanges"]
 _S_HALO_MS = _OBS_SLOT["halo_wait_ms"]
 _S_HALO_BYTES = _OBS_SLOT["halo_bytes"]
@@ -68,19 +69,79 @@ _BARRIER_TIMEOUT = 600.0
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
+class _SharedHalo:
+    """The halo collaborator of the System on block ``grid``, over the
+    shared global arrays.
+
+    ``shared`` maps state keys to the globally-shaped shared-memory arrays
+    every shard steps its own slab of; ``gather`` is one more,
+    ``(*conf_cells, Npc)``, that :meth:`allgather` assembles through.
+    Every method is collective: all shards call it the same number of
+    times per step (they run the same ``System.step``).
+    """
+
+    def __init__(self, grid: BlockGrid, shared, gather, barrier):
+        self.grid = grid
+        self.shared = shared
+        self.gather = gather
+        self.barrier = barrier
+        self.stats = {"f": HaloStats(), "em": HaloStats()}
+        self._ghosted: Dict[str, np.ndarray] = {}
+
+    def _wait(self) -> None:
+        if _OBS.on:
+            t0 = _perf_counter()
+            self.barrier.wait()
+            _OBS.finish("barrier_wait", t0, _S_BARRIER, _S_BARRIER_MS)
+        else:
+            self.barrier.wait()
+
+    def exchange(self, state) -> Dict[str, np.ndarray]:
+        """``state`` with this shard's ghost layers, copied out of the
+        shared arrays into private padded buffers between two barriers:
+        every shard's writes are in before anyone reads, every read is
+        done before anyone writes again."""
+        self._wait()
+        grid, stats = self.grid, self.stats
+        doubles0 = stats["f"].doubles + stats["em"].doubles
+        t0 = _perf_counter()
+        out = {}
+        for key in state:
+            whole = self.shared[key]
+            buf = self._ghosted.get(key)
+            if buf is None:
+                buf = self._ghosted[key] = np.zeros(
+                    tuple(n + 2 * g for n, g in zip(grid.cells, grid.ghost))
+                    + whole.shape[grid.ndim:]
+                )
+            fill_padded(
+                whole, buf, grid.ranges, grid.ghost, grid.parent.cells,
+                stats["em" if key == "em" else "f"],
+            )
+            out[key] = buf
+        if _OBS.on:
+            _OBS.finish("halo_exchange", t0, _S_HALO, _S_HALO_MS)
+            _OBS.metrics.values[_S_HALO_BYTES] += 8 * (
+                stats["f"].doubles + stats["em"].doubles - doubles0
+            )
+        self._wait()
+        return out
+
+    def allgather(self, arr: np.ndarray) -> np.ndarray:
+        """The whole grid's ``(*conf_cells, Npc)`` array from every shard's
+        block of it (a private copy: callers modify it)."""
+        self.grid.restrict(self.gather)[...] = arr
+        self._wait()
+        return np.array(self.gather)
+
+
 class _ShardWorker:
     """Per-process execution state for one shard (lives in the child)."""
 
     def __init__(
-        self, app, plan: ShardPlan, shard: int, shared, rho_shared, barrier,
+        self, app, plan: ShardPlan, shard: int, shared, gather, barrier,
         obs_buf=None,
     ):
-        self.app = app
-        self.plan = plan
-        self.shard = shard
-        self.shared = shared
-        self.rho_shared = rho_shared
-        self.barrier = barrier
         # observability: rebind the process-global runtime onto this
         # worker's shared-memory channel *before* block plans compile, so
         # even compile counters land where the parent can read them
@@ -94,69 +155,21 @@ class _ShardWorker:
 
         self._plan_stats = _PLAN_STATS
         self._plan_stats0 = _PLAN_STATS.snapshot()
-        field_kind = getattr(app, "field_kind", "maxwell")
-        self.is_poisson = field_kind == "poisson"
-        self.has_em = field_kind == "maxwell"
-        self.evolve = self.has_em and app.field_spec.evolve
-        self.ranges = plan.ranges(shard)
-        self.pad = plan.pad
-        self.block_cells = plan.block_cells(shard)
-        self.conf_cells = plan.conf_cells
-        self.stats_f = HaloStats()
-        self.stats_em = HaloStats()
+        grid = BlockGrid(app.conf_grid, plan.ranges(shard), plan.pad)
+        self.halo = _SharedHalo(grid, shared, gather, barrier)
+        self.system = app.on_block(grid, self.halo)
+        # the block's state *is* its slab of the shared arrays (cell-major:
+        # configuration axes lead, so one leading slice addresses f and em
+        # alike): stepped in place, read by the neighbours' halo fills and
+        # by the parent; nothing is projected
+        self.system.set_state(
+            {key: grid.restrict(arr) for key, arr in shared.items()}
+        )
 
-        self.species = build_block_species(app, plan, shard)
-        npc = app.cfg_basis.num_basis
-        # cell-major layout: configuration axes lead every state array, so
-        # one leading-slice tuple addresses f, em, and rho alike — and each
-        # slab is a contiguous span of the shared segment
-        conf_sl = tuple(slice(lo, hi) for lo, hi in self.ranges)
-        self._em_slab = conf_sl
-        self._rho_slab = conf_sl
-
-        # private padded inputs, per-stage contiguous field block, RHS (k),
-        # and step-start snapshot (u0) buffers
-        self.f_pad: Dict[str, np.ndarray] = {}
-        self.k: Dict[str, np.ndarray] = {}
-        self.u0: Dict[str, np.ndarray] = {}
-        self.f_slab: Dict[str, np.ndarray] = {}
-        self._pad_int: Dict[str, Tuple[slice, ...]] = {}
-        for sp, spb in zip(app.species, self.species):
-            key = f"f/{sp.name}"
-            self.f_pad[key] = np.zeros(spb.pad_shape)
-            self.k[key] = np.empty(spb.solver.layout.shape)
-            self.u0[key] = np.empty_like(self.k[key])
-            self.f_slab[key] = shared[key][conf_sl]
-            self._pad_int[key] = spb._interior
-        self.em_block = np.zeros(self.block_cells + (8, npc))
-        self.em_pad: Optional[np.ndarray] = None
-        self.maxwell_block: Optional[BlockMaxwellRHS] = None
-        self._cur_buf: Optional[np.ndarray] = None
-        self._sp_cur_buf: Optional[np.ndarray] = None
-        if self.evolve:
-            self.em_pad = np.zeros(plan.padded_cells(shard) + (8, npc))
-            self.maxwell_block = BlockMaxwellRHS(app.maxwell, plan, shard)
-            self.k["em"] = np.empty(self.block_cells + (8, npc))
-            self.u0["em"] = np.empty_like(self.k["em"])
-            self.f_slab["em"] = shared["em"][self._em_slab]
-        if self.is_poisson:
-            self._rho_buf = np.zeros(self.block_cells + (npc,))
-            self._rho_full = np.empty(self.conf_cells + (npc,))
-        # external drive: static spatial coefficients restricted to the
-        # block — a leading-axis view; the elementwise drive evaluation
-        # consumes it without the old ascontiguousarray staging copy
-        self.ext_coeffs: Optional[np.ndarray] = None
-        self._em_eff: Optional[np.ndarray] = None
-        if getattr(app, "external", None) is not None:
-            self.ext_coeffs = app._ext_coeffs[self._em_slab]
-            self._em_eff = np.empty_like(self.em_block)
-        self.stepper_name = type(app.stepper).__name__
-
-    # ------------------------------------------------------------------ #
     def stats_payload(self) -> dict:
         payload = {
-            "f": self.stats_f.as_dict(),
-            "em": self.stats_em.as_dict(),
+            "f": self.halo.stats["f"].as_dict(),
+            "em": self.halo.stats["em"].as_dict(),
             "plans": self._plan_stats.delta(
                 self._plan_stats.snapshot(), self._plan_stats0
             ),
@@ -167,176 +180,15 @@ class _ShardWorker:
             payload["obs_labels"] = list(_OBS.tracer.labels)
         return payload
 
-    def _read_state(self) -> None:
-        """Halo phase: refresh padded inputs from the shared global state —
-        contiguous configuration-cell slab copies under the cell-major
-        layout."""
-        for key, pad_buf in self.f_pad.items():
-            fill_padded(
-                self.shared[key], pad_buf, self.ranges, self.pad,
-                self.conf_cells, self.stats_f,
-            )
-        if self.evolve:
-            fill_padded(
-                self.shared["em"], self.em_pad, self.ranges, self.pad,
-                self.conf_cells, self.stats_em,
-            )
-            np.copyto(self.em_block, self.em_pad[self.maxwell_block._interior])
-        elif self.has_em:
-            # static field: no ghosts needed, but re-read the slab each
-            # stage so a parent set_state (checkpoint resume) is seen
-            np.copyto(self.em_block, self.shared["em"][self._em_slab])
-
-    def _effective_em(self, t: float) -> np.ndarray:
-        if self.ext_coeffs is None:
-            return self.em_block
-        np.multiply(self.ext_coeffs, self.app.external.envelope(t), out=self._em_eff)
-        self._em_eff += self.em_block
-        return self._em_eff
-
-    def _rhs(self, t: float) -> None:
-        app = self.app
-        if self.is_poisson:
-            self._poisson_field(t)
-            em_eff = self.em_block if self.ext_coeffs is None else self._em_eff
-        else:
-            em_eff = self._effective_em(t)
-        for sp, spb in zip(app.species, self.species):
-            key = f"f/{sp.name}"
-            out = self.k[key]
-            spb.rhs(self.f_pad[key], em_eff, out)
-            if spb.collisions is not None:
-                spb.collisions.rhs(spb._f_int, spb.moments, out=out, accumulate=True)
-        if self.evolve:
-            if self._cur_buf is None:
-                npc = app.cfg_basis.num_basis
-                self._cur_buf = np.zeros(self.block_cells + (3, npc))
-                self._sp_cur_buf = np.empty_like(self._cur_buf)
-            cur = self._cur_buf
-            cur.fill(0.0)
-            for sp, spb in zip(app.species, self.species):
-                cur += spb.moments.current_density(
-                    spb._f_int, sp.charge, out=self._sp_cur_buf
-                )
-            rho = None
-            if app.field_spec.chi_e:
-                npc = app.cfg_basis.num_basis
-                rho = np.zeros(self.block_cells + (npc,))
-                for sp, spb in zip(app.species, self.species):
-                    rho += spb.moments.charge_density(spb._f_int, sp.charge)
-            self.maxwell_block.rhs(
-                self.em_pad, current=cur, charge_density=rho, out=self.k["em"]
-            )
-
-    def _poisson_field(self, t: float) -> None:
-        """Shared charge assembly + redundant global solve (1-D, cheap)."""
-        app = self.app
-        rho = self._rho_buf
-        rho.fill(0.0)
-        for sp, spb in zip(app.species, self.species):
-            f_int = spb.interior(self.f_pad[f"f/{sp.name}"])
-            rho += sp.charge * spb.moments.compute("M0", f_int)
-        self.rho_shared[self._rho_slab] = rho
-        self.barrier.wait()
-        np.copyto(self._rho_full, self.rho_shared)
-        if app.neutralize:
-            self._rho_full[..., 0] -= self._rho_full[..., 0].mean()
-        ex = app.poisson.solve(self._rho_full)
-        if self.ext_coeffs is not None:
-            np.multiply(
-                self.ext_coeffs, app.external.envelope(t), out=self._em_eff
-            )
-            self._em_eff[..., 0, :] += ex[self._rho_slab]
-        else:
-            self.em_block[..., 0, :] = ex[self._rho_slab]
-
-    # ------------------------------------------------------------------ #
-    def _snapshot_u0(self) -> None:
-        for key, u0 in self.u0.items():
-            if key == "em":
-                np.copyto(u0, self.em_pad[self.maxwell_block._interior])
-            else:
-                np.copyto(u0, self.f_pad[key][self._pad_int[key]])
-
-    def _stage(self, t: float, snapshot: bool = False) -> None:
-        obs = _OBS
-        if not obs.on:
-            self.barrier.wait()
-            self._read_state()
-            self.barrier.wait()
-            if snapshot:
-                self._snapshot_u0()
-            self._rhs(t)
-            return
-        # instrumented stage: the same operations, with the two barrier
-        # waits, the halo refresh, and the RHS evaluation each spanned
-        t_stage = _perf_counter()
-        t0 = t_stage
-        self.barrier.wait()
-        obs.finish("barrier_wait", t0, _S_BARRIER, _S_BARRIER_MS)
-        doubles0 = self.stats_f.doubles + self.stats_em.doubles
-        t0 = _perf_counter()
-        self._read_state()
-        obs.finish("halo_exchange", t0, _S_HALO, _S_HALO_MS)
-        obs.metrics.values[_S_HALO_BYTES] += 8 * (
-            self.stats_f.doubles + self.stats_em.doubles - doubles0
-        )
-        t0 = _perf_counter()
-        self.barrier.wait()
-        obs.finish("barrier_wait", t0, _S_BARRIER, _S_BARRIER_MS)
-        if snapshot:
-            self._snapshot_u0()
-        t0 = _perf_counter()
-        self._rhs(t)
-        obs.finish("rhs", t0, _S_RHS, _S_RHS_MS)
-        obs.finish("rk_stage", t_stage, _S_RK_STAGES)
-
-    def _axpy(self, dt: float) -> None:
-        # mirrors timestepping.ssprk._axpy_inplace on this shard's slab
-        for key, arr in self.f_slab.items():
-            kk = self.k[key]
-            kk *= dt
-            arr += kk
-
-    def _combine(self, a: float, b: float) -> None:
-        # mirrors the stage combinations: slab = a*slab + b*u0
-        for key, arr in self.f_slab.items():
-            arr *= a
-            kk = self.k[key]
-            np.multiply(self.u0[key], b, out=kk)
-            arr += kk
-
-    def step(self, dt: float, t: float, step_index: int = 0) -> None:
-        # the parent's global step index keeps trace sampling aligned
+    def step(self, dt: float, t: float, step_index: int) -> None:
+        # the parent owns the clock: its time drives the external-field
+        # envelope, and its global step index keeps trace sampling aligned
         # across every worker (and across checkpoint resumes)
         if _OBS.mode == "trace":
             _OBS.begin_step(step_index)
-        name = self.stepper_name
-        if name == "ForwardEuler":
-            self._stage(t)
-            self._axpy(dt)
-        elif name == "SSPRK2":
-            self._stage(t, snapshot=True)
-            self._axpy(dt)
-            self._stage(t)
-            self._axpy(dt)
-            self._combine(0.5, 0.5)
-        elif name == "SSPRK3":
-            self._stage(t, snapshot=True)
-            self._axpy(dt)
-            self._stage(t)
-            self._axpy(dt)
-            self._combine(0.25, 0.75)
-            self._stage(t)
-            self._axpy(dt)
-            self._combine(2.0 / 3.0, 1.0 / 3.0)
-        else:  # pragma: no cover - steppers are validated by the spec
-            raise ValueError(f"unsupported stepper {name!r}")
-
-    def rhs_pass(self, t: float) -> None:
-        """One halo exchange + RHS evaluation without advancing state
-        (the benchmark's RHS-only timing probe)."""
-        self._stage(t)
+        self.system.time = t
+        self.system.step_count = step_index
+        self.system.step(dt)
 
 
 def _watch_parent(ppid: int) -> None:
@@ -351,7 +203,7 @@ def _watch_parent(ppid: int) -> None:
 
 
 def _worker_main(
-    app, plan, shard, shared, rho_shared, barrier, conn, obs_buf=None
+    app, plan, shard, shared, gather, barrier, conn, obs_buf=None
 ) -> None:
     threading.Thread(
         target=_watch_parent, args=(os.getppid(),), daemon=True,
@@ -359,7 +211,7 @@ def _worker_main(
     ).start()
     try:
         worker = _ShardWorker(
-            app, plan, shard, shared, rho_shared, barrier, obs_buf=obs_buf
+            app, plan, shard, shared, gather, barrier, obs_buf=obs_buf
         )
         conn.send(("ready", worker.stats_payload()))
     except Exception:  # noqa: BLE001 - reported to the parent
@@ -374,12 +226,9 @@ def _worker_main(
         if cmd == "stop":
             break
         try:
-            if cmd == "step":
-                worker.step(msg[1], msg[2], msg[3])
-            elif cmd == "rhs":
-                worker.rhs_pass(msg[1])
-            else:
+            if cmd != "step":
                 raise ValueError(f"unknown worker command {cmd!r}")
+            worker.step(msg[1], msg[2], msg[3])
             conn.send(("ok", worker.stats_payload()))
         except Exception:  # noqa: BLE001 - reported to the parent
             conn.send(("error", traceback.format_exc()))
@@ -439,8 +288,8 @@ class ShardedApp:
     ----------
     app:
         A freshly built serial :class:`~repro.systems.system.System`
-        (modal scheme, central velocity flux; any field closure —
-        dispatched on ``app.field_kind``).
+        (modal scheme, central velocity flux, one of the three built-in
+        field closures).
     shards:
         Worker-process count; the configuration grid is factorized into
         this many blocks (must keep >= 2 cells along an axis per block).
@@ -454,12 +303,17 @@ class ShardedApp:
             )
         field_kind = getattr(app, "field_kind", "maxwell")
         if field_kind not in ("maxwell", "poisson", "none"):
-            # an unknown closure would be silently executed as field-free
-            # by the worker dispatch — refuse instead
+            # a closure this package does not know may read neighbour cells
+            # or global sums behind the halo's back — refuse instead
             raise ValueError(
                 "process sharding supports the maxwell/poisson/none field "
                 f"closures only (got field_kind={field_kind!r}); register "
                 "the system with shardable=False"
+            )
+        if any(s.velocity_flux != "central" for s in app.solvers.values()):
+            raise ValueError(
+                "process sharding supports the central velocity flux only "
+                "(the penalty speed is a global reduction)"
             )
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
@@ -476,19 +330,12 @@ class ShardedApp:
         # move the state into shared memory and rebind the app to it
         for key, arr in app.state().items():
             self._shared[key] = self._alloc(arr)
-        for sp in app.species:
-            app.f[sp.name] = self._shared[f"f/{sp.name}"]
-        if "em" in self._shared:
-            app.em = self._shared["em"]
-        rho_shared = None
-        if app.field_kind == "poisson":
-            rho_shared = self._alloc(
-                np.zeros(app.conf_grid.cells + (app.cfg_basis.num_basis,))
-            )
-        elif (
-            app.field_kind == "maxwell" and "em" not in self._shared
-        ):  # pragma: no cover - maxwell always has em
-            raise RuntimeError("maxwell state without an EM field")
+        app.set_state(self._shared)
+        # what the halo's allgather assembles through (Npc doubles per
+        # configuration cell)
+        gather = self._alloc(
+            np.zeros(app.conf_grid.cells + (app.cfg_basis.num_basis,))
+        )
 
         # observability channels ride the same shared-memory plumbing as
         # the state (allocated before the fork, released with the segments)
@@ -516,7 +363,7 @@ class ShardedApp:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    app, self.plan, shard, self._shared, rho_shared,
+                    app, self.plan, shard, self._shared, gather,
                     self._barrier, child_conn, obs_bufs[shard],
                 ),
                 daemon=True,
@@ -620,11 +467,6 @@ class ShardedApp:
         self._inner.step_count += 1
         return dt
 
-    def rhs_pass(self) -> None:
-        """One distributed halo exchange + RHS evaluation, discarding the
-        result (benchmark probe for RHS-only scaling)."""
-        self._command(("rhs", float(self._inner.time)))
-
     def run(self, t_end: float, diagnostics=None, max_steps: int = 10**9):
         return run_loop(self, t_end, diagnostics=diagnostics, max_steps=max_steps)
 
@@ -704,13 +546,7 @@ class ShardedApp:
             self._obs_final_spans = self.obs_spans()
             self._obs_final_metrics = self.obs_metrics()
             self._obs_channels = []
-        app = self._inner
-        for sp in app.species:
-            key = f"f/{sp.name}"
-            if key in self._shared:
-                app.f[sp.name] = np.array(self._shared[key])
-        if "em" in self._shared:
-            app.em = np.array(self._shared["em"])
+        self._inner.set_state({k: np.array(v) for k, v in self._shared.items()})
         self._shared.clear()
         if self._finalizer.detach() is not None:
             _shutdown(self._procs, self._conns, self._segments)

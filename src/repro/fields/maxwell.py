@@ -21,6 +21,12 @@ the :math:`J \\cdot E` work term, which pairs exactly with the particle
 energy equation of the alias-free Vlasov update — total energy is conserved
 (paper Sec. II).  Upwind (Rusanov) fluxes are available for damping of
 under-resolved waves at the cost of that exact conservation.
+
+Surface terms read each cell's two neighbours out of a one-cell ghost
+layer: on a whole grid :meth:`MaxwellSolver.rhs` wraps the state
+periodically to make it; on one block of a larger grid (a ``process:N``
+shard, whose grid declares ``Grid.ghost``) the caller passes the state with
+the neighbouring blocks' cells already in place.  One body serves both.
 """
 
 from __future__ import annotations
@@ -160,43 +166,62 @@ class MaxwellSolver:
         Parameters
         ----------
         q:
-            Field state, cell-major ``(*cfg_cells, 8, Npc)``.
+            Field state, cell-major ``(*cfg_cells, 8, Npc)``, carrying the
+            grid's ghost layers (none on a whole grid).
         current:
             Optional plasma current ``(*cfg_cells, 3, Npc)`` (enters as
             ``-J/epsilon0`` in the E equations).
         charge_density:
             Optional ``(*cfg_cells, Npc)`` for the phi cleaning source.
+        out:
+            Optional output array, ``(*cfg_cells, 8, Npc)`` without ghosts
+            (contents discarded and replaced).
         """
+        grid = self.grid
+        ndim = grid.ndim
         if out is None:
-            out = np.zeros_like(q)
+            out = np.zeros(grid.cells + (8, self.num_basis))
         else:
             out.fill(0.0)
-        ndim = self.grid.ndim
+        # One body for a whole grid and for a block of one: every axis
+        # gets a ghost layer — a periodic wrap wherever the caller's halo
+        # did not supply the neighbouring block's cells (8 Npc doubles per
+        # configuration cell: nothing next to the distribution function).
+        if not all(grid.ghost):
+            q = np.pad(
+                q, [(1 - g, 1 - g) for g in grid.ghost] + [(0, 0)] * 2, mode="wrap"
+            )
+        own = (slice(1, -1),) * ndim
+
+        def shifted(arr, d, shift):  # own cells' neighbours along axis d
+            sl = list(own)
+            sl[d] = slice(1 + shift, arr.shape[d] - 1 + shift)
+            return arr[tuple(sl)]
+
+        if self.flux == "upwind":
+            jump_l = 0.5 * self._max_speed() * q
+            jump_r = -jump_l
         for d in range(ndim):
             rdx = self._rdx[d]
             g = self._apply_flux_jacobian(q, d)
             # volume: out[cell, c] += rdx * g[cell, c] @ D_d^T (batched matmul)
-            out += rdx * np.matmul(g, self._deriv_t[d])
-            # surfaces (periodic): face i between cells i and i+1 along the
-            # leading configuration axis d
-            axis = d
-            g_left = 0.5 * g
-            g_right = 0.5 * np.roll(g, -1, axis=axis)
+            out += rdx * np.matmul(g[own], self._deriv_t[d])
+            # surfaces: a cell's upper face takes the "L" rows (this cell
+            # left of the face, the next one right), its lower face the
+            # "R" rows (the previous cell left, this one right)
+            g *= 0.5
             fm = self._faces_t[d]
-            inc_left = np.matmul(g_left, fm[("L", "L")])
-            inc_left += np.matmul(g_right, fm[("L", "R")])
-            inc_right = np.matmul(g_left, fm[("R", "L")])
-            inc_right += np.matmul(g_right, fm[("R", "R")])
+            inc_left = np.matmul(g[own], fm[("L", "L")])
+            inc_left += np.matmul(shifted(g, d, +1), fm[("L", "R")])
+            inc_right = np.matmul(shifted(g, d, -1), fm[("R", "L")])
+            inc_right += np.matmul(g[own], fm[("R", "R")])
             if self.flux == "upwind":
-                tau = self._max_speed()
-                jump_l = 0.5 * tau * q
-                jump_r = -0.5 * tau * np.roll(q, -1, axis=axis)
-                inc_left += np.matmul(jump_l, fm[("L", "L")])
-                inc_left += np.matmul(jump_r, fm[("L", "R")])
-                inc_right += np.matmul(jump_l, fm[("R", "L")])
-                inc_right += np.matmul(jump_r, fm[("R", "R")])
+                inc_left += np.matmul(jump_l[own], fm[("L", "L")])
+                inc_left += np.matmul(shifted(jump_r, d, +1), fm[("L", "R")])
+                inc_right += np.matmul(shifted(jump_l, d, -1), fm[("R", "L")])
+                inc_right += np.matmul(jump_r[own], fm[("R", "R")])
             out += rdx * inc_left
-            out += rdx * np.roll(inc_right, 1, axis=axis)
+            out += rdx * inc_right
         if current is not None:
             out[..., 0:3, :] -= current / self.epsilon0
         if charge_density is not None and self.chi_e:

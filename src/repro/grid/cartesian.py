@@ -65,6 +65,26 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 
+    # A grid may be one block of a larger periodic grid
+    # (:class:`repro.dist.BlockGrid` overrides these three); a whole grid
+    # is the trivial block of itself.
+    @property
+    def ghost(self) -> Tuple[int, ...]:
+        """Ghost layers per axis that arrays handed to this grid's solvers
+        carry on each side — the neighbouring blocks' cells.  None on a
+        whole grid: its solvers wrap periodically instead."""
+        return (0,) * self.ndim
+
+    @property
+    def parent(self) -> "Grid":
+        """The whole grid this one is a block of."""
+        return self
+
+    def restrict(self, arr: np.ndarray) -> np.ndarray:
+        """This grid's cells of an array shaped on :attr:`parent`'s
+        (leading axes)."""
+        return arr
+
     def centers(self, dim: int) -> np.ndarray:
         """Cell-center coordinates along one dimension, shape ``(cells[dim],)``."""
         dx = self.dx[dim]

@@ -139,7 +139,8 @@ class KineticSpecies:
     baseline), the moment calculator, and the collision operator; projects
     the declared initial condition on demand.  The evolved distribution
     array itself lives in the owning :class:`~repro.systems.system.System`
-    state so the sharded executor can rebind it to shared memory.
+    state, which projects it only if nobody hands it one first (a
+    checkpoint resume and a shard worker both do).
     """
 
     def __init__(
@@ -238,13 +239,18 @@ class ChargeCoupling:
         self.neutralize = neutralize
 
     def charge_density(
-        self, blocks: List[KineticSpecies], state: Dict[str, np.ndarray]
+        self, blocks: List[KineticSpecies], state: Dict[str, np.ndarray], halo=None
     ) -> np.ndarray:
+        """Charge density on the whole grid: with a ``halo`` (the owning
+        system is one block of it) the blocks' densities are gathered
+        before the background is subtracted."""
         rho = np.zeros(self.conf_grid.cells + (self.cfg_basis.num_basis,))
         for blk in blocks:
             rho += blk.decl.charge * blk.moments.compute(
                 "M0", state[f"f/{blk.name}"]
             )
+        if halo is not None:
+            rho = halo.allgather(rho)
         if self.neutralize:
             rho[..., 0] -= rho[..., 0].mean()
         return rho
@@ -258,11 +264,12 @@ class FieldBlock:
 
     A field block is constructed from its declaration alone and bound to
     the owning system's grid/basis by :meth:`bind` (called once by
-    ``System.__init__``).  Subclasses define:
+    ``System.__init__``); :meth:`unbound` hands out a fresh copy of the
+    declaration for another System.  Subclasses define:
 
     ``kind``
-        ``"maxwell"`` / ``"poisson"`` / ``"none"`` — the dispatch tag the
-        sharded executor keys block execution on.
+        ``"maxwell"`` / ``"poisson"`` / ``"none"`` — the closure's name
+        (what ``System.field_kind`` reports).
     ``in_state``
         whether the block contributes an ``"em"`` entry to the model state.
     ``evolves``
@@ -270,9 +277,10 @@ class FieldBlock:
     ``em_for_species(system, state)``
         the EM array the Vlasov solvers consume (self-consistent field
         plus any external drive at the system's current time).
-    ``accumulate_rhs(system, state, out)``
+    ``accumulate_rhs(system, state, out, ghosted=None)``
         fill the field's own time derivative into ``out`` (no-op for
-        functional/static closures).
+        functional/static closures); ``ghosted`` is ``state`` carrying the
+        grid's ghost layers, when the system is a block of a larger grid.
     ``max_frequency()``
         the field's CFL frequency contribution (0 when not evolved).
     ``energy(system)``
@@ -307,6 +315,10 @@ class FieldBlock:
              external: Optional[ExternalField]) -> None:
         raise NotImplementedError
 
+    def unbound(self) -> "FieldBlock":
+        """A fresh, unbound block with this one's declaration."""
+        raise NotImplementedError
+
     def initial_em(self) -> Optional[np.ndarray]:
         """The initial ``"em"`` state entry (None when not ``in_state``)."""
         return None
@@ -314,7 +326,7 @@ class FieldBlock:
     def em_for_species(self, system, state) -> np.ndarray:
         raise NotImplementedError
 
-    def accumulate_rhs(self, system, state, out) -> None:
+    def accumulate_rhs(self, system, state, out, ghosted=None) -> None:
         pass
 
     def max_frequency(self) -> float:
@@ -325,10 +337,14 @@ class FieldBlock:
 
     def _project_external(self, conf_grid: Grid, cfg_basis: ModalBasis) -> np.ndarray:
         """Project the external drive's spatial profiles onto the full
-        8-component EM layout (components not driven stay zero)."""
+        8-component EM layout (components not driven stay zero).  A block
+        of a larger grid cuts its cells out of the whole grid's projection,
+        so its coefficients are the serial ones whatever the profile."""
         from ..fields.maxwell import project_em_components
 
-        return project_em_components(conf_grid, cfg_basis, self.external.profiles)
+        return conf_grid.restrict(
+            project_em_components(conf_grid.parent, cfg_basis, self.external.profiles)
+        )
 
 
 class MaxwellBlock(FieldBlock):
@@ -350,6 +366,9 @@ class MaxwellBlock(FieldBlock):
     def evolves(self) -> bool:
         return self.spec.evolve
 
+    def unbound(self) -> "MaxwellBlock":
+        return MaxwellBlock(self.spec)
+
     def bind(self, conf_grid, cfg_basis, external) -> None:
         from ..fields.maxwell import MaxwellSolver
 
@@ -365,9 +384,7 @@ class MaxwellBlock(FieldBlock):
         self.coupling = CurrentCoupling(conf_grid, cfg_basis)
         self.external = external
         if external is not None:
-            self._ext_coeffs = self.solver.project_initial_condition(
-                external.profiles
-            )
+            self._ext_coeffs = self._project_external(conf_grid, cfg_basis)
             self._ext_buf = np.empty_like(self._ext_coeffs)
 
     def initial_em(self) -> np.ndarray:
@@ -394,9 +411,9 @@ class MaxwellBlock(FieldBlock):
             )
         return self._total_current
 
-    def accumulate_rhs(self, system, state, out) -> None:
+    def accumulate_rhs(self, system, state, out, ghosted=None) -> None:
         if self.spec.evolve:
-            em = state["em"] if "em" in state else system.em
+            em = (state if ghosted is None else ghosted)["em"]
             current = self.coupling.total_current(
                 system.blocks, state, out=self._current_buf()
             )
@@ -432,17 +449,21 @@ class PoissonBlock(FieldBlock):
         self.coupling: Optional[ChargeCoupling] = None
         self._em_buf: Optional[np.ndarray] = None
         self._conf_grid: Optional[Grid] = None
-        self._cfg_basis: Optional[ModalBasis] = None
+
+    def unbound(self) -> "PoissonBlock":
+        return PoissonBlock(self.epsilon0, self.neutralize)
 
     def bind(self, conf_grid, cfg_basis, external) -> None:
         if conf_grid.ndim != 1:
             raise ValueError("the Poisson field block supports 1-D configuration space")
         from ..fields.poisson import Poisson1D
 
-        self.solver = Poisson1D(conf_grid, cfg_basis, self.epsilon0)
+        # the solve is global: a block of a larger grid gathers the charge
+        # density, solves on the whole grid and keeps its own cells
+        self.solver = Poisson1D(conf_grid.parent, cfg_basis, self.epsilon0)
         self.coupling = ChargeCoupling(conf_grid, cfg_basis, self.neutralize)
         self._conf_grid = conf_grid
-        self._cfg_basis = cfg_basis
+        self._em_buf = np.zeros(conf_grid.cells + (8, cfg_basis.num_basis))
         self.external = external
         if external is not None:
             self._ext_coeffs = self._project_external(conf_grid, cfg_basis)
@@ -452,12 +473,8 @@ class PoissonBlock(FieldBlock):
         from the Poisson solve plus any external drive at the system's
         current time.  The returned array is a persistent buffer refreshed
         on every call."""
-        rho = self.coupling.charge_density(system.blocks, state)
-        ex = self.solver.solve(rho)
-        if self._em_buf is None:
-            self._em_buf = np.zeros(
-                self._conf_grid.cells + (8, self._cfg_basis.num_basis)
-            )
+        rho = self.coupling.charge_density(system.blocks, state, system.halo)
+        ex = self._conf_grid.restrict(self.solver.solve(rho))
         if self.external is not None:
             np.multiply(
                 self._ext_coeffs,
@@ -492,6 +509,9 @@ class NullFieldBlock(FieldBlock):
         super().__init__()
         self._zero_em: Optional[np.ndarray] = None
         self._em_buf: Optional[np.ndarray] = None
+
+    def unbound(self) -> "NullFieldBlock":
+        return NullFieldBlock()
 
     def bind(self, conf_grid, cfg_basis, external) -> None:
         self._zero_em = np.zeros(conf_grid.cells + (8, cfg_basis.num_basis))

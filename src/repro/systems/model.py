@@ -4,9 +4,9 @@ Every consumer of a built simulation — :class:`~repro.runtime.driver.Driver`,
 :class:`~repro.dist.sharded.ShardedApp`, the SSP-RK steppers, checkpoint
 save/restore, and the diagnostics recorders — programs against this
 protocol and nothing else.  Anything that implements it (the composable
-:class:`~repro.systems.system.System`, the deprecated app shims, a sharded
-wrapper) can be driven, checkpointed, resumed, and diagnosed without a
-single ``isinstance`` check.
+:class:`~repro.systems.system.System`, the sharded wrapper around one)
+can be driven, checkpointed, resumed, and diagnosed without a single
+``isinstance`` check.
 
 The surface is deliberately small:
 

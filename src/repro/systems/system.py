@@ -5,19 +5,26 @@ implementation behind every workload: Vlasov–Maxwell, Vlasov–Poisson,
 field-free advection, and anything else declared through the registry are
 all the *same* class wired with different blocks.
 
-The execution structure (buffer reuse, accumulation order, stepping) is
-what the conformance suite and the ``process:N`` serial-equality tests pin
-down bit for bit.
+It is also the only time step in the repo.  A ``process:N`` shard worker
+runs this class on its block of the configuration grid, told two things a
+serial run is not: its grid declares ghost layers (the two solvers that
+read neighbour cells take them from there), and a ``halo`` collaborator
+fills those layers and gathers the one global field input (the Poisson
+charge density).  Initial conditions are projected on first read of a
+distribution nobody has set, so a System that is handed its state — a
+worker's shared-memory slab, a checkpoint — never projects one.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..grid.cartesian import Grid
+from ..grid.phase import PhaseGrid
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from ..timestepping.ssprk import get_stepper
@@ -36,6 +43,19 @@ __all__ = ["System"]
 
 _S_RHS = _OBS_SLOT["rhs_calls"]
 _S_RHS_MS = _OBS_SLOT["rhs_ms"]
+
+
+class _ProjectedOnDemand(dict):
+    """``{species name: distribution}`` where an entry nobody has set is
+    the species' projected initial condition, computed on first read."""
+
+    def __init__(self, blocks: Sequence[KineticSpecies]):
+        super().__init__()
+        self._blocks = {b.name: b for b in blocks}
+
+    def __missing__(self, name: str) -> np.ndarray:
+        self[name] = f = self._blocks[name].project_initial()
+        return f
 
 
 class System:
@@ -63,6 +83,13 @@ class System:
         Optional prescribed time-dependent EM drive.
     name:
         Registry name of the system declaration (informational).
+    halo:
+        Set when ``conf_grid`` is one block of a larger grid (see
+        :meth:`on_block`): the collaborator that reaches the other blocks.
+        ``halo.exchange(state)`` returns the state arrays carrying the
+        grid's ghost layers (called once per RHS), ``halo.allgather(arr)``
+        the whole grid's array from each block's configuration-cell piece.
+        ``None`` — a whole grid — is the serial system.
     """
 
     def __init__(
@@ -79,6 +106,7 @@ class System:
         ic_quad_order: Optional[int] = None,
         external: Optional[ExternalField] = None,
         name: Optional[str] = None,
+        halo=None,
     ):
         if scheme not in ("modal", "quadrature"):
             raise ValueError("scheme must be 'modal' or 'quadrature'")
@@ -103,8 +131,15 @@ class System:
         self.cfl = float(cfl)
         self.scheme = scheme
         self.stepper = get_stepper(stepper)
+        self.halo = halo
         self.time = 0.0
         self.step_count = 0
+        # what on_block() rebuilds this declaration from
+        self._decl = dict(
+            poly_order=poly_order, family=family, cfl=cfl, scheme=scheme,
+            stepper=stepper, velocity_flux=velocity_flux,
+            ic_quad_order=ic_quad_order, external=external, name=name,
+        )
 
         from ..basis.modal import ModalBasis
 
@@ -119,14 +154,30 @@ class System:
             for sp in self.species
         ]
         # per-species views of the block stacks (tests, examples, and the
-        # sharded executor address them this way)
+        # benchmarks address them this way)
         self.phase_grids = {b.name: b.phase_grid for b in self.blocks}
         self.solvers = {b.name: b.solver for b in self.blocks}
         self.moments = {b.name: b.moments for b in self.blocks}
-        self.f: Dict[str, np.ndarray] = {
-            b.name: b.project_initial() for b in self.blocks
-        }
+        self.f: Dict[str, np.ndarray] = _ProjectedOnDemand(self.blocks)
         self.em: Optional[np.ndarray] = field.initial_em()
+
+    def on_block(self, conf_grid: Grid, halo) -> "System":
+        """This declaration rebuilt on ``conf_grid``, one block of this
+        system's grid, with ``halo`` reaching the other blocks.  Collision
+        operators re-create themselves on the block's phase grids; the
+        field block is a fresh copy of this one's declaration."""
+        species = [
+            sp if sp.collisions is None else replace(
+                sp,
+                collisions=sp.collisions.on_grid(
+                    PhaseGrid(conf_grid, sp.velocity_grid)
+                ),
+            )
+            for sp in self.species
+        ]
+        return System(
+            conf_grid, species, field=self.field.unbound(), halo=halo, **self._decl
+        )
 
     # ------------------------------------------------------------------ #
     # convenience accessors (the old app attribute names)
@@ -135,14 +186,6 @@ class System:
     def field_kind(self) -> str:
         """Field-closure tag: ``"maxwell"``, ``"poisson"``, or ``"none"``."""
         return self.field.kind
-
-    @property
-    def external(self) -> Optional[ExternalField]:
-        return self.field.external
-
-    @property
-    def _ext_coeffs(self) -> Optional[np.ndarray]:
-        return self.field._ext_coeffs
 
     @property
     def field_spec(self):
@@ -159,20 +202,6 @@ class System:
                 f"no Maxwell solver on a {self.field.kind!r}-closed System"
             )
         return self.field.solver
-
-    @property
-    def poisson(self):
-        """The bound :class:`~repro.fields.poisson.Poisson1D` solver
-        (Poisson field block only)."""
-        if self.field.kind != "poisson":
-            raise AttributeError(
-                f"no Poisson solver on a {self.field.kind!r}-closed System"
-            )
-        return self.field.solver
-
-    @property
-    def neutralize(self) -> bool:
-        return self.field.neutralize
 
     # ------------------------------------------------------------------ #
     # state plumbing
@@ -217,28 +246,40 @@ class System:
         state: Dict[str, np.ndarray],
         out: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
+        # the two solvers that read neighbour cells take the state with
+        # the grid's ghost layers (a whole grid has none: the state
+        # itself); everything cell-local reads ``state``
+        ghosted = state if self.halo is None else self.halo.exchange(state)
         em_eff = self.field.em_for_species(self, state)
         if out is None:
             out = {k: np.empty_like(v) for k, v in state.items()}
         for blk in self.blocks:
-            f = state[f"f/{blk.name}"]
-            df = out[f"f/{blk.name}"]
-            blk.solver.rhs(f, em_eff, out=df)
+            key = f"f/{blk.name}"
+            df = out[key]
+            blk.solver.rhs(ghosted[key], em_eff, out=df)
             if blk.collisions is not None:
-                blk.collisions.rhs(f, blk.moments, out=df, accumulate=True)
-        self.field.accumulate_rhs(self, state, out)
+                blk.collisions.rhs(state[key], blk.moments, out=df, accumulate=True)
+        self.field.accumulate_rhs(self, state, out, ghosted)
         return out
 
     # ------------------------------------------------------------------ #
     # time advance
     # ------------------------------------------------------------------ #
     def suggested_dt(self) -> float:
+        """CFL-stable step: every ingredient is a pure function of the
+        current state (no value cached by an earlier ``rhs`` call), so any
+        holder of the same state — a sharded run's parent — gets the same
+        answer."""
+        state = self.state()
         freq = self.field.max_frequency()
-        em_eff = self.field.em_for_species(self, self.state())
+        em_eff = self.field.em_for_species(self, state)
         for blk in self.blocks:
             freq = max(freq, blk.solver.max_frequency(em_eff))
             if blk.collisions is not None:
-                freq = max(freq, blk.collisions.max_frequency())
+                freq = max(
+                    freq,
+                    blk.collisions.max_frequency(state[f"f/{blk.name}"], blk.moments),
+                )
         return cfl_dt(self.cfl, freq)
 
     def step(self, dt: Optional[float] = None) -> float:
@@ -278,7 +319,7 @@ class System:
         return self.field.coupling.total_charge_density(self.blocks, state)
 
     def charge_density(self, state: Dict[str, np.ndarray]) -> np.ndarray:
-        return self.field.coupling.charge_density(self.blocks, state)
+        return self.field.coupling.charge_density(self.blocks, state, self.halo)
 
     def electric_field(self, state: Dict[str, np.ndarray]) -> np.ndarray:
         return self.field.em_for_species(self, state)

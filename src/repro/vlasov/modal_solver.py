@@ -38,6 +38,13 @@ its ``Nf x Nf`` **flux** operator, whose result overwrites the trace slots
 → **lift** (one sparse pass adding every direction's face fluxes to the
 cell).  The operators are ordinary termsets run by the plan engine.
 
+The solver also runs on one block of a larger grid (a ``process:N`` shard):
+the grid then declares ghost layers along its decomposed axes
+(``Grid.ghost``), ``rhs`` takes ``f`` with the neighbours' cells in them,
+and the streaming face state reads a ghost cell's trace where the periodic
+form rolls — the same operators on the same per-cell data, so the block's
+result is the whole grid's restricted to it, bit for bit.
+
 Numerical fluxes follow Juno et al. (2018) / Gkeyll:
 
 * configuration-space faces: upwind on the sign of the cell-center velocity
@@ -167,6 +174,15 @@ class VlasovModalSolver:
             for q in range(len(faces))
         ]
         self.trace_shape = shape[:cdim] + (2 * len(faces) * nf,) + shape[cdim + 1 :]
+        # On one block of a larger grid, ``rhs`` is handed ``f`` with the
+        # neighbours' cells in ghost layers along the decomposed axes
+        # (``grid.conf.ghost``; none on a whole grid, where every
+        # configuration axis wraps periodically instead).
+        self._ghost = ghost = phase_grid.conf.ghost
+        self._in_shape = tuple(n + 2 * g for n, g in zip(shape, ghost)) + shape[cdim:]
+        self._interior = (
+            tuple(slice(g, g + n) for n, g in zip(shape, ghost)) if any(ghost) else None
+        )
 
     # ------------------------------------------------------------------ #
     # aux symbol assembly
@@ -220,29 +236,59 @@ class VlasovModalSolver:
         ----------
         f:
             Distribution coefficients, cell-major
-            ``(*cfg_cells, Np, *vel_cells)``.
+            ``(*cfg_cells, Np, *vel_cells)``, carrying the configuration
+            grid's ghost layers (none on a whole grid).
         em:
             EM coefficients, cell-major ``(*cfg_cells, >=6, Npc)``.
         out:
-            Optional output array (contents discarded and replaced).
+            Optional output array, ``(*cfg_cells, Np, *vel_cells)`` without
+            ghosts (contents discarded and replaced).
         """
-        if f.shape != self.layout.shape:
+        if f.shape != self._in_shape:
             raise ValueError(
-                f"f has shape {f.shape}, expected cell-major {self.layout.shape}"
+                f"f has shape {f.shape}, expected cell-major {self._in_shape}"
             )
         if out is None:
-            out = np.empty(f.shape)
+            out = np.empty(self.layout.shape)
         aux = self.field_aux(em)
-        # the volume operator owns the first write into out (no zero pass)
-        self._vol_op.apply(f, aux, out, accumulate=False)
         g = self.pool.get("solver.trace", self.trace_shape)
-        self._trace_op.apply(f, aux, g, accumulate=False)
+        if self._interior is None:
+            f_own, g_all, g_own = f, g, g
+        else:
+            # the traces of every cell handed in, ghosts included; the
+            # fluxes go to the ghost-free buffer ``g`` the lift reads
+            f_own = self._own_cells(f)
+            g_all = self.pool.get(
+                "solver.trace_ghosted",
+                self._in_shape[: self.grid.cdim] + self.trace_shape[self.grid.cdim :],
+            )
+            g_own = g_all[self._interior]
+        # the volume operator owns the first write into out (no zero pass)
+        self._vol_op.apply(f_own, aux, out, accumulate=False)
+        self._trace_op.apply(f, aux, g_all, accumulate=False)
         for j in range(self.grid.cdim):
-            self._streaming_flux(j, g, g, aux)
+            if self._ghost[j]:
+                self._ghost_streaming_flux(j, g_all, g, aux)
+            else:
+                # no ghosts along this axis: the grid spans it, and the
+                # periodic neighbour is a roll away (ghost-padding a whole
+                # grid instead would cost a state-sized copy per call)
+                self._streaming_flux(j, g_own, g, aux)
         for j in range(self.grid.vdim):
-            self._acceleration_flux(j, g, g, aux)
+            self._acceleration_flux(j, g_own, g, aux)
         self._lift_op.apply(g, aux, out)
         return out
+
+    def _own_cells(self, f: np.ndarray) -> np.ndarray:
+        """The grid's own cells of a ghosted ``f``, contiguous: a view when
+        only the leading axis carries ghosts, else staged into a pooled
+        buffer."""
+        view = f[self._interior]
+        if view.flags.c_contiguous:
+            return view
+        own = self.pool.get("solver.own", self.layout.shape)
+        np.copyto(own, view)
+        return own
 
     def _face_buffers(self, n: int, axis: int):
         """Two pooled contiguous ``Nf``-wide buffers with ``n`` cells along
@@ -259,7 +305,7 @@ class VlasovModalSolver:
         """Upwinded flux through the periodic faces normal to configuration
         direction ``j``: reads the traces in ``g`` (any strides), writes each
         cell's upper- and lower-face flux into the same slots of ``glift``
-        (``g`` itself in the serial solver)."""
+        (``g`` itself on a whole grid)."""
         up, dn = self._slots[j]
         gface, fhat = self._face_buffers(self.layout.shape[j], j)
         # face i+1/2: upper-face trace of cell i, lower-face trace of cell i+1
@@ -269,6 +315,27 @@ class VlasovModalSolver:
         self._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
         glift[up] = fhat
         _roll_copy(fhat, 1, j, glift[dn])
+
+    def _ghost_streaming_flux(self, j, g_all, glift, aux) -> None:
+        """:meth:`_streaming_flux` along an axis with ghost layers: the
+        ``n + 1`` faces touching the grid's own cells, the outer two taking
+        one trace from a ghost cell where the periodic form rolls."""
+        n = self.layout.shape[j]
+        up, dn = self._slots[j]
+
+        def window(start):  # ghosted cells start .. start + n along axis j
+            sl = list(self._interior)
+            sl[j] = slice(start, start + n + 1)
+            return g_all[tuple(sl)]
+
+        gface, fhat = self._face_buffers(n + 1, j)
+        # entry i is the lower face of own cell i (ghosted cell i + 1)
+        np.multiply(window(0)[up], self._upwind_pos_b[j], out=gface)
+        np.multiply(window(1)[dn], self._upwind_neg_b[j], out=fhat)
+        gface += fhat
+        self._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
+        glift[up] = fhat[_axis_slice(fhat.ndim, j, slice(1, n + 1))]
+        glift[dn] = fhat[_axis_slice(fhat.ndim, j, slice(0, n))]
 
     def _acceleration_flux(self, j, g, glift, aux) -> None:
         """Central flux through the interior faces normal to velocity

@@ -140,5 +140,8 @@ def test_lbo_2v_conservation():
 def test_lbo_cfl_frequency_positive(setup):
     pg, p, mom, _, f = setup
     lbo = LBOCollisions(pg, p, nu=3.0)
+    # a pure function of the state: no rhs() call has to come first
+    freq = lbo.max_frequency(f, mom)
+    assert freq > 0
     lbo.rhs(f, mom)
-    assert lbo.max_frequency() > 0
+    assert lbo.max_frequency(f, mom) == freq

@@ -21,46 +21,58 @@ pytestmark = pytest.mark.shard
 
 
 def run_serial(spec):
+    """Adaptive-dt steps (``step()`` picks the CFL dt): app, state, dts."""
     app = build_app(spec)
-    for _ in range(spec.steps):
-        app.step()
-    return app, {k: np.array(v) for k, v in app.state().items()}
+    dts = [app.step() for _ in range(spec.steps)]
+    return app, {k: np.array(v) for k, v in app.state().items()}, dts
 
 
 def run_sharded(spec, shards):
     app = build_app(spec.with_overrides({"backend": f"process:{shards}"}))
     assert isinstance(app, ShardedApp)
     try:
-        for _ in range(spec.steps):
-            app.step()
-        return {k: np.array(v) for k, v in app.state().items()}, app.halo_stats
+        dts = [app.step() for _ in range(spec.steps)]
+        state = {k: np.array(v) for k, v in app.state().items()}
+        return state, app.halo_stats, dts
     finally:
         app.close()
 
 
+_WEIBEL = {"nx": 4, "nv": 6, "poly_order": 1, "steps": 3}
 SCENARIOS = [
-    # (name, overrides, shard counts) — grids small enough for CI, spanning
-    # 1X/2X conf spaces, Maxwell/Poisson, multi-species, collisions, drive
+    # (name, overrides, shard counts[, id suffix]) — grids small enough for
+    # CI, spanning 1X/2X conf spaces, Maxwell/Poisson, multi-species,
+    # collisions, drive, every stepper and both Maxwell fluxes
     ("landau_damping", {"nx": 8, "nv": 8, "poly_order": 1, "steps": 3}, (2, 4)),
-    ("weibel_2x2v", {"nx": 4, "nv": 6, "poly_order": 1, "steps": 3}, (2, 4)),
+    ("weibel_2x2v", _WEIBEL, (2, 4)),
+    ("weibel_2x2v", {**_WEIBEL, "stepper": "ssp-rk2"}, (2,), "ssp-rk2"),
+    ("weibel_2x2v", {**_WEIBEL, "stepper": "forward-euler"}, (2,), "forward-euler"),
+    # process:4 decomposes both axes, process:2 one: the jump terms cross a
+    # ghosted and a wrapped Maxwell axis
+    ("weibel_2x2v", {**_WEIBEL, "field.flux": "upwind"}, (2, 4), "upwind"),
     ("two_stream", {"nx": 9, "nv": 8, "poly_order": 1, "steps": 3}, (3,)),
     ("ion_acoustic", {"nx": 8, "nv": 10, "poly_order": 1, "steps": 2}, (2,)),
-    ("driven_landau", {"nx": 8, "nv": 10, "poly_order": 1, "steps": 2}, (2,)),
+    ("driven_landau", {"nx": 8, "nv": 10, "poly_order": 1, "steps": 2}, (2, 4)),
     ("collisional_relaxation", {"nx": 6, "nv": 10, "poly_order": 1, "steps": 2}, (2,)),
+    # the collision frequency sets dt here, and it moves with the state
+    # (0.0025 -> 0.0017 after one step): the parent of a sharded run must
+    # pick the dt the serial run picks, from the state alone
+    ("collisional_relaxation", {"conf_grid.cells": [4], "steps": 10}, (2,), "adaptive-dt"),
     ("free_streaming", {"nx": 8, "nv": 6, "poly_order": 1, "steps": 3}, (2,)),
 ]
 
 
 @pytest.mark.parametrize(
     "name,overrides,shard_counts",
-    SCENARIOS,
-    ids=[s[0] for s in SCENARIOS],
+    [s[:3] for s in SCENARIOS],
+    ids=["-".join(s[:1] + s[3:]) for s in SCENARIOS],
 )
 def test_sharded_bitwise_equals_serial(name, overrides, shard_counts):
     spec = build(name, **overrides)
-    _, serial_state = run_serial(spec)
+    _, serial_state, serial_dts = run_serial(spec)
     for shards in shard_counts:
-        sharded_state, halo = run_sharded(spec, shards)
+        sharded_state, halo, dts = run_sharded(spec, shards)
+        assert dts == serial_dts, f"{name} process:{shards} took other steps"
         assert set(sharded_state) == set(serial_state)
         for key in serial_state:
             assert np.array_equal(serial_state[key], sharded_state[key]), (
@@ -71,8 +83,8 @@ def test_sharded_bitwise_equals_serial(name, overrides, shard_counts):
 
 def test_measured_halo_matches_fig3_model():
     spec = build("weibel_2x2v", nx=6, nv=8, poly_order=1, steps=2)
-    _, _ = run_serial(spec)
-    state, halo = run_sharded(spec, 4)
+    run_serial(spec)
+    state, halo, _ = run_sharded(spec, 4)
     plan = ShardPlan.create(spec.conf_grid.cells, 4)
     from repro.basis.multiindex import num_basis
 
@@ -133,17 +145,23 @@ def test_checkpoint_cross_resume_bitwise(tmp_path, scenario, overrides):
 
 
 def test_streamed_diagnostics_identical(tmp_path):
-    spec = build("two_stream", nx=8, nv=8, poly_order=1, steps=3)
-    ds = Driver(spec, outdir=tmp_path / "serial")
-    rs = ds.run()
-    dp = Driver(spec.with_overrides({"backend": "process:2"}), outdir=tmp_path / "proc")
-    rp = dp.run()
-    dp.close()
-    assert (tmp_path / "serial" / "diagnostics.jsonl").read_text() == (
-        tmp_path / "proc" / "diagnostics.jsonl"
-    ).read_text()
-    assert rs["field_energy"] == rp["field_energy"]
-    assert rs["total_energy"] == rp["total_energy"]
+    specs = [
+        build("two_stream", nx=8, nv=8, poly_order=1, steps=3),
+        # every record's time is a sum of collision-limited adaptive dts
+        build("collisional_relaxation", steps=10, **{"conf_grid.cells": [4]}),
+    ]
+    for spec in specs:
+        out = tmp_path / spec.name
+        ds = Driver(spec, outdir=out / "serial")
+        rs = ds.run()
+        dp = Driver(spec.with_overrides({"backend": "process:2"}), outdir=out / "proc")
+        rp = dp.run()
+        dp.close()
+        assert (out / "serial" / "diagnostics.jsonl").read_text() == (
+            out / "proc" / "diagnostics.jsonl"
+        ).read_text()
+        assert rs["field_energy"] == rp["field_energy"]
+        assert rs["total_energy"] == rp["total_energy"]
 
 
 def test_driver_usable_after_close(tmp_path):

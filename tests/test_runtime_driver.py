@@ -100,12 +100,22 @@ def test_checkpoint_interval_without_path_fails_at_construction():
     assert "checkpoint" in err.value.field
 
 
-def test_killed_then_resumed_run_matches_uninterrupted(tmp_path):
-    """The acceptance property: resume reproduces the uninterrupted state."""
+def test_killed_then_resumed_run_matches_uninterrupted(tmp_path, monkeypatch):
+    """The acceptance property: resume reproduces the uninterrupted state —
+    without projecting an initial condition it would only overwrite."""
+    from repro.systems import KineticSpecies
+
+    projected = []
+    project = KineticSpecies.project_initial
+    monkeypatch.setattr(
+        KineticSpecies, "project_initial",
+        lambda blk: projected.append(blk.name) or project(blk),
+    )
     common = dict(nx=6, nv=12, t_end=100.0)
 
     ref = Driver(build("two_stream", steps=8, **common), outdir=tmp_path / "ref")
     ref.run()
+    assert projected == ["elc"]  # a fresh run projects once per species
 
     # "kill" after 4 steps: the step cap stops the driver mid-simulation,
     # leaving the periodic checkpoint behind
@@ -118,6 +128,10 @@ def test_killed_then_resumed_run_matches_uninterrupted(tmp_path):
     )
     assert killed.run()["status"] == "max_steps"
 
+    def no_projection(blk):
+        raise AssertionError(f"resume projected the initial condition of {blk.name}")
+
+    monkeypatch.setattr(KineticSpecies, "project_initial", no_projection)
     resumed = Driver.from_checkpoint(
         tmp_path / "killed" / "checkpoint.npz",
         outdir=tmp_path / "resumed",

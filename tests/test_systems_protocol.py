@@ -226,6 +226,69 @@ def test_advection_rejects_unused_spec_fields():
         build("advection_1d", nx=4, nv=8).with_overrides({"epsilon0": 2.0})
 
 
+class _SerialArraysHalo:
+    """The halo collaborator of one block, served out of a serial system's
+    arrays in this process: ghost layers are copied from the whole-grid
+    state, and the gathered charge density is the serial system's own."""
+
+    def __init__(self, serial, plan, shard, grid):
+        self.serial, self.plan, self.shard, self.grid = serial, plan, shard, grid
+
+    def exchange(self, state):
+        from repro.dist import fill_padded
+
+        plan, whole = self.plan, self.serial.state()
+        out = {}
+        for key in state:
+            out[key] = np.zeros(
+                plan.padded_cells(self.shard) + whole[key].shape[plan.cdim:]
+            )
+            fill_padded(
+                whole[key], out[key], plan.ranges(self.shard), plan.pad,
+                plan.conf_cells,
+            )
+        return out
+
+    def allgather(self, arr):
+        from repro.systems import ChargeCoupling
+
+        serial = self.serial
+        whole = ChargeCoupling(
+            serial.conf_grid, serial.cfg_basis, neutralize=False
+        ).charge_density(serial.blocks, serial.state())
+        assert np.array_equal(arr, self.grid.restrict(whole))
+        return whole
+
+
+@pytest.mark.parametrize("nshards", [2, 4])
+def test_block_system_rhs_is_the_serial_rhs_on_its_block(kind_name, nshards):
+    """The seam ``process:N`` runs on, without processes: a System rebuilt
+    on one block of the grid, given a halo, evaluates the serial RHS
+    restricted to that block bit for bit — and is never asked to project an
+    initial condition."""
+    from repro.dist import BlockGrid, ShardPlan
+
+    if not get_system_kind(kind_name).shardable:
+        pytest.skip(f"system {kind_name!r} does not support process sharding")
+    serial = build_system(_example_spec(kind_name))
+    try:
+        plan = ShardPlan.create(serial.conf_grid.cells, nshards)
+    except ValueError:
+        pytest.skip(f"{serial.conf_grid.cells} cells are too few for {nshards} blocks")
+    serial.step()  # off the initial condition: every field component is live
+    state = serial.state()
+    reference = serial.rhs(state)
+    for shard in range(nshards):
+        grid = BlockGrid(serial.conf_grid, plan.ranges(shard), plan.pad)
+        block = serial.on_block(grid, _SerialArraysHalo(serial, plan, shard, grid))
+        block.time = serial.time
+        got = block.rhs({k: grid.restrict(v) for k, v in state.items()})
+        assert set(got) == set(reference)
+        for key, ref in reference.items():
+            assert np.array_equal(got[key], grid.restrict(ref)), (kind_name, shard, key)
+        assert not block.f  # handed its state: nothing was projected
+
+
 @pytest.mark.shard
 def test_serial_matches_process2(kind_name):
     kind = get_system_kind(kind_name)
