@@ -14,20 +14,25 @@ products pulled out.  This module does the same in Python, at two levels:
   ``(*cfg_cells, N, *vel_cells)`` directly (``f[:, :, m]``), so the same
   unrolled source applies to batched state arrays, not just per-cell
   coefficient vectors.
-* :func:`emit_fused_sweep_c` lowers the *compiled* form — the merged
-  per-cell sparse blocks an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes — into one fused C loop nest per plan, exactly Gkeyll's artifact
-  shape: a single pass over cell blocks covering every uniform sweep with
-  its velocity-factor weighting applied in-register.
-  :func:`compile_fused_sweep` shells out to the system C compiler
-  (``-O3 -ffp-contract=off``: vectorized but no FMA contraction and no
-  reassociation, so results stay bit-identical to scipy's ``csr_matvecs``
-  over the same blocks), loads the shared object through :mod:`ctypes`, and
-  keys the artifact by a content digest of the source plus compiler
-  version, so repeated runs — and sibling worker processes — reuse the
-  compiled kernel without recompiling.  Without a compiler (or under
-  ``$REPRO_KERNEL_TIER=numpy``) it returns None and the plan runs the scipy
-  sweep instead: two sweep kernels, picked by what the process can observe.
+* :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
+  the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
+  freezes.  Its source is a constant — shapes, the ``accumulate`` flag and
+  the group table are arguments — so nothing is emitted per plan:
+  :func:`compile_fused_sweep` shells out to the system C compiler once per
+  toolchain and target (``-O3 -ffp-contract=off -march=native``: no FMA
+  contraction and no reassociation, so results stay bit-identical to
+  scipy's ``csr_matvecs`` over the same groups at any vector width; the
+  ISA flag is dropped once if the compiler rejects it), loads the shared
+  object through :mod:`ctypes` once per process, and keys the artifact by
+  a content digest of the source, the flags, the compiler version and the
+  host's resolved target, so repeated runs — and sibling worker processes
+  — reuse the compiled kernel without recompiling, and a host with another
+  instruction set sharing the cache directory never loads it.  Without a
+  compiler (or under ``$REPRO_KERNEL_TIER=numpy``, :func:`select_tier`) the
+  plan runs the scipy sweep instead: two sweep kernels, picked by what the
+  process can observe.  A build that fails is reported (one
+  ``RuntimeWarning``, counted by the engine as ``kernels_failed``) and
+  degrades the same way.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
+import warnings
 from collections import defaultdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ..kernels.termset import Symbol, TermSet
@@ -48,7 +55,10 @@ __all__ = [
     "emit_kernel_source",
     "compile_kernel",
     "count_multiplications",
-    "emit_fused_sweep_c",
+    "FUSED_SWEEP_C",
+    "FUSED_SWEEP_ARGTYPES",
+    "CC_FLAGS",
+    "CC_ISA_FLAG",
     "compile_fused_sweep",
     "cc_available",
     "select_tier",
@@ -137,7 +147,7 @@ def count_multiplications(termset: "TermSet") -> int:
 
 
 # --------------------------------------------------------------------- #
-# fused per-cell-block sweep lowering (the AOT tier)
+# the compiled sweep kernel (the cc tier)
 
 
 _CC = None  # cached (compiler path, version line) or False
@@ -192,69 +202,123 @@ def select_tier(tier: str = "auto") -> str:
     return "cc"
 
 
-def emit_fused_sweep_c(
-    ncfg: int, nout: int, nin: int, nvel: int, weighted: Sequence[bool]
-) -> str:
-    """C source of one fused sweep kernel, dimensions baked as literals.
+#: C source of the sweep kernel — a constant: every shape is an argument, so
+#: one shared object per toolchain and target ISA serves every plan.
+#:
+#: ``fused_sweep(f, y, accumulate, ncfg, nout, nin, nvel, ngroups, groups)``
+#: applies ``ngroups`` sweep groups to cell-major ``f`` ``(ncfg, nin, nvel)``
+#: into ``y`` ``(ncfg, nout, nvel)``.  ``groups`` is an ``(ngroups, 5)``
+#: int64 table: per group the address of its entries, the stride in doubles
+#: between configuration cells' entry rows (0: one row shared by every
+#: cell), the addresses of the per-cell CSR ``indptr`` / ``indices`` (int64)
+#: and of the flattened ``(nvel,)`` velocity factor (0: unweighted).
+#:
+#: Loop nest: configuration cell → tile of velocity cells → output row →
+#: accumulators held in registers (four vectors per tile, then one vector,
+#: then half-width vectors down to a scalar tail; the vector width follows
+#: the compiler's target macros).  The accumulators start at ``+0.0``
+#: (``accumulate == 0``: ``y`` is never read) or are loaded once, take every
+#: group's entries of that row in group order and in-row order as ``acc += a
+#: * (f * w)``, and are stored once.  Per output element that is the float
+#: operation sequence of one ``csr_matvecs`` per group over the weighted
+#: state, so with contraction off and no reassociation the bits match the
+#: numpy tier whatever the vector width.
+FUSED_SWEEP_C = r"""#include <stdint.h>
 
-    Exported symbol: ``void fused_sweep(const double *f, double *y, ...)``
-    with, per group, ``(const double *d, const int64_t *p, const int64_t
-    *i[, const double *w])`` — the merged per-cell CSR block (scalar
-    factors folded into ``d``) and, for weighted groups, the flattened
-    ``(nvel,)`` velocity factor.  The accumulation per output element is
-    group order then in-row entry order with the weight applied as
-    ``a * (f * w)`` — statement-for-statement the numpy tier's float
-    operation sequence (weight the state, then ``csr_matvecs``), so
-    compiling with contraction disabled keeps results bit-identical.
-    """
-    args = ["const double* restrict f", "double* restrict y"]
-    for g, w in enumerate(weighted):
-        args += [
-            f"const double* restrict d{g}",
-            f"const int64_t* restrict p{g}",
-            f"const int64_t* restrict i{g}",
-        ]
-        if w:
-            args.append(f"const double* restrict w{g}")
-    lines = [
-        "#include <stdint.h>",
-        "",
-        f"/* auto-generated fused uniform-sweep kernel:",
-        f"   ncfg={ncfg} nout={nout} nin={nin} nvel={nvel}",
-        f"   groups={list(map(bool, weighted))} */",
-        "void fused_sweep(" + ",\n                 ".join(args) + ")",
-        "{",
-        "    int64_t c, r, k, v;",
-        f"    for (c = 0; c < {ncfg}; ++c) {{",
-        f"        const double* fc = f + c * (int64_t){nin * nvel};",
-        f"        double* yc = y + c * (int64_t){nout * nvel};",
-    ]
-    for g, w in enumerate(weighted):
-        lines += [
-            f"        for (r = 0; r < {nout}; ++r) {{",
-            f"            double* yr = yc + r * {nvel};",
-            f"            for (k = p{g}[r]; k < p{g}[r + 1]; ++k) {{",
-            f"                const double a = d{g}[k];",
-            f"                const double* fj = fc + i{g}[k] * {nvel};",
-            f"                for (v = 0; v < {nvel}; ++v)",
-        ]
-        if w:
-            lines.append(
-                f"                    yr[v] += a * (fj[v] * w{g}[v]);"
-            )
-        else:
-            lines.append("                    yr[v] += a * fj[v];")
-        lines += ["            }", "        }"]
-    lines += ["    }", "}", ""]
-    return "\n".join(lines)
+#if defined(__AVX512F__)
+#define VLEN 8
+#elif defined(__AVX__)
+#define VLEN 4
+#else
+#define VLEN 2
+#endif
 
+#define VEC(n) __attribute__((vector_size(n * 8), aligned(8), may_alias))
+typedef double vec VEC(VLEN);
+typedef double vec4 VEC(4);
+typedef double vec2 VEC(2);
 
-#: cc flags: optimize and vectorize, but never contract multiply-add into
-#: FMA or reassociate floating point — bitwise determinism is the contract
+/* every output row of the NV * (lanes of T) velocity cells starting at v */
+#define SWEEP_ROWS(T, NV)                                                   \
+    for (r = 0; r < nout; ++r) {                                            \
+        T* yr = (T*)(yc + r * nvel + v);                                    \
+        T acc[NV], wt[NV];                                                  \
+        for (t = 0; t < NV; ++t)                                            \
+            acc[t] = accumulate ? yr[t] : (T){0};                           \
+        for (g = 0; g < ngroups; ++g) {                                     \
+            const int64_t* grp = groups + 5 * g;                            \
+            const double* d = (const double*)(intptr_t)grp[0] + c * grp[1]; \
+            const int64_t* p = (const int64_t*)(intptr_t)grp[2];            \
+            const int64_t* i = (const int64_t*)(intptr_t)grp[3];            \
+            const double* w = (const double*)(intptr_t)grp[4];              \
+            if (w) {                                                        \
+                for (t = 0; t < NV; ++t)                                    \
+                    wt[t] = ((const T*)(w + v))[t];                         \
+                for (k = p[r]; k < p[r + 1]; ++k) {                         \
+                    const double a = d[k];                                  \
+                    const T* fj = (const T*)(fc + i[k] * nvel + v);         \
+                    for (t = 0; t < NV; ++t)                                \
+                        acc[t] += a * (fj[t] * wt[t]);                      \
+                }                                                           \
+            } else {                                                        \
+                for (k = p[r]; k < p[r + 1]; ++k) {                         \
+                    const double a = d[k];                                  \
+                    const T* fj = (const T*)(fc + i[k] * nvel + v);         \
+                    for (t = 0; t < NV; ++t)                                \
+                        acc[t] += a * fj[t];                                \
+                }                                                           \
+            }                                                               \
+        }                                                                   \
+        for (t = 0; t < NV; ++t)                                            \
+            yr[t] = acc[t];                                                 \
+    }
+
+void fused_sweep(const double* restrict f, double* restrict y,
+                 int64_t accumulate,
+                 int64_t ncfg, int64_t nout, int64_t nin, int64_t nvel,
+                 int64_t ngroups, const int64_t* restrict groups)
+{
+    int64_t c, v, r, g, k;
+    int t;
+    for (c = 0; c < ncfg; ++c) {
+        const double* fc = f + c * nin * nvel;
+        double* yc = y + c * nout * nvel;
+        v = 0;
+        for (; v + 4 * VLEN <= nvel; v += 4 * VLEN)
+            SWEEP_ROWS(vec, 4)
+        for (; v + VLEN <= nvel; v += VLEN)
+            SWEEP_ROWS(vec, 1)
+#if VLEN > 4
+        for (; v + 4 <= nvel; v += 4)
+            SWEEP_ROWS(vec4, 1)
+#endif
+#if VLEN > 2
+        for (; v + 2 <= nvel; v += 2)
+            SWEEP_ROWS(vec2, 1)
+#endif
+        for (; v < nvel; ++v)
+            SWEEP_ROWS(double, 1)
+    }
+}
+"""
+
+#: ctypes signature of ``fused_sweep``: two pointers, six integers, the table
+FUSED_SWEEP_ARGTYPES = (
+    [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p]
+)
+
+#: cc flags: optimize, but never contract multiply-add into FMA or
+#: reassociate floating point — bitwise determinism is the contract, and it
+#: is what makes the result independent of the vector width
 CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: tried first, dropped once if the compiler rejects it
+CC_ISA_FLAG = "-march=native"
 
 _KERNEL_TMPDIR: Optional[str] = None
-_LOADED_KERNELS: Dict[str, object] = {}
+#: (kernel dir, digest) -> loaded entry point, or None for a build that
+#: failed (reported once; the compiler is not run again in this process)
+_LOADED_KERNELS: Dict[Tuple[Optional[str], str], object] = {}
+_TARGET: Optional[str] = None
 
 
 def _kernel_dir(out_dir: Optional[str]) -> Path:
@@ -270,96 +334,113 @@ def _kernel_dir(out_dir: Optional[str]) -> Path:
     return Path(_KERNEL_TMPDIR)
 
 
-class CcSweep:
-    """A compiled+loaded ``cc``-tier sweep kernel.
+def _native_target(cc: str) -> str:
+    """What :data:`CC_ISA_FLAG` resolves to on this host: the CPU's feature
+    line, or where there is no ``/proc/cpuinfo`` the compiler's own target
+    macros.  Part of the artifact digest, so a kernel built on one host is
+    never loaded by a different one sharing the cache directory."""
+    global _TARGET
+    if _TARGET is None:
+        _TARGET = platform.machine()
+        try:
+            with open("/proc/cpuinfo") as fh:
+                for line in fh:
+                    if line.startswith(("flags", "Features")):
+                        _TARGET += line
+                        break
+        except OSError:
+            try:
+                _TARGET += subprocess.run(
+                    [cc, CC_ISA_FLAG, "-dM", "-E", "-x", "c", os.devnull],
+                    capture_output=True,
+                    text=True,
+                    timeout=30,
+                ).stdout
+            except (OSError, subprocess.SubprocessError):
+                pass
+    return _TARGET
 
-    ``fn`` is the raw ctypes entry point taking one ``c_void_p`` per
-    pointer argument (callers pass ``arr.ctypes.data`` integers);
-    ``fresh`` records whether this process actually ran the compiler
-    (False: content-addressed artifact reuse).
-    """
 
-    __slots__ = ("fn", "path", "source", "fresh", "nargs")
+class CcSweep(NamedTuple):
+    """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    def __init__(self, fn, path: Path, source: str, fresh: bool, nargs: int):
-        self.fn = fn
-        self.path = path
-        self.source = source
-        self.fresh = fresh
-        self.nargs = nargs
+    #: ctypes entry point of :data:`FUSED_SWEEP_C` (pointers are passed as
+    #: ``arr.ctypes.data`` integers)
+    fn: object
+    #: whether this request ran the compiler (False: reuse of the
+    #: content-addressed artifact, from disk or from this process)
+    fresh: bool
 
 
-def _compile_sweep_cc(
-    ncfg: int,
-    nout: int,
-    nin: int,
-    nvel: int,
-    weighted: Sequence[bool],
-    out_dir: Optional[str],
-) -> Optional[CcSweep]:
-    cc = cc_available()
-    if cc is None:  # pragma: no cover - compiler probed by select_tier
-        return None
-    source = emit_fused_sweep_c(ncfg, nout, nin, nvel, weighted)
-    digest = hashlib.sha256(
-        (source + "\0" + cc[1]).encode()
-    ).hexdigest()[:20]
-    nargs = 2 + sum(4 if w else 3 for w in weighted)
+def _build_sweep(cc: str, src_path: Path, out_path: str) -> None:
+    """Run the compiler, with the ISA flag and — if it rejects that build —
+    once more without; raises ``CalledProcessError`` carrying its stderr."""
+    cmd = [cc, *CC_FLAGS, "-o", out_path, str(src_path)]
+    run = dict(
+        capture_output=True, text=True, errors="replace", timeout=120, check=True
+    )
     try:
-        kdir = _kernel_dir(out_dir)
-        so_path = kdir / f"ccsweep-{digest}.so"
-        cached = _LOADED_KERNELS.get(str(so_path))
-        if cached is not None:
-            return CcSweep(cached, so_path, source, False, nargs)
-        fresh = False
-        if not so_path.exists():
-            src_path = kdir / f"ccsweep-{digest}.c"
-            src_path.write_text(source)
+        subprocess.run(cmd + [CC_ISA_FLAG], **run)
+    except subprocess.CalledProcessError:
+        subprocess.run(cmd, **run)
+
+
+def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
+    """The compiled ``cc``-tier sweep kernel, or None when it cannot be had.
+
+    :data:`FUSED_SWEEP_C` is compiled — once per toolchain and target,
+    whatever the plans' shapes — into a content-addressed shared object in
+    ``kernel_dir`` (or a process temp dir) and loaded once per process.
+    Without a compiler, or when the build fails (reported by one
+    ``RuntimeWarning`` per process carrying the compiler's complaint), this
+    returns None and the caller sweeps with ``csr_matvecs``: execution never
+    hard-fails on a compiler.
+    """
+    cc = cc_available()
+    if cc is None:
+        return None
+    digest = hashlib.sha256(
+        "\0".join(
+            (FUSED_SWEEP_C, " ".join(CC_FLAGS), cc[1], _native_target(cc[0]))
+        ).encode()
+    ).hexdigest()[:20]
+    key = (kernel_dir, digest)
+    if key in _LOADED_KERNELS:
+        fn = _LOADED_KERNELS[key]
+        return None if fn is None else CcSweep(fn, False)
+    try:
+        so_path = _kernel_dir(kernel_dir) / f"ccsweep-{digest}.so"
+        fresh = not so_path.exists()
+        if fresh:
+            src_path = so_path.with_suffix(".c")
+            src_path.write_text(FUSED_SWEEP_C)
             fd, tmp = tempfile.mkstemp(
-                dir=kdir, prefix=f".ccsweep-{digest}-", suffix=".so"
+                dir=so_path.parent, prefix=f".ccsweep-{digest}-", suffix=".so"
             )
             os.close(fd)
             try:
-                proc = subprocess.run(
-                    [cc[0], *CC_FLAGS, "-o", tmp, str(src_path)],
-                    capture_output=True,
-                    timeout=120,
-                )
-                if proc.returncode != 0:
-                    return None
+                _build_sweep(cc[0], src_path, tmp)
                 os.replace(tmp, so_path)  # atomic publish
-                fresh = True
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(str(so_path))
-        fn = lib.fused_sweep
-        fn.restype = None
-        fn.argtypes = [ctypes.c_void_p] * nargs
-        _LOADED_KERNELS[str(so_path)] = fn
-        return CcSweep(fn, so_path, source, fresh, nargs)
-    except Exception:
-        # toolchain or filesystem trouble: degrade to the numpy tier
+        fn = ctypes.CDLL(str(so_path)).fused_sweep
+    except (OSError, subprocess.SubprocessError) as exc:
+        # the compiler refused, vanished or hung; the directory is not
+        # writable; the object does not load: degrade to the numpy tier,
+        # and say so once
+        _LOADED_KERNELS[key] = None
+        said = getattr(exc, "stderr", None)  # a refusal carries the complaint
+        if not (isinstance(said, str) and said.strip()):
+            said = f"{type(exc).__name__}: {exc}"
+        warnings.warn(
+            f"C sweep kernel build failed ({cc[0]}: "
+            f"{said.strip().splitlines()[0]}); plans run the scipy sweep instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return None
-
-
-def compile_fused_sweep(
-    ncfg: int,
-    nout: int,
-    nin: int,
-    nvel: int,
-    weighted: Sequence[bool],
-    tier: str = "auto",
-    kernel_dir: Optional[str] = None,
-) -> Optional[CcSweep]:
-    """Compile one fused sweep kernel, or return None for the scipy sweep.
-
-    Under the ``cc`` tier the emitted C is compiled through the system
-    compiler into a content-addressed shared object in ``kernel_dir`` (or a
-    process temp dir).  Under ``numpy`` — or on any toolchain failure —
-    this returns None and the caller sweeps with ``csr_matvecs``; execution
-    never hard-fails on a compiler.
-    """
-    if select_tier(tier) != "cc":
-        return None
-    return _compile_sweep_cc(ncfg, nout, nin, nvel, weighted, kernel_dir)
+    fn.restype = None
+    fn.argtypes = FUSED_SWEEP_ARGTYPES
+    _LOADED_KERNELS[key] = fn
+    return CcSweep(fn, fresh)

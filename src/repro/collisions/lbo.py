@@ -24,7 +24,7 @@ adds explicit boundary corrections; here the tests bound the residual).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..kernels.registry import get_vlasov_kernels
 from ..kernels.vlasov import _cfg_poly_unnormalized
 from ..moments.calc import MomentCalculator
 from ..moments.weak_ops import weak_divide
-from .ops import apply_advection
+from .ops import apply_advection, slice_aux
 
 __all__ = ["LBOCollisions"]
 
@@ -82,11 +82,28 @@ class LBOCollisions:
         self.cfg_basis = self.kernels.cfg_basis
         self.fixed_u = fixed_u
         self.fixed_vtsq = fixed_vtsq
-        self._aux_base = phase_grid.base_aux()
-        self._aux_base["nu"] = self.nu
-
         pdim = phase_grid.pdim
         npc = self.cfg_basis.num_basis
+        # One aux dict for the operator's lifetime: the primitive-moment
+        # symbols ``u{j}_{k}`` / ``vtsq_{k}`` are views into ``_prim``, which
+        # every evaluation refreshes in place — the plans see the same value
+        # objects on every apply, so they bind once.  The face-restricted
+        # variants (velocity factors sliced to the interior faces of one
+        # velocity axis) are views of the same arrays, built once as well.
+        self._aux = aux = phase_grid.base_aux()
+        aux["nu"] = self.nu
+        self._prim = np.zeros((vdim + 1, npc) + phase_grid.conf.cells)
+        for k in range(npc):
+            for j in range(vdim):
+                aux[f"u{j}_{k}"] = phase_grid.conf_coefficient_array(self._prim[j, k])
+            aux[f"vtsq_{k}"] = phase_grid.conf_coefficient_array(self._prim[vdim, k])
+        self._face_aux = [
+            (
+                slice_aux(aux, cdim + j, slice(0, n - 1)),
+                slice_aux(aux, cdim + j, slice(1, n)),
+            )
+            for j, n in enumerate(phase_grid.vel.cells)
+        ]
         # every generated termset executes through a plan-cached
         # GroupedOperator on cell-major state, sharing one scratch pool
         self.pool = ScratchPool()
@@ -198,12 +215,9 @@ class LBOCollisions:
         g = self.grid
         cdim = g.cdim
         u, vtsq = self.primitive_moments(f, moments)
-        aux: Dict[str, object] = dict(self._aux_base)
-        for j in range(g.vdim):
-            for k in range(self.cfg_basis.num_basis):
-                aux[f"u{j}_{k}"] = g.conf_coefficient_array(u[j][..., k])
-        for k in range(self.cfg_basis.num_basis):
-            aux[f"vtsq_{k}"] = g.conf_coefficient_array(vtsq[..., k])
+        aux = self._aux
+        self._prim[: g.vdim] = np.moveaxis(u, -1, 1)
+        self._prim[g.vdim] = np.moveaxis(vtsq, -1, 0)
 
         # drag: central flux on interior velocity faces, zero-flux boundaries
         for j in range(g.vdim):
@@ -213,6 +227,7 @@ class LBOCollisions:
                 out,
                 self._drag_vol[j],
                 self._drag_surf[j],
+                self._face_aux[j],
                 cdim,
                 j,
                 self.pool,
@@ -227,6 +242,7 @@ class LBOCollisions:
                 grad,
                 self._unit_vol[j],
                 self._unit_surf[j],
+                self._face_aux[j],
                 cdim,
                 j,
                 self.pool,
@@ -244,6 +260,7 @@ class LBOCollisions:
                 div,
                 self._unit_vol[j],
                 self._unit_surf[j],
+                self._face_aux[j],
                 cdim,
                 j,
                 self.pool,

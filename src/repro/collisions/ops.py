@@ -50,6 +50,7 @@ def apply_advection(
     out: np.ndarray,
     vol,
     surf: Dict[Tuple[str, str], object],
+    face_aux: Tuple[Dict[str, object], Dict[str, object]],
     cdim: int,
     vel_dim: int,
     pool: ScratchPool,
@@ -58,7 +59,10 @@ def apply_advection(
     """Accumulate a DG advection RHS along velocity dimension ``vel_dim`` of
     cell-major state ``(*cfg, Np, *vel)``.
 
-    ``vol``/``surf`` are plan-cached :class:`GroupedOperator`s.  ``weights =
+    ``vol``/``surf`` are plan-cached :class:`GroupedOperator`s;
+    ``face_aux`` is ``aux`` restricted (:func:`slice_aux`) to the lower and
+    to the upper cell of every interior face along that axis — built once by
+    the caller, so the surface plans see stable value objects.  ``weights =
     (wL, wR)`` select the numerical flux: ``(0.5, 0.5)`` is central,
     ``(1, 0)``/``(0, 1)`` are the one-sided fluxes used by the LDG diffusion
     passes.  Domain boundary faces carry zero flux (interior faces only),
@@ -66,7 +70,6 @@ def apply_advection(
     """
     vol.apply(f, aux, out)
     axis = cdim + 1 + vel_dim          # state array axis of this velocity dim
-    cell_axis = cdim + vel_dim         # aux cell-axis of this velocity dim
     n = f.shape[axis]
     if n < 2:
         return
@@ -74,8 +77,7 @@ def apply_advection(
     ndim = f.ndim
     sl_lo = axis_slice(ndim, axis, slice(0, n - 1))
     sl_hi = axis_slice(ndim, axis, slice(1, n))
-    aux_lo = slice_aux(aux, cell_axis, slice(0, n - 1))
-    aux_hi = slice_aux(aux, cell_axis, slice(1, n))
+    aux_lo, aux_hi = face_aux
     face_shape = f[sl_lo].shape
     # weighting the face trace writes it contiguous cell-major; the old
     # mode-major path needed an extra ascontiguousarray copy here

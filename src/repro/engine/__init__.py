@@ -1,18 +1,19 @@
 """Precompiled kernel execution engine.
 
-The paper's thesis is that alias-free modal kernels can run at the speed of
-the underlying dense linear algebra; in Python the obstacle is per-call
+The paper's thesis is that alias-free modal kernels cost their exact
+non-zero count and nothing else; in Python the obstacle is per-call
 interpreter overhead, not FLOPs.  This package removes that overhead once
 and for all layers:
 
 * :mod:`~repro.engine.plan` compiles a :class:`~repro.kernels.termset.TermSet`
   into an :class:`ExecutionPlan` — symbols pre-split into scalar /
-  configuration-varying / velocity-varying factors, dense operator blocks
-  pre-stacked, sparse terms merged into one sweep per velocity factor —
+  configuration-varying / velocity-varying factors, terms merged into one
+  sparse sweep per velocity factor (entries shared by every cell, or one
+  row per configuration cell refilled from the field coefficients) —
   keyed by the aux *signature* so a plan is compiled once and reused for
   every RK stage of every step (and invalidated if the signature changes).
   The plan is also its own, only, executor; the one thing that varies is
-  the sparse-sweep kernel (emitted C when a compiler is present, scipy
+  the sparse-sweep kernel (compiled C when a compiler is present, scipy
   otherwise — ``$REPRO_KERNEL_TIER``), and both produce the same bits;
 * :mod:`~repro.engine.compile` is the seam every plan is built through:
   compile or hydrate from the content-addressed disk cache
@@ -22,7 +23,7 @@ and for all layers:
 * :mod:`~repro.engine.layout` fixes the canonical **cell-major** state
   layout ``(*cfg_cells, num_basis, *vel_cells)`` that plans, solvers, apps,
   steppers, and the sharded halo exchange all share — per-configuration-cell
-  blocks are contiguous, so the batched products and halo slabs need no
+  blocks are contiguous, so the sweeps and halo slabs need no
   transpose or gather passes.
 """
 

@@ -10,9 +10,10 @@ or, when a cache root is configured, hashes the key
 skipping the symbol analysis.  Any load failure (missing, stale, corrupt)
 falls back to compiling and re-publishing atomically.  Either way the plan
 picks its sparse-sweep kernel from the configured ``tier``
-(:func:`repro.cas.codegen.select_tier`: the emitted C sweep when a compiler
-is present, scipy's ``csr_matvecs`` otherwise); compiled sweep kernels are
-content-addressed files beside the plan payloads.
+(:func:`repro.cas.codegen.select_tier`: the C sweep when a compiler is
+present, scipy's ``csr_matvecs`` otherwise); the compiled sweep kernel is a
+content-addressed file beside the plan payloads, one per toolchain and
+target.
 
 Configuration is process-global (set from ``SimulationSpec`` by the runtime
 driver, from the environment for library use) because plan identity is
@@ -121,7 +122,11 @@ class CompileStats:
     ``compiled`` counts real ``ExecutionPlan`` compilations (a warm-cache
     run reports zero); ``hydrated`` counts disk-cache loads;
     ``cache_misses`` includes corrupt/stale payloads that fell back to a
-    compile.  ``compile_seconds`` is the wall time spent inside
+    compile.  Every plan of the ``cc`` tier counts once under
+    ``kernels_built`` (this plan's request ran the C compiler — once per
+    toolchain and cache directory), ``kernels_loaded`` (it reused the
+    artifact) or ``kernels_failed`` (the build failed and the plan sweeps
+    with scipy instead).  ``compile_seconds`` is the wall time spent inside
     :func:`compile_plan` either way.
     """
 
@@ -133,6 +138,7 @@ class CompileStats:
         "cache_stores",
         "kernels_built",
         "kernels_loaded",
+        "kernels_failed",
         "compile_seconds",
     )
 
@@ -147,6 +153,7 @@ class CompileStats:
         self.cache_stores = 0
         self.kernels_built = 0
         self.kernels_loaded = 0
+        self.kernels_failed = 0
         self.compile_seconds = 0.0
 
     def snapshot(self) -> Dict[str, float]:
@@ -224,6 +231,8 @@ def compile_plan(
         STATS.kernels_built += 1
     elif plan.kernel_status == "loaded":
         STATS.kernels_loaded += 1
+    elif plan.kernel_status == "failed":
+        STATS.kernels_failed += 1
     STATS.compile_seconds += time.perf_counter() - t0
     if _OBS.on:
         # mirror into the obs registry so one snapshot carries the whole

@@ -7,28 +7,33 @@ varies.  An :class:`ExecutionPlan` performs that analysis once — against an
 configuration-varying (``c``), velocity-varying (``v``) or irregular
 (``x``) — and freezes the result into a flat program, its one executor:
 
-* terms whose symbols carry no configuration dependence share one operator
-  for every phase-space cell.  Each velocity-factor group's terms are
-  **merged into one sparse sweep**: the per-cell CSR blocks are concatenated
-  row-wise in term order with the scalar factors folded into the data, so
-  the per-output-element accumulation sequence is entry for entry that of
+* terms are grouped by their velocity factor and each group is **merged
+  into one sparse sweep** over a per-cell CSR pattern — the update stays the
+  paper's matrix-free contraction ``Σ C_lmn α_n f_m`` at a cost proportional
+  to the exact non-zero count; no ``Np x Np`` operator is ever formed;
+* a group without configuration dependence sweeps **one row of entries
+  shared by every cell**: the terms' blocks are concatenated row-wise in
+  term order with the scalar factors folded into the data, so the
+  per-output-element accumulation sequence is entry for entry that of
   applying the terms one after another (the sha256 goldens in
   ``tests/test_plan_compile.py`` pin it);
-* terms with configuration-varying factors (the acceleration kernels' modal
-  field coefficients) are pre-stacked into dense operator blocks; per
-  application one gather plus one broadcast multiply fills the coefficient
-  rows, one small GEMM assembles the per-cell operators
-  ``A[c] = Σ_i coef_i[c] K_i`` and one batched GEMM applies them — the
-  near-BLAS-throughput form of the paper's headline claim;
+* a group with configuration-varying factors (the acceleration kernels'
+  modal field coefficients) sweeps **one row per configuration cell** on the
+  union of its terms' exact non-zeros; per application one gather plus one
+  broadcast multiply fills the coefficient rows and one small product
+  ``data[c] = Σ_i coef_i[c] K_i`` against the term stack restricted to that
+  union refills the rows;
 * symbols varying on both cell groups fall back to the exact sparse
   reference path (:meth:`TermSet.apply_cm`).
 
 The executor's single variation point is the **sparse-sweep kernel**
-(:func:`repro.cas.codegen.select_tier`): the emitted C sweep, one call per
-apply covering every group with the velocity weighting done in-register,
+(:func:`repro.cas.codegen.select_tier`): the compiled C sweep, one call per
+apply covering every group with the velocity weighting done in-register and
+the accumulators held in registers across all of an output row's entries,
 when a C compiler is present and the build succeeds (``cc``); otherwise
-scipy's ``csr_matvecs`` over the block-diagonal expansion of the merged
-blocks (``numpy``) — built only in that case.  Both produce the same bits.
+scipy's ``csr_matvecs`` over the block-diagonal expansion of the same
+groups (``numpy``) — built only in that case.  Both sweep the same entries
+in the same order and produce the same bits.
 
 Everything shape-dependent is prebound when the plan is built (scratch
 buffers, reshaped views, the C argument vector), and
@@ -40,8 +45,8 @@ in-place parameter mutation is always seen.
 
 State is **cell-major** (:mod:`repro.engine.layout`): ``fin``/``out`` are
 ``(*cfg_cells, n, *vel_cells)``, whose C-contiguous view *is* the
-``(ncfg, n, nvel)`` batch the dense products and sweeps consume.  Plans own
-no state except references into a shared
+``(ncfg, n, nvel)`` batch the sweeps consume.  Besides their sweep entries
+plans hold only references into a shared
 :class:`~repro.engine.pool.ScratchPool`, so steady-state application
 allocates nothing and copies nothing: the one normalizing copy (a
 non-contiguous ``fin``) is reported through
@@ -62,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..cas.codegen import compile_fused_sweep
+from ..cas.codegen import compile_fused_sweep, select_tier
 from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
@@ -170,127 +175,153 @@ def _scalar_value(val: AuxValue) -> float:
     return float(arr.reshape(-1)[0])
 
 
-class _UniformGroup:
-    """Terms with one shared operator per cell and one velocity factor,
-    merged into a single sparse sweep."""
+class _SweepGroup:
+    """The terms sharing one velocity factor as a single sparse sweep: a
+    per-cell CSR pattern plus its entries — one row shared by every
+    configuration cell (no configuration symbol: scalar factors folded in at
+    bind time), or one row per configuration cell, refilled on every apply
+    from the bound field coefficients."""
 
     __slots__ = (
         "vel_names",
-        "terms",    # [(scalar factor names, per-cell csr)], in term order
-        "indptr",   # merged per-cell block (int64, the C sweep's index type)
+        "per_cell",
+        "terms",     # [(scalar names, cfg names)], in term order
+        "indptr",    # per-cell pattern (int64, the C sweep's index type)
         "indices",
-        "base",     # merged data, unscaled
-        "tid",      # term index per merged entry
-        "data",     # merged data with the scalar factors folded in
-        "spmat",    # numpy tier: block-diagonal expansion over cells ...
-        "kdata",    # ... and its data as (ncfg, nnz) rows of ``data``
-        "cc_w",     # cc tier: contiguous (vel_shape) weight buffer
-    )
-
-    def __init__(self, vel_names: Tuple[str, ...]):
-        self.vel_names = vel_names
-        self.terms: List[Tuple[Tuple[str, ...], sp.csr_matrix]] = []
-
-    def merge(self, nout: int) -> None:
-        """Concatenate the terms' blocks row-wise in term order: within each
-        output row the merged entries replay term 0's additions, then term
-        1's, ... — exactly the sequence of one sweep per term."""
-        mats = [mat for _names, mat in self.terms]
-        rows = np.concatenate(
-            [np.repeat(np.arange(nout), np.diff(m.indptr)) for m in mats]
-        )
-        order = np.argsort(rows, kind="stable")
-        self.indices = np.concatenate([m.indices for m in mats])[order].astype(np.int64)
-        self.base = np.concatenate([m.data for m in mats])[order]
-        self.tid = np.concatenate(
-            [np.full(m.data.size, t) for t, m in enumerate(mats)]
-        )[order]
-        self.indptr = np.zeros(nout + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nout), out=self.indptr[1:])
-        scaled = any(names for names, _mat in self.terms)
-        self.data = np.empty_like(self.base) if scaled else self.base
-        self.spmat = self.kdata = self.cc_w = None
-
-    def expand(self, ncfg: int, nout: int, nin: int) -> None:
-        """Block-diagonal expansion over configuration cells, so one
-        ``csr_matvecs`` call sweeps every cell's contiguous block.  Built
-        from the raw arrays: ``sp.kron`` would canonicalize (sort, merge
-        duplicates) and destroy the accumulation order of :meth:`merge`."""
-        nnz = self.base.size
-        cells = np.arange(ncfg, dtype=np.int64)[:, None]
-        self.spmat = sp.csr_matrix(
-            (
-                np.empty(ncfg * nnz),
-                (self.indices + cells * nin).ravel(),
-                np.append(0, (self.indptr[1:] + cells * nnz).ravel()),
-            ),
-            shape=(ncfg * nout, ncfg * nin),
-        )
-        self.kdata = self.spmat.data.reshape(ncfg, nnz)
-        self.kdata[:] = self.base
-
-    def rescale(self, svals: Dict[str, float]) -> None:
-        """Fold the current scalar factor values into the sweep data — per
-        entry ``base * c_term``."""
-        if self.data is self.base:
-            return
-        scale = np.array([symbol_value(svals, names) for names, _mat in self.terms])
-        np.multiply(self.base, scale[self.tid], out=self.data)
-        if self.kdata is not None:
-            self.kdata[:] = self.data
-
-
-class _CfgGroup:
-    """Terms with configuration-varying operators: pre-stacked dense blocks
-    with vectorized coefficient assembly."""
-
-    __slots__ = (
-        "vel_names",
-        "items",     # [(scalar names, cfg names)]; row i of ``mats`` is its block
-        "mats",      # (n_items, nout * nin) dense operator stack
-        "coef",      # pooled (n_items, ncfg) coefficient buffer ...
-        "coef_t",    # ... its transpose, the GEMM operand ...
+        "base",      # shared row: the terms' entries concatenated row-wise ...
+        "tid",       # ... and the term index of each
+        "stack",     # per-cell rows: (n_terms, nnz) term values on the union
+                     # of the terms' exact non-zeros
+        "data",      # the swept entries: (1, nnz) shared, (ncfg, nnz) per-cell
+                     # (numpy tier: always (ncfg, nnz), the expansion's data)
+        "spmat",     # numpy tier: block-diagonal expansion over cells
+        "coef",      # per-cell: pooled (n_terms, ncfg) coefficient buffer ...
+        "coef_t",    # ... its transpose, the assembly operand ...
         "flat",      # ... and its flattening, the gather destination
-        "scal",      # (n_items, 1) per-item scalar products
-        "extras",    # [(item index, (further cfg names...))], multi-factor items
-        "rows",      # bound per-item cfg rows ((ncfg,) views)
+        "scal",      # (n_terms, 1) per-term scalar products
+        "extras",    # [(term index, (further cfg names...))], multi-factor terms
+        "rows",      # bound per-term cfg rows ((ncfg,) views)
         "volatile",  # some row is a copy, not a view: re-gather every apply
     )
 
-    def __init__(self, vel_names: Tuple[str, ...]):
+    def __init__(self, vel_names: Tuple[str, ...], per_cell: bool):
         self.vel_names = vel_names
-        self.items: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-        self.mats: Optional[np.ndarray] = None
+        self.per_cell = per_cell
+        self.terms: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
+        self.base = self.tid = self.stack = self.spmat = None
 
-    def lower(self, pool: ScratchPool, ncfg: int) -> None:
-        self.coef = pool.get("plan.coef", (len(self.items), ncfg))
+    def merge(self, mats: List[sp.csr_matrix], nout: int, nin: int) -> None:
+        """Freeze the terms' per-cell blocks into one pattern.
+
+        A shared row concatenates the blocks row-wise in term order: within
+        each output row the merged entries replay term 0's additions, then
+        term 1's, ... — exactly the sequence of one sweep per term.  Per-cell
+        rows are linear combinations of the terms, so they live on the union
+        of the terms' non-zeros (row-major, columns ascending) and ``stack``
+        holds each term's values there.
+        """
+        rows = np.concatenate(
+            [np.repeat(np.arange(nout), np.diff(m.indptr)) for m in mats]
+        )
+        cols = np.concatenate([m.indices for m in mats]).astype(np.int64)
+        vals = np.concatenate([m.data for m in mats])
+        tid = np.concatenate([np.full(m.nnz, t) for t, m in enumerate(mats)])
+        if self.per_cell:
+            slots, where = np.unique(rows * nin + cols, return_inverse=True)
+            self.stack = np.zeros((len(mats), slots.size))
+            self.stack[tid, where] = vals
+            rows, self.indices = np.divmod(slots, nin)
+        else:
+            order = np.argsort(rows, kind="stable")
+            self.indices, self.base, self.tid = cols[order], vals[order], tid[order]
+        self.indptr = np.zeros(nout + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nout), out=self.indptr[1:])
+
+    def check(self, nout: int, nin: int) -> None:
+        """Reject a stored group that is not a well-formed pattern: the C
+        sweep trusts ``indptr`` / ``indices`` and would read out of bounds."""
+        nnz = self.indices.size
+        ok = (
+            self.indptr.shape == (nout + 1,)
+            and self.indptr[0] == 0
+            and self.indptr[-1] == nnz
+            and (np.diff(self.indptr) >= 0).all()
+            and (nnz == 0 or (self.indices.min() >= 0 and self.indices.max() < nin))
+        )
+        if self.per_cell:
+            ok = ok and self.stack.shape == (len(self.terms), nnz)
+        else:
+            ok = (
+                ok
+                and self.base.shape == self.tid.shape == (nnz,)
+                and (nnz == 0 or (self.tid.min() >= 0 and self.tid.max() < len(self.terms)))
+            )
+        if not ok:
+            raise ValueError("stored plan artifacts are not a consistent sweep group")
+
+    def lower(self, pool: ScratchPool, ncfg: int, nout: int, nin: int, expand: bool) -> None:
+        """Allocate the swept entries.  Per-cell rows are all live at the one
+        kernel call, so every group owns its own (a pooled, shape-keyed
+        buffer would alias between groups of equal shape).  With ``expand``
+        (the numpy tier) they are the data of the block-diagonal expansion
+        over configuration cells, so one ``csr_matvecs`` call sweeps every
+        cell's contiguous block; it is built from the raw arrays —
+        ``sp.kron`` would canonicalize (sort, merge duplicates) and destroy
+        the accumulation order of :meth:`merge`."""
+        nnz = self.indices.size
+        if expand:
+            cells = np.arange(ncfg, dtype=np.int64)[:, None]
+            self.spmat = sp.csr_matrix(
+                (
+                    np.empty(ncfg * nnz),
+                    (self.indices + cells * nin).ravel(),
+                    np.append(0, (self.indptr[1:] + cells * nnz).ravel()),
+                ),
+                shape=(ncfg * nout, ncfg * nin),
+            )
+            self.data = self.spmat.data.reshape(ncfg, nnz)
+        else:
+            self.data = np.empty((ncfg if self.per_cell else 1, nnz))
+        if not self.per_cell:
+            self.data[:] = self.base
+            return
+        self.coef = pool.get("plan.coef", (len(self.terms), ncfg))
         self.coef_t = self.coef.T
         self.flat = self.coef.reshape(-1)
-        self.scal = np.ones((len(self.items), 1))
+        self.scal = np.ones((len(self.terms), 1))
         self.extras = [
             (i, cfg_names[1:])
-            for i, (_sn, cfg_names) in enumerate(self.items)
+            for i, (_sn, cfg_names) in enumerate(self.terms)
             if len(cfg_names) > 1
         ]
         self.rows: List[np.ndarray] = []
         self.volatile = False
 
+    def rescale(self, svals: Dict[str, float]) -> None:
+        """Shared row: fold the current scalar factor values into the sweep
+        data — per entry ``base * c_term``."""
+        if any(names for names, _cn in self.terms):
+            scale = np.array([symbol_value(svals, names) for names, _cn in self.terms])
+            np.multiply(self.base, scale[self.tid], out=self.data)
+
     def bind(self, plan: "ExecutionPlan", aux, svals: Dict[str, float]) -> None:
-        self.rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.items]
+        self.rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.terms]
         # broadcast-expanded rows are snapshots; they must be re-gathered
         # per apply to track in-place aux mutation
         self.volatile = not all(
             np.shares_memory(row, np.asarray(aux[cn[0]]))
-            for row, (_sn, cn) in zip(self.rows, self.items)
+            for row, (_sn, cn) in zip(self.rows, self.terms)
         )
-        for i, (scalar_names, _cn) in enumerate(self.items):
+        for i, (scalar_names, _cn) in enumerate(self.terms):
             self.scal[i, 0] = symbol_value(svals, scalar_names)
 
     def assemble(self, plan: "ExecutionPlan", aux) -> None:
-        """Fill ``coef`` with the per-item coefficient rows ``row * c`` —
-        one gather, one broadcast multiply."""
+        """Per-cell rows ``data[c] = Σ_i coef_i[c] · stack_i``: one gather and
+        one broadcast multiply fill the coefficient rows ``row * c``, one
+        small product combines the terms — a NumPy step both tiers share, so
+        both sweep the same entries."""
         if self.volatile:
-            rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.items]
+            rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.terms]
         else:
             rows = self.rows
         coef = self.coef
@@ -299,6 +330,7 @@ class _CfgGroup:
         for i, extra_names in self.extras:
             for name in extra_names:
                 coef[i] *= plan._cfg_row(aux[name])
+        np.matmul(self.coef_t, self.stack, out=self.data)
 
 
 class ExecutionPlan:
@@ -327,9 +359,10 @@ class ExecutionPlan:
         Sparse-sweep kernel request (``auto`` / ``cc`` / ``numpy``, see
         :func:`repro.cas.codegen.select_tier`) and where compiled sweep
         kernels are kept (None: a process-lifetime temp dir).  ``tier`` and
-        ``kernel_status`` (``built`` / ``loaded`` / None) report the outcome.
+        ``kernel_status`` (``built`` / ``loaded`` / ``failed`` / None)
+        report the outcome.
     on_compiled:
-        Called with the plan once its operator blocks exist
+        Called with the plan once its sweep groups exist
         (:meth:`to_artifacts` works) and before the sweep kernel is built —
         where :func:`~repro.engine.compile.compile_plan` publishes the
         payload, so sibling workers racing on a cold cache see it without
@@ -411,9 +444,8 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------ #
     def _compile(self, tokens: Dict[str, str]) -> None:
-        uniform: Dict[Tuple[str, ...], _UniformGroup] = {}
-        cfg_groups: Dict[Tuple[str, ...], _CfgGroup] = {}
-        cfg_mats: Dict[Tuple[str, ...], List[np.ndarray]] = {}
+        groups: Dict[Tuple[bool, Tuple[str, ...]], _SweepGroup] = {}
+        mats: Dict[Tuple[bool, Tuple[str, ...]], List[sp.csr_matrix]] = {}
         fallback: Dict[Symbol, list] = {}
         for sym, triples in self.termset.entries_by_symbol().items():
             scalar_names, cfg_names, vel_names = [], [], []
@@ -427,42 +459,35 @@ class ExecutionPlan:
             if irregular:
                 fallback[sym] = triples
                 continue
-            key = tuple(sorted(vel_names))
+            key = (bool(cfg_names), tuple(sorted(vel_names)))
             rows = np.array([t[0] for t in triples], dtype=np.int64)
             cols = np.array([t[1] for t in triples], dtype=np.int64)
             vals = np.array([t[2] for t in triples], dtype=float)
-            mat = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.nout, self.nin)
+            grp = groups.get(key)
+            if grp is None:
+                grp = groups[key] = _SweepGroup(key[1], key[0])
+                mats[key] = []
+            grp.terms.append((tuple(scalar_names), tuple(cfg_names)))
+            mats[key].append(
+                sp.csr_matrix((vals, (rows, cols)), shape=(self.nout, self.nin))
             )
-            if cfg_names:
-                grp = cfg_groups.get(key)
-                if grp is None:
-                    grp = cfg_groups[key] = _CfgGroup(key)
-                    cfg_mats[key] = []
-                grp.items.append((tuple(scalar_names), tuple(cfg_names)))
-                cfg_mats[key].append(mat.toarray().reshape(-1))
-            else:
-                grp = uniform.get(key)
-                if grp is None:
-                    grp = uniform[key] = _UniformGroup(key)
-                grp.terms.append((tuple(scalar_names), mat))
-        for key, grp in cfg_groups.items():
-            grp.mats = np.stack(cfg_mats[key])
-        self._uniform = list(uniform.values())
-        self._cfg = list(cfg_groups.values())
+        for key, grp in groups.items():
+            grp.merge(mats[key], self.nout, self.nin)
+        self._groups = list(groups.values())
         self._fallback = (
             TermSet(self.nout, self.nin, fallback) if fallback else None
         )
 
     # ------------------------------------------------------------------ #
     def to_artifacts(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Serialize the compiled operator blocks to ``(meta, arrays)``.
+        """Serialize the compiled sweep groups to ``(meta, arrays)``.
 
         The payload holds what ``_compile`` produces that is non-trivial
-        to rebuild: the per-term per-cell sparse blocks (merging them is
-        cheap, so only the unmerged form is stored) and the dense operator
-        stacks.  Symbol structure and the fallback's entries come back from
-        the termset, which the loader always has in hand.
+        to rebuild: per group the merged per-cell pattern and its values —
+        the concatenated entries with their term index (shared row) or the
+        term stack on the union pattern (per-cell rows).  Symbol structure
+        and the fallback's entries come back from the termset, which the
+        loader always has in hand.
         """
         meta: dict = {
             "nout": self.nout,
@@ -471,32 +496,25 @@ class ExecutionPlan:
             "vdim": self.vdim,
             "cell_shape": [int(n) for n in self.cell_shape],
             "signature": [[name, tok] for name, tok in self.signature],
-            "uniform": [],
-            "cfg": [],
+            "groups": [],
             "fallback_syms": [],
         }
         arrays: Dict[str, np.ndarray] = {}
-        for gi, grp in enumerate(self._uniform):
-            meta["uniform"].append(
+        for gi, grp in enumerate(self._groups):
+            meta["groups"].append(
                 {
                     "vel_names": list(grp.vel_names),
-                    "terms": [list(names) for names, _mat in grp.terms],
+                    "per_cell": grp.per_cell,
+                    "terms": [[list(sn), list(cn)] for sn, cn in grp.terms],
                 }
             )
-            for tj, (_names, mat) in enumerate(grp.terms):
-                arrays[f"u{gi}t{tj}d"] = mat.data
-                arrays[f"u{gi}t{tj}i"] = mat.indices
-                arrays[f"u{gi}t{tj}p"] = mat.indptr
-        for gi, grp in enumerate(self._cfg):
-            meta["cfg"].append(
-                {
-                    "vel_names": list(grp.vel_names),
-                    "items": [
-                        [list(sn), list(cn)] for sn, cn in grp.items
-                    ],
-                }
-            )
-            arrays[f"c{gi}"] = grp.mats
+            arrays[f"g{gi}p"] = grp.indptr
+            arrays[f"g{gi}i"] = grp.indices
+            if grp.per_cell:
+                arrays[f"g{gi}s"] = grp.stack
+            else:
+                arrays[f"g{gi}b"] = grp.base
+                arrays[f"g{gi}t"] = grp.tid
         if self._fallback is not None:
             meta["fallback_syms"] = [
                 list(sym) for sym in self._fallback.entries_by_symbol()
@@ -516,28 +534,19 @@ class ExecutionPlan:
         ):
             raise ValueError("stored plan artifacts do not match this plan key")
         entries = self.termset.entries_by_symbol()
-        self._uniform = []
-        for gi, gmeta in enumerate(meta["uniform"]):
-            grp = _UniformGroup(tuple(gmeta["vel_names"]))
-            for tj, scalar_names in enumerate(gmeta["terms"]):
-                mat = sp.csr_matrix(
-                    (
-                        arrays[f"u{gi}t{tj}d"],
-                        arrays[f"u{gi}t{tj}i"],
-                        arrays[f"u{gi}t{tj}p"],
-                    ),
-                    shape=(self.nout, self.nin),
-                )
-                grp.terms.append((tuple(scalar_names), mat))
-            self._uniform.append(grp)
-        self._cfg = []
-        for gi, gmeta in enumerate(meta["cfg"]):
-            grp = _CfgGroup(tuple(gmeta["vel_names"]))
-            grp.items = [
-                (tuple(sn), tuple(cn)) for sn, cn in gmeta["items"]
-            ]
-            grp.mats = np.ascontiguousarray(arrays[f"c{gi}"], dtype=float)
-            self._cfg.append(grp)
+        self._groups = []
+        for gi, gmeta in enumerate(meta["groups"]):
+            grp = _SweepGroup(tuple(gmeta["vel_names"]), bool(gmeta["per_cell"]))
+            grp.terms = [(tuple(sn), tuple(cn)) for sn, cn in gmeta["terms"]]
+            grp.indptr = np.ascontiguousarray(arrays[f"g{gi}p"], dtype=np.int64)
+            grp.indices = np.ascontiguousarray(arrays[f"g{gi}i"], dtype=np.int64)
+            if grp.per_cell:
+                grp.stack = np.ascontiguousarray(arrays[f"g{gi}s"], dtype=float)
+            else:
+                grp.base = np.ascontiguousarray(arrays[f"g{gi}b"], dtype=float)
+                grp.tid = np.ascontiguousarray(arrays[f"g{gi}t"], dtype=np.int64)
+            grp.check(self.nout, self.nin)
+            self._groups.append(grp)
         fb_syms = [tuple(sym) for sym in meta.get("fallback_syms", [])]
         if fb_syms:
             self._fallback = TermSet(
@@ -548,8 +557,8 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------ #
     def _lower(self, tier: str, kernel_dir: Optional[str]) -> None:
-        """Freeze the executor over the compiled groups: merge the sweeps,
-        pick the sweep kernel, prebind scratch and views."""
+        """Freeze the executor over the compiled groups: pick the sweep
+        kernel, allocate the swept entries, prebind scratch and views."""
         pool = self.pool
         # identity guard over every symbol value; scalar values held in
         # mutable size-one arrays are re-read per apply (cheap) so in-place
@@ -561,76 +570,68 @@ class ExecutionPlan:
         ] + self._scalar_names
         self._bound_ids: Optional[List[object]] = None  # None: never bound
         self._bound_svals: Optional[Tuple[float, ...]] = None
-        for grp in self._cfg:
-            grp.lower(pool, self.ncfg)
-        if self._cfg:
-            self._amat = pool.get("plan.amat", (self.ncfg, self.nout * self.nin))
-            self._a3 = self._amat.reshape(self.ncfg, self.nout, self.nin)
-        for grp in self._uniform:
-            grp.merge(self.nout)
+        self._cc = kern = None
         self.tier = "numpy"
         self.kernel_status: Optional[str] = None
-        self._cc = None
-        kern = None
-        if self._uniform:
-            kern = compile_fused_sweep(
-                self.ncfg,
-                self.nout,
-                self.nin,
-                self.nvel,
-                [bool(g.vel_names) for g in self._uniform],
-                tier=tier,
-                kernel_dir=kernel_dir,
-            )
+        if select_tier(tier) == "cc":
+            kern = compile_fused_sweep(kernel_dir)
+            if kern is None:
+                self.kernel_status = "failed"
+            else:
+                self._cc = kern.fn
+                self.tier = "cc"
+                self.kernel_status = "built" if kern.fresh else "loaded"
+        for grp in self._groups:
+            grp.lower(pool, self.ncfg, self.nout, self.nin, expand=kern is None)
+        self._per_cell = [g for g in self._groups if g.per_cell]
+        self._gbufs: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
         if kern is not None:
-            # the ctypes argument vector: per group the (stable) data and
-            # index pointers plus a contiguous weight buffer refreshed from
-            # the bound velocity factor before each call
-            args: List[int] = [0, 0]  # f, y pointers patched per call
-            for grp in self._uniform:
-                args += [
-                    grp.data.ctypes.data,
-                    grp.indptr.ctypes.data,
-                    grp.indices.ctypes.data,
-                ]
+            # the kernel's group table (one row per group: entries, per-cell
+            # stride, indptr, indices, weight — addresses of arrays the
+            # groups keep alive); a weighted group gets a contiguous weight
+            # buffer refreshed from the bound velocity factor before each
+            # call, the weighting itself happens in-register
+            table = np.zeros((len(self._groups), 5), dtype=np.int64)
+            self._cc_wbufs = {
+                g.vel_names: np.empty(self.vel_shape)
+                for g in self._groups
+                if g.vel_names
+            }
+            for row, grp in zip(table, self._groups):
+                row[0] = grp.data.ctypes.data
+                row[1] = grp.data.shape[1] if grp.per_cell else 0
+                row[2] = grp.indptr.ctypes.data
+                row[3] = grp.indices.ctypes.data
                 if grp.vel_names:
-                    grp.cc_w = np.empty(self.vel_shape)
-                    args.append(grp.cc_w.ctypes.data)
-            self._cc, self._cc_args = kern.fn, args
-            self.tier = "cc"
-            self.kernel_status = "built" if kern.fresh else "loaded"
+                    row[4] = self._cc_wbufs[grp.vel_names].ctypes.data
+            self._cc_table = table
+            self._cc_tail = (
+                self.ncfg, self.nout, self.nin, self.nvel,
+                len(self._groups), table.ctypes.data,
+            )
         else:
-            for grp in self._uniform:
-                grp.expand(self.ncfg, self.nout, self.nin)
-        # velocity-weighted input buffers, one per distinct factor key that
-        # some product reads (the C sweep weights in-register instead)
-        wanted = {g.vel_names for g in self._cfg}
-        if self._cc is None:
-            wanted |= {g.vel_names for g in self._uniform}
-        self._gbufs: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
-        for names in wanted - {()}:
-            g = pool.get(f"plan.g:{'*'.join(names)}", self.in_shape)
-            self._gbufs[names] = (g,) + self._views(g, self.nin)
+            # velocity-weighted input buffers, one per distinct factor key
+            # (the C sweep weights in-register instead)
+            for names in {g.vel_names for g in self._groups} - {()}:
+                g = pool.get(f"plan.g:{'*'.join(names)}", self.in_shape)
+                self._gbufs[names] = (g, self._sweep_view(g, self.nin))
         # per-array reshape memos (bounded; entries pin their array alive,
         # which is fine — callers pass persistent state/pool arrays)
-        self._fviews: Dict[int, Tuple[np.ndarray, ...]] = {}
-        self._oviews: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._fviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._oviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def _views(self, arr: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(ncfg * n, nvel)`` sweep view and the ``(ncfg, n, nvel)``
-        batch view of a contiguous cell-major array."""
-        return (
-            arr.reshape(self.ncfg * n, self.nvel),
-            arr.reshape(self.ncfg, n, self.nvel),
-        )
+    def _sweep_view(self, arr: np.ndarray, n: int) -> np.ndarray:
+        """The ``(ncfg * n, nvel)`` view of a contiguous cell-major array
+        the block-diagonal sweeps consume."""
+        return arr.reshape(self.ncfg * n, self.nvel)
 
-    def _views_of(self, arr, memo, n):
+    def _view_of(self, arr, memo, n) -> np.ndarray:
         entry = memo.get(id(arr))
         if entry is None or entry[0] is not arr:
             if len(memo) > 16:
                 memo.clear()
-            entry = memo[id(arr)] = (arr,) + self._views(arr, n)
-        return entry
+            entry = memo[id(arr)] = (arr, self._sweep_view(arr, n))
+        return entry[1]
 
     # ------------------------------------------------------------------ #
     def ensure_signature(self, aux: Dict[str, AuxValue]) -> None:
@@ -664,10 +665,11 @@ class ExecutionPlan:
         svals = {n: _scalar_value(aux[n]) for n in self._scalar_names}
         stuple = tuple(svals.values())
         if stuple != self._bound_svals:
-            for grp in self._uniform:
-                grp.rescale(svals)
+            for grp in self._groups:
+                if not grp.per_cell:
+                    grp.rescale(svals)
             self._bound_svals = stuple
-        for grp in self._cfg:
+        for grp in self._per_cell:
             grp.bind(self, aux, svals)
         self._vol_scalar_names = tuple(
             n for n in self._scalar_names if not isinstance(aux[n], (float, int))
@@ -678,7 +680,7 @@ class ExecutionPlan:
         # array (fresh under in-place mutation); a multi-name product gets a
         # buffer that every apply recomputes in place
         self._velb, self._vel_products = {}, []
-        for grp in self._uniform + self._cfg:
+        for grp in self._groups:
             names = grp.vel_names
             if not names or names in self._velb:
                 continue
@@ -692,15 +694,14 @@ class ExecutionPlan:
             )
         if self._cc is not None:
             # broadcast views of the bound factors, flattened into the
-            # per-group contiguous weight buffers before every call
+            # contiguous weight buffers before every call
             self._cc_weights = []
-            for grp in self._uniform:
-                if grp.vel_names:
-                    velb = self._velb[grp.vel_names]
-                    wsrc = velb.reshape(velb.shape[self.cdim + 1 :])
-                    self._cc_weights.append(
-                        (np.broadcast_to(wsrc, self.vel_shape), grp.cc_w)
-                    )
+            for names, wbuf in self._cc_wbufs.items():
+                velb = self._velb[names]
+                wsrc = velb.reshape(velb.shape[self.cdim + 1 :])
+                self._cc_weights.append(
+                    (np.broadcast_to(wsrc, self.vel_shape), wbuf)
+                )
         self._bound_ids = [aux[n] for n in self._guard_names]
 
     def apply(
@@ -719,7 +720,7 @@ class ExecutionPlan:
 
         With ``accumulate=False`` the prior contents of ``out`` are
         discarded (``out = K f`` rather than ``out += K f``) without the
-        caller having to zero it — the first dense write assigns.
+        caller having to zero it — the sweep's accumulators start at zero.
         """
         bound = self._bound_ids
         if bound is not None and not all(
@@ -780,44 +781,26 @@ class ExecutionPlan:
             np.multiply(vals[0], vals[1], out=prod)
             for val in vals[2:]:
                 np.multiply(prod, val, out=prod)
-        _a, f2, f3 = self._views_of(fin, self._fviews, self.nin)
-        _a, o2, o3 = self._views_of(out, self._oviews, self.nout)
-        # velocity-weighted states, computed once per distinct factor and
-        # shared between the dense (cfg-batched) and sparse parts — the
-        # volume plan's acceleration and streaming groups read the same
-        # ``f * w_j`` products
-        wcache: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
-
-        # dense (configuration-batched) part first: in non-accumulating
-        # mode its first result is *assigned* into out, saving a zero pass;
-        # everything after accumulates on top
-        first = not accumulate
-        for grp in self._cfg:
+        for grp in self._per_cell:
             grp.assemble(self, aux)
-            np.matmul(grp.coef_t, grp.mats, out=self._amat)
-            gc = self._weighted(grp.vel_names, fin, wcache)[2] if grp.vel_names else f3
-            if first:
-                np.matmul(self._a3, gc, out=o3)
-                first = False
-            else:
-                # staged accumulate: one batched matmul into scratch plus an
-                # in-place add beats ncfg BLAS beta=1 calls on these blocks
-                acc = self.pool.get("plan.acc", o3.shape)
-                np.matmul(self._a3, gc, out=acc)
-                o3 += acc
-        if first:
-            out.fill(0.0)
 
         if self._cc is not None:
+            # one call: every group, the weighting in-register, and with
+            # accumulate off the accumulators start at zero, so ``out`` is
+            # neither read nor pre-zeroed
             for wsrc, wbuf in self._cc_weights:
                 np.copyto(wbuf, wsrc)
-            args = self._cc_args
-            args[0] = fin.ctypes.data
-            args[1] = out.ctypes.data
-            self._cc(*args)
+            self._cc(fin.ctypes.data, out.ctypes.data, accumulate, *self._cc_tail)
         else:
-            for grp in self._uniform:
-                x2 = self._weighted(grp.vel_names, fin, wcache)[1] if grp.vel_names else f2
+            if not accumulate:
+                out.fill(0.0)
+            f2 = self._view_of(fin, self._fviews, self.nin)
+            o2 = self._view_of(out, self._oviews, self.nout)
+            # velocity-weighted states, computed once per distinct factor
+            # and shared between the groups reading the same ``f * w_j``
+            wcache: Dict[Tuple[str, ...], np.ndarray] = {}
+            for grp in self._groups:
+                x2 = self._weighted(grp.vel_names, fin, wcache) if grp.vel_names else f2
                 csr_accumulate(grp.spmat, grp.spmat.data, x2, o2)
 
         if self._fallback is not None:
@@ -828,25 +811,27 @@ class ExecutionPlan:
         self,
         names: Tuple[str, ...],
         fin: np.ndarray,
-        wcache: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]],
-    ) -> Tuple[np.ndarray, ...]:
-        """The weighted input ``fin * w`` as ``(buffer, sweep view, batch
-        view)``, computed at most once per factor key within one apply."""
-        entry = wcache.get(names)
-        if entry is None:
-            entry = wcache[names] = self._gbufs[names]
-            np.multiply(fin, self._velb[names], out=entry[0])
-        return entry
+        wcache: Dict[Tuple[str, ...], np.ndarray],
+    ) -> np.ndarray:
+        """The sweep view of the weighted input ``fin * w``, computed at most
+        once per factor key within one apply."""
+        x2 = wcache.get(names)
+        if x2 is None:
+            buf, x2 = self._gbufs[names]
+            np.multiply(fin, self._velb[names], out=buf)
+            wcache[names] = x2
+        return x2
 
     # ------------------------------------------------------------------ #
     @property
     def stats(self) -> Dict[str, int]:
         """Compile-time shape of the plan (for tests and diagnostics)."""
+        shared = [g for g in self._groups if not g.per_cell]
         return {
-            "uniform_groups": len(self._uniform),
-            "uniform_terms": sum(len(g.terms) for g in self._uniform),
-            "cfg_groups": len(self._cfg),
-            "cfg_items": sum(len(g.items) for g in self._cfg),
+            "uniform_groups": len(shared),
+            "uniform_terms": sum(len(g.terms) for g in shared),
+            "cfg_groups": len(self._per_cell),
+            "cfg_items": sum(len(g.terms) for g in self._per_cell),
             "fallback_terms": 0 if self._fallback is None else len(self._fallback.terms),
         }
 

@@ -5,8 +5,9 @@ Plan compilation is deterministic: the operator blocks an
 the generated :class:`~repro.kernels.termset.TermSet`, the aux
 *signature* (symbol classification), and the cell shape.  That triple is
 hashed into a content digest (:func:`plan_digest`) and the compiled
-artifacts — per-cell sparse blocks, dense operator stacks, low-rank
-factors — are serialized to one ``.npz`` file per digest under a cache
+artifacts — per sweep group the merged per-cell pattern with its entries
+or, for per-cell rows, the term stack on the union of the terms' non-zeros
+— are serialized to one ``.npz`` file per digest under a cache
 root (default ``~/.cache/repro``, redirected by ``$REPRO_CACHE_DIR``).
 
 The store is safe under concurrent writers (sharded workers and campaign
@@ -38,7 +39,7 @@ __all__ = [
 
 #: bumped whenever the artifact layout changes; part of every digest, so a
 #: version bump invalidates the whole cache without any migration logic
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _META_KEY = "__meta__"
 

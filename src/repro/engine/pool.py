@@ -1,9 +1,9 @@
 """Preallocated scratch-buffer pool.
 
-Kernel application needs a handful of temporaries (velocity-weighted states,
-per-cell operator stacks, batched-GEMM outputs).  Allocating them per call
-costs more than the arithmetic on the small grids the paper benchmarks, so
-plans draw them from a :class:`ScratchPool`: one persistent array per
+Kernel application needs a handful of temporaries (coefficient rows,
+face-sized buffers, velocity-weighted states on the compiler-less tier).
+Allocating them per call costs more than the arithmetic on the small grids
+the paper benchmarks, so plans draw them from a :class:`ScratchPool`: one persistent array per
 ``(tag, shape)``, reused across every plan and RK stage that shares the
 pool.  Pools are not thread-safe by design — one pool per solver instance,
 applied sequentially.

@@ -1,4 +1,4 @@
-"""Grouped (batched-BLAS) evaluation of generated kernels.
+"""Grouped evaluation of generated kernels.
 
 The acceleration kernels couple ~``3 Npc`` runtime symbols (modal field
 coefficients times velocity factors) to sparse tensors.  Applying them
@@ -9,24 +9,22 @@ into :class:`~repro.engine.plan.ExecutionPlan` objects:
 
 1. split every symbol product into (scalar) x (configuration-varying field
    coefficient) x (velocity-varying factor);
-2. for each distinct velocity factor, combine all configuration-varying
-   terms into one dense ``(Npc_cells, Np, Np)`` operator
-   ``A[c] = sum_s val_s[c] K_s`` — a single small GEMM per application since
-   the field coefficients are constant within a configuration cell — and
-   apply it as one batched matmul over configuration cells; terms with no
-   configuration dependence keep their exact sparsity and are applied as
-   in-place sparse products.
+2. for each distinct velocity factor, merge the terms into one sparse sweep
+   on their exact non-zeros: terms with no configuration dependence share
+   one row of entries for every cell; configuration-varying terms get one
+   row per configuration cell, ``data[c] = sum_s val_s[c] K_s`` on the union
+   of the ``K_s`` patterns — a single small product per application, since
+   the field coefficients are constant within a configuration cell.  No
+   ``Np x Np`` operator is formed.
 
 States are cell-major ``(*cfg_cells, N, *vel_cells)``
-(:mod:`repro.engine.layout`): the batched products consume the contiguous
+(:mod:`repro.engine.layout`): the sweeps consume the contiguous
 per-configuration-cell blocks directly, with no transpose pass.
 
-The result is bitwise-reassociated but exactly the same contraction
-:math:`\\sum C_{lmn} \\alpha_n f_m`; the solver-level exactness tests cover
-this path.  Per-cell work is unchanged (it is the same nonzero data densely
-padded), so the Fig. 2 scaling claims are measured on the sparse path; this
-path exists to keep the *constant factor* honest vs the BLAS-backed nodal
-baseline in Table I.
+The result is exactly the contraction
+:math:`\\sum C_{lmn} \\alpha_n f_m` at a cost proportional to the non-zero
+count, which is what the Fig. 2 scaling claims measure; the solver-level
+exactness tests cover this path.
 
 Plans are cached per ``(cell shape, aux signature)`` and **invalidated when
 the signature changes** — an aux dict whose arrays change layout between
@@ -49,7 +47,7 @@ __all__ = ["GroupedOperator"]
 
 
 class GroupedOperator:
-    """Plan-cached batched evaluation of a :class:`TermSet`.
+    """Plan-cached grouped evaluation of a :class:`TermSet`.
 
     Parameters
     ----------

@@ -429,7 +429,8 @@ def _cmd_plans_warm(args) -> int:
     print(
         f"warmed {args.scenario!r}: compiled {delta['compiled']}, "
         f"hydrated {delta['hydrated']}, stored {delta['cache_stores']}, "
-        f"kernels built {delta['kernels_built']} (cache: {cache.root})"
+        f"kernels built {delta['kernels_built']}, "
+        f"failed {delta['kernels_failed']} (cache: {cache.root})"
     )
     return 0
 

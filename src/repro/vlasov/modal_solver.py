@@ -17,7 +17,7 @@ that destabilize nodal kinetic schemes.
 
 State is **cell-major** (:class:`~repro.engine.layout.StateLayout`):
 distribution coefficients are ``(*cfg_cells, Np, *vel_cells)`` and the EM
-state is ``(*cfg_cells, 8, Npc)``, so every batched per-cell product in the
+state is ``(*cfg_cells, 8, Npc)``, so every per-cell sweep in the
 precompiled-plan engine (:mod:`repro.engine`) reads and writes the state
 directly — no transpose or ``ascontiguousarray`` pass anywhere in the
 steady-state RHS.
@@ -138,9 +138,9 @@ class VlasovModalSolver:
             self._upwind_pos_b.append(self.layout.bcast(pos))
             self._upwind_neg_b.append(self.layout.bcast(1.0 - pos))
         # Every termset runs through a plan-cached GroupedOperator sharing
-        # one scratch pool: field-coupled kernels compile to batched dense
-        # products, the others keep their exact sparsity.  All volume
-        # kernels are merged into a single operator (one pass over f).
+        # one scratch pool, every kernel on its exact sparsity (field-coupled
+        # ones with per-configuration-cell entries).  All volume kernels
+        # are merged into a single operator (one pass over f).
         cdim, vdim = phase_grid.cdim, phase_grid.vdim
 
         def _op(ts):

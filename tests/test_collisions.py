@@ -87,6 +87,32 @@ def test_lbo_fixed_primitive_moments(setup):
     assert abs(integrate_conf_field(mom.compute("M0", df), pg)) / n0 < 1e-12
 
 
+def test_lbo_plans_bind_once_and_never_serve_stale_moments(setup, monkeypatch):
+    """The LBO keeps one aux dict whose primitive-moment arrays it refreshes
+    in place, so every plan binds on first use only — and the bound views
+    still track the moments of whichever ``f`` comes next."""
+    from repro.engine.plan import ExecutionPlan
+    from repro.runtime import Driver, build
+
+    binds = []
+    bind = ExecutionPlan._bind
+
+    def counting_bind(self, aux):
+        binds.append(self)
+        return bind(self, aux)
+
+    monkeypatch.setattr(ExecutionPlan, "_bind", counting_bind)
+    Driver(build("collisional_relaxation", nx=2, nv=16, steps=3)).run()
+    assert len(binds) > 10 and len(binds) == len({id(plan) for plan in binds})
+
+    pg, p, mom, _, f = setup
+    lbo = LBOCollisions(pg, p, nu=0.7)
+    for state in (f, 0.5 * f + 0.25 * np.roll(f, 3, axis=-1), f):
+        assert np.array_equal(
+            lbo.rhs(state, mom), LBOCollisions(pg, p, nu=0.7).rhs(state, mom)
+        )
+
+
 def test_bgk_conservation_to_projection_accuracy(setup):
     pg, p, mom, _, f = setup
     bgk = BGKCollisions(pg, p, nu=2.0)

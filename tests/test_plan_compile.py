@@ -2,7 +2,7 @@
 
 The invariants under test: a compiled plan agrees with the exact sparse
 reference (``TermSet.apply_cm``) to roundoff; its two sweep kernels (the
-emitted C sweep and scipy's ``csr_matvecs``) are **bitwise identical** to
+compiled C sweep and scipy's ``csr_matvecs``) are **bitwise identical** to
 each other and to the sha256 goldens the deleted per-term interpreted
 executor left behind; and a plan hydrated from the disk cache is bitwise
 identical to a fresh compile — so the cache and the codegen can never
@@ -11,6 +11,7 @@ change an answer, only its cost.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cas import codegen
 from repro.cas.codegen import cc_available, compile_kernel, select_tier
 from repro.engine.compile import (
     STATS,
@@ -36,48 +38,69 @@ CDIM, VDIM = 1, 1
 NCX, NCV = 3, 4
 
 
+#: velocity-cell counts on either side of every tile boundary of the C sweep
+#: (scalar tail, half vectors, one vector, four vectors) at any vector width
+NVELS = (1, 2, 3, 7, 8, 9, 31, 32, 33, 67)
+
+
 def random_termset(rng, nout=5, nin=6, nterms=7):
     """A random mixed termset: uniform, velocity-weighted, scalar-scaled,
     and configuration-varying symbol groups (the shapes real generated
-    kernels produce, with random sparsity)."""
+    kernels produce, with random sparsity) — among the latter a
+    configuration x velocity symbol, a product of two configuration factors
+    and a repeated ``(l, m)`` slot.  The last output row has no entry."""
 
     def triples(n):
         return [
-            (int(rng.integers(nout)), int(rng.integers(nin)),
+            (int(rng.integers(nout - 1)), int(rng.integers(nin)),
              float(rng.standard_normal()))
             for _ in range(n)
         ]
 
+    cfg = triples(nterms)
+    cfg += [(l, m, float(rng.standard_normal())) for l, m, _ in cfg[:2]]
     entries = {
         (): triples(nterms),
         ("w0",): triples(nterms),
         ("w1", "s0"): triples(nterms),
-        ("c0",): triples(nterms),
+        ("c0",): cfg,
+        ("c0", "w0"): triples(nterms),
+        ("c0", "c1"): triples(nterms),
     }
     return TermSet(nout, nin, entries)
 
 
-def random_aux(rng):
+def random_aux(rng, ncv=NCV):
     return {
-        "w0": rng.standard_normal((1, NCV)),
-        "w1": rng.standard_normal((1, NCV)),
+        "w0": rng.standard_normal((1, ncv)),
+        "w1": rng.standard_normal((1, ncv)),
         "s0": float(rng.standard_normal()),
         "c0": rng.standard_normal((NCX, 1)),
+        "c1": rng.standard_normal((NCX, 1)),
     }
 
 
-def apply_with(ts, aux, f_cm, tier="auto", cache="off"):
-    """One fresh GroupedOperator application under a scoped config."""
+def apply_with(ts, aux, f_cm, tier="auto", cache="off", base=None):
+    """One fresh GroupedOperator application under a scoped config:
+    assigned (``accumulate=False``, into a NaN-poisoned array — no prior
+    content may leak into the result), or accumulated onto a copy of
+    ``base``."""
     with compiler_config(tier=tier, cache=cache):
         op = GroupedOperator(ts, CDIM, VDIM)
-        out = np.zeros((NCX, ts.nout, NCV))
-        op.apply(f_cm, aux, out)
+        if base is None:
+            out = np.full((NCX, ts.nout, f_cm.shape[-1]), np.nan)
+        else:
+            out = base.copy()
+        op.apply(f_cm, aux, out, accumulate=base is not None)
     return out
 
 
-def reference(ts, aux, f_cm):
+def reference(ts, aux, f_cm, base=None):
     """The exact sparse path every plan is a reorganisation of."""
-    out = np.zeros((NCX, ts.nout, NCV))
+    if base is None:
+        out = np.zeros((NCX, ts.nout, f_cm.shape[-1]))
+    else:
+        out = base.copy()
     return ts.apply_cm(f_cm, aux, out, CDIM)
 
 
@@ -98,28 +121,42 @@ def case(rng):
 # executor equivalence
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("tier", TIERS)
-def test_plan_matches_sparse_reference(case, tier):
-    ts, aux, f_cm = case
-    got = apply_with(ts, aux, f_cm, tier=tier)
-    assert np.allclose(got, reference(ts, aux, f_cm), rtol=1e-13, atol=1e-13)
-    assert np.array_equal(got, apply_with(ts, aux, f_cm, tier="numpy"))
+def test_plan_matches_sparse_reference(case, rng, tier):
+    ts, _, _ = case
+    for ncv in NVELS:
+        aux = random_aux(rng, ncv)
+        f_cm = rng.standard_normal((NCX, ts.nin, ncv))
+        for base in (None, rng.standard_normal((NCX, ts.nout, ncv))):
+            got = apply_with(ts, aux, f_cm, tier=tier, base=base)
+            assert np.allclose(
+                got, reference(ts, aux, f_cm, base), rtol=1e-13, atol=1e-13
+            ), ncv
+            assert np.array_equal(
+                got, apply_with(ts, aux, f_cm, tier="numpy", base=base)
+            ), ncv
 
 
 def test_tiers_agree_on_many_random_termsets(rng):
     """Property check across random sparsity patterns, including degenerate
-    ones (empty groups, repeated entries): the plan matches the sparse
-    reference to roundoff and the sweep kernels match each other bitwise."""
+    ones (empty groups, repeated entries), and velocity-cell counts around
+    every tile size of the C sweep: the plan matches the sparse reference to
+    roundoff and the sweep kernels match each other bitwise, accumulating
+    and assigning."""
     for trial in range(10):
         ts = random_termset(rng, nout=int(rng.integers(2, 7)),
                             nin=int(rng.integers(2, 7)),
                             nterms=int(rng.integers(1, 9)))
-        aux = random_aux(rng)
-        f_cm = rng.standard_normal((NCX, ts.nin, NCV))
-        got = apply_with(ts, aux, f_cm, tier="numpy")
-        assert np.allclose(
-            got, reference(ts, aux, f_cm), rtol=1e-13, atol=1e-13
-        ), f"trial {trial} diverged"
-        assert np.array_equal(got, apply_with(ts, aux, f_cm, tier="cc")), trial
+        ncv = NVELS[trial]
+        aux = random_aux(rng, ncv)
+        f_cm = rng.standard_normal((NCX, ts.nin, ncv))
+        for base in (None, rng.standard_normal((NCX, ts.nout, ncv))):
+            got = apply_with(ts, aux, f_cm, tier="numpy", base=base)
+            assert np.allclose(
+                got, reference(ts, aux, f_cm, base), rtol=1e-13, atol=1e-13
+            ), f"trial {trial} diverged"
+            assert np.array_equal(
+                got, apply_with(ts, aux, f_cm, tier="cc", base=base)
+            ), trial
 
 
 def test_accumulate_and_assign(case):
@@ -134,11 +171,12 @@ def test_accumulate_and_assign(case):
     # accumulate interleaves term adds with the base, so (acc - base) and
     # fresh differ in summation order — tight tolerance, not bitwise
     assert np.allclose(acc - base, fresh, rtol=1e-13, atol=1e-13)
-    zacc = np.zeros_like(base)
-    op2 = GroupedOperator(ts, CDIM, VDIM)
-    with compiler_config(cache="off"):
-        op2.apply(f_cm, aux, zacc, accumulate=True)
-    assert np.allclose(zacc, fresh, rtol=1e-13, atol=1e-13)
+    # assigning never reads ``out``: into NaNs it equals, bit for bit,
+    # accumulating onto zeros — the row without entries included
+    for tier in ["numpy"] + (["cc"] if cc_available() else []):
+        zacc = apply_with(ts, aux, f_cm, tier=tier, base=np.zeros_like(base))
+        assert np.array_equal(zacc, apply_with(ts, aux, f_cm, tier=tier)), tier
+        assert np.array_equal(zacc, fresh), tier
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -259,6 +297,102 @@ def test_cc_tier_bitwise_matches_numpy_tier(case, monkeypatch):
     a = apply_with(ts, aux, f_cm, tier="numpy")
     b = apply_with(ts, aux, f_cm, tier="cc")
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tier", SWEEP_TIERS)
+def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier):
+    """Two configuration-varying groups with the same term count, the same
+    pattern size and the same ``ncfg``: every group's per-cell rows are live
+    at the one kernel call, so each must own its own."""
+    nout, nin = 4, 5
+    slots = [(l, m) for l in range(nout) for m in range(nin)]
+
+    def triples():
+        picks = rng.choice(len(slots), size=6, replace=False)
+        return [(*slots[i], float(rng.standard_normal())) for i in picks]
+
+    ts = TermSet(nout, nin, {("c0",): triples(), ("c1", "w0"): triples()})
+    aux = random_aux(rng)
+    f_cm = rng.standard_normal((NCX, nin, NCV))
+    with compiler_config(tier=tier, cache="off"):
+        plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
+        out = plan.apply(f_cm, aux, np.zeros((NCX, nout, NCV)))
+    assert plan.tier == tier and plan.stats["cfg_groups"] == 2
+    a, b = (g.data for g in plan._groups)
+    assert a.shape == b.shape and not np.shares_memory(a, b)
+    assert np.allclose(out, reference(ts, aux, f_cm), rtol=1e-13, atol=1e-13)
+
+
+@needs_cc
+def test_sweep_bits_do_not_depend_on_the_isa_flag(case, tmp_path):
+    """The kernel source built with and without ``-march=native`` (any
+    vector width the host offers, down to the baseline ISA) produces the
+    bits the plan's own kernel does: with contraction off and no
+    reassociation the per-element float sequence is the same."""
+    ts, _, _ = case
+    rng = np.random.default_rng(7)
+    ncv = 67
+    aux = random_aux(rng, ncv)
+    f_cm = rng.standard_normal((NCX, ts.nin, ncv))
+    base = rng.standard_normal((NCX, ts.nout, ncv))
+    src = tmp_path / "sweep.c"
+    src.write_text(codegen.FUSED_SWEEP_C)
+    with compiler_config(tier="cc", cache="off"):
+        plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, ncv))
+    assert plan.tier == "cc"
+    built = 0
+    for name, isa in (("native", [codegen.CC_ISA_FLAG]), ("baseline", [])):
+        so = tmp_path / f"{name}.so"
+        proc = subprocess.run(
+            [cc_available()[0], *codegen.CC_FLAGS, *isa, "-o", str(so), str(src)],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0 and isa:
+            continue  # a compiler without the flag: the product drops it too
+        assert proc.returncode == 0, proc.stderr
+        built += 1
+        fn = ctypes.CDLL(str(so)).fused_sweep
+        fn.restype = None
+        fn.argtypes = codegen.FUSED_SWEEP_ARGTYPES
+        for accumulate in (True, False):
+            # the plan's apply refreshes the per-cell rows and the weight
+            # buffers the group table points at; the rebuilt kernel then
+            # sweeps the very same table
+            want = plan.apply(f_cm, aux, base.copy(), accumulate=accumulate)
+            got = base.copy()
+            fn(f_cm.ctypes.data, got.ctypes.data, accumulate, *plan._cc_tail)
+            assert np.array_equal(got, want), (name, accumulate)
+    assert built >= 1
+
+
+def test_failed_kernel_build_is_counted_and_reported(case, tmp_path, monkeypatch):
+    """A compiler that starts but cannot build the kernel: the plan runs the
+    scipy sweep, says so (``tier``, ``kernels_failed``, one warning with the
+    compiler's complaint) and computes the same bytes."""
+    ts, aux, f_cm = case
+    stub = tmp_path / "stubcc"
+    stub.write_text(
+        "#!/bin/sh\n"
+        'if [ "$1" = "--version" ]; then echo "stubcc 0.0"; exit 0; fi\n'
+        'echo "stubcc: cannot compile anything" >&2\n'
+        "exit 1\n"
+    )
+    stub.chmod(0o755)
+    monkeypatch.setenv("CC", str(stub))
+    monkeypatch.setattr(codegen, "_CC", None)  # re-probe: finds the stub
+    before = STATS.snapshot()
+    with compiler_config(tier="cc", cache="off"):
+        assert select_tier("cc") == "cc"
+        with pytest.warns(RuntimeWarning, match="stubcc: cannot compile anything"):
+            plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
+        out = plan.apply(f_cm, aux, np.zeros((NCX, ts.nout, NCV)))
+    delta = STATS.delta(STATS.snapshot(), before)
+    assert plan.tier == "numpy" and plan.kernel_status == "failed"
+    assert delta["kernels_failed"] == 1
+    assert delta["kernels_built"] == delta["kernels_loaded"] == 0
+    assert np.array_equal(
+        out, apply_with(ts, aux, f_cm, tier="numpy", base=np.zeros_like(out))
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -393,6 +527,10 @@ def test_hydrated_plan_artifacts_roundtrip(case):
     ts, aux, f_cm = case
     plan = ExecutionPlan(ts, CDIM, VDIM, aux, (NCX, NCV))
     meta, arrays = plan.to_artifacts()
+    # matrix-free on disk too: values live on the exact non-zeros, never on
+    # a dense (nout x nin) block
+    assert plan.stats["cfg_items"] > 0
+    assert all(a.ndim == 1 or a.shape[1] < ts.nout * ts.nin for a in arrays.values())
     clone = ExecutionPlan.from_artifacts(
         ts, CDIM, VDIM, aux, (NCX, NCV), meta, arrays
     )
@@ -401,6 +539,11 @@ def test_hydrated_plan_artifacts_roundtrip(case):
     plan.apply(f_cm, aux, out_a)
     clone.apply(f_cm, aux, out_b)
     assert np.array_equal(out_a, out_b)
+    # the C sweep trusts the stored pattern, so a payload that is not one
+    # is refused (compile_plan then treats it as a miss and recompiles)
+    bad = dict(arrays, g0i=arrays["g0i"] + ts.nin)
+    with pytest.raises(ValueError, match="consistent sweep group"):
+        ExecutionPlan.from_artifacts(ts, CDIM, VDIM, aux, (NCX, NCV), meta, bad)
 
 
 def test_compile_plan_counts_kernels(case, tmp_path):
@@ -423,15 +566,21 @@ def test_default_config_is_auto_tier_no_cache():
 @needs_cc
 def test_whole_run_is_bitwise_equal_across_tiers():
     """Serial runs under both sweep kernels end in the same bytes, energy
-    history included.  In the numpy tier the moment plans weight the state
+    history included: the 2X2V Maxwell problem, the Poisson-coupled 1X1V one
+    (``E`` coefficients as per-cell rows) and the LBO one (per-cell rows in
+    most of its plans).  In the numpy tier the moment plans weight the state
     by the same velocity factors as the solver's volume plan, and in-place
     stepping keeps the state in one array: a weighted copy kept from one
     apply must never be served to the next."""
     from repro.runtime import Driver, build
 
-    spec = build("weibel_2x2v", nx=4, nv=6, poly_order=1, steps=3)
+    specs = [
+        build("weibel_2x2v", nx=4, nv=6, poly_order=1, steps=3),
+        build("two_stream", nx=4, nv=9, steps=3),
+        build("collisional_relaxation", nx=2, nv=9, steps=3),
+    ]
 
-    def final_state(tier):
+    def final_state(spec, tier):
         with compiler_config(tier=tier):
             drv = Driver(spec)
             drv.run()
@@ -440,8 +589,9 @@ def test_whole_run_is_bitwise_equal_across_tiers():
             state["particle_energy/" + name] = np.array(vals)
         return state
 
-    want = final_state("cc")
-    got = final_state("numpy")
-    assert set(got) == set(want)
-    for key in want:
-        assert np.array_equal(got[key], want[key]), key
+    for spec in specs:
+        want = final_state(spec, "cc")
+        got = final_state(spec, "numpy")
+        assert set(got) == set(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (spec.name, key)
