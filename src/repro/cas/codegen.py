@@ -48,6 +48,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
+from ..io.atomic import publish, publish_text
+
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ..kernels.termset import Symbol, TermSet
 
@@ -413,17 +415,9 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
         fresh = not so_path.exists()
         if fresh:
             src_path = so_path.with_suffix(".c")
-            src_path.write_text(FUSED_SWEEP_C)
-            fd, tmp = tempfile.mkstemp(
-                dir=so_path.parent, prefix=f".ccsweep-{digest}-", suffix=".so"
-            )
-            os.close(fd)
-            try:
-                _build_sweep(cc[0], src_path, tmp)
-                os.replace(tmp, so_path)  # atomic publish
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            publish_text(src_path, FUSED_SWEEP_C)
+            with publish(so_path) as tmp:
+                _build_sweep(cc[0], src_path, str(tmp))
         fn = ctypes.CDLL(str(so_path)).fused_sweep
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not

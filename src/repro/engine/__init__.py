@@ -29,8 +29,6 @@ and for all layers:
 
 from .layout import (
     StateLayout,
-    conf_to_cell_major,
-    conf_to_mode_major,
     phase_to_cell_major,
     phase_to_mode_major,
 )
@@ -75,6 +73,4 @@ __all__ = [
     "StateLayout",
     "phase_to_cell_major",
     "phase_to_mode_major",
-    "conf_to_cell_major",
-    "conf_to_mode_major",
 ]

@@ -14,14 +14,14 @@ are contiguous in memory, and a halo slab along a configuration axis is a
 contiguous ``memcpy`` instead of a strided gather.  Before this layout the
 state was *mode-major* (``(num_basis, *cfg, *vel)`` / ``(comp, Npc, *cfg)``)
 and every hot path paid a transpose or ``ascontiguousarray`` pass to reach
-the cell-major products; those passes are gone — the only remaining layout
-conversions are at the I/O boundary (legacy checkpoints) and in the
-benchmark baselines that preserve the old paths.
+the cell-major products; those passes are gone.  Nothing in ``src/`` holds
+mode-major state any more (a checkpoint is cell-major or an error).
 
 :class:`StateLayout` owns the phase-space conventions (shapes, axis
-placement, broadcast and view helpers); the module-level functions convert
-between the canonical layout and the legacy mode-major layout for
-checkpoint compatibility.
+placement, broadcast and view helpers).  :func:`phase_to_cell_major` /
+:func:`phase_to_mode_major` remain for the test oracles that compare
+against the mode-major ``TermSet.apply`` and the preserved benchmark
+baselines.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ __all__ = [
     "insert_basis_axis",
     "phase_to_cell_major",
     "phase_to_mode_major",
-    "conf_to_cell_major",
-    "conf_to_mode_major",
 ]
-
-CELL_MAJOR = "cell-major"
-MODE_MAJOR = "mode-major"
 
 
 def insert_basis_axis(val, cdim: int) -> np.ndarray:
@@ -132,15 +127,9 @@ class StateLayout:
         array (strided, no copy) — for read-mostly consumers."""
         return np.moveaxis(arr, self.cdim, 0)
 
-    def from_mode_major(self, arr: np.ndarray) -> np.ndarray:
-        return phase_to_cell_major(arr, self.cdim)
-
-    def to_mode_major(self, arr: np.ndarray) -> np.ndarray:
-        return phase_to_mode_major(arr, self.cdim)
-
 
 # --------------------------------------------------------------------- #
-# layout conversions (I/O boundary and legacy-comparison paths only)
+# layout conversions (test oracles and legacy-comparison benchmarks only)
 # --------------------------------------------------------------------- #
 def phase_to_cell_major(arr: np.ndarray, cdim: int) -> np.ndarray:
     """Copy mode-major ``(Np, *cfg, *vel)`` to cell-major ``(*cfg, Np, *vel)``."""
@@ -151,17 +140,3 @@ def phase_to_mode_major(arr: np.ndarray, cdim: int) -> np.ndarray:
     """Copy cell-major ``(*cfg, Np, *vel)`` to mode-major ``(Np, *cfg, *vel)``."""
     return np.ascontiguousarray(np.moveaxis(arr, cdim, 0))
 
-
-def conf_to_cell_major(arr: np.ndarray, cdim: int, lead: int = 1) -> np.ndarray:
-    """Copy a configuration-space field with ``lead`` leading non-cell axes
-    (``(comp..., Npc, *cfg)``) to cell-major ``(*cfg, comp..., Npc)``."""
-    src = tuple(range(lead))
-    dst = tuple(range(arr.ndim - lead, arr.ndim))
-    return np.ascontiguousarray(np.moveaxis(arr, src, dst))
-
-
-def conf_to_mode_major(arr: np.ndarray, cdim: int, lead: int = 1) -> np.ndarray:
-    """Inverse of :func:`conf_to_cell_major`."""
-    src = tuple(range(arr.ndim - lead, arr.ndim))
-    dst = tuple(range(lead))
-    return np.ascontiguousarray(np.moveaxis(arr, src, dst))

@@ -11,24 +11,25 @@ or, for per-cell rows, the term stack on the union of the terms' non-zeros
 root (default ``~/.cache/repro``, redirected by ``$REPRO_CACHE_DIR``).
 
 The store is safe under concurrent writers (sharded workers and campaign
-fleets compile the same plans at the same time): payloads are written to
-a temporary file in the cache root and published with an atomic
-``os.replace`` — the same publish-or-nothing discipline the campaign
-lease files use.  Two racing writers produce byte-identical content, so
-last-write-wins is harmless.  Readers treat *any* failure — missing
-file, truncated zip, wrong version, type errors — as a cache miss: a
-corrupted cache can cost a recompile, never a crash or a wrong answer.
+fleets compile the same plans at the same time): payloads are published
+through :mod:`repro.io.atomic`, and two racing writers produce
+byte-identical content, so last-write-wins is harmless.  Readers treat a
+missing file, a truncated zip, a member failing its CRC, a wrong version or
+a malformed metadata record as a cache miss: a corrupted cache can cost a
+recompile, never a crash or a wrong answer.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from ..io.atomic import publish
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -82,8 +83,8 @@ class PlanCache:
         return self.root / f"plan-{digest}.npz"
 
     def load(self, digest: str) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
-        """The ``(meta, arrays)`` payload for ``digest``, or None on any
-        failure (missing, truncated, corrupted, version-mismatched)."""
+        """The ``(meta, arrays)`` payload for ``digest``, or None when the
+        entry is missing, truncated, corrupted or version-mismatched."""
         path = self.path_for(digest)
         try:
             with np.load(path, allow_pickle=False) as z:
@@ -92,34 +93,22 @@ class PlanCache:
                     return None
                 arrays = {k: z[k] for k in z.files if k != _META_KEY}
             return meta, arrays
-        except Exception:
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None
 
     def store(self, digest: str, meta: dict, arrays: Dict[str, np.ndarray]) -> bool:
-        """Atomically publish a payload; returns False on any I/O failure
-        (a read-only or full cache dir degrades to compile-every-time)."""
-        path = self.path_for(digest)
+        """Publish a payload; returns False on an I/O failure (a read-only
+        or full cache dir degrades to compile-every-time)."""
+        payload = dict(arrays)
+        payload[_META_KEY] = np.asarray(
+            json.dumps({**meta, "format": ARTIFACT_VERSION})
+        )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            payload = dict(arrays)
-            payload[_META_KEY] = np.asarray(
-                json.dumps({**meta, "format": ARTIFACT_VERSION})
-            )
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{digest[:12]}-", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with publish(self.path_for(digest)) as tmp, open(tmp, "wb") as fh:
+                np.savez(fh, **payload)
             return True
-        except Exception:
+        except OSError:
             return False
 
     # ------------------------------------------------------------------ #

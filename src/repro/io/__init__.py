@@ -1,11 +1,11 @@
-"""Checkpoint/restart I/O."""
+"""Checkpoint/restart I/O and the atomic artifact writer (a leaf package:
+numpy + stdlib, importable from every layer)."""
 
 from .checkpoint import (
     CANONICAL_LAYOUT,
+    CheckpointError,
     checkpoint_roundtrip_equal,
-    convert_checkpoint_layout,
     load_checkpoint,
-    normalize_state_layout,
     restore_app,
     save_app,
     save_checkpoint,
@@ -17,7 +17,6 @@ __all__ = [
     "save_app",
     "restore_app",
     "checkpoint_roundtrip_equal",
-    "normalize_state_layout",
-    "convert_checkpoint_layout",
+    "CheckpointError",
     "CANONICAL_LAYOUT",
 ]

@@ -1,61 +1,56 @@
 """Checkpoint/restart I/O (the ADIOS role in Gkeyll, via ``.npz``).
 
 A kinetic checkpoint is the full set of species distribution functions plus
-the EM field state and the simulation clock.  Files are self-describing:
-array names mirror the App state keys, and scalar metadata is stored under a
-``meta/`` prefix.
-
-Layout compatibility: checkpoints written since the cell-major refactor tag
-``meta["layout"] = "cell-major"``; files written before it (no tag, or an
-explicit ``"mode-major"``) hold mode-major arrays and are converted
-transparently — element-exact, values unchanged — on load via
-:func:`normalize_state_layout`.  :func:`convert_checkpoint_layout` rewrites
-a file in either direction, so new checkpoints can also be handed back to
-pre-refactor tooling.
+the EM field state and the simulation clock.  There is one format: an
+``.npz`` whose members are ``state_<i>`` (the arrays, cell-major),
+``state_keys_json`` (their true keys, in order) and ``meta_json`` (scalar
+metadata, with ``meta["layout"] == "cell-major"``).  It is published through
+:mod:`repro.io.atomic`, so the file under a checkpoint's name is always a
+complete one.  :func:`load_checkpoint` returns exactly what was saved or
+raises :class:`CheckpointError`; the zip container checksums every member, so
+a truncated or bit-flipped file is an error, never a wrong state.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Union
 
 import numpy as np
 
-from ..engine.layout import (
-    conf_to_cell_major,
-    conf_to_mode_major,
-    phase_to_cell_major,
-    phase_to_mode_major,
-)
+from .atomic import publish
 
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_roundtrip_equal",
-    "normalize_state_layout",
-    "convert_checkpoint_layout",
+    "CheckpointError",
     "CANONICAL_LAYOUT",
 ]
 
 PathLike = Union[str, Path]
 
 CANONICAL_LAYOUT = "cell-major"
-LEGACY_LAYOUT = "mode-major"
+
+
+class CheckpointError(Exception):
+    """``path`` is not a checkpoint :func:`load_checkpoint` can serve."""
+
+    def __init__(self, path: PathLike, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = Path(path)
+        self.reason = reason
 
 
 def save_checkpoint(path: PathLike, state: Dict[str, np.ndarray], meta: Dict) -> None:
-    """Write a checkpoint; ``meta`` must be JSON-serializable.
-
-    State keys are stored losslessly: arrays go in under positional names
-    (``state_0``, ``state_1``, ...) and the true keys travel in a JSON
-    manifest, so keys containing ``/`` or ``__`` round-trip exactly.  The
-    state layout is recorded under ``meta["layout"]`` (defaulting to the
-    canonical cell-major layout).
-    """
+    """Publish a checkpoint; ``meta`` must be JSON-serializable.  The true
+    keys travel in the JSON manifest, so any key round-trips exactly; the
+    payload is stored uncompressed (float64 state does not compress)."""
     path = Path(path)
-    meta = dict(meta)
-    meta.setdefault("layout", CANONICAL_LAYOUT)
+    meta = {**meta, "layout": CANONICAL_LAYOUT}
     keys = list(state)
     payload = {f"state_{i}": state[k] for i, k in enumerate(keys)}
     payload["state_keys_json"] = np.frombuffer(
@@ -65,32 +60,38 @@ def save_checkpoint(path: PathLike, state: Dict[str, np.ndarray], meta: Dict) ->
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **payload)
+    with publish(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path: PathLike):
     """Read back ``(state, meta)`` from :func:`save_checkpoint`.
 
-    Checkpoints written before the key manifest existed (array names munged
-    as ``state__<key with / replaced by __>``) still load, with the caveat
-    that their keys containing literal ``__`` were never recoverable.
-    Arrays are returned in the layout named by ``meta.get("layout")``
-    (missing = legacy mode-major); app-level loaders call
-    :func:`normalize_state_layout` to reach the canonical layout.
+    Anything else under ``path`` — not a zip, truncated, a member failing its
+    CRC, a missing member, a layout other than cell-major — raises
+    :class:`CheckpointError` (a missing file stays ``FileNotFoundError``).
     """
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode())
-        state = {}
-        if "state_keys_json" in data.files:
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["meta_json"]).decode())
             keys = json.loads(bytes(data["state_keys_json"]).decode())
-            for i, name in enumerate(keys):
-                state[name] = data[f"state_{i}"]
-        else:  # legacy munged-key format
-            for key in data.files:
-                if key == "meta_json":
-                    continue
-                name = key[len("state__"):].replace("__", "/")
-                state[name] = data[key]
+            state = {name: data[f"state_{i}"] for i, name in enumerate(keys)}
+    except FileNotFoundError:
+        raise
+    except (
+        OSError, EOFError, ValueError, KeyError, TypeError,
+        zipfile.BadZipFile, zlib.error,
+    ) as exc:
+        raise CheckpointError(
+            path, f"not a readable checkpoint ({type(exc).__name__}: {exc})"
+        ) from exc
+    if meta.get("layout") != CANONICAL_LAYOUT:
+        raise CheckpointError(
+            path,
+            f"layout {meta.get('layout')!r} predates the cell-major layout; the "
+            "converter is in the git history of src/repro/io/checkpoint.py",
+        )
     return state, meta
 
 
@@ -100,70 +101,6 @@ def checkpoint_roundtrip_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray
     return all(np.array_equal(a[k], b[k]) for k in a)
 
 
-# --------------------------------------------------------------------- #
-# layout conversion
-# --------------------------------------------------------------------- #
-def _convert_state(state: Dict[str, np.ndarray], cdim: int, to_cell_major: bool):
-    """Convert app state arrays between layouts (element-exact transposes).
-
-    Keys: ``f/<species>`` are phase-space (``Np`` first in mode-major, at
-    axis ``cdim`` in cell-major); ``em`` has two leading (component,
-    coefficient) axes in mode-major that trail in cell-major; anything else
-    (history series, scalars) passes through untouched.
-    """
-    out: Dict[str, np.ndarray] = {}
-    for key, arr in state.items():
-        arr = np.asarray(arr)
-        if key.startswith("f/"):
-            out[key] = (
-                phase_to_cell_major(arr, cdim)
-                if to_cell_major
-                else phase_to_mode_major(arr, cdim)
-            )
-        elif key == "em":
-            out[key] = (
-                conf_to_cell_major(arr, cdim, lead=2)
-                if to_cell_major
-                else conf_to_mode_major(arr, cdim, lead=2)
-            )
-        else:
-            out[key] = arr
-    return out
-
-
-def normalize_state_layout(
-    state: Dict[str, np.ndarray], meta: Dict, cdim: int
-) -> Dict[str, np.ndarray]:
-    """Return ``state`` in the canonical cell-major layout, converting
-    legacy mode-major checkpoints (missing or non-canonical ``layout`` tag)
-    element-exactly."""
-    layout = meta.get("layout", LEGACY_LAYOUT)
-    if layout == CANONICAL_LAYOUT:
-        return {k: np.asarray(v) for k, v in state.items()}
-    if layout != LEGACY_LAYOUT:
-        raise ValueError(f"unknown checkpoint layout {layout!r}")
-    return _convert_state(state, cdim, to_cell_major=True)
-
-
-def convert_checkpoint_layout(
-    src: PathLike, dst: PathLike, cdim: int, to: str = CANONICAL_LAYOUT
-) -> None:
-    """Rewrite checkpoint ``src`` as ``dst`` in layout ``to`` (either
-    direction; values are element-exact under round-trip)."""
-    if to not in (CANONICAL_LAYOUT, LEGACY_LAYOUT):
-        raise ValueError(f"unknown target layout {to!r}")
-    state, meta = load_checkpoint(src)
-    have = meta.get("layout", LEGACY_LAYOUT)
-    if have != to:
-        state = _convert_state(state, cdim, to_cell_major=(to == CANONICAL_LAYOUT))
-    meta = dict(meta)
-    meta["layout"] = to  # explicit tag survives save_checkpoint's setdefault
-    save_checkpoint(dst, state, meta)
-
-
-# --------------------------------------------------------------------- #
-# model-level helpers
-# --------------------------------------------------------------------- #
 def save_app(path: PathLike, app) -> None:
     """Checkpoint a :class:`~repro.systems.system.System` (or any Model
     exposing the discretization attributes recorded below)."""
@@ -174,17 +111,15 @@ def save_app(path: PathLike, app) -> None:
         "family": app.family,
         "scheme": app.scheme,
         "species": [s.name for s in app.species],
-        "layout": CANONICAL_LAYOUT,
     }
     save_checkpoint(path, app.state(), meta)
 
 
 def restore_app(path: PathLike, app) -> Dict:
     """Restore Model state in place through the protocol
-    (``set_state``/``time``/``step_count``), converting legacy mode-major
-    checkpoints transparently; returns the checkpoint metadata."""
+    (``set_state``/``time``/``step_count``); returns the checkpoint
+    metadata."""
     state, meta = load_checkpoint(path)
-    state = normalize_state_layout(state, meta, app.conf_grid.ndim)
     app.set_state({k: np.array(v) for k, v in state.items()})
     app.time = float(meta["time"])
     app.step_count = int(meta["step_count"])

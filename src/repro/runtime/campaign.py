@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
+from ..io.atomic import publish_text
 from .errors import SpecError
 from .scenarios import build
 from .spec import _reject_unknown
@@ -129,12 +129,6 @@ def expand_points(campaign: CampaignSpec) -> List[Dict[str, object]]:
     return [{**campaign.base, **var} for var in variations]
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, path)
-
-
 def load_manifest(outdir: PathLike) -> Optional[dict]:
     path = Path(outdir) / MANIFEST_NAME
     if not path.exists():
@@ -196,7 +190,7 @@ def run_campaign(
     # written at submit too: the index exists while workers (here, or
     # `repro worker` on another host) are still running
     refresh()
-    _write_manifest(outdir / MANIFEST_NAME, manifest)
+    publish_text(outdir / MANIFEST_NAME, json.dumps(manifest, indent=2))
     if not drain:
         return manifest
     # a daemon that drained this directory left its STOP sentinel behind
@@ -217,5 +211,5 @@ def run_campaign(
         "skipped": skipped,
         "failed": sum(e["status"] == "failed" for e in points.values()),
     }
-    _write_manifest(outdir / MANIFEST_NAME, manifest)
+    publish_text(outdir / MANIFEST_NAME, json.dumps(manifest, indent=2))
     return manifest

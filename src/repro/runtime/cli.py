@@ -58,6 +58,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..io.checkpoint import CheckpointError
 from .campaign import CampaignSpec, run_campaign
 from .driver import Driver
 from .errors import SpecError
@@ -618,10 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SpecError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -27,7 +27,8 @@ from typing import Dict, Mapping, Optional, Union
 import numpy as np
 
 from ..diagnostics.energy import EnergyHistory
-from ..io.checkpoint import load_checkpoint, normalize_state_layout, save_checkpoint
+from ..io.atomic import publish_text
+from ..io.checkpoint import load_checkpoint, save_checkpoint
 from ..obs import OBS, chrome_trace, merge_snapshots
 from ..obs import configure_from_spec as _obs_configure
 from ..obs.metrics import SLOT as _OBS_SLOT
@@ -236,11 +237,6 @@ class Driver:
         app_state = {
             k: v for k, v in state.items() if not k.startswith(_HISTORY_PREFIX)
         }
-        # pre-refactor checkpoints hold mode-major arrays; convert them to
-        # the canonical cell-major layout element-exactly
-        app_state = normalize_state_layout(
-            app_state, meta, drv.app.conf_grid.ndim
-        )
         drv.app.set_state({k: np.array(v) for k, v in app_state.items()})
         drv.app.time = float(meta["time"])
         drv.app.step_count = int(meta["step_count"])
@@ -336,8 +332,7 @@ class Driver:
         events.sort(key=lambda ev: ev[3])
         doc = chrome_trace(events, OBS.origin, names)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        publish_text(path, json.dumps(doc))
 
     def _close_streams(self) -> None:
         """Flush + fsync + close both JSONL streams: runs in ``finally``,

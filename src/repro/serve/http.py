@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from ..dist.lease import DEFAULT_LEASE_TIMEOUT, validate_lease_timeout
+from ..io.atomic import publish_text
 from ..obs.metrics import MetricsRegistry
 from ..runtime.errors import SpecError
 from ..runtime.spec import SimulationSpec
@@ -112,7 +113,8 @@ class ServeDaemon:
         t_http.start()
         t_mon.start()
         self._threads = [t_http, t_mon]
-        self.info_path.write_text(
+        publish_text(
+            self.info_path,
             json.dumps(
                 {
                     "host": self.host,
@@ -121,7 +123,7 @@ class ServeDaemon:
                     "pid": os.getpid(),
                     "workers": self.pool.workers,
                 }
-            )
+            ),
         )
         return self
 

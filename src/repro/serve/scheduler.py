@@ -36,6 +36,7 @@ import time
 from typing import Callable, List, Optional
 
 from ..dist.lease import DEFAULT_LEASE_TIMEOUT, validate_lease_timeout
+from ..io.atomic import publish_text
 from .store import FileJobStore, PathLike
 
 __all__ = ["run_job", "worker_loop", "WorkerPool", "DEFAULT_POLL"]
@@ -68,7 +69,7 @@ def run_job(store: FileJobStore, record: dict) -> dict:
         result = driver.run()
     finally:
         driver.close()
-    store.result_path(record["id"]).write_text(json.dumps(result, indent=2))
+    publish_text(store.result_path(record["id"]), json.dumps(result, indent=2))
     return result
 
 

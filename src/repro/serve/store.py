@@ -11,8 +11,8 @@ Redis): everything the scheduler and HTTP layer touch goes through it.
 :class:`FileJobStore` is the filesystem implementation — the one queue
 ``repro campaign``, ``repro worker`` and ``repro serve`` all run on:
 
-* job metadata is a ``job.json`` per job, written atomically
-  (``tmp + os.replace``) so readers never see a torn record;
+* job metadata is a ``job.json`` per job, published through
+  :mod:`repro.io.atomic` so readers never see a torn record;
 * read-modify-write of metadata serializes through one short-lived
   :class:`~repro.dist.lease.LeaseLock` (``locks/store.lock``);
 * the *run* claim is a per-job heartbeated lease
@@ -25,7 +25,6 @@ Redis): everything the scheduler and HTTP layer touch goes through it.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
@@ -37,6 +36,7 @@ from ..dist.lease import (
     LeaseLock,
     validate_lease_timeout,
 )
+from ..io.atomic import publish_text
 from ..runtime.spec import SimulationSpec
 from .hash import normalized_spec_dict, spec_digest
 
@@ -147,10 +147,7 @@ class FileJobStore:
             return None
 
     def _write(self, record: dict) -> None:
-        path = self.job_dir(record["id"]) / _META
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, indent=2))
-        os.replace(tmp, path)
+        publish_text(self.job_dir(record["id"]) / _META, json.dumps(record, indent=2))
 
     def resolve(self, job_id: str) -> Optional[str]:
         """Resolve a full digest or an unambiguous prefix (>= 8 chars) to

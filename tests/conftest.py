@@ -22,7 +22,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "layout: cell-major state-layout invariants (copy-free hot path, "
-        "legacy checkpoint compatibility, contiguous halo slabs)",
+        "exactness against the mode-major reference, contiguous halo slabs)",
     )
     config.addinivalue_line(
         "markers",

@@ -29,20 +29,6 @@ def test_checkpoint_keys_with_underscores_roundtrip(tmp_path):
     assert checkpoint_roundtrip_equal(state, back)
 
 
-def test_checkpoint_legacy_munged_format_still_loads(tmp_path):
-    """Checkpoints written before the key manifest (munged array names)."""
-    import json
-
-    payload = {
-        "state__f__elc": np.arange(5.0),
-        "meta_json": np.frombuffer(json.dumps({"time": 2.0}).encode(), dtype=np.uint8),
-    }
-    np.savez_compressed(tmp_path / "legacy.npz", **payload)
-    state, meta = load_checkpoint(tmp_path / "legacy.npz")
-    assert meta == {"time": 2.0}
-    assert np.array_equal(state["f/elc"], np.arange(5.0))
-
-
 def test_checkpoint_roundtrip_equal_detects_mismatch():
     a = {"x": np.ones(3)}
     assert not checkpoint_roundtrip_equal(a, {"y": np.ones(3)})

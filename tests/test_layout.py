@@ -1,16 +1,14 @@
 """Cell-major layout invariants.
 
-The cell-major refactor is held to three contracts:
+The cell-major layout is held to three contracts:
 
 1. **Exactness** — the cell-major engine reproduces the preserved
    mode-major reference (``benchmarks/_legacy_rhs.py``) to <= 2e-15 over
    randomized termsets and over full solver right-hand sides;
 2. **Copy-freedom** — the steady-state RHS performs no layout-normalizing
    copy of full phase-space state (asserted via ``ScratchPool.copy_debug``);
-3. **Compatibility** — pre-refactor mode-major checkpoints (committed
-   fixture) resume transparently, checkpoints convert between layouts in
-   both directions element-exactly, and the sharded halo traffic still
-   matches the Fig. 3 model while moving contiguous slabs.
+3. **Halo invariant** — the sharded halo traffic still matches the Fig. 3
+   model while moving contiguous slabs.
 """
 
 from __future__ import annotations
@@ -26,25 +24,13 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from repro.engine import ScratchPool, StateLayout  # noqa: E402
-from repro.engine.layout import (  # noqa: E402
-    conf_to_cell_major,
-    conf_to_mode_major,
-    phase_to_cell_major,
-    phase_to_mode_major,
-)
+from repro.engine.layout import phase_to_cell_major, phase_to_mode_major  # noqa: E402
 from repro.grid import Grid, PhaseGrid  # noqa: E402
-from repro.io.checkpoint import (  # noqa: E402
-    convert_checkpoint_layout,
-    load_checkpoint,
-    normalize_state_layout,
-)
 from repro.kernels.grouped import GroupedOperator  # noqa: E402
 from repro.kernels.termset import TermSet  # noqa: E402
 from repro.vlasov.modal_solver import VlasovModalSolver  # noqa: E402
 
 pytestmark = pytest.mark.layout
-
-DATA = Path(__file__).resolve().parent / "data"
 
 
 # --------------------------------------------------------------------- #
@@ -71,10 +57,6 @@ def test_layout_conversions_roundtrip():
     f_cm = phase_to_cell_major(f, 2)
     assert f_cm.shape == (3, 2, 7, 5) and f_cm.flags.c_contiguous
     assert np.array_equal(phase_to_mode_major(f_cm, 2), f)
-    em = rng.standard_normal((8, 4, 3, 2))  # (comp, Npc, *cfg)
-    em_cm = conf_to_cell_major(em, 2, lead=2)
-    assert em_cm.shape == (3, 2, 8, 4)
-    assert np.array_equal(conf_to_mode_major(em_cm, 2, lead=2), em)
 
 
 # --------------------------------------------------------------------- #
@@ -145,9 +127,9 @@ def test_cellmajor_rhs_matches_legacy_solver(cdim, vdim, p, rng):
     f_cm = rng.standard_normal(solver.layout.shape)
     em_cm = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
     got = phase_to_mode_major(solver.rhs(f_cm, em_cm), cdim)
-    ref = LegacyRhs(solver)(
-        phase_to_mode_major(f_cm, cdim), conf_to_mode_major(em_cm, cdim, lead=2)
-    )
+    # the oracle takes the EM state mode-major: (comp, Npc, *cfg)
+    em_mm = np.ascontiguousarray(np.moveaxis(em_cm, (-2, -1), (0, 1)))
+    ref = LegacyRhs(solver)(phase_to_mode_major(f_cm, cdim), em_mm)
     scale = max(float(np.max(np.abs(ref))), 1.0)
     assert np.max(np.abs(got - ref)) / scale <= 2e-15
 
@@ -201,77 +183,7 @@ def test_scratch_pool_copy_audit():
 
 
 # --------------------------------------------------------------------- #
-# 3. checkpoint compatibility across the layout change
-# --------------------------------------------------------------------- #
-def test_legacy_modemajor_checkpoint_loads_bit_identically():
-    """The committed pre-refactor checkpoint (no layout tag) converts to
-    cell-major element-exactly: every value survives the axis move."""
-    state, meta = load_checkpoint(DATA / "legacy_mode_major_checkpoint.npz")
-    assert "layout" not in meta  # genuinely pre-refactor
-    cdim = 2  # weibel_2x2v fixture
-    norm = normalize_state_layout(state, meta, cdim)
-    f_raw, em_raw = state["f/elc"], state["em"]
-    assert norm["f/elc"].shape == f_raw.shape[1:3] + (f_raw.shape[0],) + f_raw.shape[3:]
-    assert np.array_equal(norm["f/elc"], np.moveaxis(f_raw, 0, cdim))
-    assert np.array_equal(norm["em"], np.moveaxis(em_raw, (0, 1), (-2, -1)))
-
-
-def test_legacy_checkpoint_resumes_and_matches_prerefactor_run():
-    """``repro resume`` across the layout change: a driver rebuilt from the
-    mode-major fixture continues the run and reproduces the state the
-    pre-refactor code computed from the same checkpoint (same dt schedule;
-    tolerance covers the engine's roundoff-level reassociation)."""
-    from repro.runtime import Driver
-
-    drv = Driver.from_checkpoint(DATA / "legacy_mode_major_checkpoint.npz")
-    for _ in range(2):
-        drv.app.step(drv.app.suggested_dt() * 0.5)
-    ref = np.load(DATA / "legacy_mode_major_reference.npz")
-    assert drv.app.time == pytest.approx(float(ref["time"]), rel=1e-13)
-    cdim = drv.app.conf_grid.ndim
-    got_f = drv.app.f["elc"]
-    ref_f = phase_to_cell_major(ref["f__elc"], cdim)
-    scale = float(np.max(np.abs(ref_f)))
-    assert np.max(np.abs(got_f - ref_f)) / scale < 1e-12
-    ref_em = conf_to_cell_major(ref["em"], cdim, lead=2)
-    em_scale = max(float(np.max(np.abs(ref_em))), 1e-30)
-    assert np.max(np.abs(drv.app.em - ref_em)) / em_scale < 1e-10
-
-
-def test_checkpoint_layout_conversion_roundtrips(tmp_path):
-    """New checkpoints convert to mode-major (for pre-refactor tooling) and
-    back, bit-identically — resume works across the layout change in both
-    directions."""
-    from repro.runtime import Driver, build
-
-    drv = Driver(build("two_stream", nx=4, nv=8, steps=2), outdir=tmp_path / "run")
-    drv.run()
-    src = tmp_path / "run" / "checkpoint.npz"
-    state0, meta0 = load_checkpoint(src)
-    assert meta0["layout"] == "cell-major"
-
-    mm_path = tmp_path / "mm.npz"
-    convert_checkpoint_layout(src, mm_path, cdim=1, to="mode-major")
-    state_mm, meta_mm = load_checkpoint(mm_path)
-    assert meta_mm["layout"] == "mode-major"
-    assert state_mm["f/elc"].shape[0] != state0["f/elc"].shape[0]  # axes moved
-
-    back_path = tmp_path / "back.npz"
-    convert_checkpoint_layout(mm_path, back_path, cdim=1, to="cell-major")
-    state_back, meta_back = load_checkpoint(back_path)
-    assert meta_back["layout"] == "cell-major"
-    for key in state0:
-        assert np.array_equal(state_back[key], state0[key]), key
-
-    # a mode-major file resumes through the Driver exactly like the original
-    drv_mm = Driver.from_checkpoint(mm_path)
-    drv_orig = Driver.from_checkpoint(src)
-    for key, val in drv_orig.app.state().items():
-        assert np.array_equal(drv_mm.app.state()[key], val), key
-
-
-# --------------------------------------------------------------------- #
-# 3b. sharded halos: contiguous slabs, Fig. 3 traffic unchanged
+# 3. sharded halos: contiguous slabs, Fig. 3 traffic unchanged
 # --------------------------------------------------------------------- #
 @pytest.mark.shard
 def test_sharded_cellmajor_halo_bytes_match_fig3_model():

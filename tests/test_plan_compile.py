@@ -14,8 +14,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -440,24 +442,41 @@ def test_cache_hydration_is_bit_identical_and_compile_free(case, tmp_path):
     assert np.array_equal(cold, warm)
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: max(4, path.stat().st_size // 3)])
+
+
+def _flip_payload_byte(path):
+    """Flip the last data byte of the largest member: array data, which only
+    the zip container's per-member CRC can vouch for."""
+    with zipfile.ZipFile(path) as z:
+        info = max(z.infolist(), key=lambda i: i.file_size)
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
 def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path):
     ts, aux, f_cm = case
     cache_dir = tmp_path / "plans"
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    entries = list(cache_dir.glob("plan-*.npz"))
-    assert entries
-    for path in entries:
-        path.write_bytes(path.read_bytes()[: max(4, path.stat().st_size // 3)])
-    before = STATS.snapshot()
-    got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    delta = STATS.delta(STATS.snapshot(), before)
-    assert delta["cache_misses"] >= 1 and delta["compiled"] >= 1
-    assert np.array_equal(cold, got)
-    # the recompile re-published good payloads: next load hydrates again
-    before = STATS.snapshot()
-    again = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    assert STATS.delta(STATS.snapshot(), before)["compiled"] == 0
-    assert np.array_equal(cold, again)
+    for damage in (_truncate, _flip_payload_byte):
+        entries = list(cache_dir.glob("plan-*.npz"))
+        assert entries
+        for path in entries:
+            damage(path)
+        before = STATS.snapshot()
+        got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+        delta = STATS.delta(STATS.snapshot(), before)
+        assert delta["cache_misses"] >= 1 and delta["compiled"] >= 1
+        assert delta["hydrated"] == 0  # rejected, never served
+        assert np.array_equal(cold, got)
+        # the recompile re-published good payloads: next load hydrates again
+        before = STATS.snapshot()
+        again = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+        assert STATS.delta(STATS.snapshot(), before)["compiled"] == 0
+        assert np.array_equal(cold, again)
 
 
 def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng):

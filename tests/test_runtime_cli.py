@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime.cli import main
@@ -62,6 +63,68 @@ def test_resume_continues_from_checkpoint(capsys, tmp_path):
     ]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["steps"] == 4
+
+
+def _truncate(path, state, meta):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
+
+
+def _flip_one_byte(path, state, meta):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _json_member(obj):
+    return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
+
+
+def _untagged_mode_major(path, state, meta):
+    """What the code before the cell-major layout wrote: basis axis first,
+    no ``layout`` tag."""
+    meta = {k: v for k, v in meta.items() if k != "layout"}
+    state = {
+        k: np.moveaxis(v, 1, 0) if k.startswith("f/") else v for k, v in state.items()
+    }
+    keys = list(state)
+    np.savez(
+        path,
+        **{f"state_{i}": state[k] for i, k in enumerate(keys)},
+        state_keys_json=_json_member(keys),
+        meta_json=_json_member(meta),
+    )
+
+
+def _munged_key_names(path, state, meta):
+    """The format before the key manifest: ``state__f__elc`` member names."""
+    np.savez(
+        path,
+        **{"state__" + k.replace("/", "__"): v for k, v in state.items()},
+        meta_json=_json_member(meta),
+    )
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate, _flip_one_byte, _untagged_mode_major, _munged_key_names]
+)
+def test_resume_from_a_damaged_or_foreign_checkpoint_is_one_error_line(
+    damage, capsys, tmp_path
+):
+    from repro.io import load_checkpoint
+
+    assert main([
+        "run", "two_stream",
+        "--set", "steps=2", "--set", "nx=4", "--set", "nv=8",
+        "--set", "t_end=100.0", "--outdir", str(tmp_path), "--json",
+    ]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "checkpoint.npz"
+    damage(ckpt, *load_checkpoint(ckpt))
+    assert main(["resume", str(ckpt), "--set", "steps=4", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {ckpt}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_campaign_subcommand(capsys, tmp_path):

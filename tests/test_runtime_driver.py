@@ -1,5 +1,7 @@
 """Driver: system building, scheduled diagnostics, checkpoint-resume equivalence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,109 @@ def test_killed_then_resumed_run_matches_uninterrupted(tmp_path, monkeypatch):
     # diagnostics history survives the kill/resume seam too
     assert np.array_equal(ref.history.times, resumed.history.times)
     assert np.array_equal(ref.history.field_energy, resumed.history.field_energy)
+
+
+def _assert_same_run(ref, got):
+    """State, clock and diagnostics history are bitwise equal."""
+    assert got.app.time == ref.app.time
+    ref_state, got_state = ref.app.state(), got.app.state()
+    assert set(ref_state) == set(got_state)
+    for key in ref_state:
+        assert np.array_equal(ref_state[key], got_state[key]), key
+    assert np.array_equal(ref.history.times, got.history.times)
+    assert np.array_equal(ref.history.field_energy, got.history.field_energy)
+    for name, vals in ref.history.particle_energy.items():
+        assert np.array_equal(vals, got.history.particle_energy[name]), name
+
+
+def test_kill_inside_checkpoint_writer_keeps_last_good_checkpoint(tmp_path):
+    """SIGKILL in the middle of the *second* checkpoint write: the file under
+    ``checkpoint.npz`` is still the complete first one (step 2), and resuming
+    from it reproduces the uninterrupted run bit for bit.  Both spellings of
+    the numpy writer are wrapped, so an in-place write is torn by the same
+    test."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    from repro.io import load_checkpoint
+
+    script = """
+import io, os, signal, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.runtime import Driver, build
+
+calls = []
+def tearing(real):
+    def wrapped(file, **payload):
+        if "meta_json" not in payload:  # a plan-cache entry, not a checkpoint
+            return real(file, **payload)
+        calls.append(1)
+        if len(calls) < 2:
+            return real(file, **payload)
+        whole = io.BytesIO()
+        real(whole, **payload)
+        fh = file if hasattr(file, "write") else open(file, "wb")
+        fh.write(whole.getvalue()[: whole.tell() // 3])
+        fh.flush()
+        os.fsync(fh.fileno())
+        os.kill(os.getpid(), signal.SIGKILL)
+    return wrapped
+np.savez = tearing(np.savez)
+np.savez_compressed = tearing(np.savez_compressed)
+
+spec = build(
+    "two_stream", nx=6, nv=12, t_end=100.0, steps=8,
+    **{{"diagnostics.checkpoint_interval": 2}},
+)
+Driver(spec, outdir={outdir!r}).run()
+""".format(src=str(Path(__file__).resolve().parents[1] / "src"),
+           outdir=str(tmp_path / "killed"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+    ckpt = tmp_path / "killed" / "checkpoint.npz"
+    _, meta = load_checkpoint(ckpt)
+    assert meta["step_count"] == 2
+
+    ref = Driver(build("two_stream", nx=6, nv=12, t_end=100.0, steps=8))
+    ref.run()
+    resumed = Driver.from_checkpoint(ckpt, outdir=tmp_path / "resumed")
+    assert resumed.run()["steps"] == 8
+    _assert_same_run(ref, resumed)
+
+
+def test_checkpoint_written_the_pre_pr21_way_resumes_bit_identically(tmp_path):
+    """PRs 4-20 wrote the same members through ``np.savez_compressed``;
+    such a file (built here, not committed) still loads and resumes."""
+    import json
+
+    from repro.io import load_checkpoint
+
+    common = dict(nx=4, nv=8, t_end=100.0)
+    ref = Driver(build("two_stream", steps=6, **common))
+    ref.run()
+    Driver(build("two_stream", steps=3, **common), outdir=tmp_path).run()
+    state, meta = load_checkpoint(tmp_path / "checkpoint.npz")
+
+    def as_bytes(obj, **kw):
+        return np.frombuffer(json.dumps(obj, **kw).encode(), dtype=np.uint8)
+
+    keys = list(state)
+    np.savez_compressed(
+        tmp_path / "old.npz",
+        **{f"state_{i}": state[k] for i, k in enumerate(keys)},
+        state_keys_json=as_bytes(keys),
+        meta_json=as_bytes(meta, sort_keys=True),
+    )
+    resumed = Driver.from_checkpoint(tmp_path / "old.npz", overrides={"steps": 6})
+    resumed.run()
+    _assert_same_run(ref, resumed)
 
 
 def test_resume_maxwell_model(tmp_path):
