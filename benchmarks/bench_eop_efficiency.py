@@ -48,6 +48,7 @@ def _rate(fn, dofs, budget=1.5):
 
 
 @pytest.mark.paper
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: LBO in the face-mode space")
 def test_eop_collisionless_vs_collisional(benchmark, setup):
     pg, solver, f, em = setup
     out = np.zeros_like(f)

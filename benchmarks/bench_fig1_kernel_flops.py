@@ -19,6 +19,8 @@ from repro.kernels.flops import (
     nodal_update_multiplications,
 )
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def bundle():

@@ -21,6 +21,8 @@ import pytest
 from repro.grid import Grid, PhaseGrid
 from repro.vlasov import VlasovModalSolver
 
+pytestmark = pytest.mark.paper
+
 # (cdim, vdim, p) per family — chosen so kernel generation stays affordable
 CONFIGS: Dict[str, List[Tuple[int, int, int]]] = {
     "serendipity": [

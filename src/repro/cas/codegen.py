@@ -16,8 +16,11 @@ products pulled out.  This module does the same in Python, at two levels:
   coefficient vectors.
 * :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
   the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes.  Its source is a constant — shapes, the ``accumulate`` flag and
-  the group table are arguments — so nothing is emitted per plan:
+  freezes, with two entry points — ``fused_sweep`` (state in, state out)
+  and ``face_flux`` (the same groups across the faces of one direction:
+  two trace slots in, both overwritten with the flux).  Its source is a
+  constant — shapes, the ``accumulate`` flag, the group and face tables are
+  arguments — so nothing is emitted per plan:
   :func:`compile_fused_sweep` shells out to the system C compiler once per
   toolchain and target (``-O3 -ffp-contract=off -march=native``: no FMA
   contraction and no reassociation, so results stay bit-identical to
@@ -59,6 +62,7 @@ __all__ = [
     "count_multiplications",
     "FUSED_SWEEP_C",
     "FUSED_SWEEP_ARGTYPES",
+    "FACE_FLUX_ARGTYPES",
     "CC_FLAGS",
     "CC_ISA_FLAG",
     "compile_fused_sweep",
@@ -204,27 +208,67 @@ def select_tier(tier: str = "auto") -> str:
     return "cc"
 
 
-#: C source of the sweep kernel — a constant: every shape is an argument, so
-#: one shared object per toolchain and target ISA serves every plan.
+#: C source of the sweep kernels — a constant: every shape is an argument, so
+#: one shared object per toolchain and target ISA serves every plan.  It has
+#: two entry points over one group table.
+#:
+#: ``groups`` is an ``(ngroups, 5)`` int64 table: per group the address of
+#: its entries, the stride in doubles between configuration cells' entry
+#: rows (0: one row shared by every cell), the addresses of the per-cell CSR
+#: ``indptr`` / ``indices`` (int64) and of the flattened ``(nvel,)`` velocity
+#: factor (0: unweighted).
 #:
 #: ``fused_sweep(f, y, accumulate, ncfg, nout, nin, nvel, ngroups, groups)``
-#: applies ``ngroups`` sweep groups to cell-major ``f`` ``(ncfg, nin, nvel)``
-#: into ``y`` ``(ncfg, nout, nvel)``.  ``groups`` is an ``(ngroups, 5)``
-#: int64 table: per group the address of its entries, the stride in doubles
-#: between configuration cells' entry rows (0: one row shared by every
-#: cell), the addresses of the per-cell CSR ``indptr`` / ``indices`` (int64)
-#: and of the flattened ``(nvel,)`` velocity factor (0: unweighted).
+#: applies the groups to cell-major ``f`` ``(ncfg, nin, nvel)`` into ``y``
+#: ``(ncfg, nout, nvel)``.
 #:
-#: Loop nest: configuration cell → tile of velocity cells → output row →
-#: accumulators held in registers (four vectors per tile, then one vector,
-#: then half-width vectors down to a scalar tail; the vector width follows
-#: the compiler's target macros).  The accumulators start at ``+0.0``
-#: (``accumulate == 0``: ``y`` is never read) or are loaded once, take every
-#: group's entries of that row in group order and in-row order as ``acc += a
-#: * (f * w)``, and are stored once.  Per output element that is the float
-#: operation sequence of one ``csr_matvecs`` per group over the weighted
-#: state, so with contraction off and no reassociation the bits match the
-#: numpy tier whatever the vector width.
+#: Loop nest (``sweep_span``): configuration cell → tile of velocity cells →
+#: output row → accumulators held in registers (four vectors per tile, then
+#: one vector, then half-width vectors down to a scalar tail; the vector
+#: width follows the compiler's target macros).  The accumulators start at
+#: ``+0.0`` (``accumulate == 0``: ``y`` is never read) or are loaded once,
+#: take every group's entries of that row in group order and in-row order as
+#: ``acc += a * (f * w)``, and are stored once.  Per output element that is
+#: the float operation sequence of one ``csr_matvecs`` per group over the
+#: weighted state, so with contraction off and no reassociation the bits
+#: match the numpy tier whatever the vector width.
+#:
+#: ``face_flux(src, dst, nfaces, faces, nrows, up, dn, nf, nvel, wa, wb,
+#: shift, extent, ngroups, groups, penalize, tau)`` runs an ``nf x nf`` flux
+#: operator (the same group table) over the faces of one phase direction,
+#: between the trace slots of cell-major trace buffers ``(cells, nrows,
+#: nvel)``: a cell's trace on its upper face sits in rows ``[up, up + nf)``,
+#: on its lower face in ``[dn, dn + nf)``.  ``faces`` is an ``(nfaces, 5)``
+#: int64 table, one row per face: the configuration cell whose entry rows
+#: the flux uses (``c`` above), the ``src`` cell whose upper-face trace is
+#: the face's lower state ``A``, the ``src`` cell whose lower-face trace is
+#: its upper state ``B``, and the ``dst`` cells whose upper / lower slot
+#: receive the flux (``-1``: not written).  Per face and per tile of
+#: velocity cells it
+#:
+#: 1. loads the face state into a stack tile: ``x = A * wa + B * wb`` with
+#:    the ``(nvel,)`` upwind weights of a streaming direction, or (``wa ==
+#:    0``: an acceleration direction along the velocity axis with stride
+#:    ``shift`` and ``extent`` cells in the flattened velocity index) ``x =
+#:    A[v] + B[v + shift]`` on interior faces and ``+0.0`` on the upper
+#:    domain boundary;
+#: 2. sweeps the groups over the tile with ``sweep_span`` from ``+0.0`` —
+#:    the element sequence of ``fused_sweep`` — and with ``penalize`` adds
+#:    ``(A[v] - B[v + shift]) * tau`` (``0.0 * tau`` on the boundary);
+#: 3. stores each row to the upper slot at ``v`` and to the lower slot at
+#:    ``v`` (streaming) or ``v + shift`` (acceleration, where the lower
+#:    slot's entries on the lower domain boundary are written ``0.0``).
+#:
+#: *No out-of-bounds access:* ``B[v + shift]`` is read and the lower slot
+#: written at ``v + shift`` only where ``v``'s index along the axis is below
+#: ``extent - 1``, so ``v + shift < nvel``; cell indices are trusted exactly
+#: as ``indptr`` / ``indices`` are (the caller bounds-checks the table once).
+#: *In place:* a tile reads all its inputs before it stores, and the
+#: elements it reads — ``A`` at ``v``, ``B`` at ``v`` or ``v + shift`` — are
+#: the ones it stores; the only other store, the zero at index 0 of the
+#: axis, is never read as a ``B``.  So when every face's two destination
+#: slots are its own two source slots and no slot belongs to two faces,
+#: each face owns its two slots and ``dst`` may be ``src``.
 FUSED_SWEEP_C = r"""#include <stdint.h>
 
 #if defined(__AVX512F__)
@@ -243,7 +287,7 @@ typedef double vec2 VEC(2);
 /* every output row of the NV * (lanes of T) velocity cells starting at v */
 #define SWEEP_ROWS(T, NV)                                                   \
     for (r = 0; r < nout; ++r) {                                            \
-        T* yr = (T*)(yc + r * nvel + v);                                    \
+        T* yr = (T*)(yc + r * ys + v);                                      \
         T acc[NV], wt[NV];                                                  \
         for (t = 0; t < NV; ++t)                                            \
             acc[t] = accumulate ? yr[t] : (T){0};                           \
@@ -255,17 +299,17 @@ typedef double vec2 VEC(2);
             const double* w = (const double*)(intptr_t)grp[4];              \
             if (w) {                                                        \
                 for (t = 0; t < NV; ++t)                                    \
-                    wt[t] = ((const T*)(w + v))[t];                         \
+                    wt[t] = ((const T*)(w + w0 + v))[t];                    \
                 for (k = p[r]; k < p[r + 1]; ++k) {                         \
                     const double a = d[k];                                  \
-                    const T* fj = (const T*)(fc + i[k] * nvel + v);         \
+                    const T* fj = (const T*)(fc + i[k] * fs + v);           \
                     for (t = 0; t < NV; ++t)                                \
                         acc[t] += a * (fj[t] * wt[t]);                      \
                 }                                                           \
             } else {                                                        \
                 for (k = p[r]; k < p[r + 1]; ++k) {                         \
                     const double a = d[k];                                  \
-                    const T* fj = (const T*)(fc + i[k] * nvel + v);         \
+                    const T* fj = (const T*)(fc + i[k] * fs + v);           \
                     for (t = 0; t < NV; ++t)                                \
                         acc[t] += a * fj[t];                                \
                 }                                                           \
@@ -275,31 +319,119 @@ typedef double vec2 VEC(2);
             yr[t] = acc[t];                                                 \
     }
 
+/* the groups of configuration cell c over len contiguous velocity cells:
+   rows of fc (row stride fs) into rows of yc (row stride ys), the velocity
+   factors read from offset w0 */
+static inline __attribute__((always_inline)) void
+sweep_span(const double* restrict fc, int64_t fs, double* restrict yc,
+           int64_t ys, int64_t len, int64_t w0, int64_t c, int64_t accumulate,
+           int64_t nout, int64_t ngroups, const int64_t* restrict groups)
+{
+    int64_t v = 0, r, g, k;
+    int t;
+    for (; v + 4 * VLEN <= len; v += 4 * VLEN)
+        SWEEP_ROWS(vec, 4)
+    for (; v + VLEN <= len; v += VLEN)
+        SWEEP_ROWS(vec, 1)
+#if VLEN > 4
+    for (; v + 4 <= len; v += 4)
+        SWEEP_ROWS(vec4, 1)
+#endif
+#if VLEN > 2
+    for (; v + 2 <= len; v += 2)
+        SWEEP_ROWS(vec2, 1)
+#endif
+    for (; v < len; ++v)
+        SWEEP_ROWS(double, 1)
+}
+
 void fused_sweep(const double* restrict f, double* restrict y,
                  int64_t accumulate,
                  int64_t ncfg, int64_t nout, int64_t nin, int64_t nvel,
                  int64_t ngroups, const int64_t* restrict groups)
 {
-    int64_t c, v, r, g, k;
-    int t;
-    for (c = 0; c < ncfg; ++c) {
-        const double* fc = f + c * nin * nvel;
-        double* yc = y + c * nout * nvel;
-        v = 0;
-        for (; v + 4 * VLEN <= nvel; v += 4 * VLEN)
-            SWEEP_ROWS(vec, 4)
-        for (; v + VLEN <= nvel; v += VLEN)
-            SWEEP_ROWS(vec, 1)
-#if VLEN > 4
-        for (; v + 4 <= nvel; v += 4)
-            SWEEP_ROWS(vec4, 1)
-#endif
-#if VLEN > 2
-        for (; v + 2 <= nvel; v += 2)
-            SWEEP_ROWS(vec2, 1)
-#endif
-        for (; v < nvel; ++v)
-            SWEEP_ROWS(double, 1)
+    int64_t c;
+    for (c = 0; c < ncfg; ++c)
+        sweep_span(f + c * nin * nvel, nvel, y + c * nout * nvel, nvel, nvel,
+                   0, c, accumulate, nout, ngroups, groups);
+}
+
+#define FACE_TILE (16 * VLEN)
+
+void face_flux(const double* src, double* dst,
+               int64_t nfaces, const int64_t* restrict faces,
+               int64_t nrows, int64_t up, int64_t dn, int64_t nf, int64_t nvel,
+               const double* wa, const double* wb,
+               int64_t shift, int64_t extent,
+               int64_t ngroups, const int64_t* restrict groups,
+               int64_t penalize, double tau)
+{
+    double xt[nf * FACE_TILE], yt[nf * FACE_TILE];
+    /* acceleration: the tile's velocity cells that have an upper neighbour
+       along the axis / that are the first along it */
+    unsigned char upper[FACE_TILE], first[FACE_TILE];
+    int64_t n, v0, len, m, t;
+    for (n = 0; n < nfaces; ++n) {
+        const int64_t* face = faces + 5 * n;
+        const double* a = src + (face[1] * nrows + up) * nvel;
+        const double* b = src + (face[2] * nrows + dn) * nvel;
+        double* yu = face[3] < 0 ? 0 : dst + (face[3] * nrows + up) * nvel;
+        double* yd = face[4] < 0 ? 0 : dst + (face[4] * nrows + dn) * nvel;
+        for (v0 = 0; v0 < nvel; v0 += FACE_TILE) {
+            len = nvel - v0 < FACE_TILE ? nvel - v0 : FACE_TILE;
+            if (wa) {
+                for (m = 0; m < nf; ++m)
+                    for (t = 0; t < len; ++t) {
+                        const int64_t v = v0 + t, k = m * nvel + v;
+                        xt[m * FACE_TILE + t] = a[k] * wa[v] + b[k] * wb[v];
+                    }
+            } else {
+                int64_t lo = v0 % shift, at = v0 / shift % extent;
+                for (t = 0; t < len; ++t) {
+                    upper[t] = at < extent - 1;
+                    first[t] = at == 0;
+                    if (++lo == shift) {
+                        lo = 0;
+                        if (++at == extent)
+                            at = 0;
+                    }
+                }
+                for (m = 0; m < nf; ++m)
+                    for (t = 0; t < len; ++t) {
+                        const int64_t k = m * nvel + v0 + t;
+                        xt[m * FACE_TILE + t] =
+                            upper[t] ? a[k] + b[k + shift] : 0.0;
+                    }
+            }
+            sweep_span(xt, FACE_TILE, yt, FACE_TILE, len, v0, face[0], 0,
+                       nf, ngroups, groups);
+            if (penalize)
+                for (m = 0; m < nf; ++m)
+                    for (t = 0; t < len; ++t) {
+                        const int64_t k = m * nvel + v0 + t;
+                        yt[m * FACE_TILE + t] +=
+                            (upper[t] ? a[k] - b[k + shift] : 0.0) * tau;
+                    }
+            for (m = 0; m < nf; ++m) {
+                const double* ym = yt + m * FACE_TILE;
+                const int64_t k = m * nvel + v0;
+                if (yu)
+                    for (t = 0; t < len; ++t)
+                        yu[k + t] = ym[t];
+                if (!yd)
+                    continue;
+                if (wa)
+                    for (t = 0; t < len; ++t)
+                        yd[k + t] = ym[t];
+                else
+                    for (t = 0; t < len; ++t) {
+                        if (upper[t])
+                            yd[k + t + shift] = ym[t];
+                        if (first[t])
+                            yd[k + t] = 0.0;
+                    }
+            }
+        }
     }
 }
 """
@@ -307,6 +439,16 @@ void fused_sweep(const double* restrict f, double* restrict y,
 #: ctypes signature of ``fused_sweep``: two pointers, six integers, the table
 FUSED_SWEEP_ARGTYPES = (
     [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p]
+)
+#: ctypes signature of ``face_flux`` (argument order of the C prototype)
+FACE_FLUX_ARGTYPES = (
+    [ctypes.c_void_p] * 2
+    + [ctypes.c_int64, ctypes.c_void_p]
+    + [ctypes.c_int64] * 5
+    + [ctypes.c_void_p] * 2
+    + [ctypes.c_int64] * 2
+    + [ctypes.c_int64, ctypes.c_void_p]
+    + [ctypes.c_int64, ctypes.c_double]
 )
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
@@ -317,7 +459,7 @@ CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 CC_ISA_FLAG = "-march=native"
 
 _KERNEL_TMPDIR: Optional[str] = None
-#: (kernel dir, digest) -> loaded entry point, or None for a build that
+#: (kernel dir, digest) -> loaded entry points, or None for a build that
 #: failed (reported once; the compiler is not run again in this process)
 _LOADED_KERNELS: Dict[Tuple[Optional[str], str], object] = {}
 _TARGET: Optional[str] = None
@@ -366,9 +508,10 @@ def _native_target(cc: str) -> str:
 class CcSweep(NamedTuple):
     """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    #: ctypes entry point of :data:`FUSED_SWEEP_C` (pointers are passed as
-    #: ``arr.ctypes.data`` integers)
+    #: ctypes entry points of :data:`FUSED_SWEEP_C`, ``fused_sweep`` and
+    #: ``face_flux`` (pointers are passed as ``arr.ctypes.data`` integers)
     fn: object
+    faces: object
     #: whether this request ran the compiler (False: reuse of the
     #: content-addressed artifact, from disk or from this process)
     fresh: bool
@@ -408,8 +551,8 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
     ).hexdigest()[:20]
     key = (kernel_dir, digest)
     if key in _LOADED_KERNELS:
-        fn = _LOADED_KERNELS[key]
-        return None if fn is None else CcSweep(fn, False)
+        kern = _LOADED_KERNELS[key]
+        return None if kern is None else kern._replace(fresh=False)
     try:
         so_path = _kernel_dir(kernel_dir) / f"ccsweep-{digest}.so"
         fresh = not so_path.exists()
@@ -418,7 +561,8 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
             publish_text(src_path, FUSED_SWEEP_C)
             with publish(so_path) as tmp:
                 _build_sweep(cc[0], src_path, str(tmp))
-        fn = ctypes.CDLL(str(so_path)).fused_sweep
+        lib = ctypes.CDLL(str(so_path))
+        fn, faces = lib.fused_sweep, lib.face_flux
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not
         # writable; the object does not load: degrade to the numpy tier,
@@ -434,7 +578,8 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
             stacklevel=2,
         )
         return None
-    fn.restype = None
+    fn.restype = faces.restype = None
     fn.argtypes = FUSED_SWEEP_ARGTYPES
-    _LOADED_KERNELS[key] = fn
-    return CcSweep(fn, fresh)
+    faces.argtypes = FACE_FLUX_ARGTYPES
+    kern = _LOADED_KERNELS[key] = CcSweep(fn, faces, fresh)
+    return kern

@@ -15,6 +15,9 @@ and for all layers:
   The plan is also its own, only, executor; the one thing that varies is
   the sparse-sweep kernel (compiled C when a compiler is present, scipy
   otherwise — ``$REPRO_KERNEL_TIER``), and both produce the same bits;
+* :mod:`~repro.engine.faces` holds the :class:`FaceMap`, the table of
+  trace-buffer slots meeting at each face of one phase direction, which
+  ``ExecutionPlan.apply_faces`` runs a flux plan across;
 * :mod:`~repro.engine.compile` is the seam every plan is built through:
   compile or hydrate from the content-addressed disk cache
   (:mod:`~repro.engine.plancache`), under one process-wide configuration;
@@ -42,6 +45,7 @@ from .compile import (
     configure,
     configure_from_spec,
 )
+from .faces import FaceMap
 from .plan import (
     ExecutionPlan,
     PlanSignatureError,
@@ -54,6 +58,7 @@ from .pool import ScratchPool
 
 __all__ = [
     "ExecutionPlan",
+    "FaceMap",
     "PlanSignatureError",
     "aux_signature",
     "classify_aux_value",

@@ -7,7 +7,7 @@ cell shape) either compiles an :class:`~repro.engine.plan.ExecutionPlan`
 or, when a cache root is configured, hashes the key
 (:func:`repro.engine.plan.plan_digest`) and hydrates a stored payload via
 :meth:`ExecutionPlan.from_artifacts` — bit-identical to a fresh compile,
-skipping the symbol analysis.  Any load failure (missing, stale, corrupt)
+skipping the symbol analysis.  A payload that is missing, stale or damaged
 falls back to compiling and re-publishing atomically.  Either way the plan
 picks its sparse-sweep kernel from the configured ``tier``
 (:func:`repro.cas.codegen.select_tier`: the C sweep when a compiler is
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
@@ -209,8 +210,10 @@ def compile_plan(
                 )
                 STATS.cache_hits += 1
                 STATS.hydrated += 1
-            except Exception:
-                # stale or damaged payload: recompile and overwrite below
+            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+                # stale or damaged payload (``_hydrate`` and
+                # ``_SweepGroup.check`` raise ValueError): recompile and
+                # overwrite below.  Anything else is a bug and propagates.
                 plan = None
         if plan is None:
             STATS.cache_misses += 1

@@ -33,7 +33,15 @@ the accumulators held in registers across all of an output row's entries,
 when a C compiler is present and the build succeeds (``cc``); otherwise
 scipy's ``csr_matvecs`` over the block-diagonal expansion of the same
 groups (``numpy``) — built only in that case.  Both sweep the same entries
-in the same order and produce the same bits.
+in the same order and produce the same bits.  The kernel has a second entry
+point over the same groups, :meth:`ExecutionPlan.apply_faces`: an ``nf x
+nf`` flux plan applied across the faces of one phase direction — per face of
+a :class:`~repro.engine.faces.FaceMap`, gather the two trace slots that meet
+there into the face state, sweep, scatter the flux to both slots — in the compiled kernel
+(``face_flux``) a tile of velocity cells at a time with nothing state-sized
+in between, in the numpy tier as array passes around the same
+``csr_matvecs`` groups, which is the byte-for-byte reference.  The tier fork
+stays inside the plan; callers see one method per entry point.
 
 Everything shape-dependent is prebound when the plan is built (scratch
 buffers, reshaped views, the C argument vector), and
@@ -71,6 +79,7 @@ from ..cas.codegen import compile_fused_sweep, select_tier
 from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
+from .faces import FaceMap
 from .plancache import ARTIFACT_VERSION
 from .pool import ScratchPool
 
@@ -578,7 +587,7 @@ class ExecutionPlan:
             if kern is None:
                 self.kernel_status = "failed"
             else:
-                self._cc = kern.fn
+                self._cc, self._cc_faces = kern.fn, kern.faces
                 self.tier = "cc"
                 self.kernel_status = "built" if kern.fresh else "loaded"
         for grp in self._groups:
@@ -619,6 +628,9 @@ class ExecutionPlan:
         # which is fine — callers pass persistent state/pool arrays)
         self._fviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._oviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # the face map and buffers of the last apply_faces and, for those,
+        # the checked and prebound call (see _bind_faces)
+        self._face_call: tuple = (None, None, None, None)
 
     def _sweep_view(self, arr: np.ndarray, n: int) -> np.ndarray:
         """The ``(ncfg * n, nvel)`` view of a contiguous cell-major array
@@ -722,12 +734,16 @@ class ExecutionPlan:
         discarded (``out = K f`` rather than ``out += K f``) without the
         caller having to zero it — the sweep's accumulators start at zero.
         """
+        self._guard(aux)
+        return self.apply_trusted(fin, aux, out, accumulate)
+
+    def _guard(self, aux: Dict[str, AuxValue]) -> None:
+        """Rebind when ``aux`` holds other value objects than last time."""
         bound = self._bound_ids
         if bound is not None and not all(
             aux[n] is b for n, b in zip(self._guard_names, bound)
         ):
             self._bind(aux)
-        return self.apply_trusted(fin, aux, out, accumulate)
 
     def apply_trusted(
         self,
@@ -744,6 +760,37 @@ class ExecutionPlan:
         fast path already established, so re-scanning here would be pure
         overhead.  Mutable scalar values are still re-read.
         """
+        return self._timed(self._run, aux, fin, out, accumulate)
+
+    def apply_faces(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        face_map: FaceMap,
+        aux: Dict[str, AuxValue],
+        penalty: Optional[float] = None,
+        trusted: bool = False,
+    ) -> np.ndarray:
+        """Apply this ``nf x nf`` flux operator across the faces of one
+        phase direction: per face of ``face_map``, gather its state from two
+        trace slots of ``src``, apply the operator, and overwrite the face's
+        two slots in ``dst`` with the flux (see
+        :class:`~repro.engine.faces.FaceMap`).
+
+        ``src`` and ``dst`` are C-contiguous trace buffers of the map's
+        shapes and may be the same array when the map is ``in_place``.  With
+        ``penalty`` (acceleration directions) the jump ``(A - B) * penalty``
+        is added to the flux of interior faces.  ``trusted`` skips the aux
+        identity scan as :meth:`apply_trusted` does.  One application counts
+        and is traced as one apply of this plan.
+        """
+        if not trusted:
+            self._guard(aux)
+        return self._timed(self._run_faces, aux, src, dst, face_map, penalty)
+
+    def _timed(self, run, aux: Dict[str, AuxValue], *args) -> np.ndarray:
+        """One application: rebind if never bound or a mutable scalar moved,
+        then ``run`` under the plan's span and apply count."""
         if self._bound_ids is None or (
             self._vol_scalar_names
             and tuple(_scalar_value(aux[n]) for n in self._vol_scalar_names)
@@ -752,12 +799,25 @@ class ExecutionPlan:
             self._bind(aux)
         if _OBS.on:
             t0 = _perf_counter()
-            out = self._run(fin, aux, out, accumulate)
+            out = run(aux, *args)
             _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
             return out
-        return self._run(fin, aux, out, accumulate)
+        return run(aux, *args)
 
-    def _run(self, fin, aux, out, accumulate: bool) -> np.ndarray:
+    def _refresh(self, aux: Dict[str, AuxValue]) -> None:
+        """Bring the swept entries and velocity factors up to the bound aux
+        values' current contents."""
+        for vals, prod in self._vel_products:
+            np.multiply(vals[0], vals[1], out=prod)
+            for val in vals[2:]:
+                np.multiply(prod, val, out=prod)
+        for grp in self._per_cell:
+            grp.assemble(self, aux)
+        if self._cc is not None:
+            for wsrc, wbuf in self._cc_weights:
+                np.copyto(wbuf, wsrc)
+
+    def _run(self, aux, fin, out, accumulate: bool) -> np.ndarray:
         if fin.shape != self.in_shape:
             raise ValueError(
                 f"plan compiled for input {self.in_shape}, got {fin.shape}"
@@ -777,35 +837,31 @@ class ExecutionPlan:
             fcontig = pool.get("plan.fcontig", fin.shape)
             np.copyto(fcontig, fin)
             fin = fcontig
-        for vals, prod in self._vel_products:
-            np.multiply(vals[0], vals[1], out=prod)
-            for val in vals[2:]:
-                np.multiply(prod, val, out=prod)
-        for grp in self._per_cell:
-            grp.assemble(self, aux)
-
+        self._refresh(aux)
         if self._cc is not None:
             # one call: every group, the weighting in-register, and with
             # accumulate off the accumulators start at zero, so ``out`` is
             # neither read nor pre-zeroed
-            for wsrc, wbuf in self._cc_weights:
-                np.copyto(wbuf, wsrc)
             self._cc(fin.ctypes.data, out.ctypes.data, accumulate, *self._cc_tail)
         else:
-            if not accumulate:
-                out.fill(0.0)
-            f2 = self._view_of(fin, self._fviews, self.nin)
-            o2 = self._view_of(out, self._oviews, self.nout)
-            # velocity-weighted states, computed once per distinct factor
-            # and shared between the groups reading the same ``f * w_j``
-            wcache: Dict[Tuple[str, ...], np.ndarray] = {}
-            for grp in self._groups:
-                x2 = self._weighted(grp.vel_names, fin, wcache) if grp.vel_names else f2
-                csr_accumulate(grp.spmat, grp.spmat.data, x2, o2)
-
+            self._sweep_numpy(fin, out, accumulate)
         if self._fallback is not None:
             self._fallback.apply_cm(fin, aux, out, self.cdim)
         return out
+
+    def _sweep_numpy(self, fin, out, accumulate: bool) -> None:
+        """The numpy tier's sweep: one ``csr_matvecs`` per group over the
+        block-diagonal expansion."""
+        if not accumulate:
+            out.fill(0.0)
+        f2 = self._view_of(fin, self._fviews, self.nin)
+        o2 = self._view_of(out, self._oviews, self.nout)
+        # velocity-weighted states, computed once per distinct factor
+        # and shared between the groups reading the same ``f * w_j``
+        wcache: Dict[Tuple[str, ...], np.ndarray] = {}
+        for grp in self._groups:
+            x2 = self._weighted(grp.vel_names, fin, wcache) if grp.vel_names else f2
+            csr_accumulate(grp.spmat, grp.spmat.data, x2, o2)
 
     def _weighted(
         self,
@@ -821,6 +877,104 @@ class ExecutionPlan:
             np.multiply(fin, self._velb[names], out=buf)
             wcache[names] = x2
         return x2
+
+    # ------------------------------------------------------------------ #
+    def _bind_faces(self, src, dst, fm: FaceMap) -> Optional[tuple]:
+        """Check ``fm`` and the two buffers against this plan — the compiled
+        kernel trusts all of it — and prebind its call (None on the numpy
+        tier); redone only when another map or buffer arrives."""
+        if self._fallback is not None:
+            raise ValueError("a plan with irregular symbols has no face form")
+        if fm.cell_shape != self.cell_shape or not fm.nf == self.nin == self.nout:
+            raise ValueError(
+                f"face map for cells {fm.cell_shape}, {fm.nf} face modes; plan "
+                f"compiled for {self.cell_shape}, {self.nout} x {self.nin}"
+            )
+        for name, arr, shape in (("src", src, fm.src_shape), ("dst", dst, fm.dst_shape)):
+            if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+                raise ValueError(
+                    f"{name} must be a C-contiguous float64 trace buffer {shape}"
+                )
+        if np.may_share_memory(src, dst) and not (src is dst and fm.in_place):
+            raise ValueError(
+                "src and dst overlap, and the faces do not each own their slots"
+            )
+        if self._cc is None:
+            call = None
+        else:
+            call = (
+                src.ctypes.data, dst.ctypes.data, fm.nfaces, fm.table.ctypes.data,
+                fm.nrows, fm.up, fm.dn, fm.nf, fm.nvel,
+                0 if fm.wa is None else fm.wa.ctypes.data,
+                0 if fm.wb is None else fm.wb.ctypes.data,
+                fm.shift, fm.extent, len(self._groups), self._cc_table.ctypes.data,
+            )
+        self._face_call = (fm, src, dst, call)
+        return call
+
+    def _run_faces(self, aux, src, dst, fm: FaceMap, penalty) -> np.ndarray:
+        bound_fm, bound_src, bound_dst, call = self._face_call
+        if fm is not bound_fm or src is not bound_src or dst is not bound_dst:
+            call = self._bind_faces(src, dst, fm)
+        if penalty is not None and fm.wa is not None:
+            raise ValueError("the jump penalty belongs to acceleration faces")
+        self._refresh(aux)
+        if call is not None:
+            self._cc_faces(*call, penalty is not None, penalty or 0.0)
+        else:
+            self._faces_numpy(src, dst, fm, penalty)
+        return dst
+
+    def _faces_numpy(self, src, dst, fm: FaceMap, penalty) -> None:
+        """The numpy tier's face application, and the reference for the
+        compiled one: gather the two traces by the table, form the face
+        state, sweep it (the plan's ``csr_matvecs`` groups, a round of faces
+        with distinct data cells at a time), scatter to both slots — the
+        same float operations per element, in the same order."""
+        nf, nvel, pool = fm.nf, fm.nvel, self.pool
+        s3 = src.reshape(fm.src_cells, fm.nrows, nvel)
+        d3 = dst.reshape(fm.dst_cells, fm.nrows, nvel)
+        a = s3[fm.a_index, fm.up : fm.up + nf]
+        b = s3[fm.b_index, fm.dn : fm.dn + nf]
+        x = pool.get("plan.faces.x", (fm.nfaces, nf, nvel))
+        y = pool.get("plan.faces.y", (fm.nfaces, nf, nvel))
+        if fm.wa is not None:
+            np.multiply(a, fm.wa, out=x)
+            np.multiply(b, fm.wb, out=y)
+            x += y
+        else:
+            # along the axis: velocity cell v = (outer, at, inner); face
+            # ``at`` joins cells ``at`` and ``at + 1``, the last one is the
+            # upper domain boundary
+            split = (fm.nfaces, nf, -1, fm.extent, fm.shift)
+            a, b, x5, y5 = (arr.reshape(split) for arr in (a, b, x, y))
+            lo = (..., slice(0, fm.extent - 1), slice(None))
+            hi = (..., slice(1, fm.extent), slice(None))
+            np.add(a[lo], b[hi], out=x5[lo])
+            x5[..., fm.extent - 1 :, :] = 0.0
+        for faces, cells in fm.rounds:
+            if isinstance(faces, slice) and isinstance(cells, slice):
+                # one face per configuration cell, in cell order
+                self._sweep_numpy(x.reshape(self.in_shape), y.reshape(self.out_shape), False)
+                continue
+            xf = pool.get("plan.faces.xf", self.in_shape)
+            yf = pool.get("plan.faces.yf", self.out_shape)
+            xf.reshape(self.ncfg, nf, nvel)[cells] = x[faces]
+            self._sweep_numpy(xf, yf, False)
+            y[faces] = yf.reshape(self.ncfg, nf, nvel)[cells]
+        if penalty is not None:
+            np.subtract(a[lo], b[hi], out=x5[lo])
+            x *= penalty
+            y += x
+        lower = y
+        if fm.wa is None:
+            # the flux through face ``at`` is the lower-slot entry of cell
+            # ``at + 1``; cell 0's lower face is the domain boundary
+            x5[hi] = y5[lo]
+            x5[..., :1, :] = 0.0
+            lower = x
+        for (row, cells, faces), flux in zip(fm.writes, (y, lower)):
+            d3[cells, row : row + nf] = flux[faces]
 
     # ------------------------------------------------------------------ #
     @property

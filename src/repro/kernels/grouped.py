@@ -39,6 +39,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..engine.compile import compile_plan
+from ..engine.faces import FaceMap
 from ..engine.plan import ExecutionPlan, Signature, aux_signature
 from ..engine.pool import ScratchPool
 from .termset import AuxValue, TermSet
@@ -86,9 +87,7 @@ class GroupedOperator:
         # identity cannot be recycled
         self._fast_vals = None
         self._fast_shape = None
-        # the remembered plan's ``apply_trusted``: on an identity hit the
-        # plan's own aux guard would re-scan the very same objects
-        self._fast_apply = None
+        self._fast_plan = None
 
     # ------------------------------------------------------------------ #
     def plan_for(
@@ -139,7 +138,31 @@ class GroupedOperator:
         ``fin``/``out`` have shape ``(*cfg_cells, N, *vel_cells)``; with
         ``accumulate=False`` the prior contents of ``out`` are discarded.
         """
-        cell_shape = self.cell_shape_of(fin)
+        plan, trusted = self._lookup(aux, self.cell_shape_of(fin))
+        if trusted:
+            return plan.apply_trusted(fin, aux, out, accumulate)
+        return plan.apply(fin, aux, out, accumulate=accumulate)
+
+    def apply_faces(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        face_map: FaceMap,
+        aux: Dict[str, AuxValue],
+        penalty: Optional[float] = None,
+    ) -> np.ndarray:
+        """Apply this flux operator across the faces of ``face_map``, from
+        the trace slots of ``src`` into those of ``dst``
+        (:meth:`ExecutionPlan.apply_faces`)."""
+        plan, trusted = self._lookup(aux, face_map.cell_shape)
+        return plan.apply_faces(src, dst, face_map, aux, penalty, trusted)
+
+    def _lookup(
+        self, aux: Dict[str, AuxValue], cell_shape: Tuple[int, ...]
+    ) -> Tuple[ExecutionPlan, bool]:
+        """The plan for ``aux`` and ``cell_shape``, and whether the aux value
+        objects are the very ones its last application here saw (the plan's
+        own identity guard would re-scan the same objects)."""
         try:
             vals = [aux[n] for n in self._names]
         except KeyError:
@@ -151,9 +174,9 @@ class GroupedOperator:
             and cell_shape == self._fast_shape
             and all(a is b for a, b in zip(vals, fast))
         ):
-            return self._fast_apply(fin, aux, out, accumulate)
+            return self._fast_plan, True
         plan = self.plan_for(aux, cell_shape)
         self._fast_vals = vals
         self._fast_shape = cell_shape
-        self._fast_apply = plan.apply_trusted
-        return plan.apply(fin, aux, out, accumulate=accumulate)
+        self._fast_plan = plan
+        return plan, False

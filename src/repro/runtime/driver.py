@@ -258,9 +258,14 @@ class Driver:
         if not self.spec.diagnostics.energy_interval:
             return
         if OBS.on:
+            # what ``driver_overhead`` is made of, besides suggested_dt: the
+            # state-sized energy moments, and the record's write + flush
             t0 = time.perf_counter()
             self.history(self.app)
+            t1 = time.perf_counter()
+            OBS.finish("driver.energy", t0)
             self._stream_record()
+            OBS.finish("driver.stream_flush", t1)
             OBS.finish("diagnostics", t0, _S_DIAG, _S_DIAG_MS)
             self._metrics_record()
         else:
@@ -396,15 +401,17 @@ class Driver:
                 if deadline is not None and time.perf_counter() > deadline:
                     status = "budget_exhausted"
                     break
-                dt = min(app.suggested_dt(), t_end - app.time)
                 if obs.on:
                     obs.begin_step(app.step_count)
+                    ts = time.perf_counter()
+                    dt = min(app.suggested_dt(), t_end - app.time)
+                    obs.finish("driver.suggested_dt", ts)
                     ts = time.perf_counter()
                     app.step(dt)
                     elapsed = obs.finish("step", ts, _S_STEPS)
                     obs.metrics.observe_step_ms(elapsed * 1e3)
                 else:
-                    app.step(dt)
+                    app.step(min(app.suggested_dt(), t_end - app.time))
                 if diag.energy_interval and app.step_count % diag.energy_interval == 0:
                     self._record()
                 if diag.checkpoint_interval and app.step_count % diag.checkpoint_interval == 0:

@@ -32,18 +32,27 @@ p=2 serendipity), and the Vlasov flux along :math:`d` does not depend on
 (:func:`~repro.kernels.generator.generate_face_termsets`).  One RHS is:
 volume operator → **trace** (one sparse pass over ``f`` giving both face
 traces of every cell for all directions, ``(*cfg, 2 d Nf, *vel)``) → per
-direction, the face state (upwinded and periodic for streaming; central on
-interior faces, zero on the velocity-domain boundary for acceleration) and
-its ``Nf x Nf`` **flux** operator, whose result overwrites the trace slots
-→ **lift** (one sparse pass adding every direction's face fluxes to the
-cell).  The operators are ordinary termsets run by the plan engine.
+direction, one **face-flux** application
+(:meth:`~repro.engine.plan.ExecutionPlan.apply_faces`): for every face the
+face state (upwinded and periodic for streaming; central on interior faces,
+zero on the velocity-domain boundary for acceleration) is formed from the
+two trace slots that meet there, the ``Nf x Nf`` flux operator is applied
+and the result overwrites both slots → **lift** (one sparse pass adding
+every direction's face fluxes to the cell).  The operators are ordinary
+termsets run by the plan engine, and which slots meet at which face is a
+:class:`~repro.engine.faces.FaceMap` per direction, built once.  The
+compiled kernel holds the face state in a stack tile of velocity cells —
+no ``Nf``-wide staging buffers (the numpy reference tier stages it inside
+the plan) — and between the trace and the lift this module does no
+state-sized arithmetic on either tier.
 
 The solver also runs on one block of a larger grid (a ``process:N`` shard):
 the grid then declares ghost layers along its decomposed axes
 (``Grid.ghost``), ``rhs`` takes ``f`` with the neighbours' cells in them,
-and the streaming face state reads a ghost cell's trace where the periodic
-form rolls — the same operators on the same per-cell data, so the block's
-result is the whole grid's restricted to it, bit for bit.
+and the face map of a decomposed axis names a ghost cell's trace where the
+periodic one names the cell a roll away — the same operators on the same
+per-cell data, so the block's result is the whole grid's restricted to it,
+bit for bit.
 
 Numerical fluxes follow Juno et al. (2018) / Gkeyll:
 
@@ -64,6 +73,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..engine.layout import StateLayout
+from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.generator import FACE_SIGN
@@ -125,18 +135,11 @@ class VlasovModalSolver:
         self._aux_src: Optional[np.ndarray] = None
         # Streaming upwind weights per configuration direction: the sign of
         # the paired velocity coordinate at the cell center; 0.5 for cells
-        # straddling v = 0 (central fallback).  ``_upwind_pos`` keeps the
-        # aux-style cell-axis shape; ``_upwind_pos_b`` carries the inserted
-        # basis axis for broadcasting against cell-major state.
+        # straddling v = 0 (central fallback).  Aux-style cell-axis shape.
         self._upwind_pos = []
-        self._upwind_pos_b = []
-        self._upwind_neg_b = []
         for j in range(phase_grid.cdim):
             w = phase_grid.velocity_center_array(j)
-            pos = np.where(w > 0, 1.0, np.where(w < 0, 0.0, 0.5))
-            self._upwind_pos.append(pos)
-            self._upwind_pos_b.append(self.layout.bcast(pos))
-            self._upwind_neg_b.append(self.layout.bcast(1.0 - pos))
+            self._upwind_pos.append(np.where(w > 0, 1.0, np.where(w < 0, 0.0, 0.5)))
         # Every termset runs through a plan-cached GroupedOperator sharing
         # one scratch pool, every kernel on its exact sparsity (field-coupled
         # ones with per-configuration-cell entries).  All volume kernels
@@ -161,27 +164,71 @@ class VlasovModalSolver:
                 [fk.trace[side].scaled(FACE_SIGN[side]) for fk, side in sides]
             ).transposed()
         )
-        self._stream_flux_ops = [_op(fk.flux) for fk in kern.face_stream]
-        # the central-flux 1/2 is folded into the generated coefficients
-        self._accel_flux_ops = [_op(fk.flux.scaled(0.5)) for fk in kern.face_accel]
         shape = self.layout.shape
-        ndim = len(shape)
-        self._slots = [
-            tuple(
-                _axis_slice(ndim, cdim, slice((2 * q + k) * nf, (2 * q + k + 1) * nf))
-                for k in (0, 1)
-            )
-            for q in range(len(faces))
-        ]
         self.trace_shape = shape[:cdim] + (2 * len(faces) * nf,) + shape[cdim + 1 :]
         # On one block of a larger grid, ``rhs`` is handed ``f`` with the
         # neighbours' cells in ghost layers along the decomposed axes
         # (``grid.conf.ghost``; none on a whole grid, where every
         # configuration axis wraps periodically instead).
-        self._ghost = ghost = phase_grid.conf.ghost
+        ghost = phase_grid.conf.ghost
         self._in_shape = tuple(n + 2 * g for n, g in zip(shape, ghost)) + shape[cdim:]
         self._interior = (
             tuple(slice(g, g + n) for n, g in zip(shape, ghost)) if any(ghost) else None
+        )
+        self._trace_in_shape = self._in_shape[:cdim] + self.trace_shape[cdim:]
+        # Per direction, the ``Nf x Nf`` flux operator (the central-flux 1/2
+        # of the acceleration ones folded into the generated coefficients)
+        # and the map of its faces onto the trace slots.
+        flux = [fk.flux for fk in kern.face_stream]
+        flux += [fk.flux.scaled(0.5) for fk in kern.face_accel]
+        self._flux_ops = [(_op(ts), self._face_map(q)) for q, ts in enumerate(flux)]
+
+    def _face_map(self, q: int) -> FaceMap:
+        """The faces normal to phase direction ``q``, as cells of the trace
+        buffers: traces are read from the buffer holding every cell handed
+        to ``rhs`` (ghosts included), fluxes written to the ghost-free one."""
+        cdim = self.grid.cdim
+        cfg = self.layout.cfg_cells
+        ghost = self.grid.conf.ghost
+        own = np.arange(self.layout.ncfg).reshape(cfg)
+        # the ghosted buffer's index of every own cell
+        held = np.arange(int(np.prod(self._in_shape[:cdim]))).reshape(self._in_shape[:cdim])
+        read = held[self._interior] if self._interior is not None else held
+        if q >= cdim:
+            # velocity faces stay inside their configuration cell
+            cols = [own, read, read, own, own]
+            kind = {"vaxis": q - cdim}
+        else:
+            pos = self._upwind_pos[q][(0,) * cdim]
+            kind = {"upwind": (pos, 1.0 - pos)}
+            if ghost[q]:
+                # the n + 1 faces touching own cells: face i joins ghosted
+                # cells i and i + 1, own cells i - 1 and i (-1: a ghost)
+                n = cfg[q]
+                lo = _axis_slice(cdim, q, slice(0, n + 1))
+                hi = _axis_slice(cdim, q, slice(1, n + 2))
+                window = list(self._interior)
+                window[q] = slice(None)
+                held = held[tuple(window)]
+                pad = [(0, 0)] * cdim
+                pad[q] = (1, 1)
+                write = np.pad(own, pad, constant_values=-1)
+                up, dn = write[lo], write[hi]
+                cols = [np.where(up >= 0, up, dn), held[lo], held[hi], up, dn]
+            else:
+                # the grid spans this axis: face i + 1/2 joins cell i and
+                # its periodic neighbour (ghost-padding a whole grid instead
+                # would cost a state-sized copy per call)
+                cols = [own, read, np.roll(read, -1, q), own, np.roll(own, -1, q)]
+        nf = self.num_face_modes
+        return FaceMap(
+            np.stack([np.ravel(col) for col in cols], axis=1),
+            self._trace_in_shape,
+            self.trace_shape,
+            cdim,
+            slots=(2 * q * nf, (2 * q + 1) * nf),
+            nf=nf,
+            **kind,
         )
 
     # ------------------------------------------------------------------ #
@@ -253,29 +300,23 @@ class VlasovModalSolver:
         aux = self.field_aux(em)
         g = self.pool.get("solver.trace", self.trace_shape)
         if self._interior is None:
-            f_own, g_all, g_own = f, g, g
+            f_own, g_all = f, g
         else:
             # the traces of every cell handed in, ghosts included; the
             # fluxes go to the ghost-free buffer ``g`` the lift reads
             f_own = self._own_cells(f)
-            g_all = self.pool.get(
-                "solver.trace_ghosted",
-                self._in_shape[: self.grid.cdim] + self.trace_shape[self.grid.cdim :],
-            )
-            g_own = g_all[self._interior]
+            g_all = self.pool.get("solver.trace_ghosted", self._trace_in_shape)
         # the volume operator owns the first write into out (no zero pass)
         self._vol_op.apply(f_own, aux, out, accumulate=False)
         self._trace_op.apply(f, aux, g_all, accumulate=False)
-        for j in range(self.grid.cdim):
-            if self._ghost[j]:
-                self._ghost_streaming_flux(j, g_all, g, aux)
-            else:
-                # no ghosts along this axis: the grid spans it, and the
-                # periodic neighbour is a roll away (ghost-padding a whole
-                # grid instead would cost a state-sized copy per call)
-                self._streaming_flux(j, g_own, g, aux)
-        for j in range(self.grid.vdim):
-            self._acceleration_flux(j, g_own, g, aux)
+        cdim = self.grid.cdim
+        for q, (flux_op, faces) in enumerate(self._flux_ops):
+            penalty = None
+            if q >= cdim and self.velocity_flux == "penalty":
+                # local Lax-type jump penalty; the unit-flux face mass is
+                # the identity in the orthonormal face basis
+                penalty = 0.5 * self._penalty_speed(aux, q - cdim) * aux[f"rdx{q}"]
+            flux_op.apply_faces(g_all, g, faces, aux, penalty)
         self._lift_op.apply(g, aux, out)
         return out
 
@@ -289,82 +330,6 @@ class VlasovModalSolver:
         own = self.pool.get("solver.own", self.layout.shape)
         np.copyto(own, view)
         return own
-
-    def _face_buffers(self, n: int, axis: int):
-        """Two pooled contiguous ``Nf``-wide buffers with ``n`` cells along
-        ``axis``: the face state and its flux."""
-        shape = list(self.layout.shape)
-        shape[self.grid.cdim] = self.num_face_modes
-        shape[axis] = n
-        return (
-            self.pool.get("solver.gface", tuple(shape)),
-            self.pool.get("solver.fhat", tuple(shape)),
-        )
-
-    def _streaming_flux(self, j, g, glift, aux) -> None:
-        """Upwinded flux through the periodic faces normal to configuration
-        direction ``j``: reads the traces in ``g`` (any strides), writes each
-        cell's upper- and lower-face flux into the same slots of ``glift``
-        (``g`` itself on a whole grid)."""
-        up, dn = self._slots[j]
-        gface, fhat = self._face_buffers(self.layout.shape[j], j)
-        # face i+1/2: upper-face trace of cell i, lower-face trace of cell i+1
-        np.multiply(g[up], self._upwind_pos_b[j], out=gface)
-        _roll_mul(g[dn], -1, j, self._upwind_neg_b[j], out=fhat)
-        gface += fhat
-        self._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
-        glift[up] = fhat
-        _roll_copy(fhat, 1, j, glift[dn])
-
-    def _ghost_streaming_flux(self, j, g_all, glift, aux) -> None:
-        """:meth:`_streaming_flux` along an axis with ghost layers: the
-        ``n + 1`` faces touching the grid's own cells, the outer two taking
-        one trace from a ghost cell where the periodic form rolls."""
-        n = self.layout.shape[j]
-        up, dn = self._slots[j]
-
-        def window(start):  # ghosted cells start .. start + n along axis j
-            sl = list(self._interior)
-            sl[j] = slice(start, start + n + 1)
-            return g_all[tuple(sl)]
-
-        gface, fhat = self._face_buffers(n + 1, j)
-        # entry i is the lower face of own cell i (ghosted cell i + 1)
-        np.multiply(window(0)[up], self._upwind_pos_b[j], out=gface)
-        np.multiply(window(1)[dn], self._upwind_neg_b[j], out=fhat)
-        gface += fhat
-        self._stream_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
-        glift[up] = fhat[_axis_slice(fhat.ndim, j, slice(1, n + 1))]
-        glift[dn] = fhat[_axis_slice(fhat.ndim, j, slice(0, n))]
-
-    def _acceleration_flux(self, j, g, glift, aux) -> None:
-        """Central flux through the interior faces normal to velocity
-        direction ``j`` (plus the optional penalty); the two domain-boundary
-        faces carry zero flux.  Same ``g``/``glift`` contract as
-        :meth:`_streaming_flux`."""
-        cdim = self.grid.cdim
-        axis = cdim + 1 + j
-        n = self.layout.shape[axis]
-        ndim = g.ndim
-        up, dn = self._slots[cdim + j]
-        lo = _axis_slice(ndim, axis, slice(0, n - 1))
-        hi = _axis_slice(ndim, axis, slice(1, n))
-        gface, fhat = self._face_buffers(n, axis)
-        g_up, g_dn = g[up], g[dn]
-        # entry i is face i+1/2; the last one is the upper domain boundary
-        np.add(g_up[lo], g_dn[hi], out=gface[lo])
-        gface[_axis_slice(ndim, axis, slice(n - 1, n))] = 0.0
-        self._accel_flux_ops[j].apply(gface, aux, fhat, accumulate=False)
-        if self.velocity_flux == "penalty":
-            # local Lax-type jump penalty; the unit-flux face mass is the
-            # identity in the orthonormal face basis
-            np.subtract(g_up[lo], g_dn[hi], out=gface[lo])
-            gface *= 0.5 * self._penalty_speed(aux, j) * aux[f"rdx{cdim + j}"]
-            fhat += gface
-        glift[up] = fhat
-        glift_dn = glift[dn]
-        glift_dn[hi] = fhat[lo]
-        glift_dn[_axis_slice(ndim, axis, slice(0, 1))] = 0.0
 
     # ------------------------------------------------------------------ #
     # penalty support (optional robustness flux)
@@ -419,42 +384,3 @@ def _axis_slice(ndim: int, axis: int, sl: slice):
     out = [slice(None)] * ndim
     out[axis] = sl
     return tuple(out)
-
-
-def _roll_copy(src: np.ndarray, shift: int, axis: int, out: np.ndarray):
-    """``out = roll(src, shift, axis)`` without temporaries (two slab copies)."""
-    n = src.shape[axis]
-    shift %= n
-    if shift == 0:
-        np.copyto(out, src)
-        return out
-    np.copyto(
-        out[_axis_slice(src.ndim, axis, slice(0, shift))],
-        src[_axis_slice(src.ndim, axis, slice(n - shift, n))],
-    )
-    np.copyto(
-        out[_axis_slice(src.ndim, axis, slice(shift, n))],
-        src[_axis_slice(src.ndim, axis, slice(0, n - shift))],
-    )
-    return out
-
-
-def _roll_mul(src: np.ndarray, shift: int, axis: int, weight, out: np.ndarray):
-    """``out = roll(src, shift, axis) * weight`` without temporaries.
-
-    ``weight`` must broadcast against ``src`` with size one along ``axis``
-    (true for the velocity-dependent upwind weights rolled along a
-    configuration axis).
-    """
-    n = src.shape[axis]
-    shift %= n
-    if shift == 0:
-        np.multiply(src, weight, out=out)
-        return out
-    dst_head = _axis_slice(src.ndim, axis, slice(0, shift))
-    dst_tail = _axis_slice(src.ndim, axis, slice(shift, n))
-    src_head = _axis_slice(src.ndim, axis, slice(n - shift, n))
-    src_tail = _axis_slice(src.ndim, axis, slice(0, n - shift))
-    np.multiply(src[src_head], weight, out=out[dst_head])
-    np.multiply(src[src_tail], weight, out=out[dst_tail])
-    return out

@@ -5,6 +5,11 @@ kernels as ``K[(t, s)] = sigma_t trace[t].T @ flux @ trace[s]``.  The solvers
 apply only the factors, so the pinned side kernels (``test_kernel_bits.py``)
 are the oracle here: every entry of every side kernel must come back from the
 factors, with the same sparsity pattern.
+
+The flux factor runs through ``ExecutionPlan.apply_faces`` (gather two trace
+slots, ``Nf x Nf`` flux, scatter to both slots): the compiled ``face_flux``
+must equal the numpy reference byte for byte and touch nothing but the
+direction's slots.
 """
 
 import numpy as np
@@ -15,6 +20,8 @@ from hypothesis import strategies as st
 from repro.basis.modal import ModalBasis
 from repro.basis.multiindex import FAMILIES, multi_indices
 from repro.cas.poly import Poly
+from repro.dist.blocks import BlockGrid
+from repro.engine import FaceMap, compiler_config
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import get_vlasov_kernels
 from repro.kernels.flops import modal_update_multiplications
@@ -177,3 +184,150 @@ def test_penalty_flux_equals_the_face_mass_formulation(vel_cells):
     got = solver.rhs(f, em)
     assert not np.array_equal(got, solvers["central"].rhs(f, em))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# --------------------------------------------------------------------- #
+# the face primitive: compiled == numpy reference, nothing outside the slots
+#: every vector-width tail of the compiled tile loop
+VEL_CELLS = (1, 2, 3, 5, 8, 14, 33)
+GUARD = 64
+
+
+@st.composite
+def face_flux_cases(draw):
+    cdim, vdim = draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+    vel = tuple(draw(st.sampled_from(VEL_CELLS)) for _ in range(vdim))
+    if np.prod(vel) > 300:  # keep the 2V trace buffers small
+        vel = (vel[0], 3)
+    parent = tuple(draw(st.integers(2, 4)) for _ in range(cdim))
+    return cdim, vdim, draw(st.integers(1, 2)), parent, vel, draw(st.integers(0, 10**6))
+
+
+def _conf_grid(parent, ghost):
+    """The whole periodic grid, or with ``ghost`` its block of all but the
+    first and last cell along the ghosted axes."""
+    grid = Grid([0.0] * len(parent), [1.0] * len(parent), list(parent))
+    if not any(ghost):
+        return grid
+    ranges = [(1, n - 1) if g and n > 2 else (0, n) for n, g in zip(parent, ghost)]
+    return BlockGrid(grid, ranges, ghost)
+
+
+def _guarded(shape, rng):
+    """A random contiguous array inside a NaN-filled allocation."""
+    size = int(np.prod(shape))
+    alloc = np.full(size + 2 * GUARD, np.nan)
+    arr = alloc[GUARD : GUARD + size].reshape(shape)
+    arr[...] = rng.standard_normal(shape)
+    return alloc, arr
+
+
+def _apply_every_direction(case, tier, ghost, velocity_flux="central"):
+    """Trace buffers after one ``apply_faces`` per direction, each starting
+    from the same random traces with every row outside the direction's two
+    slots NaN: ``[(direction, src allocation, dst allocation)]``."""
+    cdim, vdim, poly_order, parent, vel, seed = case
+    pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
+    out = []
+    with compiler_config(tier=tier, cache="off"):
+        solver = VlasovModalSolver(pg, poly_order, velocity_flux=velocity_flux)
+        rng = np.random.default_rng(seed)
+        aux = solver.field_aux(rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis)))
+        for q, (flux_op, faces) in enumerate(solver._flux_ops):
+            src_alloc, src = _guarded(faces.src_shape, rng)
+            dst_alloc, dst = (src_alloc, src) if not any(ghost) else _guarded(faces.dst_shape, rng)
+            for buf in {id(src): src, id(dst): dst}.values():
+                rows = np.ones(faces.nrows, dtype=bool)
+                rows[faces.up : faces.up + faces.nf] = rows[faces.dn : faces.dn + faces.nf] = False
+                buf[(slice(None),) * cdim + (rows,)] = np.nan
+            penalty = 0.37 if velocity_flux == "penalty" and q >= cdim else None
+            flux_op.apply_faces(src, dst, faces, aux, penalty)
+            own = dst[(slice(None),) * cdim + (~rows,)]
+            assert np.isfinite(own).all()  # nothing read from outside the slots
+            out.append((q, src_alloc, dst_alloc))
+    return out
+
+
+def _assert_tiers_agree(case, ghost, velocity_flux="central"):
+    got = _apply_every_direction(case, "cc", ghost, velocity_flux)
+    want = _apply_every_direction(case, "numpy", ghost, velocity_flux)
+    for (q, *cc), (_, *ref) in zip(got, want):
+        for a, b in zip(cc, ref):
+            # whole allocations: the slots equal as bytes, every other row
+            # and both guard bands still NaN
+            assert a.tobytes() == b.tobytes(), f"direction {q}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(face_flux_cases())
+def test_face_flux_in_place_equals_the_numpy_reference(case):
+    """Periodic streaming and central acceleration faces on a whole grid,
+    ``dst is src``."""
+    _assert_tiers_agree(case, ghost=(0,) * case[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(face_flux_cases(), st.integers(1, 3))
+def test_face_flux_ghost_window_equals_the_numpy_reference(case, which):
+    """A ``process:N`` block: ghosted traces in, ghost-free fluxes out, with
+    ghost layers on one configuration axis and on both."""
+    cdim = case[0]
+    ghost = tuple((which >> d) & 1 for d in range(cdim))
+    if not any(ghost):
+        ghost = (1,) * cdim
+    _assert_tiers_agree(case, ghost)
+
+
+@settings(max_examples=15, deadline=None)
+@given(face_flux_cases())
+def test_face_flux_penalty_equals_the_numpy_reference(case):
+    _assert_tiers_agree(case, ghost=(0,) * case[0], velocity_flux="penalty")
+
+
+def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch):
+    pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-3.0], [3.0], [6]))
+    with compiler_config(tier="cc", cache="off"):
+        solver = VlasovModalSolver(pg, 2)
+        aux = solver.field_aux(np.zeros(pg.conf.cells + (8, solver.num_conf_basis)))
+        flux_op, good = solver._flux_ops[0]
+        g = np.zeros(good.dst_shape)
+        flux_op.apply_faces(g, g, good, aux)  # the plan exists from here on
+        (plan,) = flux_op._plans.values()
+
+        def no_call(*args):  # pragma: no cover - the assertion
+            raise AssertionError("the compiled kernel was called")
+
+        monkeypatch.setattr(plan, "_cc_faces", no_call, raising=False)
+
+        def face_map(table=good.table, slots=(good.up, good.dn), **kw):
+            kw.setdefault("upwind", (good.wa, good.wb))
+            return FaceMap(table, good.src_shape, good.dst_shape, 1, slots, good.nf, **kw)
+
+        for column in range(5):
+            table = good.table.copy()
+            table[2, column] = 4  # four cells: 0..3
+            with pytest.raises(ValueError, match="outside its buffer"):
+                face_map(table)
+        table = good.table.copy()
+        table[1, 3] = table[0, 3]
+        with pytest.raises(ValueError, match="same upper slot"):
+            face_map(table)
+        with pytest.raises(ValueError, match="slot rows"):
+            face_map(slots=(good.up, good.nrows - good.nf + 1))
+        with pytest.raises(ValueError, match="overlap"):
+            face_map(slots=(good.up, good.up + 1))
+        with pytest.raises(ValueError, match="either"):
+            face_map(vaxis=0)
+        with pytest.raises(ValueError, match="inside one configuration cell"):
+            face_map(upwind=None, vaxis=0)  # a periodic table is no velocity-face table
+        # a well-formed map for other buffers than the ones handed in
+        strided = np.zeros((4, 2 * good.nrows, 6))[:, ::2]
+        for src, dst in ((g, strided), (strided, g), (g, np.zeros((5,) + g.shape[1:]))):
+            with pytest.raises(ValueError, match="C-contiguous float64 trace buffer"):
+                flux_op.apply_faces(src, dst, good, aux)
+        shifted = face_map(np.roll(good.table, 1, axis=0)[:, [0, 2, 1, 3, 4]])
+        assert good.in_place and not shifted.in_place
+        with pytest.raises(ValueError, match="own their slots"):
+            flux_op.apply_faces(g, g, shifted, aux)
+        with pytest.raises(ValueError, match="acceleration faces"):
+            flux_op.apply_faces(g, g, good, aux, penalty=1.0)

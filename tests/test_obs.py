@@ -471,6 +471,9 @@ def test_render_report_end_to_end(tmp_path):
     text = render_report(tmp_path)
     assert "phases" in text and "metrics" in text
     assert "rk_stage" in text and "steps_per_s" in text
+    # the between-step driver work is attributed, not one unnamed remainder
+    for phase in ("driver.suggested_dt", "driver.energy", "driver.stream_flush"):
+        assert phase in text
 
 
 def test_render_report_requires_output(tmp_path):

@@ -479,6 +479,32 @@ def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path):
         assert np.array_equal(cold, again)
 
 
+def test_only_a_bad_payload_falls_back_to_compile(case, tmp_path, monkeypatch):
+    """A payload that loads (good CRCs) but holds a pattern the C sweep
+    would overrun on is a cache miss; an error that is not about the payload
+    — a bug in the hydration code — is not swallowed into a recompile."""
+    ts, aux, f_cm = case
+    cache_dir = tmp_path / "plans"
+    cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+    for path in cache_dir.glob("plan-*.npz"):
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        arrays["g0i"][0] = ts.nin  # one column past the input rows
+        np.savez(path, **arrays)
+    before = STATS.snapshot()
+    got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+    delta = STATS.delta(STATS.snapshot(), before)
+    assert delta["hydrated"] == 0 and delta["compiled"] >= 1
+    assert np.array_equal(cold, got)
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a payload")
+
+    monkeypatch.setattr(ExecutionPlan, "from_artifacts", broken)
+    with pytest.raises(TypeError, match="a bug, not a payload"):
+        apply_with(ts, aux, f_cm, cache=str(cache_dir))
+
+
 def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng):
     """The same termset with a re-classified symbol (velocity factor ->
     configuration field) must compile a distinct plan, not reuse the
