@@ -19,7 +19,7 @@ import pytest
 
 from repro.collisions import LBOCollisions
 from repro.grid import Grid, PhaseGrid
-from repro.kernels import get_vlasov_kernels
+from repro.kernels import get_vlasov_kernels, modal_update_traffic
 from repro.moments import MomentCalculator
 from repro.vlasov import VlasovModalSolver
 
@@ -45,6 +45,14 @@ def _rate(fn, dofs, budget=1.5):
         fn()
         n += 1
     return n * dofs / (time.perf_counter() - t0)
+
+
+def _gbytes_per_s(dofs_per_s, pg, num_basis):
+    """Achieved traffic through state-sized arrays at ``dofs_per_s``, by the
+    model of the compiled cell program (``modal_update_traffic``)."""
+    traffic = modal_update_traffic(pg.cdim, pg.vdim, POLY_ORDER, FAMILY)
+    read, written = traffic["cell_local"]["total"]
+    return 8 * (read + written) * dofs_per_s / num_basis / 1e9
 
 
 @pytest.mark.paper
@@ -75,7 +83,9 @@ def test_eop_collisionless_vs_collisional(benchmark, setup):
 
     print("\n=== Sec. III: E_op = DOFs/(cores * t_wall), 2X3V p=2 (112 DOF) ===")
     print(f"collisionless Vlasov   : {eop_vlasov:,.0f} DOFs/s/core "
-          "(paper: 1.67e7 on Xeon/C++)")
+          "(paper: 1.67e7 on Xeon/C++), "
+          f"{_gbytes_per_s(eop_vlasov, pg, solver.num_basis):.2f} GB/s "
+          "through state-sized arrays")
     print(f"with LBO Fokker-Planck : {eop_full:,.0f} DOFs/s/core "
           "(paper: ~8e6)")
     print(f"collision slowdown     : {slowdown:.2f}x (paper: ~2x)")
@@ -88,3 +98,7 @@ def test_eop_vlasov_rhs(benchmark, setup):
     pg, solver, f, em = setup
     out = np.zeros_like(f)
     benchmark(solver.rhs, f, em, out)
+    rate = _rate(lambda: solver.rhs(f, em, out), f.size, budget=0.5)
+    print(f"\ncollisionless Vlasov RHS: {rate:,.0f} DOFs/s/core, "
+          f"{_gbytes_per_s(rate, pg, solver.num_basis):.2f} GB/s "
+          "through state-sized arrays")

@@ -16,11 +16,14 @@ products pulled out.  This module does the same in Python, at two levels:
   coefficient vectors.
 * :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
   the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes, with two entry points — ``fused_sweep`` (state in, state out)
-  and ``face_flux`` (the same groups across the faces of one direction:
-  two trace slots in, both overwritten with the flux).  Its source is a
-  constant — shapes, the ``accumulate`` flag, the group and face tables are
-  arguments — so nothing is emitted per plan:
+  freezes, with three entry points over one loop body — ``fused_sweep``
+  (state in, state out), ``face_flux`` (the same groups across the faces of
+  one direction: two trace slots in, both overwritten with the flux) and
+  ``cell_rhs`` (a :class:`~repro.engine.program.CellProgram`: per
+  configuration cell, acceleration trace → flux → lift in a cell-local
+  block, volume and streaming lift, optionally the Shu–Osher stage).  Its
+  source is a constant — shapes, the ``accumulate`` flag, the group and face
+  tables are arguments — so nothing is emitted per plan:
   :func:`compile_fused_sweep` shells out to the system C compiler once per
   toolchain and target (``-O3 -ffp-contract=off -march=native``: no FMA
   contraction and no reassociation, so results stay bit-identical to
@@ -63,6 +66,7 @@ __all__ = [
     "FUSED_SWEEP_C",
     "FUSED_SWEEP_ARGTYPES",
     "FACE_FLUX_ARGTYPES",
+    "CELL_RHS_ARGTYPES",
     "CC_FLAGS",
     "CC_ISA_FLAG",
     "compile_fused_sweep",
@@ -210,7 +214,7 @@ def select_tier(tier: str = "auto") -> str:
 
 #: C source of the sweep kernels — a constant: every shape is an argument, so
 #: one shared object per toolchain and target ISA serves every plan.  It has
-#: two entry points over one group table.
+#: three entry points over one group-table format.
 #:
 #: ``groups`` is an ``(ngroups, 5)`` int64 table: per group the address of
 #: its entries, the stride in doubles between configuration cells' entry
@@ -269,6 +273,39 @@ def select_tier(tier: str = "auto") -> str:
 #: axis, is never read as a ``B``.  So when every face's two destination
 #: slots are its own two source slots and no slot belongs to two faces,
 #: each face owns its two slots and ``dst`` may be ``src``.
+#:
+#: ``cell_rhs(f, held, out, ncfg, np, nvel, prog, stream, block, accel, taus,
+#: staged, sa, sb, dt, u0, target)`` is the modal Vlasov right-hand side as
+#: one program per configuration cell, over the loop bodies of the other two
+#: (``sweep_span``, ``face_span``).  ``f`` is the cell-major state handed in
+#: (``held[c]`` its index of own cell ``c``, or no table: ``c``), ``stream``
+#: the ``(ncfg, ns, nvel)`` buffer already holding the *streaming* face
+#: fluxes of every own cell, ``block`` an ``(na, nvel)`` scratch.  ``prog``
+#: is 12 int64: group count and group-table address of the volume operator
+#: ``[0:2]``, ``ns`` and the streaming lift ``[2:5]``, ``na`` and the
+#: acceleration trace ``[5:8]``, the acceleration lift ``[8:10]``, ``nf``
+#: and the number of acceleration directions ``[10:12]``; ``accel`` has one
+#: 7-int64 row per acceleration direction (upper and lower slot row in the
+#: block, ``shift``, ``extent``, group count, group-table address,
+#: ``penalize``) and ``taus`` its penalty factors.  Per cell ``c``:
+#:
+#: 1. sweep the acceleration traces of ``f[c]`` into ``block``;
+#: 2. run ``face_span`` on the block, in place, for each acceleration
+#:    direction — ``face_flux`` on a one-cell trace buffer;
+#: 3. sweep the volume groups of ``f[c]`` into the output cell from
+#:    ``+0.0``, then accumulate the streaming lift of ``stream[c]`` and the
+#:    acceleration lift of ``block`` — per output element the entry sequence
+#:    of the three state-sized passes ``fused_sweep`` would make (a store and
+#:    a reload between them change no bits);
+#: 4. ``staged == 0``: the output cell is ``out[c]``.  Otherwise ``out`` is
+#:    one ``(np, nvel)`` cell of scratch holding ``L`` and the Shu–Osher
+#:    stage is applied on the way out, in the association of
+#:    ``repro.timestepping.ssprk``: ``target[c] = f[c] + L * dt`` (``staged
+#:    == 1``) or ``target[c] = (f[c] + L * dt) * sb + u0[c] * sa``.
+#:
+#: *In place:* ``target`` may be ``f`` — the streaming traces, the only
+#: reads that cross configuration cells, were taken before the call, and
+#: cell ``c`` is written after its last read.
 FUSED_SWEEP_C = r"""#include <stdint.h>
 
 #if defined(__AVX512F__)
@@ -358,6 +395,78 @@ void fused_sweep(const double* restrict f, double* restrict y,
 
 #define FACE_TILE (16 * VLEN)
 
+/* one face, every velocity cell: the state from a (the upper-face trace of
+   the cell below) and b (the lower-face trace of the cell above), the flux
+   of configuration cell c's entries to yu and yd (0: not written) */
+static __attribute__((noinline)) void
+face_span(const double* a, const double* b, double* yu, double* yd, int64_t c,
+          int64_t nf, int64_t nvel, const double* wa, const double* wb,
+          int64_t shift, int64_t extent,
+          int64_t ngroups, const int64_t* restrict groups,
+          int64_t penalize, double tau)
+{
+    double xt[nf * FACE_TILE], yt[nf * FACE_TILE];
+    /* acceleration: the tile's velocity cells that have an upper neighbour
+       along the axis / that are the first along it */
+    unsigned char upper[FACE_TILE], first[FACE_TILE];
+    int64_t v0, len, m, t;
+    for (v0 = 0; v0 < nvel; v0 += FACE_TILE) {
+        len = nvel - v0 < FACE_TILE ? nvel - v0 : FACE_TILE;
+        if (wa) {
+            for (m = 0; m < nf; ++m)
+                for (t = 0; t < len; ++t) {
+                    const int64_t v = v0 + t, k = m * nvel + v;
+                    xt[m * FACE_TILE + t] = a[k] * wa[v] + b[k] * wb[v];
+                }
+        } else {
+            int64_t lo = v0 % shift, at = v0 / shift % extent;
+            for (t = 0; t < len; ++t) {
+                upper[t] = at < extent - 1;
+                first[t] = at == 0;
+                if (++lo == shift) {
+                    lo = 0;
+                    if (++at == extent)
+                        at = 0;
+                }
+            }
+            for (m = 0; m < nf; ++m)
+                for (t = 0; t < len; ++t) {
+                    const int64_t k = m * nvel + v0 + t;
+                    xt[m * FACE_TILE + t] =
+                        upper[t] ? a[k] + b[k + shift] : 0.0;
+                }
+        }
+        sweep_span(xt, FACE_TILE, yt, FACE_TILE, len, v0, c, 0,
+                   nf, ngroups, groups);
+        if (penalize)
+            for (m = 0; m < nf; ++m)
+                for (t = 0; t < len; ++t) {
+                    const int64_t k = m * nvel + v0 + t;
+                    yt[m * FACE_TILE + t] +=
+                        (upper[t] ? a[k] - b[k + shift] : 0.0) * tau;
+                }
+        for (m = 0; m < nf; ++m) {
+            const double* ym = yt + m * FACE_TILE;
+            const int64_t k = m * nvel + v0;
+            if (yu)
+                for (t = 0; t < len; ++t)
+                    yu[k + t] = ym[t];
+            if (!yd)
+                continue;
+            if (wa)
+                for (t = 0; t < len; ++t)
+                    yd[k + t] = ym[t];
+            else
+                for (t = 0; t < len; ++t) {
+                    if (upper[t])
+                        yd[k + t + shift] = ym[t];
+                    if (first[t])
+                        yd[k + t] = 0.0;
+                }
+        }
+    }
+}
+
 void face_flux(const double* src, double* dst,
                int64_t nfaces, const int64_t* restrict faces,
                int64_t nrows, int64_t up, int64_t dn, int64_t nf, int64_t nvel,
@@ -366,71 +475,70 @@ void face_flux(const double* src, double* dst,
                int64_t ngroups, const int64_t* restrict groups,
                int64_t penalize, double tau)
 {
-    double xt[nf * FACE_TILE], yt[nf * FACE_TILE];
-    /* acceleration: the tile's velocity cells that have an upper neighbour
-       along the axis / that are the first along it */
-    unsigned char upper[FACE_TILE], first[FACE_TILE];
-    int64_t n, v0, len, m, t;
+    int64_t n;
     for (n = 0; n < nfaces; ++n) {
         const int64_t* face = faces + 5 * n;
-        const double* a = src + (face[1] * nrows + up) * nvel;
-        const double* b = src + (face[2] * nrows + dn) * nvel;
-        double* yu = face[3] < 0 ? 0 : dst + (face[3] * nrows + up) * nvel;
-        double* yd = face[4] < 0 ? 0 : dst + (face[4] * nrows + dn) * nvel;
-        for (v0 = 0; v0 < nvel; v0 += FACE_TILE) {
-            len = nvel - v0 < FACE_TILE ? nvel - v0 : FACE_TILE;
-            if (wa) {
-                for (m = 0; m < nf; ++m)
-                    for (t = 0; t < len; ++t) {
-                        const int64_t v = v0 + t, k = m * nvel + v;
-                        xt[m * FACE_TILE + t] = a[k] * wa[v] + b[k] * wb[v];
-                    }
-            } else {
-                int64_t lo = v0 % shift, at = v0 / shift % extent;
-                for (t = 0; t < len; ++t) {
-                    upper[t] = at < extent - 1;
-                    first[t] = at == 0;
-                    if (++lo == shift) {
-                        lo = 0;
-                        if (++at == extent)
-                            at = 0;
-                    }
+        face_span(src + (face[1] * nrows + up) * nvel,
+                  src + (face[2] * nrows + dn) * nvel,
+                  face[3] < 0 ? 0 : dst + (face[3] * nrows + up) * nvel,
+                  face[4] < 0 ? 0 : dst + (face[4] * nrows + dn) * nvel,
+                  face[0], nf, nvel, wa, wb, shift, extent, ngroups, groups,
+                  penalize, tau);
+    }
+}
+
+/* sweep_span over all nvel velocity cells of one configuration cell, out of
+   line: one copy of the loop nest serves the four sweeps of cell_rhs */
+static __attribute__((noinline)) void
+sweep_cell(const double* restrict fc, double* restrict yc, int64_t nvel,
+           int64_t c, int64_t accumulate, int64_t nout, int64_t ngroups,
+           const int64_t* restrict groups)
+{
+    sweep_span(fc, nvel, yc, nvel, nvel, 0, c, accumulate, nout, ngroups,
+               groups);
+}
+
+#define GROUPS(k) ((const int64_t*)(intptr_t)prog[k])
+
+void cell_rhs(const double* f, const int64_t* restrict held, double* out,
+              int64_t ncfg, int64_t np, int64_t nvel,
+              const int64_t* restrict prog, const double* stream,
+              double* block, const int64_t* restrict accel,
+              const double* restrict taus,
+              int64_t staged, double sa, double sb, double dt,
+              const double* u0, double* target)
+{
+    const int64_t nvol = prog[0], ns = prog[2], nlift_s = prog[3],
+                  na = prog[5], ntrace = prog[6], nlift_a = prog[8],
+                  nf = prog[10], naccel = prog[11];
+    int64_t c, j, k;
+    for (c = 0; c < ncfg; ++c) {
+        const double* fc = f + (held ? held[c] : c) * np * nvel;
+        double* yc = staged ? out : out + c * np * nvel;
+        sweep_cell(fc, block, nvel, c, 0, na, ntrace, GROUPS(7));
+        for (j = 0; j < naccel; ++j) {
+            const int64_t* dir = accel + 7 * j;
+            double* up = block + dir[0] * nvel;
+            double* dn = block + dir[1] * nvel;
+            face_span(up, dn, up, dn, c, nf, nvel, 0, 0, dir[2], dir[3],
+                      dir[4], (const int64_t*)(intptr_t)dir[5], dir[6], taus[j]);
+        }
+        sweep_cell(fc, yc, nvel, c, 0, np, nvol, GROUPS(1));
+        sweep_cell(stream + c * ns * nvel, yc, nvel, c, 1, np, nlift_s, GROUPS(4));
+        sweep_cell(block, yc, nvel, c, 1, np, nlift_a, GROUPS(9));
+        if (staged) {
+            const double* uc = u0 + c * np * nvel;
+            double* tc = target + c * np * nvel;
+            if (staged > 1)
+                for (k = 0; k < np * nvel; ++k) {
+                    double t = yc[k] * dt;
+                    t = fc[k] + t;
+                    t = t * sb;
+                    tc[k] = t + uc[k] * sa;
                 }
-                for (m = 0; m < nf; ++m)
-                    for (t = 0; t < len; ++t) {
-                        const int64_t k = m * nvel + v0 + t;
-                        xt[m * FACE_TILE + t] =
-                            upper[t] ? a[k] + b[k + shift] : 0.0;
-                    }
-            }
-            sweep_span(xt, FACE_TILE, yt, FACE_TILE, len, v0, face[0], 0,
-                       nf, ngroups, groups);
-            if (penalize)
-                for (m = 0; m < nf; ++m)
-                    for (t = 0; t < len; ++t) {
-                        const int64_t k = m * nvel + v0 + t;
-                        yt[m * FACE_TILE + t] +=
-                            (upper[t] ? a[k] - b[k + shift] : 0.0) * tau;
-                    }
-            for (m = 0; m < nf; ++m) {
-                const double* ym = yt + m * FACE_TILE;
-                const int64_t k = m * nvel + v0;
-                if (yu)
-                    for (t = 0; t < len; ++t)
-                        yu[k + t] = ym[t];
-                if (!yd)
-                    continue;
-                if (wa)
-                    for (t = 0; t < len; ++t)
-                        yd[k + t] = ym[t];
-                else
-                    for (t = 0; t < len; ++t) {
-                        if (upper[t])
-                            yd[k + t + shift] = ym[t];
-                        if (first[t])
-                            yd[k + t] = 0.0;
-                    }
-            }
+            else
+                for (k = 0; k < np * nvel; ++k)
+                    tc[k] = fc[k] + yc[k] * dt;
         }
     }
 }
@@ -449,6 +557,15 @@ FACE_FLUX_ARGTYPES = (
     + [ctypes.c_int64] * 2
     + [ctypes.c_int64, ctypes.c_void_p]
     + [ctypes.c_int64, ctypes.c_double]
+)
+#: ctypes signature of ``cell_rhs``
+CELL_RHS_ARGTYPES = (
+    [ctypes.c_void_p] * 3
+    + [ctypes.c_int64] * 3
+    + [ctypes.c_void_p] * 5
+    + [ctypes.c_int64]
+    + [ctypes.c_double] * 3
+    + [ctypes.c_void_p] * 2
 )
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
@@ -508,10 +625,12 @@ def _native_target(cc: str) -> str:
 class CcSweep(NamedTuple):
     """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    #: ctypes entry points of :data:`FUSED_SWEEP_C`, ``fused_sweep`` and
-    #: ``face_flux`` (pointers are passed as ``arr.ctypes.data`` integers)
+    #: ctypes entry points of :data:`FUSED_SWEEP_C`, ``fused_sweep``,
+    #: ``face_flux`` and ``cell_rhs`` (pointers are passed as
+    #: ``arr.ctypes.data`` integers)
     fn: object
     faces: object
+    cells: object
     #: whether this request ran the compiler (False: reuse of the
     #: content-addressed artifact, from disk or from this process)
     fresh: bool
@@ -562,7 +681,7 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
             with publish(so_path) as tmp:
                 _build_sweep(cc[0], src_path, str(tmp))
         lib = ctypes.CDLL(str(so_path))
-        fn, faces = lib.fused_sweep, lib.face_flux
+        fn, faces, cells = lib.fused_sweep, lib.face_flux, lib.cell_rhs
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not
         # writable; the object does not load: degrade to the numpy tier,
@@ -578,8 +697,9 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
             stacklevel=2,
         )
         return None
-    fn.restype = faces.restype = None
+    fn.restype = faces.restype = cells.restype = None
     fn.argtypes = FUSED_SWEEP_ARGTYPES
     faces.argtypes = FACE_FLUX_ARGTYPES
-    kern = _LOADED_KERNELS[key] = CcSweep(fn, faces, fresh)
+    cells.argtypes = CELL_RHS_ARGTYPES
+    kern = _LOADED_KERNELS[key] = CcSweep(fn, faces, cells, fresh)
     return kern

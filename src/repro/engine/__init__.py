@@ -18,6 +18,10 @@ and for all layers:
 * :mod:`~repro.engine.faces` holds the :class:`FaceMap`, the table of
   trace-buffer slots meeting at each face of one phase direction, which
   ``ExecutionPlan.apply_faces`` runs a flux plan across;
+* :mod:`~repro.engine.program` holds the :class:`CellProgram`, one species'
+  volume + trace + flux + lift plans run as one program per configuration
+  cell (streaming faces over the whole grid first), optionally finishing
+  each cell with a Shu–Osher :class:`Stage`;
 * :mod:`~repro.engine.compile` is the seam every plan is built through:
   compile or hydrate from the content-addressed disk cache
   (:mod:`~repro.engine.plancache`), under one process-wide configuration;
@@ -55,10 +59,13 @@ from .plan import (
 )
 from .plancache import PlanCache, default_cache_dir, resolve_cache_root
 from .pool import ScratchPool
+from .program import CellProgram, Stage
 
 __all__ = [
+    "CellProgram",
     "ExecutionPlan",
     "FaceMap",
+    "Stage",
     "PlanSignatureError",
     "aux_signature",
     "classify_aux_value",

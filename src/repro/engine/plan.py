@@ -41,7 +41,11 @@ there into the face state, sweep, scatter the flux to both slots — in the comp
 (``face_flux``) a tile of velocity cells at a time with nothing state-sized
 in between, in the numpy tier as array passes around the same
 ``csr_matvecs`` groups, which is the byte-for-byte reference.  The tier fork
-stays inside the plan; callers see one method per entry point.
+stays inside the plan; callers see one method per entry point.  The third
+entry point runs several plans' group tables at once, one configuration
+cell at a time: :class:`~repro.engine.program.CellProgram`, which binds
+plans through :meth:`ExecutionPlan._ready` / :meth:`~ExecutionPlan._refresh`
+and calls their untimed ``_run`` / ``_run_faces`` bodies as its reference.
 
 Everything shape-dependent is prebound when the plan is built (scratch
 buffers, reshaped views, the C argument vector), and
@@ -587,7 +591,7 @@ class ExecutionPlan:
             if kern is None:
                 self.kernel_status = "failed"
             else:
-                self._cc, self._cc_faces = kern.fn, kern.faces
+                self._cc, self._cc_faces, self._cc_cells = kern.fn, kern.faces, kern.cells
                 self.tier = "cc"
                 self.kernel_status = "built" if kern.fresh else "loaded"
         for grp in self._groups:
@@ -788,15 +792,19 @@ class ExecutionPlan:
             self._guard(aux)
         return self._timed(self._run_faces, aux, src, dst, face_map, penalty)
 
-    def _timed(self, run, aux: Dict[str, AuxValue], *args) -> np.ndarray:
-        """One application: rebind if never bound or a mutable scalar moved,
-        then ``run`` under the plan's span and apply count."""
+    def _ready(self, aux: Dict[str, AuxValue]) -> None:
+        """Rebind if never bound or a mutable scalar moved."""
         if self._bound_ids is None or (
             self._vol_scalar_names
             and tuple(_scalar_value(aux[n]) for n in self._vol_scalar_names)
             != self._bound_vsvals
         ):
             self._bind(aux)
+
+    def _timed(self, run, aux: Dict[str, AuxValue], *args) -> np.ndarray:
+        """One application: ``run`` on the bound values, under the plan's
+        span and apply count."""
+        self._ready(aux)
         if _OBS.on:
             t0 = _perf_counter()
             out = run(aux, *args)

@@ -1,6 +1,11 @@
 """CAS-generated, alias-free, matrix-free, quadrature-free DG kernels."""
 
-from .flops import compare_costs, modal_update_multiplications, nodal_update_multiplications
+from .flops import (
+    compare_costs,
+    modal_update_multiplications,
+    modal_update_traffic,
+    nodal_update_multiplications,
+)
 from .generator import (
     FaceKernels,
     FluxSpec,
@@ -40,5 +45,6 @@ __all__ = [
     "registry_stats",
     "compare_costs",
     "modal_update_multiplications",
+    "modal_update_traffic",
     "nodal_update_multiplications",
 ]

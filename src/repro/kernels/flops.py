@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..cas.codegen import count_multiplications
+from .registry import get_vlasov_kernels
 from .vlasov import VlasovKernels
 
 __all__ = [
     "alias_free_quadrature_points_1d",
     "modal_update_multiplications",
+    "modal_update_traffic",
     "nodal_update_multiplications",
     "UpdateCost",
     "compare_costs",
@@ -76,6 +78,63 @@ def modal_update_multiplications(kernels: VlasovKernels) -> Dict[str, int]:
         "surface_acceleration_face": face_accel,
         "total_face": vol_stream + vol_accel + face_stream + face_accel,
     }
+
+
+def modal_update_traffic(
+    cdim: int, vdim: int, poly_order: int, family: str = "serendipity"
+) -> Dict[str, Dict[str, Tuple[int, int]]]:
+    """Doubles ``(read, written)`` through *state-sized* arrays per
+    phase-space cell per right-hand side — the traffic model beside
+    :func:`modal_update_multiplications`, from the same termsets' shapes
+    (``Np`` coefficients, ``Nf`` face modes, ``2 Nf`` trace rows per
+    direction: ``ns`` streaming, ``na`` acceleration).
+
+    Two forms of the same update (:mod:`repro.engine.program`), each a dict
+    of phases with a ``total``:
+
+    ``passes``
+        every operator a pass over the whole grid — the reference form:
+        volume ``f -> L``; trace ``f -> g`` (all ``ns + na`` rows); the flux
+        of every direction in place on ``g``; lift ``g -> L`` accumulating;
+        ``stage`` is the stepper's five in-place passes over ``k``, ``u0``
+        and the state (``k *= dt; f += k; f *= b; k = u0 * a; f += k``) that
+        one SSP-RK3 stage adds on top.
+    ``cell_local``
+        the compiled program: the streaming trace and flux over the whole
+        grid, then one pass per configuration cell that reads ``f`` and the
+        streaming fluxes and writes ``L`` (``cell``) or, with the stage
+        riding along, also reads ``u0`` and writes the state instead
+        (``cell_staged``); the acceleration traces and ``L`` stay in a
+        cell-sized block and are not counted.  ``total`` ends in ``L``,
+        ``total_staged`` in the updated state.
+    """
+    kern = get_vlasov_kernels(cdim, vdim, poly_order, family)
+    npb = kern.num_basis
+    nf = kern.face_stream[0].flux.nout
+    ns, na = 2 * nf * len(kern.face_stream), 2 * nf * len(kern.face_accel)
+
+    def totalled(phases, *names):
+        return tuple(sum(phases[name][i] for name in names) for i in (0, 1))
+
+    passes = {
+        "volume": (npb, npb),
+        "trace": (npb, ns + na),
+        "flux": (ns + na, ns + na),
+        "lift": (ns + na + npb, npb),
+        "stage": (7 * npb, 5 * npb),
+    }
+    passes["total"] = totalled(passes, "volume", "trace", "flux", "lift")
+    cell = {
+        "trace_streaming": (npb, ns),
+        "flux_streaming": (ns, ns),
+        "cell": (npb + ns, npb),
+        "cell_staged": (2 * npb + ns, npb),
+    }
+    cell["total"] = totalled(cell, "trace_streaming", "flux_streaming", "cell")
+    cell["total_staged"] = totalled(
+        cell, "trace_streaming", "flux_streaming", "cell_staged"
+    )
+    return {"passes": passes, "cell_local": cell}
 
 
 def nodal_update_multiplications(

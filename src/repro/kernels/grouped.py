@@ -138,7 +138,7 @@ class GroupedOperator:
         ``fin``/``out`` have shape ``(*cfg_cells, N, *vel_cells)``; with
         ``accumulate=False`` the prior contents of ``out`` are discarded.
         """
-        plan, trusted = self._lookup(aux, self.cell_shape_of(fin))
+        plan, trusted = self.lookup(aux, self.cell_shape_of(fin))
         if trusted:
             return plan.apply_trusted(fin, aux, out, accumulate)
         return plan.apply(fin, aux, out, accumulate=accumulate)
@@ -154,10 +154,10 @@ class GroupedOperator:
         """Apply this flux operator across the faces of ``face_map``, from
         the trace slots of ``src`` into those of ``dst``
         (:meth:`ExecutionPlan.apply_faces`)."""
-        plan, trusted = self._lookup(aux, face_map.cell_shape)
+        plan, trusted = self.lookup(aux, face_map.cell_shape)
         return plan.apply_faces(src, dst, face_map, aux, penalty, trusted)
 
-    def _lookup(
+    def lookup(
         self, aux: Dict[str, AuxValue], cell_shape: Tuple[int, ...]
     ) -> Tuple[ExecutionPlan, bool]:
         """The plan for ``aux`` and ``cell_shape``, and whether the aux value

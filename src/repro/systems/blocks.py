@@ -173,6 +173,9 @@ class KineticSpecies:
                 pg, poly_order, family, decl.charge, decl.mass
             )
             kernels = get_vlasov_kernels(pg.cdim, pg.vdim, poly_order, family)
+        #: the solver can apply a Shu–Osher stage as it forms ``df/dt``
+        #: (``rhs(..., stage=)``) and nothing else accumulates into it
+        self.stages = scheme == "modal" and decl.collisions is None
         self.moments = MomentCalculator(
             pg, kernels, pool=getattr(self.solver, "pool", None)
         )
@@ -423,7 +426,8 @@ class MaxwellBlock(FieldBlock):
                 else None
             )
             self.solver.rhs(em, current=current, charge_density=rho, out=out["em"])
-        elif "em" in out:
+        elif "em" in state:
+            # (``out`` may allocate its entries on first access)
             out["em"].fill(0.0)
 
     def max_frequency(self) -> float:

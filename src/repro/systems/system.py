@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..engine.program import Stage
 from ..grid.cartesian import Grid
 from ..grid.phase import PhaseGrid
 from ..obs import OBS as _OBS
@@ -234,18 +235,25 @@ class System:
         overhead gate in ``bench_rhs_hotpath.py`` times the two against
         each other).
         """
+        return self._rhs_span(state, out, None)
+
+    def _rhs_span(self, state, out, stage):
         if _OBS.on:
             t0 = _perf_counter()
-            out = self._rhs_impl(state, out)
+            out = self._rhs_impl(state, out, stage)
             _OBS.finish("rhs", t0, _S_RHS, _S_RHS_MS)
             return out
-        return self._rhs_impl(state, out)
+        return self._rhs_impl(state, out, stage)
 
     def _rhs_impl(
         self,
         state: Dict[str, np.ndarray],
         out: Optional[Dict[str, np.ndarray]] = None,
+        stage: Optional[tuple] = None,
     ) -> Dict[str, np.ndarray]:
+        """``stage``, from :meth:`_stage_into`, is ``(keys, u0, a, b, dt)``:
+        the species of ``keys`` are not differentiated into ``out`` but
+        advanced by the Shu–Osher stage, in place, inside their solver."""
         # the two solvers that read neighbour cells take the state with
         # the grid's ghost layers (a whole grid has none: the state
         # itself); everything cell-local reads ``state``
@@ -253,13 +261,22 @@ class System:
         em_eff = self.field.em_for_species(self, state)
         if out is None:
             out = {k: np.empty_like(v) for k, v in state.items()}
+        # the field block reads the species' moments: it goes first, before
+        # a staged species below is overwritten
+        self.field.accumulate_rhs(self, state, out, ghosted)
         for blk in self.blocks:
             key = f"f/{blk.name}"
+            if stage is not None and key in stage[0]:
+                _keys, u0, a, b, dt = stage
+                blk.solver.rhs(
+                    ghosted[key], em_eff,
+                    stage=Stage(a, b, dt, None if u0 is None else u0[key], state[key]),
+                )
+                continue
             df = out[key]
             blk.solver.rhs(ghosted[key], em_eff, out=df)
             if blk.collisions is not None:
                 blk.collisions.rhs(state[key], blk.moments, out=df, accumulate=True)
-        self.field.accumulate_rhs(self, state, out, ghosted)
         return out
 
     # ------------------------------------------------------------------ #
@@ -292,7 +309,7 @@ class System:
             # a static field is not stepped: keeps it bitwise frozen and
             # skips three stage combinations
             state.pop("em")
-        self.stepper.step_inplace(state, self._rhs_into, dt)
+        self.stepper.step_inplace(state, self._rhs_into, dt, fused=self._stage_into)
         self.time += dt
         self.step_count += 1
         return dt
@@ -301,6 +318,20 @@ class System:
         self, state: Dict[str, np.ndarray], out: Dict[str, np.ndarray]
     ) -> None:
         self.rhs(state, out=out)
+
+    def _stage_into(self, state, k, u0, a: float, b: float, dt: float) -> List[str]:
+        """The stepper's ``fused`` callback: the RHS of one stage into
+        ``k``, except that a species whose solver is the last writer of its
+        ``df/dt`` (modal scheme, no collision operator) and whose state
+        array is C-contiguous has the stage applied by that solver, one
+        configuration cell at a time — returned, so the stepper skips it."""
+        keys = [
+            f"f/{blk.name}"
+            for blk in self.blocks
+            if blk.stages and state[f"f/{blk.name}"].flags.c_contiguous
+        ]
+        self._rhs_span(state, k, (keys, u0, a, b, dt))
+        return keys
 
     def run(self, t_end: float, diagnostics=None, max_steps: int = 10**9):
         """Advance to ``t_end``; optional per-step diagnostics callback.

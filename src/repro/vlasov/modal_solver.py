@@ -29,22 +29,27 @@ the same family in the other :math:`d - 1` variables (20 of 48 for 2X2V
 p=2 serendipity), and the Vlasov flux along :math:`d` does not depend on
 :math:`\\xi_d`, so every surface kernel factors exactly as
 :math:`\\sigma_t (T^t)^T \\hat H T^s`
-(:func:`~repro.kernels.generator.generate_face_termsets`).  One RHS is:
-volume operator → **trace** (one sparse pass over ``f`` giving both face
-traces of every cell for all directions, ``(*cfg, 2 d Nf, *vel)``) → per
-direction, one **face-flux** application
-(:meth:`~repro.engine.plan.ExecutionPlan.apply_faces`): for every face the
-face state (upwinded and periodic for streaming; central on interior faces,
-zero on the velocity-domain boundary for acceleration) is formed from the
-two trace slots that meet there, the ``Nf x Nf`` flux operator is applied
-and the result overwrites both slots → **lift** (one sparse pass adding
-every direction's face fluxes to the cell).  The operators are ordinary
-termsets run by the plan engine, and which slots meet at which face is a
-:class:`~repro.engine.faces.FaceMap` per direction, built once.  The
-compiled kernel holds the face state in a stack tile of velocity cells —
-no ``Nf``-wide staging buffers (the numpy reference tier stages it inside
-the plan) — and between the trace and the lift this module does no
-state-sized arithmetic on either tier.
+(:func:`~repro.kernels.generator.generate_face_termsets`): **trace** (both
+face traces of a cell, ``2 Nf`` rows per direction) → **flux** (for every
+face the face state — upwinded and periodic for streaming; central on
+interior faces, zero on the velocity-domain boundary for acceleration — is
+formed from the two trace slots that meet there and the ``Nf x Nf`` flux
+operator applied) → **lift** (the face fluxes added to the cell).
+
+The solver keeps the streaming directions, whose faces join neighbouring
+configuration cells, apart from the acceleration directions, whose faces
+join velocity cells of *one* configuration cell: each set has its own trace
+and lift operator, every direction its flux operator and
+:class:`~repro.engine.faces.FaceMap`, all ordinary termsets compiled by the
+plan engine.  One ``rhs`` is one call of the
+:class:`~repro.engine.program.CellProgram` built from them: the streaming
+traces and fluxes over the whole grid (a ``2 cdim Nf``-row buffer is the
+only state-sized scratch), then one configuration cell at a time — the
+acceleration trace → flux in a cell-local block, volume, both lifts — with
+no state-sized arithmetic in this module on either kernel tier.  ``rhs`` can
+also take the time stepper's Shu–Osher ``stage``: each cell's ``df/dt`` is
+then combined into the state as soon as it is formed and never exists for
+the whole grid.
 
 The solver also runs on one block of a larger grid (a ``process:N`` shard):
 the grid then declares ghost layers along its decomposed axes
@@ -52,7 +57,8 @@ the grid then declares ghost layers along its decomposed axes
 and the face map of a decomposed axis names a ghost cell's trace where the
 periodic one names the cell a roll away — the same operators on the same
 per-cell data, so the block's result is the whole grid's restricted to it,
-bit for bit.
+bit for bit.  Ghost cells get streaming traces only; nothing reads their
+acceleration traces.
 
 Numerical fluxes follow Juno et al. (2018) / Gkeyll:
 
@@ -75,6 +81,7 @@ import numpy as np
 from ..engine.layout import StateLayout
 from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
+from ..engine.program import CellProgram, Stage
 from ..grid.phase import PhaseGrid
 from ..kernels.generator import FACE_SIGN
 from ..kernels.grouped import GroupedOperator
@@ -151,21 +158,16 @@ class VlasovModalSolver:
 
         kern = self.kernels
         self._vol_op = _op(merge_termsets(kern.vol_stream + kern.vol_accel))
-        # Surface terms in the face-mode space.  Phase direction q owns the
-        # trace-buffer slots [2 q Nf, 2 (q+1) Nf): first the cell's trace on
-        # its upper face (the face's "L" state), then on its lower face; the
+        # Surface terms in the face-mode space, the streaming directions
+        # apart from the acceleration ones: each set has its own trace
+        # buffer, trace operator (``f`` -> both face traces of every
+        # direction of the set) and lift operator (the fluxes back onto the
+        # cell).  The ``j``-th direction of a set owns the slots
+        # [2 j Nf, 2 (j+1) Nf) of its buffer: first the cell's trace on its
+        # upper face (the face's "L" state), then on its lower face; the
         # lift reads each cell's upper-/lower-face flux from the same slots.
-        faces = kern.face_stream + kern.face_accel
-        sides = [(fk, side) for fk in faces for side in ("L", "R")]
-        self.num_face_modes = nf = faces[0].flux.nout
-        self._trace_op = _op(stack_termsets([fk.trace[side] for fk, side in sides]))
-        self._lift_op = _op(
-            stack_termsets(
-                [fk.trace[side].scaled(FACE_SIGN[side]) for fk, side in sides]
-            ).transposed()
-        )
+        self.num_face_modes = nf = kern.face_stream[0].flux.nout
         shape = self.layout.shape
-        self.trace_shape = shape[:cdim] + (2 * len(faces) * nf,) + shape[cdim + 1 :]
         # On one block of a larger grid, ``rhs`` is handed ``f`` with the
         # neighbours' cells in ghost layers along the decomposed axes
         # (``grid.conf.ghost``; none on a whole grid, where every
@@ -175,60 +177,86 @@ class VlasovModalSolver:
         self._interior = (
             tuple(slice(g, g + n) for n, g in zip(shape, ghost)) if any(ghost) else None
         )
-        self._trace_in_shape = self._in_shape[:cdim] + self.trace_shape[cdim:]
-        # Per direction, the ``Nf x Nf`` flux operator (the central-flux 1/2
-        # of the acceleration ones folded into the generated coefficients)
-        # and the map of its faces onto the trace slots.
-        flux = [fk.flux for fk in kern.face_stream]
-        flux += [fk.flux.scaled(0.5) for fk in kern.face_accel]
-        self._flux_ops = [(_op(ts), self._face_map(q)) for q, ts in enumerate(flux)]
+        sets = []
+        for first, faces in ((0, kern.face_stream), (cdim, kern.face_accel)):
+            sides = [(fk, side) for fk in faces for side in ("L", "R")]
+            trace = _op(stack_termsets([fk.trace[side] for fk, side in sides]))
+            lift = _op(
+                stack_termsets(
+                    [fk.trace[side].scaled(FACE_SIGN[side]) for fk, side in sides]
+                ).transposed()
+            )
+            # per direction, the ``Nf x Nf`` flux operator (the central-flux
+            # 1/2 of the acceleration ones folded into the generated
+            # coefficients) and the map of its faces onto the trace slots
+            fluxes = [
+                (_op(fk.flux.scaled(0.5) if first else fk.flux),
+                 self._face_map(first + j, 2 * len(faces) * nf))
+                for j, fk in enumerate(faces)
+            ]
+            sets.append((trace, lift, fluxes))
+        self._flux_ops = sets[0][2] + sets[1][2]
+        # One RHS is one call of the program built from these plans: the
+        # streaming set over the whole grid, then everything else one
+        # configuration cell at a time (``repro.engine.program``).
+        self._program = CellProgram(
+            self.pool, cdim, self._vol_op, *sets, interior=self._interior
+        )
 
-    def _face_map(self, q: int) -> FaceMap:
-        """The faces normal to phase direction ``q``, as cells of the trace
-        buffers: traces are read from the buffer holding every cell handed
-        to ``rhs`` (ghosts included), fluxes written to the ghost-free one."""
+    def _cells_in(self) -> np.ndarray:
+        """The (flattened) index of every configuration cell handed to
+        ``rhs``, ghosts included, on those cells' axes."""
+        cells_in = self._in_shape[: self.grid.cdim]
+        return np.arange(int(np.prod(cells_in))).reshape(cells_in)
+
+    def _face_map(self, q: int, nrows: int) -> FaceMap:
+        """The faces normal to phase direction ``q``, as cells of its set's
+        ``nrows``-row trace buffers.  Streaming traces are read from the
+        buffer holding every cell handed to ``rhs`` (ghosts included) and
+        the fluxes written to the ghost-free one; velocity faces stay inside
+        their (own) configuration cell."""
         cdim = self.grid.cdim
         cfg = self.layout.cfg_cells
         ghost = self.grid.conf.ghost
+        vel = self.layout.shape[cdim + 1 :]
         own = np.arange(self.layout.ncfg).reshape(cfg)
-        # the ghosted buffer's index of every own cell
-        held = np.arange(int(np.prod(self._in_shape[:cdim]))).reshape(self._in_shape[:cdim])
-        read = held[self._interior] if self._interior is not None else held
-        if q >= cdim:
-            # velocity faces stay inside their configuration cell
-            cols = [own, read, read, own, own]
-            kind = {"vaxis": q - cdim}
-        else:
-            pos = self._upwind_pos[q][(0,) * cdim]
-            kind = {"upwind": (pos, 1.0 - pos)}
-            if ghost[q]:
-                # the n + 1 faces touching own cells: face i joins ghosted
-                # cells i and i + 1, own cells i - 1 and i (-1: a ghost)
-                n = cfg[q]
-                lo = _axis_slice(cdim, q, slice(0, n + 1))
-                hi = _axis_slice(cdim, q, slice(1, n + 2))
-                window = list(self._interior)
-                window[q] = slice(None)
-                held = held[tuple(window)]
-                pad = [(0, 0)] * cdim
-                pad[q] = (1, 1)
-                write = np.pad(own, pad, constant_values=-1)
-                up, dn = write[lo], write[hi]
-                cols = [np.where(up >= 0, up, dn), held[lo], held[hi], up, dn]
-            else:
-                # the grid spans this axis: face i + 1/2 joins cell i and
-                # its periodic neighbour (ghost-padding a whole grid instead
-                # would cost a state-sized copy per call)
-                cols = [own, read, np.roll(read, -1, q), own, np.roll(own, -1, q)]
+        dst_shape = cfg + (nrows,) + vel
         nf = self.num_face_modes
+        if q >= cdim:
+            j = q - cdim
+            return FaceMap(
+                np.stack([np.ravel(own)] * 5, axis=1), dst_shape, dst_shape, cdim,
+                slots=(2 * j * nf, (2 * j + 1) * nf), nf=nf, vaxis=j,
+            )
+        pos = self._upwind_pos[q][(0,) * cdim]
+        if ghost[q]:
+            # the n + 1 faces touching own cells: face i joins ghosted
+            # cells i and i + 1, own cells i - 1 and i (-1: a ghost)
+            n = cfg[q]
+            lo = _axis_slice(cdim, q, slice(0, n + 1))
+            hi = _axis_slice(cdim, q, slice(1, n + 2))
+            window = list(self._interior)
+            window[q] = slice(None)
+            held = self._cells_in()[tuple(window)]
+            pad = [(0, 0)] * cdim
+            pad[q] = (1, 1)
+            write = np.pad(own, pad, constant_values=-1)
+            up, dn = write[lo], write[hi]
+            cols = [np.where(up >= 0, up, dn), held[lo], held[hi], up, dn]
+        else:
+            # the grid spans this axis: face i + 1/2 joins cell i and
+            # its periodic neighbour (ghost-padding a whole grid instead
+            # would cost a state-sized copy per call)
+            read = own if self._interior is None else self._cells_in()[self._interior]
+            cols = [own, read, np.roll(read, -1, q), own, np.roll(own, -1, q)]
         return FaceMap(
             np.stack([np.ravel(col) for col in cols], axis=1),
-            self._trace_in_shape,
-            self.trace_shape,
+            self._in_shape[:cdim] + (nrows,) + vel,
+            dst_shape,
             cdim,
             slots=(2 * q * nf, (2 * q + 1) * nf),
             nf=nf,
-            **kind,
+            upwind=(pos, 1.0 - pos),
         )
 
     # ------------------------------------------------------------------ #
@@ -276,6 +304,7 @@ class VlasovModalSolver:
         f: np.ndarray,
         em: np.ndarray,
         out: Optional[np.ndarray] = None,
+        stage: Optional[Stage] = None,
     ) -> np.ndarray:
         """Evaluate ``df/dt`` for the collisionless Vlasov equation.
 
@@ -290,46 +319,32 @@ class VlasovModalSolver:
         out:
             Optional output array, ``(*cfg_cells, Np, *vel_cells)`` without
             ghosts (contents discarded and replaced).
+        stage:
+            Optional Shu–Osher stage (:class:`~repro.engine.program.Stage`)
+            applied as each configuration cell's ``df/dt`` is formed:
+            ``stage.target = a u0 + b (f + dt df/dt)``, returned instead of
+            ``df/dt`` — which then exists one cell at a time only.  The
+            target is ``f`` itself on a whole grid (updated in place), a
+            separate ghost-free array on a block.  The caller must be the
+            last writer of ``df/dt`` (nothing else accumulates into it).
         """
         if f.shape != self._in_shape:
             raise ValueError(
                 f"f has shape {f.shape}, expected cell-major {self._in_shape}"
             )
-        if out is None:
+        if out is None and stage is None:
             out = np.empty(self.layout.shape)
         aux = self.field_aux(em)
-        g = self.pool.get("solver.trace", self.trace_shape)
-        if self._interior is None:
-            f_own, g_all = f, g
-        else:
-            # the traces of every cell handed in, ghosts included; the
-            # fluxes go to the ghost-free buffer ``g`` the lift reads
-            f_own = self._own_cells(f)
-            g_all = self.pool.get("solver.trace_ghosted", self._trace_in_shape)
-        # the volume operator owns the first write into out (no zero pass)
-        self._vol_op.apply(f_own, aux, out, accumulate=False)
-        self._trace_op.apply(f, aux, g_all, accumulate=False)
-        cdim = self.grid.cdim
-        for q, (flux_op, faces) in enumerate(self._flux_ops):
-            penalty = None
-            if q >= cdim and self.velocity_flux == "penalty":
-                # local Lax-type jump penalty; the unit-flux face mass is
-                # the identity in the orthonormal face basis
-                penalty = 0.5 * self._penalty_speed(aux, q - cdim) * aux[f"rdx{q}"]
-            flux_op.apply_faces(g_all, g, faces, aux, penalty)
-        self._lift_op.apply(g, aux, out)
-        return out
-
-    def _own_cells(self, f: np.ndarray) -> np.ndarray:
-        """The grid's own cells of a ghosted ``f``, contiguous: a view when
-        only the leading axis carries ghosts, else staged into a pooled
-        buffer."""
-        view = f[self._interior]
-        if view.flags.c_contiguous:
-            return view
-        own = self.pool.get("solver.own", self.layout.shape)
-        np.copyto(own, view)
-        return own
+        penalties = None
+        if self.velocity_flux == "penalty":
+            # local Lax-type jump penalty; the unit-flux face mass is
+            # the identity in the orthonormal face basis
+            cdim = self.grid.cdim
+            penalties = [
+                0.5 * self._penalty_speed(aux, j) * aux[f"rdx{cdim + j}"]
+                for j in range(self.grid.vdim)
+            ]
+        return self._program.run(f, aux, out, penalties, stage)
 
     # ------------------------------------------------------------------ #
     # penalty support (optional robustness flux)

@@ -467,10 +467,16 @@ def test_render_report_end_to_end(tmp_path):
         "two_stream", nx=4, nv=8, steps=2,
         **{"observability.mode": "trace"},
     )
-    Driver(spec, outdir=tmp_path).run()
+    drv = Driver(spec, outdir=tmp_path)
+    drv.run()
     text = render_report(tmp_path)
     assert "phases" in text and "metrics" in text
     assert "rk_stage" in text and "steps_per_s" in text
+    # one Vlasov RHS is one span of the species' cell program, attributed
+    # like any plan
+    (solver,) = drv.app.solvers.values()
+    label, digest = solver._program.obs_label.split(":")
+    assert label == "plan_apply" and len(digest) == 12 and digest in text
     # the between-step driver work is attributed, not one unnamed remainder
     for phase in ("driver.suggested_dt", "driver.energy", "driver.stream_flush"):
         assert phase in text
