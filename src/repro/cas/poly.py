@@ -252,20 +252,6 @@ class Poly:
             total += term
         return total
 
-    def eval_fraction(self, point: Iterable[Scalar]) -> Fraction:
-        """Evaluate exactly at a rational point."""
-        pt = [_as_fraction(x) for x in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point dimensionality mismatch")
-        total = Fraction(0)
-        for expo, c in self.coeffs.items():
-            term = c
-            for x, e in zip(pt, expo):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
-
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
         if not self.coeffs:

@@ -41,14 +41,6 @@ class ProblemSpec:
     num_species: int = 2
     rk_stages: int = 3
 
-    @property
-    def total_conf_cells(self) -> int:
-        return int(np.prod(self.conf_cells))
-
-    @property
-    def total_phase_cells(self) -> int:
-        return int(np.prod(self.conf_cells)) * int(np.prod(self.vel_cells))
-
     def refine_conf(self, factor: int) -> "ProblemSpec":
         return ProblemSpec(
             tuple(c * factor for c in self.conf_cells),

@@ -214,7 +214,9 @@ def _worker_main(
             app, plan, shard, shared, gather, barrier, obs_buf=obs_buf
         )
         conn.send(("ready", worker.stats_payload()))
-    except Exception:  # noqa: BLE001 - reported to the parent
+    except Exception:  # noqa: BLE001
+        # broad on purpose: whatever broke building this shard's system, the
+        # parent raises it (traceback attached) instead of timing out
         conn.send(("error", traceback.format_exc()))
         return
     while True:
@@ -230,7 +232,9 @@ def _worker_main(
                 raise ValueError(f"unknown worker command {cmd!r}")
             worker.step(msg[1], msg[2], msg[3])
             conn.send(("ok", worker.stats_payload()))
-        except Exception:  # noqa: BLE001 - reported to the parent
+        except Exception:  # noqa: BLE001
+            # broad on purpose: any failure inside a step is the parent's to
+            # raise (it closes every shard); this worker then exits
             conn.send(("error", traceback.format_exc()))
             break
 
@@ -554,5 +558,10 @@ class ShardedApp:
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:
             self.close()
-        except Exception:
+        except Exception:  # noqa: BLE001
+            # cannot be narrowed: at interpreter shutdown close() runs among
+            # half-torn-down modules (numpy, repro.obs) and fails with
+            # whatever that produces, and an exception leaving __del__ is only
+            # printed; the finalizer registered in __init__ still stops the
+            # workers and unlinks the segments
             pass

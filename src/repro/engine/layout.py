@@ -18,10 +18,9 @@ the cell-major products; those passes are gone.  Nothing in ``src/`` holds
 mode-major state any more (a checkpoint is cell-major or an error).
 
 :class:`StateLayout` owns the phase-space conventions (shapes, axis
-placement, broadcast and view helpers).  :func:`phase_to_cell_major` /
+placement, view helpers).  :func:`phase_to_cell_major` /
 :func:`phase_to_mode_major` remain for the test oracles that compare
-against the mode-major ``TermSet.apply`` and the preserved benchmark
-baselines.
+against the mode-major ``TermSet.apply``.
 """
 
 from __future__ import annotations
@@ -116,11 +115,6 @@ class StateLayout:
         array must be C-contiguous)."""
         return arr.reshape(self.ncfg, arr.shape[self.cdim], self.nvel)
 
-    def bcast(self, val) -> np.ndarray:
-        """Broadcast-ready view of an aux-style cell array against cell-major
-        state (basis axis inserted)."""
-        return insert_basis_axis(val, self.cdim)
-
     # ------------------------------------------------------------------ #
     def mode_view(self, arr: np.ndarray) -> np.ndarray:
         """Mode-major *view* ``(num_basis, *cfg, *vel)`` of a cell-major
@@ -129,7 +123,7 @@ class StateLayout:
 
 
 # --------------------------------------------------------------------- #
-# layout conversions (test oracles and legacy-comparison benchmarks only)
+# layout conversions (test oracles only)
 # --------------------------------------------------------------------- #
 def phase_to_cell_major(arr: np.ndarray, cdim: int) -> np.ndarray:
     """Copy mode-major ``(Np, *cfg, *vel)`` to cell-major ``(*cfg, Np, *vel)``."""

@@ -62,10 +62,6 @@ class PhaseGrid:
     def dx(self) -> Tuple[float, ...]:
         return self.conf.dx + self.vel.dx
 
-    @property
-    def phase_volume(self) -> float:
-        return self.conf.cell_volume * self.vel.cell_volume
-
     def velocity_center_array(self, vdir: int) -> np.ndarray:
         """Velocity cell centers along velocity dim ``vdir`` shaped to
         broadcast over the full cell-axis layout ``(*cfg, *vel)``."""

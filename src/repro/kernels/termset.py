@@ -253,13 +253,6 @@ class TermSet:
                 csr_accumulate(mat, mat.data, g3[c], out3[c])
         return out
 
-    def apply_dense(self, fin: np.ndarray, aux: Dict[str, AuxValue]) -> np.ndarray:
-        """Non-accumulating convenience wrapper (allocates the output)."""
-        cell_shape = fin.shape[1:]
-        out = np.zeros((self.nout,) + cell_shape)
-        self.apply(fin, aux, out)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"TermSet(nout={self.nout}, nin={self.nin}, "

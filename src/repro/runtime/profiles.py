@@ -97,7 +97,7 @@ def _kind(spec, path: str, registry: Dict[str, Callable]) -> str:
     if not isinstance(spec, dict):
         raise SpecError(path, f"expected a profile object, got {spec!r}")
     kind = spec.get("kind")
-    if kind not in registry:
+    if not isinstance(kind, str) or kind not in registry:
         raise SpecError(
             f"{path}.kind",
             f"unknown profile kind {kind!r} (known: {', '.join(sorted(registry))})",

@@ -13,17 +13,22 @@ spec overrides.
 Every validation failure raises :class:`~repro.runtime.errors.SpecError`
 naming the offending field as a dotted path (``species[0].velocity_grid.cells``)
 so errors from hand-edited JSON are actionable.
+
+A spec field is declared once, ``name: type = wire(kind, default)``; the one
+reader and one writer (``from_dict`` / ``to_dict``, inherited by every spec
+class) walk those declarations, and ``validate`` holds the semantic rules.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
-from dataclasses import dataclass, field
-from dataclasses import field as _dc_field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..obs import OBS_MODES
 from .errors import SpecError
 from .profiles import build_conf_profile, build_phase_profile
 
@@ -85,36 +90,140 @@ def _num(value, path: str, *, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform Cartesian grid description (mirrors :class:`repro.grid.Grid`)."""
+def _check(value, path: str, types, what: str):
+    if not isinstance(value, types):
+        raise SpecError(path, f"expected {what}, got {value!r}")
+    return value
 
-    lower: Tuple[float, ...]
-    upper: Tuple[float, ...]
-    cells: Tuple[int, ...]
+
+def _name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise SpecError(path, f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def _known(value, path: str, what: str, known: Sequence[str]) -> None:
+    if value not in known:
+        raise SpecError(path, f"unknown {what} {value!r} (known: {', '.join(known)})")
+
+
+def _tuple_of(value, path: str, integer: bool) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise SpecError(path, f"expected a non-empty list, got {value!r}")
+    return tuple(_num(x, f"{path}[{i}]", integer=integer) for i, x in enumerate(value))
+
+
+def _profile(value, path: str) -> dict:
+    """A kind-tagged profile object (``validate`` compiles it: kind, parameters)."""
+    return dict(_check(value, path, Mapping, "a profile object"))
+
+
+def _profiles(value, path: str) -> Dict[str, dict]:
+    _check(value, path, Mapping, "an object")
+    return {key: _profile(prof, f"{path}.{key}") for key, prof in value.items()}
+
+
+def _specs(value, path: str, of) -> tuple:
+    _check(value, path, (list, tuple), "a list")
+    return tuple(_read(of, item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+#: the declarations of a spec class (``fields`` builds a new tuple per call)
+_declared = functools.cache(fields)
+
+
+def _read(cls, data, path: str):
+    """The one reader: ``data`` against the field declarations of ``cls``."""
+    data = cls._stored(data, path)
+    _reject_unknown(data, path, [f.name for f in _declared(cls)])
+    values = {}
+    for f in _declared(cls):
+        if f.name in data:
+            read = _READ[f.metadata["wire"]]
+            values[f.name] = read(data[f.name], f"{path}.{f.name}", f.metadata["of"])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SpecError(f"{path}.{f.name}", "missing required field")
+    return cls(**values)._checked(path)
+
+
+def _write(spec) -> dict:
+    """The one writer: a JSON-ready dict in declaration order."""
+    out = {}
+    for f in _declared(type(spec)):
+        value, writer = getattr(spec, f.name), _WRITE.get(f.metadata["wire"])
+        out[f.name] = writer(value) if writer else value
+    return out
+
+
+#: wire kind -> reader ``(value, path, of) -> field value``.  A ``string`` is
+#: read as it stands: each is an enumerated name that ``validate`` checks
+#: against its list of known values.  An ``optional spec`` reads any empty
+#: value (``null``, ``{}``) as None.
+_READ = {
+    "number": lambda v, path, of: _num(v, path),
+    "integer": lambda v, path, of: _num(v, path, integer=True),
+    "optional integer": lambda v, path, of: None if v is None else _num(v, path, integer=True),
+    "boolean": lambda v, path, of: _check(v, path, bool, "a boolean"),
+    "string": lambda v, path, of: v,
+    "name": lambda v, path, of: _name(v, path),
+    "optional string": lambda v, path, of: None if v is None else _check(v, path, str, "a string"),
+    "numbers": lambda v, path, of: _tuple_of(v, path, integer=False),
+    "integers": lambda v, path, of: _tuple_of(v, path, integer=True),
+    "spec": lambda v, path, of: _read(of, v, path),
+    "optional spec": lambda v, path, of: _read(of, v, path) if v else None,
+    "specs": _specs,
+    "profile": lambda v, path, of: _profile(v, path),
+    "profiles": lambda v, path, of: _profiles(v, path),
+}
+#: wire kind -> writer, for the kinds whose field value is not its JSON value
+_WRITE = {
+    "numbers": list,
+    "integers": list,
+    "spec": _write,
+    "optional spec": lambda v: None if v is None else _write(v),
+    "specs": lambda v: [_write(item) for item in v],
+    "profile": dict,
+    "profiles": lambda v: {key: dict(prof) for key, prof in v.items()},
+}
+
+
+def wire(kind: str, default=MISSING, *, factory=MISSING, of=None):
+    """Declare one spec field: its wire kind (a key of the reader table), its
+    default (none = required) and, for the nested kinds, the spec class."""
+    if kind not in _READ:
+        raise ValueError(f"unknown wire kind {kind!r}")
+    return field(default=default, default_factory=factory, metadata={"wire": kind, "of": of})
+
+
+class _Spec:
+    """The dict form of every spec dataclass, from its :func:`wire` declarations."""
 
     def to_dict(self) -> dict:
-        return {
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "cells": list(self.cells),
-        }
+        return _write(self)
 
     @classmethod
-    def from_dict(cls, data: Mapping, path: str = "grid") -> "GridSpec":
-        _reject_unknown(data, path, ("lower", "upper", "cells"))
-        out = {}
-        for key, integer in (("lower", False), ("upper", False), ("cells", True)):
-            if key not in data:
-                raise SpecError(f"{path}.{key}", "missing required field")
-            val = data[key]
-            if not isinstance(val, (list, tuple)) or not val:
-                raise SpecError(f"{path}.{key}", f"expected a non-empty list, got {val!r}")
-            out[key] = tuple(
-                _num(x, f"{path}.{key}[{i}]", integer=integer) for i, x in enumerate(val)
-            )
-        return cls(**out)
+    def from_dict(cls, data: Mapping, path: str = "spec"):
+        """Type-check ``data`` into a spec; ``path`` prefixes error fields."""
+        return _read(cls, data, path)
+
+    @classmethod
+    def _stored(cls, data, path: str):
+        """Hook, before reading: rewrite what earlier versions stored."""
+        return data
+
+    def _checked(self, path: str):
+        """Hook, after reading: what :func:`_read` returns for this spec."""
+        return self
+
+
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class GridSpec(_Spec):
+    """Uniform Cartesian grid description (mirrors :class:`repro.grid.Grid`)."""
+
+    lower: Tuple[float, ...] = wire("numbers")
+    upper: Tuple[float, ...] = wire("numbers")
+    cells: Tuple[int, ...] = wire("integers")
 
     def validate(self, path: str) -> None:
         if not (len(self.lower) == len(self.upper) == len(self.cells)):
@@ -138,78 +247,29 @@ class GridSpec:
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class CollisionsSpec:
+class CollisionsSpec(_Spec):
     """Collision operator selection: ``kind`` is ``"lbo"`` or ``"bgk"``."""
 
-    kind: str = "lbo"
-    nu: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "nu": self.nu}
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "CollisionsSpec":
-        _reject_unknown(data, path, ("kind", "nu"))
-        kind = data.get("kind", "lbo")
-        nu = _num(data.get("nu", 1.0), f"{path}.nu")
-        return cls(kind=kind, nu=nu)
+    kind: str = wire("string", "lbo")
+    nu: float = wire("number", 1.0)
 
     def validate(self, path: str) -> None:
-        if self.kind not in COLLISION_KINDS:
-            raise SpecError(
-                f"{path}.kind",
-                f"unknown collision kind {self.kind!r} (known: {', '.join(COLLISION_KINDS)})",
-            )
+        _known(self.kind, f"{path}.kind", "collision kind", COLLISION_KINDS)
         if self.nu < 0:
             raise SpecError(f"{path}.nu", "collision frequency must be non-negative")
 
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class SpeciesSpec:
+class SpeciesSpec(_Spec):
     """One kinetic species: charge/mass, velocity grid, declarative IC."""
 
-    name: str
-    charge: float
-    mass: float
-    velocity_grid: GridSpec
-    initial: Dict = field(default_factory=lambda: {"kind": "maxwellian"})
-    collisions: Optional[CollisionsSpec] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "charge": self.charge,
-            "mass": self.mass,
-            "velocity_grid": self.velocity_grid.to_dict(),
-            "initial": dict(self.initial),
-            "collisions": self.collisions.to_dict() if self.collisions else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "SpeciesSpec":
-        _reject_unknown(
-            data, path,
-            ("name", "charge", "mass", "velocity_grid", "initial", "collisions"),
-        )
-        for key in ("name", "charge", "mass", "velocity_grid"):
-            if key not in data:
-                raise SpecError(f"{path}.{key}", "missing required field")
-        name = data["name"]
-        if not isinstance(name, str) or not name:
-            raise SpecError(f"{path}.name", f"expected a non-empty string, got {name!r}")
-        coll = data.get("collisions")
-        initial = data.get("initial", {"kind": "maxwellian"})
-        if not isinstance(initial, Mapping):
-            raise SpecError(f"{path}.initial", f"expected a profile object, got {initial!r}")
-        return cls(
-            name=name,
-            charge=_num(data["charge"], f"{path}.charge"),
-            mass=_num(data["mass"], f"{path}.mass"),
-            velocity_grid=GridSpec.from_dict(data["velocity_grid"], f"{path}.velocity_grid"),
-            initial=dict(initial),
-            collisions=CollisionsSpec.from_dict(coll, f"{path}.collisions") if coll else None,
-        )
+    name: str = wire("name")
+    charge: float = wire("number")
+    mass: float = wire("number")
+    velocity_grid: GridSpec = wire("spec", of=GridSpec)
+    initial: Dict = wire("profile", factory=lambda: {"kind": "maxwellian"})
+    collisions: Optional[CollisionsSpec] = wire("optional spec", None, of=CollisionsSpec)
 
     def validate(self, path: str, cdim: int) -> None:
         self.velocity_grid.validate(f"{path}.velocity_grid")
@@ -225,49 +285,16 @@ class SpeciesSpec:
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class FieldInitSpec:
+class FieldInitSpec(_Spec):
     """EM field configuration with declarative component seeding."""
 
-    initial: Dict[str, Dict] = field(default_factory=dict)
-    light_speed: float = 1.0
-    epsilon0: float = 1.0
-    flux: str = "central"
-    chi_e: float = 0.0
-    chi_m: float = 0.0
-    evolve: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "initial": {k: dict(v) for k, v in self.initial.items()},
-            "light_speed": self.light_speed,
-            "epsilon0": self.epsilon0,
-            "flux": self.flux,
-            "chi_e": self.chi_e,
-            "chi_m": self.chi_m,
-            "evolve": self.evolve,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "FieldInitSpec":
-        _reject_unknown(
-            data, path,
-            ("initial", "light_speed", "epsilon0", "flux", "chi_e", "chi_m", "evolve"),
-        )
-        initial = data.get("initial", {})
-        if not isinstance(initial, Mapping):
-            raise SpecError(f"{path}.initial", f"expected an object, got {initial!r}")
-        evolve = data.get("evolve", True)
-        if not isinstance(evolve, bool):
-            raise SpecError(f"{path}.evolve", f"expected a boolean, got {evolve!r}")
-        return cls(
-            initial={k: dict(v) for k, v in initial.items()},
-            light_speed=_num(data.get("light_speed", 1.0), f"{path}.light_speed"),
-            epsilon0=_num(data.get("epsilon0", 1.0), f"{path}.epsilon0"),
-            flux=data.get("flux", "central"),
-            chi_e=_num(data.get("chi_e", 0.0), f"{path}.chi_e"),
-            chi_m=_num(data.get("chi_m", 0.0), f"{path}.chi_m"),
-            evolve=evolve,
-        )
+    initial: Dict[str, Dict] = wire("profiles", factory=dict)
+    light_speed: float = wire("number", 1.0)
+    epsilon0: float = wire("number", 1.0)
+    flux: str = wire("string", "central")
+    chi_e: float = wire("number", 0.0)
+    chi_m: float = wire("number", 0.0)
+    evolve: bool = wire("boolean", True)
 
     def validate(self, path: str, cdim: int) -> None:
         if self.flux not in ("central", "upwind"):
@@ -285,7 +312,7 @@ class FieldInitSpec:
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ExternalFieldSpec:
+class ExternalFieldSpec(_Spec):
     """Prescribed time-dependent external EM drive.
 
     ``components`` maps EM component names (``Ex`` ... ``Bz``) to
@@ -295,31 +322,10 @@ class ExternalFieldSpec:
     and enters the CFL estimate, but is not evolved by the field solver.
     """
 
-    components: Dict[str, Dict] = field(default_factory=dict)
-    omega: float = 0.0
-    phase: float = 0.0
-    ramp: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "components": {k: dict(v) for k, v in self.components.items()},
-            "omega": self.omega,
-            "phase": self.phase,
-            "ramp": self.ramp,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "ExternalFieldSpec":
-        _reject_unknown(data, path, ("components", "omega", "phase", "ramp"))
-        components = data.get("components", {})
-        if not isinstance(components, Mapping):
-            raise SpecError(f"{path}.components", f"expected an object, got {components!r}")
-        return cls(
-            components={k: dict(v) for k, v in components.items()},
-            omega=_num(data.get("omega", 0.0), f"{path}.omega"),
-            phase=_num(data.get("phase", 0.0), f"{path}.phase"),
-            ramp=_num(data.get("ramp", 0.0), f"{path}.ramp"),
-        )
+    components: Dict[str, Dict] = wire("profiles", factory=dict)
+    omega: float = wire("number", 0.0)
+    phase: float = wire("number", 0.0)
+    ramp: float = wire("number", 0.0)
 
     def validate(self, path: str, cdim: int) -> None:
         if not self.components:
@@ -338,7 +344,7 @@ class ExternalFieldSpec:
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class DiagnosticsSpec:
+class DiagnosticsSpec(_Spec):
     """Diagnostics/checkpoint scheduling (step-count intervals; 0 = off).
 
     ``stream_path`` names a JSONL file that receives one record per
@@ -347,42 +353,11 @@ class DiagnosticsSpec:
     ``outdir/diagnostics.jsonl``.
     """
 
-    energy_interval: int = 1
-    checkpoint_interval: int = 0
-    checkpoint_path: Optional[str] = None
-    record_jdote: bool = False
-    stream_path: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "energy_interval": self.energy_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_path": self.checkpoint_path,
-            "record_jdote": self.record_jdote,
-            "stream_path": self.stream_path,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "DiagnosticsSpec":
-        _reject_unknown(
-            data, path,
-            ("energy_interval", "checkpoint_interval", "checkpoint_path",
-             "record_jdote", "stream_path"),
-        )
-        for key in ("checkpoint_path", "stream_path"):
-            val = data.get(key)
-            if val is not None and not isinstance(val, str):
-                raise SpecError(f"{path}.{key}", f"expected a string, got {val!r}")
-        record = data.get("record_jdote", False)
-        if not isinstance(record, bool):
-            raise SpecError(f"{path}.record_jdote", f"expected a boolean, got {record!r}")
-        return cls(
-            energy_interval=_num(data.get("energy_interval", 1), f"{path}.energy_interval", integer=True),
-            checkpoint_interval=_num(data.get("checkpoint_interval", 0), f"{path}.checkpoint_interval", integer=True),
-            checkpoint_path=data.get("checkpoint_path"),
-            record_jdote=record,
-            stream_path=data.get("stream_path"),
-        )
+    energy_interval: int = wire("integer", 1)
+    checkpoint_interval: int = wire("integer", 0)
+    checkpoint_path: Optional[str] = wire("optional string", None)
+    record_jdote: bool = wire("boolean", False)
+    stream_path: Optional[str] = wire("optional string", None)
 
     def validate(self, path: str) -> None:
         if self.energy_interval < 0:
@@ -392,11 +367,8 @@ class DiagnosticsSpec:
 
 
 # --------------------------------------------------------------------- #
-OBS_MODES = ("off", "summary", "trace")
-
-
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(_Spec):
     """Observability configuration (see :mod:`repro.obs`).
 
     ``mode`` — ``"off"`` (default; instrumentation compiles to flag
@@ -409,171 +381,68 @@ class ObservabilitySpec:
     time.
     """
 
-    mode: str = "off"
-    sample: int = 1
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sample": self.sample,
-            "trace_path": self.trace_path,
-            "metrics_path": self.metrics_path,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping, path: str) -> "ObservabilitySpec":
-        _reject_unknown(
-            data, path, ("mode", "sample", "trace_path", "metrics_path")
-        )
-        for key in ("trace_path", "metrics_path"):
-            val = data.get(key)
-            if val is not None and not isinstance(val, str):
-                raise SpecError(f"{path}.{key}", f"expected a string, got {val!r}")
-        return cls(
-            mode=data.get("mode", "off"),
-            sample=_num(data.get("sample", 1), f"{path}.sample", integer=True),
-            trace_path=data.get("trace_path"),
-            metrics_path=data.get("metrics_path"),
-        )
+    mode: str = wire("string", "off")
+    sample: int = wire("integer", 1)
+    trace_path: Optional[str] = wire("optional string", None)
+    metrics_path: Optional[str] = wire("optional string", None)
 
     def validate(self, path: str) -> None:
-        if self.mode not in OBS_MODES:
-            raise SpecError(
-                f"{path}.mode",
-                f"unknown observability mode {self.mode!r} "
-                f"(known: {', '.join(OBS_MODES)})",
-            )
+        _known(self.mode, f"{path}.mode", "observability mode", OBS_MODES)
         if self.sample < 1:
             raise SpecError(f"{path}.sample", "sample must be >= 1")
 
 
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_Spec):
     """Full declarative description of one kinetic simulation."""
 
-    name: str
-    model: str
-    conf_grid: GridSpec
-    species: Tuple[SpeciesSpec, ...]
-    field: Optional[FieldInitSpec] = None
-    external_field: Optional[ExternalFieldSpec] = None
-    poly_order: int = 2
-    family: str = "serendipity"
-    cfl: float = 0.9
-    scheme: str = "modal"
-    stepper: str = "ssp-rk3"
-    backend: str = "numpy"
+    name: str = wire("name")
+    model: str = wire("string")
+    conf_grid: GridSpec = wire("spec", of=GridSpec)
+    species: Tuple[SpeciesSpec, ...] = wire("specs", of=SpeciesSpec)
+    field: Optional[FieldInitSpec] = wire("optional spec", None, of=FieldInitSpec)
+    external_field: Optional[ExternalFieldSpec] = wire("optional spec", None, of=ExternalFieldSpec)
+    poly_order: int = wire("integer", 2)
+    family: str = wire("string", "serendipity")
+    cfl: float = wire("number", 0.9)
+    scheme: str = wire("string", "modal")
+    stepper: str = wire("string", "ssp-rk3")
+    backend: str = wire("string", "numpy")
     #: plan/kernel disk cache: ``"auto"`` ($REPRO_CACHE_DIR or
     #: ``~/.cache/repro``), ``"off"``, or an explicit directory
-    plan_cache: str = "auto"
-    t_end: float = 10.0
-    steps: Optional[int] = None
-    epsilon0: float = 1.0
-    neutralize: bool = True
-    diagnostics: DiagnosticsSpec = _dc_field(default_factory=DiagnosticsSpec)
-    observability: ObservabilitySpec = _dc_field(default_factory=ObservabilitySpec)
-
-    _FIELDS = (
-        "name", "model", "conf_grid", "species", "field", "external_field",
-        "poly_order", "family", "cfl", "scheme", "stepper", "backend",
-        "plan_cache", "t_end",
-        "steps", "epsilon0", "neutralize", "diagnostics", "observability",
-    )
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model,
-            "conf_grid": self.conf_grid.to_dict(),
-            "species": [sp.to_dict() for sp in self.species],
-            "field": self.field.to_dict() if self.field else None,
-            "external_field": (
-                self.external_field.to_dict() if self.external_field else None
-            ),
-            "poly_order": self.poly_order,
-            "family": self.family,
-            "cfl": self.cfl,
-            "scheme": self.scheme,
-            "stepper": self.stepper,
-            "backend": self.backend,
-            "plan_cache": self.plan_cache,
-            "t_end": self.t_end,
-            "steps": self.steps,
-            "epsilon0": self.epsilon0,
-            "neutralize": self.neutralize,
-            "diagnostics": self.diagnostics.to_dict(),
-            "observability": self.observability.to_dict(),
-        }
+    plan_cache: str = wire("string", "auto")
+    t_end: float = wire("number", 10.0)
+    steps: Optional[int] = wire("optional integer", None)
+    epsilon0: float = wire("number", 1.0)
+    neutralize: bool = wire("boolean", True)
+    diagnostics: DiagnosticsSpec = wire("spec", factory=DiagnosticsSpec, of=DiagnosticsSpec)
+    observability: ObservabilitySpec = wire("spec", factory=ObservabilitySpec, of=ObservabilitySpec)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
-    def from_dict(cls, data: Mapping, path: str = "spec") -> "SimulationSpec":
-        if isinstance(data, Mapping) and "plan_mode" in data:
-            # legacy key: specs stored before the plan executors were merged
-            # (checkpoints, serve job.json) carry it; both of its values ran
-            # bit-identically, so it is dropped rather than rejected
-            if data["plan_mode"] not in ("fused", "interpreted"):
-                raise SpecError(
-                    f"{path}.plan_mode", f"unknown plan mode {data['plan_mode']!r}"
-                )
-            data = {k: v for k, v in data.items() if k != "plan_mode"}
-        _reject_unknown(data, path, cls._FIELDS)
-        backend = data.get("backend", "numpy")
+    def _stored(cls, data, path: str):
+        """Specs stored by earlier versions (checkpoint metadata, serve
+        ``job.json``) name a ``plan_mode`` and a ``threaded[:N]`` backend; every
+        value of either ran the same products bit-identically, so they are
+        checked and dropped rather than rejected."""
+        if not isinstance(data, Mapping):
+            return data
+        data = dict(data)
+        if "plan_mode" in data:
+            mode = data.pop("plan_mode")
+            if mode not in ("fused", "interpreted"):
+                raise SpecError(f"{path}.plan_mode", f"unknown plan mode {mode!r}")
+        backend = data.get("backend")
         if isinstance(backend, str) and re.fullmatch(r"threaded(:0*[1-9]\d*)?", backend):
-            backend = "numpy"  # legacy value in stored specs; it ran the same products
-        for key in ("name", "model", "conf_grid", "species"):
-            if key not in data:
-                raise SpecError(f"{path}.{key}", "missing required field")
-        species_data = data["species"]
-        if not isinstance(species_data, (list, tuple)):
-            raise SpecError(f"{path}.species", f"expected a list, got {species_data!r}")
-        species = tuple(
-            SpeciesSpec.from_dict(sp, f"{path}.species[{i}]")
-            for i, sp in enumerate(species_data)
-        )
-        field_data = data.get("field")
-        ext_data = data.get("external_field")
-        steps = data.get("steps")
-        neutralize = data.get("neutralize", True)
-        if not isinstance(neutralize, bool):
-            raise SpecError(f"{path}.neutralize", f"expected a boolean, got {neutralize!r}")
-        spec = cls(
-            name=data["name"],
-            model=data["model"],
-            conf_grid=GridSpec.from_dict(data["conf_grid"], f"{path}.conf_grid"),
-            species=species,
-            field=FieldInitSpec.from_dict(field_data, f"{path}.field") if field_data else None,
-            external_field=(
-                ExternalFieldSpec.from_dict(ext_data, f"{path}.external_field")
-                if ext_data
-                else None
-            ),
-            poly_order=_num(data.get("poly_order", 2), f"{path}.poly_order", integer=True),
-            family=data.get("family", "serendipity"),
-            cfl=_num(data.get("cfl", 0.9), f"{path}.cfl"),
-            scheme=data.get("scheme", "modal"),
-            stepper=data.get("stepper", "ssp-rk3"),
-            backend=backend,
-            plan_cache=data.get("plan_cache", "auto"),
-            t_end=_num(data.get("t_end", 10.0), f"{path}.t_end"),
-            steps=None if steps is None else _num(steps, f"{path}.steps", integer=True),
-            epsilon0=_num(data.get("epsilon0", 1.0), f"{path}.epsilon0"),
-            neutralize=neutralize,
-            diagnostics=DiagnosticsSpec.from_dict(
-                data.get("diagnostics", {}), f"{path}.diagnostics"
-            ),
-            observability=ObservabilitySpec.from_dict(
-                data.get("observability", {}), f"{path}.observability"
-            ),
-        )
-        return spec.validate()
+            data["backend"] = "numpy"
+        return data
+
+    def _checked(self, path: str) -> "SimulationSpec":
+        return self.validate(path)  # a whole spec is validated as it is read
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationSpec":
@@ -587,27 +456,14 @@ class SimulationSpec:
     def validate(self, path: str = "spec") -> "SimulationSpec":
         # the model catalogue is the systems registry: every registered
         # system declaration is a valid model name, nothing else is
+        from ..basis.multiindex import FAMILIES
         from ..systems.registry import get_system_kind, known_models
-
-        if not isinstance(self.name, str) or not self.name:
-            raise SpecError(f"{path}.name", f"expected a non-empty string, got {self.name!r}")
-        if self.model not in known_models():
-            raise SpecError(
-                f"{path}.model",
-                f"unknown model {self.model!r} (known: {', '.join(known_models())})",
-            )
-        if self.scheme not in SCHEMES:
-            raise SpecError(
-                f"{path}.scheme", f"unknown scheme {self.scheme!r} (known: {', '.join(SCHEMES)})"
-            )
         from ..timestepping.ssprk import available_steppers
 
-        if self.stepper not in available_steppers():
-            raise SpecError(
-                f"{path}.stepper",
-                f"unknown stepper {self.stepper!r} "
-                f"(known: {', '.join(available_steppers())})",
-            )
+        _name(self.name, f"{path}.name")
+        _known(self.model, f"{path}.model", "model", known_models())
+        _known(self.scheme, f"{path}.scheme", "scheme", SCHEMES)
+        _known(self.stepper, f"{path}.stepper", "stepper", available_steppers())
         parse_backend(self.backend, f"{path}.backend")
         if not isinstance(self.plan_cache, str) or not self.plan_cache:
             raise SpecError(
@@ -615,13 +471,7 @@ class SimulationSpec:
                 "expected 'auto', 'off', or a cache directory, "
                 f"got {self.plan_cache!r}",
             )
-        from ..basis.multiindex import FAMILIES
-
-        if self.family not in FAMILIES:
-            raise SpecError(
-                f"{path}.family",
-                f"unknown basis family {self.family!r} (known: {', '.join(sorted(FAMILIES))})",
-            )
+        _known(self.family, f"{path}.family", "basis family", sorted(FAMILIES))
         if self.poly_order < 1:
             raise SpecError(f"{path}.poly_order", "poly_order must be >= 1")
         if not 0 < self.cfl <= 2.0:

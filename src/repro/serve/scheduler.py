@@ -117,7 +117,10 @@ def worker_loop(
                 result = run_job(store, claimed)
                 record = store.finish(claimed["id"], result, None)
                 ran.append(claimed["id"])
-            except Exception as exc:  # noqa: BLE001 - recorded per job
+            except Exception as exc:  # noqa: BLE001
+                # broad on purpose (per-job isolation): whatever one job
+                # raises is recorded on that job and the worker goes on to
+                # the next; KeyboardInterrupt / SystemExit still stop it
                 record = store.finish(
                     claimed["id"], None, f"{type(exc).__name__}: {exc}"
                 )

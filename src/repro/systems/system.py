@@ -231,9 +231,9 @@ class System:
         place (the steady-state path: no phase-space allocation).
 
         This wrapper is the observability seam: with the default
-        ``mode="off"`` it is one flag check over :meth:`_rhs_impl` (the
-        overhead gate in ``bench_rhs_hotpath.py`` times the two against
-        each other).
+        ``mode="off"`` it is one flag check over :meth:`_rhs_impl`
+        (``bench_rhs_hotpath.py --require-obs-overhead`` times the two
+        against each other, call by call).
         """
         return self._rhs_span(state, out, None)
 

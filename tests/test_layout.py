@@ -2,9 +2,12 @@
 
 The cell-major layout is held to three contracts:
 
-1. **Exactness** — the cell-major engine reproduces the preserved
-   mode-major reference (``benchmarks/_legacy_rhs.py``) to <= 2e-15 over
-   randomized termsets and over full solver right-hand sides;
+1. **Exactness** — the plan engine reproduces, to <= 2e-15, the sparse
+   reference evaluator ``TermSet.apply_cm`` over randomized termsets, and the
+   face-space solver reproduces the four-sided form of the whole right-hand
+   side (the paper's Fig. 1 update: volume kernels plus the
+   ``kernels.surf_stream`` / ``kernels.surf_accel`` termsets of both cells at
+   every face, assembled below through ``TermSet.apply_cm``);
 2. **Copy-freedom** — the steady-state RHS performs no layout-normalizing
    copy of full phase-space state (asserted via ``ScratchPool.copy_debug``);
 3. **Halo invariant** — the sharded halo traffic still matches the Fig. 3
@@ -13,22 +16,17 @@ The cell-major layout is held to three contracts:
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-from repro.engine import ScratchPool, StateLayout  # noqa: E402
-from repro.engine.layout import phase_to_cell_major, phase_to_mode_major  # noqa: E402
-from repro.grid import Grid, PhaseGrid  # noqa: E402
-from repro.kernels.grouped import GroupedOperator  # noqa: E402
-from repro.kernels.termset import TermSet  # noqa: E402
-from repro.vlasov.modal_solver import VlasovModalSolver  # noqa: E402
+from repro.engine import ScratchPool, StateLayout
+from repro.engine.layout import insert_basis_axis, phase_to_cell_major, phase_to_mode_major
+from repro.grid import Grid, PhaseGrid
+from repro.kernels.grouped import GroupedOperator
+from repro.kernels.termset import TermSet
+from repro.vlasov.modal_solver import VlasovModalSolver
 
 pytestmark = pytest.mark.layout
 
@@ -60,21 +58,16 @@ def test_layout_conversions_roundtrip():
 
 
 # --------------------------------------------------------------------- #
-# 1. exactness vs the preserved mode-major reference
+# 1. exactness vs the reference evaluator and the four-sided update
 # --------------------------------------------------------------------- #
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), cdim=st.integers(1, 2), vdim=st.integers(1, 2))
-def test_cellmajor_matches_legacy_grouped_operator(seed, cdim, vdim):
-    """Randomized termsets: the cell-major plan path equals the seed's
-    mode-major grouped evaluator to <= 2e-15."""
-    from _legacy_rhs import LegacyGroupedOperator
-
+def test_plan_matches_termset_apply_cm(seed, cdim, vdim):
+    """Randomized termsets: the compiled plan equals the term-by-term sparse
+    evaluator ``TermSet.apply_cm`` to <= 2e-15."""
     rng = np.random.default_rng(seed)
-    # cfg sizes >= 2: a size-one cfg field classifies as a scalar, which the
-    # preserved seed evaluator float()s — a numpy-version artifact, not a
-    # layout behavior worth pinning
-    cfg_shape = tuple(rng.integers(2, 4, size=cdim))
-    vel_shape = tuple(rng.integers(2, 4, size=vdim))
+    cfg_shape = tuple(rng.integers(1, 4, size=cdim))
+    vel_shape = tuple(rng.integers(1, 4, size=vdim))
     nout = nin = int(rng.integers(3, 7))
     kinds = ["scalar", "cfg", "vel"]
     names_kinds = {
@@ -88,8 +81,7 @@ def test_cellmajor_matches_legacy_grouped_operator(seed, cdim, vdim):
             aux[n] = rng.standard_normal(cfg_shape + (1,) * vdim)
         else:
             aux[n] = rng.standard_normal((1,) * cdim + vel_shape)
-    # unique (l, m) slots per symbol: generated kernels never duplicate a
-    # slot, and the seed evaluator densifies by assignment
+    # unique (l, m) slots per symbol, as generated kernels have them
     slots = {}
     for _ in range(int(rng.integers(1, 6))):
         sym = tuple(rng.choice(list(names_kinds), size=rng.integers(0, 3)))
@@ -104,32 +96,61 @@ def test_cellmajor_matches_legacy_grouped_operator(seed, cdim, vdim):
     }
     ts = TermSet(nout, nin, entries)
 
-    f_mm = rng.standard_normal((nin,) + cfg_shape + vel_shape)
-    ref = np.zeros((nout,) + cfg_shape + vel_shape)
-    LegacyGroupedOperator(ts, cdim, vdim).apply(f_mm, aux, ref)
-
-    op = GroupedOperator(ts, cdim, vdim)
-    got = np.zeros(cfg_shape + (nout,) + vel_shape)
-    op.apply(phase_to_cell_major(f_mm, cdim), aux, got)
+    f = rng.standard_normal(cfg_shape + (nin,) + vel_shape)
+    ref = np.zeros(cfg_shape + (nout,) + vel_shape)
+    ts.apply_cm(f, aux, ref, cdim)
+    got = np.zeros_like(ref)
+    GroupedOperator(ts, cdim, vdim).apply(f, aux, got)
     scale = max(float(np.max(np.abs(ref))), 1.0)
-    assert np.max(np.abs(phase_to_mode_major(got, cdim) - ref)) / scale <= 2e-15
+    assert np.max(np.abs(got - ref)) / scale <= 2e-15
+
+
+def _four_sided_rhs(solver, f, em):
+    """The whole Vlasov right-hand side in the four-sided form of the paper's
+    Fig. 1: every volume kernel, then at every face the surface kernels of
+    both adjacent cells — ``kernels.surf_*[d][(cell updated, cell read)]`` —
+    on the numerical-flux state.  That state is upwinded with the solver's
+    weights in configuration space (periodic) and averaged in velocity space
+    (zero flux through the velocity boundary)."""
+    cdim, vdim = solver.grid.cdim, solver.grid.vdim
+    kern, aux = solver.kernels, solver.field_aux(em)
+
+    def faces(sides, f_left, f_right):
+        inc = {"L": np.zeros_like(f_left), "R": np.zeros_like(f_left)}
+        for (cell, read), ts in sides.items():
+            ts.apply_cm(f_left if read == "L" else f_right, aux, inc[cell], cdim)
+        return inc["L"], inc["R"]
+
+    out = np.zeros_like(f)
+    for ts in kern.vol_stream + kern.vol_accel:
+        ts.apply_cm(f, aux, out, cdim)
+    for d in range(cdim):  # face between cell i ("L") and cell i + 1 ("R")
+        pos = insert_basis_axis(solver._upwind_pos[d], cdim)
+        inc_left, inc_right = faces(
+            kern.surf_stream[d], f * pos, np.roll(f, -1, axis=d) * (1.0 - pos)
+        )
+        out += inc_left + np.roll(inc_right, 1, axis=d)
+    for d in range(vdim):
+        axis = cdim + 1 + d
+        lo = (slice(None),) * axis + (slice(0, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        inc_left, inc_right = faces(kern.surf_accel[d], 0.5 * f[lo], 0.5 * f[hi])
+        out[lo] += inc_left
+        out[hi] += inc_right
+    return out
 
 
 @pytest.mark.parametrize("cdim,vdim,p", [(1, 1, 2), (1, 2, 1), (2, 2, 1)])
-def test_cellmajor_rhs_matches_legacy_solver(cdim, vdim, p, rng):
-    """Full Vlasov RHS: cell-major engine vs the preserved seed driver."""
-    from _legacy_rhs import LegacyRhs
-
+def test_solver_rhs_matches_four_sided_reference(cdim, vdim, p, rng):
+    """Full Vlasov RHS: the face-space solver (trace -> flux -> lift in the
+    cell program) vs the four-sided surface kernels it replaced."""
     conf = Grid([0.0] * cdim, [1.0] * cdim, [3] * cdim)
     vel = Grid([-2.0] * vdim, [2.0] * vdim, [4] * vdim)
-    pg = PhaseGrid(conf, vel)
-    solver = VlasovModalSolver(pg, p, "serendipity")
-    f_cm = rng.standard_normal(solver.layout.shape)
-    em_cm = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
-    got = phase_to_mode_major(solver.rhs(f_cm, em_cm), cdim)
-    # the oracle takes the EM state mode-major: (comp, Npc, *cfg)
-    em_mm = np.ascontiguousarray(np.moveaxis(em_cm, (-2, -1), (0, 1)))
-    ref = LegacyRhs(solver)(phase_to_mode_major(f_cm, cdim), em_mm)
+    solver = VlasovModalSolver(PhaseGrid(conf, vel), p, "serendipity")
+    f = rng.standard_normal(solver.layout.shape)
+    em = rng.standard_normal(conf.cells + (8, solver.num_conf_basis))
+    ref = _four_sided_rhs(solver, f, em)
+    got = solver.rhs(f, em)
     scale = max(float(np.max(np.abs(ref))), 1.0)
     assert np.max(np.abs(got - ref)) / scale <= 2e-15
 

@@ -187,6 +187,22 @@ def test_bad_set_syntax_is_a_clean_error(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, override, field",
+    [
+        ("weibel_2x2v", "field.initial.Bz=3", "spec.field.initial.Bz"),
+        ("driven_landau", "external_field.components.Ex=3", "spec.external_field.components.Ex"),
+        ("two_stream", "species.0.initial.kind=[1]", "spec.species[0].initial.kind"),
+    ],
+)
+def test_malformed_profile_is_a_clean_error(capsys, scenario, override, field):
+    """A profile that is not an object, or whose kind is not a name, is one
+    ``error:`` line naming the dotted path (exit 2), not a traceback."""
+    assert main(["show", scenario, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
 def test_missing_campaign_file_is_a_clean_error(capsys, tmp_path):
     assert main(["campaign", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Spec layer: dict/JSON round-trip, validation errors, overrides."""
 
+import dataclasses
 import json
+from typing import Optional
 
 import pytest
 
@@ -12,7 +14,9 @@ from repro.runtime import (
     SimulationSpec,
     SpecError,
     SpeciesSpec,
+    list_scenarios,
 )
+from repro.runtime import spec as spec_module
 
 
 def _minimal_spec(**kwargs):
@@ -38,6 +42,40 @@ def test_dict_roundtrip_identity():
     again = SimulationSpec.from_dict(spec.to_dict())
     assert again == spec
     assert again.to_dict() == spec.to_dict()
+    # every registered scenario too, its keys in the dataclass field order
+    for scenario in list_scenarios():
+        spec = scenario.build()
+        assert SimulationSpec.from_dict(spec.to_dict()) == spec
+        assert list(spec.to_dict()) == [f.name for f in dataclasses.fields(spec)]
+
+
+def test_spec_fields_are_declared_once():
+    """The wire format lives in the field declarations: no spec dataclass
+    writes its own ``to_dict`` / ``from_dict``, every field names its wire
+    kind, and a new field is that one declaration and nothing else."""
+    classes = [
+        obj for obj in vars(spec_module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    ]
+    assert {SimulationSpec, SpeciesSpec, GridSpec} <= set(classes)
+    for cls in classes:
+        assert not {"to_dict", "from_dict"} & set(vars(cls)), cls.__name__
+        for f in dataclasses.fields(cls):
+            assert f.metadata.get("wire") in spec_module._READ, f"{cls.__name__}.{f.name}"
+
+    @dataclasses.dataclass(frozen=True)
+    class Labelled(GridSpec):
+        label: Optional[str] = spec_module.wire("optional string", None)
+
+    data = {"lower": [0.0], "upper": [1.0], "cells": [4]}
+    assert Labelled.from_dict(data, "g").to_dict() == {**data, "label": None}
+    assert Labelled.from_dict({**data, "label": "a"}, "g").label == "a"
+    with pytest.raises(SpecError) as err:
+        Labelled.from_dict({**data, "label": 3}, "g")
+    assert err.value.field == "g.label"
+    with pytest.raises(SpecError) as err:
+        Labelled.from_dict({**data, "lable": "a"}, "g")
+    assert "lower, upper, cells, label" in str(err.value)
 
 
 def test_json_roundtrip_identity():
@@ -83,6 +121,10 @@ def test_species_error_paths_carry_index():
 def test_unknown_profile_kind_names_the_field():
     data = _minimal_spec().to_dict()
     data["species"][0]["initial"] = {"kind": "waterbag"}
+    with pytest.raises(SpecError) as err:
+        SimulationSpec.from_dict(data)
+    assert err.value.field == "spec.species[0].initial.kind"
+    data["species"][0]["initial"] = {"kind": [1]}  # not even a name
     with pytest.raises(SpecError) as err:
         SimulationSpec.from_dict(data)
     assert err.value.field == "spec.species[0].initial.kind"
@@ -204,6 +246,16 @@ def test_external_field_roundtrip_and_validation():
         ).validate()
     with pytest.raises(SpecError):
         ExternalFieldSpec.from_dict({"omgea": 1.0}, "x")  # typo'd field
+    with pytest.raises(SpecError) as err:
+        spec.with_overrides({"external_field.components.Ex": 3})  # not a profile
+    assert err.value.field == "spec.external_field.components.Ex"
+
+
+def test_field_initial_entry_must_be_a_profile_object():
+    spec = _minimal_spec(model="maxwell", field=FieldInitSpec()).validate()
+    with pytest.raises(SpecError) as err:
+        spec.with_overrides({"field.initial": {"Bz": 3}})
+    assert err.value.field == "spec.field.initial.Bz"
 
 
 def test_process_backend_validates_in_spec():
