@@ -56,7 +56,13 @@ def _gbytes_per_s(dofs_per_s, pg, num_basis):
 
 
 @pytest.mark.paper
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: LBO in the face-mode space")
+# Not strict: with the LBO's velocity faces in the face-mode space the
+# slowdown reads 3.1-4.3x on a 2-core box, across the band's upper edge.
+@pytest.mark.xfail(
+    strict=False,
+    reason="ROADMAP item 2: the LBO's volume kernels are not merged into one "
+    "operator and its primitive-moment weak division is not batched",
+)
 def test_eop_collisionless_vs_collisional(benchmark, setup):
     pg, solver, f, em = setup
     out = np.zeros_like(f)

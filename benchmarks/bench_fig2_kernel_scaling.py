@@ -127,16 +127,17 @@ def test_fig2_scaling_robust_to_family(benchmark, rng):
 def test_fig2_surface_cost_dominates(benchmark, rng):
     """Paper footnote 4: the total cost is driven by the surface integrals;
     the volume integral is comparatively cheap."""
-    from repro.kernels import get_vlasov_kernels
+    from repro.kernels import four_sided_kernels, get_vlasov_kernels
     from repro.cas.codegen import count_multiplications
 
     k = benchmark.pedantic(
         get_vlasov_kernels, args=(1, 3, 1, "serendipity"), iterations=1, rounds=1
     )
     vol = sum(count_multiplications(ts) for ts in k.vol_stream + k.vol_accel)
+    stream, accel = four_sided_kernels(k)
     surf = sum(
         count_multiplications(ts)
-        for sides in k.surf_stream + k.surf_accel
+        for sides in stream + accel
         for ts in sides.values()
     )
     print(f"\n1X3V p=1: volume mults {vol}, surface mults {surf}")

@@ -13,7 +13,7 @@ Run:  python examples/kernel_explorer.py [--cdim 1] [--vdim 2] [-p 1]
 import argparse
 
 from repro.cas.codegen import count_multiplications, emit_kernel_source
-from repro.kernels import compare_costs, get_vlasov_kernels
+from repro.kernels import compare_costs, four_sided_kernels, get_vlasov_kernels
 
 
 def main(argv=None):
@@ -49,11 +49,12 @@ def main(argv=None):
     print(f"  volume kernels alone       : {vol_ratio:.1f}x")
 
     print("\n--- per-kernel sparsity ---")
+    surf_stream, surf_accel = four_sided_kernels(k)
     for name, ts in [
         ("volume streaming x0", k.vol_stream[0]),
         ("volume acceleration v0", k.vol_accel[0]),
-        ("surface streaming x0 (L,L)", k.surf_stream[0][("L", "L")]),
-        ("surface acceleration v0 (L,L)", k.surf_accel[0][("L", "L")]),
+        ("surface streaming x0 (L,L)", surf_stream[0][("L", "L")]),
+        ("surface acceleration v0 (L,L)", surf_accel[0][("L", "L")]),
         ("moment M0", k.moments["M0"]),
         ("moment M2", k.moments["M2"]),
     ]:

@@ -54,8 +54,8 @@ def face_matrices(basis: ModalBasis, d: int) -> Dict[Tuple[str, str], np.ndarray
     Keyed by ``(test_side, state_side)``; for the face between a left and a
     right cell, accumulating ``out_t += rdx_d * M[(t, s)] @ q_s`` over both
     test sides and any state-weight combination reproduces the DG surface
-    integral (same convention as
-    :func:`repro.kernels.generator.generate_surface_termsets`).
+    integral (same convention as the four-sided kernels of
+    :func:`repro.kernels.flops.four_sided_kernels`).
     """
     n = basis.num_basis
     out: Dict[Tuple[str, str], np.ndarray] = {}

@@ -11,10 +11,25 @@ this operator roughly doubles the cost of the spatial update (the
 
 with primitive moments :math:`\\mathbf{u}(x)` and :math:`v_{th}^2(x)`
 obtained from the distribution by *weak division* (no aliasing), the drag
-flux handled by the same CAS-generated volume/surface kernels as the Vlasov
-acceleration (it is linear in ``v``), and the diffusion term by a two-pass
-LDG scheme with alternating one-sided fluxes and exact weak multiplication
-by :math:`v_{th}^2`.
+flux :math:`\\nu (u_d(x) - v_d)` with a central numerical flux, and the
+diffusion term by a two-pass LDG scheme with alternating one-sided fluxes
+and exact weak multiplication by :math:`v_{th}^2`.
+
+Every pass is a DG advection along one velocity direction and runs the way
+the Vlasov acceleration does (:mod:`repro.vlasov.modal_solver`): the volume
+kernel, then **trace** (each cell's two face traces into the ``2 Nf`` rows
+of a trace buffer) → **flux** (one
+:meth:`~repro.engine.plan.ExecutionPlan.apply_faces` over the velocity
+faces of every configuration cell: the face state is the sum of the two
+traces meeting there, zero on the velocity-domain boundary) → **lift** (the
+face flux back onto both cells).  Per direction the passes share the face
+map and the lift; the numerical flux's weights of the lower / upper cell
+live in the trace operator — (1, 1) for the drag, whose flux operator
+carries the central 1/2, (0, 1) for the LDG gradient, (1, 0) for the LDG
+divergence — and the drag and the unit flux each have a flux operator.  The
+drag flux depends on ``v_d``, but on a face it is the face velocity, one
+value for both cells, so it factors through the face modes as well
+(:func:`~repro.kernels.generator.generate_face_termsets`).
 
 Conservation: density is conserved to machine precision (all interior face
 terms cancel; domain velocity boundaries are zero-flux).  Momentum and
@@ -24,25 +39,28 @@ adds explicit boundary corrections; here the tests bound the residual).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cas.poly import Poly
+from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.generator import (
+    FACE_SIGN,
     FluxSpec,
     FluxTerm,
-    generate_surface_termsets,
+    generate_face_termsets,
+    generate_multiply_termset,
     generate_volume_termset,
 )
 from ..kernels.grouped import GroupedOperator
 from ..kernels.registry import get_vlasov_kernels
+from ..kernels.termset import TermSet, stack_termsets
 from ..kernels.vlasov import _cfg_poly_unnormalized
 from ..moments.calc import MomentCalculator
 from ..moments.weak_ops import weak_divide
-from .ops import apply_advection, slice_aux
 
 __all__ = ["LBOCollisions"]
 
@@ -87,9 +105,7 @@ class LBOCollisions:
         # One aux dict for the operator's lifetime: the primitive-moment
         # symbols ``u{j}_{k}`` / ``vtsq_{k}`` are views into ``_prim``, which
         # every evaluation refreshes in place — the plans see the same value
-        # objects on every apply, so they bind once.  The face-restricted
-        # variants (velocity factors sliced to the interior faces of one
-        # velocity axis) are views of the same arrays, built once as well.
+        # objects on every apply, so they bind once.
         self._aux = aux = phase_grid.base_aux()
         aux["nu"] = self.nu
         self._prim = np.zeros((vdim + 1, npc) + phase_grid.conf.cells)
@@ -97,13 +113,6 @@ class LBOCollisions:
             for j in range(vdim):
                 aux[f"u{j}_{k}"] = phase_grid.conf_coefficient_array(self._prim[j, k])
             aux[f"vtsq_{k}"] = phase_grid.conf_coefficient_array(self._prim[vdim, k])
-        self._face_aux = [
-            (
-                slice_aux(aux, cdim + j, slice(0, n - 1)),
-                slice_aux(aux, cdim + j, slice(1, n)),
-            )
-            for j, n in enumerate(phase_grid.vel.cells)
-        ]
         # every generated termset executes through a plan-cached
         # GroupedOperator on cell-major state, sharing one scratch pool
         self.pool = ScratchPool()
@@ -111,60 +120,83 @@ class LBOCollisions:
         def _op(ts):
             return GroupedOperator(ts, cdim, vdim, pool=self.pool)
 
-        # Drag kernels: flux alpha_j = nu * (u_j(x) - v_j) along velocity dim j
-        self._drag_vol = []
-        self._drag_surf = []
-        for j in range(vdim):
-            dv = cdim + j
-            terms: List[FluxTerm] = [
-                FluxTerm(sym=("nu", f"w{dv}"), poly=Poly.one(pdim), scale=-1.0),
-                FluxTerm(
-                    sym=("nu", f"half_dxv{dv}"), poly=Poly.variable(pdim, dv), scale=-1.0
-                ),
-            ]
-            for k in range(npc):
-                terms.append(
-                    FluxTerm(
-                        sym=("nu", f"u{j}_{k}"),
-                        poly=_cfg_poly_unnormalized(pdim, self.cfg_basis.indices[k]),
-                        scale=self.cfg_basis.norm(k),
-                    )
-                )
-            spec = FluxSpec(dim=dv, terms=tuple(terms))
-            self._drag_vol.append(_op(generate_volume_termset(self.basis, spec)))
-            self._drag_surf.append(
-                {
-                    side: _op(ts)
-                    for side, ts in generate_surface_termsets(self.basis, spec).items()
-                }
-            )
-        # Diffusion kernels: unit advection along each velocity dim (LDG), and
-        # weak multiplication by the config field vtsq.
-        self._unit_vol = []
-        self._unit_surf = []
-        for j in range(vdim):
-            dv = cdim + j
-            spec = FluxSpec(
-                dim=dv, terms=(FluxTerm(sym=(), poly=Poly.one(pdim)),)
-            )
-            self._unit_vol.append(_op(generate_volume_termset(self.basis, spec)))
-            self._unit_surf.append(
-                {
-                    side: _op(ts)
-                    for side, ts in generate_surface_termsets(self.basis, spec).items()
-                }
-            )
-        from ..kernels.generator import generate_multiply_termset
-
-        mult_terms = [
-            FluxTerm(
-                sym=(f"vtsq_{k}",),
-                poly=_cfg_poly_unnormalized(pdim, self.cfg_basis.indices[k]),
-                scale=self.cfg_basis.norm(k),
-            )
-            for k in range(npc)
+        cfg_poly = [
+            (_cfg_poly_unnormalized(pdim, alpha), self.cfg_basis.norm(k))
+            for k, alpha in enumerate(self.cfg_basis.indices)
         ]
-        self._vtsq_mult = _op(generate_multiply_termset(self.basis, mult_terms))
+        # Per velocity direction ``j``: the volume, trace and flux operator of
+        # each pass (``drag``, LDG ``grad`` and ``div``), the lift, and the
+        # velocity faces of every configuration cell as slots of one
+        # ``2 Nf``-row trace buffer (upper face, then lower face).
+        self._passes: List[Dict[str, Tuple[GroupedOperator, ...]]] = []
+        self._lift: List[GroupedOperator] = []
+        self._faces: List[FaceMap] = []
+        nf = self.kernels.face_accel[0].flux.nout
+        cells = phase_grid.conf.cells
+        self._trace_shape = cells + (2 * nf,) + phase_grid.vel.cells
+        table = np.stack([np.arange(int(np.prod(cells)))] * 5, axis=1)
+        zero = TermSet(nf, self.basis.num_basis, {})
+        for j in range(vdim):
+            dv = cdim + j
+            # drag flux alpha_j = nu * (u_j(x) - v_j)
+            drag = FluxSpec(
+                dim=dv,
+                terms=(
+                    FluxTerm(sym=("nu", f"w{dv}"), poly=Poly.one(pdim), scale=-1.0),
+                    FluxTerm(
+                        sym=("nu", f"half_dxv{dv}"), poly=Poly.variable(pdim, dv), scale=-1.0
+                    ),
+                )
+                + tuple(
+                    FluxTerm(sym=("nu", f"u{j}_{k}"), poly=poly, scale=norm)
+                    for k, (poly, norm) in enumerate(cfg_poly)
+                ),
+            )
+            unit = FluxSpec(dim=dv, terms=(FluxTerm(sym=(), poly=Poly.one(pdim)),))
+            fk = generate_face_termsets(self.basis, drag)
+            # the face state reads the lower cell's upper-face trace ("L")
+            # and / or the upper cell's lower-face trace ("R")
+            trace = {
+                sides: _op(
+                    stack_termsets([fk.trace[s] if s in sides else zero for s in "LR"])
+                )
+                for sides in ("LR", "R", "L")
+            }
+            unit_vol = _op(generate_volume_termset(self.basis, unit))
+            unit_flux = _op(generate_face_termsets(self.basis, unit).flux)
+            self._passes.append(
+                {
+                    "drag": (
+                        _op(generate_volume_termset(self.basis, drag)),
+                        trace["LR"],
+                        _op(fk.flux.scaled(0.5)),  # the central flux's 1/2
+                    ),
+                    "grad": (unit_vol, trace["R"], unit_flux),
+                    "div": (unit_vol, trace["L"], unit_flux),
+                }
+            )
+            self._lift.append(
+                _op(
+                    stack_termsets(
+                        [fk.trace[s].scaled(FACE_SIGN[s]) for s in "LR"]
+                    ).transposed()
+                )
+            )
+            self._faces.append(
+                FaceMap(
+                    table, self._trace_shape, self._trace_shape, cdim,
+                    slots=(0, nf), nf=nf, vaxis=j,
+                )
+            )
+        self._vtsq_mult = _op(
+            generate_multiply_termset(
+                self.basis,
+                [
+                    FluxTerm(sym=(f"vtsq_{k}",), poly=poly, scale=norm)
+                    for k, (poly, norm) in enumerate(cfg_poly)
+                ],
+            )
+        )
 
     def on_grid(self, phase_grid: PhaseGrid) -> "LBOCollisions":
         """The same operator on another phase grid (collisions are
@@ -213,7 +245,6 @@ class LBOCollisions:
         elif not accumulate:
             out.fill(0.0)
         g = self.grid
-        cdim = g.cdim
         u, vtsq = self.primitive_moments(f, moments)
         aux = self._aux
         self._prim[: g.vdim] = np.moveaxis(u, -1, 1)
@@ -221,53 +252,33 @@ class LBOCollisions:
 
         # drag: central flux on interior velocity faces, zero-flux boundaries
         for j in range(g.vdim):
-            apply_advection(
-                f,
-                aux,
-                out,
-                self._drag_vol[j],
-                self._drag_surf[j],
-                self._face_aux[j],
-                cdim,
-                j,
-                self.pool,
-                weights=(0.5, 0.5),
-            )
+            self._advect(f, out, j, "drag")
         # diffusion: two-pass LDG; grad uses right-biased flux, div left-biased
         for j in range(g.vdim):
-            grad = self.pool.get("lbo.grad", f.shape, zero=True)
-            apply_advection(
-                f,
-                aux,
-                grad,
-                self._unit_vol[j],
-                self._unit_surf[j],
-                self._face_aux[j],
-                cdim,
-                j,
-                self.pool,
-                weights=(0.0, 1.0),
-            )
+            grad = self.pool.get("lbo.grad", f.shape)
+            self._advect(f, grad, j, "grad", accumulate=False)
             grad *= -1.0  # weak derivative = -(unit advection RHS)
             # multiply by vtsq(x) weakly (alias-free projection)
-            vg = self.pool.get("lbo.vg", f.shape, zero=True)
-            self._vtsq_mult.apply(grad, aux, vg)
+            vg = self.pool.get("lbo.vg", f.shape)
+            self._vtsq_mult.apply(grad, aux, vg, accumulate=False)
             vg *= self.nu
-            div = self.pool.get("lbo.div", f.shape, zero=True)
-            apply_advection(
-                vg,
-                aux,
-                div,
-                self._unit_vol[j],
-                self._unit_surf[j],
-                self._face_aux[j],
-                cdim,
-                j,
-                self.pool,
-                weights=(1.0, 0.0),
-            )
+            div = self.pool.get("lbo.div", f.shape)
+            self._advect(vg, div, j, "div", accumulate=False)
             out -= div  # out += -(unit advection RHS)(vg) = +d(vg)/dv
         return out
+
+    def _advect(
+        self, f: np.ndarray, out: np.ndarray, j: int, name: str, accumulate: bool = True
+    ) -> None:
+        """One DG advection pass along velocity direction ``j`` into ``out``:
+        volume, then trace -> flux -> lift through the velocity faces."""
+        vol, trace, flux = self._passes[j][name]
+        aux = self._aux
+        g = self.pool.get("lbo.trace", self._trace_shape)
+        vol.apply(f, aux, out, accumulate)
+        trace.apply(f, aux, g, accumulate=False)
+        flux.apply_faces(g, g, self._faces[j], aux)
+        self._lift[j].apply(g, aux, out)
 
     def max_frequency(self, f: np.ndarray, moments: MomentCalculator) -> float:
         """CFL estimate: drag ``nu (2p+1) vmax/dv`` plus parabolic diffusion

@@ -2,6 +2,7 @@
 
 from .flops import (
     compare_costs,
+    four_sided_kernels,
     modal_update_multiplications,
     modal_update_traffic,
     nodal_update_multiplications,
@@ -13,7 +14,6 @@ from .generator import (
     generate_face_termsets,
     generate_moment_termset,
     generate_multiply_termset,
-    generate_surface_termsets,
     generate_volume_termset,
 )
 # NOTE: GroupedOperator lives in repro.kernels.grouped and is imported from
@@ -31,7 +31,6 @@ __all__ = [
     "FluxSpec",
     "FluxTerm",
     "generate_volume_termset",
-    "generate_surface_termsets",
     "FaceKernels",
     "generate_face_termsets",
     "generate_moment_termset",
@@ -44,6 +43,7 @@ __all__ = [
     "clear_registry",
     "registry_stats",
     "compare_costs",
+    "four_sided_kernels",
     "modal_update_multiplications",
     "modal_update_traffic",
     "nodal_update_multiplications",

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..cas.codegen import count_multiplications
+from .generator import generate_surface_termsets
 from .registry import get_vlasov_kernels
-from .vlasov import VlasovKernels
+from .termset import TermSet
+from .vlasov import VlasovKernels, acceleration_flux, streaming_flux
 
 __all__ = [
     "alias_free_quadrature_points_1d",
+    "four_sided_kernels",
     "modal_update_multiplications",
     "modal_update_traffic",
     "nodal_update_multiplications",
@@ -33,6 +36,27 @@ def alias_free_quadrature_points_1d(poly_order: int) -> int:
     nonlinear Vlasov volume term exactly (degree <= 3p + 1 per direction),
     i.e. the paper's ``N_q = (3p+1)/2``-style over-integration rounded up."""
     return ceil((3 * poly_order + 2) / 2)
+
+
+#: one direction's four side kernels, keyed ``(cell updated, cell read)``
+Sides = Dict[Tuple[str, str], TermSet]
+
+
+def four_sided_kernels(kernels: VlasovKernels) -> Tuple[List[Sides], List[Sides]]:
+    """The paper's Fig. 1 surface kernels of a bundle, ``(streaming,
+    acceleration)``: per direction the four ``Np x Np`` side kernels of
+    :func:`~repro.kernels.generator.generate_surface_termsets`.  No solver
+    applies them (they run the same terms factored through the face modes);
+    they are generated here, on every call, for the cost model and as the
+    tests' reference."""
+    cdim, vdim, basis = kernels.cdim, kernels.vdim, kernels.phase_basis
+    return (
+        [generate_surface_termsets(basis, streaming_flux(cdim, vdim, j)) for j in range(cdim)],
+        [
+            generate_surface_termsets(basis, acceleration_flux(kernels.cfg_basis, cdim, vdim, j))
+            for j in range(vdim)
+        ],
+    )
 
 
 def _face_multiplications(faces) -> int:
@@ -55,15 +79,9 @@ def modal_update_multiplications(kernels: VlasovKernels) -> Dict[str, int]:
     face-mode space (trace + flux + lift)."""
     vol_stream = sum(count_multiplications(ts) for ts in kernels.vol_stream)
     vol_accel = sum(count_multiplications(ts) for ts in kernels.vol_accel)
-    surf_stream = sum(
-        count_multiplications(ts)
-        for sides in kernels.surf_stream
-        for ts in sides.values()
-    )
-    surf_accel = sum(
-        count_multiplications(ts)
-        for sides in kernels.surf_accel
-        for ts in sides.values()
+    surf_stream, surf_accel = (
+        sum(count_multiplications(ts) for sides in group for ts in sides.values())
+        for group in four_sided_kernels(kernels)
     )
     face_stream = _face_multiplications(kernels.face_stream)
     face_accel = _face_multiplications(kernels.face_accel)

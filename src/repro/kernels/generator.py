@@ -188,6 +188,10 @@ def generate_surface_termsets(
     surface integral exactly.  The flux polynomial is restricted to the face
     by substituting ``xi_dim = +-1`` on the *state* side; the exact tensor
     depends on the state side only and serves both test sides.
+
+    No solver applies these: they are the paper's Fig. 1/2 cost model
+    (:func:`repro.kernels.flops.four_sided_kernels`) and the tests'
+    reference for the face-mode factors of :func:`generate_face_termsets`.
     """
     shape = (basis.num_basis, basis.num_basis)
     d = flux.dim
@@ -245,18 +249,29 @@ def _mode_norms(indices: Sequence[Tuple[int, ...]]) -> np.ndarray:
 
 def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
     """Surface kernels of :func:`generate_surface_termsets` in the face-mode
-    space, for a flux that does not depend on ``xi_dim``.
+    space.
 
     A mode restricted to the face ``xi_dim = +-1`` is its 1-D factor's value
     there, ``sqrt((2 l_dim + 1) / 2) (+-1)^l_dim``, times the mode ``a(l)`` of
     the orthonormal basis of the same family in the remaining ``ndim - 1``
     variables (``l`` with its ``dim``-th index dropped).  So the weak-form
     face integral is taken once over the ``Nf`` face modes and the traces
-    carry the rest; ``ValueError`` if a flux polynomial contains ``xi_dim``.
+    carry the rest.
+
+    The flux is evaluated on the face as seen from the cell below it: its
+    polynomial at ``xi_dim = +1``, with the runtime symbols of that cell.
+    This is exact when the flux is one value on the face for both cells —
+    independent of ``xi_dim``, or depending on it only through a coordinate
+    the two cells share there (the LBO drag ``nu (u - v_dim)``: the face
+    velocity ``w + dv/2`` of the lower cell is ``w - dv/2`` of the upper one)
+    — and the caller reads the symbols at the lower cell, as
+    :meth:`~repro.engine.plan.ExecutionPlan.apply_faces` does.
     """
     d = flux.dim
-    if any(expo[d] for term in flux.terms for expo in term.poly.coeffs):
-        raise ValueError(f"face kernels need a flux independent of xi_{d}")
+    terms = [
+        FluxTerm(term.sym, term.poly.substitute_value(d, 1), term.scale)
+        for term in flux.terms
+    ]
     dropped = [a[:d] + a[d + 1 :] for a in basis.indices]
     modes = sorted(set(dropped), key=lambda a: (sum(a), a))  # canonical order
     where = {a: i for i, a in enumerate(modes)}
@@ -275,10 +290,10 @@ def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
     # face modes lifted back to ndim variables as degree 0 in xi_dim, whose
     # factor is then the flux polynomial's (constant) value on the face
     deg = np.insert(np.array(modes, dtype=int).reshape(nf, -1), d, 0, axis=1)
-    factors = _factors(flux.terms, deg, deg)
+    factors = _factors(terms, deg, deg)
     factors[d] = (1, [1])
     norms = _mode_norms(modes)
-    exact = _exact_terms(flux.terms, factors, (nf, nf))
+    exact = _exact_terms(terms, factors, (nf, nf))
     return FaceKernels(
         dim=d, trace=trace, flux=_termset((nf, nf), (f"rdx{d}",), exact, [(norms, norms)])
     )

@@ -3,9 +3,12 @@
 Kernel generation (exact symbolic integration) is paid once per
 ``(cdim, vdim, poly_order, family)`` combination and process — the analogue
 of Gkeyll pre-generating its C++ kernels with Maxima.  It is cheap (about
-0.1 s for the 48-mode 2X2V p=2 bundle, milliseconds in 1X1V), so bundles are
+0.04 s for the 48-mode 2X2V p=2 bundle, 0.28 s for the 112-mode 2X3V p=2
+one, milliseconds in 1X1V, on a 2-core x86 box), so bundles are
 memoized in memory only: there is no on-disk kernel cache to validate or
-corrupt.  Concurrent callers of one key wait for a single build.
+corrupt.  Concurrent callers of one key wait for a single build.  A bundle
+holds what the solvers apply; the four-sided surface kernels of the Fig. 1/2
+cost model are generated on demand by :mod:`repro.kernels.flops`.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ def clear_registry() -> None:
 
 
 def registry_stats() -> Dict[str, int]:
+    """Cached bundles, and the exact non-zeros of every termset they hold."""
     with _LOCK:
         return {
             "bundles": len(_CACHE),
             "total_nnz": sum(
-                sum(ts.num_entries for ts in b.all_update_termsets())
-                for b in _CACHE.values()
+                ts.num_entries for b in _CACHE.values() for ts in b.termsets()
             ),
         }

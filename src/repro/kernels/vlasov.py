@@ -16,6 +16,13 @@ The collisionless phase-space flux is
   multiplied by the *exact* polynomial of the corresponding configuration
   basis function, so the nonlinear field–particle coupling is integrated
   without aliasing.
+
+A bundle holds what the solvers apply: per direction the volume kernel and
+the surface kernels factored through the face modes
+(:func:`~repro.kernels.generator.generate_face_termsets`), plus the moment
+kernels.  The paper's four-sided ``Np x Np`` surface kernels are not part of
+it; the Fig. 1/2 cost model generates them on demand
+(:func:`repro.kernels.flops.four_sided_kernels`).
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .generator import (
     FluxTerm,
     generate_face_termsets,
     generate_moment_termset,
-    generate_surface_termsets,
     generate_volume_termset,
 )
 from .termset import TermSet
@@ -154,10 +160,8 @@ class VlasovKernels:
     cfg_basis: ModalBasis
     vol_stream: List[TermSet]                      # per configuration dim
     vol_accel: List[TermSet]                       # per velocity dim
-    surf_stream: List[Dict[Tuple[str, str], TermSet]]
-    surf_accel: List[Dict[Tuple[str, str], TermSet]]
-    # the same surface terms factored through the face modes (what the
-    # solvers apply; surf_* stay as the paper's Fig. 1/2 cost model)
+    # the surface terms, factored through the face modes (the paper's
+    # four-sided Fig. 1/2 form is kernels.flops.four_sided_kernels)
     face_stream: List[FaceKernels]
     face_accel: List[FaceKernels]
     moments: Dict[str, TermSet]
@@ -166,13 +170,12 @@ class VlasovKernels:
     def num_basis(self) -> int:
         return self.phase_basis.num_basis
 
-    def all_update_termsets(self) -> List[TermSet]:
-        """Every termset participating in a forward-Euler update (for
-        FLOP/nnz accounting)."""
+    def termsets(self) -> List[TermSet]:
+        """Every termset the bundle holds (for nnz accounting)."""
         out = list(self.vol_stream) + list(self.vol_accel)
-        for d in self.surf_stream + self.surf_accel:
-            out.extend(d.values())
-        return out
+        for fk in self.face_stream + self.face_accel:
+            out.extend([fk.trace["L"], fk.trace["R"], fk.flux])
+        return out + [self.moments[name] for name in sorted(self.moments)]
 
 
 def build_vlasov_kernels(
@@ -183,17 +186,15 @@ def build_vlasov_kernels(
     pdim = cdim + vdim
     phase_basis = ModalBasis(pdim, poly_order, family)
     cfg_basis = ModalBasis(cdim, poly_order, family)
-    vol_stream, surf_stream, face_stream = [], [], []
+    vol_stream, face_stream = [], []
     for j in range(cdim):
         flux = streaming_flux(cdim, vdim, j)
         vol_stream.append(generate_volume_termset(phase_basis, flux))
-        surf_stream.append(generate_surface_termsets(phase_basis, flux))
         face_stream.append(generate_face_termsets(phase_basis, flux))
-    vol_accel, surf_accel, face_accel = [], [], []
+    vol_accel, face_accel = [], []
     for j in range(vdim):
         flux = acceleration_flux(cfg_basis, cdim, vdim, j)
         vol_accel.append(generate_volume_termset(phase_basis, flux))
-        surf_accel.append(generate_surface_termsets(phase_basis, flux))
         face_accel.append(generate_face_termsets(phase_basis, flux))
     moments = {}
     names = ["M0", "M2"] + [f"M1{'xyz'[d]}" for d in range(vdim)]
@@ -210,8 +211,6 @@ def build_vlasov_kernels(
         cfg_basis=cfg_basis,
         vol_stream=vol_stream,
         vol_accel=vol_accel,
-        surf_stream=surf_stream,
-        surf_accel=surf_accel,
         face_stream=face_stream,
         face_accel=face_accel,
         moments=moments,

@@ -87,6 +87,7 @@ from ..kernels.generator import FACE_SIGN
 from ..kernels.grouped import GroupedOperator
 from ..kernels.registry import get_vlasov_kernels
 from ..kernels.termset import merge_termsets, stack_termsets
+from ..kernels.vlasov import _CROSS
 
 __all__ = ["VlasovModalSolver"]
 
@@ -378,7 +379,7 @@ class VlasovModalSolver:
         for j in range(g.vdim):
             e_mag = float(np.max(np.abs(em[..., j, 0]))) * phi0
             accel = e_mag
-            for vj, bk, _sign in _CROSS_COMPONENTS[j]:
+            for vj, bk, _sign in _CROSS[j]:
                 if vj >= g.vdim:
                     continue
                 b_mag = float(np.max(np.abs(em[..., 3 + bk, 0]))) * phi0
@@ -386,13 +387,6 @@ class VlasovModalSolver:
             dv = g.dx[g.cdim + j]
             freq += (2 * p + 1) * qm * accel / dv
         return freq
-
-
-_CROSS_COMPONENTS = {
-    0: ((1, 2, +1.0), (2, 1, -1.0)),
-    1: ((2, 0, +1.0), (0, 2, -1.0)),
-    2: ((0, 1, +1.0), (1, 0, -1.0)),
-}
 
 
 def _axis_slice(ndim: int, axis: int, sl: slice):

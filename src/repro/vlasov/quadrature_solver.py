@@ -34,14 +34,9 @@ from ..engine.layout import StateLayout, insert_basis_axis
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.flops import alias_free_quadrature_points_1d
+from .modal_solver import _axis_slice
 
 __all__ = ["VlasovQuadratureSolver"]
-
-
-def _axis_slice(ndim: int, axis: int, sl: slice):
-    out = [slice(None)] * ndim
-    out[axis] = sl
-    return tuple(out)
 
 
 class VlasovQuadratureSolver:

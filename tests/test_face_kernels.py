@@ -10,7 +10,14 @@ The flux factor runs through ``ExecutionPlan.apply_faces`` (gather two trace
 slots, ``Nf x Nf`` flux, scatter to both slots): the compiled ``face_flux``
 must equal the numpy reference byte for byte and touch nothing but the
 direction's slots.
+
+No module of the package applies the side kernels: they are generated on
+demand as the Fig. 1/2 cost model (``kernels.flops.four_sided_kernels``),
+and a guard below keeps it that way.
 """
+
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +31,7 @@ from repro.dist.blocks import BlockGrid
 from repro.engine import FaceMap, compiler_config
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import get_vlasov_kernels
-from repro.kernels.flops import modal_update_multiplications
+from repro.kernels.flops import four_sided_kernels, modal_update_multiplications
 from repro.kernels.generator import (
     FACE_SIGN,
     FluxSpec,
@@ -35,6 +42,7 @@ from repro.kernels.generator import (
 from repro.vlasov.modal_solver import VlasovModalSolver
 from test_generator_exact import _assert_matches, _legendre_product, _reference
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 BUNDLES = [
     (1, 1, 1, "serendipity"),
     (1, 1, 2, "serendipity"),
@@ -73,22 +81,27 @@ def _side_kernel_from_factors(face, test_side, state_side):
     return out
 
 
+def _assert_side_kernel(face, test_side, state_side, termset):
+    want = _by_slot(termset)
+    got = _side_kernel_from_factors(face, test_side, state_side)
+    assert set(got) == set(want)
+    for sym in want:
+        assert set(got[sym]) == set(want[sym])  # same sparsity pattern
+        for slot, value in want[sym].items():
+            assert abs(got[sym][slot] - value) <= ULP4 * abs(value)
+
+
 @pytest.mark.parametrize("key", BUNDLES, ids=str)
 def test_face_factors_reproduce_the_side_kernels(key):
     k = get_vlasov_kernels(*key)
     nf = len(multi_indices(k.cdim + k.vdim - 1, k.poly_order, k.family))
-    pairs = list(zip(k.face_stream, k.surf_stream)) + list(zip(k.face_accel, k.surf_accel))
+    stream, accel = four_sided_kernels(k)
+    pairs = list(zip(k.face_stream, stream)) + list(zip(k.face_accel, accel))
     assert [face.dim for face, _ in pairs] == list(range(k.cdim + k.vdim))
     for face, sides in pairs:
         assert (face.flux.nout, face.flux.nin) == (nf, nf)
         for (test_side, state_side), termset in sides.items():
-            want = _by_slot(termset)
-            got = _side_kernel_from_factors(face, test_side, state_side)
-            assert set(got) == set(want)
-            for sym in want:
-                assert set(got[sym]) == set(want[sym])  # same sparsity pattern
-                for slot, value in want[sym].items():
-                    assert abs(got[sym][slot] - value) <= ULP4 * abs(value)
+            _assert_side_kernel(face, test_side, state_side, termset)
 
 
 @pytest.mark.parametrize("key", BUNDLES, ids=str)
@@ -105,7 +118,7 @@ def face_cases(draw):
     family = draw(st.sampled_from(FAMILIES))
     poly_order = draw(st.integers(0, 2))
     dim = draw(st.integers(0, ndim - 1))
-    expo = st.tuples(*[st.just(0) if k == dim else st.integers(0, 3) for k in range(ndim)])
+    expo = st.tuples(*[st.integers(0, 3)] * ndim)
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     poly = st.dictionaries(expo, coeff, min_size=0, max_size=3).map(lambda d: Poly(ndim, d))
     scale = st.sampled_from([1.0, -1.0, 2.0, 0.7071067811865476, -1.5811388300841898])
@@ -130,7 +143,7 @@ def test_face_generator_matches_brute_force(case):
         face.flux,
         _reference(
             terms, (f"rdx{dim}",), polys, polys, norms, norms,
-            restrict=lambda poly: poly.drop_var(dim),
+            restrict=lambda poly: poly.substitute_value(dim, 1).drop_var(dim),
         ),
     )
     for side, sign in (("L", 1), ("R", -1)):
@@ -142,12 +155,37 @@ def test_face_generator_matches_brute_force(case):
         assert _by_slot(face.trace[side]) == {(): want}
 
 
-def test_flux_depending_on_the_normal_coordinate_is_rejected():
-    basis = ModalBasis(2, 1, "serendipity")
-    flux = FluxSpec(dim=1, terms=(FluxTerm(sym=("a",), poly=Poly.variable(2, 1)),))
-    generate_surface_termsets(basis, flux)  # the four-sided form has no such limit
-    with pytest.raises(ValueError, match="xi_1"):
-        generate_face_termsets(basis, flux)
+def test_flux_depending_on_the_normal_coordinate_is_taken_from_the_lower_cell():
+    """A flux depending on ``xi_dim`` (the LBO drag ``nu (u - v)``) enters
+    the face kernels at ``xi_dim = +1``, the face as the cell below it sees
+    it: the factors are those of the substituted flux, and they reproduce
+    the side kernels whose state is the lower cell's."""
+    basis = ModalBasis(2, 2, "serendipity")
+    poly = Poly(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 2): -3, (2, 1): Fraction(2, 3)})
+
+    def flux(poly):
+        return FluxSpec(dim=1, terms=(FluxTerm(sym=("a",), poly=poly, scale=0.5),))
+
+    face = generate_face_termsets(basis, flux(poly))
+    at_face = generate_face_termsets(basis, flux(poly.substitute_value(1, 1)))
+    assert _by_slot(face.flux) == _by_slot(at_face.flux)
+    assert all(_by_slot(face.trace[s]) == _by_slot(at_face.trace[s]) for s in "LR")
+    sides = generate_surface_termsets(basis, flux(poly))
+    for test_side in "LR":
+        _assert_side_kernel(face, test_side, "L", sides[(test_side, "L")])
+
+
+def test_four_sided_kernels_have_no_runtime_caller():
+    """Only their generator and the cost model name the side kernels' generator:
+    every solver runs the face-mode factors."""
+    allowed = {"kernels/generator.py", "kernels/flops.py"}
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() not in allowed
+        and "generate_surface_termsets" in path.read_text()
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("vel_cells", [(6,), (5, 4)], ids=["1x1v", "1x2v"])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.layout import phase_to_cell_major, phase_to_mode_major
 from repro.grid import Grid, PhaseGrid
-from repro.kernels import get_vlasov_kernels
+from repro.kernels import four_sided_kernels, get_vlasov_kernels
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import TermSet
 
@@ -35,8 +35,8 @@ def test_grouped_matches_sparse(setup, which):
     ts = {
         "vol0": bundle.vol_accel[0],
         "vol1": bundle.vol_accel[1],
-        "surfLL": bundle.surf_accel[0][("L", "L")],
-        "surfRL": bundle.surf_accel[1][("R", "L")],
+        "surfLL": four_sided_kernels(bundle)[1][0][("L", "L")],
+        "surfRL": four_sided_kernels(bundle)[1][1][("R", "L")],
     }[which]
     out_sparse = np.zeros_like(f)
     ts.apply(f, aux, out_sparse)
@@ -65,7 +65,7 @@ def test_grouped_on_sliced_cells(setup):
     """Surface applications pass face subsets; the grouped plan is shape
     independent and must broadcast the sliced aux correctly."""
     pg, bundle, aux, f = setup
-    ts = bundle.surf_accel[0][("L", "R")]
+    ts = four_sided_kernels(bundle)[1][0][("L", "R")]
     op = GroupedOperator(ts, pg.cdim, pg.vdim)
     f_sub = np.ascontiguousarray(f[:, :, 1:, :])
     out_a = np.zeros_like(f_sub)

@@ -15,7 +15,7 @@ import pytest
 from repro.collisions import LBOCollisions
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import get_vlasov_kernels, registry, registry_stats
-from repro.kernels.flops import modal_update_multiplications
+from repro.kernels.flops import four_sided_kernels, modal_update_multiplications
 
 _SIDES = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
 
@@ -34,8 +34,11 @@ def termsets_digest(termsets) -> str:
 
 
 def bundle_termsets(k):
+    """Volume, four-sided surface (the Fig. 1 form, generated on demand) and
+    moment kernels — the digest pinned since the bundle held all three."""
     out = list(k.vol_stream) + list(k.vol_accel)
-    for sides in k.surf_stream + k.surf_accel:
+    stream, accel = four_sided_kernels(k)
+    for sides in stream + accel:
         out.extend(sides[s] for s in _SIDES)
     out.extend(k.moments[name] for name in sorted(k.moments))
     return out
@@ -49,9 +52,14 @@ def face_termsets(k):
 
 
 def lbo_termsets(lbo):
-    ops = list(lbo._drag_vol) + list(lbo._unit_vol)
-    for sides in lbo._drag_surf + lbo._unit_surf:
-        ops.extend(sides[s] for s in _SIDES)
+    """Per velocity direction the (volume, trace, flux) operators of the
+    drag, LDG gradient and LDG divergence passes and the lift, then the
+    weak multiplication by ``vtsq``."""
+    ops = []
+    for passes, lift in zip(lbo._passes, lbo._lift):
+        for name in ("drag", "grad", "div"):
+            ops.extend(passes[name])
+        ops.append(lift)
     ops.append(lbo._vtsq_mult)
     return [op.termset for op in ops]
 
@@ -74,8 +82,12 @@ GOLDEN_FACES = {
     (2, 2, 1, "serendipity"): "07f92e8ac642d68080a13d07e65428144afeea74ed5de5c8d1c3aafd14a84e1f",
     (2, 2, 2, "serendipity"): "2984b97b41e5f3c647d8178b6435ff9eae18f183fdaaa73ecbb35361ec12a3da",
 }
-GOLDEN_LBO_1X1V_P2 = "b1ee8cd6870d1a9af1527fddc433d18ed0c3eff7e218a409262ce9872d00d197"
-GOLDEN_2X2V_P2_NNZ = 34464
+# the LBO's operators since its velocity faces run trace -> flux -> lift
+GOLDEN_LBO_1X1V_P2 = "de53a471b14b00d8d62e4bcf4b181050cff226320fc7b3a95813984eb45fc0f9"
+# exact non-zeros of every termset a 2X2V p=2 bundle holds: volume, face
+# trace and face flux, moment kernels (34 464 while the bundle also held the
+# four-sided surface kernels, which the cost model now generates on demand)
+GOLDEN_2X2V_P2_NNZ = 3792
 GOLDEN_2X2V_P2_MULTS = 69588
 
 

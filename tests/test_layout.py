@@ -6,8 +6,8 @@ The cell-major layout is held to three contracts:
    reference evaluator ``TermSet.apply_cm`` over randomized termsets, and the
    face-space solver reproduces the four-sided form of the whole right-hand
    side (the paper's Fig. 1 update: volume kernels plus the
-   ``kernels.surf_stream`` / ``kernels.surf_accel`` termsets of both cells at
-   every face, assembled below through ``TermSet.apply_cm``);
+   ``kernels.flops.four_sided_kernels`` termsets of both cells at every face,
+   assembled below through ``TermSet.apply_cm``);
 2. **Copy-freedom** — the steady-state RHS performs no layout-normalizing
    copy of full phase-space state (asserted via ``ScratchPool.copy_debug``);
 3. **Halo invariant** — the sharded halo traffic still matches the Fig. 3
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.engine import ScratchPool, StateLayout
 from repro.engine.layout import insert_basis_axis, phase_to_cell_major, phase_to_mode_major
 from repro.grid import Grid, PhaseGrid
+from repro.kernels.flops import four_sided_kernels
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import TermSet
 from repro.vlasov.modal_solver import VlasovModalSolver
@@ -108,12 +109,13 @@ def test_plan_matches_termset_apply_cm(seed, cdim, vdim):
 def _four_sided_rhs(solver, f, em):
     """The whole Vlasov right-hand side in the four-sided form of the paper's
     Fig. 1: every volume kernel, then at every face the surface kernels of
-    both adjacent cells — ``kernels.surf_*[d][(cell updated, cell read)]`` —
-    on the numerical-flux state.  That state is upwinded with the solver's
+    both adjacent cells — ``four_sided_kernels(kernels)[..][d][(cell updated,
+    cell read)]`` — on the numerical-flux state.  That state is upwinded with the solver's
     weights in configuration space (periodic) and averaged in velocity space
     (zero flux through the velocity boundary)."""
     cdim, vdim = solver.grid.cdim, solver.grid.vdim
     kern, aux = solver.kernels, solver.field_aux(em)
+    surf_stream, surf_accel = four_sided_kernels(kern)
 
     def faces(sides, f_left, f_right):
         inc = {"L": np.zeros_like(f_left), "R": np.zeros_like(f_left)}
@@ -127,14 +129,14 @@ def _four_sided_rhs(solver, f, em):
     for d in range(cdim):  # face between cell i ("L") and cell i + 1 ("R")
         pos = insert_basis_axis(solver._upwind_pos[d], cdim)
         inc_left, inc_right = faces(
-            kern.surf_stream[d], f * pos, np.roll(f, -1, axis=d) * (1.0 - pos)
+            surf_stream[d], f * pos, np.roll(f, -1, axis=d) * (1.0 - pos)
         )
         out += inc_left + np.roll(inc_right, 1, axis=d)
     for d in range(vdim):
         axis = cdim + 1 + d
         lo = (slice(None),) * axis + (slice(0, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
-        inc_left, inc_right = faces(kern.surf_accel[d], 0.5 * f[lo], 0.5 * f[hi])
+        inc_left, inc_right = faces(surf_accel[d], 0.5 * f[lo], 0.5 * f[hi])
         out[lo] += inc_left
         out[hi] += inc_right
     return out

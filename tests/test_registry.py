@@ -4,7 +4,7 @@ import sys
 import threading
 import time
 
-from repro.kernels import get_vlasov_kernels, registry, registry_stats
+from repro.kernels import four_sided_kernels, get_vlasov_kernels, registry, registry_stats
 
 
 def test_registry_returns_same_object():
@@ -80,8 +80,11 @@ def test_bundle_contents_complete():
     k = get_vlasov_kernels(2, 2, 1, "serendipity")
     assert len(k.vol_stream) == 2
     assert len(k.vol_accel) == 2
-    assert len(k.surf_stream) == 2 and len(k.surf_accel) == 2
-    for sides in k.surf_stream + k.surf_accel:
-        assert set(sides) == {("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")}
+    assert len(k.face_stream) == 2 and len(k.face_accel) == 2
     assert {"M0", "M1x", "M1y", "M2"} <= set(k.moments)
-    assert k.all_update_termsets()  # non-empty accounting list
+    assert k.termsets()  # non-empty accounting list
+    # the four-sided form is generated on demand
+    stream, accel = four_sided_kernels(k)
+    assert len(stream) == 2 and len(accel) == 2
+    for sides in stream + accel:
+        assert set(sides) == {("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")}

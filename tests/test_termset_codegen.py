@@ -7,7 +7,7 @@ import pytest
 
 from repro.cas.codegen import compile_kernel, count_multiplications, emit_kernel_source
 from repro.grid import Grid, PhaseGrid
-from repro.kernels import get_vlasov_kernels
+from repro.kernels import four_sided_kernels, get_vlasov_kernels
 from repro.kernels.termset import TermSet
 
 
@@ -34,9 +34,9 @@ def test_unrolled_source_matches_termset(bundle_1x2v, rng):
     pg = PhaseGrid(Grid([0.0], [1.0], [3]), Grid([-2, -2], [2, 2], [4, 4]))
     aux = _aux_for(pg, rng, bundle_1x2v.cfg_basis.num_basis)
     f = rng.standard_normal((bundle_1x2v.num_basis,) + pg.cells)
+    surf_stream, surf_accel = four_sided_kernels(bundle_1x2v)
     for ts in [bundle_1x2v.vol_stream[0], bundle_1x2v.vol_accel[0],
-               bundle_1x2v.surf_stream[0][("L", "L")],
-               bundle_1x2v.surf_accel[1][("R", "R")]]:
+               surf_stream[0][("L", "L")], surf_accel[1][("R", "R")]]:
         out_ts = np.zeros_like(f)
         ts.apply(f, aux, out_ts)
         kern = compile_kernel("k", ts)
@@ -139,7 +139,7 @@ def test_array_construction_matches_triple_built_csr_bits(bundle_1x2v):
     triples and csr bits of the per-entry Python construction."""
     from repro.kernels.termset import merge_termsets, stack_termsets
 
-    sides = bundle_1x2v.surf_accel[0]
+    sides = four_sided_kernels(bundle_1x2v)[1][0]
     for ts in (bundle_1x2v.vol_accel[1], sides[("L", "R")], bundle_1x2v.moments["M2"]):
         entries = ts.entries_by_symbol()
         _assert_same_csr_bits(ts, entries)
