@@ -20,8 +20,8 @@ products pulled out.  This module does the same in Python, at two levels:
   (state in, state out), ``face_flux`` (the same groups across the faces of
   one direction: two trace slots in, both overwritten with the flux) and
   ``cell_rhs`` (a :class:`~repro.engine.program.CellProgram`: per
-  configuration cell, acceleration trace → flux → lift in a cell-local
-  block, volume and streaming lift, optionally the Shu–Osher stage).  Its
+  configuration cell, a table of sweeps and velocity-face fluxes on
+  cell-local blocks, optionally the Shu–Osher stage).  Its
   source is a constant — shapes, the ``accumulate`` flag, the group and face
   tables are arguments — so nothing is emitted per plan:
   :func:`compile_fused_sweep` shells out to the system C compiler once per
@@ -274,34 +274,35 @@ def select_tier(tier: str = "auto") -> str:
 #: slots are its own two source slots and no slot belongs to two faces,
 #: each face owns its two slots and ``dst`` may be ``src``.
 #:
-#: ``cell_rhs(f, held, out, ncfg, np, nvel, prog, stream, block, accel, taus,
-#: staged, sa, sb, dt, u0, target)`` is the modal Vlasov right-hand side as
-#: one program per configuration cell, over the loop bodies of the other two
+#: ``cell_rhs(f, held, out, ncfg, np, nvel, stream, ns, block, nins, ins,
+#: consts, penalize, staged, sa, sb, dt, u0, target)`` runs a
+#: :class:`~repro.engine.program.CellProgram`: one instruction table per
+#: configuration cell, over the loop bodies of the other two entry points
 #: (``sweep_span``, ``face_span``).  ``f`` is the cell-major state handed in
 #: (``held[c]`` its index of own cell ``c``, or no table: ``c``), ``stream``
 #: the ``(ncfg, ns, nvel)`` buffer already holding the *streaming* face
-#: fluxes of every own cell, ``block`` an ``(na, nvel)`` scratch.  ``prog``
-#: is 12 int64: group count and group-table address of the volume operator
-#: ``[0:2]``, ``ns`` and the streaming lift ``[2:5]``, ``na`` and the
-#: acceleration trace ``[5:8]``, the acceleration lift ``[8:10]``, ``nf``
-#: and the number of acceleration directions ``[10:12]``; ``accel`` has one
-#: 7-int64 row per acceleration direction (upper and lower slot row in the
-#: block, ``shift``, ``extent``, group count, group-table address,
-#: ``penalize``) and ``taus`` its penalty factors.  Per cell ``c``:
+#: fluxes of every own cell, ``block`` a ``(rows, nvel)`` scratch.  ``ins``
+#: is ``nins`` rows of 9 int64, run in order on every cell ``c``; a block
+#: is named by a row of ``block`` (``>= 0``) or by ``-1`` / ``-2`` / ``-3``:
+#: ``f[c]``, ``stream[c]``, the output cell (neither of the first two is
+#: written):
 #:
-#: 1. sweep the acceleration traces of ``f[c]`` into ``block``;
-#: 2. run ``face_span`` on the block, in place, for each acceleration
-#:    direction — ``face_flux`` on a one-cell trace buffer;
-#: 3. sweep the volume groups of ``f[c]`` into the output cell from
-#:    ``+0.0``, then accumulate the streaming lift of ``stream[c]`` and the
-#:    acceleration lift of ``block`` — per output element the entry sequence
-#:    of the three state-sized passes ``fused_sweep`` would make (a store and
-#:    a reload between them change no bits);
-#: 4. ``staged == 0``: the output cell is ``out[c]``.  Otherwise ``out`` is
-#:    one ``(np, nvel)`` cell of scratch holding ``L`` and the Shu–Osher
-#:    stage is applied on the way out, in the association of
-#:    ``repro.timestepping.ssprk``: ``target[c] = f[c] + L * dt`` (``staged
-#:    == 1``) or ``target[c] = (f[c] + L * dt) * sb + u0[c] * sa``.
+#: * ``0`` *sweep* ``src, dst, accumulate, nout, ngroups, groups`` — the
+#:   group table over the cell, ``fused_sweep`` on one configuration cell;
+#: * ``1`` *faces* ``up, dn, nf, shift, extent, ngroups, groups, tau`` —
+#:   ``face_span`` in place on the trace slots at block rows ``up`` / ``dn``
+#:   (``face_flux`` on a one-cell trace buffer), with the jump penalty
+#:   ``consts[tau]`` when ``penalize`` and ``tau >= 0``;
+#: * ``2`` *scale* ``at, rows, k`` — ``x = x * consts[k]``;
+#: * ``3`` *subtract* ``dst, src, rows`` — ``y = y - x``.
+#:
+#: Per output element this is the float sequence of the same instructions
+#: run as state-sized passes (a store and a reload between two sweeps
+#: change no bits).  Then, ``staged == 0``: the output cell is ``out[c]``.
+#: Otherwise ``out`` is one ``(np, nvel)`` cell of scratch holding ``L``
+#: and the Shu–Osher stage is applied on the way out, in the association of
+#: ``repro.timestepping.ssprk``: ``target[c] = f[c] + L * dt`` (``staged
+#: == 1``) or ``target[c] = (f[c] + L * dt) * sb + u0[c] * sa``.
 #:
 #: *In place:* ``target`` may be ``f`` — the streaming traces, the only
 #: reads that cross configuration cells, were taken before the call, and
@@ -488,7 +489,7 @@ void face_flux(const double* src, double* dst,
 }
 
 /* sweep_span over all nvel velocity cells of one configuration cell, out of
-   line: one copy of the loop nest serves the four sweeps of cell_rhs */
+   line: one copy of the loop nest serves every sweep of cell_rhs */
 static __attribute__((noinline)) void
 sweep_cell(const double* restrict fc, double* restrict yc, int64_t nvel,
            int64_t c, int64_t accumulate, int64_t nout, int64_t ngroups,
@@ -498,34 +499,54 @@ sweep_cell(const double* restrict fc, double* restrict yc, int64_t nvel,
                groups);
 }
 
-#define GROUPS(k) ((const int64_t*)(intptr_t)prog[k])
+/* the block of one cell an instruction names: a row of the scratch block,
+   or the cell of the state / of the streaming fluxes / of the output */
+#define AT(loc) ((loc) >= 0 ? block + (loc) * nvel                          \
+                 : (loc) == -1 ? (double*)fc                                \
+                 : (loc) == -2 ? (double*)sc : yc)
+#define GROUPS(p) ((const int64_t*)(intptr_t)(p))
 
 void cell_rhs(const double* f, const int64_t* restrict held, double* out,
               int64_t ncfg, int64_t np, int64_t nvel,
-              const int64_t* restrict prog, const double* stream,
-              double* block, const int64_t* restrict accel,
-              const double* restrict taus,
+              const double* stream, int64_t ns, double* block,
+              int64_t nins, const int64_t* restrict ins,
+              const double* restrict consts, int64_t penalize,
               int64_t staged, double sa, double sb, double dt,
               const double* u0, double* target)
 {
-    const int64_t nvol = prog[0], ns = prog[2], nlift_s = prog[3],
-                  na = prog[5], ntrace = prog[6], nlift_a = prog[8],
-                  nf = prog[10], naccel = prog[11];
-    int64_t c, j, k;
+    int64_t c, n, k;
     for (c = 0; c < ncfg; ++c) {
         const double* fc = f + (held ? held[c] : c) * np * nvel;
+        const double* sc = stream + c * ns * nvel;
         double* yc = staged ? out : out + c * np * nvel;
-        sweep_cell(fc, block, nvel, c, 0, na, ntrace, GROUPS(7));
-        for (j = 0; j < naccel; ++j) {
-            const int64_t* dir = accel + 7 * j;
-            double* up = block + dir[0] * nvel;
-            double* dn = block + dir[1] * nvel;
-            face_span(up, dn, up, dn, c, nf, nvel, 0, 0, dir[2], dir[3],
-                      dir[4], (const int64_t*)(intptr_t)dir[5], dir[6], taus[j]);
+        for (n = 0; n < nins; ++n) {
+            const int64_t* i = ins + 9 * n;
+            double *y, *x;
+            switch (i[0]) {
+            case 0: /* sweep: src, dst, accumulate, nout, ngroups, groups */
+                sweep_cell(AT(i[1]), AT(i[2]), nvel, c, i[3], i[4], i[5],
+                           GROUPS(i[6]));
+                break;
+            case 1: /* faces: up, dn, nf, shift, extent, ngroups, groups,
+                       penalty factor (-1: none) */
+                y = block + i[1] * nvel;
+                x = block + i[2] * nvel;
+                face_span(y, x, y, x, c, i[3], nvel, 0, 0, i[4], i[5], i[6],
+                          GROUPS(i[7]), penalize && i[8] >= 0,
+                          penalize && i[8] >= 0 ? consts[i[8]] : 0.0);
+                break;
+            case 2: /* scale: at, rows, factor */
+                y = AT(i[1]);
+                for (k = 0; k < i[2] * nvel; ++k)
+                    y[k] = y[k] * consts[i[3]];
+                break;
+            default: /* subtract: dst, src, rows */
+                y = AT(i[1]);
+                x = AT(i[2]);
+                for (k = 0; k < i[3] * nvel; ++k)
+                    y[k] = y[k] - x[k];
+            }
         }
-        sweep_cell(fc, yc, nvel, c, 0, np, nvol, GROUPS(1));
-        sweep_cell(stream + c * ns * nvel, yc, nvel, c, 1, np, nlift_s, GROUPS(4));
-        sweep_cell(block, yc, nvel, c, 1, np, nlift_a, GROUPS(9));
         if (staged) {
             const double* uc = u0 + c * np * nvel;
             double* tc = target + c * np * nvel;
@@ -562,8 +583,10 @@ FACE_FLUX_ARGTYPES = (
 CELL_RHS_ARGTYPES = (
     [ctypes.c_void_p] * 3
     + [ctypes.c_int64] * 3
-    + [ctypes.c_void_p] * 5
+    + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     + [ctypes.c_int64]
+    + [ctypes.c_void_p] * 2
+    + [ctypes.c_int64] * 2
     + [ctypes.c_double] * 3
     + [ctypes.c_void_p] * 2
 )

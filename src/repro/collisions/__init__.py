@@ -3,8 +3,9 @@
 Both are configuration-local.  The LBO's velocity-space terms run on the
 Vlasov acceleration's machinery — generated volume kernels, then trace →
 flux → lift through the velocity faces of each configuration cell — so
-there is one velocity-face path in the package; BGK projects a Maxwellian
-per cell and has no face terms.
+there is one velocity-face path in the package, and a modal species runs
+them inside its cell program; BGK projects a Maxwellian per cell, has no
+face terms, and is added after the solver's ``df/dt``.
 """
 
 from .bgk import BGKCollisions

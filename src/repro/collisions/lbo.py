@@ -16,20 +16,23 @@ diffusion term by a two-pass LDG scheme with alternating one-sided fluxes
 and exact weak multiplication by :math:`v_{th}^2`.
 
 Every pass is a DG advection along one velocity direction and runs the way
-the Vlasov acceleration does (:mod:`repro.vlasov.modal_solver`): the volume
-kernel, then **trace** (each cell's two face traces into the ``2 Nf`` rows
-of a trace buffer) → **flux** (one
-:meth:`~repro.engine.plan.ExecutionPlan.apply_faces` over the velocity
-faces of every configuration cell: the face state is the sum of the two
-traces meeting there, zero on the velocity-domain boundary) → **lift** (the
-face flux back onto both cells).  Per direction the passes share the face
-map and the lift; the numerical flux's weights of the lower / upper cell
-live in the trace operator — (1, 1) for the drag, whose flux operator
-carries the central 1/2, (0, 1) for the LDG gradient, (1, 0) for the LDG
-divergence — and the drag and the unit flux each have a flux operator.  The
+the Vlasov acceleration does: volume, then **trace** (each cell's two face
+traces into a ``2 Nf``-row block) → **flux** (across the velocity faces of
+the configuration cell: the sum of the two traces meeting there, zero on the
+domain boundary) → **lift**.  Per direction the passes share the face map
+and the lift; the numerical flux's weights of the lower / upper cell live in
+the trace operator — (1, 1) for the drag, whose flux operator carries the
+central 1/2, (0, 1) for the LDG gradient, (1, 0) for the divergence.  The
 drag flux depends on ``v_d``, but on a face it is the face velocity, one
 value for both cells, so it factors through the face modes as well
 (:func:`~repro.kernels.generator.generate_face_termsets`).
+
+No velocity face leaves its configuration cell, so after its moments the
+whole operator is a table of cell instructions (:attr:`LBOCollisions.cell_table`)
+that a modal species' solver appends to its cell program
+(:mod:`repro.engine.program`); :meth:`LBOCollisions.refresh` computes the
+moments first, :meth:`LBOCollisions.rhs` runs the table as state-sized
+passes — the reference form, bit for bit the compiled one.
 
 Conservation: density is conserved to machine precision (all interior face
 terms cancel; domain velocity boundaries are zero-flux).  Momentum and
@@ -39,13 +42,14 @@ adds explicit boundary corrections; here the tests bound the residual).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..cas.poly import Poly
 from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
+from ..engine.program import Faces, Scale, Subtract, Sweep, bound_plans, run_passes
 from ..grid.phase import PhaseGrid
 from ..kernels.generator import (
     FACE_SIGN,
@@ -60,7 +64,7 @@ from ..kernels.registry import get_vlasov_kernels
 from ..kernels.termset import TermSet, stack_termsets
 from ..kernels.vlasov import _cfg_poly_unnormalized
 from ..moments.calc import MomentCalculator
-from ..moments.weak_ops import weak_divide
+from ..moments.weak_ops import weak_divide, weak_multiplication_matrix, weak_multiply
 
 __all__ = ["LBOCollisions"]
 
@@ -77,8 +81,9 @@ class LBOCollisions:
     fixed_u, fixed_vtsq:
         Optional frozen primitive moments (cell-major configuration-space
         modal coefficient arrays: ``fixed_u`` is ``(vdim, *cfg, Npc)``,
-        ``fixed_vtsq`` is ``(*cfg, Npc)``).  When omitted they are
-        recomputed from ``f`` every evaluation (self-consistent collisions).
+        ``fixed_vtsq`` is ``(*cfg, Npc)``).  Each one given replaces its
+        counterpart computed from ``f`` every evaluation (self-consistent
+        collisions).
     """
 
     def __init__(
@@ -102,11 +107,11 @@ class LBOCollisions:
         self.fixed_vtsq = fixed_vtsq
         pdim = phase_grid.pdim
         npc = self.cfg_basis.num_basis
-        # One aux dict for the operator's lifetime: the primitive-moment
-        # symbols ``u{j}_{k}`` / ``vtsq_{k}`` are views into ``_prim``, which
-        # every evaluation refreshes in place — the plans see the same value
-        # objects on every apply, so they bind once.
-        self._aux = aux = phase_grid.base_aux()
+        self._moment_names = ("M0",) + tuple(f"M1{'xyz'[j]}" for j in range(vdim)) + ("M2",)
+        #: the symbols the operators read: ``u{j}_{k}`` / ``vtsq_{k}`` are
+        #: views into ``_prim``, which :meth:`refresh` rewrites in place, so
+        #: the plans — a solver's program adopts these values — bind once
+        self.aux = aux = phase_grid.base_aux()
         aux["nu"] = self.nu
         self._prim = np.zeros((vdim + 1, npc) + phase_grid.conf.cells)
         for k in range(npc):
@@ -124,18 +129,25 @@ class LBOCollisions:
             (_cfg_poly_unnormalized(pdim, alpha), self.cfg_basis.norm(k))
             for k, alpha in enumerate(self.cfg_basis.indices)
         ]
+        vtsq_mult = _op(
+            generate_multiply_termset(
+                self.basis,
+                [
+                    FluxTerm(sym=(f"vtsq_{k}",), poly=poly, scale=norm)
+                    for k, (poly, norm) in enumerate(cfg_poly)
+                ],
+            )
+        )
         # Per velocity direction ``j``: the volume, trace and flux operator of
-        # each pass (``drag``, LDG ``grad`` and ``div``), the lift, and the
-        # velocity faces of every configuration cell as slots of one
-        # ``2 Nf``-row trace buffer (upper face, then lower face).
-        self._passes: List[Dict[str, Tuple[GroupedOperator, ...]]] = []
-        self._lift: List[GroupedOperator] = []
-        self._faces: List[FaceMap] = []
+        # each pass (drag, LDG gradient and divergence), the lift, and the
+        # velocity faces of every configuration cell as the two slots of the
+        # ``2 Nf``-row trace block (upper face, then lower face).
         nf = self.kernels.face_accel[0].flux.nout
         cells = phase_grid.conf.cells
-        self._trace_shape = cells + (2 * nf,) + phase_grid.vel.cells
-        table = np.stack([np.arange(int(np.prod(cells)))] * 5, axis=1)
+        trace_shape = cells + (2 * nf,) + phase_grid.vel.cells
+        own = np.stack([np.arange(int(np.prod(cells)))] * 5, axis=1)
         zero = TermSet(nf, self.basis.num_basis, {})
+        drag_table, ldg_table = [], []
         for j in range(vdim):
             dv = cdim + j
             # drag flux alpha_j = nu * (u_j(x) - v_j)
@@ -162,41 +174,40 @@ class LBOCollisions:
                 )
                 for sides in ("LR", "R", "L")
             }
+            lift = _op(
+                stack_termsets([fk.trace[s].scaled(FACE_SIGN[s]) for s in "LR"]).transposed()
+            )
+            faces = FaceMap(own, trace_shape, trace_shape, cdim, slots=(0, nf), nf=nf, vaxis=j)
+
+            def advect(vol, sides, flux, src, dst, accumulate):
+                """One pass along ``j``: volume, then trace -> flux -> lift."""
+                return [Sweep(vol, src, dst, accumulate), Sweep(trace[sides], src, "trace"),
+                        Faces(flux, faces, "trace"), Sweep(lift, "trace", dst, True)]
+
+            # drag: central flux on interior velocity faces, zero-flux
+            # boundaries; diffusion: two-pass LDG, the gradient with the
+            # right-biased flux, the divergence with the left-biased one
+            drag_table += advect(
+                _op(generate_volume_termset(self.basis, drag)), "LR",
+                _op(fk.flux.scaled(0.5)),  # the central flux's 1/2
+                "f", "out", True,
+            )
             unit_vol = _op(generate_volume_termset(self.basis, unit))
             unit_flux = _op(generate_face_termsets(self.basis, unit).flux)
-            self._passes.append(
-                {
-                    "drag": (
-                        _op(generate_volume_termset(self.basis, drag)),
-                        trace["LR"],
-                        _op(fk.flux.scaled(0.5)),  # the central flux's 1/2
-                    ),
-                    "grad": (unit_vol, trace["R"], unit_flux),
-                    "div": (unit_vol, trace["L"], unit_flux),
-                }
-            )
-            self._lift.append(
-                _op(
-                    stack_termsets(
-                        [fk.trace[s].scaled(FACE_SIGN[s]) for s in "LR"]
-                    ).transposed()
-                )
-            )
-            self._faces.append(
-                FaceMap(
-                    table, self._trace_shape, self._trace_shape, cdim,
-                    slots=(0, nf), nf=nf, vaxis=j,
-                )
-            )
-        self._vtsq_mult = _op(
-            generate_multiply_termset(
-                self.basis,
-                [
-                    FluxTerm(sym=(f"vtsq_{k}",), poly=poly, scale=norm)
-                    for k, (poly, norm) in enumerate(cfg_poly)
-                ],
-            )
-        )
+            ldg_table += advect(unit_vol, "R", unit_flux, "f", "grad", False) + [
+                Scale("grad", -1.0),  # weak derivative = -(unit advection RHS)
+                Sweep(vtsq_mult, "grad", "vg"),  # vtsq(x) weakly, alias-free
+                Scale("vg", self.nu),
+            ] + advect(unit_vol, "L", unit_flux, "vg", "grad", False) + [
+                # the divergence, in the gradient's block (dead by then):
+                # out += -(unit advection RHS)(vg) = +d(vg)/dv
+                Subtract("out", "grad"),
+            ]
+        nb = self.basis.num_basis
+        #: ``C[f]`` after the moments, accumulated into ``out``, as a
+        #: :class:`~repro.engine.program.CellProgram` ``tail``: its scratch
+        #: blocks (name -> rows) and its instructions, every drag pass first
+        self.cell_table = ({"trace": 2 * nf, "grad": nb, "vg": nb}, drag_table + ldg_table)
 
     def on_grid(self, phase_grid: PhaseGrid) -> "LBOCollisions":
         """The same operator on another phase grid (collisions are
@@ -212,25 +223,36 @@ class LBOCollisions:
     # ------------------------------------------------------------------ #
     def primitive_moments(self, f: np.ndarray, moments: MomentCalculator):
         """Weak-division primitive moments ``(u, vtsq)`` from ``f``
-        (cell-major: ``u`` is ``(vdim, *cfg, Npc)``, ``vtsq`` ``(*cfg, Npc)``)."""
+        (cell-major: ``u`` is ``(vdim, *cfg, Npc)``, ``vtsq`` ``(*cfg, Npc)``),
+        a frozen one in place of its computed counterpart."""
         if self.fixed_u is not None and self.fixed_vtsq is not None:
             return self.fixed_u, self.fixed_vtsq
         vdim = self.grid.vdim
-        m0 = moments.compute("M0", f)
-        m2 = moments.compute("M2", f)
-        npc = self.cfg_basis.num_basis
-        u = np.zeros((vdim,) + self.grid.conf.cells + (npc,))
-        from ..moments.weak_ops import weak_multiply
-
+        m = moments.stacked(self._moment_names, f)
+        m0, m2 = m[0], m[vdim + 1]
+        a = weak_multiplication_matrix(m0, self.cfg_basis)  # one for every division
+        u = np.zeros((vdim,) + m0.shape)
         u_dot_m1 = np.zeros_like(m0)
         for j in range(vdim):
-            m1 = moments.compute(f"M1{'xyz'[j]}", f)
-            u[j] = weak_divide(m1, m0, self.cfg_basis)
-            u_dot_m1 += weak_multiply(u[j], m1, self.cfg_basis)
-        vtsq = weak_divide((m2 - u_dot_m1) / vdim, m0, self.cfg_basis)
-        return u, vtsq
+            u[j] = weak_divide(m[1 + j], m0, self.cfg_basis, a)
+            u_dot_m1 += weak_multiply(u[j], m[1 + j], self.cfg_basis)
+        vtsq = weak_divide((m2 - u_dot_m1) / vdim, m0, self.cfg_basis, a)
+        return (
+            u if self.fixed_u is None else self.fixed_u,
+            vtsq if self.fixed_vtsq is None else self.fixed_vtsq,
+        )
 
-    # ------------------------------------------------------------------ #
+    def refresh(self, f: np.ndarray, moments: MomentCalculator) -> None:
+        """Set the primitive-moment symbols of :attr:`aux` to those of ``f``
+        (the own cells) — what :attr:`cell_table` reads; run it before the
+        table, whose stage may overwrite ``f``."""
+        u, vtsq = self.primitive_moments(f, moments)
+        cdim, vdim = self.grid.cdim, self.grid.vdim
+        cells = tuple(range(cdim))
+        # the coefficient axis ahead of the configuration cells
+        self._prim[:vdim] = u.transpose((0, cdim + 1) + tuple(c + 1 for c in cells))
+        self._prim[vdim] = vtsq.transpose((cdim,) + cells)
+
     def rhs(
         self,
         f: np.ndarray,
@@ -238,47 +260,22 @@ class LBOCollisions:
         out: Optional[np.ndarray] = None,
         accumulate: bool = False,
     ) -> np.ndarray:
-        """Evaluate (or accumulate) ``C[f]``."""
+        """Evaluate (or accumulate) ``C[f]``: :attr:`cell_table` as
+        state-sized passes."""
         if out is None:
             out = np.zeros_like(f)
-            accumulate = True  # freshly zeroed
         elif not accumulate:
             out.fill(0.0)
+        self.refresh(f, moments)
         g = self.grid
-        u, vtsq = self.primitive_moments(f, moments)
-        aux = self._aux
-        self._prim[: g.vdim] = np.moveaxis(u, -1, 1)
-        self._prim[g.vdim] = np.moveaxis(vtsq, -1, 0)
-
-        # drag: central flux on interior velocity faces, zero-flux boundaries
-        for j in range(g.vdim):
-            self._advect(f, out, j, "drag")
-        # diffusion: two-pass LDG; grad uses right-biased flux, div left-biased
-        for j in range(g.vdim):
-            grad = self.pool.get("lbo.grad", f.shape)
-            self._advect(f, grad, j, "grad", accumulate=False)
-            grad *= -1.0  # weak derivative = -(unit advection RHS)
-            # multiply by vtsq(x) weakly (alias-free projection)
-            vg = self.pool.get("lbo.vg", f.shape)
-            self._vtsq_mult.apply(grad, aux, vg, accumulate=False)
-            vg *= self.nu
-            div = self.pool.get("lbo.div", f.shape)
-            self._advect(vg, div, j, "div", accumulate=False)
-            out -= div  # out += -(unit advection RHS)(vg) = +d(vg)/dv
+        blocks, table = self.cell_table
+        arrays = {"f": f, "out": out}
+        for name, rows in blocks.items():
+            arrays[name] = self.pool.get(f"program.{name}", g.conf.cells + (rows,) + g.vel.cells)
+        cells = g.conf.cells + g.vel.cells
+        plans = bound_plans([(getattr(ins, "op", None), cells) for ins in table], self.aux)
+        run_passes(table, plans, arrays, self.aux)
         return out
-
-    def _advect(
-        self, f: np.ndarray, out: np.ndarray, j: int, name: str, accumulate: bool = True
-    ) -> None:
-        """One DG advection pass along velocity direction ``j`` into ``out``:
-        volume, then trace -> flux -> lift through the velocity faces."""
-        vol, trace, flux = self._passes[j][name]
-        aux = self._aux
-        g = self.pool.get("lbo.trace", self._trace_shape)
-        vol.apply(f, aux, out, accumulate)
-        trace.apply(f, aux, g, accumulate=False)
-        flux.apply_faces(g, g, self._faces[j], aux)
-        self._lift[j].apply(g, aux, out)
 
     def max_frequency(self, f: np.ndarray, moments: MomentCalculator) -> float:
         """CFL estimate: drag ``nu (2p+1) vmax/dv`` plus parabolic diffusion

@@ -19,9 +19,10 @@ and for all layers:
   trace-buffer slots meeting at each face of one phase direction, which
   ``ExecutionPlan.apply_faces`` runs a flux plan across;
 * :mod:`~repro.engine.program` holds the :class:`CellProgram`, one species'
-  volume + trace + flux + lift plans run as one program per configuration
-  cell (streaming faces over the whole grid first), optionally finishing
-  each cell with a Shu–Osher :class:`Stage`;
+  volume + trace + flux + lift plans — and a collision operator's, appended
+  to its instruction table — run as one program per configuration cell
+  (streaming faces over the whole grid first), optionally finishing each
+  cell with a Shu–Osher :class:`Stage`;
 * :mod:`~repro.engine.compile` is the seam every plan is built through:
   compile or hydrate from the content-addressed disk cache
   (:mod:`~repro.engine.plancache`), under one process-wide configuration;

@@ -3,29 +3,40 @@
 The surface terms run trace → flux → lift in the face-mode space
 (:mod:`repro.engine.faces`).  Only the *streaming* faces join different
 configuration cells; an acceleration face joins two velocity cells of one
-configuration cell.  A :class:`CellProgram` is built from the solver's
-compiled plans — their group tables and :class:`~repro.engine.faces.FaceMap`
-tables, nothing new is generated — and runs them in two phases:
+configuration cell, and so does every face of a velocity-space collision
+operator (the LBO's drag and LDG passes).  A :class:`CellProgram` is built
+from compiled plans — their group tables and
+:class:`~repro.engine.faces.FaceMap` tables, nothing new is generated — and
+runs them in two phases:
 
 1. **streaming, whole grid:** sweep the ``2 cdim Nf`` streaming trace rows of
    every cell handed in (ghost cells included) into a buffer of that width
    and run the streaming face fluxes on it;
-2. **per configuration cell** ``c``: sweep the ``2 vdim Nf`` acceleration
-   traces of ``f[c]`` into a cell-local ``(2 vdim Nf, nvel)`` block, run
-   the acceleration face fluxes in place on it, then form ``L[c]`` row by
-   row — volume entries, streaming-lift entries (from phase 1's buffer),
-   acceleration-lift entries (from the block) — and, when a
-   :class:`Stage` rides along, apply the Shu–Osher combination
-   ``target[c] = a u0[c] + b (f[c] + dt L[c])`` before moving on, so
-   neither a state-sized acceleration trace nor a state-sized ``L`` exists.
+2. **per configuration cell** ``c``: run the cell's *instruction table* on
+   ``(rows, nvel)`` blocks of one cell — the cell of the state (``"f"``),
+   its streaming face fluxes from phase 1 (``"stream"``), its ``L[c]``
+   (``"out"``) and cell-local scratch blocks — and, when a :class:`Stage`
+   rides along, apply the Shu–Osher combination
+   ``target[c] = a u0[c] + b (f[c] + dt L[c])`` before moving on, so no
+   state-sized ``L`` or velocity-face trace exists.
+
+The table has two kinds of instruction, :class:`Sweep` (a plan from one
+block into another, overwriting or accumulating) and :class:`Faces` (a flux
+plan across the velocity faces of one block's trace slots, in place), and
+the two scalar steps the LDG diffusion needs, :class:`Scale` and
+:class:`Subtract`.  The Vlasov update is one table — acceleration trace →
+flux, volume, streaming lift, acceleration lift — and a collision operator
+appends its own (``tail``); the operator's primitive moments are refreshed
+by its owner before the call, so the in-place stage stays safe.
 
 The compiled form is the ``cell_rhs`` entry point of
-:data:`repro.cas.codegen.FUSED_SWEEP_C`, over the loop bodies of the plans'
-own ``fused_sweep`` / ``face_flux``.  The reference form — the numpy tier,
-and any input the compiled one does not take — is the same plans applied as
-state-sized passes followed by the stage arithmetic in numpy.  Per output
-element both perform the same float operations in the same order, so they
-end in the same bytes; the tier fork stays inside this object.
+:data:`repro.cas.codegen.FUSED_SWEEP_C`, which interprets the table over
+the loop bodies of the plans' own ``fused_sweep`` / ``face_flux``.  The
+reference form — the numpy tier, and any input the compiled one does not
+take — is the same table run as state-sized passes (:func:`run_passes`)
+followed by the stage arithmetic in numpy.  Per output element both perform
+the same float operations in the same order, so they end in the same bytes;
+the tier fork stays inside this object.
 
 One call is one ``plan_apply:<digest12>`` span and one count in the
 ``plan_applies`` / ``plan_apply_ms`` slots, whichever form runs.
@@ -45,7 +56,16 @@ from ..obs.metrics import SLOT as _OBS_SLOT
 from .faces import FaceMap
 from .pool import ScratchPool
 
-__all__ = ["CellProgram", "Stage"]
+__all__ = [
+    "CellProgram",
+    "Faces",
+    "Scale",
+    "Stage",
+    "Subtract",
+    "Sweep",
+    "bound_plans",
+    "run_passes",
+]
 
 _S_PLAN_APPLIES = _OBS_SLOT["plan_applies"]
 _S_PLAN_APPLY_MS = _OBS_SLOT["plan_apply_ms"]
@@ -67,6 +87,87 @@ class Stage(NamedTuple):
     @property
     def combines(self) -> bool:
         return (self.a, self.b) != (0.0, 1.0)
+
+
+# --------------------------------------------------------------------- #
+# the instructions of a cell table; blocks are named: "f" (the cell of the
+# state, read only), "stream" (its streaming face fluxes, read only), "out"
+# (its L), or a scratch block of the program
+class Sweep(NamedTuple):
+    """``dst = op(src)``, or ``dst += op(src)`` with ``accumulate``."""
+
+    op: object
+    src: str
+    dst: str
+    accumulate: bool = False
+
+
+class Faces(NamedTuple):
+    """The ``Nf x Nf`` flux ``op`` across the velocity faces ``faces`` (a
+    :class:`~repro.engine.faces.FaceMap` with ``vaxis``, shaped like the
+    block), in place on the trace slots of ``block``; ``penalty`` indexes
+    the jump-penalty factors of a call (None: never penalized)."""
+
+    op: object
+    faces: FaceMap
+    block: str
+    penalty: Optional[int] = None
+
+
+class Scale(NamedTuple):
+    """``block *= factor``."""
+
+    block: str
+    factor: float
+
+
+class Subtract(NamedTuple):
+    """``dst -= src``."""
+
+    dst: str
+    src: str
+
+
+#: the block rows of a compiled instruction name these cell arrays (scratch
+#: blocks are row offsets >= 0)
+_LOCATION = {"f": -1, "stream": -2, "out": -3}
+_OPCODE = {Sweep: 0, Faces: 1, Scale: 2, Subtract: 3}
+_READ_ONLY = ("f", "stream")
+
+
+def bound_plans(ops: Sequence[Tuple[object, Tuple[int, ...]]], aux) -> List:
+    """The plan of each ``(operator, cell shape)`` for ``aux``, bound to its
+    values (``operator.lookup``: a :class:`~repro.kernels.grouped.GroupedOperator`;
+    None for a None operator)."""
+    plans = []
+    for op, cell_shape in ops:
+        if op is None:
+            plans.append(None)
+            continue
+        plan, trusted = op.lookup(aux, cell_shape)
+        if not trusted:
+            plan._guard(aux)
+        plan._ready(aux)
+        plans.append(plan)
+    return plans
+
+
+def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux, penalties=None) -> None:
+    """The reference form of a cell table: each instruction as one pass over
+    the state-sized ``arrays`` (block name → cell-major array), in table
+    order, with ``plans[i]`` the bound plan of ``table[i]`` (None for the
+    scalar steps) — per element the float operations of ``cell_rhs``."""
+    for ins, plan in zip(table, plans):
+        if type(ins) is Sweep:
+            plan._run(aux, arrays[ins.src], arrays[ins.dst], ins.accumulate)
+        elif type(ins) is Faces:
+            buf = arrays[ins.block]
+            tau = None if penalties is None or ins.penalty is None else penalties[ins.penalty]
+            plan._run_faces(aux, buf, buf, ins.faces, tau)
+        elif type(ins) is Scale:
+            np.multiply(arrays[ins.block], ins.factor, out=arrays[ins.block])
+        else:
+            np.subtract(arrays[ins.dst], arrays[ins.src], out=arrays[ins.dst])
 
 
 def _check_array(name: str, arr, shape) -> None:
@@ -103,6 +204,12 @@ class CellProgram:
     interior:
         Where the own cells sit in the state handed in, one slice per
         configuration axis; None on a whole grid, where the two coincide.
+    tail:
+        ``(blocks, instructions)`` appended to the Vlasov table — a
+        collision operator's terms: its scratch blocks (name → rows) and
+        its :class:`Sweep` / :class:`Faces` / :class:`Scale` /
+        :class:`Subtract` instructions on the own cells.  Its operators read
+        their symbols from the aux handed to :meth:`run`.
     """
 
     def __init__(
@@ -113,6 +220,7 @@ class CellProgram:
         stream: Tuple[object, object, Sequence[Tuple[object, FaceMap]]],
         accel: Tuple[object, object, Sequence[Tuple[object, FaceMap]]],
         interior: Optional[Tuple[slice, ...]] = None,
+        tail: Optional[Tuple[Dict[str, int], Sequence]] = None,
     ):
         self.pool = pool
         self.cdim = cdim = int(cdim)
@@ -124,15 +232,15 @@ class CellProgram:
         first = s_faces[0][1]
         self.nf = nf = first.nf
         self.nvel = first.nvel
-        vel = first.dst_shape[cdim + 1 :]
-        cells, cells_in = first.dst_shape[:cdim], first.src_shape[:cdim]
+        self._vel = vel = first.dst_shape[cdim + 1 :]
+        self._cells = cells = first.dst_shape[:cdim]
+        cells_in = first.src_shape[:cdim]
         self.ncfg = first.dst_cells
         self.ns, self.na = 2 * nf * len(s_faces), 2 * nf * len(a_faces)
         self.own_shape = cells + (npb,) + vel
         self.in_shape = cells_in + (npb,) + vel
         self._stream_shape = cells + (self.ns,) + vel
         self._stream_in_shape = cells_in + (self.ns,) + vel
-        self._accel_shape = cells + (self.na,) + vel
         if not (
             volume.nin == s_trace.nin == a_trace.nin == s_lift.nout == a_lift.nout == npb
             and s_trace.nout == s_lift.nin == self.ns
@@ -144,7 +252,7 @@ class CellProgram:
             )
         for maps, kind, src_shape, dst_shape in (
             (s_faces, "streaming", self._stream_in_shape, self._stream_shape),
-            (a_faces, "acceleration", self._accel_shape, self._accel_shape),
+            (a_faces, "acceleration", self.block_shape(self.na), self.block_shape(self.na)),
         ):
             for q, (_op, fm) in enumerate(maps):
                 if (
@@ -158,14 +266,6 @@ class CellProgram:
                         f"face map {q} of the {kind} directions does not "
                         f"describe slots {2 * q * nf}.. of {src_shape} -> {dst_shape}"
                     )
-        own = np.arange(self.ncfg)
-        for _op, fm in a_faces:
-            # the cell-local block is a one-cell trace buffer: every row of
-            # the map must be the faces of its own configuration cell
-            if not np.array_equal(fm.table, np.repeat(own[:, None], 5, axis=1)):
-                raise ValueError(
-                    "an acceleration face map must name each own cell once, in order"
-                )
         # own cell -> its (flattened) index in the state handed in
         self._interior, self._held = interior, None
         if interior is not None and len(interior) == cdim:
@@ -177,22 +277,100 @@ class CellProgram:
                 f"interior {interior} does not cut the own cells {cells} out "
                 f"of the {cells_in} handed in"
             )
-        # (operator, the cell axes it is applied on), in the order run() binds
-        own_cells, in_cells = cells + vel, cells_in + vel
-        self._ops = (
-            [(volume, own_cells), (s_trace, in_cells), (s_lift, own_cells),
-             (a_trace, own_cells), (a_lift, own_cells)]
-            + [(op, own_cells) for op, _fm in s_faces]
-            + [(op, own_cells) for op, _fm in a_faces]
+        # the cell table: the Vlasov update, then the tail
+        self._npen = len(a_faces)
+        self.rows = {"f": npb, "stream": self.ns, "out": npb, "accel": self.na}
+        table = (
+            [Sweep(a_trace, "f", "accel")]
+            + [Faces(op, fm, "accel", j) for j, (op, fm) in enumerate(a_faces)]
+            + [Sweep(volume, "f", "out"), Sweep(s_lift, "stream", "out", True),
+               Sweep(a_lift, "accel", "out", True)]
         )
+        if tail is not None:
+            blocks, extra = tail
+            for name, rows in blocks.items():
+                if name in self.rows:
+                    raise ValueError(f"the tail's block {name!r} is already a block")
+                self.rows[name] = int(rows)
+            table += list(extra)
+        for ins in table:
+            self._check(ins)
+        self.table = table
+        #: scratch block -> its first row in the cell-local block
+        self._offsets: Dict[str, int] = {}
+        self._block_rows = 0
+        for name, rows in self.rows.items():
+            if name not in _LOCATION:
+                self._offsets[name] = self._block_rows
+                self._block_rows += rows
+        # (operator, the cell axes it is applied on), in the order run()
+        # binds: phase 1, then each distinct operator of the table
+        own_cells, in_cells = cells + vel, cells_in + vel
+        self._ops = [(s_trace, in_cells)] + [(op, own_cells) for op, _fm in s_faces]
         self._s_maps = [fm for _op, fm in s_faces]
-        self._a_maps = [fm for _op, fm in a_faces]
-        self._taus = np.zeros(len(a_faces))
+        self._slot: List[Optional[int]] = []
+        for ins in table:
+            op = getattr(ins, "op", None)
+            if op is None:
+                self._slot.append(None)
+                continue
+            at = next((i for i, (o, _c) in enumerate(self._ops) if o is op), None)
+            if at is None:
+                at = len(self._ops)
+                self._ops.append((op, own_cells))
+            self._slot.append(at)
+        # every symbol the operators read, and the memo of _plans
+        self._names = sorted({n for op, _c in self._ops for n in op._names})
+        self._memo: Optional[tuple] = None
+        # the factors the compiled table reads: jump penalties (one per
+        # acceleration direction, written per call), then the scale factors
+        scales = [ins.factor for ins in table if type(ins) is Scale]
+        self._consts = np.array([0.0] * self._npen + scales, dtype=float)
         self._bound: tuple = ()
         self._call: Optional[tuple] = None
         self.obs_label = "plan_apply"
         #: which form the last call ran (``cc`` / ``numpy``)
         self.tier: Optional[str] = None
+
+    def block_shape(self, rows: int) -> Tuple[int, ...]:
+        """A cell-major array of the own cells with ``rows`` rows per cell."""
+        return self._cells + (int(rows),) + self._vel
+
+    def _check(self, ins) -> None:
+        """Reject an instruction the compiled table would mis-execute."""
+        if type(ins) not in _OPCODE:
+            raise ValueError(f"not a cell instruction: {ins!r}")
+        names = [getattr(ins, k) for k in ("src", "dst", "block") if hasattr(ins, k)]
+        unknown = [name for name in names if name not in self.rows]
+        if unknown:
+            raise ValueError(f"{type(ins).__name__} names no block {unknown[0]!r}")
+        written = ins.block if type(ins) in (Faces, Scale) else ins.dst
+        if written in _READ_ONLY or len(set(names)) != len(names):
+            raise ValueError(f"{type(ins).__name__} writes {written!r} or reads what it writes")
+        if type(ins) is Sweep and (ins.op.nin, ins.op.nout) != (self.rows[ins.src], self.rows[ins.dst]):
+            raise ValueError(
+                f"a {ins.op.nout} x {ins.op.nin} sweep does not map block "
+                f"{ins.src!r} ({self.rows[ins.src]} rows) to {ins.dst!r} ({self.rows[ins.dst]})"
+            )
+        if type(ins) is Subtract and self.rows[ins.src] != self.rows[ins.dst]:
+            raise ValueError("Subtract needs two blocks of equal rows")
+        if type(ins) is Faces:
+            fm, shape = ins.faces, self.block_shape(self.rows[ins.block])
+            own = np.arange(self.ncfg)
+            if (
+                fm.wa is not None
+                or fm.src_shape != shape
+                or fm.dst_shape != shape
+                or not fm.nf == ins.op.nin == ins.op.nout
+                or not np.array_equal(fm.table, np.repeat(own[:, None], 5, axis=1))
+                or ins.penalty not in (None, *range(self._npen))
+            ):
+                # the cell-local block is a one-cell trace buffer: every row
+                # of the map must be the velocity faces of its own cell
+                raise ValueError(
+                    f"face map of {ins.block!r} must name each own cell's "
+                    f"velocity faces once, in order, on {shape}"
+                )
 
     # ------------------------------------------------------------------ #
     def run(
@@ -209,13 +387,7 @@ class CellProgram:
         streaming maps read; ``out`` / ``stage.target`` / ``stage.u0`` are
         the own cells.  ``penalties``: per acceleration direction, the
         factor of the jump penalty added to its flux."""
-        plans = []
-        for op, cell_shape in self._ops:
-            plan, trusted = op.lookup(aux, cell_shape)
-            if not trusted:
-                plan._guard(aux)
-            plan._ready(aux)
-            plans.append(plan)
+        plans = self._plans(aux)
         if stage is None:
             key = (f, out, None, None, *plans)
         else:
@@ -229,6 +401,26 @@ class CellProgram:
             _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
             return res
         return self._run(f, aux, out, penalties, stage, plans)
+
+    def _plans(self, aux) -> List:
+        """:func:`bound_plans` of the operators, without their one lookup
+        each when nothing moved since the last call: the same aux value
+        objects, and every operator's last lookup still this program's (an
+        operator applied with other values since replaced its memo)."""
+        memo = self._memo
+        if memo is not None:
+            vals, seen, plans = memo
+            if all(aux[n] is v for n, v in zip(self._names, vals)) and all(
+                op._fast_vals is s for (op, _c), s in zip(self._ops, seen)
+            ):
+                for plan in plans:
+                    plan._ready(aux)
+                return plans
+        plans = bound_plans(self._ops, aux)
+        self._memo = (
+            [aux[n] for n in self._names], [op._fast_vals for op, _c in self._ops], plans
+        )
+        return plans
 
     def _bind(self, key: tuple, plans: List, stage: Optional[Stage]) -> None:
         """Check everything the compiled program trusts about the arrays of
@@ -286,38 +478,41 @@ class CellProgram:
         return self.pool.get("program.stream_in", self._stream_in_shape), gs
 
     def _split(self, plans: List) -> tuple:
-        """``plans`` (in ``_ops`` order) as volume, streaming trace / lift,
-        acceleration trace / lift, streaming fluxes, acceleration fluxes."""
-        mid = 5 + len(self._s_maps)
-        return (*plans[:5], plans[5:mid], plans[mid:])
+        """``plans`` (in ``_ops`` order) as the streaming trace, the
+        streaming fluxes and the plan of each table instruction."""
+        nflux = len(self._s_maps)
+        table = [None if at is None else plans[at] for at in self._slot]
+        return plans[0], plans[1 : 1 + nflux], table
 
     def _bind_compiled(self, plans, f, out, stage) -> tuple:
-        vol, s_trace, s_lift, a_trace, a_lift, s_flux, a_flux = self._split(plans)
+        s_trace, s_flux, table_plans = self._split(plans)
         gs_in, gs = self._buffers()
         face_calls = [
             (plan._cc_faces, plan._bind_faces(gs_in, gs, fm) + (0, 0.0))
             for plan, fm in zip(s_flux, self._s_maps)
         ]
-        for plan, fm in zip(a_flux, self._a_maps):
-            if plan.cell_shape != fm.cell_shape or not fm.nf == plan.nin == plan.nout:
-                raise ValueError("an acceleration flux plan does not fit its face map")
-        block = self.pool.get("program.block", (self.na, self.nvel))
-
-        def table(plan):
-            return [len(plan._groups), plan._cc_table.ctypes.data]
-
-        prog = np.array(
-            table(vol) + [self.ns] + table(s_lift) + [self.na] + table(a_trace)
-            + table(a_lift) + [self.nf, len(a_flux)],
-            dtype=np.int64,
-        )
-        accel = np.array(
-            [
-                [fm.up, fm.dn, fm.shift, fm.extent, *table(plan), 0]
-                for plan, fm in zip(a_flux, self._a_maps)
-            ],
-            dtype=np.int64,
-        )
+        block = self.pool.get("program.block", (self._block_rows, self.nvel))
+        loc = {**_LOCATION, **self._offsets}
+        rows, scale = [], self._npen
+        for ins, plan in zip(self.table, table_plans):
+            kind = type(ins)
+            if kind is Sweep:
+                row = [loc[ins.src], loc[ins.dst], int(ins.accumulate), plan.nout,
+                       len(plan._groups), plan._cc_table.ctypes.data]
+            elif kind is Faces:
+                fm, at = ins.faces, self._offsets[ins.block]
+                if plan.cell_shape != fm.cell_shape:
+                    raise ValueError("a velocity flux plan does not fit its face map")
+                row = [at + fm.up, at + fm.dn, fm.nf, fm.shift, fm.extent,
+                       len(plan._groups), plan._cc_table.ctypes.data,
+                       -1 if ins.penalty is None else ins.penalty]
+            elif kind is Scale:
+                row = [loc[ins.block], self.rows[ins.block], scale]
+                scale += 1
+            else:
+                row = [loc[ins.dst], loc[ins.src], self.rows[ins.dst]]
+            rows.append([_OPCODE[kind]] + row + [0] * (8 - len(row)))
+        code = np.array(rows, dtype=np.int64)
         if stage is None:
             cell_out, u0, target = out, 0, 0
         else:
@@ -328,13 +523,13 @@ class CellProgram:
             f.ctypes.data,
             0 if self._held is None else self._held.ctypes.data,
             cell_out.ctypes.data, self.ncfg, self.num_basis, self.nvel,
-            prog.ctypes.data, gs.ctypes.data, block.ctypes.data,
-            accel.ctypes.data, self._taus.ctypes.data,
+            gs.ctypes.data, self.ns, block.ctypes.data,
+            len(code), code.ctypes.data, self._consts.ctypes.data,
         )
         trace_call = (f.ctypes.data, gs_in.ctypes.data, 0, *s_trace._cc_tail)
-        # the tables are kept alive beside the addresses taken from them
-        return (s_trace._cc, trace_call, face_calls, vol._cc_cells, head,
-                (u0, target), accel, prog)
+        # the code is kept alive beside the addresses taken from it
+        return (s_trace._cc, trace_call, face_calls, table_plans[0]._cc_cells, head,
+                (u0, target), code)
 
     # ------------------------------------------------------------------ #
     def _run(self, f, aux, out, penalties, stage, plans) -> np.ndarray:
@@ -344,24 +539,24 @@ class CellProgram:
         self.tier = "cc"
         for plan in plans:
             plan._refresh(aux)
-        sweep, trace_call, face_calls, cells, head, tail, accel, _prog = self._call
-        accel[:, 6] = penalties is not None
+        sweep, trace_call, face_calls, cells, head, tail, _code = self._call
         if penalties is not None:
-            self._taus[:] = penalties
+            self._consts[: self._npen] = penalties
+        penalize = penalties is not None
         sweep(*trace_call)
         for faces, call in face_calls:
             faces(*call)
         if stage is None:
-            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0)
+            cells(*head, penalize, 0, 0.0, 0.0, 0.0, 0, 0)
             return out
-        cells(*head, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
+        cells(*head, penalize, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
         return stage.target
 
     def _reference(self, f, aux, out, penalties, stage, plans) -> np.ndarray:
-        """Today's state-sized passes over the same plans, then the stage
-        arithmetic in the association of ``SSPRK3.step_inplace`` — the byte
-        reference of the compiled program."""
-        vol, s_trace, s_lift, a_trace, a_lift, s_flux, a_flux = self._split(plans)
+        """The table as state-sized passes over the same plans, then the
+        stage arithmetic in the association of ``SSPRK3.step_inplace`` —
+        the byte reference of the compiled program."""
+        s_trace, s_flux, table_plans = self._split(plans)
         pool = self.pool
         if out is None:
             out = pool.get("program.k", self.own_shape)
@@ -373,16 +568,13 @@ class CellProgram:
             f_own = pool.get("program.own", self.own_shape)
             np.copyto(f_own, own)
         gs_in, gs = self._buffers()
-        ga = pool.get("program.accel", self._accel_shape)
-        vol._run(aux, f_own, out, False)
         s_trace._run(aux, f, gs_in, False)
-        a_trace._run(aux, f_own, ga, False)
         for plan, fm in zip(s_flux, self._s_maps):
             plan._run_faces(aux, gs_in, gs, fm, None)
-        for j, (plan, fm) in enumerate(zip(a_flux, self._a_maps)):
-            plan._run_faces(aux, ga, ga, fm, None if penalties is None else penalties[j])
-        s_lift._run(aux, gs, out, True)
-        a_lift._run(aux, ga, out, True)
+        arrays = {"f": f_own, "stream": gs, "out": out}
+        for name in self._offsets:
+            arrays[name] = pool.get(f"program.{name}", self.block_shape(self.rows[name]))
+        run_passes(self.table, table_plans, arrays, aux, penalties)
         if stage is None:
             return out
         target = stage.target

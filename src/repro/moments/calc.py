@@ -13,13 +13,15 @@ reduction over velocity cells.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.plan import classify_aux_value
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.grouped import GroupedOperator
+from ..kernels.termset import stack_termsets
 from ..kernels.vlasov import VlasovKernels
 
 __all__ = ["MomentCalculator", "integrate_conf_field"]
@@ -68,6 +70,8 @@ class MomentCalculator:
             name: GroupedOperator(ts, phase_grid.cdim, phase_grid.vdim, pool=self.pool)
             for name, ts in kernels.moments.items()
         }
+        #: names -> [(their indices, the operator of their stacked kernels)]
+        self._stacks: Dict[Tuple[str, ...], List[Tuple[List[int], GroupedOperator]]] = {}
 
     def available(self):
         return sorted(self.kernels.moments)
@@ -91,6 +95,80 @@ class MomentCalculator:
         full = self.pool.get("moments.full", self._full_shape)
         op.apply(f, self._aux, full, accumulate=False)
         return np.sum(full, axis=self._vel_axes, out=out)
+
+    def stacked(self, names: Tuple[str, ...], f: np.ndarray) -> np.ndarray:
+        """Moments ``names`` as ``(len(names), *cfg_cells, Npc)``, each bit
+        for bit what :meth:`compute` returns, from as few sweeps as that
+        allows: one operator of the stacked kernels (one apply, one
+        ``np.sum``) wherever its plan adds up every moment's rows in the
+        order the moment's own plan does — all of ``M0``, ``M1x``, ``M2`` in
+        1V; in 2V and 3V ``M1y`` / ``M1z`` keep sweeps of their own."""
+        runs = self._stacks.get(names)
+        if runs is None:
+            runs = self._stacks[names] = self._stack(names)
+        g, npc = self.grid, self.num_conf_basis
+        out = np.empty((len(names),) + g.conf.cells + (npc,))
+        # (*cfg, moment, Npc) -> (moment, *cfg, Npc)
+        moment_first = (g.cdim,) + tuple(range(g.cdim)) + (g.cdim + 1,)
+        for index, op in runs:
+            full = self.pool.get("moments.full", g.conf.cells + (op.nout,) + g.vel.cells)
+            op.apply(f, self._aux, full, accumulate=False)
+            sums = np.sum(full, axis=self._vel_axes).reshape(g.conf.cells + (len(index), npc))
+            out[index] = sums.transpose(moment_first)
+        return out
+
+    def _stack(self, names: Tuple[str, ...]) -> List[Tuple[List[int], GroupedOperator]]:
+        """``names`` split into runs of stackable kernels (see
+        :meth:`_stackable`), the kernel with the most sweep groups first,
+        each run with the operator of its stacked kernel."""
+        order ={name: self._group_order(self.kernels.moments[name]) for name in names}
+        runs: List[List[int]] = []
+        for i in sorted(range(len(names)), key=lambda i: -len(order[names[i]])):
+            run = next(
+                (run for run in runs if self._stackable([names[j] for j in run + [i]])),
+                None,
+            )
+            if run is None:
+                runs.append([i])
+            else:
+                run.append(i)
+        g = self.grid
+        return [
+            (run, GroupedOperator(
+                stack_termsets([self.kernels.moments[names[i]] for i in run]),
+                g.cdim, g.vdim, pool=self.pool,
+            ))
+            for run in runs
+        ]
+
+    def _stackable(self, names: List[str]) -> bool:
+        """Whether one plan of the stacked kernels adds up each output row
+        as the row's own kernel's plan does: the kernels share no symbol, so
+        a row's entries are its kernel's, and the plan's sweep groups come
+        in every kernel's own group order."""
+        kernels = [self.kernels.moments[name] for name in names]
+        syms = [sym for ts in kernels for sym in ts.entries_by_symbol()]
+        if len(set(syms)) < len(syms):
+            return False
+        whole = self._group_order(stack_termsets(kernels))
+        for ts in kernels:
+            own = self._group_order(ts)
+            if [key for key in whole if key in own] != own:
+                return False
+        return True
+
+    def _group_order(self, termset) -> List[Tuple[bool, Tuple[str, ...]]]:
+        """The sweep groups of ``termset``'s plan, in the order the plan
+        visits them: per symbol (in ``entries_by_symbol`` order) whether it
+        has a configuration factor, and its velocity factors."""
+        g = self.grid
+        order = []
+        for sym in termset.entries_by_symbol():
+            tokens = [classify_aux_value(self._aux[n], g.cdim, g.vdim) for n in sym]
+            key = ("c" in tokens, tuple(sorted(n for n, t in zip(sym, tokens) if t == "v")))
+            if key not in order:
+                order.append(key)
+        return order
 
     def current_density(
         self, f: np.ndarray, charge: float, out: Optional[np.ndarray] = None

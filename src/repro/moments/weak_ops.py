@@ -14,12 +14,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
+
 import numpy as np
 
 from ..basis.modal import ModalBasis
 from ..cas.integrate import legendre_product_integral_1d
 
-__all__ = ["triple_product_tensor", "weak_multiply", "weak_divide"]
+__all__ = [
+    "triple_product_tensor",
+    "weak_multiply",
+    "weak_multiplication_matrix",
+    "weak_divide",
+]
 
 
 @lru_cache(maxsize=None)
@@ -67,16 +74,28 @@ def weak_multiply(a: np.ndarray, b: np.ndarray, basis: ModalBasis) -> np.ndarray
     return np.einsum("lmk,...m,...k->...l", t, a, b)
 
 
-def weak_divide(num: np.ndarray, den: np.ndarray, basis: ModalBasis) -> np.ndarray:
+def weak_multiplication_matrix(den: np.ndarray, basis: ModalBasis) -> np.ndarray:
+    """Per cell the matrix ``A[l, m] = sum_k T_{lmk} den_k`` of
+    ``u -> Proj(den * u)`` (cell-major ``(*cells, Np)`` in,
+    ``(*cells, Np, Np)`` out)."""
+    return np.einsum("lmk,...k->...lm", triple_product_tensor(basis), den)
+
+
+def weak_divide(
+    num: np.ndarray,
+    den: np.ndarray,
+    basis: ModalBasis,
+    matrix: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Weak division: solve ``Proj(den * u) = num`` for ``u`` cell by cell
     (cell-major ``(*cells, Np)`` operands — the per-cell solve batches
-    directly, no transpose).
+    directly, no transpose).  ``matrix``: ``den``'s
+    :func:`weak_multiplication_matrix`, when the caller divides several
+    numerators by one denominator (``den`` is then not read).
 
     Raises ``numpy.linalg.LinAlgError`` if the denominator is (numerically)
     singular in some cell — e.g. a vanishing density.
     """
-    t = triple_product_tensor(basis)
-    # A[..., l, m] = sum_k T_{lmk} den_k  per cell
-    a = np.einsum("lmk,...k->...lm", t, den)
-    sol = np.linalg.solve(a, num[..., None])[..., 0]
-    return sol
+    if matrix is None:
+        matrix = weak_multiplication_matrix(den, basis)
+    return np.linalg.solve(matrix, num[..., None])[..., 0]

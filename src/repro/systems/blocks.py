@@ -68,8 +68,9 @@ class Species:
         Vectorized callable ``f0(x..., v...)`` for the initial condition.
     collisions:
         Optional collision operator with an
-        ``rhs(f, moments, out) -> out`` interface (see
-        :mod:`repro.collisions`).
+        ``rhs(f, moments, out, accumulate) -> out`` interface (see
+        :mod:`repro.collisions`); one that also has a ``cell_table`` (the
+        LBO) runs inside a modal species' cell program.
     """
 
     name: str
@@ -158,11 +159,18 @@ class KineticSpecies:
         self.collisions = decl.collisions
         pg = PhaseGrid(conf_grid, decl.velocity_grid)
         self.phase_grid = pg
+        #: the collision operator's term runs inside the solver's cell
+        #: program (an operator with a cell table — the LBO — on the modal
+        #: scheme); otherwise it is added after the solver's ``df/dt``
+        self.collides_in_program = (
+            scheme == "modal" and getattr(decl.collisions, "cell_table", None) is not None
+        )
         if scheme == "modal":
             from ..vlasov.modal_solver import VlasovModalSolver
 
             self.solver = VlasovModalSolver(
-                pg, poly_order, family, decl.charge, decl.mass, velocity_flux
+                pg, poly_order, family, decl.charge, decl.mass, velocity_flux,
+                collisions=decl.collisions if self.collides_in_program else None,
             )
             kernels = self.solver.kernels
         else:
@@ -174,13 +182,35 @@ class KineticSpecies:
             )
             kernels = get_vlasov_kernels(pg.cdim, pg.vdim, poly_order, family)
         #: the solver can apply a Shu–Osher stage as it forms ``df/dt``
-        #: (``rhs(..., stage=)``) and nothing else accumulates into it
-        self.stages = scheme == "modal" and decl.collisions is None
+        #: (``rhs(..., stage=)``) and nothing outside its program accumulates
+        #: into it: no collision operator, or one riding the program (BGK
+        #: keeps the unstaged path)
+        self.stages = scheme == "modal" and (
+            decl.collisions is None or self.collides_in_program
+        )
         self.moments = MomentCalculator(
             pg, kernels, pool=getattr(self.solver, "pool", None)
         )
         self._basis = ModalBasis(pg.pdim, poly_order, family)
         self._ic_quad_order = ic_quad_order
+
+    def rhs(self, f, own, em, out=None, stage=None) -> np.ndarray:
+        """``df/dt`` of the species, collisions included, into ``out`` — or
+        with ``stage`` (:attr:`stages` species only) that Shu–Osher stage
+        applied in its place.  ``f`` carries the grid's ghost layers, ``own``
+        is the species' state without them (what the collision operator
+        reads; the two are one array on a whole grid)."""
+        coll = self.collisions
+        if self.collides_in_program:
+            # the moments first: the stage may overwrite ``own`` cell by cell
+            coll.refresh(own, self.moments)
+            return self.solver.rhs(f, em, out=out, stage=stage, collide=True)
+        if stage is not None:
+            return self.solver.rhs(f, em, stage=stage)
+        self.solver.rhs(f, em, out=out)
+        if coll is not None:
+            coll.rhs(own, self.moments, out=out, accumulate=True)
+        return out
 
     def project_initial(self) -> np.ndarray:
         """Project the declared initial condition onto the DG basis."""

@@ -268,15 +268,12 @@ class System:
             key = f"f/{blk.name}"
             if stage is not None and key in stage[0]:
                 _keys, u0, a, b, dt = stage
-                blk.solver.rhs(
-                    ghosted[key], em_eff,
+                blk.rhs(
+                    ghosted[key], state[key], em_eff,
                     stage=Stage(a, b, dt, None if u0 is None else u0[key], state[key]),
                 )
-                continue
-            df = out[key]
-            blk.solver.rhs(ghosted[key], em_eff, out=df)
-            if blk.collisions is not None:
-                blk.collisions.rhs(state[key], blk.moments, out=df, accumulate=True)
+            else:
+                blk.rhs(ghosted[key], state[key], em_eff, out=out[key])
         return out
 
     # ------------------------------------------------------------------ #
@@ -322,8 +319,9 @@ class System:
     def _stage_into(self, state, k, u0, a: float, b: float, dt: float) -> List[str]:
         """The stepper's ``fused`` callback: the RHS of one stage into
         ``k``, except that a species whose solver is the last writer of its
-        ``df/dt`` (modal scheme, no collision operator) and whose state
-        array is C-contiguous has the stage applied by that solver, one
+        ``df/dt`` (modal scheme, and no collision operator or one whose cell
+        table rides the solver's program) and whose state array is
+        C-contiguous has the stage applied by that solver, one
         configuration cell at a time — returned, so the stepper skips it."""
         keys = [
             f"f/{blk.name}"

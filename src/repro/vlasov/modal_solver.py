@@ -46,10 +46,12 @@ plan engine.  One ``rhs`` is one call of the
 traces and fluxes over the whole grid (a ``2 cdim Nf``-row buffer is the
 only state-sized scratch), then one configuration cell at a time — the
 acceleration trace → flux in a cell-local block, volume, both lifts — with
-no state-sized arithmetic in this module on either kernel tier.  ``rhs`` can
-also take the time stepper's Shu–Osher ``stage``: each cell's ``df/dt`` is
-then combined into the state as soon as it is formed and never exists for
-the whole grid.
+no state-sized arithmetic in this module on either kernel tier.  A solver
+built with a collision operator (``collisions``: the LBO) has a second
+program with the operator's cell table appended, which ``rhs(...,
+collide=True)`` runs.  ``rhs`` can also take the time stepper's Shu–Osher
+``stage``: each cell's ``df/dt`` is then combined into the state as soon as
+it is formed and never exists for the whole grid.
 
 The solver also runs on one block of a larger grid (a ``process:N`` shard):
 the grid then declares ghost layers along its decomposed axes
@@ -107,6 +109,12 @@ class VlasovModalSolver:
     velocity_flux:
         ``"central"`` (energy conserving, the paper's choice) or
         ``"penalty"`` (adds a local Lax-type jump penalty).
+    collisions:
+        Optional collision operator whose term runs inside the cell program
+        (``rhs(..., collide=True)``): an object with a ``cell_table`` —
+        :class:`~repro.engine.program.CellProgram`'s ``tail`` — and the
+        ``aux`` its operators read (:class:`~repro.collisions.LBOCollisions`),
+        built on this phase grid.
     """
 
     def __init__(
@@ -117,6 +125,7 @@ class VlasovModalSolver:
         charge: float = -1.0,
         mass: float = 1.0,
         velocity_flux: str = "central",
+        collisions=None,
     ):
         if velocity_flux not in ("central", "penalty"):
             raise ValueError("velocity_flux must be 'central' or 'penalty'")
@@ -203,6 +212,17 @@ class VlasovModalSolver:
         self._program = CellProgram(
             self.pool, cdim, self._vol_op, *sets, interior=self._interior
         )
+        # ... and with the collision operator's cell table appended, the
+        # program of ``rhs(..., collide=True)``; its symbols join the aux
+        # (the operator's own value objects, so its plans bind once)
+        self.collisions = collisions
+        self._collisional = None
+        if collisions is not None:
+            self._aux.update(collisions.aux)
+            self._collisional = CellProgram(
+                self.pool, cdim, self._vol_op, *sets, interior=self._interior,
+                tail=collisions.cell_table,
+            )
 
     def _cells_in(self) -> np.ndarray:
         """The (flattened) index of every configuration cell handed to
@@ -306,8 +326,11 @@ class VlasovModalSolver:
         em: np.ndarray,
         out: Optional[np.ndarray] = None,
         stage: Optional[Stage] = None,
+        collide: bool = False,
     ) -> np.ndarray:
-        """Evaluate ``df/dt`` for the collisionless Vlasov equation.
+        """Evaluate ``df/dt`` for the collisionless Vlasov equation, or with
+        ``collide`` plus the term of the collision operator the solver was
+        built with.
 
         Parameters
         ----------
@@ -328,6 +351,11 @@ class VlasovModalSolver:
             target is ``f`` itself on a whole grid (updated in place), a
             separate ghost-free array on a block.  The caller must be the
             last writer of ``df/dt`` (nothing else accumulates into it).
+        collide:
+            Run the collision operator's cell table after the Vlasov terms
+            of each cell.  Its primitive moments must be those of ``f``'s
+            own cells, refreshed before this call
+            (:meth:`~repro.collisions.LBOCollisions.refresh`).
         """
         if f.shape != self._in_shape:
             raise ValueError(
@@ -345,7 +373,12 @@ class VlasovModalSolver:
                 0.5 * self._penalty_speed(aux, j) * aux[f"rdx{cdim + j}"]
                 for j in range(self.grid.vdim)
             ]
-        return self._program.run(f, aux, out, penalties, stage)
+        program = self._program
+        if collide:
+            if self._collisional is None:
+                raise ValueError("the solver was built without a collision operator")
+            program = self._collisional
+        return program.run(f, aux, out, penalties, stage)
 
     # ------------------------------------------------------------------ #
     # penalty support (optional robustness flux)

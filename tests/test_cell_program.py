@@ -18,12 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.cas.codegen as codegen
+from repro.collisions import LBOCollisions
 from repro.engine import STATS, CellProgram, Stage, compiler_config
+from repro.engine.program import Faces, Scale, Subtract, Sweep
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import modal_update_traffic
 from repro.kernels.generator import FACE_SIGN
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import stack_termsets
+from repro.moments import MomentCalculator
+from repro.runtime import build
 from repro.systems import build_system, get_system_kind, list_system_kinds
 from repro.timestepping import ForwardEuler, SSPRK2, SSPRK3
 from repro.vlasov.modal_solver import VlasovModalSolver
@@ -39,14 +43,22 @@ def _nan_guarded(shape):
     return alloc, alloc[GUARD : alloc.size - GUARD].reshape(shape)
 
 
-def _run_program(case, tier, ghost, pair, velocity_flux="central"):
-    """One ``solver.rhs`` (``pair`` None) or one staged one, every array it
-    touches inside a NaN guard band: ``{name: whole allocation}``."""
+def _own(f, solver):
+    return f if solver._interior is None else f[solver._interior]
+
+
+def _run_program(case, tier, ghost, pair, velocity_flux="central", lbo=False):
+    """One ``solver.rhs`` (``pair`` None) or one staged one — with ``lbo``
+    the program carrying the LBO's cell table — every array it touches
+    inside a NaN guard band: ``{name: whole allocation}``."""
     cdim, vdim, poly_order, parent, vel, seed = case
     pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
     with compiler_config(tier=tier, cache="off"):
-        solver = VlasovModalSolver(pg, poly_order, velocity_flux=velocity_flux)
-        prog = solver._program
+        coll = LBOCollisions(pg, poly_order, nu=0.7) if lbo else None
+        solver = VlasovModalSolver(
+            pg, poly_order, velocity_flux=velocity_flux, collisions=coll
+        )
+        prog = solver._collisional if lbo else solver._program
         rng = np.random.default_rng(seed)
         em = rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis))
         allocs = {}
@@ -56,23 +68,26 @@ def _run_program(case, tier, ghost, pair, velocity_flux="central"):
         # before it is read
         scratch = {
             "program.stream": prog._stream_shape,
-            "program.block": (prog.na, prog.nvel),
+            "program.block": (prog._block_rows, prog.nvel),
             "program.cell": (prog.num_basis, prog.nvel),
         }
         if any(ghost):
             scratch["program.stream_in"] = prog._stream_in_shape
         for tag, shape in scratch.items():
             allocs[tag], solver.pool._arrays[(tag, shape)] = _nan_guarded(shape)
+        if lbo:
+            f[(slice(None),) * cdim + (0,)] += 4.0  # a positive density
+            coll.refresh(_own(f, solver), MomentCalculator(pg, solver.kernels))
         if pair is None:
             allocs["out"], out = _nan_guarded(prog.own_shape)
-            assert solver.rhs(f, em, out=out) is out
+            assert solver.rhs(f, em, out=out, collide=lbo) is out
         else:
             if any(ghost):
                 allocs["target"], target = _nan_guarded(prog.own_shape)
             else:
                 target = f
             stage = Stage(*pair, 0.0371, u0, target)
-            assert solver.rhs(f, em, stage=stage) is target
+            assert solver.rhs(f, em, stage=stage, collide=lbo) is target
             out = target
         assert prog.tier == tier
         assert np.isfinite(out).all()
@@ -90,6 +105,7 @@ def _run_program(case, tier, ghost, pair, velocity_flux="central"):
 
 
 def _assert_program_tiers_agree(case, ghost, **kw):
+    """cc == numpy reference, byte for byte, for ``L`` and every stage."""
     for pair in [None] + STAGES:
         got = _run_program(case, "cc", ghost, pair, **kw)
         want = _run_program(case, "numpy", ghost, pair, **kw)
@@ -123,6 +139,45 @@ def test_program_with_the_jump_penalty_equals_its_reference(case):
     _assert_program_tiers_agree(case, ghost=(0,) * case[0], velocity_flux="penalty")
 
 
+LBO_CASES = [
+    (1, vdim, p, (4,), (5,) if vdim == 1 else (4, 3), 7 * p + vdim)
+    for vdim in (1, 2) for p in (1, 2)
+]
+
+
+@pytest.mark.parametrize("ghost", [(0,), (1,)], ids=["whole", "ghosted"])
+@pytest.mark.parametrize("case", LBO_CASES, ids=lambda c: f"1x{c[1]}v-p{c[2]}")
+def test_program_with_the_lbo_tail_equals_its_reference(case, ghost):
+    """The LBO's drag and LDG passes in each cell's block end in the bytes
+    of the same table as state-sized passes, on a whole grid and on a
+    ghosted block, for ``L`` and every stage."""
+    _assert_program_tiers_agree(case, ghost, lbo=True)
+
+
+@pytest.mark.parametrize("ghost", [(0,), (1,)], ids=["whole", "ghosted"])
+@pytest.mark.parametrize("case", LBO_CASES[1::2], ids=lambda c: f"1x{c[1]}v-p{c[2]}")
+def test_program_with_the_lbo_tail_is_the_solver_rhs_plus_the_lbo_rhs(case, ghost):
+    """The composition the ledger checks, per kernel tier: the collisionless
+    program, then ``LBOCollisions.rhs`` accumulated into its ``L``."""
+    for tier in ("cc", "numpy"):
+        got = _run_program(case, tier, ghost, None, lbo=True)["out"]
+        cdim, vdim, poly_order, parent, vel, seed = case
+        pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
+        with compiler_config(tier=tier, cache="off"):
+            solver = VlasovModalSolver(pg, poly_order)
+            rng = np.random.default_rng(seed)
+            em = rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis))
+            f = _guarded(solver._program.in_shape, rng)[1]
+            _guarded(solver._program.own_shape, rng)  # the draws of u0
+            f[(slice(None),) * cdim + (0,)] += 4.0
+            out = solver.rhs(f, em, out=np.empty(solver._program.own_shape))
+            LBOCollisions(pg, poly_order, nu=0.7).rhs(
+                np.ascontiguousarray(_own(f, solver)), MomentCalculator(pg, solver.kernels),
+                out=out, accumulate=True,
+            )
+        assert got[GUARD:-GUARD].tobytes() == out.tobytes(), tier
+
+
 @pytest.mark.parametrize("key", [(1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)], ids=str)
 def test_split_lifts_replay_the_whole_lift_row_by_row(key):
     """The streaming lift then the acceleration lift add, to every output
@@ -144,8 +199,9 @@ def test_split_lifts_replay_the_whole_lift_row_by_row(key):
         )
         cells = pg.conf.cells + pg.vel.cells
         (group,) = whole.plan_for({}, cells)._groups
-        (stream,) = solver._program._ops[2][0].plan_for({}, cells)._groups
-        (accel,) = solver._program._ops[4][0].plan_for({}, cells)._groups
+        parts = _parts(solver._program)
+        (stream,) = parts["stream lift"].plan_for({}, cells)._groups
+        (accel,) = parts["accel lift"].plan_for({}, cells)._groups
     ns = solver._program.ns
     for row in range(solver.num_basis):
         entries = []
@@ -226,6 +282,19 @@ def _no_compiled_program(monkeypatch, solver):
             monkeypatch.setattr(plan, "_cc_cells", no_call)
 
 
+def test_an_operator_applied_elsewhere_is_looked_up_again():
+    """A call skips its operators' lookups while nothing moved; one of them
+    applied with other values in between is bound back to the program's."""
+    solver, f, em = _small_solver()
+    shape = solver._program.own_shape
+    want, got = np.empty(shape), np.empty(shape)
+    solver.rhs(f, em, out=want)
+    other = {name: 2.0 * val if name.startswith("E") else val for name, val in solver._aux.items()}
+    _parts(solver._program)["volume"].apply(f, other, np.empty(shape), accumulate=False)
+    solver.rhs(f, em, out=got)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_bad_arrays_are_rejected_before_the_kernel_runs(monkeypatch):
     with compiler_config(tier="cc", cache="off"):
         _bad_arrays(monkeypatch)
@@ -265,15 +334,26 @@ def _bad_arrays(monkeypatch):
         ghosted.rhs(fg, emg, stage=Stage(0.0, 1.0, 0.01, None, own))
 
 
+def _parts(prog):
+    """The operators of a Vlasov cell program, by role."""
+    sweeps = {(ins.src, ins.dst): ins.op for ins in prog.table if type(ins) is Sweep}
+    return {
+        "volume": sweeps["f", "out"], "stream trace": prog._ops[0][0],
+        "stream lift": sweeps["stream", "out"], "accel trace": sweeps["f", "accel"],
+        "accel lift": sweeps["accel", "out"],
+    }
+
+
 def test_malformed_tables_are_rejected_at_construction():
     solver, _f, _em = _small_solver(ghost=(1,))
     prog = solver._program
-    vol = prog._ops[0][0]
-    stream = (prog._ops[1][0], prog._ops[2][0], [solver._flux_ops[0]])
-    accel = (prog._ops[3][0], prog._ops[4][0], [solver._flux_ops[1]])
+    parts = _parts(prog)
+    vol = parts["volume"]
+    stream = (parts["stream trace"], parts["stream lift"], [solver._flux_ops[0]])
+    accel = (parts["accel trace"], parts["accel lift"], [solver._flux_ops[1]])
 
-    def build(stream=stream, accel=accel, interior=prog._interior):
-        return CellProgram(solver.pool, 1, vol, stream, accel, interior=interior)
+    def build(stream=stream, accel=accel, interior=prog._interior, tail=None):
+        return CellProgram(solver.pool, 1, vol, stream, accel, interior=interior, tail=tail)
 
     build()
     for interior in (None, (slice(0, 3),), (slice(1, 5),), (slice(1, 2), slice(None))):
@@ -287,31 +367,75 @@ def test_malformed_tables_are_rejected_at_construction():
         build(stream=stream[:2] + (accel[2],))
     with pytest.raises(ValueError, match="need a streaming and an acceleration"):
         build(accel=accel[:2] + ([],))
+    # a tail: the LBO's table, then instructions the compiled table would
+    # mis-execute
+    blocks, table = LBOCollisions(solver.grid, 2).cell_table
+    assert len(build(tail=(blocks, table)).table) == len(build().table) + len(table)
+    drag_faces = next(ins for ins in table if type(ins) is Faces)
+    nf = prog.nf
+    for tail, match in [
+        (({"accel": 1}, []), "already a block"),
+        (({}, [Sweep(vol, "out", "f")]), "writes 'f'"),
+        (({}, [Subtract("out", "out")]), "reads what it writes"),
+        (({}, [Scale("nowhere", 2.0)]), "names no block"),
+        (({"x": 3}, [Sweep(vol, "f", "x")]), "does not map block"),
+        (({"t": 2 * nf}, [Faces(stream[2][0][0], stream[2][0][1], "t")]), "face map of 't'"),
+        ((blocks, [drag_faces._replace(penalty=1)]), "face map of 'trace'"),
+        (({"t": nf}, [drag_faces._replace(block="t")]), "face map of 't'"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            build(tail=tail)
 
 
 # --------------------------------------------------------------------- #
 # the stage arithmetic, end to end
+def _composed_rhs_into(system):
+    """``System.rhs`` as the ledger's layered pass composes it from the
+    blocks: each solver's collisionless ``df/dt``, the collision operator's
+    reference form accumulated into it, then the field block."""
+
+    def rhs_into(state, out):
+        em = system.field.em_for_species(system, state)
+        for blk in system.blocks:
+            f, df = state[f"f/{blk.name}"], out[f"f/{blk.name}"]
+            blk.solver.rhs(f, em, out=df)
+            if blk.collisions is not None:
+                blk.collisions.rhs(f, blk.moments, out=df, accumulate=True)
+        system.field.accumulate_rhs(system, state, out)
+
+    return rhs_into
+
+
 @pytest.mark.systems
-@pytest.mark.parametrize("kind_name", [k.name for k in list_system_kinds()])
+@pytest.mark.parametrize(
+    "kind_name", [k.name for k in list_system_kinds()] + ["collisional_relaxation"]
+)
 @pytest.mark.parametrize("stepper", ["forward-euler", "ssp-rk2", "ssp-rk3"])
 def test_system_step_equals_the_generic_stage_arithmetic(kind_name, stepper):
     """``System.step`` — field first, then each species, staged inside its
-    solver where that solver is the last writer — ends in the bits of the
-    stepper's own stage arithmetic over ``System.rhs`` (the ledger traced
-    pass's "harness-composed step" check)."""
-    spec = get_system_kind(kind_name).example().with_overrides({"stepper": stepper})
-    system, generic = build_system(spec), build_system(spec)
+    solver where that solver is the last writer (an LBO species with its
+    collisions in the program) — ends in the bits of the stepper's own stage
+    arithmetic over ``System.rhs`` and over the ledger traced pass's
+    composition of it (its "harness-composed step" check)."""
+    if kind_name == "collisional_relaxation":
+        spec = build(kind_name, nx=2, nv=8, stepper=stepper)
+    else:
+        spec = get_system_kind(kind_name).example().with_overrides({"stepper": stepper})
+    system, generic, composed = (build_system(spec) for _ in range(3))
+    if kind_name == "collisional_relaxation":
+        assert system.blocks[0].stages and system.blocks[0].collides_in_program
     for _ in range(2):
         dt = system.suggested_dt()
-        assert generic.suggested_dt() == dt
         system.step(dt)
-        state = generic.state()
-        if generic.field.in_state and not generic.field.evolves:
-            state.pop("em")
-        generic.stepper.step_inplace(state, generic._rhs_into, dt)
-        generic.time += dt
-        for key, arr in system.state().items():
-            assert arr.tobytes() == generic.state()[key].tobytes(), key
+        for other, rhs_into in ((generic, generic._rhs_into), (composed, _composed_rhs_into(composed))):
+            assert other.suggested_dt() == dt
+            state = other.state()
+            if other.field.in_state and not other.field.evolves:
+                state.pop("em")
+            other.stepper.step_inplace(state, rhs_into, dt)
+            other.time += dt
+            for key, arr in system.state().items():
+                assert arr.tobytes() == other.state()[key].tobytes(), key
 
 
 @pytest.mark.parametrize("stepper", STEPPERS, ids=lambda s: s.__name__)

@@ -97,6 +97,46 @@ def test_lbo_fixed_primitive_moments(setup):
     assert abs(integrate_conf_field(mom.compute("M0", df), pg)) / n0 < 1e-12
 
 
+@pytest.mark.parametrize("frozen", ["fixed_u", "fixed_vtsq"])
+def test_lbo_honours_a_lone_frozen_moment(setup, frozen):
+    """A frozen moment given alone replaces its computed counterpart; the
+    other one is still taken from ``f``."""
+    pg, p, mom, _, f = setup
+    free = LBOCollisions(pg, p, nu=0.5)
+    u, vtsq = free.primitive_moments(f, mom)
+    value = {"fixed_u": 0.5 * u + 0.1, "fixed_vtsq": 2.0 * vtsq}[frozen]
+    lbo = LBOCollisions(pg, p, nu=0.5, **{frozen: value})
+    got = dict(zip(("fixed_u", "fixed_vtsq"), lbo.primitive_moments(f, mom)))
+    assert got[frozen] is value
+    other = "fixed_vtsq" if frozen == "fixed_u" else "fixed_u"
+    assert np.array_equal(got[other], {"fixed_u": u, "fixed_vtsq": vtsq}[other])
+    both = LBOCollisions(pg, p, nu=0.5, **got)
+    assert np.array_equal(lbo.rhs(f, mom), both.rhs(f, mom))
+    assert not np.array_equal(lbo.rhs(f, mom), free.rhs(f, mom))
+
+
+def test_a_collisional_run_keeps_the_lbo_in_the_cell_program(monkeypatch, tmp_path):
+    """An LBO species is staged, its collisions ride its solver's program:
+    few plan applies per step, no state-sized ``lbo.*`` scratch, and the
+    reference form (``LBOCollisions.rhs``) never runs in a step."""
+    from repro.runtime import Driver, build
+
+    def reference(*args, **kwargs):  # pragma: no cover - the assertion
+        raise AssertionError("LBOCollisions.rhs ran inside a System step")
+
+    monkeypatch.setattr(LBOCollisions, "rhs", reference)
+    steps = 6
+    spec = build("collisional_relaxation", steps=steps, **{"observability.mode": "summary"})
+    driver = Driver(spec, outdir=tmp_path)
+    metrics = driver.run()["obs"]["metrics"]
+    assert metrics["steps"] == steps
+    assert metrics["plan_applies"] / steps <= 15
+    (blk,) = driver.app.blocks
+    assert blk.stages and blk.collides_in_program
+    keys = [key for pool in (blk.solver.pool, blk.collisions.pool) for key, _ in pool._arrays]
+    assert keys and not [key for key in keys if key.startswith("lbo.")]
+
+
 def test_lbo_plans_bind_once_and_never_serve_stale_moments(setup, monkeypatch):
     """The LBO keeps one aux dict whose primitive-moment arrays it refreshes
     in place, so every plan binds on first use only — and the bound views

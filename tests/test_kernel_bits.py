@@ -54,14 +54,17 @@ def face_termsets(k):
 def lbo_termsets(lbo):
     """Per velocity direction the (volume, trace, flux) operators of the
     drag, LDG gradient and LDG divergence passes and the lift, then the
-    weak multiplication by ``vtsq``."""
-    ops = []
-    for passes, lift in zip(lbo._passes, lbo._lift):
-        for name in ("drag", "grad", "div"):
-            ops.extend(passes[name])
-        ops.append(lift)
-    ops.append(lbo._vtsq_mult)
-    return [op.termset for op in ops]
+    weak multiplication by ``vtsq`` — read off the LBO's cell table: per
+    direction the drag pass (volume, trace, flux, lift), then per direction
+    the gradient pass, ``vtsq`` and the divergence pass."""
+    ops = [ins.op for ins in lbo.cell_table[1] if hasattr(ins, "op")]
+    vdim = lbo.grid.vdim
+    drag, ldg = ops[: 4 * vdim], ops[4 * vdim :]
+    out = []
+    for j in range(vdim):
+        d, pair = drag[4 * j : 4 * j + 4], ldg[9 * j : 9 * j + 9]
+        out += d[:3] + pair[:3] + pair[5:8] + d[3:]
+    return [op.termset for op in out + [ldg[4]]]
 
 
 GOLDEN_BUNDLES = {

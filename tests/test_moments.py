@@ -94,6 +94,32 @@ def test_unknown_moment_raises(setup_1x1v):
         mom.compute("M3", np.zeros((4, 8, 32)))
 
 
+@pytest.mark.parametrize(
+    "key", [(1, 1, 2), (1, 2, 1), (2, 2, 2), (1, 3, 1)], ids=lambda k: "{}x{}v-p{}".format(*k)
+)
+@pytest.mark.parametrize("tier", ["cc", "numpy"])
+def test_stacked_moments_are_the_single_sweeps(key, tier):
+    """One sweep of the stacked kernels returns each moment's bytes; in 1V
+    all of them share one operator, in 2V / 3V ``M1y`` / ``M1z`` keep their
+    own (their sweep order conflicts with ``M2``'s)."""
+    from repro.engine import compiler_config
+
+    cdim, vdim, p = key
+    pg = PhaseGrid(
+        Grid([0.0] * cdim, [1.0] * cdim, [3, 2][:cdim]),
+        Grid([-4.0] * vdim, [3.0] * vdim, [5, 4, 3][:vdim]),
+    )
+    with compiler_config(tier=tier, cache="off"):
+        mom = MomentCalculator(pg, get_vlasov_kernels(cdim, vdim, p, "serendipity"))
+        f = np.random.default_rng(3).standard_normal(_cm_shape(mom.kernels.num_basis, pg))
+        names = ("M0",) + tuple(f"M1{'xyz'[j]}" for j in range(vdim)) + ("M2",)
+        got = mom.stacked(names, f)
+        for i, name in enumerate(names):
+            assert got[i].tobytes() == mom.compute(name, f).tobytes(), name
+    runs = [sorted(names[i] for i in run) for run, _op in mom._stacks[names]]
+    assert runs == [["M0", "M1x", "M2"]] + [[f"M1{'xyz'[j]}"] for j in range(1, vdim)]
+
+
 def test_2x2v_moments_shape():
     pg = PhaseGrid(Grid([0, 0], [1, 1], [3, 2]), Grid([-2, -2], [2, 2], [4, 4]))
     kern = get_vlasov_kernels(2, 2, 1, "serendipity")

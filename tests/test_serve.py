@@ -262,7 +262,9 @@ def test_concurrent_submissions_create_one_job(daemon):
 # S6: SIGKILLed worker -> stale lease -> exactly-once re-run
 # ---------------------------------------------------------------------- #
 def test_sigkilled_worker_job_is_rerun_byte_identical(tmp_path):
-    spec = slow_spec()
+    # 2000 steps: at the default t_end the job ends after ~100 steps, often
+    # within one poll, and is never seen mid-job
+    spec = slow_spec(steps=2000, t_end=1e3)
     store = FileJobStore(tmp_path / "srv", lease_timeout=1.0)
     rec, _ = store.submit(spec)
 
