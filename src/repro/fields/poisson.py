@@ -3,9 +3,18 @@
 In one configuration dimension Gauss's law ``dE/dx = rho/eps0`` determines
 ``E`` up to a constant, fixed here by a zero domain mean (periodic domain,
 neutral plasma).  Because the DG charge density is piecewise polynomial, the
-antiderivative is computed *exactly* cell by cell via Legendre antiderivative
-recurrences and projected back onto the modal basis — no linear solve, no
-quadrature, in the same spirit as the rest of the scheme.
+antiderivative is exact cell by cell, so the solve splits into two parts:
+
+* a fixed ``Npc x Npc`` per-cell map, built once from the Legendre
+  antiderivative recurrences: ``rho`` to the in-cell field that vanishes at
+  the cell's left edge (``(dx/2 eps0) int_{-1}^{xi} rho``), truncated to
+  degree ``p`` and projected onto the orthonormal modes;
+* the left-edge value of each cell, an exclusive prefix sum of the cell
+  charges ``dx norm_0 rho_0`` over ``eps0``, added to the constant mode.
+
+Subtracting the mean constant mode fixes the zero-mean gauge.  No global
+matrix, no linear solve, no quadrature — in the same spirit as the rest of
+the scheme.
 """
 
 from __future__ import annotations
@@ -27,8 +36,19 @@ class Poisson1D:
         self.grid = grid
         self.basis = basis
         self.epsilon0 = float(epsilon0)
-        p = basis.poly_order
-        self._norms = np.array([basis.norm(l) for l in range(p + 1)])
+        npc = basis.poly_order + 1
+        norms = np.array([basis.norm(l) for l in range(npc)])
+        dx = grid.dx[0]
+        # antiderivative of each Legendre polynomial vanishing at xi = -1;
+        # column n holds the Legendre series of int_{-1}^{xi} P_n
+        anti = np.polynomial.legendre.legint(np.eye(npc), lbnd=-1.0, axis=0)
+        #: rho (cell-major row) @ local -> in-cell E with zero left edge
+        self._local = (0.5 * dx / self.epsilon0) * (
+            norms[:, None] * anti[:npc].T / norms[None, :]
+        )
+        #: cell charge int_cell rho dx = dx * norm_0 * rho_0
+        self._charge_weight = dx * norms[0]
+        self._edge_scale = 1.0 / (self.epsilon0 * norms[0])
 
     def solve(self, rho: np.ndarray, neutral_tol: float = 1e-8) -> np.ndarray:
         """Return modal coefficients of ``E_x`` with zero domain mean.
@@ -46,37 +66,16 @@ class Poisson1D:
         -------
         Cell-major ``(nx, Npc)`` coefficients of ``E_x``.
         """
-        # the Legendre antiderivative recurrences below index the degree on
-        # axis 0; the conf-space arrays are tiny (1-D), so work mode-major
-        # internally and flip at the boundary
-        rho = np.ascontiguousarray(rho.T)
-        npc, nx = rho.shape
-        dx = self.grid.dx[0]
-        # Legendre series of rho per cell: c_n = rho_n * norm_n
-        c = rho * self._norms[:, None]
-        # antiderivative in the reference coordinate: B = legint(c)
-        b = np.polynomial.legendre.legint(c, axis=0)  # (npc+1, nx)
-        ones = np.polynomial.legendre.legval(1.0, b, tensor=True)
-        mones = np.polynomial.legendre.legval(-1.0, b, tensor=True)
-        cell_charge = 0.5 * dx * (ones - mones)  # int_cell rho dx
-        total = float(cell_charge.sum())
+        e = rho @ self._local
+        charge = self._charge_weight * rho[:, 0]
+        total = float(charge.sum())
         if abs(total) > neutral_tol:
             raise ValueError(
                 f"periodic Poisson solve requires a neutral domain; net charge "
                 f"{total:.3e} exceeds {neutral_tol:.1e}"
             )
-        cell_charge = cell_charge - total / nx  # redistribute roundoff
-        # left-edge field values: cumulative charge / eps0
-        e_edge = np.concatenate([[0.0], np.cumsum(cell_charge)[:-1]]) / self.epsilon0
-        # in-cell field as a Legendre series:
-        # E(xi) = e_edge + (dx/2)(B(xi) - B(-1)) / eps0
-        series = 0.5 * dx * b / self.epsilon0
-        series[0] += e_edge - 0.5 * dx * mones / self.epsilon0
-        # project onto the orthonormal modal basis:  E_l = g_l / norm_l
-        e_modal = np.zeros_like(rho)
-        for l in range(npc):
-            e_modal[l] = series[l] / self._norms[l]
-        # enforce zero domain mean through the constant mode
-        mean = e_modal[0].mean()
-        e_modal[0] -= mean
-        return np.ascontiguousarray(e_modal.T)
+        charge -= total / charge.size  # redistribute roundoff
+        # left-edge field values: exclusive cumulative charge / eps0
+        e[1:, 0] += np.cumsum(charge[:-1]) * self._edge_scale
+        e[:, 0] -= e[:, 0].mean()
+        return e

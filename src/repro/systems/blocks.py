@@ -507,8 +507,7 @@ class PoissonBlock(FieldBlock):
         from the Poisson solve plus any external drive at the system's
         current time.  The returned array is a persistent buffer refreshed
         on every call."""
-        rho = self.coupling.charge_density(system.blocks, state, system.halo)
-        ex = self._conf_grid.restrict(self.solver.solve(rho))
+        ex = self._self_consistent_ex(system, state)
         if self.external is not None:
             np.multiply(
                 self._ext_coeffs,
@@ -520,11 +519,17 @@ class PoissonBlock(FieldBlock):
             self._em_buf[..., 0, :] = ex
         return self._em_buf
 
+    def _self_consistent_ex(self, system, state) -> np.ndarray:
+        """This block's cells of ``Ex`` from the Poisson solve (no drive)."""
+        rho = self.coupling.charge_density(system.blocks, state, system.halo)
+        return self._conf_grid.restrict(self.solver.solve(rho))
+
     def energy(self, system) -> float:
-        """Electrostatic energy ``(eps0/2) int E^2 dx``."""
-        em = self.em_for_species(system, system.state())
+        """Electrostatic energy ``(eps0/2) int E^2 dx`` of the
+        self-consistent field (the external drive does not enter)."""
+        ex = self._self_consistent_ex(system, system.state())
         jac = 0.5 * self._conf_grid.dx[0]
-        return 0.5 * self.epsilon0 * float(np.sum(em[..., 0, :] ** 2)) * jac
+        return 0.5 * self.epsilon0 * float(np.sum(ex**2)) * jac
 
 
 class NullFieldBlock(FieldBlock):

@@ -73,6 +73,32 @@ def test_driven_landau_drive_injects_field_energy():
     assert app.field_energy() > max(e0 * 10.0, 1e-12)
 
 
+def test_driven_landau_field_energy_excludes_the_drive():
+    """The drive accelerates particles but is not field energy: the
+    diagnostic squares the self-consistent ``Ex`` alone, even while the
+    envelope is on."""
+    import numpy as np
+
+    from repro.runtime.driver import build_app
+
+    spec = build("driven_landau", nx=8, nv=12, poly_order=1, steps=20, ramp=1.0)
+    app = build_app(spec)
+    for _ in range(spec.steps):
+        app.step()
+    block = app.field
+    drive = block.external.envelope(app.time) * block._ext_coeffs[..., 0, :]
+    assert np.max(np.abs(drive)) > 1e-3  # the envelope is on
+    em = block.em_for_species(app, app.state())
+    jac = 0.5 * app.conf_grid.dx[0]
+
+    def energy(ex):
+        return 0.5 * block.epsilon0 * float(np.sum(ex**2)) * jac
+
+    self_consistent = energy(em[..., 0, :] - drive)
+    assert app.field_energy() == pytest.approx(self_consistent, rel=1e-9)
+    assert abs(energy(em[..., 0, :]) - self_consistent) > 0.1 * self_consistent
+
+
 def test_every_scenario_builds_a_valid_roundtrippable_spec():
     from repro.runtime import SimulationSpec
 
