@@ -30,7 +30,6 @@ benchmarks/README.md for the scripts behind every paper table and figure.
 
 from .basis.modal import ModalBasis
 from .basis.multiindex import FAMILIES, num_basis
-from .collisions.bgk import BGKCollisions
 from .collisions.lbo import LBOCollisions
 from .diagnostics.energy import EnergyHistory
 from .diagnostics.growth import fit_exponential_growth
@@ -72,7 +71,6 @@ __all__ = [
     "MomentCalculator",
     "integrate_conf_field",
     "LBOCollisions",
-    "BGKCollisions",
     "Species",
     "FieldSpec",
     "ExternalField",

@@ -24,13 +24,8 @@ from functools import lru_cache
 from typing import Tuple
 
 from ..basis.legendre import legendre_coefficients
-from .poly import Poly
 
-__all__ = [
-    "legendre_product_integral_1d",
-    "integral_poly_times_legendre_pair_1d",
-    "poly_integral_cube",
-]
+__all__ = ["legendre_product_integral_1d"]
 
 
 def _coeffs_1d(degree: int, deriv: bool) -> Tuple[Fraction, ...]:
@@ -87,20 +82,3 @@ def legendre_product_integral_1d(
     if monomial_power:
         prod = tuple([Fraction(0)] * monomial_power) + prod
     return _integrate_monomial_coeffs(prod)
-
-
-def integral_poly_times_legendre_pair_1d(
-    poly_coeffs: Tuple[Fraction, ...], n1: int, d1: bool, n2: int, d2: bool
-) -> Fraction:
-    """Exact :math:`\\int_{-1}^1 q(x) D^{d_1}P_{n_1} D^{d_2}P_{n_2} dx`
-    for an arbitrary 1-D polynomial ``q`` given by ascending coefficients."""
-    total = Fraction(0)
-    for r, c in enumerate(poly_coeffs):
-        if c:
-            total += c * legendre_product_integral_1d((n1, n2), (d1, d2), r)
-    return total
-
-
-def poly_integral_cube(poly: Poly) -> Fraction:
-    """Exact integral of a :class:`Poly` over the reference cube."""
-    return poly.integrate_cube()

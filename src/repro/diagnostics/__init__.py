@@ -1,4 +1,4 @@
-"""Simulation diagnostics: energies, growth rates, slices, correlations."""
+"""Simulation diagnostics: energies, growth rates, slices."""
 
 from .energy import EnergyHistory
 from .growth import GrowthFit, fit_exponential_growth

@@ -258,7 +258,6 @@ def bump_on_tail(
 @scenario("collisional_relaxation")
 def collisional_relaxation(
     nu: float = 0.8,
-    operator: str = "lbo",
     bump_amp: float = 0.2,
     bump_drift: float = 3.0,
     nx: int = 2,
@@ -267,7 +266,7 @@ def collisional_relaxation(
     poly_order: int = 2,
     t_end: float = 6.0,
 ) -> SimulationSpec:
-    """Bump-on-tail relaxation to a Maxwellian under BGK/LBO collisions."""
+    """Bump-on-tail relaxation to a Maxwellian under LBO collisions."""
     return SimulationSpec(
         name="collisional_relaxation",
         model="poisson",
@@ -283,7 +282,7 @@ def collisional_relaxation(
                     "bump_amp": bump_amp,
                     "bump_drift": bump_drift,
                 },
-                collisions=CollisionsSpec(kind=operator, nu=nu),
+                collisions=CollisionsSpec(nu=nu),
             ),
         ),
         poly_order=poly_order,

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 SCHEMES = ("modal", "quadrature")
-COLLISION_KINDS = ("lbo", "bgk")
+COLLISION_KINDS = ("lbo",)
 EM_COMPONENTS = ("Ex", "Ey", "Ez", "Bx", "By", "Bz", "phi", "psi")
 
 
@@ -248,12 +248,17 @@ class GridSpec(_Spec):
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class CollisionsSpec(_Spec):
-    """Collision operator selection: ``kind`` is ``"lbo"`` or ``"bgk"``."""
+    """Collision operator selection: ``kind`` is ``"lbo"`` (the Dougherty
+    operator, the one kind; every stored spec names it) at frequency ``nu``."""
 
     kind: str = wire("string", "lbo")
     nu: float = wire("number", 1.0)
 
     def validate(self, path: str) -> None:
+        if self.kind == "bgk":
+            raise SpecError(
+                f"{path}.kind", "the BGK collision operator was removed; use 'lbo'"
+            )
         _known(self.kind, f"{path}.kind", "collision kind", COLLISION_KINDS)
         if self.nu < 0:
             raise SpecError(f"{path}.nu", "collision frequency must be non-negative")
@@ -489,6 +494,12 @@ class SimulationSpec(_Spec):
             raise SpecError(f"{path}.species", f"species names must be unique, got {names}")
         for i, sp in enumerate(self.species):
             sp.validate(f"{path}.species[{i}]", cdim)
+            if sp.collisions is not None and self.scheme != "modal":
+                raise SpecError(
+                    f"{path}.species[{i}].collisions",
+                    "collisions run in the modal scheme's cell program; "
+                    f"the {self.scheme} scheme is collisionless",
+                )
         # model-specific constraints live with the registered system
         kind = get_system_kind(self.model)
         if self.diagnostics.record_jdote and not kind.supports_jdote:

@@ -67,10 +67,10 @@ class Species:
     initial:
         Vectorized callable ``f0(x..., v...)`` for the initial condition.
     collisions:
-        Optional collision operator with an
-        ``rhs(f, moments, out, accumulate) -> out`` interface (see
-        :mod:`repro.collisions`); one that also has a ``cell_table`` (the
-        LBO) runs inside a modal species' cell program.
+        Optional collision operator run inside the species' cell program
+        (modal scheme only): an object with a ``cell_table``, ``refresh``,
+        ``max_frequency`` and ``on_grid`` —
+        :class:`~repro.collisions.LBOCollisions`.
     """
 
     name: str
@@ -137,8 +137,9 @@ class KineticSpecies:
     """One species' built solver stack on a configuration grid.
 
     Owns the phase grid, the Vlasov solver (modal or the alias-free nodal
-    baseline), the moment calculator, and the collision operator; projects
-    the declared initial condition on demand.  The evolved distribution
+    baseline), the moment calculator, and the collision operator (modal
+    only: its cell table runs inside the solver's program); projects the
+    declared initial condition on demand.  The evolved distribution
     array itself lives in the owning :class:`~repro.systems.system.System`
     state, which projects it only if nobody hands it one first (a
     checkpoint resume and a shard worker both do).
@@ -159,18 +160,13 @@ class KineticSpecies:
         self.collisions = decl.collisions
         pg = PhaseGrid(conf_grid, decl.velocity_grid)
         self.phase_grid = pg
-        #: the collision operator's term runs inside the solver's cell
-        #: program (an operator with a cell table — the LBO — on the modal
-        #: scheme); otherwise it is added after the solver's ``df/dt``
-        self.collides_in_program = (
-            scheme == "modal" and getattr(decl.collisions, "cell_table", None) is not None
-        )
         if scheme == "modal":
             from ..vlasov.modal_solver import VlasovModalSolver
 
+            # the collision operator's cell table rides the solver's program
             self.solver = VlasovModalSolver(
                 pg, poly_order, family, decl.charge, decl.mass, velocity_flux,
-                collisions=decl.collisions if self.collides_in_program else None,
+                collisions=decl.collisions,
             )
             kernels = self.solver.kernels
         else:
@@ -182,12 +178,8 @@ class KineticSpecies:
             )
             kernels = get_vlasov_kernels(pg.cdim, pg.vdim, poly_order, family)
         #: the solver can apply a Shu–Osher stage as it forms ``df/dt``
-        #: (``rhs(..., stage=)``) and nothing outside its program accumulates
-        #: into it: no collision operator, or one riding the program (BGK
-        #: keeps the unstaged path)
-        self.stages = scheme == "modal" and (
-            decl.collisions is None or self.collides_in_program
-        )
+        #: (``rhs(..., stage=)``), collisions included: it is the last writer
+        self.stages = scheme == "modal"
         self.moments = MomentCalculator(
             pg, kernels, pool=getattr(self.solver, "pool", None)
         )
@@ -198,19 +190,15 @@ class KineticSpecies:
         """``df/dt`` of the species, collisions included, into ``out`` — or
         with ``stage`` (:attr:`stages` species only) that Shu–Osher stage
         applied in its place.  ``f`` carries the grid's ghost layers, ``own``
-        is the species' state without them (what the collision operator
-        reads; the two are one array on a whole grid)."""
-        coll = self.collisions
-        if self.collides_in_program:
+        is the species' state without them (what the collision operator's
+        moments read; the two are one array on a whole grid)."""
+        if self.collisions is not None:
             # the moments first: the stage may overwrite ``own`` cell by cell
-            coll.refresh(own, self.moments)
+            self.collisions.refresh(own, self.moments)
             return self.solver.rhs(f, em, out=out, stage=stage, collide=True)
         if stage is not None:
             return self.solver.rhs(f, em, stage=stage)
-        self.solver.rhs(f, em, out=out)
-        if coll is not None:
-            coll.rhs(own, self.moments, out=out, accumulate=True)
-        return out
+        return self.solver.rhs(f, em, out=out)
 
     def project_initial(self) -> np.ndarray:
         """Project the declared initial condition onto the DG basis."""

@@ -148,6 +148,7 @@ def build_species_blocks(spec, conf_grid) -> List[Species]:
     into :class:`~repro.systems.blocks.Species` declarations on
     ``conf_grid`` (the same Grid instance the System is built on, so
     collision stacks share its identity)."""
+    from ..collisions.lbo import LBOCollisions
     from ..grid.phase import PhaseGrid
     from ..runtime.profiles import build_phase_profile
 
@@ -160,23 +161,14 @@ def build_species_blocks(spec, conf_grid) -> List[Species]:
         )
         collisions = None
         if sp.collisions is not None:
-            collisions = _build_collisions(
-                sp.collisions, PhaseGrid(conf_grid, vel_grid), spec
+            collisions = LBOCollisions(
+                PhaseGrid(conf_grid, vel_grid), spec.poly_order, spec.family,
+                nu=sp.collisions.nu,
             )
         out.append(
             Species(sp.name, sp.charge, sp.mass, vel_grid, initial, collisions)
         )
     return out
-
-
-def _build_collisions(coll_spec, phase_grid, spec):
-    if coll_spec.kind == "lbo":
-        from ..collisions.lbo import LBOCollisions
-
-        return LBOCollisions(phase_grid, spec.poly_order, spec.family, nu=coll_spec.nu)
-    from ..collisions.bgk import BGKCollisions
-
-    return BGKCollisions(phase_grid, spec.poly_order, spec.family, nu=coll_spec.nu)
 
 
 def build_external_field(spec) -> Optional[ExternalField]:

@@ -77,7 +77,7 @@ class System:
         CFL number (fraction of the stability limit).
     scheme:
         ``"modal"`` (the paper's algorithm) or ``"quadrature"``
-        (the alias-free nodal-style baseline of Table I).
+        (the alias-free nodal-style baseline of Table I, collisionless).
     stepper:
         ``"ssp-rk3"`` (default), ``"ssp-rk2"`` or ``"forward-euler"``.
     external:
@@ -116,6 +116,21 @@ class System:
         names = [s.name for s in species]
         if len(set(names)) != len(names):
             raise ValueError("species names must be unique")
+        for sp in species:
+            # a collision operator runs as a table of cell instructions
+            # inside the modal solver's program, and only there
+            if sp.collisions is None:
+                continue
+            if scheme != "modal":
+                raise ValueError(
+                    f"species {sp.name!r}: collisions run in the modal scheme's "
+                    f"cell program; the {scheme} scheme is collisionless"
+                )
+            if getattr(sp.collisions, "cell_table", None) is None:
+                raise ValueError(
+                    f"species {sp.name!r}: a collision operator needs a "
+                    "cell_table (see repro.collisions.LBOCollisions)"
+                )
         if field is None:
             field = NullFieldBlock()
         if not isinstance(field, FieldBlock):
@@ -187,12 +202,6 @@ class System:
     def field_kind(self) -> str:
         """Field-closure tag: ``"maxwell"``, ``"poisson"``, or ``"none"``."""
         return self.field.kind
-
-    @property
-    def field_spec(self):
-        """The Maxwell :class:`~repro.systems.blocks.FieldSpec` (Maxwell
-        field block only)."""
-        return self.field.spec
 
     @property
     def maxwell(self):
@@ -318,9 +327,8 @@ class System:
 
     def _stage_into(self, state, k, u0, a: float, b: float, dt: float) -> List[str]:
         """The stepper's ``fused`` callback: the RHS of one stage into
-        ``k``, except that a species whose solver is the last writer of its
-        ``df/dt`` (modal scheme, and no collision operator or one whose cell
-        table rides the solver's program) and whose state array is
+        ``k``, except that a modal species — its solver is the last writer
+        of its ``df/dt``, collisions included — whose state array is
         C-contiguous has the stage applied by that solver, one
         configuration cell at a time — returned, so the stepper skips it."""
         keys = [

@@ -423,7 +423,8 @@ def test_system_step_equals_the_generic_stage_arithmetic(kind_name, stepper):
         spec = get_system_kind(kind_name).example().with_overrides({"stepper": stepper})
     system, generic, composed = (build_system(spec) for _ in range(3))
     if kind_name == "collisional_relaxation":
-        assert system.blocks[0].stages and system.blocks[0].collides_in_program
+        (blk,) = system.blocks
+        assert blk.stages and blk.solver.collisions is blk.collisions
     for _ in range(2):
         dt = system.suggested_dt()
         system.step(dt)

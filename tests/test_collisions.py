@@ -5,7 +5,7 @@ import pytest
 
 from repro.basis.modal import ModalBasis
 from repro.cas.poly import Poly
-from repro.collisions import BGKCollisions, LBOCollisions
+from repro.collisions import LBOCollisions
 from repro.engine import compiler_config
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import get_vlasov_kernels
@@ -72,15 +72,27 @@ def test_lbo_maxwellian_residual_converges(setup):
 
 
 def test_lbo_relaxes_toward_maxwellian(setup):
-    pg, p, mom, _, f = setup
+    """The target is the Maxwellian of the density, flow and thermal speed
+    the operator conserves (``f`` is uniform in ``x``)."""
+    pg, p, mom, basis, f = setup
+    length = pg.conf.upper[0] - pg.conf.lower[0]
+    n, m1, m2 = (
+        integrate_conf_field(mom.compute(name, f), pg) / length
+        for name in ("M0", "M1x", "M2")
+    )
+    u = m1 / n
+    vtsq = m2 / n - u**2
+    target = project_phase_function(
+        lambda x, v: n * np.exp(-((v - u) ** 2) / (2 * vtsq)) / np.sqrt(2 * np.pi * vtsq),
+        pg, basis,
+    )
     lbo = LBOCollisions(pg, p, nu=1.0)
-    bgk = BGKCollisions(pg, p, nu=1.0)
     g = f.copy()
     dt = 2e-3
-    dist0 = np.max(np.abs(g - bgk.maxwellian_coefficients(g, mom)))
+    dist0 = np.max(np.abs(g - target))
     for _ in range(300):
         g = g + dt * lbo.rhs(g, mom)
-    dist1 = np.max(np.abs(g - bgk.maxwellian_coefficients(g, mom)))
+    dist1 = np.max(np.abs(g - target))
     assert dist1 < 0.2 * dist0
 
 
@@ -132,7 +144,7 @@ def test_a_collisional_run_keeps_the_lbo_in_the_cell_program(monkeypatch, tmp_pa
     assert metrics["steps"] == steps
     assert metrics["plan_applies"] / steps <= 15
     (blk,) = driver.app.blocks
-    assert blk.stages and blk.collides_in_program
+    assert blk.stages and blk.solver.collisions is blk.collisions
     keys = [key for pool in (blk.solver.pool, blk.collisions.pool) for key, _ in pool._arrays]
     assert keys and not [key for key in keys if key.startswith("lbo.")]
 
@@ -163,35 +175,26 @@ def test_lbo_plans_bind_once_and_never_serve_stale_moments(setup, monkeypatch):
         )
 
 
-def test_bgk_conservation_to_projection_accuracy(setup):
-    pg, p, mom, _, f = setup
-    bgk = BGKCollisions(pg, p, nu=2.0)
-    df = bgk.rhs(f, mom)
-    n0 = integrate_conf_field(mom.compute("M0", f), pg)
-    e0 = integrate_conf_field(mom.compute("M2", f), pg)
-    assert abs(integrate_conf_field(mom.compute("M0", df), pg)) / n0 < 1e-5
-    assert abs(integrate_conf_field(mom.compute("M2", df), pg)) / e0 < 1e-4
+def test_a_system_takes_collisions_only_as_a_modal_cell_table(setup):
+    """A collision operator runs inside the modal solver's cell program:
+    one without a cell table, or any on the quadrature scheme, is refused."""
+    from repro.systems import Species, System
 
+    pg, p, _, _, _ = setup
 
-def test_bgk_maxwellian_is_fixed_point(setup):
-    pg, p, mom, basis, _ = setup
+    class AddedAfterTheSolver:
+        nu = 1.0
 
-    def fm(x, v):
-        return 1.7 * np.exp(-((v - 0.3) ** 2) / 2) / np.sqrt(2 * np.pi)
+        def rhs(self, f, moments, out=None, accumulate=False):
+            return out
 
-    f = project_phase_function(fm, pg, basis)
-    bgk = BGKCollisions(pg, p, nu=1.0)
-    df = bgk.rhs(f, mom)
-    assert np.max(np.abs(df)) / np.max(np.abs(f)) < 2e-3
+    def elc(collisions):
+        return Species("elc", -1.0, 1.0, pg.vel, lambda x, v: np.exp(-v**2), collisions)
 
-
-def test_bgk_accumulate_interface(setup):
-    pg, p, mom, _, f = setup
-    bgk = BGKCollisions(pg, p, nu=1.0)
-    base = np.ones_like(f)
-    out = base.copy()
-    bgk.rhs(f, mom, out=out, accumulate=True)
-    assert np.allclose(out - base, bgk.rhs(f, mom), atol=1e-14)
+    with pytest.raises(ValueError, match="'elc'.*needs a cell_table"):
+        System(pg.conf, [elc(AddedAfterTheSolver())], poly_order=p)
+    with pytest.raises(ValueError, match="'elc'.*quadrature scheme is collisionless"):
+        System(pg.conf, [elc(LBOCollisions(pg, p))], poly_order=p, scheme="quadrature")
 
 
 def test_lbo_2v_conservation():

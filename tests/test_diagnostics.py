@@ -1,11 +1,10 @@
-"""Diagnostics: growth fits, slices, field-particle correlation, flops."""
+"""Diagnostics: growth fits, slices, energy history, flops."""
 
 import numpy as np
 import pytest
 
 from repro.basis.modal import ModalBasis
 from repro.diagnostics import EnergyHistory, evaluate_points, fit_exponential_growth, plane_slice
-from repro.diagnostics.fieldparticle import FieldParticleCorrelator
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import compare_costs, get_vlasov_kernels
 from repro.kernels.flops import alias_free_quadrature_points_1d
@@ -51,34 +50,6 @@ def test_plane_slice_structure():
     sl = plane_slice(f, pg, basis, axes=(0, 1), fixed={}, resolution=16)
     assert sl["values"].shape == (16, 16)
     assert np.allclose(sl["values"], 1.0, atol=1e-10)
-
-
-def test_field_particle_correlator_zero_field():
-    pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-4.0], [4.0], [16]))
-    basis = ModalBasis(2, 2, "serendipity")
-    f = project_phase_function(
-        lambda x, v: np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi), pg, basis
-    )
-    corr = FieldParticleCorrelator(pg, basis, charge=-1.0, x0=0.5,
-                                   velocities=np.linspace(-3, 3, 7))
-    corr.record(f, e_at_x0=0.0, t=0.0)
-    out = corr.correlation()
-    assert np.allclose(out["C"], 0.0)
-
-
-def test_field_particle_correlator_sign_structure():
-    """For a Maxwellian, -q v^2/2 df/dv E is odd-ish in v with sign set by qE."""
-    pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-4.0], [4.0], [32]))
-    basis = ModalBasis(2, 2, "serendipity")
-    f = project_phase_function(
-        lambda x, v: np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi), pg, basis
-    )
-    v = np.array([-1.0, 1.0])
-    corr = FieldParticleCorrelator(pg, basis, charge=-1.0, x0=0.5, velocities=v)
-    corr.record(f, e_at_x0=1.0, t=0.0)
-    c = corr.correlation()["C"]
-    # df/dv = -v f_M: C = -q v^2/2 (-v f) E = q E v^3 f / 2 -> odd in v
-    assert c[0] * c[1] < 0
 
 
 def test_energy_history_arrays():

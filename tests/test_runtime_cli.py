@@ -203,6 +203,37 @@ def test_malformed_profile_is_a_clean_error(capsys, scenario, override, field):
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides, error",
+    [
+        (
+            "collisional_relaxation",
+            ["species.elc.collisions.kind=bgk"],
+            "spec.species[0].collisions.kind: the BGK collision operator was removed; use 'lbo'",
+        ),
+        ("collisional_relaxation", ["operator=bgk"], "operator: unknown field 'operator'"),
+        (
+            "landau_damping",
+            ["scheme=quadrature", "species.elc.collisions.nu=0.5"],
+            "spec.species[0].collisions: collisions run in the modal scheme's cell program",
+        ),
+    ],
+    ids=["bgk-kind", "operator-param", "quadrature-collisions"],
+)
+def test_a_collision_the_cell_program_cannot_run_is_a_clean_error(
+    capsys, scenario, overrides, error
+):
+    """Collisions are the LBO in a modal species' cell program: the removed
+    BGK kind, the dropped ``operator`` parameter, and collisions on the
+    quadrature scheme are each one ``error:`` line (exit 2)."""
+    argv = ["run", scenario]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
 def test_missing_campaign_file_is_a_clean_error(capsys, tmp_path):
     assert main(["campaign", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.collisions import BGKCollisions, LBOCollisions
+from repro.collisions import LBOCollisions
 from repro.runtime import Driver, SpecError, build, build_app
 from repro.systems import System
 
@@ -28,8 +28,6 @@ def test_build_app_quadrature_scheme():
 def test_build_app_wires_collisions():
     app = build_app(build("collisional_relaxation", nv=8))
     assert isinstance(app.species[0].collisions, LBOCollisions)
-    app = build_app(build("collisional_relaxation", nv=8, operator="bgk"))
-    assert isinstance(app.species[0].collisions, BGKCollisions)
     assert app.species[0].collisions.nu == pytest.approx(0.8)
 
 

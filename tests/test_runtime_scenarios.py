@@ -140,8 +140,8 @@ def test_unknown_override_key_errors():
 
 def test_scenario_param_validation_flows_through():
     with pytest.raises(SpecError) as err:
-        build("collisional_relaxation", operator="krook")
-    assert "collisions.kind" in err.value.field
+        build("collisional_relaxation", nu=-1.0)
+    assert "collisions.nu" in err.value.field
 
 
 def test_decorator_registers_and_validates(monkeypatch):

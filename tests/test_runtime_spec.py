@@ -193,8 +193,12 @@ def test_overrides_unknown_path_errors():
 
 def test_override_can_create_collisions():
     spec = _minimal_spec().validate()
-    out = spec.with_overrides({"species.elc.collisions.kind": "bgk"})
-    assert out.species[0].collisions.kind == "bgk"
+    out = spec.with_overrides({"species.elc.collisions.kind": "lbo"})
+    assert out.species[0].collisions.kind == "lbo"
+    # the removed BGK kind is named as such
+    with pytest.raises(SpecError, match="BGK collision operator was removed.*'lbo'") as err:
+        spec.with_overrides({"species.elc.collisions.kind": "bgk"})
+    assert err.value.field == "spec.species[0].collisions.kind"
     # setting a non-kind parameter first auto-creates with the default kind
     out = spec.with_overrides({"species.elc.collisions.nu": 0.5})
     assert out.species[0].collisions.kind == "lbo"
