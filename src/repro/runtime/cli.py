@@ -298,7 +298,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         lease_timeout=_checked_lease_timeout(args.lease_timeout),
-        poll=args.poll,
     )
     daemon.start()
     print(
@@ -537,9 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_LEASE_TIMEOUT,
         help="seconds before a crashed worker's job lease counts as stale",
-    )
-    p_serve.add_argument(
-        "--poll", type=float, default=0.2, help="worker/stream poll interval [s]"
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -11,12 +11,13 @@ front of the same directory.  The pieces:
 
 * :mod:`repro.serve.hash`      — canonical content hash of a
   JSON-round-trippable :class:`~repro.runtime.spec.SimulationSpec` (PR 1);
-* :mod:`repro.serve.store`     — a :class:`JobStore` protocol (pluggable:
-  filesystem now, object store/Redis later) keyed by that hash, built on
-  atomic writes + the O_EXCL lease of :mod:`repro.dist.lease`;
-* :mod:`repro.serve.scheduler` — worker processes (persistent, or
-  exit-when-idle for a batch drain) with heartbeat/stale-takeover lease
-  semantics, so a SIGKILLed worker's job is re-run exactly once;
+* :mod:`repro.serve.store`     — :class:`FileJobStore`, one directory of
+  job records keyed by that hash, built on atomic writes + the O_EXCL
+  lease of :mod:`repro.dist.lease`;
+* :mod:`repro.serve.scheduler` — worker processes (persistent, woken by a
+  submission, or exit-when-idle for a batch drain) with
+  heartbeat/stale-takeover lease semantics, so a SIGKILLed worker's job is
+  re-run exactly once;
 * :mod:`repro.serve.http`      — the ``repro serve`` daemon: submit /
   status / result endpoints plus a chunked incremental tail of the
   per-record-flushed ``diagnostics.jsonl`` (PR 2/PR 8), graceful SIGTERM
@@ -34,13 +35,12 @@ from .client import ServeClient, ServeError  # noqa: F401
 from .hash import canonical_spec_dict, normalized_spec_dict, spec_digest  # noqa: F401
 from .http import ServeDaemon  # noqa: F401
 from .scheduler import WorkerPool, run_job, worker_loop  # noqa: F401
-from .store import FileJobStore, JobStore  # noqa: F401
+from .store import FileJobStore  # noqa: F401
 
 __all__ = [
     "spec_digest",
     "canonical_spec_dict",
     "normalized_spec_dict",
-    "JobStore",
     "FileJobStore",
     "WorkerPool",
     "worker_loop",

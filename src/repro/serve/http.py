@@ -17,13 +17,20 @@ Zero-dependency (stdlib ``http.server`` threading) serving layer:
   file;
 * ``GET /healthz``, ``GET /metrics`` — liveness + the service's own
   :mod:`repro.obs` metrics (jobs submitted/deduped/completed/failed,
-  queue-depth gauge, time-to-first-result histogram).
+  queue-depth gauge, time-to-first-result histogram), folded from the
+  store when asked; a changed snapshot is appended to
+  ``<root>/metrics.jsonl``.
+
+A submission that queues a job wakes one idle worker
+(:meth:`~repro.serve.scheduler.WorkerPool.notify`).  The diagnostics
+tail is the daemon's one loop that waits an interval
+(:data:`~repro.serve.scheduler.IDLE_WAIT_S`).
 
 Graceful drain: SIGTERM (or :meth:`ServeDaemon.drain`) stops accepting
-submissions (503), touches the store's STOP sentinel so workers finish
-exactly the jobs they hold, joins the pool, flushes a final metrics
-snapshot to ``<root>/metrics.jsonl`` (readable by ``repro report``), and
-shuts the listener down.
+submissions (503), touches the store's STOP sentinel and wakes every
+worker so each finishes exactly the job it holds, joins the pool, appends
+a final metrics snapshot to ``<root>/metrics.jsonl`` (readable by ``repro
+report``), and shuts the listener down.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from ..io.atomic import publish_text
 from ..obs.metrics import MetricsRegistry
 from ..runtime.errors import SpecError
 from ..runtime.spec import SimulationSpec
-from .scheduler import DEFAULT_POLL, WorkerPool
-from .store import TERMINAL_STATUSES, FileJobStore, PathLike
+from . import scheduler
+from .store import JOB_STATUSES, TERMINAL_STATUSES, FileJobStore, PathLike
 
 __all__ = ["ServeDaemon", "SERVE_INFO"]
 
@@ -62,23 +69,20 @@ class ServeDaemon:
         port: int = 0,
         workers: int = 2,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        poll: float = DEFAULT_POLL,
     ):
         self.host = host
         self.port = int(port)
-        self.poll = float(poll)
         self.lease_timeout = validate_lease_timeout(lease_timeout)
         self.store = FileJobStore(root, self.lease_timeout)
-        self.pool = WorkerPool(
-            root, workers=workers, lease_timeout=self.lease_timeout, poll=poll
+        self.pool = scheduler.WorkerPool(
+            root, workers=workers, lease_timeout=self.lease_timeout
         )
         self.metrics = MetricsRegistry()
         self.draining = False
         self._metrics_mu = threading.Lock()
         self._seen: Dict[str, str] = {}
+        self._logged: Optional[dict] = None
         self._server: Optional[ThreadingHTTPServer] = None
-        self._threads: list = []
-        self._stop = threading.Event()
         self._started = None
 
     # ------------------------------------------------------------------ #
@@ -91,7 +95,7 @@ class ServeDaemon:
         return self.store.root / SERVE_INFO
 
     def start(self) -> "ServeDaemon":
-        """Bind, spawn workers, start the monitor; returns immediately."""
+        """Bind, spawn workers, serve; returns immediately."""
         if self._server is not None:
             return self
         # a daemon restarting over a previously drained store must accept
@@ -104,15 +108,9 @@ class ServeDaemon:
         self._server = server
         self._started = time.monotonic()
         self.pool.start()
-        t_http = threading.Thread(
+        threading.Thread(
             target=server.serve_forever, name="repro-serve-http", daemon=True
-        )
-        t_mon = threading.Thread(
-            target=self._monitor, name="repro-serve-monitor", daemon=True
-        )
-        t_http.start()
-        t_mon.start()
-        self._threads = [t_http, t_mon]
+        ).start()
         publish_text(
             self.info_path,
             json.dumps(
@@ -135,14 +133,11 @@ class ServeDaemon:
             return True
         self.draining = True
         self.store.request_stop()
+        self.pool.notify(self.pool.workers)  # idle workers see STOP at once
         clean = self.pool.join(timeout)
         if not clean:  # pragma: no cover - stuck worker safety valve
             self.pool.terminate()
-        self._stop.set()
-        # jobs that finished after the monitor's last tick (typical during
-        # the join above) must still land in the final snapshot
-        self._observe()
-        self._flush_metrics(final=True)
+        self._observe(final=True)
         self._server.shutdown()
         self._server.server_close()
         self._server = None
@@ -193,6 +188,8 @@ class ServeDaemon:
         else:
             spec = SimulationSpec.from_dict(payload)
         record, compute = self.store.submit(spec)
+        if compute in ("scheduled", "requeued"):
+            self.pool.notify()
         with self._metrics_mu:
             self.metrics.add("jobs_submitted")
             if compute in ("cached", "attached"):
@@ -200,24 +197,18 @@ class ServeDaemon:
         return record, compute
 
     # ------------------------------------------------------------------ #
-    # telemetry (monitor thread)
+    # telemetry (GET /metrics and drain)
     # ------------------------------------------------------------------ #
-    def _monitor(self) -> None:
-        last_flushed: Optional[dict] = None
-        while not self._stop.wait(self.poll):
-            snap = self._observe()
-            if snap != last_flushed:
-                self._flush_metrics(snapshot=snap)
-                last_flushed = snap
-
-    def _observe(self) -> dict:
-        """Fold the store's current state into the service metrics."""
+    def _observe(self, final: bool = False) -> dict:
+        """Fold the store's current state into the service metrics and
+        append a ``metrics.jsonl`` record when the snapshot changed (always
+        when ``final``).  Returns ``{"jobs": counts, "metrics": snapshot}``."""
         jobs = self.store.list_jobs()
+        counts = dict.fromkeys(JOB_STATUSES, 0)
+        for rec in jobs:
+            counts[rec["status"]] += 1
         with self._metrics_mu:
-            self.metrics.gauge_set(
-                "queue_depth",
-                sum(1 for r in jobs if r["status"] == "queued"),
-            )
+            self.metrics.gauge_set("queue_depth", counts["queued"])
             for rec in jobs:
                 status = rec["status"]
                 if (
@@ -233,18 +224,19 @@ class ServeDaemon:
                     else:
                         self.metrics.add("jobs_failed")
                 self._seen[rec["id"]] = status
-            return self.metrics.snapshot()
+            snap = self.metrics.snapshot()
+            if final or snap != self._logged:
+                self._logged = snap
+                self._append_metrics(counts, snap, final)
+        return {"jobs": counts, "metrics": snap}
 
-    def _flush_metrics(self, snapshot: Optional[dict] = None, final: bool = False) -> None:
-        if snapshot is None:
-            with self._metrics_mu:
-                snapshot = self.metrics.snapshot()
+    def _append_metrics(self, counts: dict, snapshot: dict, final: bool) -> None:
         rec = {
             "time": (
                 0.0 if self._started is None
                 else time.monotonic() - self._started
             ),
-            "jobs": self.store.counts(),
+            "jobs": counts,
             "metrics": snapshot,
         }
         if final:
@@ -333,11 +325,7 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
         elif parts == ["metrics"]:
-            with self.daemon._metrics_mu:
-                snap = self.daemon.metrics.snapshot()
-            self._send_json(
-                200, {"jobs": self.daemon.store.counts(), "metrics": snap}
-            )
+            self._send_json(200, self.daemon._observe())
         elif parts == ["jobs"]:
             jobs = [
                 {k: v for k, v in rec.items() if k != "spec"}
@@ -403,7 +391,7 @@ class _Handler(BaseHTTPRequestHandler):
                     break
                 if daemon.draining and current["status"] == "queued":
                     break  # this job will not start during a drain
-                time.sleep(daemon.poll)
+                time.sleep(scheduler.IDLE_WAIT_S)
             self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream

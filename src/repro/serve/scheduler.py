@@ -15,10 +15,20 @@ through an exclusive create.  The re-run starts from a fresh
 Driver, which truncates any partial ``diagnostics.jsonl``, so the
 recovered job's output is byte-identical to an uninterrupted run.
 
-Graceful drain: the daemon touches the store's ``STOP`` sentinel; workers
-finish the job they currently hold, claim nothing further, and exit.
-Queued-but-unclaimed jobs stay queued in the store and run when the
-service next starts.
+Wake-up: a :class:`WorkerPool` hands its workers one counting semaphore
+and releases it once per job submitted through the daemon
+(:meth:`WorkerPool.notify`), so an idle worker scans the store the moment
+there is work.  A release that lands between a worker's scan and its wait
+is counted, never lost; a surplus one costs one extra scan.  An idle worker
+also rescans every :data:`IDLE_WAIT_S` seconds without a release: that
+interval bounds only stale-lease takeover and jobs another process put
+into the directory.  A worker outside a pool (``repro worker``) has no
+semaphore and rescans on that interval.
+
+Graceful drain: the daemon touches the store's ``STOP`` sentinel and wakes
+every worker; workers finish the job they currently hold, claim nothing
+further, and exit.  Queued-but-unclaimed jobs stay queued in the store and
+run when the service next starts.
 
 Batch drain: ``exit_when_idle`` workers leave once nothing is claimable —
 ``repro campaign`` (submit every scan point, then drain) and ``repro
@@ -39,9 +49,11 @@ from ..dist.lease import DEFAULT_LEASE_TIMEOUT, validate_lease_timeout
 from ..io.atomic import publish_text
 from .store import FileJobStore, PathLike
 
-__all__ = ["run_job", "worker_loop", "WorkerPool", "DEFAULT_POLL"]
+__all__ = ["run_job", "worker_loop", "WorkerPool", "IDLE_WAIT_S"]
 
-DEFAULT_POLL = 0.2
+#: longest an idle worker waits before it rescans the store unwoken [s]
+#: (read at wait time, so a test can patch it)
+IDLE_WAIT_S = 0.2
 
 
 def _worker_id() -> str:
@@ -76,7 +88,7 @@ def run_job(store: FileJobStore, record: dict) -> dict:
 def worker_loop(
     root: PathLike,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-    poll: float = DEFAULT_POLL,
+    wake=None,
     exit_when_idle: bool = False,
     max_jobs: Optional[int] = None,
     on_finish: Optional[Callable[[dict], None]] = None,
@@ -86,7 +98,9 @@ def worker_loop(
 
     Runnable jobs are those ``queued``, plus ``running`` jobs whose lease
     went stale (crashed claimant).  A live claimant's lease never yields,
-    so no job runs twice concurrently.  ``on_finish`` receives each job's
+    so no job runs twice concurrently.  An idle worker waits on ``wake``
+    (its pool's semaphore) for at most :data:`IDLE_WAIT_S` seconds, or
+    sleeps that long without one.  ``on_finish`` receives each job's
     final record (the CLI's progress line).  Returns ``{"ran": [...],
     "failed": [...]}`` for this worker.
     """
@@ -110,7 +124,10 @@ def worker_loop(
         if claimed is None:
             if exit_when_idle:
                 break
-            time.sleep(poll)
+            if wake is None:
+                time.sleep(IDLE_WAIT_S)
+            else:
+                wake.acquire(timeout=IDLE_WAIT_S)
             continue
         try:
             try:
@@ -133,7 +150,7 @@ def worker_loop(
 
 
 def _worker_main(
-    root: str, lease_timeout: float, poll: float, exit_when_idle: bool, on_finish
+    root: str, lease_timeout: float, wake, exit_when_idle: bool, on_finish
 ) -> None:
     """Entry point of a pool worker process.
 
@@ -147,7 +164,7 @@ def _worker_main(
     """
     if not exit_when_idle:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker_loop(root, lease_timeout, poll, exit_when_idle, on_finish=on_finish)
+    worker_loop(root, lease_timeout, wake, exit_when_idle, on_finish=on_finish)
 
 
 class WorkerPool:
@@ -159,7 +176,6 @@ class WorkerPool:
         root: PathLike,
         workers: int = 2,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        poll: float = DEFAULT_POLL,
         exit_when_idle: bool = False,
         on_finish: Optional[Callable[[dict], None]] = None,
     ):
@@ -168,24 +184,25 @@ class WorkerPool:
         self.root = str(root)
         self.workers = int(workers)
         self.lease_timeout = validate_lease_timeout(lease_timeout)
-        self.poll = float(poll)
         self.exit_when_idle = bool(exit_when_idle)
         self.on_finish = on_finish
+        self._ctx = (
+            mp.get_context("fork")
+            if "fork" in mp.get_all_start_methods()
+            else mp.get_context()
+        )
+        # made before any worker starts, so every worker shares it
+        self._wake = self._ctx.Semaphore(0)
         self._procs: List[mp.Process] = []
 
     def start(self) -> "WorkerPool":
         if self._procs:
             return self
-        ctx = (
-            mp.get_context("fork")
-            if "fork" in mp.get_all_start_methods()
-            else mp.get_context()
-        )
         self._procs = [
-            ctx.Process(
+            self._ctx.Process(
                 target=_worker_main,
                 args=(
-                    self.root, self.lease_timeout, self.poll,
+                    self.root, self.lease_timeout, self._wake,
                     self.exit_when_idle, self.on_finish,
                 ),
                 daemon=False,
@@ -196,6 +213,11 @@ class WorkerPool:
         for p in self._procs:
             p.start()
         return self
+
+    def notify(self, n: int = 1) -> None:
+        """Wake up to ``n`` idle workers to scan the store."""
+        for _ in range(n):
+            self._wake.release()
 
     def alive(self) -> int:
         return sum(1 for p in self._procs if p.is_alive())

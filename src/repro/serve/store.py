@@ -1,4 +1,4 @@
-"""Job store: content-addressed job records behind a pluggable protocol.
+"""Job store: content-addressed job records in one directory.
 
 A **job** is one simulation keyed by the canonical content hash of its
 spec (:func:`repro.serve.hash.spec_digest`).  The store holds the job's
@@ -6,10 +6,8 @@ normalized spec, lifecycle status (``queued -> running -> done|failed``),
 timestamps, and result summary, and owns the directory where the run's
 outputs (``diagnostics.jsonl``, ``checkpoint.npz``, ``result.json``) land.
 
-:class:`JobStore` is the seam for alternative backends (object store,
-Redis): everything the scheduler and HTTP layer touch goes through it.
-:class:`FileJobStore` is the filesystem implementation — the one queue
-``repro campaign``, ``repro worker`` and ``repro serve`` all run on:
+:class:`FileJobStore` is the one queue ``repro campaign``, ``repro
+worker`` and ``repro serve`` all run on:
 
 * job metadata is a ``job.json`` per job, published through
   :mod:`repro.io.atomic` so readers never see a torn record;
@@ -27,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..dist.lease import (
     CLAIMS_LOG,
@@ -44,7 +42,6 @@ __all__ = [
     "JOB_STATUSES",
     "TERMINAL_STATUSES",
     "STOP_FILE",
-    "JobStore",
     "FileJobStore",
 ]
 
@@ -58,27 +55,6 @@ STOP_FILE = "STOP"
 JOBS_DIR = "jobs"
 _META = "job.json"
 _OUT = "out"
-
-
-class JobStore(Protocol):
-    """What the scheduler and HTTP layer need from a store implementation.
-
-    A conforming store keys jobs by spec content hash, serializes
-    ``submit``/``update`` (so concurrent duplicate submissions create
-    exactly one job), and hands out exclusive, crash-recoverable run
-    claims.  ``FileJobStore`` is the filesystem implementation; an object
-    store or Redis implementation plugs in here.
-    """
-
-    def submit(self, spec) -> Tuple[dict, str]: ...
-    def get(self, job_id: str) -> Optional[dict]: ...
-    def list_jobs(self) -> List[dict]: ...
-    def update(self, job_id: str, mutate: Callable[[dict], None]) -> dict: ...
-    def try_claim(self, job_id: str, worker: str) -> Optional[LeaseLock]: ...
-    def counts(self) -> Dict[str, int]: ...
-    def outdir(self, job_id: str) -> Path: ...
-    def diagnostics_path(self, job_id: str) -> Path: ...
-    def result_path(self, job_id: str) -> Path: ...
 
 
 class FileJobStore:
@@ -178,12 +154,6 @@ class FileJobStore:
                 jobs.append(rec)
         jobs.sort(key=lambda r: (r.get("submitted") or 0.0, r["id"]))
         return jobs
-
-    def counts(self) -> Dict[str, int]:
-        out = {status: 0 for status in JOB_STATUSES}
-        for rec in self.list_jobs():
-            out[rec["status"]] = out.get(rec["status"], 0) + 1
-        return out
 
     def update(self, job_id: str, mutate: Callable[[dict], None]) -> dict:
         """Read-modify-write one job record under the store lock."""
@@ -301,6 +271,3 @@ class FileJobStore:
                 finished=time.time(),
             ),
         )
-
-    def flush(self) -> None:
-        """Filesystem stores persist on every write; nothing buffered."""

@@ -256,7 +256,7 @@ def test_crashed_claimant_job_is_recovered(tmp_path):
 def test_daemon_on_a_finished_campaign_dir_serves_its_points_cached(tmp_path):
     camp = _campaign(scan={"drift": [1.5, 2.0]})
     manifest = run_campaign(camp, tmp_path)
-    daemon = ServeDaemon(tmp_path, workers=1, poll=0.05).start()
+    daemon = ServeDaemon(tmp_path, workers=1).start()
     try:
         client = ServeClient.from_dir(tmp_path)
         resp = client.submit(
@@ -271,7 +271,7 @@ def test_daemon_on_a_finished_campaign_dir_serves_its_points_cached(tmp_path):
 
 
 def test_worker_cli_drains_a_live_daemons_store(tmp_path, capsys):
-    daemon = ServeDaemon(tmp_path, workers=1, poll=0.05).start()
+    daemon = ServeDaemon(tmp_path, workers=1).start()
     try:
         client = ServeClient.from_dir(tmp_path)
         # keep the daemon's only worker busy, then queue a second job

@@ -12,6 +12,8 @@ Covers the serving-layer acceptance invariants end to end:
 * a SIGKILLed worker's lease goes stale and its job is re-run exactly
   once by another worker, with byte-identical diagnostics;
 * SIGTERM drains the daemon without losing or double-running leased jobs;
+* a submission wakes an idle worker, drain wakes every worker, and the
+  service metrics are current when asked — none waits out an interval;
 * ``repro report`` fails with an actionable message (not a traceback) on
   missing or still-running output directories;
 * lease timeouts are validated wherever they are configurable.
@@ -34,6 +36,7 @@ import pytest
 from repro.dist.lease import LeaseLock, validate_lease_timeout
 from repro.runtime.cli import main
 from repro.runtime.scenarios import build
+from repro.serve import scheduler
 from repro.serve import (
     FileJobStore,
     ServeClient,
@@ -73,7 +76,7 @@ def wait_until(predicate, timeout=30.0, poll=0.05, what="condition"):
 
 @pytest.fixture
 def daemon(tmp_path):
-    d = ServeDaemon(tmp_path / "srv", workers=1, poll=0.05)
+    d = ServeDaemon(tmp_path / "srv", workers=1)
     d.start()
     yield d
     d.drain(timeout=60.0)
@@ -263,7 +266,7 @@ def test_concurrent_submissions_create_one_job(daemon):
 # ---------------------------------------------------------------------- #
 def test_sigkilled_worker_job_is_rerun_byte_identical(tmp_path):
     # 2000 steps: at the default t_end the job ends after ~100 steps, often
-    # within one poll, and is never seen mid-job
+    # within one 50 ms check below, and is never seen mid-job
     spec = slow_spec(steps=2000, t_end=1e3)
     store = FileJobStore(tmp_path / "srv", lease_timeout=1.0)
     rec, _ = store.submit(spec)
@@ -272,7 +275,7 @@ def test_sigkilled_worker_job_is_rerun_byte_identical(tmp_path):
     victim = ctx.Process(
         target=worker_loop,
         args=(str(store.root),),
-        kwargs=dict(lease_timeout=1.0, poll=0.05, max_jobs=1),
+        kwargs=dict(lease_timeout=1.0, max_jobs=1),
     )
     victim.start()
     try:
@@ -290,7 +293,7 @@ def test_sigkilled_worker_job_is_rerun_byte_identical(tmp_path):
 
     # a second worker breaks the stale lease (after ~lease_timeout) and
     # re-runs the job to completion
-    out = worker_loop(store.root, lease_timeout=1.0, poll=0.1, max_jobs=1)
+    out = worker_loop(store.root, lease_timeout=1.0, max_jobs=1)
     assert out["ran"] == [rec["id"]] and out["failed"] == []
     final = store.get(rec["id"])
     assert final["status"] == "done"
@@ -325,7 +328,7 @@ def test_sigterm_drains_without_losing_leased_jobs(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", str(root),
-            "--workers", "1", "--poll", "0.05",
+            "--workers", "1",
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -361,6 +364,48 @@ def test_sigterm_drains_without_losing_leased_jobs(tmp_path):
     assert records[-1]["metrics"]["jobs_completed"] == 1.0
     # ... readable by `repro report` (S2 + obs integration)
     assert main(["report", str(root)]) == 0
+
+
+# ---------------------------------------------------------------------- #
+# wake-ups: no served path waits out the idle interval
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def idle_daemon(tmp_path, monkeypatch):
+    """A daemon whose idle workers would rescan only once a minute: every
+    deadline below is met by a wake-up or not at all."""
+    monkeypatch.setattr(scheduler, "IDLE_WAIT_S", 60.0)
+    d = ServeDaemon(tmp_path / "srv", workers=1).start()
+    time.sleep(0.5)  # the worker found an empty store and waits
+    yield d
+    d.drain(timeout=10.0)
+
+
+def test_a_submission_wakes_an_idle_worker(idle_daemon):
+    client = ServeClient.from_dir(idle_daemon.store.root)
+    sub = client.submit(spec=fast_spec())
+    result = client.result(sub["job"], wait=True, timeout=30.0, poll=0.02)
+    assert result["steps"] == FAST["steps"]
+    rec = idle_daemon.store.get(sub["job"])
+    assert rec["started"] - rec["submitted"] < 5.0
+
+
+def test_drain_wakes_idle_workers(idle_daemon):
+    t0 = time.monotonic()
+    assert idle_daemon.drain(timeout=10.0)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_metrics_are_current_when_a_result_arrives(idle_daemon):
+    client = ServeClient.from_dir(idle_daemon.store.root)
+    sub = client.submit(spec=fast_spec())
+    client.result(sub["job"], wait=True, timeout=30.0, poll=0.02)
+    data = client.metrics()
+    assert data["metrics"]["jobs_completed"] == 1
+    assert data["metrics"]["queue_depth"] == 0
+    assert data["jobs"]["done"] == 1
+    # the changed snapshot was appended for `repro report`
+    logged = (idle_daemon.store.root / "metrics.jsonl").read_text().splitlines()
+    assert json.loads(logged[-1])["metrics"] == data["metrics"]
 
 
 def test_draining_daemon_rejects_submissions(daemon):
