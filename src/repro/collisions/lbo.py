@@ -114,6 +114,9 @@ class LBOCollisions:
         self.aux = aux = phase_grid.base_aux()
         aux["nu"] = self.nu
         self._prim = np.zeros((vdim + 1, npc) + phase_grid.conf.cells)
+        # (state token, id of f) that ``_prim`` holds the moments of
+        self._prim_key: Optional[tuple] = None
+        self._norm0 = self.cfg_basis.norm(0)
         for k in range(npc):
             for j in range(vdim):
                 aux[f"u{j}_{k}"] = phase_grid.conf_coefficient_array(self._prim[j, k])
@@ -242,16 +245,24 @@ class LBOCollisions:
             vtsq if self.fixed_vtsq is None else self.fixed_vtsq,
         )
 
-    def refresh(self, f: np.ndarray, moments: MomentCalculator) -> None:
+    def refresh(
+        self, f: np.ndarray, moments: MomentCalculator, token: Optional[tuple] = None
+    ) -> None:
         """Set the primitive-moment symbols of :attr:`aux` to those of ``f``
         (the own cells) — what :attr:`cell_table` reads; run it before the
-        table, whose stage may overwrite ``f``."""
+        table, whose stage may overwrite ``f``.  With ``token``, the owning
+        system's state token (``f`` is its state under it), symbols already
+        set from the same ``f`` under the same token are kept."""
+        key = None if token is None else (token, id(f))
+        if key is not None and key == self._prim_key:
+            return
         u, vtsq = self.primitive_moments(f, moments)
         cdim, vdim = self.grid.cdim, self.grid.vdim
         cells = tuple(range(cdim))
         # the coefficient axis ahead of the configuration cells
         self._prim[:vdim] = u.transpose((0, cdim + 1) + tuple(c + 1 for c in cells))
         self._prim[vdim] = vtsq.transpose((cdim,) + cells)
+        self._prim_key = key
 
     def rhs(
         self,
@@ -277,17 +288,24 @@ class LBOCollisions:
         run_passes(table, plans, arrays, self.aux)
         return out
 
-    def max_frequency(self, f: np.ndarray, moments: MomentCalculator) -> float:
+    def max_frequency(
+        self, f: np.ndarray, moments: MomentCalculator, token: Optional[tuple] = None
+    ) -> float:
         """CFL estimate: drag ``nu (2p+1) vmax/dv`` plus parabolic diffusion
         limit ``nu vtsq (2p+1)^2 / dv^2`` per velocity direction, with
-        ``vtsq`` the largest cell-average thermal speed of ``f`` — a pure
-        function of the state, like the Vlasov solver's estimate."""
+        ``vtsq`` the largest cell-average thermal speed of ``f`` — a
+        function of the state alone, like the Vlasov solver's estimate.
+        With ``token`` (as for :meth:`refresh`) the moments are taken
+        through :meth:`refresh`, so the next stage with that token reuses
+        them."""
         g = self.grid
         p = self.poly_order
-        _, vtsq = self.primitive_moments(f, moments)
-        vtsq_max = max(
-            float(np.max(np.abs(vtsq[..., 0]))) * self.cfg_basis.norm(0), 1e-30
-        )
+        if token is None:
+            vtsq0 = self.primitive_moments(f, moments)[1][..., 0]
+        else:
+            self.refresh(f, moments, token)
+            vtsq0 = self._prim[g.vdim, 0]
+        vtsq_max = max(float(np.max(np.abs(vtsq0))) * self._norm0, 1e-30)
         freq = 0.0
         for j in range(g.vdim):
             dv = g.vel.dx[j]

@@ -27,8 +27,13 @@ gather/scatter — all through the :class:`~repro.systems.model.Model`
 protocol, on the shared arrays.  Workers are forked (Linux), so they
 inherit the parent's generated-kernel cache and system declaration without
 pickling.  The parent never evaluates an RHS itself, and need not: all it
-reports (``suggested_dt`` included) is a pure function of the state it
-shares with the workers — no RHS call caches anything a later answer reads.
+reports (``suggested_dt`` included) is a function of the state it shares
+with the workers.  What it computes once per state — the Poisson field and
+the LBO moments that ``suggested_dt`` and the energy record share — is keyed
+by the serial system's state token (generation, step count, time): a worker
+step moves the step count and time, :meth:`ShardedApp.set_state` the
+generation.  Workers never call ``suggested_dt``, so every shard recomputes
+in every stage and they all join the Poisson charge gather alike.
 """
 
 from __future__ import annotations
@@ -455,9 +460,12 @@ class ShardedApp:
 
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
         """Scatter a (checkpoint) state into the shared arrays in place —
-        worker views stay valid, unlike the serial system's rebinding."""
+        worker views stay valid, unlike the serial system's rebinding —
+        and rebind the serial system to them, which starts a new state
+        token there."""
         for key, shared in self._shared.items():
             np.copyto(shared, state[key])
+        self._inner.set_state(self._shared)
 
     def step(self, dt: Optional[float] = None) -> float:
         if self._closed:

@@ -45,6 +45,7 @@ One call is one ``plan_apply:<digest12>`` span and one count in the
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter, is_, itemgetter
 from time import perf_counter as _perf_counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -69,6 +70,14 @@ __all__ = [
 
 _S_PLAN_APPLIES = _OBS_SLOT["plan_applies"]
 _S_PLAN_APPLY_MS = _OBS_SLOT["plan_apply_ms"]
+_FAST_VALS = attrgetter("_fast_vals")
+
+
+def _tuple_getter(names: Sequence[str]):
+    """``aux -> tuple(aux[n] for n in names)``, the loop in C."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    return lambda aux: tuple(aux[n] for n in names)
 
 
 class Stage(NamedTuple):
@@ -319,8 +328,11 @@ class CellProgram:
                 at = len(self._ops)
                 self._ops.append((op, own_cells))
             self._slot.append(at)
-        # every symbol the operators read, and the memo of _plans
+        # every symbol the operators read (their values, as one tuple), and
+        # the memo of _plans
         self._names = sorted({n for op, _c in self._ops for n in op._names})
+        self._values = _tuple_getter(self._names)
+        self._operators = [op for op, _c in self._ops]
         self._memo: Optional[tuple] = None
         # the factors the compiled table reads: jump penalties (one per
         # acceleration direction, written per call), then the scale factors
@@ -393,7 +405,7 @@ class CellProgram:
         else:
             key = (f, out, stage.u0, stage.target, *plans)
         bound = self._bound
-        if len(key) != len(bound) or any(a is not b for a, b in zip(key, bound)):
+        if len(key) != len(bound) or not all(map(is_, key, bound)):
             self._bind(key, plans, stage)
         if _OBS.on:
             t0 = _perf_counter()
@@ -409,16 +421,21 @@ class CellProgram:
         operator applied with other values since replaced its memo)."""
         memo = self._memo
         if memo is not None:
-            vals, seen, plans = memo
-            if all(aux[n] is v for n, v in zip(self._names, vals)) and all(
-                op._fast_vals is s for (op, _c), s in zip(self._ops, seen)
+            vals, seen, plans, volatile = memo
+            if all(map(is_, self._values(aux), vals)) and all(
+                map(is_, map(_FAST_VALS, self._operators), seen)
             ):
-                for plan in plans:
+                # ``_ready`` where it can rebind: whether a plan binds a
+                # volatile scalar is fixed while its aux values are
+                for plan in volatile:
                     plan._ready(aux)
                 return plans
         plans = bound_plans(self._ops, aux)
         self._memo = (
-            [aux[n] for n in self._names], [op._fast_vals for op, _c in self._ops], plans
+            self._values(aux),
+            [op._fast_vals for op in self._operators],
+            plans,
+            [plan for plan in plans if plan._vol_scalar_names],
         )
         return plans
 
@@ -527,9 +544,14 @@ class CellProgram:
             len(code), code.ctypes.data, self._consts.ctypes.data,
         )
         trace_call = (f.ctypes.data, gs_in.ctypes.data, 0, *s_trace._cc_tail)
+        # the plans whose swept entries or weights follow their aux values'
+        # contents (per-cell groups, velocity factors): refreshed every call
+        refreshed = [
+            plan for plan in plans if plan._per_cell or plan._vel_products or plan._cc_weights
+        ]
         # the code is kept alive beside the addresses taken from it
         return (s_trace._cc, trace_call, face_calls, table_plans[0]._cc_cells, head,
-                (u0, target), code)
+                (u0, target), refreshed, code)
 
     # ------------------------------------------------------------------ #
     def _run(self, f, aux, out, penalties, stage, plans) -> np.ndarray:
@@ -537,9 +559,9 @@ class CellProgram:
             self.tier = "numpy"
             return self._reference(f, aux, out, penalties, stage, plans)
         self.tier = "cc"
-        for plan in plans:
+        sweep, trace_call, face_calls, cells, head, tail, refreshed, _code = self._call
+        for plan in refreshed:
             plan._refresh(aux)
-        sweep, trace_call, face_calls, cells, head, tail, _code = self._call
         if penalties is not None:
             self._consts[: self._npen] = penalties
         penalize = penalties is not None

@@ -186,15 +186,17 @@ class KineticSpecies:
         self._basis = ModalBasis(pg.pdim, poly_order, family)
         self._ic_quad_order = ic_quad_order
 
-    def rhs(self, f, own, em, out=None, stage=None) -> np.ndarray:
+    def rhs(self, f, own, em, out=None, stage=None, token=None) -> np.ndarray:
         """``df/dt`` of the species, collisions included, into ``out`` — or
         with ``stage`` (:attr:`stages` species only) that Shu–Osher stage
         applied in its place.  ``f`` carries the grid's ghost layers, ``own``
         is the species' state without them (what the collision operator's
-        moments read; the two are one array on a whole grid)."""
+        moments read; the two are one array on a whole grid).  ``token``:
+        the owning system's state token, when ``own`` is its state under it
+        (the collision moments computed for it earlier are reused)."""
         if self.collisions is not None:
             # the moments first: the stage may overwrite ``own`` cell by cell
-            self.collisions.refresh(own, self.moments)
+            self.collisions.refresh(own, self.moments, token)
             return self.solver.rhs(f, em, out=out, stage=stage, collide=True)
         if stage is not None:
             return self.solver.rhs(f, em, stage=stage)
@@ -295,17 +297,20 @@ class FieldBlock:
         whether the block contributes an ``"em"`` entry to the model state.
     ``evolves``
         whether that entry has a nonzero time derivative.
-    ``em_for_species(system, state)``
+    ``em_for_species(system, state, token=None)``
         the EM array the Vlasov solvers consume (self-consistent field
-        plus any external drive at the system's current time).
+        plus any external drive at the system's current time).  With the
+        system's state token (``state`` is then the system's state under
+        it) a functional closure reuses the field it solved for that token;
+        without one it solves afresh from ``state``.
     ``accumulate_rhs(system, state, out, ghosted=None)``
         fill the field's own time derivative into ``out`` (no-op for
         functional/static closures); ``ghosted`` is ``state`` carrying the
         grid's ghost layers, when the system is a block of a larger grid.
     ``max_frequency()``
         the field's CFL frequency contribution (0 when not evolved).
-    ``energy(system)``
-        the field-energy diagnostic.
+    ``energy(system, token=None)``
+        the field-energy diagnostic (``token`` as for ``em_for_species``).
     """
 
     kind: str = "abstract"
@@ -344,7 +349,7 @@ class FieldBlock:
         """The initial ``"em"`` state entry (None when not ``in_state``)."""
         return None
 
-    def em_for_species(self, system, state) -> np.ndarray:
+    def em_for_species(self, system, state, token=None) -> np.ndarray:
         raise NotImplementedError
 
     def accumulate_rhs(self, system, state, out, ghosted=None) -> None:
@@ -353,7 +358,7 @@ class FieldBlock:
     def max_frequency(self) -> float:
         return 0.0
 
-    def energy(self, system) -> float:
+    def energy(self, system, token=None) -> float:
         return 0.0
 
     def _project_external(self, conf_grid: Grid, cfg_basis: ModalBasis) -> np.ndarray:
@@ -411,7 +416,7 @@ class MaxwellBlock(FieldBlock):
     def initial_em(self) -> np.ndarray:
         return self.solver.project_initial_condition(self.spec.initial)
 
-    def em_for_species(self, system, state) -> np.ndarray:
+    def em_for_species(self, system, state, token=None) -> np.ndarray:
         """The field the particles feel: the evolved state plus the external
         drive at the system's current time.  The returned array is a
         persistent buffer refreshed per call (the state array itself when
@@ -451,7 +456,7 @@ class MaxwellBlock(FieldBlock):
     def max_frequency(self) -> float:
         return self.solver.max_frequency() if self.spec.evolve else 0.0
 
-    def energy(self, system) -> float:
+    def energy(self, system, token=None) -> float:
         return self.solver.field_energy(system.em)
 
 
@@ -471,6 +476,9 @@ class PoissonBlock(FieldBlock):
         self.coupling: Optional[ChargeCoupling] = None
         self._em_buf: Optional[np.ndarray] = None
         self._conf_grid: Optional[Grid] = None
+        # the self-consistent Ex of the state token it was solved for
+        self._ex_token: Optional[tuple] = None
+        self._ex: Optional[np.ndarray] = None
 
     def unbound(self) -> "PoissonBlock":
         return PoissonBlock(self.epsilon0, self.neutralize)
@@ -490,12 +498,13 @@ class PoissonBlock(FieldBlock):
         if external is not None:
             self._ext_coeffs = self._project_external(conf_grid, cfg_basis)
 
-    def em_for_species(self, system, state) -> np.ndarray:
+    def em_for_species(self, system, state, token=None) -> np.ndarray:
         """Full EM-state array (cell-major ``(nx, 8, Npc)``) with ``Ex``
         from the Poisson solve plus any external drive at the system's
         current time.  The returned array is a persistent buffer refreshed
-        on every call."""
-        ex = self._self_consistent_ex(system, state)
+        on every call; with ``token`` the solve is the one made for it, if
+        any."""
+        ex = self._self_consistent_ex(system, state, token)
         if self.external is not None:
             np.multiply(
                 self._ext_coeffs,
@@ -507,15 +516,23 @@ class PoissonBlock(FieldBlock):
             self._em_buf[..., 0, :] = ex
         return self._em_buf
 
-    def _self_consistent_ex(self, system, state) -> np.ndarray:
-        """This block's cells of ``Ex`` from the Poisson solve (no drive)."""
+    def _self_consistent_ex(self, system, state, token=None) -> np.ndarray:
+        """This block's cells of ``Ex`` from the Poisson solve (no drive),
+        solved once per ``token``.  Every shard of a sharded run asks with
+        the same tokens, so all of them take part in the charge gather or
+        none does."""
+        if token is not None and token == self._ex_token:
+            return self._ex
         rho = self.coupling.charge_density(system.blocks, state, system.halo)
-        return self._conf_grid.restrict(self.solver.solve(rho))
+        ex = self._conf_grid.restrict(self.solver.solve(rho))
+        if token is not None:
+            self._ex_token, self._ex = token, ex
+        return ex
 
-    def energy(self, system) -> float:
+    def energy(self, system, token=None) -> float:
         """Electrostatic energy ``(eps0/2) int E^2 dx`` of the
         self-consistent field (the external drive does not enter)."""
-        ex = self._self_consistent_ex(system, system.state())
+        ex = self._self_consistent_ex(system, system.state(), token)
         jac = 0.5 * self._conf_grid.dx[0]
         return 0.5 * self.epsilon0 * float(np.sum(ex**2)) * jac
 
@@ -547,7 +564,7 @@ class NullFieldBlock(FieldBlock):
             self._ext_coeffs = self._project_external(conf_grid, cfg_basis)
             self._em_buf = np.empty_like(self._ext_coeffs)
 
-    def em_for_species(self, system, state) -> np.ndarray:
+    def em_for_species(self, system, state, token=None) -> np.ndarray:
         if self.external is None:
             return self._zero_em
         np.multiply(

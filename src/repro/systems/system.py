@@ -150,6 +150,12 @@ class System:
         self.halo = halo
         self.time = 0.0
         self.step_count = 0
+        # the state token's generation (see _state_token); during a step,
+        # the token its first stage reuses values under and the species
+        # staged inside their solver
+        self._generation = 0
+        self._stage_token: Optional[tuple] = None
+        self._staged: List[str] = []
         # what on_block() rebuilds this declaration from
         self._decl = dict(
             poly_order=poly_order, family=family, cfl=cfl, scheme=scheme,
@@ -174,6 +180,8 @@ class System:
         self.phase_grids = {b.name: b.phase_grid for b in self.blocks}
         self.solvers = {b.name: b.solver for b in self.blocks}
         self.moments = {b.name: b.moments for b in self.blocks}
+        # each block with its state key
+        self._species_keys = [(b, f"f/{b.name}") for b in self.blocks]
         self.f: Dict[str, np.ndarray] = _ProjectedOnDemand(self.blocks)
         self.em: Optional[np.ndarray] = field.initial_em()
 
@@ -227,6 +235,17 @@ class System:
             self.f[sp.name] = state[f"f/{sp.name}"]
         if self.field.in_state:
             self.em = state["em"]
+        self._generation += 1
+
+    def _state_token(self) -> tuple:
+        """Names the state between two steps: ``(generation, step_count,
+        time)``.  :meth:`set_state` and :meth:`step` bump the generation; a
+        sharded parent, whose workers step its arrays, moves the step count
+        and time.  Nothing else writes the state (the contract: write it
+        through :meth:`set_state`), so values computed from the state under
+        one token — the self-consistent field, an LBO operator's primitive
+        moments — hold for as long as the token does."""
+        return (self._generation, self.step_count, self.time)
 
     def rhs(
         self,
@@ -244,64 +263,71 @@ class System:
         (``bench_rhs_hotpath.py --require-obs-overhead`` times the two
         against each other, call by call).
         """
-        return self._rhs_span(state, out, None)
+        return self._rhs_span(state, out, None, None)
 
-    def _rhs_span(self, state, out, stage):
+    def _rhs_span(self, state, out, stage, token):
         if _OBS.on:
             t0 = _perf_counter()
-            out = self._rhs_impl(state, out, stage)
+            out = self._rhs_impl(state, out, stage, token)
             _OBS.finish("rhs", t0, _S_RHS, _S_RHS_MS)
             return out
-        return self._rhs_impl(state, out, stage)
+        return self._rhs_impl(state, out, stage, token)
 
     def _rhs_impl(
         self,
         state: Dict[str, np.ndarray],
         out: Optional[Dict[str, np.ndarray]] = None,
         stage: Optional[tuple] = None,
+        token: Optional[tuple] = None,
     ) -> Dict[str, np.ndarray]:
         """``stage``, from :meth:`_stage_into`, is ``(keys, u0, a, b, dt)``:
         the species of ``keys`` are not differentiated into ``out`` but
-        advanced by the Shu–Osher stage, in place, inside their solver."""
+        advanced by the Shu–Osher stage, in place, inside their solver.
+        ``token`` (:meth:`_state_token`) says ``state`` is this system's
+        state under it: the field and the collision moments computed for it
+        earlier are reused."""
         # the two solvers that read neighbour cells take the state with
         # the grid's ghost layers (a whole grid has none: the state
         # itself); everything cell-local reads ``state``
         ghosted = state if self.halo is None else self.halo.exchange(state)
-        em_eff = self.field.em_for_species(self, state)
+        em_eff = self.field.em_for_species(self, state, token)
         if out is None:
             out = {k: np.empty_like(v) for k, v in state.items()}
         # the field block reads the species' moments: it goes first, before
         # a staged species below is overwritten
         self.field.accumulate_rhs(self, state, out, ghosted)
-        for blk in self.blocks:
-            key = f"f/{blk.name}"
+        for blk, key in self._species_keys:
             if stage is not None and key in stage[0]:
                 _keys, u0, a, b, dt = stage
                 blk.rhs(
                     ghosted[key], state[key], em_eff,
                     stage=Stage(a, b, dt, None if u0 is None else u0[key], state[key]),
+                    token=token,
                 )
             else:
-                blk.rhs(ghosted[key], state[key], em_eff, out=out[key])
+                blk.rhs(ghosted[key], state[key], em_eff, out=out[key], token=token)
         return out
 
     # ------------------------------------------------------------------ #
     # time advance
     # ------------------------------------------------------------------ #
     def suggested_dt(self) -> float:
-        """CFL-stable step: every ingredient is a pure function of the
-        current state (no value cached by an earlier ``rhs`` call), so any
-        holder of the same state — a sharded run's parent — gets the same
-        answer."""
+        """CFL-stable step: every ingredient is a function of the current
+        state alone, so any holder of the same state — a sharded run's
+        parent — gets the same answer.  The self-consistent field and the
+        collision moments it reads are computed once per state token
+        (:meth:`_state_token`) and shared with the energy record and the
+        first RK stage of the next :meth:`step`; write the state through
+        :meth:`set_state`, never into its arrays."""
         state = self.state()
+        token = self._state_token()
         freq = self.field.max_frequency()
-        em_eff = self.field.em_for_species(self, state)
-        for blk in self.blocks:
+        em_eff = self.field.em_for_species(self, state, token)
+        for blk, key in self._species_keys:
             freq = max(freq, blk.solver.max_frequency(em_eff))
             if blk.collisions is not None:
                 freq = max(
-                    freq,
-                    blk.collisions.max_frequency(state[f"f/{blk.name}"], blk.moments),
+                    freq, blk.collisions.max_frequency(state[key], blk.moments, token)
                 )
         return cfl_dt(self.cfl, freq)
 
@@ -315,7 +341,20 @@ class System:
             # a static field is not stepped: keeps it bitwise frozen and
             # skips three stage combinations
             state.pop("em")
-        self.stepper.step_inplace(state, self._rhs_into, dt, fused=self._stage_into)
+        # the species staged inside their solver (the arrays are the same in
+        # every stage); stage 1 reads the state the token names, later
+        # stages do not
+        self._staged = [
+            key for blk, key in self._species_keys
+            if blk.stages and state[key].flags.c_contiguous
+        ]
+        self._stage_token = self._state_token()
+        try:
+            self.stepper.step_inplace(state, self._rhs_into, dt, fused=self._stage_into)
+        finally:
+            # finished or not, the arrays no longer hold that state
+            self._stage_token = None
+            self._generation += 1
         self.time += dt
         self.step_count += 1
         return dt
@@ -331,12 +370,9 @@ class System:
         of its ``df/dt``, collisions included — whose state array is
         C-contiguous has the stage applied by that solver, one
         configuration cell at a time — returned, so the stepper skips it."""
-        keys = [
-            f"f/{blk.name}"
-            for blk in self.blocks
-            if blk.stages and state[f"f/{blk.name}"].flags.c_contiguous
-        ]
-        self._rhs_span(state, k, (keys, u0, a, b, dt))
+        keys = self._staged
+        token, self._stage_token = self._stage_token, None
+        self._rhs_span(state, k, (keys, u0, a, b, dt), token)
         return keys
 
     def run(self, t_end: float, diagnostics=None, max_steps: int = 10**9):
@@ -377,7 +413,7 @@ class System:
     # diagnostics
     # ------------------------------------------------------------------ #
     def field_energy(self) -> float:
-        return self.field.energy(self)
+        return self.field.energy(self, self._state_token())
 
     def particle_energy(self, name: str) -> float:
         sp = next(s for s in self.species if s.name == name)

@@ -142,6 +142,9 @@ class VlasovModalSolver:
         self.num_basis = self.kernels.num_basis
         self.num_conf_basis = self.kernels.cfg_basis.num_basis
         self.layout = StateLayout.for_grid(phase_grid, self.num_basis)
+        self._cfl = CflEstimate(
+            phase_grid, self.poly_order, self.kernels.cfg_basis, self.charge, self.mass
+        )
         self._base_aux = phase_grid.base_aux()
         self._base_aux["qm"] = self.charge / self.mass
         # working aux dict refreshed in place by field_aux (geometry symbols
@@ -385,7 +388,7 @@ class VlasovModalSolver:
     # ------------------------------------------------------------------ #
     def _penalty_speed(self, aux, j: int) -> float:
         """Conservative scalar estimate of max |alpha_vj| for the penalty."""
-        phi0 = self.kernels.cfg_basis.norm(0)
+        phi0 = self._cfl.phi0
         e_mag = np.max(np.abs(aux[f"E{j}_0"])) * phi0
         vmax = max(
             (self.grid.max_velocity(d) for d in range(self.grid.vdim) if d != j),
@@ -402,23 +405,42 @@ class VlasovModalSolver:
     def max_frequency(self, em: np.ndarray) -> float:
         """CFL frequency: sum over directions of
         ``(2p+1) * max|alpha_d| / dx_d`` (Gkeyll's stability estimate)."""
-        g = self.grid
-        p = self.poly_order
-        freq = 0.0
-        for j in range(g.cdim):
-            freq += (2 * p + 1) * g.max_velocity(j) / g.dx[j]
-        phi0 = self.kernels.cfg_basis.norm(0)
-        qm = abs(self.charge / self.mass)
-        for j in range(g.vdim):
-            e_mag = float(np.max(np.abs(em[..., j, 0]))) * phi0
-            accel = e_mag
-            for vj, bk, _sign in _CROSS[j]:
-                if vj >= g.vdim:
-                    continue
-                b_mag = float(np.max(np.abs(em[..., 3 + bk, 0]))) * phi0
-                accel += g.max_velocity(vj) * b_mag
-            dv = g.dx[g.cdim + j]
-            freq += (2 * p + 1) * qm * accel / dv
+        return self._cfl(em)
+
+
+class CflEstimate:
+    """A species' CFL frequency from the EM coefficients: the sum over
+    phase directions of ``(2p+1) * max|alpha_d| / dx_d``.  Everything but
+    the field's maxima is fixed at construction — the streaming terms' sum,
+    the norm of the constant configuration mode, per velocity direction the
+    speeds its magnetic terms multiply — so a call adds the floats of the
+    whole estimate in the same order."""
+
+    def __init__(self, grid: PhaseGrid, poly_order: int, cfg_basis, charge: float, mass: float):
+        k = 2 * int(poly_order) + 1
+        self.stream = 0.0
+        for j in range(grid.cdim):
+            self.stream += k * grid.max_velocity(j) / grid.dx[j]
+        self.phi0 = cfg_basis.norm(0)
+        self.kqm = k * abs(charge / mass)
+        # per velocity direction: (its axis, [(velocity bound, B component)
+        # of each cross term], its cell width)
+        self.accel = [
+            (
+                j,
+                [(grid.max_velocity(vj), 3 + bk) for vj, bk, _sign in _CROSS[j] if vj < grid.vdim],
+                grid.dx[grid.cdim + j],
+            )
+            for j in range(grid.vdim)
+        ]
+
+    def __call__(self, em: np.ndarray) -> float:
+        freq, phi0 = self.stream, self.phi0
+        for j, cross, dv in self.accel:
+            accel = float(np.max(np.abs(em[..., j, 0]))) * phi0
+            for vmax, comp in cross:
+                accel += vmax * (float(np.max(np.abs(em[..., comp, 0]))) * phi0)
+            freq += self.kqm * accel / dv
         return freq
 
 

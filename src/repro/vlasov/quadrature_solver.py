@@ -34,7 +34,7 @@ from ..engine.layout import StateLayout, insert_basis_axis
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.flops import alias_free_quadrature_points_1d
-from .modal_solver import _axis_slice
+from .modal_solver import CflEstimate, _axis_slice
 
 __all__ = ["VlasovQuadratureSolver"]
 
@@ -67,6 +67,7 @@ class VlasovQuadratureSolver:
         self.num_basis = self.basis.num_basis
         self.num_conf_basis = self.cfg_basis.num_basis
         self.layout = StateLayout.for_grid(phase_grid, self.num_basis)
+        self._cfl = CflEstimate(phase_grid, poly_order, self.cfg_basis, self.charge, self.mass)
         self.nq1 = quad_points_1d or alias_free_quadrature_points_1d(poly_order)
 
         # --- volume quadrature data -------------------------------------
@@ -268,13 +269,5 @@ class VlasovQuadratureSolver:
         return out
 
     def max_frequency(self, em: np.ndarray) -> float:
-        """Same CFL estimate as the modal solver (delegates)."""
-        from .modal_solver import VlasovModalSolver
-
-        proxy = VlasovModalSolver.__new__(VlasovModalSolver)
-        proxy.grid = self.grid
-        proxy.poly_order = self.poly_order
-        proxy.charge = self.charge
-        proxy.mass = self.mass
-        proxy.kernels = type("K", (), {"cfg_basis": self.cfg_basis})()
-        return VlasovModalSolver.max_frequency(proxy, em)
+        """Same CFL estimate as the modal solver."""
+        return self._cfl(em)

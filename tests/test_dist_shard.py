@@ -103,6 +103,11 @@ def test_measured_halo_matches_fig3_model():
         # static (evolve=False) field: exercises the set_state -> worker
         # re-read path for the never-stepped EM state
         ("free_streaming", {"nx": 8, "nv": 6, "poly_order": 1, "steps": 2}),
+        # a Poisson field and an LBO operator, both shared between the
+        # energy record, suggested_dt and RK stage 1 of one state: a resume
+        # must not reuse the values of the state it replaces
+        ("two_stream", {"nx": 8, "nv": 8, "poly_order": 1, "steps": 2}),
+        ("collisional_relaxation", {"nx": 4, "steps": 2}),
     ],
 )
 def test_checkpoint_cross_resume_bitwise(tmp_path, scenario, overrides):
