@@ -125,6 +125,23 @@ def test_set_state_discards_the_shared_values_sharded(name, overrides):
     _check_set_state_discards_the_shared_values(spec)
 
 
+def test_calls_without_the_token_leave_nothing_for_the_step():
+    """``suggested_dt``, then the public calls on another state — the
+    field, the collision operator's reference form — then ``step``: the
+    step reads the values of its own state."""
+    spec = build("collisional_relaxation", nx=4)
+    app, ref = build_app(spec), build_app(spec)
+    other = {k: 1.5 * v for k, v in app.state().items()}
+    dt = app.suggested_dt()
+    for blk in app.blocks:
+        blk.collisions.rhs(other[f"f/{blk.name}"], blk.moments)
+    app.field.em_for_species(app, other)
+    app.step(dt)
+    ref.step(dt)
+    for key, arr in ref.state().items():
+        assert arr.tobytes() == app.state()[key].tobytes(), key
+
+
 @pytest.mark.parametrize(
     "name,overrides",
     [("two_stream", SMALL_TWO_STREAM), ("collisional_relaxation", {"nx": 4})],
