@@ -295,17 +295,12 @@ class LBOCollisions:
         limit ``nu vtsq (2p+1)^2 / dv^2`` per velocity direction, with
         ``vtsq`` the largest cell-average thermal speed of ``f`` — a
         function of the state alone, like the Vlasov solver's estimate.
-        With ``token`` (as for :meth:`refresh`) the moments are taken
-        through :meth:`refresh`, so the next stage with that token reuses
-        them."""
+        The moments are taken through :meth:`refresh` (``token`` as there),
+        so the next stage with that token reuses them."""
         g = self.grid
         p = self.poly_order
-        if token is None:
-            vtsq0 = self.primitive_moments(f, moments)[1][..., 0]
-        else:
-            self.refresh(f, moments, token)
-            vtsq0 = self._prim[g.vdim, 0]
-        vtsq_max = max(float(np.max(np.abs(vtsq0))) * self._norm0, 1e-30)
+        self.refresh(f, moments, token)
+        vtsq_max = max(float(np.max(np.abs(self._prim[g.vdim, 0]))) * self._norm0, 1e-30)
         freq = 0.0
         for j in range(g.vdim):
             dv = g.vel.dx[j]

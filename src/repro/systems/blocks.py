@@ -518,15 +518,16 @@ class PoissonBlock(FieldBlock):
 
     def _self_consistent_ex(self, system, state, token=None) -> np.ndarray:
         """This block's cells of ``Ex`` from the Poisson solve (no drive),
-        solved once per ``token``.  Every shard of a sharded run asks with
-        the same tokens, so all of them take part in the charge gather or
-        none does."""
+        solved once per ``token``.  A solve without one drops the kept
+        field, as a token-less LBO refresh drops its moments: ``state`` may
+        be the system's arrays mid-step.  Every shard of a sharded run asks
+        with the same tokens, so all of them take part in the charge gather
+        or none does."""
         if token is not None and token == self._ex_token:
             return self._ex
         rho = self.coupling.charge_density(system.blocks, state, system.halo)
         ex = self._conf_grid.restrict(self.solver.solve(rho))
-        if token is not None:
-            self._ex_token, self._ex = token, ex
+        self._ex_token, self._ex = token, ex
         return ex
 
     def energy(self, system, token=None) -> float:

@@ -239,12 +239,14 @@ class System:
 
     def _state_token(self) -> tuple:
         """Names the state between two steps: ``(generation, step_count,
-        time)``.  :meth:`set_state` and :meth:`step` bump the generation; a
-        sharded parent, whose workers step its arrays, moves the step count
-        and time.  Nothing else writes the state (the contract: write it
-        through :meth:`set_state`), so values computed from the state under
-        one token — the self-consistent field, an LBO operator's primitive
-        moments — hold for as long as the token does."""
+        time)``.  :meth:`set_state`, :meth:`step` and :meth:`_rhs_into`
+        bump the generation; a sharded parent, whose workers step its
+        arrays, moves the step count and time.  Nothing else writes the
+        state (the contract: write it through :meth:`set_state`), and a
+        token-less field solve or LBO refresh drops what it kept, so values
+        computed from the state under one token — the self-consistent
+        field, an LBO operator's primitive moments — hold for as long as the
+        token does."""
         return (self._generation, self.step_count, self.time)
 
     def rhs(
@@ -362,6 +364,10 @@ class System:
     def _rhs_into(
         self, state: Dict[str, np.ndarray], out: Dict[str, np.ndarray]
     ) -> None:
+        """The stepper's plain RHS callback.  A stepper that calls it may be
+        stepping this system's arrays (``stepper.step_inplace(state,
+        system._rhs_into, dt)``), so it starts a new state token."""
+        self._generation += 1
         self.rhs(state, out=out)
 
     def _stage_into(self, state, k, u0, a: float, b: float, dt: float) -> List[str]:

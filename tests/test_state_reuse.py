@@ -3,9 +3,10 @@
 ``suggested_dt``, the Driver's energy record and the first RK stage of
 ``System.step`` all read the self-consistent field (and an LBO species its
 primitive moments) of the same state.  They are computed once per state,
-keyed by ``(generation, step_count, time)``, where ``set_state`` bumps the
-generation.  These tests count the solves and moment passes, and check that
-no sequence of public calls can reuse a value of another state.
+keyed by ``(generation, step_count, time)``, where ``set_state`` and the
+stepper's ``_rhs_into`` callback bump the generation.  These tests count the
+solves and moment passes, and check that no sequence of public calls can
+reuse a value of another state.
 """
 
 from __future__ import annotations
@@ -142,6 +143,47 @@ def test_calls_without_the_token_leave_nothing_for_the_step():
         assert arr.tobytes() == app.state()[key].tobytes(), key
 
 
+def _composed_rhs_into(app):
+    """The RHS from the public calls, as the ledger's traced pass builds it."""
+
+    def rhs_into(state, out):
+        em = app.field.em_for_species(app, state)
+        for blk in app.blocks:
+            f, df = state[f"f/{blk.name}"], out[f"f/{blk.name}"]
+            blk.solver.rhs(f, em, out=df)
+            if blk.collisions is not None:
+                blk.collisions.rhs(f, blk.moments, out=df, accumulate=True)
+        app.field.accumulate_rhs(app, state, out)
+
+    return rhs_into
+
+
+@pytest.mark.parametrize("recipe", ["rhs_into", "composed"])
+@pytest.mark.parametrize(
+    "name,overrides",
+    [("two_stream", SMALL_TWO_STREAM), ("collisional_relaxation", {"nx": 4})],
+)
+def test_stepping_the_arrays_outside_step_leaves_nothing_stale(name, overrides, recipe):
+    """``stepper.step_inplace`` on the system's own arrays — with its
+    ``_rhs_into`` or with the composed RHS — leaving the clock where it was:
+    ``energies``, ``suggested_dt`` and the next step are a fresh system's on
+    the stepped state."""
+    spec = build(name, **overrides)
+    app = build_app(spec)
+    dt = app.suggested_dt()
+    app.energies()
+    rhs_into = app._rhs_into if recipe == "rhs_into" else _composed_rhs_into(app)
+    app.stepper.step_inplace(app.state(), rhs_into, dt)
+    fresh = build_app(spec)
+    fresh.set_state({k: v.copy() for k, v in app.state().items()})
+    assert app.energies() == fresh.energies()
+    assert app.suggested_dt() == fresh.suggested_dt()
+    app.step(dt)
+    fresh.step(dt)
+    for key, arr in fresh.state().items():
+        assert arr.tobytes() == app.state()[key].tobytes(), key
+
+
 @pytest.mark.parametrize(
     "name,overrides",
     [("two_stream", SMALL_TWO_STREAM), ("collisional_relaxation", {"nx": 4})],
@@ -153,15 +195,7 @@ def test_the_ledger_composed_step_equals_system_step(name, overrides):
     after ``suggested_dt``, ends in the bits of a system that only steps."""
     spec = build(name, **overrides)
     app, ref = build_app(spec), build_app(spec)
-
-    def rhs_into(state, out):
-        em = app.field.em_for_species(app, state)
-        for blk in app.blocks:
-            f, df = state[f"f/{blk.name}"], out[f"f/{blk.name}"]
-            blk.solver.rhs(f, em, out=df)
-            if blk.collisions is not None:
-                blk.collisions.rhs(f, blk.moments, out=df, accumulate=True)
-        app.field.accumulate_rhs(app, state, out)
+    rhs_into = _composed_rhs_into(app)
 
     def composed_step(dt):
         app.stepper.step_inplace(app.state(), rhs_into, dt)
