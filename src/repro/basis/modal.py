@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ..cas.poly import Poly
 from .legendre import (
@@ -40,7 +41,7 @@ def gauss_points_1d(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss–Legendre nodes and weights on ``[-1, 1]`` (exact to degree 2n-1)."""
     if n < 1:
         raise ValueError("need at least one quadrature point")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -35,10 +35,10 @@ products pulled out.  This module does the same in Python, at two levels:
   — reuse the compiled kernel without recompiling, and a host with another
   instruction set sharing the cache directory never loads it.  Without a
   compiler (or under ``$REPRO_KERNEL_TIER=numpy``, :func:`select_tier`) the
-  plan runs the scipy sweep instead: two sweep kernels, picked by what the
-  process can observe.  A build that fails is reported (one
-  ``RuntimeWarning``, counted by the engine as ``kernels_failed``) and
-  degrades the same way.
+  plan runs the scipy sweep instead (the only tier that imports scipy): two
+  sweep kernels, picked by what the process can observe.  A build that
+  fails is reported (one ``RuntimeWarning``, counted by the engine as
+  ``kernels_failed``) and degrades the same way.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ and for all layers:
   keyed by the aux *signature* so a plan is compiled once and reused for
   every RK stage of every step (and invalidated if the signature changes).
   The plan is also its own, only, executor; the one thing that varies is
-  the sparse-sweep kernel (compiled C when a compiler is present, scipy
-  otherwise — ``$REPRO_KERNEL_TIER``), and both produce the same bits;
+  the sparse-sweep kernel (compiled C when a compiler is present, else
+  scipy, imported by that tier only — ``$REPRO_KERNEL_TIER``), same bits;
 * :mod:`~repro.engine.faces` holds the :class:`FaceMap`, the table of
   trace-buffer slots meeting at each face of one phase direction, which
   ``ExecutionPlan.apply_faces`` runs a flux plan across;

@@ -11,9 +11,9 @@ skipping the symbol analysis.  A payload that is missing, stale or damaged
 falls back to compiling and re-publishing atomically.  Either way the plan
 picks its sparse-sweep kernel from the configured ``tier``
 (:func:`repro.cas.codegen.select_tier`: the C sweep when a compiler is
-present, scipy's ``csr_matvecs`` otherwise); the compiled sweep kernel is a
-content-addressed file beside the plan payloads, one per toolchain and
-target.
+present, scipy's ``csr_matvecs`` otherwise — the compiled tier never imports
+scipy); the compiled sweep kernel is a content-addressed file beside the
+plan payloads, one per toolchain and target.
 
 Configuration is process-global (set from ``SimulationSpec`` by the runtime
 driver, from the environment for library use) because plan identity is

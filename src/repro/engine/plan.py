@@ -32,7 +32,7 @@ apply covering every group with the velocity weighting done in-register and
 the accumulators held in registers across all of an output row's entries,
 when a C compiler is present and the build succeeds (``cc``); otherwise
 scipy's ``csr_matvecs`` over the block-diagonal expansion of the same
-groups (``numpy``) — built only in that case.  Both sweep the same entries
+groups (``numpy``) — scipy loads only then.  Both sweep the same entries
 in the same order and produce the same bits.  The kernel has a second entry
 point over the same groups, :meth:`ExecutionPlan.apply_faces`: an ``nf x
 nf`` flux plan applied across the faces of one phase direction — per face of
@@ -77,10 +77,9 @@ from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..cas.codegen import compile_fused_sweep, select_tier
-from ..kernels.termset import AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
+from ..kernels.termset import CSR, AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from .faces import FaceMap
@@ -223,7 +222,7 @@ class _SweepGroup:
         self.terms: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
         self.base = self.tid = self.stack = self.spmat = None
 
-    def merge(self, mats: List[sp.csr_matrix], nout: int, nin: int) -> None:
+    def merge(self, mats: List[CSR], nout: int, nin: int) -> None:
         """Freeze the terms' per-cell blocks into one pattern.
 
         A shared row concatenates the blocks row-wise in term order: within
@@ -278,19 +277,19 @@ class _SweepGroup:
         buffer would alias between groups of equal shape).  With ``expand``
         (the numpy tier) they are the data of the block-diagonal expansion
         over configuration cells, so one ``csr_matvecs`` call sweeps every
-        cell's contiguous block; it is built from the raw arrays —
-        ``sp.kron`` would canonicalize (sort, merge duplicates) and destroy
-        the accumulation order of :meth:`merge`."""
+        cell's contiguous block; it is kept as raw arrays —
+        ``scipy.sparse.kron`` would canonicalize (sort, merge duplicates) and
+        destroy the accumulation order of :meth:`merge`."""
         nnz = self.indices.size
         if expand:
             cells = np.arange(ncfg, dtype=np.int64)[:, None]
-            self.spmat = sp.csr_matrix(
-                (
-                    np.empty(ncfg * nnz),
-                    (self.indices + cells * nin).ravel(),
-                    np.append(0, (self.indptr[1:] + cells * nnz).ravel()),
-                ),
-                shape=(ncfg * nout, ncfg * nin),
+            # scipy's index dtype: int32 unless the expansion outgrows it
+            itype = np.int32 if ncfg * max(nnz, nout, nin) < 2**31 else np.int64
+            self.spmat = CSR(
+                np.append(0, self.indptr[1:] + cells * nnz).astype(itype),
+                (self.indices + cells * nin).ravel().astype(itype),
+                np.empty(ncfg * nnz),
+                (ncfg * nout, ncfg * nin),
             )
             self.data = self.spmat.data.reshape(ncfg, nnz)
         else:
@@ -458,7 +457,7 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     def _compile(self, tokens: Dict[str, str]) -> None:
         groups: Dict[Tuple[bool, Tuple[str, ...]], _SweepGroup] = {}
-        mats: Dict[Tuple[bool, Tuple[str, ...]], List[sp.csr_matrix]] = {}
+        mats: Dict[Tuple[bool, Tuple[str, ...]], List[CSR]] = {}
         fallback: Dict[Symbol, list] = {}
         for sym, triples in self.termset.entries_by_symbol().items():
             scalar_names, cfg_names, vel_names = [], [], []
@@ -481,9 +480,7 @@ class ExecutionPlan:
                 grp = groups[key] = _SweepGroup(key[1], key[0])
                 mats[key] = []
             grp.terms.append((tuple(scalar_names), tuple(cfg_names)))
-            mats[key].append(
-                sp.csr_matrix((vals, (rows, cols)), shape=(self.nout, self.nin))
-            )
+            mats[key].append(CSR.from_coo(rows, cols, vals, (self.nout, self.nin)))
         for key, grp in groups.items():
             grp.merge(mats[key], self.nout, self.nin)
         self._groups = list(groups.values())

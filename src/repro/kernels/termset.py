@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 Symbol = Tuple[str, ...]
 AuxValue = Union[float, np.ndarray]
@@ -35,30 +34,53 @@ EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = ["Term", "TermSet", "symbol_value", "merge_termsets", "stack_termsets"]
 
-try:  # fast in-place sparse accumulation (scipy's own csr kernel)
-    from scipy.sparse import _sparsetools as _csr_tools
-except ImportError:  # pragma: no cover - scipy always ships it
-    _csr_tools = None
+
+class CSR:
+    """A compressed-sparse-row matrix laid out as scipy lays it out (int32
+    ``indptr`` / ``indices``, float ``data``), without scipy."""
+
+    __slots__ = ("indptr", "indices", "data", "shape", "nnz")
+
+    def __init__(self, indptr, indices, data, shape: Tuple[int, int]):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        self.nnz = data.size
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape: Tuple[int, int]) -> "CSR":
+        """Rows in order, columns ascending within a row; entries sharing a
+        slot add left to right in entry order (stable sort)."""
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new)
+        data = vals[starts]
+        run = np.diff(np.append(starts, rows.size))
+        for k in range(1, int(run.max(initial=1))):
+            more = run > k
+            data[more] += vals[starts[more] + k]
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols[starts].astype(np.int32), data, shape)
 
 
-def csr_accumulate(mat: sp.csr_matrix, data: np.ndarray, x2: np.ndarray, y2: np.ndarray):
-    """``y2 += csr(mat.indptr, mat.indices, data) @ x2`` without temporaries.
+_csr_matvecs = None
+
+
+def csr_accumulate(mat: CSR, data: np.ndarray, x2: np.ndarray, y2: np.ndarray):
+    """``y2 += csr(mat.indptr, mat.indices, data) @ x2`` without temporaries,
+    through scipy's own csr kernel (imported on first use: the compiled
+    sweep never gets here).
 
     ``x2``/``y2`` must be C-contiguous 2-D blocks.
     """
-    if _csr_tools is not None:
-        _csr_tools.csr_matvecs(
-            mat.shape[0],
-            mat.shape[1],
-            x2.shape[1],
-            mat.indptr,
-            mat.indices,
-            data,
-            x2.reshape(-1),
-            y2.reshape(-1),
-        )
-    else:  # pragma: no cover - exercised only on exotic scipy builds
-        y2 += sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape) @ x2
+    global _csr_matvecs
+    if _csr_matvecs is None:
+        from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+    nrow, ncol = mat.shape
+    _csr_matvecs(
+        nrow, ncol, x2.shape[1], mat.indptr, mat.indices, data, x2.reshape(-1), y2.reshape(-1)
+    )
 
 
 def symbol_value(aux: Dict[str, AuxValue], sym: Symbol):
@@ -74,7 +96,7 @@ class Term:
     """One symbol-product / sparse-matrix pair of a kernel."""
 
     sym: Symbol
-    matrix: sp.csr_matrix          # (nout, ncols) restricted to active columns
+    matrix: CSR                    # (nout, ncols) restricted to active columns
     cols: np.ndarray               # active input rows (columns of the full matrix)
 
 
@@ -91,7 +113,8 @@ class TermSet:
 
     Entries are stored as parallel ``(rows, cols, coeffs)`` arrays per symbol
     (:meth:`from_arrays` takes them directly); a symbol's entry order is kept,
-    since plan digests hash it.
+    since plan digests hash it.  Entries repeating a symbol's ``(l, m)`` slot
+    add left to right in that order: ``(c0 + c1) + c2``.
     """
 
     def __init__(self, nout: int, nin: int, entries: Dict[Symbol, List[Tuple[int, int, float]]]):
@@ -125,9 +148,7 @@ class TermSet:
         for sym in sorted(self._arrays):
             rows, cols, vals = self._arrays[sym]
             active, cols_r = np.unique(cols, return_inverse=True)
-            mat = sp.csr_matrix(
-                (vals, (rows, cols_r)), shape=(self.nout, active.size)
-            )
+            mat = CSR.from_coo(rows, cols_r, vals, (self.nout, active.size))
             self.terms.append(Term(sym=sym, matrix=mat, cols=active))
 
     # ------------------------------------------------------------------ #
@@ -203,9 +224,11 @@ class TermSet:
             g = fin[term.cols] * val
             if scale != 1.0:
                 g = g * scale
-            out2 += term.matrix @ np.ascontiguousarray(
-                g.reshape(term.cols.size, ncells)
-            )
+            g2 = np.ascontiguousarray(g.reshape(term.cols.size, ncells))
+            # the product into zeros, then one add: scipy's ``@`` order
+            tmp = np.zeros((self.nout, ncells))
+            csr_accumulate(term.matrix, term.matrix.data, g2, tmp)
+            out2 += tmp
         return out
 
     def apply_cm(

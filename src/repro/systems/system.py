@@ -387,33 +387,12 @@ class System:
         return run_loop(self, t_end, diagnostics=diagnostics, max_steps=max_steps)
 
     # ------------------------------------------------------------------ #
-    # couplings (legacy method names kept for the Maxwell/Poisson cases)
+    # coupling (the current ``jdote`` reads)
     # ------------------------------------------------------------------ #
     def total_current(
         self, state: Dict[str, np.ndarray], out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         return self.field.coupling.total_current(self.blocks, state, out=out)
-
-    def total_charge_density(self, state: Dict[str, np.ndarray]) -> np.ndarray:
-        return self.field.coupling.total_charge_density(self.blocks, state)
-
-    def charge_density(self, state: Dict[str, np.ndarray]) -> np.ndarray:
-        return self.field.coupling.charge_density(self.blocks, state, self.halo)
-
-    def electric_field(self, state: Dict[str, np.ndarray]) -> np.ndarray:
-        return self.field.em_for_species(self, state)
-
-    def effective_em(self, em: np.ndarray) -> np.ndarray:
-        """The field the particles feel: ``em`` plus the external drive at
-        the current step time (``em`` itself when there is no drive).
-        Maxwell field block only — functional closures derive their field
-        from the state via :meth:`electric_field` instead."""
-        if self.field.kind != "maxwell":
-            raise RuntimeError(
-                "effective_em requires a Maxwell field block; use "
-                "electric_field(state) for functional closures"
-            )
-        return self.field.em_for_species(self, {"em": em})
 
     # ------------------------------------------------------------------ #
     # diagnostics

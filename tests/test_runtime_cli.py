@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cas.codegen import select_tier
 from repro.runtime.cli import main
 
 
@@ -239,23 +240,52 @@ def test_missing_campaign_file_is_a_clean_error(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
-def test_importing_the_runtime_stays_light():
-    """``import repro.runtime`` (every CLI command, every serve job) pulls in
-    neither the sharding / serving layers nor dense LAPACK bindings; those
-    load when a spec asks for them."""
+def _modules_left_loaded(code, *argv):
+    """Run ``code`` in a fresh interpreter on this checkout's sources and
+    return the loaded module names it prints last."""
+    import ast
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    heavy = ["scipy.linalg", "multiprocessing", "http.server", "repro.serve", "repro.dist"]
-    script = (
-        "import sys, repro.runtime\n"
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_runtime_stays_light():
+    """``import repro.runtime`` (every CLI command, every serve job) pulls in
+    neither the sharding / serving layers nor any of scipy; those load when
+    a spec or the numpy kernel tier asks for them."""
+    heavy = ["multiprocessing", "http.server", "repro.serve", "repro.dist"]
+    loaded = _modules_left_loaded(
+        "import sys, repro.runtime\n"
+        f"print([m for m in sys.modules if m in {heavy!r} or m.startswith('scipy')])"
+    )
+    assert loaded == []
+
+
+@pytest.mark.skipif(
+    select_tier() != "cc", reason="the numpy tier sweeps with scipy's csr_matvecs"
+)
+def test_a_compiled_tier_run_never_loads_scipy(tmp_path):
+    """Build, run, diagnostics and checkpoint of a compiled-tier run, on a
+    cold and then a warm plan cache, leave no scipy module loaded."""
+    code = (
+        "import sys\n"
+        "from repro.runtime.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    argv = [
+        "run", "two_stream", "--set", "steps=3",
+        "--set", f"plan_cache={tmp_path / 'cache'}", "--outdir", str(tmp_path / "out"),
+    ]
+    assert _modules_left_loaded(code, *argv) == []  # cold: compile, publish
+    assert list((tmp_path / "cache").glob("plan-*.npz"))
+    assert _modules_left_loaded(code, *argv) == []  # warm: hydrate
+    assert (tmp_path / "out" / "checkpoint.npz").is_file()

@@ -133,12 +133,6 @@ def test_energies_and_observables_contract(kind_name):
     assert all(isinstance(v, float) for v in observables.values())
 
 
-def test_effective_em_requires_maxwell_closure():
-    system = build_system(_example_spec("poisson"))
-    with pytest.raises(RuntimeError, match="Maxwell"):
-        system.effective_em(np.zeros(1))
-
-
 def test_non_shardable_system_rejected_by_process_backend():
     from repro.runtime import SpecError, build, build_app
     from repro.systems import NullFieldBlock, build_species_blocks, register_system

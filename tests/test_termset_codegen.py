@@ -8,7 +8,7 @@ import pytest
 from repro.cas.codegen import compile_kernel, count_multiplications, emit_kernel_source
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import four_sided_kernels, get_vlasov_kernels
-from repro.kernels.termset import TermSet
+from repro.kernels.termset import TermSet, symbol_value
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +156,47 @@ def test_array_construction_matches_triple_built_csr_bits(bundle_1x2v):
     _assert_same_csr_bits(stack_termsets(pair), stacked)
     # merging repeats (l, m) slots under one symbol: csr construction adds them
     _assert_same_csr_bits(merge_termsets(pair), merged)
+
+
+def test_a_thrice_repeated_slot_adds_left_to_right_in_entry_order(rng):
+    """Entries sharing a symbol's ``(l, m)`` slot add as ``(c0 + c1) + c2``
+    in entry order, wherever they sit in the list (scipy's unstable sort
+    leaves that order open); the random magnitudes make the other grouping,
+    ``c0 + (c1 + c2)``, differ on some slot."""
+    slots = [(l, m) for l in range(5) for m in range(4)]
+    coeffs = rng.standard_normal((len(slots), 3)) * 10.0 ** rng.integers(-9, 9, (len(slots), 3))
+    entries = [(l, m, c) for (l, m), row in zip(slots, coeffs) for c in row]
+    # shuffle the slots against each other, keep each slot's own order
+    where = rng.permutation(len(entries))
+    order = np.concatenate([np.sort(where[i::len(slots)]) for i in range(len(slots))])
+    shuffled = [entries[i] for i in np.argsort(order)]
+    term = TermSet(5, 4, {("a",): shuffled}).terms[0]
+    dense = np.zeros((5, 4))
+    for (l, m), (c0, c1, c2) in zip(slots, coeffs.tolist()):
+        dense[l, m] = (c0 + c1) + c2
+    assert np.array_equal(term.cols, np.arange(4))
+    assert term.matrix.nnz == len(slots)
+    assert term.matrix.indptr.tolist() == list(range(0, 21, 4))
+    assert term.matrix.indices.tolist() == [m for _l, m in slots]
+    assert term.matrix.data.tobytes() == dense.tobytes()
+    assert any((c0 + c1) + c2 != c0 + (c1 + c2) for c0, c1, c2 in coeffs.tolist())
+
+
+def test_apply_matches_scipy_matmul_bits(bundle_1x2v, rng):
+    """``TermSet.apply`` writes the bytes of summing each term's
+    ``scipy.sparse.csr_matrix @ x`` product into ``out``."""
+    import scipy.sparse as sp
+
+    pg = PhaseGrid(Grid([0.0], [1.0], [3]), Grid([-2, -2], [2, 2], [4, 4]))
+    aux = _aux_for(pg, rng, bundle_1x2v.cfg_basis.num_basis)
+    ts = bundle_1x2v.vol_accel[1]
+    f = rng.standard_normal((ts.nin,) + pg.cells)
+    out = rng.standard_normal((ts.nout,) + pg.cells)
+    want = out.reshape(ts.nout, -1).copy()
+    for term in ts.terms:
+        mat = term.matrix
+        ref = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        g = f[term.cols] * symbol_value(aux, term.sym) * -0.5
+        want += ref @ np.ascontiguousarray(g.reshape(term.cols.size, -1))
+    ts.apply(f, aux, out, scale=-0.5)
+    assert out.tobytes() == want.tobytes()
