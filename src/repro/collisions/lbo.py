@@ -46,23 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..cas.poly import Poly
 from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
 from ..engine.program import Faces, Scale, Subtract, Sweep, bound_plans, run_passes
 from ..grid.phase import PhaseGrid
-from ..kernels.generator import (
-    FACE_SIGN,
-    FluxSpec,
-    FluxTerm,
-    generate_face_termsets,
-    generate_multiply_termset,
-    generate_volume_termset,
-)
 from ..kernels.grouped import GroupedOperator
-from ..kernels.registry import get_vlasov_kernels
-from ..kernels.termset import TermSet, stack_termsets
-from ..kernels.vlasov import _cfg_poly_unnormalized
+from ..kernels.registry import get_lbo_kernels
 from ..moments.calc import MomentCalculator
 from ..moments.weak_ops import weak_divide, weak_multiplication_matrix, weak_multiply
 
@@ -100,12 +89,13 @@ class LBOCollisions:
         self.poly_order = int(poly_order)
         self.family = family
         cdim, vdim = phase_grid.cdim, phase_grid.vdim
-        self.kernels = get_vlasov_kernels(cdim, vdim, poly_order, family)
+        #: the generated termsets, shared by every operator of this
+        #: discretization in the process; the operators below are this grid's
+        self.kernels = get_lbo_kernels(cdim, vdim, poly_order, family)
         self.basis = self.kernels.phase_basis
         self.cfg_basis = self.kernels.cfg_basis
         self.fixed_u = fixed_u
         self.fixed_vtsq = fixed_vtsq
-        pdim = phase_grid.pdim
         npc = self.cfg_basis.num_basis
         self._moment_names = ("M0",) + tuple(f"M1{'xyz'[j]}" for j in range(vdim)) + ("M2",)
         #: the symbols the operators read: ``u{j}_{k}`` / ``vtsq_{k}`` are
@@ -128,58 +118,21 @@ class LBOCollisions:
         def _op(ts):
             return GroupedOperator(ts, cdim, vdim, pool=self.pool)
 
-        cfg_poly = [
-            (_cfg_poly_unnormalized(pdim, alpha), self.cfg_basis.norm(k))
-            for k, alpha in enumerate(self.cfg_basis.indices)
-        ]
-        vtsq_mult = _op(
-            generate_multiply_termset(
-                self.basis,
-                [
-                    FluxTerm(sym=(f"vtsq_{k}",), poly=poly, scale=norm)
-                    for k, (poly, norm) in enumerate(cfg_poly)
-                ],
-            )
-        )
         # Per velocity direction ``j``: the volume, trace and flux operator of
         # each pass (drag, LDG gradient and divergence), the lift, and the
         # velocity faces of every configuration cell as the two slots of the
         # ``2 Nf``-row trace block (upper face, then lower face).
-        nf = self.kernels.face_accel[0].flux.nout
+        nf = self.kernels.nf
         cells = phase_grid.conf.cells
         trace_shape = cells + (2 * nf,) + phase_grid.vel.cells
         own = np.stack([np.arange(int(np.prod(cells)))] * 5, axis=1)
-        zero = TermSet(nf, self.basis.num_basis, {})
+        vtsq_mult = _op(self.kernels.vtsq_mult)
         drag_table, ldg_table = [], []
-        for j in range(vdim):
-            dv = cdim + j
-            # drag flux alpha_j = nu * (u_j(x) - v_j)
-            drag = FluxSpec(
-                dim=dv,
-                terms=(
-                    FluxTerm(sym=("nu", f"w{dv}"), poly=Poly.one(pdim), scale=-1.0),
-                    FluxTerm(
-                        sym=("nu", f"half_dxv{dv}"), poly=Poly.variable(pdim, dv), scale=-1.0
-                    ),
-                )
-                + tuple(
-                    FluxTerm(sym=("nu", f"u{j}_{k}"), poly=poly, scale=norm)
-                    for k, (poly, norm) in enumerate(cfg_poly)
-                ),
-            )
-            unit = FluxSpec(dim=dv, terms=(FluxTerm(sym=(), poly=Poly.one(pdim)),))
-            fk = generate_face_termsets(self.basis, drag)
+        for j, kj in enumerate(self.kernels.directions):
             # the face state reads the lower cell's upper-face trace ("L")
             # and / or the upper cell's lower-face trace ("R")
-            trace = {
-                sides: _op(
-                    stack_termsets([fk.trace[s] if s in sides else zero for s in "LR"])
-                )
-                for sides in ("LR", "R", "L")
-            }
-            lift = _op(
-                stack_termsets([fk.trace[s].scaled(FACE_SIGN[s]) for s in "LR"]).transposed()
-            )
+            trace = {sides: _op(ts) for sides, ts in kj.trace.items()}
+            lift = _op(kj.lift)
             faces = FaceMap(own, trace_shape, trace_shape, cdim, slots=(0, nf), nf=nf, vaxis=j)
 
             def advect(vol, sides, flux, src, dst, accumulate):
@@ -190,13 +143,8 @@ class LBOCollisions:
             # drag: central flux on interior velocity faces, zero-flux
             # boundaries; diffusion: two-pass LDG, the gradient with the
             # right-biased flux, the divergence with the left-biased one
-            drag_table += advect(
-                _op(generate_volume_termset(self.basis, drag)), "LR",
-                _op(fk.flux.scaled(0.5)),  # the central flux's 1/2
-                "f", "out", True,
-            )
-            unit_vol = _op(generate_volume_termset(self.basis, unit))
-            unit_flux = _op(generate_face_termsets(self.basis, unit).flux)
+            drag_table += advect(_op(kj.drag_vol), "LR", _op(kj.drag_flux), "f", "out", True)
+            unit_vol, unit_flux = _op(kj.unit_vol), _op(kj.unit_flux)
             ldg_table += advect(unit_vol, "R", unit_flux, "f", "grad", False) + [
                 Scale("grad", -1.0),  # weak derivative = -(unit advection RHS)
                 Sweep(vtsq_mult, "grad", "vg"),  # vtsq(x) weakly, alias-free

@@ -121,7 +121,9 @@ class CompileStats:
     """Process-global plan-compilation counters.
 
     ``compiled`` counts real ``ExecutionPlan`` compilations (a warm-cache
-    run reports zero); ``hydrated`` counts disk-cache loads;
+    run reports zero); ``hydrated`` counts cache loads, whether the
+    payload was parsed from disk or came from the in-process memo of
+    unchanged entries (:mod:`repro.engine.plancache`);
     ``cache_misses`` includes corrupt/stale payloads that fell back to a
     compile.  Every plan of the ``cc`` tier counts once under
     ``kernels_built`` (this plan's request ran the C compiler — once per

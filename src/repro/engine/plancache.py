@@ -17,13 +17,26 @@ byte-identical content, so last-write-wins is harmless.  Readers treat a
 missing file, a truncated zip, a member failing its CRC, a wrong version or
 a malformed metadata record as a cache miss: a corrupted cache can cost a
 recompile, never a crash or a wrong answer.
+
+A long-lived process (a serve or campaign worker running one job after
+another) loads the same entries again and again.  :meth:`PlanCache.load`
+therefore reads an entry's bytes once per load and keys an in-process memo
+by their content hash: unchanged bytes return the payload parsed before,
+any other bytes — a rewritten, truncated or flipped entry — take the full
+parse with every check above.  Memoized arrays are read-only, since plans
+of different jobs share them, and the memo holds at most
+:data:`MEMO_BYTES` of them, evicting the least recently used.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
+import threading
 import zipfile
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -43,6 +56,42 @@ __all__ = [
 ARTIFACT_VERSION = 3
 
 _META_KEY = "__meta__"
+
+#: byte cap of the in-process payload memo (array bytes held)
+MEMO_BYTES = 64 << 20
+
+_Payload = Tuple[dict, Dict[str, np.ndarray]]
+
+
+class _PayloadMemo:
+    """Parsed payloads by content hash, least recently used first out."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items: "OrderedDict[bytes, Tuple[_Payload, int]]" = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: bytes) -> Optional[_Payload]:
+        with self._lock:
+            item = self._items.get(key)
+            if item is None:
+                return None
+            self._items.move_to_end(key)
+            return item[0]
+
+    def put(self, key: bytes, payload: _Payload) -> None:
+        size = sum(a.nbytes for a in payload[1].values())
+        with self._lock:
+            if key in self._items or size > MEMO_BYTES:
+                return
+            self._items[key] = (payload, size)
+            self.nbytes += size
+            while self.nbytes > MEMO_BYTES:
+                _, (_, evicted) = self._items.popitem(last=False)
+                self.nbytes -= evicted
+
+
+_MEMO = _PayloadMemo()
 
 
 def default_cache_dir() -> Path:
@@ -82,19 +131,31 @@ class PlanCache:
     def path_for(self, digest: str) -> Path:
         return self.root / f"plan-{digest}.npz"
 
-    def load(self, digest: str) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+    def load(self, digest: str) -> Optional[_Payload]:
         """The ``(meta, arrays)`` payload for ``digest``, or None when the
-        entry is missing, truncated, corrupted or version-mismatched."""
-        path = self.path_for(digest)
+        entry is missing, truncated, corrupted or version-mismatched.  The
+        arrays are read-only and the payload may be shared with earlier
+        loads of the same bytes (see the module docstring)."""
         try:
-            with np.load(path, allow_pickle=False) as z:
+            raw = self.path_for(digest).read_bytes()
+        except OSError:
+            return None
+        key = hashlib.blake2b(raw, digest_size=16).digest()
+        payload = _MEMO.get(key)
+        if payload is not None:
+            return payload
+        try:
+            with np.load(io.BytesIO(raw), allow_pickle=False) as z:
                 meta = json.loads(str(z[_META_KEY]))
                 if meta.get("format") != ARTIFACT_VERSION:
                     return None
                 arrays = {k: z[k] for k in z.files if k != _META_KEY}
-            return meta, arrays
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None
+        for a in arrays.values():
+            a.flags.writeable = False
+        _MEMO.put(key, (meta, arrays))
+        return meta, arrays
 
     def store(self, digest: str, meta: dict, arrays: Dict[str, np.ndarray]) -> bool:
         """Publish a payload; returns False on an I/O failure (a read-only

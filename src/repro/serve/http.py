@@ -58,6 +58,10 @@ __all__ = ["ServeDaemon", "SERVE_INFO"]
 #: server, so clients can find it knowing only the directory
 SERVE_INFO = "serve.json"
 
+#: how often the listener checks for ``shutdown()`` between requests [s]
+#: (the stdlib default, 0.5 s, is what a drain would wait out)
+POLL_INTERVAL_S = 0.05
+
 
 class ServeDaemon:
     """One serving instance: HTTP listener + worker pool + telemetry."""
@@ -109,7 +113,10 @@ class ServeDaemon:
         self._started = time.monotonic()
         self.pool.start()
         threading.Thread(
-            target=server.serve_forever, name="repro-serve-http", daemon=True
+            target=server.serve_forever,
+            args=(POLL_INTERVAL_S,),
+            name="repro-serve-http",
+            daemon=True,
         ).start()
         publish_text(
             self.info_path,

@@ -107,7 +107,7 @@ def test_face_kernel_bits_match_golden(key):
 def test_2x2v_p2_counts_match_golden(monkeypatch):
     key = (2, 2, 2, "serendipity")
     bundle = get_vlasov_kernels(*key)
-    monkeypatch.setattr(registry, "_CACHE", {key: bundle})
+    monkeypatch.setattr(registry, "_CACHE", {("vlasov",) + key: bundle})
     assert registry_stats() == {"bundles": 1, "total_nnz": GOLDEN_2X2V_P2_NNZ}
     assert modal_update_multiplications(bundle)["total"] == GOLDEN_2X2V_P2_MULTS
 

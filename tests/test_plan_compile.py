@@ -32,6 +32,7 @@ from repro.engine.compile import (
     compiler_config,
 )
 from repro.engine.plan import ExecutionPlan, aux_signature, plan_digest
+from repro.engine import plancache
 from repro.engine.plancache import PlanCache, resolve_cache_root
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import TermSet
@@ -477,6 +478,84 @@ def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path):
         again = apply_with(ts, aux, f_cm, cache=str(cache_dir))
         assert STATS.delta(STATS.snapshot(), before)["compiled"] == 0
         assert np.array_equal(cold, again)
+
+
+# --------------------------------------------------------------------- #
+# the in-process payload memo
+# --------------------------------------------------------------------- #
+def _count_archive_opens(monkeypatch):
+    """Record every ``np.load`` the plan cache makes from here on."""
+    opened = []
+    real_load = np.load
+
+    def counting_load(*args, **kwargs):
+        opened.append(args[0])
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(plancache.np, "load", counting_load)
+    return opened
+
+
+def test_a_second_load_of_unchanged_bytes_opens_no_archive(case, tmp_path, monkeypatch):
+    ts, aux, f_cm = case
+    cache = str(tmp_path / "plans")
+    cold = apply_with(ts, aux, f_cm, cache=cache)  # compiles and publishes
+    apply_with(ts, aux, f_cm, cache=cache)  # parses the entries
+    opened = _count_archive_opens(monkeypatch)
+    before = STATS.snapshot()
+    warm = apply_with(ts, aux, f_cm, cache=cache)
+    delta = STATS.delta(STATS.snapshot(), before)
+    assert opened == []
+    assert delta["compiled"] == 0 and delta["hydrated"] >= 1 and delta["cache_hits"] >= 1
+    assert np.array_equal(cold, warm)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_payload_byte])
+def test_an_entry_damaged_after_it_was_memoized_is_recompiled(case, tmp_path, damage):
+    ts, aux, f_cm = case
+    cache_dir = tmp_path / "plans"
+    cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+    apply_with(ts, aux, f_cm, cache=str(cache_dir))  # memoizes the payloads
+    for path in cache_dir.glob("plan-*.npz"):
+        damage(path)
+    before = STATS.snapshot()
+    got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
+    delta = STATS.delta(STATS.snapshot(), before)
+    assert delta["cache_misses"] >= 1 and delta["compiled"] >= 1
+    assert delta["hydrated"] == 0  # other bytes, other key: never served
+    assert np.array_equal(cold, got)
+
+
+def test_memoized_arrays_are_read_only(case, tmp_path):
+    ts, aux, f_cm = case
+    cache = PlanCache(tmp_path / "plans")
+    apply_with(ts, aux, f_cm, cache=str(cache.root))
+    for path in cache.root.glob("plan-*.npz"):
+        meta, arrays = cache.load(path.stem[len("plan-"):])
+        assert cache.load(path.stem[len("plan-"):])[1] is arrays  # one payload, shared
+        assert arrays
+        for a in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def test_the_memo_stays_within_its_byte_cap(tmp_path, rng, monkeypatch):
+    cap = 3 * 512  # three 64-double payloads
+    monkeypatch.setattr(plancache, "MEMO_BYTES", cap)
+    monkeypatch.setattr(plancache, "_MEMO", plancache._PayloadMemo())
+    cache = PlanCache(tmp_path)
+    for i in range(8):
+        assert cache.store(f"d{i}", {"i": i}, {"a": rng.standard_normal(64)})
+        assert cache.load(f"d{i}")[0]["i"] == i
+        assert 0 < plancache._MEMO.nbytes <= cap
+    assert cache.store("big", {}, {"a": rng.standard_normal(4 * 64)})
+    assert cache.load("big") is not None  # served, not held
+    assert plancache._MEMO.nbytes == cap
+    opened = _count_archive_opens(monkeypatch)
+    cache.load("d7")
+    assert opened == []  # recently used: held
+    cache.load("d0")
+    assert len(opened) == 1  # least recently used: evicted, parsed again
 
 
 def test_only_a_bad_payload_falls_back_to_compile(case, tmp_path, monkeypatch):

@@ -4,7 +4,16 @@ import sys
 import threading
 import time
 
-from repro.kernels import four_sided_kernels, get_vlasov_kernels, registry, registry_stats
+from repro.collisions import LBOCollisions
+from repro.grid import Grid, PhaseGrid
+from repro.kernels import (
+    clear_registry,
+    four_sided_kernels,
+    get_lbo_kernels,
+    get_vlasov_kernels,
+    registry,
+    registry_stats,
+)
 
 
 def test_registry_returns_same_object():
@@ -88,3 +97,36 @@ def test_bundle_contents_complete():
     assert len(stream) == 2 and len(accel) == 2
     for sides in stream + accel:
         assert set(sides) == {("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")}
+
+
+def test_lbo_operators_share_one_generated_bundle(monkeypatch):
+    """The LBO's termsets depend on neither the grid nor ``nu``: operators
+    of one discretization hold the same objects, and only their plans and
+    face maps are their own."""
+    monkeypatch.setattr(registry, "_CACHE", {})
+
+    def termsets(lbo):
+        return [ins.op.termset for ins in lbo.cell_table[1] if hasattr(ins, "op")]
+
+    pg = PhaseGrid(Grid([0.0], [1.0], [2]), Grid([-4.0], [4.0], [4]))
+    a = LBOCollisions(pg, 2, nu=0.5)
+    b = LBOCollisions(pg, 2, nu=0.9)
+    c = LBOCollisions(PhaseGrid(Grid([0.0], [2.0], [3]), Grid([-6.0], [6.0], [8])), 2)
+    assert a.kernels is b.kernels is c.kernels is get_lbo_kernels(1, 1, 2)
+    for other in (b, c):
+        assert all(x is y for x, y in zip(termsets(a), termsets(other)))
+    assert a.cell_table[1][0].op is not b.cell_table[1][0].op
+    stats = registry_stats()
+    assert stats["bundles"] == 2  # the Vlasov bundle and the LBO one on its bases
+    vlasov = get_vlasov_kernels(1, 1, 2)
+    assert a.kernels.phase_basis is vlasov.phase_basis
+    assert stats["total_nnz"] == sum(
+        ts.num_entries for ts in vlasov.termsets() + a.kernels.termsets()
+    )
+    clear_registry()
+    assert registry_stats() == {"bundles": 0, "total_nnz": 0}
+    fresh = LBOCollisions(pg, 2, nu=0.5)
+    assert fresh.kernels is not a.kernels
+    assert [ts.entries_by_symbol() for ts in termsets(fresh)] == [
+        ts.entries_by_symbol() for ts in termsets(a)
+    ]

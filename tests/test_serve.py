@@ -320,6 +320,36 @@ def test_sigkilled_worker_job_is_rerun_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# a warm worker: plan payloads and kernels reused across jobs
+# ---------------------------------------------------------------------- #
+def test_a_warm_workers_second_job_is_bit_identical_to_a_fresh_process(tmp_path):
+    """Two LBO jobs in one process: the second hydrates every plan (from
+    the payload memo) and uses the registry's LBO bundle, and must end in
+    the bits of a fresh process, whose memo and registry start empty."""
+    store = FileJobStore(tmp_path / "srv")
+    done = []
+    for nu in (0.6, 0.7):
+        rec, _ = store.submit(build("collisional_relaxation", nu=nu, steps=5))
+        done.append((rec["id"], scheduler.run_job(store, rec)))
+    job, second = done[1]
+    assert second["plans"]["compiled"] == 0 and second["plans"]["hydrated"] == 19
+    ref = tmp_path / "ref"
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro", "run", "collisional_relaxation",
+            "--set", "nu=0.7", "--set", "steps=5", "--set", "plan_cache=off",
+            "--outdir", str(ref),
+        ],
+        env={**os.environ, "PYTHONPATH": REPO_SRC},
+        check=True,
+        capture_output=True,
+    )
+    got = store.diagnostics_path(job).read_bytes()
+    assert got == (ref / "diagnostics.jsonl").read_bytes()
+    assert got != store.diagnostics_path(done[0][0]).read_bytes()  # nu is in the bits
+
+
+# ---------------------------------------------------------------------- #
 # SIGTERM drain (daemon subprocess, as deployed)
 # ---------------------------------------------------------------------- #
 def test_sigterm_drains_without_losing_leased_jobs(tmp_path):
@@ -393,6 +423,13 @@ def test_drain_wakes_idle_workers(idle_daemon):
     t0 = time.monotonic()
     assert idle_daemon.drain(timeout=10.0)
     assert time.monotonic() - t0 < 5.0
+
+
+def test_drain_does_not_wait_out_the_listener_poll(idle_daemon):
+    # the stdlib listener checks for shutdown every 0.5 s by default
+    t0 = time.monotonic()
+    assert idle_daemon.drain(timeout=10.0)
+    assert time.monotonic() - t0 < 0.25
 
 
 def test_metrics_are_current_when_a_result_arrives(idle_daemon):
