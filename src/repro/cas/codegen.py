@@ -16,12 +16,14 @@ products pulled out.  This module does the same in Python, at two levels:
   coefficient vectors.
 * :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
   the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes, with three entry points over one loop body — ``fused_sweep``
-  (state in, state out), ``face_flux`` (the same groups across the faces of
-  one direction: two trace slots in, both overwritten with the flux) and
-  ``cell_rhs`` (a :class:`~repro.engine.program.CellProgram`: per
-  configuration cell, a table of sweeps and velocity-face fluxes on
-  cell-local blocks, optionally the Shu–Osher stage).  Its
+  freezes, with four entry points: three over one loop body —
+  ``fused_sweep`` (state in, state out), ``face_flux`` (the same groups
+  across the faces of one direction: two trace slots in, both overwritten
+  with the flux) and ``cell_rhs`` (a
+  :class:`~repro.engine.program.CellProgram`: per configuration cell, a
+  table of sweeps and velocity-face fluxes on cell-local blocks, optionally
+  the Shu–Osher stage) — and ``project_accumulate``, the quadrature sum of
+  the initial-condition projection (:mod:`repro.projection`).  Its
   source is a constant — shapes, the ``accumulate`` flag, the group and face
   tables are arguments — so nothing is emitted per plan:
   :func:`compile_fused_sweep` shells out to the system C compiler once per
@@ -67,6 +69,7 @@ __all__ = [
     "FUSED_SWEEP_ARGTYPES",
     "FACE_FLUX_ARGTYPES",
     "CELL_RHS_ARGTYPES",
+    "PROJECT_ACCUMULATE_ARGTYPES",
     "CC_FLAGS",
     "CC_ISA_FLAG",
     "compile_fused_sweep",
@@ -214,7 +217,8 @@ def select_tier(tier: str = "auto") -> str:
 
 #: C source of the sweep kernels — a constant: every shape is an argument, so
 #: one shared object per toolchain and target ISA serves every plan.  It has
-#: three entry points over one group-table format.
+#: four entry points: three over one group-table format, and the
+#: projection's accumulate.
 #:
 #: ``groups`` is an ``(ngroups, 5)`` int64 table: per group the address of
 #: its entries, the stride in doubles between configuration cells' entry
@@ -307,6 +311,16 @@ def select_tier(tier: str = "auto") -> str:
 #: *In place:* ``target`` may be ``f`` — the streaming traces, the only
 #: reads that cross configuration cells, were taken before the call, and
 #: cell ``c`` is written after its last read.
+#:
+#: ``project_accumulate(nq, np, ncfg, nvel, C, V, out)`` adds one block of
+#: ``nq`` quadrature points into the projection ``out`` ``(ncfg, np,
+#: nvel)``: ``C`` is the block's ``(np, nq)`` columns of ``wts * vander``,
+#: ``V`` the integrand at its points, ``(nq, ncfg, nvel)``.  Per
+#: configuration cell ``c`` and mode ``k`` it adds the points in order,
+#: ``o[i] += C[k, q] * v[i]`` over the contiguous velocity index — per
+#: output element the product rounded, then the add, point after point:
+#: the float sequence of the per-point numpy loop ``out += (wts[q] *
+#: vander[:, q]) * vals``, so with contraction off the bits are that loop's.
 FUSED_SWEEP_C = r"""#include <stdint.h>
 
 #if defined(__AVX512F__)
@@ -563,6 +577,23 @@ void cell_rhs(const double* f, const int64_t* restrict held, double* out,
         }
     }
 }
+
+void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
+                        const double* restrict C, const double* restrict V,
+                        double* restrict out)
+{
+    int64_t c, k, q, i;
+    for (c = 0; c < ncfg; ++c)
+        for (k = 0; k < np; ++k) {
+            double* o = out + (c * np + k) * nvel;
+            for (q = 0; q < nq; ++q) {
+                const double a = C[k * nq + q];
+                const double* v = V + (q * ncfg + c) * nvel;
+                for (i = 0; i < nvel; ++i)
+                    o[i] += a * v[i];
+            }
+        }
+}
 """
 
 #: ctypes signature of ``fused_sweep``: two pointers, six integers, the table
@@ -590,6 +621,8 @@ CELL_RHS_ARGTYPES = (
     + [ctypes.c_double] * 3
     + [ctypes.c_void_p] * 2
 )
+#: ctypes signature of ``project_accumulate``: four integers, three pointers
+PROJECT_ACCUMULATE_ARGTYPES = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
 #: reassociate floating point — bitwise determinism is the contract, and it
@@ -603,6 +636,18 @@ _KERNEL_TMPDIR: Optional[str] = None
 #: failed (reported once; the compiler is not run again in this process)
 _LOADED_KERNELS: Dict[Tuple[Optional[str], str], object] = {}
 _TARGET: Optional[str] = None
+
+
+def _inherited_kernels_are_not_fresh() -> None:
+    """In a forked child: the kernels it inherits were built, if at all,
+    by the parent, which counts that build; the child only loaded them."""
+    for key, kern in _LOADED_KERNELS.items():
+        if kern is not None:
+            _LOADED_KERNELS[key] = kern._replace(fresh=False)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_inherited_kernels_are_not_fresh)
 
 
 def _kernel_dir(out_dir: Optional[str]) -> Path:
@@ -648,14 +693,18 @@ def _native_target(cc: str) -> str:
 class CcSweep(NamedTuple):
     """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    #: ctypes entry points of :data:`FUSED_SWEEP_C`, ``fused_sweep``,
-    #: ``face_flux`` and ``cell_rhs`` (pointers are passed as
-    #: ``arr.ctypes.data`` integers)
+    #: ctypes entry points of :data:`FUSED_SWEEP_C`, all four:
+    #: ``fused_sweep``, ``face_flux``, ``cell_rhs`` and
+    #: ``project_accumulate`` (pointers are passed as ``arr.ctypes.data``
+    #: integers)
     fn: object
     faces: object
     cells: object
-    #: whether this request ran the compiler (False: reuse of the
-    #: content-addressed artifact, from disk or from this process)
+    project: object
+    #: whether this process ran the compiler for it and no earlier claiming
+    #: request (see :func:`compile_fused_sweep`) took that news (False:
+    #: reuse of the content-addressed artifact, from disk or from this
+    #: process)
     fresh: bool
 
 
@@ -672,7 +721,9 @@ def _build_sweep(cc: str, src_path: Path, out_path: str) -> None:
         subprocess.run(cmd, **run)
 
 
-def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
+def compile_fused_sweep(
+    kernel_dir: Optional[str] = None, claim: bool = True
+) -> Optional[CcSweep]:
     """The compiled ``cc``-tier sweep kernel, or None when it cannot be had.
 
     :data:`FUSED_SWEEP_C` is compiled — once per toolchain and target,
@@ -682,6 +733,11 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
     ``RuntimeWarning`` per process carrying the compiler's complaint), this
     returns None and the caller sweeps with ``csr_matvecs``: execution never
     hard-fails on a compiler.
+
+    ``fresh`` says whether the compiler ran for this artifact; the first
+    request with ``claim`` (a plan, which counts it as built) takes that
+    news, later ones read False.  A request without ``claim`` (the
+    projection, which counts nothing) leaves it for the next plan.
     """
     cc = cc_available()
     if cc is None:
@@ -694,7 +750,9 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
     key = (kernel_dir, digest)
     if key in _LOADED_KERNELS:
         kern = _LOADED_KERNELS[key]
-        return None if kern is None else kern._replace(fresh=False)
+        if kern is not None and claim:
+            _LOADED_KERNELS[key] = kern._replace(fresh=False)
+        return kern
     try:
         so_path = _kernel_dir(kernel_dir) / f"ccsweep-{digest}.so"
         fresh = not so_path.exists()
@@ -705,6 +763,7 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
                 _build_sweep(cc[0], src_path, str(tmp))
         lib = ctypes.CDLL(str(so_path))
         fn, faces, cells = lib.fused_sweep, lib.face_flux, lib.cell_rhs
+        project = lib.project_accumulate
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not
         # writable; the object does not load: degrade to the numpy tier,
@@ -720,9 +779,11 @@ def compile_fused_sweep(kernel_dir: Optional[str] = None) -> Optional[CcSweep]:
             stacklevel=2,
         )
         return None
-    fn.restype = faces.restype = cells.restype = None
+    fn.restype = faces.restype = cells.restype = project.restype = None
     fn.argtypes = FUSED_SWEEP_ARGTYPES
     faces.argtypes = FACE_FLUX_ARGTYPES
     cells.argtypes = CELL_RHS_ARGTYPES
-    kern = _LOADED_KERNELS[key] = CcSweep(fn, faces, cells, fresh)
+    project.argtypes = PROJECT_ACCUMULATE_ARGTYPES
+    kern = CcSweep(fn, faces, cells, project, fresh)
+    _LOADED_KERNELS[key] = kern if not claim else kern._replace(fresh=False)
     return kern

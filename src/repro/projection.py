@@ -5,19 +5,55 @@ projection.  (This is the one place quadrature legitimately appears: it
 approximates integrals of *non-polynomial* user data, not of the scheme's
 own nonlinear terms, so it has no bearing on the alias-free property of the
 update itself.)
+
+The quadrature sum runs where the plans' sweeps run.  In the ``cc`` tier it
+is ``project_accumulate``, an entry point of the one compiled kernel source
+(:data:`repro.cas.codegen.FUSED_SWEEP_C`, the shared object the plans of
+the same cache directory load): the integrand is evaluated point by point
+into a block of a few dozen points, and each block is added into the
+output while its rows stay in cache.  Otherwise (the ``numpy`` tier, no
+compiler, a failed build) a per-point numpy loop adds the same products.
+Both form each product ``(wts[q] * vander[k, q]) * value``, rounded, and
+add it to an output that starts at ``+0.0``, point after point in the same
+order; the kernel is built without multiply–add contraction, so the two
+end in the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
 from .basis.modal import ModalBasis, tensor_gauss_points
+from .cas.codegen import compile_fused_sweep, select_tier
+from .engine.compile import active_config
+from .engine.plancache import resolve_cache_root
 from .grid.cartesian import Grid
 from .grid.phase import PhaseGrid
 
 __all__ = ["project_on_grid", "project_conf_function", "project_phase_function"]
+
+#: quadrature points per call of the compiled accumulate: the integrand
+#: block it reads is this many grid-sized arrays, never all of them (and
+#: never more than ``num_basis`` of them, so the block is no larger than the
+#: output — the one output-sized temporary of the numpy loop)
+_BLOCK = 25
+
+
+def _compiled_accumulate():
+    """``project_accumulate`` of the configured tier's compiled kernel, or
+    None.  The projection counts no plan kernel: the artifact's ``fresh``
+    news is left to the first plan that loads it."""
+    cfg = active_config()
+    if select_tier(cfg.tier) != "cc":
+        return None
+    root = resolve_cache_root(cfg.cache)
+    kern = compile_fused_sweep(
+        str(root) if root is not None else None, claim=False
+    )
+    return None if kern is None else kern.project
 
 
 def project_on_grid(
@@ -51,22 +87,45 @@ def project_on_grid(
         raise ValueError("basis/grid dimensionality mismatch")
     nq = quad_order if quad_order is not None else basis.poly_order + 3
     pts, wts = tensor_gauss_points(nq, grid.ndim)
-    vander = basis.eval_at(pts)  # (Np, Nq)
+    # weights folded into the Vandermonde columns: coef[:, q] is the
+    # product ``wts[q] * vander[:, q]`` both tiers multiply each value by
+    coef = wts[None, :] * basis.eval_at(pts)  # (Np, Nq)
     centers = grid.meshgrid_centers()
     half_dx = [0.5 * dx for dx in grid.dx]
     ba = int(basis_axis)
     cells = grid.cells
-    out = np.zeros(cells[:ba] + (basis.num_basis,) + cells[ba:])
-    vshape = (1,) * ba + (-1,) + (1,) * (grid.ndim - ba)
-    for q in range(pts.shape[0]):
+    npb = basis.num_basis
+    out = np.zeros(cells[:ba] + (npb,) + cells[ba:])
+
+    def values(q: int) -> np.ndarray:
         coords = [
             centers[d] + half_dx[d] * pts[q, d] for d in range(grid.ndim)
         ]
-        vals = np.asarray(fn(*coords), dtype=float)
-        if vals.shape != cells:
-            vals = np.broadcast_to(vals, cells)
+        return np.asarray(fn(*coords), dtype=float)
+
+    npts = pts.shape[0]
+    accumulate = _compiled_accumulate()
+    if accumulate is not None:
+        ncfg, nvel = math.prod(cells[:ba]), math.prod(cells[ba:])
+        size = min(_BLOCK, npb, npts)
+        block = np.empty((size,) + cells)
+        for q0 in range(0, npts, size):
+            nb = min(size, npts - q0)
+            for j in range(nb):
+                block[j] = values(q0 + j)
+            cols = np.ascontiguousarray(coef[:, q0 : q0 + nb], dtype=float)
+            accumulate(
+                nb, npb, ncfg, nvel,
+                cols.ctypes.data, block.ctypes.data, out.ctypes.data,
+            )
+        return out
+    vshape = (1,) * ba + (-1,) + (1,) * (grid.ndim - ba)
+    tmp = np.empty_like(out)
+    for q in range(npts):
+        vals = np.broadcast_to(values(q), cells)
         vals_b = vals.reshape(cells[:ba] + (1,) + cells[ba:])
-        out += wts[q] * vander[:, q].reshape(vshape) * vals_b
+        np.multiply(coef[:, q].reshape(vshape), vals_b, out=tmp)
+        out += tmp
     return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from ..basis.modal import ModalBasis
 from ..grid.cartesian import Grid
 from ..grid.phase import PhaseGrid
 from ..moments.calc import MomentCalculator
+from ..obs import OBS as _OBS
 from ..projection import project_phase_function
 
 __all__ = [
@@ -414,6 +416,11 @@ class MaxwellBlock(FieldBlock):
             self._ext_buf = np.empty_like(self._ext_coeffs)
 
     def initial_em(self) -> np.ndarray:
+        if _OBS.on:
+            t0 = _perf_counter()
+            em = self.solver.project_initial_condition(self.spec.initial)
+            _OBS.finish("systems.project_initial", t0)
+            return em
         return self.solver.project_initial_condition(self.spec.initial)
 
     def em_for_species(self, system, state, token=None) -> np.ndarray:

@@ -55,7 +55,14 @@ class _ProjectedOnDemand(dict):
         self._blocks = {b.name: b for b in blocks}
 
     def __missing__(self, name: str) -> np.ndarray:
-        self[name] = f = self._blocks[name].project_initial()
+        block = self._blocks[name]
+        if _OBS.on:
+            t0 = _perf_counter()
+            f = block.project_initial()
+            _OBS.finish("systems.project_initial", t0)
+        else:
+            f = block.project_initial()
+        self[name] = f
         return f
 
 

@@ -1,13 +1,23 @@
 """Grids, phase-space layout, and L2 projection."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.basis.modal import ModalBasis
+from repro import projection
+from repro.basis.modal import ModalBasis, tensor_gauss_points
+from repro.cas import codegen
+from repro.cas.codegen import cc_available
+from repro.engine.compile import STATS, compiler_config
 from repro.grid import Grid, PhaseGrid
 from repro.projection import project_on_grid, project_phase_function
+
+needs_cc = pytest.mark.skipif(cc_available() is None, reason="no C compiler")
+TIERS = ["numpy", pytest.param("cc", marks=needs_cc)]
 
 
 def test_grid_basics():
@@ -121,3 +131,155 @@ def test_phase_projection_shape():
     f = project_phase_function(lambda x, v: np.exp(-v ** 2), pg, basis)
     assert f.shape == (3, 4, 4)
     assert np.isfinite(f).all()
+
+
+# --------------------------------------------------------------------- #
+# the projection's bits: both tiers against the per-point numpy loop
+
+
+def reference_projection(fn, grid, basis, quad_order=None, basis_axis=0):
+    """The per-point loop every tier must reproduce byte for byte: one
+    state-sized product per Gauss point, added into a zeroed output."""
+    nq = quad_order if quad_order is not None else basis.poly_order + 3
+    pts, wts = tensor_gauss_points(nq, grid.ndim)
+    vander = basis.eval_at(pts)
+    centers = grid.meshgrid_centers()
+    half_dx = [0.5 * dx for dx in grid.dx]
+    ba = basis_axis
+    cells = grid.cells
+    out = np.zeros(cells[:ba] + (basis.num_basis,) + cells[ba:])
+    vshape = (1,) * ba + (-1,) + (1,) * (grid.ndim - ba)
+    for q in range(pts.shape[0]):
+        coords = [centers[d] + half_dx[d] * pts[q, d] for d in range(grid.ndim)]
+        vals = np.asarray(fn(*coords), dtype=float)
+        if vals.shape != cells:
+            vals = np.broadcast_to(vals, cells)
+        vals_b = vals.reshape(cells[:ba] + (1,) + cells[ba:])
+        out += wts[q] * vander[:, q].reshape(vshape) * vals_b
+    return out
+
+
+#: (cdim, vdim) -> the phase grid the projection runs on, as one Grid
+LAYOUTS = {
+    (1, 1): ([0.0, -3.0], [2.0, 3.0], [5, 7]),
+    (1, 2): ([0.0, -3.0, -2.0], [2.0, 3.0, 2.0], [3, 4, 5]),
+    (2, 2): ([0.0, 0.0, -3.0, -2.0], [2.0, 1.0, 3.0, 2.0], [2, 3, 3, 4]),
+}
+
+
+def _wavy(*xs):
+    """Non-polynomial data of both signs, coupling every coordinate."""
+    phase = sum((d + 1) * x for d, x in enumerate(xs[:-1]))
+    return np.cos(phase + 0.3) * np.exp(-xs[-1] ** 2) - 0.1 * xs[-1]
+
+
+def _project(tier, fn, grid, basis, quad_order, basis_axis):
+    with compiler_config(tier=tier, cache="off"):
+        # the tier under test is the one that runs
+        assert (projection._compiled_accumulate() is not None) == (tier == "cc")
+        return project_on_grid(fn, grid, basis, quad_order, basis_axis)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dims", sorted(LAYOUTS), ids=lambda d: "%dX%dV" % d)
+def test_projection_bits_equal_the_per_point_loop(tier, dims, p):
+    grid = Grid(*LAYOUTS[dims])
+    basis = ModalBasis(grid.ndim, p, "serendipity")
+    cdim = dims[0]
+    for basis_axis in (0, cdim, grid.ndim):
+        for quad_order in (None, p + 1):
+            want = reference_projection(_wavy, grid, basis, quad_order, basis_axis)
+            got = _project(tier, _wavy, grid, basis, quad_order, basis_axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (basis_axis, quad_order)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_projection_broadcasts_lower_rank_values(tier):
+    grid = Grid(*LAYOUTS[(1, 2)])
+    basis = ModalBasis(3, 2, "serendipity")
+    for fn in (
+        lambda x, vx, vy: np.exp(-vy[0, 0] ** 2),  # (nvy,): the last axis
+        lambda x, vx, vy: 1.5,  # a scalar
+    ):
+        for basis_axis in (0, 1, 3):
+            want = reference_projection(fn, grid, basis, None, basis_axis)
+            got = _project(tier, fn, grid, basis, None, basis_axis)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_zero_data_projects_to_positive_zero(tier):
+    """The output starts at +0.0 and +0.0 + -0.0 is +0.0: zero data, of
+    either sign, projects to all-+0.0 bytes."""
+    grid = Grid(*LAYOUTS[(1, 1)])
+    basis = ModalBasis(2, 2, "serendipity")
+    for zero in (0.0, -0.0):
+        got = _project(tier, lambda x, v: np.full_like(x, zero), grid, basis, None, 1)
+        assert got.tobytes() == np.zeros_like(got).tobytes()
+
+
+def test_no_compiler_falls_back_silently(monkeypatch):
+    grid = Grid(*LAYOUTS[(1, 2)])
+    basis = ModalBasis(3, 2, "serendipity")
+    want = reference_projection(_wavy, grid, basis, None, 1)
+    monkeypatch.setattr(codegen, "cc_available", lambda: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with compiler_config(tier="cc", cache="off"):
+            assert projection._compiled_accumulate() is None
+            got = project_on_grid(_wavy, grid, basis, None, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_cc
+def test_projection_counts_no_kernel_and_leaves_the_build_to_a_plan(
+    monkeypatch, tmp_path
+):
+    """The projection touches no plan counter; when it is what built the
+    shared object, the first plan to load it still reads it as built, and a
+    forked child, which only inherited it, never does."""
+    monkeypatch.setattr(codegen, "_LOADED_KERNELS", {})
+    grid = Grid(*LAYOUTS[(1, 1)])
+    basis = ModalBasis(2, 1, "serendipity")
+    before = STATS.snapshot()
+    with compiler_config(tier="cc", cache=str(tmp_path)):
+        project_phase_function(_wavy, PhaseGrid(
+            Grid([0.0], [2.0], [5]), Grid([-3.0], [3.0], [7])), basis)
+    assert STATS.snapshot() == before
+    assert list(tmp_path.glob("ccsweep-*.so"))
+    (key, kern), = codegen._LOADED_KERNELS.items()
+    assert kern.fresh  # unclaimed
+    codegen._inherited_kernels_are_not_fresh()  # what a fork runs in the child
+    assert not codegen._LOADED_KERNELS[key].fresh
+    codegen._LOADED_KERNELS[key] = kern
+    assert codegen.compile_fused_sweep(str(tmp_path)).fresh  # the plan's claim
+    assert not codegen.compile_fused_sweep(str(tmp_path)).fresh
+
+
+@needs_cc
+def test_projection_scratch_is_bounded():
+    """At the ``weibel_2x2v`` size (6x6 configuration, 14x14 velocity
+    cells, p = 2: 625 Gauss points) the projection holds one block of
+    integrand values besides its output, never all 625 points (about 14x
+    the output)."""
+    pg = PhaseGrid(
+        Grid([0.0, 0.0], [4.0, 4.0], [6, 6]),
+        Grid([-1.0, -1.0], [1.0, 1.0], [14, 14]),
+    )
+    basis = ModalBasis(4, 2, "serendipity")
+
+    def beams(x, y, vx, vy):
+        return np.exp(-((vx - 0.3) ** 2 + vy ** 2) / 0.02) * (1.0 + 1e-3 * np.cos(y))
+
+    with compiler_config(tier="cc", cache="off"):
+        assert projection._compiled_accumulate() is not None  # built, loaded
+        tracemalloc.start()
+        try:
+            out = project_phase_function(beams, pg, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (6, 6, 48, 14, 14)
+    assert peak <= 2 * out.nbytes, peak / out.nbytes

@@ -296,6 +296,24 @@ def test_driver_trace_writes_chrome_trace(tmp_path):
     assert len([ev for ev in spans if ev["name"] == "step"]) == 2
 
 
+@pytest.mark.parametrize(
+    "scenario, fields",
+    [
+        ("ion_acoustic", 0),  # two species, Poisson: nothing to project
+        ("weibel_2x2v", 1),  # one species and the Maxwell field
+    ],
+)
+def test_traced_run_names_the_projection(tmp_path, scenario, fields):
+    spec = build(
+        scenario, nx=4, nv=6, poly_order=1, steps=1,
+        **{"observability.mode": "trace"},
+    )
+    Driver(spec, outdir=tmp_path).run()
+    events = load_trace(tmp_path / "trace.json")
+    spans = [ev for ev in events if ev[2] == "systems.project_initial"]
+    assert len(spans) == len(spec.species) + fields
+
+
 def test_trace_sampling_thins_spans_not_counters(tmp_path):
     spec = build(
         "two_stream", nx=4, nv=8, steps=4,
