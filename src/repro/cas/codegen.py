@@ -242,7 +242,7 @@ def select_tier(tier: str = "auto") -> str:
 #: match the numpy tier whatever the vector width.
 #:
 #: ``face_flux(src, dst, nfaces, faces, nrows, up, dn, nf, nvel, wa, wb,
-#: shift, extent, ngroups, groups, penalize, tau)`` runs an ``nf x nf`` flux
+#: shift, extent, ngroups, groups)`` runs an ``nf x nf`` flux
 #: operator (the same group table) over the faces of one phase direction,
 #: between the trace slots of cell-major trace buffers ``(cells, nrows,
 #: nvel)``: a cell's trace on its upper face sits in rows ``[up, up + nf)``,
@@ -261,8 +261,7 @@ def select_tier(tier: str = "auto") -> str:
 #:    A[v] + B[v + shift]`` on interior faces and ``+0.0`` on the upper
 #:    domain boundary;
 #: 2. sweeps the groups over the tile with ``sweep_span`` from ``+0.0`` —
-#:    the element sequence of ``fused_sweep`` — and with ``penalize`` adds
-#:    ``(A[v] - B[v + shift]) * tau`` (``0.0 * tau`` on the boundary);
+#:    the element sequence of ``fused_sweep``;
 #: 3. stores each row to the upper slot at ``v`` and to the lower slot at
 #:    ``v`` (streaming) or ``v + shift`` (acceleration, where the lower
 #:    slot's entries on the lower domain boundary are written ``0.0``).
@@ -279,24 +278,23 @@ def select_tier(tier: str = "auto") -> str:
 #: each face owns its two slots and ``dst`` may be ``src``.
 #:
 #: ``cell_rhs(f, held, out, ncfg, np, nvel, stream, ns, block, nins, ins,
-#: consts, penalize, staged, sa, sb, dt, u0, target)`` runs a
+#: consts, staged, sa, sb, dt, u0, target)`` runs a
 #: :class:`~repro.engine.program.CellProgram`: one instruction table per
 #: configuration cell, over the loop bodies of the other two entry points
 #: (``sweep_span``, ``face_span``).  ``f`` is the cell-major state handed in
 #: (``held[c]`` its index of own cell ``c``, or no table: ``c``), ``stream``
 #: the ``(ncfg, ns, nvel)`` buffer already holding the *streaming* face
 #: fluxes of every own cell, ``block`` a ``(rows, nvel)`` scratch.  ``ins``
-#: is ``nins`` rows of 9 int64, run in order on every cell ``c``; a block
+#: is ``nins`` rows of 8 int64, run in order on every cell ``c``; a block
 #: is named by a row of ``block`` (``>= 0``) or by ``-1`` / ``-2`` / ``-3``:
 #: ``f[c]``, ``stream[c]``, the output cell (neither of the first two is
 #: written):
 #:
 #: * ``0`` *sweep* ``src, dst, accumulate, nout, ngroups, groups`` — the
 #:   group table over the cell, ``fused_sweep`` on one configuration cell;
-#: * ``1`` *faces* ``up, dn, nf, shift, extent, ngroups, groups, tau`` —
+#: * ``1`` *faces* ``up, dn, nf, shift, extent, ngroups, groups`` —
 #:   ``face_span`` in place on the trace slots at block rows ``up`` / ``dn``
-#:   (``face_flux`` on a one-cell trace buffer), with the jump penalty
-#:   ``consts[tau]`` when ``penalize`` and ``tau >= 0``;
+#:   (``face_flux`` on a one-cell trace buffer);
 #: * ``2`` *scale* ``at, rows, k`` — ``x = x * consts[k]``;
 #: * ``3`` *subtract* ``dst, src, rows`` — ``y = y - x``.
 #:
@@ -417,8 +415,7 @@ static __attribute__((noinline)) void
 face_span(const double* a, const double* b, double* yu, double* yd, int64_t c,
           int64_t nf, int64_t nvel, const double* wa, const double* wb,
           int64_t shift, int64_t extent,
-          int64_t ngroups, const int64_t* restrict groups,
-          int64_t penalize, double tau)
+          int64_t ngroups, const int64_t* restrict groups)
 {
     double xt[nf * FACE_TILE], yt[nf * FACE_TILE];
     /* acceleration: the tile's velocity cells that have an upper neighbour
@@ -453,13 +450,6 @@ face_span(const double* a, const double* b, double* yu, double* yd, int64_t c,
         }
         sweep_span(xt, FACE_TILE, yt, FACE_TILE, len, v0, c, 0,
                    nf, ngroups, groups);
-        if (penalize)
-            for (m = 0; m < nf; ++m)
-                for (t = 0; t < len; ++t) {
-                    const int64_t k = m * nvel + v0 + t;
-                    yt[m * FACE_TILE + t] +=
-                        (upper[t] ? a[k] - b[k + shift] : 0.0) * tau;
-                }
         for (m = 0; m < nf; ++m) {
             const double* ym = yt + m * FACE_TILE;
             const int64_t k = m * nvel + v0;
@@ -487,8 +477,7 @@ void face_flux(const double* src, double* dst,
                int64_t nrows, int64_t up, int64_t dn, int64_t nf, int64_t nvel,
                const double* wa, const double* wb,
                int64_t shift, int64_t extent,
-               int64_t ngroups, const int64_t* restrict groups,
-               int64_t penalize, double tau)
+               int64_t ngroups, const int64_t* restrict groups)
 {
     int64_t n;
     for (n = 0; n < nfaces; ++n) {
@@ -497,8 +486,7 @@ void face_flux(const double* src, double* dst,
                   src + (face[2] * nrows + dn) * nvel,
                   face[3] < 0 ? 0 : dst + (face[3] * nrows + up) * nvel,
                   face[4] < 0 ? 0 : dst + (face[4] * nrows + dn) * nvel,
-                  face[0], nf, nvel, wa, wb, shift, extent, ngroups, groups,
-                  penalize, tau);
+                  face[0], nf, nvel, wa, wb, shift, extent, ngroups, groups);
     }
 }
 
@@ -524,7 +512,7 @@ void cell_rhs(const double* f, const int64_t* restrict held, double* out,
               int64_t ncfg, int64_t np, int64_t nvel,
               const double* stream, int64_t ns, double* block,
               int64_t nins, const int64_t* restrict ins,
-              const double* restrict consts, int64_t penalize,
+              const double* restrict consts,
               int64_t staged, double sa, double sb, double dt,
               const double* u0, double* target)
 {
@@ -534,20 +522,18 @@ void cell_rhs(const double* f, const int64_t* restrict held, double* out,
         const double* sc = stream + c * ns * nvel;
         double* yc = staged ? out : out + c * np * nvel;
         for (n = 0; n < nins; ++n) {
-            const int64_t* i = ins + 9 * n;
+            const int64_t* i = ins + 8 * n;
             double *y, *x;
             switch (i[0]) {
             case 0: /* sweep: src, dst, accumulate, nout, ngroups, groups */
                 sweep_cell(AT(i[1]), AT(i[2]), nvel, c, i[3], i[4], i[5],
                            GROUPS(i[6]));
                 break;
-            case 1: /* faces: up, dn, nf, shift, extent, ngroups, groups,
-                       penalty factor (-1: none) */
+            case 1: /* faces: up, dn, nf, shift, extent, ngroups, groups */
                 y = block + i[1] * nvel;
                 x = block + i[2] * nvel;
                 face_span(y, x, y, x, c, i[3], nvel, 0, 0, i[4], i[5], i[6],
-                          GROUPS(i[7]), penalize && i[8] >= 0,
-                          penalize && i[8] >= 0 ? consts[i[8]] : 0.0);
+                          GROUPS(i[7]));
                 break;
             case 2: /* scale: at, rows, factor */
                 y = AT(i[1]);
@@ -608,7 +594,6 @@ FACE_FLUX_ARGTYPES = (
     + [ctypes.c_void_p] * 2
     + [ctypes.c_int64] * 2
     + [ctypes.c_int64, ctypes.c_void_p]
-    + [ctypes.c_int64, ctypes.c_double]
 )
 #: ctypes signature of ``cell_rhs``
 CELL_RHS_ARGTYPES = (
@@ -617,7 +602,7 @@ CELL_RHS_ARGTYPES = (
     + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     + [ctypes.c_int64]
     + [ctypes.c_void_p] * 2
-    + [ctypes.c_int64] * 2
+    + [ctypes.c_int64]
     + [ctypes.c_double] * 3
     + [ctypes.c_void_p] * 2
 )

@@ -297,8 +297,7 @@ class ShardedApp:
     ----------
     app:
         A freshly built serial :class:`~repro.systems.system.System`
-        (modal scheme, central velocity flux, one of the three built-in
-        field closures).
+        (modal scheme, one of the three built-in field closures).
     shards:
         Worker-process count; the configuration grid is factorized into
         this many blocks (must keep >= 2 cells along an axis per block).
@@ -318,11 +317,6 @@ class ShardedApp:
                 "process sharding supports the maxwell/poisson/none field "
                 f"closures only (got field_kind={field_kind!r}); register "
                 "the system with shardable=False"
-            )
-        if any(s.velocity_flux != "central" for s in app.solvers.values()):
-            raise ValueError(
-                "process sharding supports the central velocity flux only "
-                "(the penalty speed is a global reduction)"
             )
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(

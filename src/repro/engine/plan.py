@@ -769,7 +769,6 @@ class ExecutionPlan:
         dst: np.ndarray,
         face_map: FaceMap,
         aux: Dict[str, AuxValue],
-        penalty: Optional[float] = None,
         trusted: bool = False,
     ) -> np.ndarray:
         """Apply this ``nf x nf`` flux operator across the faces of one
@@ -779,15 +778,14 @@ class ExecutionPlan:
         :class:`~repro.engine.faces.FaceMap`).
 
         ``src`` and ``dst`` are C-contiguous trace buffers of the map's
-        shapes and may be the same array when the map is ``in_place``.  With
-        ``penalty`` (acceleration directions) the jump ``(A - B) * penalty``
-        is added to the flux of interior faces.  ``trusted`` skips the aux
-        identity scan as :meth:`apply_trusted` does.  One application counts
-        and is traced as one apply of this plan.
+        shapes and may be the same array when the map is ``in_place``.
+        ``trusted`` skips the aux identity scan as :meth:`apply_trusted`
+        does.  One application counts and is traced as one apply of this
+        plan.
         """
         if not trusted:
             self._guard(aux)
-        return self._timed(self._run_faces, aux, src, dst, face_map, penalty)
+        return self._timed(self._run_faces, aux, src, dst, face_map)
 
     def _ready(self, aux: Dict[str, AuxValue]) -> None:
         """Rebind if never bound or a mutable scalar moved."""
@@ -917,20 +915,18 @@ class ExecutionPlan:
         self._face_call = (fm, src, dst, call)
         return call
 
-    def _run_faces(self, aux, src, dst, fm: FaceMap, penalty) -> np.ndarray:
+    def _run_faces(self, aux, src, dst, fm: FaceMap) -> np.ndarray:
         bound_fm, bound_src, bound_dst, call = self._face_call
         if fm is not bound_fm or src is not bound_src or dst is not bound_dst:
             call = self._bind_faces(src, dst, fm)
-        if penalty is not None and fm.wa is not None:
-            raise ValueError("the jump penalty belongs to acceleration faces")
         self._refresh(aux)
         if call is not None:
-            self._cc_faces(*call, penalty is not None, penalty or 0.0)
+            self._cc_faces(*call)
         else:
-            self._faces_numpy(src, dst, fm, penalty)
+            self._faces_numpy(src, dst, fm)
         return dst
 
-    def _faces_numpy(self, src, dst, fm: FaceMap, penalty) -> None:
+    def _faces_numpy(self, src, dst, fm: FaceMap) -> None:
         """The numpy tier's face application, and the reference for the
         compiled one: gather the two traces by the table, form the face
         state, sweep it (the plan's ``csr_matvecs`` groups, a round of faces
@@ -967,10 +963,6 @@ class ExecutionPlan:
             xf.reshape(self.ncfg, nf, nvel)[cells] = x[faces]
             self._sweep_numpy(xf, yf, False)
             y[faces] = yf.reshape(self.ncfg, nf, nvel)[cells]
-        if penalty is not None:
-            np.subtract(a[lo], b[hi], out=x5[lo])
-            x *= penalty
-            y += x
         lower = y
         if fm.wa is None:
             # the flux through face ``at`` is the lower-slot entry of cell

@@ -114,13 +114,11 @@ class Sweep(NamedTuple):
 class Faces(NamedTuple):
     """The ``Nf x Nf`` flux ``op`` across the velocity faces ``faces`` (a
     :class:`~repro.engine.faces.FaceMap` with ``vaxis``, shaped like the
-    block), in place on the trace slots of ``block``; ``penalty`` indexes
-    the jump-penalty factors of a call (None: never penalized)."""
+    block), in place on the trace slots of ``block``."""
 
     op: object
     faces: FaceMap
     block: str
-    penalty: Optional[int] = None
 
 
 class Scale(NamedTuple):
@@ -161,7 +159,7 @@ def bound_plans(ops: Sequence[Tuple[object, Tuple[int, ...]]], aux) -> List:
     return plans
 
 
-def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux, penalties=None) -> None:
+def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux) -> None:
     """The reference form of a cell table: each instruction as one pass over
     the state-sized ``arrays`` (block name → cell-major array), in table
     order, with ``plans[i]`` the bound plan of ``table[i]`` (None for the
@@ -171,8 +169,7 @@ def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux, penalties=None)
             plan._run(aux, arrays[ins.src], arrays[ins.dst], ins.accumulate)
         elif type(ins) is Faces:
             buf = arrays[ins.block]
-            tau = None if penalties is None or ins.penalty is None else penalties[ins.penalty]
-            plan._run_faces(aux, buf, buf, ins.faces, tau)
+            plan._run_faces(aux, buf, buf, ins.faces)
         elif type(ins) is Scale:
             np.multiply(arrays[ins.block], ins.factor, out=arrays[ins.block])
         else:
@@ -287,11 +284,10 @@ class CellProgram:
                 f"of the {cells_in} handed in"
             )
         # the cell table: the Vlasov update, then the tail
-        self._npen = len(a_faces)
         self.rows = {"f": npb, "stream": self.ns, "out": npb, "accel": self.na}
         table = (
             [Sweep(a_trace, "f", "accel")]
-            + [Faces(op, fm, "accel", j) for j, (op, fm) in enumerate(a_faces)]
+            + [Faces(op, fm, "accel") for op, fm in a_faces]
             + [Sweep(volume, "f", "out"), Sweep(s_lift, "stream", "out", True),
                Sweep(a_lift, "accel", "out", True)]
         )
@@ -334,10 +330,8 @@ class CellProgram:
         self._values = _tuple_getter(self._names)
         self._operators = [op for op, _c in self._ops]
         self._memo: Optional[tuple] = None
-        # the factors the compiled table reads: jump penalties (one per
-        # acceleration direction, written per call), then the scale factors
-        scales = [ins.factor for ins in table if type(ins) is Scale]
-        self._consts = np.array([0.0] * self._npen + scales, dtype=float)
+        # the factors the compiled table's scale instructions read
+        self._consts = np.array([ins.factor for ins in table if type(ins) is Scale], dtype=float)
         self._bound: tuple = ()
         self._call: Optional[tuple] = None
         self.obs_label = "plan_apply"
@@ -375,7 +369,6 @@ class CellProgram:
                 or fm.dst_shape != shape
                 or not fm.nf == ins.op.nin == ins.op.nout
                 or not np.array_equal(fm.table, np.repeat(own[:, None], 5, axis=1))
-                or ins.penalty not in (None, *range(self._npen))
             ):
                 # the cell-local block is a one-cell trace buffer: every row
                 # of the map must be the velocity faces of its own cell
@@ -390,15 +383,13 @@ class CellProgram:
         f: np.ndarray,
         aux: Dict[str, AuxValue],
         out: Optional[np.ndarray] = None,
-        penalties: Optional[Sequence[float]] = None,
         stage: Optional[Stage] = None,
     ) -> np.ndarray:
         """``out = L(f)``, or with ``stage`` the stage's target (``out`` is
         then only the reference form's state-sized ``L`` buffer and may be
         omitted).  ``f`` is cell-major and carries the ghost cells the
         streaming maps read; ``out`` / ``stage.target`` / ``stage.u0`` are
-        the own cells.  ``penalties``: per acceleration direction, the
-        factor of the jump penalty added to its flux."""
+        the own cells."""
         plans = self._plans(aux)
         if stage is None:
             key = (f, out, None, None, *plans)
@@ -409,10 +400,10 @@ class CellProgram:
             self._bind(key, plans, stage)
         if _OBS.on:
             t0 = _perf_counter()
-            res = self._run(f, aux, out, penalties, stage, plans)
+            res = self._run(f, aux, out, stage, plans)
             _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
             return res
-        return self._run(f, aux, out, penalties, stage, plans)
+        return self._run(f, aux, out, stage, plans)
 
     def _plans(self, aux) -> List:
         """:func:`bound_plans` of the operators, without their one lookup
@@ -505,12 +496,12 @@ class CellProgram:
         s_trace, s_flux, table_plans = self._split(plans)
         gs_in, gs = self._buffers()
         face_calls = [
-            (plan._cc_faces, plan._bind_faces(gs_in, gs, fm) + (0, 0.0))
+            (plan._cc_faces, plan._bind_faces(gs_in, gs, fm))
             for plan, fm in zip(s_flux, self._s_maps)
         ]
         block = self.pool.get("program.block", (self._block_rows, self.nvel))
         loc = {**_LOCATION, **self._offsets}
-        rows, scale = [], self._npen
+        rows, scale = [], 0
         for ins, plan in zip(self.table, table_plans):
             kind = type(ins)
             if kind is Sweep:
@@ -521,14 +512,13 @@ class CellProgram:
                 if plan.cell_shape != fm.cell_shape:
                     raise ValueError("a velocity flux plan does not fit its face map")
                 row = [at + fm.up, at + fm.dn, fm.nf, fm.shift, fm.extent,
-                       len(plan._groups), plan._cc_table.ctypes.data,
-                       -1 if ins.penalty is None else ins.penalty]
+                       len(plan._groups), plan._cc_table.ctypes.data]
             elif kind is Scale:
                 row = [loc[ins.block], self.rows[ins.block], scale]
                 scale += 1
             else:
                 row = [loc[ins.dst], loc[ins.src], self.rows[ins.dst]]
-            rows.append([_OPCODE[kind]] + row + [0] * (8 - len(row)))
+            rows.append([_OPCODE[kind]] + row + [0] * (7 - len(row)))
         code = np.array(rows, dtype=np.int64)
         if stage is None:
             cell_out, u0, target = out, 0, 0
@@ -554,27 +544,24 @@ class CellProgram:
                 (u0, target), refreshed, code)
 
     # ------------------------------------------------------------------ #
-    def _run(self, f, aux, out, penalties, stage, plans) -> np.ndarray:
+    def _run(self, f, aux, out, stage, plans) -> np.ndarray:
         if self._call is None:
             self.tier = "numpy"
-            return self._reference(f, aux, out, penalties, stage, plans)
+            return self._reference(f, aux, out, stage, plans)
         self.tier = "cc"
         sweep, trace_call, face_calls, cells, head, tail, refreshed, _code = self._call
         for plan in refreshed:
             plan._refresh(aux)
-        if penalties is not None:
-            self._consts[: self._npen] = penalties
-        penalize = penalties is not None
         sweep(*trace_call)
         for faces, call in face_calls:
             faces(*call)
         if stage is None:
-            cells(*head, penalize, 0, 0.0, 0.0, 0.0, 0, 0)
+            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0)
             return out
-        cells(*head, penalize, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
+        cells(*head, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
         return stage.target
 
-    def _reference(self, f, aux, out, penalties, stage, plans) -> np.ndarray:
+    def _reference(self, f, aux, out, stage, plans) -> np.ndarray:
         """The table as state-sized passes over the same plans, then the
         stage arithmetic in the association of ``SSPRK3.step_inplace`` —
         the byte reference of the compiled program."""
@@ -592,11 +579,11 @@ class CellProgram:
         gs_in, gs = self._buffers()
         s_trace._run(aux, f, gs_in, False)
         for plan, fm in zip(s_flux, self._s_maps):
-            plan._run_faces(aux, gs_in, gs, fm, None)
+            plan._run_faces(aux, gs_in, gs, fm)
         arrays = {"f": f_own, "stream": gs, "out": out}
         for name in self._offsets:
             arrays[name] = pool.get(f"program.{name}", self.block_shape(self.rows[name]))
-        run_passes(self.table, table_plans, arrays, aux, penalties)
+        run_passes(self.table, table_plans, arrays, aux)
         if stage is None:
             return out
         target = stage.target

@@ -149,13 +149,12 @@ class GroupedOperator:
         dst: np.ndarray,
         face_map: FaceMap,
         aux: Dict[str, AuxValue],
-        penalty: Optional[float] = None,
     ) -> np.ndarray:
         """Apply this flux operator across the faces of ``face_map``, from
         the trace slots of ``src`` into those of ``dst``
         (:meth:`ExecutionPlan.apply_faces`)."""
         plan, trusted = self.lookup(aux, face_map.cell_shape)
-        return plan.apply_faces(src, dst, face_map, aux, penalty, trusted)
+        return plan.apply_faces(src, dst, face_map, aux, trusted)
 
     def lookup(
         self, aux: Dict[str, AuxValue], cell_shape: Tuple[int, ...]

@@ -116,11 +116,17 @@ class FileJobStore:
         return LeaseLock(self.root / LOCK_DIR / "store.lock", self.lease_timeout)
 
     def _read(self, job_id: str) -> Optional[dict]:
+        """The job's record; ``None`` when there is none, or when it does not
+        parse as a JSON object whose ``id`` is ``job_id`` — a damaged record
+        counts as absent, so the next submission of its spec writes it anew."""
         path = self.job_dir(job_id) / _META
         try:
-            return json.loads(path.read_text())
-        except FileNotFoundError:
+            rec = json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):
             return None
+        if not isinstance(rec, dict) or rec.get("id") != job_id:
+            return None
+        return rec
 
     def _write(self, record: dict) -> None:
         publish_text(self.job_dir(record["id"]) / _META, json.dumps(record, indent=2))

@@ -154,7 +154,6 @@ class KineticSpecies:
         poly_order: int,
         family: str,
         scheme: str,
-        velocity_flux: str,
         ic_quad_order: Optional[int],
     ):
         self.decl = decl
@@ -167,7 +166,7 @@ class KineticSpecies:
 
             # the collision operator's cell table rides the solver's program
             self.solver = VlasovModalSolver(
-                pg, poly_order, family, decl.charge, decl.mass, velocity_flux,
+                pg, poly_order, family, decl.charge, decl.mass,
                 collisions=decl.collisions,
             )
             kernels = self.solver.kernels

@@ -110,7 +110,6 @@ class System:
         cfl: float = 0.9,
         scheme: str = "modal",
         stepper: str = "ssp-rk3",
-        velocity_flux: str = "central",
         ic_quad_order: Optional[int] = None,
         external: Optional[ExternalField] = None,
         name: Optional[str] = None,
@@ -166,8 +165,8 @@ class System:
         # what on_block() rebuilds this declaration from
         self._decl = dict(
             poly_order=poly_order, family=family, cfl=cfl, scheme=scheme,
-            stepper=stepper, velocity_flux=velocity_flux,
-            ic_quad_order=ic_quad_order, external=external, name=name,
+            stepper=stepper, ic_quad_order=ic_quad_order, external=external,
+            name=name,
         )
 
         from ..basis.modal import ModalBasis
@@ -177,8 +176,7 @@ class System:
 
         self.blocks: List[KineticSpecies] = [
             KineticSpecies(
-                sp, conf_grid, self.poly_order, family, scheme, velocity_flux,
-                ic_quad_order,
+                sp, conf_grid, self.poly_order, family, scheme, ic_quad_order
             )
             for sp in self.species
         ]

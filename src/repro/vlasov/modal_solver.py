@@ -69,8 +69,7 @@ Numerical fluxes follow Juno et al. (2018) / Gkeyll:
   straddle fall back to a central flux);
 * velocity-space faces: central flux, which preserves the discrete
   :math:`J \\cdot E` energy-exchange identity (total particle+field energy
-  conservation with a central-flux Maxwell solver); an optional local
-  Lax-type penalty is available for extra robustness;
+  conservation with a central-flux Maxwell solver);
 * velocity-space domain boundaries: zero flux.
 """
 
@@ -106,9 +105,6 @@ class VlasovModalSolver:
         Basis selection (``tensor`` / ``serendipity`` / ``maximal-order``).
     charge, mass:
         Species charge and mass (normalized units).
-    velocity_flux:
-        ``"central"`` (energy conserving, the paper's choice) or
-        ``"penalty"`` (adds a local Lax-type jump penalty).
     collisions:
         Optional collision operator whose term runs inside the cell program
         (``rhs(..., collide=True)``): an object with a ``cell_table`` —
@@ -124,17 +120,13 @@ class VlasovModalSolver:
         family: str = "serendipity",
         charge: float = -1.0,
         mass: float = 1.0,
-        velocity_flux: str = "central",
         collisions=None,
     ):
-        if velocity_flux not in ("central", "penalty"):
-            raise ValueError("velocity_flux must be 'central' or 'penalty'")
         self.grid = phase_grid
         self.poly_order = int(poly_order)
         self.family = family
         self.charge = float(charge)
         self.mass = float(mass)
-        self.velocity_flux = velocity_flux
         self.pool = ScratchPool()
         self.kernels = get_vlasov_kernels(
             phase_grid.cdim, phase_grid.vdim, poly_order, family
@@ -367,37 +359,12 @@ class VlasovModalSolver:
         if out is None and stage is None:
             out = np.empty(self.layout.shape)
         aux = self.field_aux(em)
-        penalties = None
-        if self.velocity_flux == "penalty":
-            # local Lax-type jump penalty; the unit-flux face mass is
-            # the identity in the orthonormal face basis
-            cdim = self.grid.cdim
-            penalties = [
-                0.5 * self._penalty_speed(aux, j) * aux[f"rdx{cdim + j}"]
-                for j in range(self.grid.vdim)
-            ]
         program = self._program
         if collide:
             if self._collisional is None:
                 raise ValueError("the solver was built without a collision operator")
             program = self._collisional
-        return program.run(f, aux, out, penalties, stage)
-
-    # ------------------------------------------------------------------ #
-    # penalty support (optional robustness flux)
-    # ------------------------------------------------------------------ #
-    def _penalty_speed(self, aux, j: int) -> float:
-        """Conservative scalar estimate of max |alpha_vj| for the penalty."""
-        phi0 = self._cfl.phi0
-        e_mag = np.max(np.abs(aux[f"E{j}_0"])) * phi0
-        vmax = max(
-            (self.grid.max_velocity(d) for d in range(self.grid.vdim) if d != j),
-            default=0.0,
-        )
-        b_mag = max(
-            float(np.max(np.abs(aux[f"B{comp}_0"]))) * phi0 for comp in range(3)
-        )
-        return abs(self.charge / self.mass) * (e_mag + vmax * b_mag)
+        return program.run(f, aux, out, stage)
 
     # ------------------------------------------------------------------ #
     # CFL support

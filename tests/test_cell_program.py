@@ -47,7 +47,7 @@ def _own(f, solver):
     return f if solver._interior is None else f[solver._interior]
 
 
-def _run_program(case, tier, ghost, pair, velocity_flux="central", lbo=False):
+def _run_program(case, tier, ghost, pair, lbo=False):
     """One ``solver.rhs`` (``pair`` None) or one staged one — with ``lbo``
     the program carrying the LBO's cell table — every array it touches
     inside a NaN guard band: ``{name: whole allocation}``."""
@@ -55,9 +55,7 @@ def _run_program(case, tier, ghost, pair, velocity_flux="central", lbo=False):
     pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
     with compiler_config(tier=tier, cache="off"):
         coll = LBOCollisions(pg, poly_order, nu=0.7) if lbo else None
-        solver = VlasovModalSolver(
-            pg, poly_order, velocity_flux=velocity_flux, collisions=coll
-        )
+        solver = VlasovModalSolver(pg, poly_order, collisions=coll)
         prog = solver._collisional if lbo else solver._program
         rng = np.random.default_rng(seed)
         em = rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis))
@@ -131,12 +129,6 @@ def test_program_on_a_ghosted_block_equals_its_reference(case, which):
     if not any(ghost):
         ghost = (1,) * cdim
     _assert_program_tiers_agree(case, ghost)
-
-
-@settings(max_examples=5, deadline=None)
-@given(face_flux_cases())
-def test_program_with_the_jump_penalty_equals_its_reference(case):
-    _assert_program_tiers_agree(case, ghost=(0,) * case[0], velocity_flux="penalty")
 
 
 LBO_CASES = [
@@ -380,7 +372,6 @@ def test_malformed_tables_are_rejected_at_construction():
         (({}, [Scale("nowhere", 2.0)]), "names no block"),
         (({"x": 3}, [Sweep(vol, "f", "x")]), "does not map block"),
         (({"t": 2 * nf}, [Faces(stream[2][0][0], stream[2][0][1], "t")]), "face map of 't'"),
-        ((blocks, [drag_faces._replace(penalty=1)]), "face map of 'trace'"),
         (({"t": nf}, [drag_faces._replace(block="t")]), "face map of 't'"),
     ]:
         with pytest.raises(ValueError, match=match):

@@ -188,42 +188,6 @@ def test_four_sided_kernels_have_no_runtime_caller():
     assert offenders == []
 
 
-@pytest.mark.parametrize("vel_cells", [(6,), (5, 4)], ids=["1x1v", "1x2v"])
-def test_penalty_flux_equals_the_face_mass_formulation(vel_cells):
-    """``velocity_flux="penalty"`` adds ``rdx (tau/2)(g+_i - g-_{i+1})`` to the
-    face flux.  Reference: the formulation with generated face-mass kernels —
-    unit-flux side kernels applied to ``+-(tau/2) f`` of the two cells."""
-    vdim = len(vel_cells)
-    pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-3.0] * vdim, [3.0] * vdim, list(vel_cells)))
-    solvers = {flux: VlasovModalSolver(pg, 2, velocity_flux=flux) for flux in ("central", "penalty")}
-    solver = solvers["penalty"]
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(solver.layout.shape)
-    em = rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis))
-    want = solvers["central"].rhs(f, em)
-    aux = solver.field_aux(em)
-    for j in range(vdim):
-        dim, axis = 1 + j, 2 + j
-        mass = generate_surface_termsets(
-            solver.kernels.phase_basis,
-            FluxSpec(dim=dim, terms=(FluxTerm(sym=(), poly=Poly.one(pg.pdim)),)),
-        )
-        lo = [slice(None)] * f.ndim
-        hi = list(lo)
-        lo[axis], hi[axis] = slice(0, -1), slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        half_tau = 0.5 * solver._penalty_speed(aux, j)
-        states = {"L": half_tau * f[lo], "R": -half_tau * f[hi]}
-        for test_side, cells in (("L", lo), ("R", hi)):
-            inc = np.zeros_like(states["L"])
-            for state_side, state in states.items():
-                mass[(test_side, state_side)].apply_cm(state, aux, inc, 1)
-            want[cells] += inc
-    got = solver.rhs(f, em)
-    assert not np.array_equal(got, solvers["central"].rhs(f, em))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 # --------------------------------------------------------------------- #
 # the face primitive: compiled == numpy reference, nothing outside the slots
 #: every vector-width tail of the compiled tile loop
@@ -260,7 +224,7 @@ def _guarded(shape, rng):
     return alloc, arr
 
 
-def _apply_every_direction(case, tier, ghost, velocity_flux="central"):
+def _apply_every_direction(case, tier, ghost):
     """Trace buffers after one ``apply_faces`` per direction, each starting
     from the same random traces with every row outside the direction's two
     slots NaN: ``[(direction, src allocation, dst allocation)]``."""
@@ -268,7 +232,7 @@ def _apply_every_direction(case, tier, ghost, velocity_flux="central"):
     pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
     out = []
     with compiler_config(tier=tier, cache="off"):
-        solver = VlasovModalSolver(pg, poly_order, velocity_flux=velocity_flux)
+        solver = VlasovModalSolver(pg, poly_order)
         rng = np.random.default_rng(seed)
         aux = solver.field_aux(rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis)))
         for q, (flux_op, faces) in enumerate(solver._flux_ops):
@@ -278,17 +242,16 @@ def _apply_every_direction(case, tier, ghost, velocity_flux="central"):
                 rows = np.ones(faces.nrows, dtype=bool)
                 rows[faces.up : faces.up + faces.nf] = rows[faces.dn : faces.dn + faces.nf] = False
                 buf[(slice(None),) * cdim + (rows,)] = np.nan
-            penalty = 0.37 if velocity_flux == "penalty" and q >= cdim else None
-            flux_op.apply_faces(src, dst, faces, aux, penalty)
+            flux_op.apply_faces(src, dst, faces, aux)
             own = dst[(slice(None),) * cdim + (~rows,)]
             assert np.isfinite(own).all()  # nothing read from outside the slots
             out.append((q, src_alloc, dst_alloc))
     return out
 
 
-def _assert_tiers_agree(case, ghost, velocity_flux="central"):
-    got = _apply_every_direction(case, "cc", ghost, velocity_flux)
-    want = _apply_every_direction(case, "numpy", ghost, velocity_flux)
+def _assert_tiers_agree(case, ghost):
+    got = _apply_every_direction(case, "cc", ghost)
+    want = _apply_every_direction(case, "numpy", ghost)
     for (q, *cc), (_, *ref) in zip(got, want):
         for a, b in zip(cc, ref):
             # whole allocations: the slots equal as bytes, every other row
@@ -314,12 +277,6 @@ def test_face_flux_ghost_window_equals_the_numpy_reference(case, which):
     if not any(ghost):
         ghost = (1,) * cdim
     _assert_tiers_agree(case, ghost)
-
-
-@settings(max_examples=15, deadline=None)
-@given(face_flux_cases())
-def test_face_flux_penalty_equals_the_numpy_reference(case):
-    _assert_tiers_agree(case, ghost=(0,) * case[0], velocity_flux="penalty")
 
 
 def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch):
@@ -367,5 +324,3 @@ def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch):
         assert good.in_place and not shifted.in_place
         with pytest.raises(ValueError, match="own their slots"):
             flux_op.apply_faces(g, g, shifted, aux)
-        with pytest.raises(ValueError, match="acceleration faces"):
-            flux_op.apply_faces(g, g, good, aux, penalty=1.0)

@@ -168,6 +168,27 @@ def test_store_claim_is_exclusive(tmp_path):
     assert store.claims_log.read_text().count("\n") == 1
 
 
+def test_a_damaged_job_record_does_not_stop_the_queue(tmp_path):
+    """A truncated ``job.json`` (or one naming another job) counts as no
+    record: the listing skips it, an idle worker exits, and resubmitting its
+    spec schedules the job again and runs it."""
+    store = FileJobStore(tmp_path, lease_timeout=5.0)
+    spec = fast_spec()
+    rec, _ = store.submit(spec)
+    meta = store.job_dir(rec["id"]) / "job.json"
+    other = fast_spec(steps=3)
+    for damaged in (meta.read_text()[:40], json.dumps({**rec, "id": spec_digest(other)})):
+        meta.write_text(damaged)
+        assert store.list_jobs() == [] and store.get(rec["id"]) is None
+        assert worker_loop(tmp_path, lease_timeout=5.0, exit_when_idle=True) == {
+            "ran": [], "failed": []
+        }
+    rec2, compute = store.submit(spec)
+    assert compute == "scheduled" and rec2["id"] == rec["id"]
+    assert worker_loop(tmp_path, lease_timeout=5.0, exit_when_idle=True)["ran"] == [rec["id"]]
+    assert store.get(rec["id"])["status"] == "done"
+
+
 # ---------------------------------------------------------------------- #
 # HTTP end-to-end: dedup + byte-identical streaming
 # ---------------------------------------------------------------------- #
