@@ -23,7 +23,10 @@ products pulled out.  This module does the same in Python, at two levels:
   :class:`~repro.engine.program.CellProgram`: per configuration cell, a
   table of sweeps and velocity-face fluxes on cell-local blocks, optionally
   the Shu–Osher stage) — and ``project_accumulate``, the quadrature sum of
-  the initial-condition projection (:mod:`repro.projection`).  Its
+  the initial-condition projection (:mod:`repro.projection`).  The first
+  three split their loop over configuration cells (faces) across the CPUs
+  the process may run on, with threads started and joined inside each call
+  (:func:`cell_threads` decides how many; one in a forked child).  Its
   source is a constant — shapes, the ``accumulate`` flag, the group and face
   tables are arguments — so nothing is emitted per plan:
   :func:`compile_fused_sweep` shells out to the system C compiler once per
@@ -220,15 +223,32 @@ def select_tier(tier: str = "auto") -> str:
 #: four entry points: three over one group-table format, and the
 #: projection's accumulate.
 #:
+#: *Threads.*  The three group-table entry points take a trailing
+#: ``nthreads`` (:func:`cell_threads` picks it when the call is bound) and
+#: split their outer loop — configuration cells for ``fused_sweep`` and
+#: ``cell_rhs``, face rows for ``face_flux`` — into ``nthreads`` contiguous
+#: ranges (at most one per cell or face; ``run_split``).  Range 0 runs on
+#: the calling thread, every other range on a thread started for this call
+#: (on the caller, should one fail to start), and all are joined before the
+#: call returns.  The bits cannot move: every output element is still
+#: made by one thread, in its one-thread float sequence, and no range
+#: reads what another writes — a sweep cell writes only its own output
+#: cell, a face only its own two slots (``FaceMap.in_place``), a program
+#: cell only its own output and its thread's scratch, reading the state and
+#: the streaming buffer finished before the call.  No thread outlives a
+#: call, so a fork (a ``process:N`` shard, a serve worker) inherits none —
+#: nothing to rebuild after it, unlike a persistent pool (OpenMP's hangs in
+#: a forked child).
+#:
 #: ``groups`` is an ``(ngroups, 5)`` int64 table: per group the address of
 #: its entries, the stride in doubles between configuration cells' entry
 #: rows (0: one row shared by every cell), the addresses of the per-cell CSR
 #: ``indptr`` / ``indices`` (int64) and of the flattened ``(nvel,)`` velocity
 #: factor (0: unweighted).
 #:
-#: ``fused_sweep(f, y, accumulate, ncfg, nout, nin, nvel, ngroups, groups)``
-#: applies the groups to cell-major ``f`` ``(ncfg, nin, nvel)`` into ``y``
-#: ``(ncfg, nout, nvel)``.
+#: ``fused_sweep(f, y, accumulate, ncfg, nout, nin, nvel, ngroups, groups,
+#: nthreads)`` applies the groups to cell-major ``f`` ``(ncfg, nin, nvel)``
+#: into ``y`` ``(ncfg, nout, nvel)``.
 #:
 #: Loop nest (``sweep_span``): configuration cell → tile of velocity cells →
 #: output row → accumulators held in registers (four vectors per tile, then
@@ -242,7 +262,7 @@ def select_tier(tier: str = "auto") -> str:
 #: match the numpy tier whatever the vector width.
 #:
 #: ``face_flux(src, dst, nfaces, faces, nrows, up, dn, nf, nvel, wa, wb,
-#: shift, extent, ngroups, groups)`` runs an ``nf x nf`` flux
+#: shift, extent, ngroups, groups, nthreads)`` runs an ``nf x nf`` flux
 #: operator (the same group table) over the faces of one phase direction,
 #: between the trace slots of cell-major trace buffers ``(cells, nrows,
 #: nvel)``: a cell's trace on its upper face sits in rows ``[up, up + nf)``,
@@ -277,15 +297,16 @@ def select_tier(tier: str = "auto") -> str:
 #: slots are its own two source slots and no slot belongs to two faces,
 #: each face owns its two slots and ``dst`` may be ``src``.
 #:
-#: ``cell_rhs(f, held, out, ncfg, np, nvel, stream, ns, block, nins, ins,
-#: consts, staged, sa, sb, dt, u0, target)`` runs a
+#: ``cell_rhs(f, held, out, ncfg, np, nvel, stream, ns, block, bs, nins, ins,
+#: consts, staged, sa, sb, dt, u0, target, nthreads)`` runs a
 #: :class:`~repro.engine.program.CellProgram`: one instruction table per
 #: configuration cell, over the loop bodies of the other two entry points
 #: (``sweep_span``, ``face_span``).  ``f`` is the cell-major state handed in
 #: (``held[c]`` its index of own cell ``c``, or no table: ``c``), ``stream``
 #: the ``(ncfg, ns, nvel)`` buffer already holding the *streaming* face
-#: fluxes of every own cell, ``block`` a ``(rows, nvel)`` scratch.  ``ins``
-#: is ``nins`` rows of 8 int64, run in order on every cell ``c``; a block
+#: fluxes of every own cell, ``block`` one ``(rows, nvel)`` scratch per
+#: thread, ``bs`` doubles apart.  ``ins`` is ``nins`` rows of 8 int64, run
+#: in order on every cell ``c``; a block
 #: is named by a row of ``block`` (``>= 0``) or by ``-1`` / ``-2`` / ``-3``:
 #: ``f[c]``, ``stream[c]``, the output cell (neither of the first two is
 #: written):
@@ -301,10 +322,11 @@ def select_tier(tier: str = "auto") -> str:
 #: Per output element this is the float sequence of the same instructions
 #: run as state-sized passes (a store and a reload between two sweeps
 #: change no bits).  Then, ``staged == 0``: the output cell is ``out[c]``.
-#: Otherwise ``out`` is one ``(np, nvel)`` cell of scratch holding ``L``
-#: and the Shu–Osher stage is applied on the way out, in the association of
-#: ``repro.timestepping.ssprk``: ``target[c] = f[c] + L * dt`` (``staged
-#: == 1``) or ``target[c] = (f[c] + L * dt) * sb + u0[c] * sa``.
+#: Otherwise ``out`` is one ``(np, nvel)`` cell of scratch per thread
+#: holding ``L``, and the Shu–Osher stage is applied on the way out, in the
+#: association of ``repro.timestepping.ssprk``: ``target[c] = f[c] + L *
+#: dt`` (``staged == 1``) or ``target[c] = (f[c] + L * dt) * sb + u0[c] *
+#: sa``.
 #:
 #: *In place:* ``target`` may be ``f`` — the streaming traces, the only
 #: reads that cross configuration cells, were taken before the call, and
@@ -319,7 +341,8 @@ def select_tier(tier: str = "auto") -> str:
 #: output element the product rounded, then the add, point after point:
 #: the float sequence of the per-point numpy loop ``out += (wts[q] *
 #: vander[:, q]) * vals``, so with contraction off the bits are that loop's.
-FUSED_SWEEP_C = r"""#include <stdint.h>
+FUSED_SWEEP_C = r"""#include <pthread.h>
+#include <stdint.h>
 
 #if defined(__AVX512F__)
 #define VLEN 8
@@ -395,15 +418,78 @@ sweep_span(const double* restrict fc, int64_t fs, double* restrict yc,
         SWEEP_ROWS(double, 1)
 }
 
-void fused_sweep(const double* restrict f, double* restrict y,
-                 int64_t accumulate,
-                 int64_t ncfg, int64_t nout, int64_t nin, int64_t nvel,
-                 int64_t ngroups, const int64_t* restrict groups)
+/* the range [lo, hi) of a loop split by run_split, on thread t of the call */
+typedef void (*range_fn)(const void* args, int64_t lo, int64_t hi, int64_t t);
+
+typedef struct {
+    range_fn run;
+    const void* args;
+    int64_t lo, hi, t;
+} range_job;
+
+static void* run_range(void* job)
 {
+    const range_job* j = job;
+    j->run(j->args, j->lo, j->hi, j->t);
+    return 0;
+}
+
+/* run over [0, n) as nthreads contiguous ranges (at most n): range 0 on the
+   calling thread, range t on a thread started for this call (or, when it
+   cannot be started, on the caller after range 0); every thread is joined
+   before the call returns, so none outlives it */
+static void run_split(range_fn run, const void* args, int64_t n,
+                      int64_t nthreads)
+{
+    int64_t t;
+    if (nthreads > n)
+        nthreads = n;
+    if (nthreads <= 1) {
+        run(args, 0, n, 0);
+        return;
+    }
+    range_job job[nthreads];
+    pthread_t tid[nthreads];
+    int started[nthreads];
+    for (t = 0; t < nthreads; ++t)
+        job[t] = (range_job){run, args, n * t / nthreads,
+                             n * (t + 1) / nthreads, t};
+    for (t = 1; t < nthreads; ++t)
+        started[t] = pthread_create(tid + t, 0, run_range, job + t) == 0;
+    run_range(job);
+    for (t = 1; t < nthreads; ++t) {
+        if (started[t])
+            pthread_join(tid[t], 0);
+        else
+            run_range(job + t);
+    }
+}
+
+typedef struct {
+    const double* f;
+    double* y;
+    int64_t accumulate, nout, nin, nvel, ngroups;
+    const int64_t* groups;
+} sweep_args;
+
+static void sweep_range(const void* args, int64_t lo, int64_t hi, int64_t t)
+{
+    const sweep_args* a = args;
+    const int64_t nvel = a->nvel;
     int64_t c;
-    for (c = 0; c < ncfg; ++c)
-        sweep_span(f + c * nin * nvel, nvel, y + c * nout * nvel, nvel, nvel,
-                   0, c, accumulate, nout, ngroups, groups);
+    (void)t;
+    for (c = lo; c < hi; ++c)
+        sweep_span(a->f + c * a->nin * nvel, nvel, a->y + c * a->nout * nvel,
+                   nvel, nvel, 0, c, a->accumulate, a->nout, a->ngroups,
+                   a->groups);
+}
+
+void fused_sweep(const double* f, double* y, int64_t accumulate,
+                 int64_t ncfg, int64_t nout, int64_t nin, int64_t nvel,
+                 int64_t ngroups, const int64_t* groups, int64_t nthreads)
+{
+    const sweep_args a = {f, y, accumulate, nout, nin, nvel, ngroups, groups};
+    run_split(sweep_range, &a, ncfg, nthreads);
 }
 
 #define FACE_TILE (16 * VLEN)
@@ -472,22 +558,43 @@ face_span(const double* a, const double* b, double* yu, double* yd, int64_t c,
     }
 }
 
+typedef struct {
+    const double* src;
+    double* dst;
+    const int64_t* faces;
+    int64_t nrows, up, dn, nf, nvel;
+    const double *wa, *wb;
+    int64_t shift, extent, ngroups;
+    const int64_t* groups;
+} face_args;
+
+static void face_range(const void* args, int64_t lo, int64_t hi, int64_t t)
+{
+    const face_args* a = args;
+    const int64_t nrows = a->nrows, nvel = a->nvel;
+    int64_t n;
+    (void)t;
+    for (n = lo; n < hi; ++n) {
+        const int64_t* face = a->faces + 5 * n;
+        face_span(a->src + (face[1] * nrows + a->up) * nvel,
+                  a->src + (face[2] * nrows + a->dn) * nvel,
+                  face[3] < 0 ? 0 : a->dst + (face[3] * nrows + a->up) * nvel,
+                  face[4] < 0 ? 0 : a->dst + (face[4] * nrows + a->dn) * nvel,
+                  face[0], a->nf, nvel, a->wa, a->wb, a->shift, a->extent,
+                  a->ngroups, a->groups);
+    }
+}
+
 void face_flux(const double* src, double* dst,
-               int64_t nfaces, const int64_t* restrict faces,
+               int64_t nfaces, const int64_t* faces,
                int64_t nrows, int64_t up, int64_t dn, int64_t nf, int64_t nvel,
                const double* wa, const double* wb,
                int64_t shift, int64_t extent,
-               int64_t ngroups, const int64_t* restrict groups)
+               int64_t ngroups, const int64_t* groups, int64_t nthreads)
 {
-    int64_t n;
-    for (n = 0; n < nfaces; ++n) {
-        const int64_t* face = faces + 5 * n;
-        face_span(src + (face[1] * nrows + up) * nvel,
-                  src + (face[2] * nrows + dn) * nvel,
-                  face[3] < 0 ? 0 : dst + (face[3] * nrows + up) * nvel,
-                  face[4] < 0 ? 0 : dst + (face[4] * nrows + dn) * nvel,
-                  face[0], nf, nvel, wa, wb, shift, extent, ngroups, groups);
-    }
+    const face_args a = {src, dst, faces, nrows, up, dn, nf, nvel, wa, wb,
+                         shift, extent, ngroups, groups};
+    run_split(face_range, &a, nfaces, nthreads);
 }
 
 /* sweep_span over all nvel velocity cells of one configuration cell, out of
@@ -508,19 +615,36 @@ sweep_cell(const double* restrict fc, double* restrict yc, int64_t nvel,
                  : (loc) == -2 ? (double*)sc : yc)
 #define GROUPS(p) ((const int64_t*)(intptr_t)(p))
 
-void cell_rhs(const double* f, const int64_t* restrict held, double* out,
-              int64_t ncfg, int64_t np, int64_t nvel,
-              const double* stream, int64_t ns, double* block,
-              int64_t nins, const int64_t* restrict ins,
-              const double* restrict consts,
-              int64_t staged, double sa, double sb, double dt,
-              const double* u0, double* target)
+typedef struct {
+    const double* f;
+    const int64_t* held;
+    double* out;
+    int64_t np, nvel;
+    const double* stream;
+    int64_t ns;
+    double* block;
+    int64_t bs, nins;
+    const int64_t* ins;
+    const double* consts;
+    int64_t staged;
+    double sa, sb, dt;
+    const double* u0;
+    double* target;
+} cell_args;
+
+static void cell_range(const void* args, int64_t lo, int64_t hi, int64_t t)
 {
+    const cell_args* a = args;
+    const int64_t np = a->np, nvel = a->nvel, nins = a->nins;
+    const int64_t* restrict ins = a->ins;
+    const double* restrict consts = a->consts;
+    double* block = a->block + t * a->bs;
     int64_t c, n, k;
-    for (c = 0; c < ncfg; ++c) {
-        const double* fc = f + (held ? held[c] : c) * np * nvel;
-        const double* sc = stream + c * ns * nvel;
-        double* yc = staged ? out : out + c * np * nvel;
+    for (c = lo; c < hi; ++c) {
+        const double* fc = a->f + (a->held ? a->held[c] : c) * np * nvel;
+        const double* sc = a->stream + c * a->ns * nvel;
+        double* yc = a->staged ? a->out + t * np * nvel
+                               : a->out + c * np * nvel;
         for (n = 0; n < nins; ++n) {
             const int64_t* i = ins + 8 * n;
             double *y, *x;
@@ -547,21 +671,34 @@ void cell_rhs(const double* f, const int64_t* restrict held, double* out,
                     y[k] = y[k] - x[k];
             }
         }
-        if (staged) {
-            const double* uc = u0 + c * np * nvel;
-            double* tc = target + c * np * nvel;
-            if (staged > 1)
+        if (a->staged) {
+            const double* uc = a->u0 + c * np * nvel;
+            double* tc = a->target + c * np * nvel;
+            const double sa = a->sa, sb = a->sb, dt = a->dt;
+            if (a->staged > 1)
                 for (k = 0; k < np * nvel; ++k) {
-                    double t = yc[k] * dt;
-                    t = fc[k] + t;
-                    t = t * sb;
-                    tc[k] = t + uc[k] * sa;
+                    double v = yc[k] * dt;
+                    v = fc[k] + v;
+                    v = v * sb;
+                    tc[k] = v + uc[k] * sa;
                 }
             else
                 for (k = 0; k < np * nvel; ++k)
                     tc[k] = fc[k] + yc[k] * dt;
         }
     }
+}
+
+void cell_rhs(const double* f, const int64_t* held, double* out,
+              int64_t ncfg, int64_t np, int64_t nvel,
+              const double* stream, int64_t ns, double* block, int64_t bs,
+              int64_t nins, const int64_t* ins, const double* consts,
+              int64_t staged, double sa, double sb, double dt,
+              const double* u0, double* target, int64_t nthreads)
+{
+    const cell_args a = {f, held, out, np, nvel, stream, ns, block, bs, nins,
+                         ins, consts, staged, sa, sb, dt, u0, target};
+    run_split(cell_range, &a, ncfg, nthreads);
 }
 
 void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
@@ -582,9 +719,10 @@ void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
 }
 """
 
-#: ctypes signature of ``fused_sweep``: two pointers, six integers, the table
+#: ctypes signature of ``fused_sweep``: two pointers, six integers, the
+#: table, the thread count
 FUSED_SWEEP_ARGTYPES = (
-    [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p]
+    [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p, ctypes.c_int64]
 )
 #: ctypes signature of ``face_flux`` (argument order of the C prototype)
 FACE_FLUX_ARGTYPES = (
@@ -593,26 +731,28 @@ FACE_FLUX_ARGTYPES = (
     + [ctypes.c_int64] * 5
     + [ctypes.c_void_p] * 2
     + [ctypes.c_int64] * 2
-    + [ctypes.c_int64, ctypes.c_void_p]
+    + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
 )
 #: ctypes signature of ``cell_rhs``
 CELL_RHS_ARGTYPES = (
     [ctypes.c_void_p] * 3
     + [ctypes.c_int64] * 3
     + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    + [ctypes.c_int64]
+    + [ctypes.c_int64] * 2
     + [ctypes.c_void_p] * 2
     + [ctypes.c_int64]
     + [ctypes.c_double] * 3
     + [ctypes.c_void_p] * 2
+    + [ctypes.c_int64]
 )
 #: ctypes signature of ``project_accumulate``: four integers, three pointers
 PROJECT_ACCUMULATE_ARGTYPES = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
 #: reassociate floating point — bitwise determinism is the contract, and it
-#: is what makes the result independent of the vector width
-CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: is what makes the result independent of the vector width; ``-pthread``
+#: for the threads a split loop starts
+CC_FLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 #: tried first, dropped once if the compiler rejects it
 CC_ISA_FLAG = "-march=native"
 
@@ -623,6 +763,49 @@ _LOADED_KERNELS: Dict[Tuple[Optional[str], str], object] = {}
 _TARGET: Optional[str] = None
 
 
+#: doubles a call writes per thread it splits over: a call that splits
+#: spends far longer on each range than the ≈ 30 µs it costs to start and
+#: join a thread
+WORK_PER_THREAD = 1 << 16
+#: set in a forked child (see :func:`_one_thread_in_child`)
+_FORKED = False
+#: the largest count :func:`cell_threads` returned (see :func:`threads_mark`)
+_THREADS_MARK = 1
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def cell_threads(n: int, work: int) -> int:
+    """Threads a C loop over ``n`` independent ranges (configuration
+    cells, faces) that writes ``work`` doubles splits over: one per CPU the
+    process may run on, at most one per range, and no more than the work
+    keeps busy — never less than 1.
+
+    A forked child (a ``process:N`` shard, a serve worker: the machine is
+    already split between them) runs one.  Called once per bound call, so
+    the call itself carries the count."""
+    global _THREADS_MARK
+    if _FORKED:
+        return 1
+    threads = max(1, min(_cpus(), n, work // WORK_PER_THREAD))
+    _THREADS_MARK = max(_THREADS_MARK, threads)
+    return threads
+
+
+def threads_mark(restart: bool = False) -> int:
+    """The largest count :func:`cell_threads` returned since the last
+    restart (1 if none); with ``restart`` start over."""
+    global _THREADS_MARK
+    mark = _THREADS_MARK
+    if restart:
+        _THREADS_MARK = 1
+    return mark
+
+
 def _inherited_kernels_are_not_fresh() -> None:
     """In a forked child: the kernels it inherits were built, if at all,
     by the parent, which counts that build; the child only loaded them."""
@@ -631,8 +814,15 @@ def _inherited_kernels_are_not_fresh() -> None:
             _LOADED_KERNELS[key] = kern._replace(fresh=False)
 
 
+def _one_thread_in_child() -> None:
+    """In a forked child: every call it binds runs on one thread."""
+    global _FORKED, _THREADS_MARK
+    _FORKED, _THREADS_MARK = True, 1
+
+
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_inherited_kernels_are_not_fresh)
+    os.register_at_fork(after_in_child=_one_thread_in_child)
 
 
 def _kernel_dir(out_dir: Optional[str]) -> Path:

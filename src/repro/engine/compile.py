@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from ..cas.codegen import threads_mark
 from ..kernels.termset import AuxValue, TermSet
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
@@ -131,6 +132,10 @@ class CompileStats:
     artifact) or ``kernels_failed`` (the build failed and the plan sweeps
     with scipy instead).  ``compile_seconds`` is the wall time spent inside
     :func:`compile_plan` either way.
+
+    ``cell_threads`` is a level, not a count: the most threads any C call
+    bound since :meth:`begin` splits over
+    (:func:`repro.cas.codegen.cell_threads`; 1 when none splits).
     """
 
     FIELDS = (
@@ -144,6 +149,8 @@ class CompileStats:
         "kernels_failed",
         "compile_seconds",
     )
+    #: fields that :meth:`delta` passes through as they stand
+    LEVELS = ("cell_threads",)
 
     def __init__(self):
         self.reset()
@@ -160,13 +167,24 @@ class CompileStats:
         self.compile_seconds = 0.0
 
     def snapshot(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        snap = {name: getattr(self, name) for name in self.FIELDS}
+        snap["cell_threads"] = threads_mark()
+        return snap
 
-    @staticmethod
+    def begin(self) -> Dict[str, float]:
+        """The snapshot a run's :meth:`delta` starts from; ``cell_threads``
+        starts over."""
+        threads_mark(restart=True)
+        return self.snapshot()
+
+    @classmethod
     def delta(
-        after: Dict[str, float], before: Dict[str, float]
+        cls, after: Dict[str, float], before: Dict[str, float]
     ) -> Dict[str, float]:
-        return {k: after[k] - before.get(k, 0) for k in after}
+        return {
+            k: v if k in cls.LEVELS else v - before.get(k, 0)
+            for k, v in after.items()
+        }
 
 
 STATS = CompileStats()

@@ -78,7 +78,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cas.codegen import compile_fused_sweep, select_tier
+from ..cas.codegen import cell_threads, compile_fused_sweep, select_tier
 from ..kernels.termset import CSR, AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
@@ -618,6 +618,7 @@ class ExecutionPlan:
             self._cc_tail = (
                 self.ncfg, self.nout, self.nin, self.nvel,
                 len(self._groups), table.ctypes.data,
+                cell_threads(self.ncfg, self.ncfg * self.nout * self.nvel),
             )
         else:
             # velocity-weighted input buffers, one per distinct factor key
@@ -911,6 +912,7 @@ class ExecutionPlan:
                 0 if fm.wa is None else fm.wa.ctypes.data,
                 0 if fm.wb is None else fm.wb.ctypes.data,
                 fm.shift, fm.extent, len(self._groups), self._cc_table.ctypes.data,
+                cell_threads(fm.nfaces, fm.nfaces * 2 * fm.nf * fm.nvel),
             )
         self._face_call = (fm, src, dst, call)
         return call

@@ -31,8 +31,10 @@ by its owner before the call, so the in-place stage stays safe.
 
 The compiled form is the ``cell_rhs`` entry point of
 :data:`repro.cas.codegen.FUSED_SWEEP_C`, which interprets the table over
-the loop bodies of the plans' own ``fused_sweep`` / ``face_flux``.  The
-reference form — the numpy tier, and any input the compiled one does not
+the loop bodies of the plans' own ``fused_sweep`` / ``face_flux``; its cell
+loop (and phase 1's) splits over threads, each with its own cell-local
+block, where the grid holds the work (:func:`repro.cas.codegen.cell_threads`).
+The reference form — the numpy tier, and any input the compiled one does not
 take — is the same table run as state-sized passes (:func:`run_passes`)
 followed by the stage arithmetic in numpy.  Per output element both perform
 the same float operations in the same order, so they end in the same bytes;
@@ -51,6 +53,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cas.codegen import cell_threads
 from ..kernels.termset import AuxValue
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
@@ -337,6 +340,8 @@ class CellProgram:
         self.obs_label = "plan_apply"
         #: which form the last call ran (``cc`` / ``numpy``)
         self.tier: Optional[str] = None
+        #: threads the C cell loop splits over (bound with the call)
+        self.threads = 1
 
     def block_shape(self, rows: int) -> Tuple[int, ...]:
         """A cell-major array of the own cells with ``rows`` rows per cell."""
@@ -499,7 +504,12 @@ class CellProgram:
             (plan._cc_faces, plan._bind_faces(gs_in, gs, fm))
             for plan, fm in zip(s_flux, self._s_maps)
         ]
-        block = self.pool.get("program.block", (self._block_rows, self.nvel))
+        # one cell-local block (and cell of ``L``) per thread of the split
+        # cell loop
+        self.threads = cell_threads(
+            self.ncfg, self.ncfg * (self._block_rows + self.num_basis) * self.nvel
+        )
+        block = self.pool.get("program.block", (self.threads, self._block_rows, self.nvel))
         loc = {**_LOCATION, **self._offsets}
         rows, scale = [], 0
         for ins, plan in zip(self.table, table_plans):
@@ -523,14 +533,14 @@ class CellProgram:
         if stage is None:
             cell_out, u0, target = out, 0, 0
         else:
-            cell_out = self.pool.get("program.cell", (self.num_basis, self.nvel))
+            cell_out = self.pool.get("program.cell", (self.threads, self.num_basis, self.nvel))
             u0 = 0 if stage.u0 is None else stage.u0.ctypes.data
             target = stage.target.ctypes.data
         head = (
             f.ctypes.data,
             0 if self._held is None else self._held.ctypes.data,
             cell_out.ctypes.data, self.ncfg, self.num_basis, self.nvel,
-            gs.ctypes.data, self.ns, block.ctypes.data,
+            gs.ctypes.data, self.ns, block.ctypes.data, self._block_rows * self.nvel,
             len(code), code.ctypes.data, self._consts.ctypes.data,
         )
         trace_call = (f.ctypes.data, gs_in.ctypes.data, 0, *s_trace._cc_tail)
@@ -541,7 +551,7 @@ class CellProgram:
         ]
         # the code is kept alive beside the addresses taken from it
         return (s_trace._cc, trace_call, face_calls, table_plans[0]._cc_cells, head,
-                (u0, target), refreshed, code)
+                (u0, target, self.threads), refreshed, code)
 
     # ------------------------------------------------------------------ #
     def _run(self, f, aux, out, stage, plans) -> np.ndarray:
@@ -556,7 +566,7 @@ class CellProgram:
         for faces, call in face_calls:
             faces(*call)
         if stage is None:
-            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0)
+            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0, tail[2])
             return out
         cells(*head, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
         return stage.target

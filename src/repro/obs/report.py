@@ -235,6 +235,8 @@ def render_report(outdir: PathLike, top: int = 10) -> str:
                 )
             if final.get("steps_per_s") is not None:
                 rows.append(("steps_per_s", f"{final['steps_per_s']:.2f}"))
+            if final.get("cell_threads") is not None:
+                rows.append(("cell_threads", f"{final['cell_threads']}"))
             hist = [
                 (name, f"{metrics[name]:g}")
                 for name in HIST_NAMES

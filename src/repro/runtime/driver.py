@@ -26,6 +26,7 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
+from ..cas.codegen import threads_mark
 from ..diagnostics.energy import EnergyHistory
 from ..io.atomic import publish_text
 from ..io.checkpoint import load_checkpoint, save_checkpoint
@@ -121,7 +122,7 @@ class Driver:
         # this driver's contribution as the delta from here
         from ..engine.compile import STATS as _PLAN_STATS
 
-        self._plan_stats0 = _PLAN_STATS.snapshot()
+        self._plan_stats0 = _PLAN_STATS.begin()
         self.app = build_app(self.spec)
         self.history = EnergyHistory(record_jdote=spec.diagnostics.record_jdote)
         self.wall_time = 0.0
@@ -312,6 +313,8 @@ class Driver:
             "time": self.app.time,
             "step": self.app.step_count,
             "metrics": self._obs_merged(),
+            # this process's: forked shard workers run one thread
+            "cell_threads": threads_mark(),
         }
         if self._run_start is not None:
             elapsed = time.perf_counter() - self._run_start
@@ -476,7 +479,10 @@ class Driver:
             # (their compiles happen in child processes, not this one)
             for payload in worker_stats():
                 for key, val in payload.items():
-                    plans[key] = plans.get(key, 0) + val
+                    if key in _PLAN_STATS.LEVELS:
+                        plans[key] = max(plans.get(key, 1), val)
+                    else:
+                        plans[key] = plans.get(key, 0) + val
         out["plans"] = plans
         if OBS.on:
             out["obs"] = {

@@ -6,11 +6,16 @@ cell at a time (acceleration trace → flux → lift in a cell-local block,
 volume, lifts, optional Shu–Osher stage).  Its compiled form (``cell_rhs``)
 must end in the bytes of its reference form — the same plans as state-sized
 passes plus the stage arithmetic in numpy — and touch nothing outside its
-arrays; ``System.step`` (which hands the stage to the solver where it may)
+arrays, on one thread and with its loops split over several;
+``System.step`` (which hands the stage to the solver where it may)
 must end in the bytes of the stepper's generic stage arithmetic.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +36,21 @@ from repro.runtime import build
 from repro.systems import build_system, get_system_kind, list_system_kinds
 from repro.timestepping import ForwardEuler, SSPRK2, SSPRK3
 from repro.vlasov.modal_solver import VlasovModalSolver
-from test_face_kernels import GUARD, _conf_grid, _guarded, face_flux_cases
+from test_face_kernels import (
+    GUARD,
+    _conf_grid,
+    _guarded,
+    face_flux_cases,
+    forced_threads,
+    thread_counts,
+)
 
 STEPPERS = (ForwardEuler, SSPRK2, SSPRK3)
 #: every distinct (a, b) of the three Shu–Osher tables
 STAGES = sorted({pair for stepper in STEPPERS for pair in stepper.table})
+#: ``L`` alone, a stage without ``u0`` and one combining with it: the calls
+#: also run split over threads
+SPLIT = (None, (0.0, 1.0), (0.75, 0.25))
 
 
 def _nan_guarded(shape):
@@ -47,13 +62,14 @@ def _own(f, solver):
     return f if solver._interior is None else f[solver._interior]
 
 
-def _run_program(case, tier, ghost, pair, lbo=False):
+def _run_program(case, tier, ghost, pair, lbo=False, threads=1):
     """One ``solver.rhs`` (``pair`` None) or one staged one — with ``lbo``
     the program carrying the LBO's cell table — every array it touches
-    inside a NaN guard band: ``{name: whole allocation}``."""
+    inside a NaN guard band: ``{name: whole allocation}``.  The compiled
+    calls run on ``threads`` threads."""
     cdim, vdim, poly_order, parent, vel, seed = case
     pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
-    with compiler_config(tier=tier, cache="off"):
+    with compiler_config(tier=tier, cache="off"), forced_threads(threads):
         coll = LBOCollisions(pg, poly_order, nu=0.7) if lbo else None
         solver = VlasovModalSolver(pg, poly_order, collisions=coll)
         prog = solver._collisional if lbo else solver._program
@@ -63,11 +79,13 @@ def _run_program(case, tier, ghost, pair, lbo=False):
         allocs["f"], f = _guarded(prog.in_shape, rng)
         allocs["u0"], u0 = _guarded(prog.own_shape, rng)
         # the program's scratch, NaN inside and around: all of it is written
-        # before it is read
+        # before it is read — one block and one cell of ``L`` per thread of
+        # the compiled form (``prog.threads`` once bound)
+        nthreads = min(prog.ncfg, threads)
         scratch = {
             "program.stream": prog._stream_shape,
-            "program.block": (prog._block_rows, prog.nvel),
-            "program.cell": (prog.num_basis, prog.nvel),
+            "program.block": (nthreads, prog._block_rows, prog.nvel),
+            "program.cell": (nthreads, prog.num_basis, prog.nvel),
         }
         if any(ghost):
             scratch["program.stream_in"] = prog._stream_in_shape
@@ -88,6 +106,7 @@ def _run_program(case, tier, ghost, pair, lbo=False):
             assert solver.rhs(f, em, stage=stage, collide=lbo) is target
             out = target
         assert prog.tier == tier
+        assert prog.threads == (nthreads if tier == "cc" else 1)
         assert np.isfinite(out).all()
     if tier == "numpy":
         # the reference form has no cell-local block or cell of ``L``
@@ -103,13 +122,16 @@ def _run_program(case, tier, ghost, pair, lbo=False):
 
 
 def _assert_program_tiers_agree(case, ghost, **kw):
-    """cc == numpy reference, byte for byte, for ``L`` and every stage."""
+    """cc == numpy reference, byte for byte, for ``L`` and every stage, and
+    for ``L`` and two stages with the loops split over threads."""
     for pair in [None] + STAGES:
-        got = _run_program(case, "cc", ghost, pair, **kw)
         want = _run_program(case, "numpy", ghost, pair, **kw)
-        assert set(got) == set(want)
-        for name in got:
-            assert got[name].tobytes() == want[name].tobytes(), (pair, name)
+        split = thread_counts(case[3], ghost) if pair in SPLIT else ()
+        for threads in (1,) + split:
+            got = _run_program(case, "cc", ghost, pair, threads=threads, **kw)
+            assert set(got) == set(want)
+            for name in got:
+                assert got[name].tobytes() == want[name].tobytes(), (pair, name, threads)
 
 
 @settings(max_examples=12, deadline=None)
@@ -221,6 +243,83 @@ def test_traffic_model_is_pinned_at_the_operating_points():
     assert t["cell_local"]["cell_staged"] == (416, 112)
     assert t["cell_local"]["total"] == (608, 496)
     assert t["cell_local"]["total_staged"] == (720, 496)
+
+
+# --------------------------------------------------------------------- #
+# the thread policy, and forks after a split call
+def test_threads_follow_the_cpus_and_the_work_and_a_forked_child_runs_one():
+    cpus = len(os.sched_getaffinity(0))
+    assert codegen.cell_threads(10**6, 10**12) == cpus
+    assert codegen.cell_threads(3, 10**12) == min(cpus, 3)
+    assert codegen.cell_threads(10**6, 2 * codegen.WORK_PER_THREAD - 1) == 1
+    # every loop of a two_stream run is below the work constant
+    with compiler_config(tier="cc"):
+        system = build_system(build("two_stream"))
+        system.step(system.suggested_dt())
+    (solver,) = system.solvers.values()
+    prog = solver._program
+    assert prog.tier == "cc" and prog.threads == 1
+    sweep, trace_call, face_calls = prog._call[:3]
+    assert trace_call[-1] == 1 and all(call[-1] == 1 for _faces, call in face_calls)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child
+        os.write(write, bytes([codegen.cell_threads(10**6, 10**12)]))
+        os._exit(0)
+    os.close(write)
+    assert os.read(read, 1) == b"\x01"
+    os.close(read)
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+#: run in a fresh interpreter: a threaded ``cell_rhs``, then a ``process:2``
+#: run and a serve job, whose workers are forked after it
+AFTER_THREADS = """
+import sys
+import numpy as np
+import repro.engine.program as program
+from repro.engine import compiler_config
+from repro.grid import Grid, PhaseGrid
+from repro.runtime import Driver, build
+from repro.serve import ServeClient, ServeDaemon
+from repro.vlasov.modal_solver import VlasovModalSolver
+
+program.cell_threads = lambda n, work: min(n, 2)
+pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-3.0], [3.0], [6]))
+with compiler_config(tier="cc", cache="off"):
+    solver = VlasovModalSolver(pg, 2)
+    f = np.random.default_rng(0).standard_normal(solver._program.in_shape)
+    solver.rhs(f, np.zeros((4, 8, solver.num_conf_basis)))
+assert (solver._program.tier, solver._program.threads) == ("cc", 2)
+driver = Driver(build("two_stream", nx=8, nv=8, steps=2, backend="process:2"))
+try:
+    assert driver.run()["steps"] == 2
+finally:
+    driver.close()
+daemon = ServeDaemon(sys.argv[1], workers=1).start()
+try:
+    client = ServeClient.from_dir(daemon.store.root)
+    job = client.submit(spec=build("free_streaming", steps=2, nx=6, nv=6))["job"]
+    assert client.result(job, wait=True, timeout=60.0)["steps"] == 2
+finally:
+    daemon.drain(timeout=30.0)
+print("forks ok")
+"""
+
+
+def test_forks_after_a_threaded_call_finish(tmp_path):
+    """No thread outlives a call, so nothing a forked shard worker or serve
+    worker inherits can hang it (OpenMP's pool hangs a forked child)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", AFTER_THREADS, str(tmp_path / "srv")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("forks ok")
 
 
 # --------------------------------------------------------------------- #

@@ -9,13 +9,15 @@ factors, with the same sparsity pattern.
 The flux factor runs through ``ExecutionPlan.apply_faces`` (gather two trace
 slots, ``Nf x Nf`` flux, scatter to both slots): the compiled ``face_flux``
 must equal the numpy reference byte for byte and touch nothing but the
-direction's slots.
+direction's slots — on one thread and split over several, as must the
+compiled ``fused_sweep`` of the volume operator.
 
 No module of the package applies the side kernels: they are generated on
 demand as the Fig. 1/2 cost model (``kernels.flops.four_sided_kernels``),
 and a guard below keeps it that way.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from hypothesis import strategies as st
 from repro.basis.modal import ModalBasis
 from repro.basis.multiindex import FAMILIES, multi_indices
 from repro.cas.poly import Poly
+import repro.engine.plan as plan_module
+import repro.engine.program as program_module
 from repro.dist.blocks import BlockGrid
 from repro.engine import FaceMap, compiler_config
 from repro.grid import Grid, PhaseGrid
@@ -224,14 +228,37 @@ def _guarded(shape, rng):
     return alloc, arr
 
 
-def _apply_every_direction(case, tier, ghost):
+def thread_counts(parent, ghost):
+    """The thread counts besides 1 a split compiled loop must not move a bit
+    at: 2, 3, one per own configuration cell, and more than any of the
+    case's loops has ranges (cells or faces)."""
+    ncfg = int(np.prod(_conf_grid(parent, ghost).cells))
+    return (2, 3, ncfg, 2 * ncfg + 1)
+
+
+@contextmanager
+def forced_threads(threads):
+    """Bind every compiled call inside over ``threads`` threads, whatever
+    the CPUs and the work: sweeps and face fluxes get the count as it is
+    (the kernel clamps it to their ranges), cell programs at most one per
+    cell, as the policy gives them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan_module, "cell_threads", lambda n, work: threads)
+        mp.setattr(program_module, "cell_threads", lambda n, work: min(n, threads))
+        yield
+
+
+def _apply_every_direction(case, tier, ghost, threads=1):
     """Trace buffers after one ``apply_faces`` per direction, each starting
     from the same random traces with every row outside the direction's two
-    slots NaN: ``[(direction, src allocation, dst allocation)]``."""
+    slots NaN: ``[(direction, src allocation, dst allocation)]``; then the
+    volume operator (per-cell groups) swept over random own cells into a
+    fresh and into a random output: ``(accumulate, output allocation)``.
+    The compiled calls run on ``threads`` threads."""
     cdim, vdim, poly_order, parent, vel, seed = case
     pg = PhaseGrid(_conf_grid(parent, ghost), Grid([-3.0] * vdim, [3.0] * vdim, list(vel)))
     out = []
-    with compiler_config(tier=tier, cache="off"):
+    with compiler_config(tier=tier, cache="off"), forced_threads(threads):
         solver = VlasovModalSolver(pg, poly_order)
         rng = np.random.default_rng(seed)
         aux = solver.field_aux(rng.standard_normal(pg.conf.cells + (8, solver.num_conf_basis)))
@@ -246,24 +273,31 @@ def _apply_every_direction(case, tier, ghost):
             own = dst[(slice(None),) * cdim + (~rows,)]
             assert np.isfinite(own).all()  # nothing read from outside the slots
             out.append((q, src_alloc, dst_alloc))
+        shape = solver._program.own_shape
+        f = _guarded(shape, rng)[1]
+        for accumulate in (False, True):
+            y_alloc, y = _guarded(shape, rng)
+            solver._vol_op.apply(f, aux, y, accumulate)
+            out.append((f"volume, accumulate={accumulate}", y_alloc))
     return out
 
 
 def _assert_tiers_agree(case, ghost):
-    got = _apply_every_direction(case, "cc", ghost)
     want = _apply_every_direction(case, "numpy", ghost)
-    for (q, *cc), (_, *ref) in zip(got, want):
-        for a, b in zip(cc, ref):
-            # whole allocations: the slots equal as bytes, every other row
-            # and both guard bands still NaN
-            assert a.tobytes() == b.tobytes(), f"direction {q}"
+    for threads in (1,) + thread_counts(case[3], ghost):
+        got = _apply_every_direction(case, "cc", ghost, threads)
+        for (q, *cc), (_, *ref) in zip(got, want, strict=True):
+            for a, b in zip(cc, ref):
+                # whole allocations: the slots equal as bytes, every other
+                # row and both guard bands still NaN
+                assert a.tobytes() == b.tobytes(), f"{q}, {threads} threads"
 
 
 @settings(max_examples=25, deadline=None)
 @given(face_flux_cases())
 def test_face_flux_in_place_equals_the_numpy_reference(case):
     """Periodic streaming and central acceleration faces on a whole grid,
-    ``dst is src``."""
+    ``dst is src``, and the volume sweep, on one thread and split."""
     _assert_tiers_agree(case, ghost=(0,) * case[0])
 
 
@@ -271,7 +305,8 @@ def test_face_flux_in_place_equals_the_numpy_reference(case):
 @given(face_flux_cases(), st.integers(1, 3))
 def test_face_flux_ghost_window_equals_the_numpy_reference(case, which):
     """A ``process:N`` block: ghosted traces in, ghost-free fluxes out, with
-    ghost layers on one configuration axis and on both."""
+    ghost layers on one configuration axis and on both; one thread and
+    split."""
     cdim = case[0]
     ghost = tuple((which >> d) & 1 for d in range(cdim))
     if not any(ghost):

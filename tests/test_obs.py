@@ -4,6 +4,7 @@ integration, CLI report — everything except the sharded legs (those live in
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -490,6 +491,7 @@ def test_render_report_end_to_end(tmp_path):
     text = render_report(tmp_path)
     assert "phases" in text and "metrics" in text
     assert "rk_stage" in text and "steps_per_s" in text
+    assert re.search(r"cell_threads +1\n", text)  # two_stream's loops: one thread
     # one Vlasov RHS is one span of the species' cell program, attributed
     # like any plan
     (solver,) = drv.app.solvers.values()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cas.codegen as codegen
 from repro.collisions import LBOCollisions
 from repro.runtime import Driver, SpecError, build, build_app
 from repro.systems import System
@@ -281,6 +282,20 @@ def test_summary_reports_plan_stats():
     assert plans["compiled"] + plans["hydrated"] > 0
     assert plans["cache_hits"] == plans["hydrated"]
     assert plans["compile_seconds"] >= 0.0
+    assert plans["cell_threads"] == 1  # far below the work a split needs
+
+
+def test_summary_reports_the_threads_the_run_split_over(monkeypatch):
+    """Two CPUs and every call worth splitting: the compiled calls take two
+    threads, the summary says so, and the run ends where one thread does."""
+    with monkeypatch.context() as mp:
+        mp.setattr(codegen, "_cpus", lambda: 2)
+        mp.setattr(codegen, "WORK_PER_THREAD", 1)
+        two = Driver(build("two_stream", nx=4, nv=8, steps=2)).run()
+    one = Driver(build("two_stream", nx=4, nv=8, steps=2)).run()
+    assert two["plans"]["cell_threads"] == (2 if codegen.select_tier() == "cc" else 1)
+    assert one["plans"]["cell_threads"] == 1  # each run starts over
+    assert two["total_energy"] == one["total_energy"]
 
 
 def test_second_driver_hydrates_from_disk_cache(tmp_path):
