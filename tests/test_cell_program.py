@@ -259,13 +259,15 @@ def test_threads_follow_the_cpus_and_the_work_and_a_forked_child_runs_one():
     (solver,) = system.solvers.values()
     prog = solver._program
     assert prog.tier == "cc" and prog.threads == 1
-    sweep, trace_call, face_calls = prog._call[:3]
+    _sweep, trace_call, face_calls = prog._call[:3]
     assert trace_call[-1] == 1 and all(call[-1] == 1 for _faces, call in face_calls)
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child
-        os.write(write, bytes([codegen.cell_threads(10**6, 10**12)]))
-        os._exit(0)
+        try:
+            os.write(write, bytes([codegen.cell_threads(10**6, 10**12)]))
+        finally:
+            os._exit(0)
     os.close(write)
     assert os.read(read, 1) == b"\x01"
     os.close(read)
