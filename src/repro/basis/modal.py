@@ -62,6 +62,20 @@ def tensor_gauss_points(n_per_dim: int, ndim: int) -> Tuple[np.ndarray, np.ndarr
     return points, weights
 
 
+def _norm_squared(alpha: Tuple[int, ...]) -> Fraction:
+    out = Fraction(1)
+    for a in alpha:
+        out /= legendre_norm_squared(a)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _norm(alpha: Tuple[int, ...]) -> float:
+    """:meth:`ModalBasis.norm` of multi-index ``alpha``, once per index
+    (kernel generation asks for it hundreds of times per build)."""
+    return float(np.sqrt(float(_norm_squared(alpha))))
+
+
 class ModalBasis:
     """Orthonormal modal basis on the reference cube.
 
@@ -91,13 +105,10 @@ class ModalBasis:
     # ------------------------------------------------------------------ #
     def norm_squared(self, i: int) -> Fraction:
         """Exact squared normalization constant of basis function ``i``."""
-        out = Fraction(1)
-        for a in self.indices[i]:
-            out /= legendre_norm_squared(a)
-        return out
+        return _norm_squared(self.indices[i])
 
     def norm(self, i: int) -> float:
-        return float(np.sqrt(float(self.norm_squared(i))))
+        return _norm(self.indices[i])
 
     def poly(self, i: int, normalized: bool = True) -> Poly:
         """Basis function ``i`` as a :class:`Poly`.

@@ -223,22 +223,22 @@ def select_tier(tier: str = "auto") -> str:
 #: four entry points: three over one group-table format, and the
 #: projection's accumulate.
 #:
-#: *Threads.*  The three group-table entry points take a trailing
-#: ``nthreads`` (:func:`cell_threads` picks it when the call is bound) and
-#: split their outer loop — configuration cells for ``fused_sweep`` and
-#: ``cell_rhs``, face rows for ``face_flux`` — into ``nthreads`` contiguous
-#: ranges (at most one per cell or face; ``run_split``).  Range 0 runs on
-#: the calling thread, every other range on a thread started for this call
-#: (on the caller, should one fail to start), and all are joined before the
-#: call returns.  The bits cannot move: every output element is still
-#: made by one thread, in its one-thread float sequence, and no range
+#: *Threads.*  Every entry point takes a trailing ``nthreads``
+#: (:func:`cell_threads` picks it when the call is bound) and splits its
+#: outer loop — configuration cells for ``fused_sweep``, ``cell_rhs`` and
+#: ``project_accumulate``, face rows for ``face_flux`` — into ``nthreads``
+#: contiguous ranges (at most one per cell or face; ``run_split``).  Range
+#: 0 runs on the calling thread, every other range on a thread started for
+#: this call (on the caller, should one fail to start), and all are joined
+#: before the call returns.  The bits cannot move: every output element is
+#: still made by one thread, in its one-thread float sequence, and no range
 #: reads what another writes — a sweep cell writes only its own output
 #: cell, a face only its own two slots (``FaceMap.in_place``), a program
 #: cell only its own output and its thread's scratch, reading the state and
-#: the streaming buffer finished before the call.  No thread outlives a
-#: call, so a fork (a ``process:N`` shard, a serve worker) inherits none —
-#: nothing to rebuild after it, unlike a persistent pool (OpenMP's hangs in
-#: a forked child).
+#: the streaming buffer finished before the call, a projection cell only
+#: its own output rows.  No thread outlives a call, so a fork (a
+#: ``process:N`` shard, a serve worker) inherits none — nothing to rebuild
+#: after it, unlike a persistent pool (OpenMP's hangs in a forked child).
 #:
 #: ``groups`` is an ``(ngroups, 5)`` int64 table: per group the address of
 #: its entries, the stride in doubles between configuration cells' entry
@@ -332,15 +332,16 @@ def select_tier(tier: str = "auto") -> str:
 #: reads that cross configuration cells, were taken before the call, and
 #: cell ``c`` is written after its last read.
 #:
-#: ``project_accumulate(nq, np, ncfg, nvel, C, V, out)`` adds one block of
-#: ``nq`` quadrature points into the projection ``out`` ``(ncfg, np,
-#: nvel)``: ``C`` is the block's ``(np, nq)`` columns of ``wts * vander``,
+#: ``project_accumulate(nq, np, ncfg, nvel, C, V, out, nthreads)`` adds one
+#: block of ``nq`` quadrature points into the projection ``out`` ``(ncfg,
+#: np, nvel)``: ``C`` is the block's ``(np, nq)`` columns of ``wts * vander``,
 #: ``V`` the integrand at its points, ``(nq, ncfg, nvel)``.  Per
-#: configuration cell ``c`` and mode ``k`` it adds the points in order,
-#: ``o[i] += C[k, q] * v[i]`` over the contiguous velocity index — per
-#: output element the product rounded, then the add, point after point:
-#: the float sequence of the per-point numpy loop ``out += (wts[q] *
-#: vander[:, q]) * vals``, so with contraction off the bits are that loop's.
+#: configuration cell ``c``, mode ``k`` and tile of velocity cells it loads
+#: the output into registers (``sweep_span``'s tiles), adds the points in
+#: order, ``o[i] += C[k, q] * v[i]``, and stores it once — per output
+#: element the product rounded, then the add, point after point: the float
+#: sequence of the per-point numpy loop ``out += (wts[q] * vander[:, q]) *
+#: vals``, so with contraction off the bits are that loop's.
 FUSED_SWEEP_C = r"""#include <pthread.h>
 #include <stdint.h>
 
@@ -701,21 +702,59 @@ void cell_rhs(const double* f, const int64_t* held, double* out,
     run_split(cell_range, &a, ncfg, nthreads);
 }
 
-void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
-                        const double* restrict C, const double* restrict V,
-                        double* restrict out)
+typedef struct {
+    int64_t nq, np, ncfg, nvel;
+    const double* C;
+    const double* V;
+    double* out;
+} project_args;
+
+/* the NV * (lanes of T) elements of output row o starting at i, held in
+   registers while every point of the block is added in order */
+#define PROJECT_SPAN(T, NV)                                                 \
+    {                                                                       \
+        T* oi = (T*)(o + i);                                                \
+        T acc[NV];                                                          \
+        for (t = 0; t < NV; ++t)                                            \
+            acc[t] = oi[t];                                                 \
+        for (q = 0; q < nq; ++q) {                                          \
+            const double a = ck[q];                                         \
+            const T* vq = (const T*)(vc + q * vs + i);                      \
+            for (t = 0; t < NV; ++t)                                        \
+                acc[t] += a * vq[t];                                        \
+        }                                                                   \
+        for (t = 0; t < NV; ++t)                                            \
+            oi[t] = acc[t];                                                 \
+    }
+
+static void project_range(const void* args, int64_t lo, int64_t hi, int64_t u)
 {
+    const project_args* a = args;
+    const int64_t nq = a->nq, np = a->np, nvel = a->nvel;
+    const int64_t vs = a->ncfg * nvel;
     int64_t c, k, q, i;
-    for (c = 0; c < ncfg; ++c)
+    int t;
+    (void)u;
+    for (c = lo; c < hi; ++c)
         for (k = 0; k < np; ++k) {
-            double* o = out + (c * np + k) * nvel;
-            for (q = 0; q < nq; ++q) {
-                const double a = C[k * nq + q];
-                const double* v = V + (q * ncfg + c) * nvel;
-                for (i = 0; i < nvel; ++i)
-                    o[i] += a * v[i];
-            }
+            double* restrict o = a->out + (c * np + k) * nvel;
+            const double* restrict ck = a->C + k * nq;
+            const double* restrict vc = a->V + c * nvel;
+            for (i = 0; i + 4 * VLEN <= nvel; i += 4 * VLEN)
+                PROJECT_SPAN(vec, 4)
+            for (; i + VLEN <= nvel; i += VLEN)
+                PROJECT_SPAN(vec, 1)
+            for (; i < nvel; ++i)
+                PROJECT_SPAN(double, 1)
         }
+}
+
+void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
+                        const double* C, const double* V, double* out,
+                        int64_t nthreads)
+{
+    const project_args a = {nq, np, ncfg, nvel, C, V, out};
+    run_split(project_range, &a, ncfg, nthreads);
 }
 """
 
@@ -745,8 +784,11 @@ CELL_RHS_ARGTYPES = (
     + [ctypes.c_void_p] * 2
     + [ctypes.c_int64]
 )
-#: ctypes signature of ``project_accumulate``: four integers, three pointers
-PROJECT_ACCUMULATE_ARGTYPES = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3
+#: ctypes signature of ``project_accumulate``: four integers, three
+#: pointers, the thread count
+PROJECT_ACCUMULATE_ARGTYPES = (
+    [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
+)
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
 #: reassociate floating point — bitwise determinism is the contract, and it

@@ -112,8 +112,3 @@ class Grid:
         else:
             factors = factor
         return Grid(self.lower, self.upper, [n * f for n, f in zip(self.cells, factors)])
-
-    def meshgrid_centers(self) -> Tuple[np.ndarray, ...]:
-        """Cell-center coordinate arrays, each of shape ``cells``."""
-        axes = [self.centers(d) for d in range(self.ndim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))

@@ -11,7 +11,11 @@ is ``project_accumulate``, an entry point of the one compiled kernel source
 (:data:`repro.cas.codegen.FUSED_SWEEP_C`, the shared object the plans of
 the same cache directory load): the integrand is evaluated point by point
 into a block of a few dozen points, and each block is added into the
-output while its rows stay in cache.  Otherwise (the ``numpy`` tier, no
+output while its rows stay in cache, the configuration cells split over
+threads (:func:`repro.cas.codegen.cell_threads`).  The integrand sees each
+point's coordinates on the grid's axes, not its volume — each varies along
+its own axis only — and its value is broadcast to the grid once, as it is
+stored.  Otherwise (the ``numpy`` tier, no
 compiler, a failed build) a per-point numpy loop adds the same products.
 Both form each product ``(wts[q] * vander[k, q]) * value``, rounded, and
 add it to an output that starts at ``+0.0``, point after point in the same
@@ -27,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis.modal import ModalBasis, tensor_gauss_points
-from .cas.codegen import compile_fused_sweep, select_tier
+from .cas.codegen import cell_threads, compile_fused_sweep, select_tier
 from .engine.compile import active_config
 from .engine.plancache import resolve_cache_root
 from .grid.cartesian import Grid
@@ -68,7 +72,13 @@ def project_on_grid(
     Parameters
     ----------
     fn:
-        Vectorized callable of ``grid.ndim`` coordinate arrays.
+        Vectorized callable of ``grid.ndim`` coordinate arrays.  They are
+        broadcastable, not grid-sized: coordinate ``d`` has the grid's
+        length along axis ``d`` and length 1 along every other axis (an
+        ``indexing="ij", sparse=True`` meshgrid), so the callable works in
+        proportion to the axis lengths.  Its result is broadcast to the
+        grid's cells, so any shape that broadcasts to them will do — a
+        scalar, one axis' profile, or the full grid.
     grid, basis:
         Target discretization (``basis.ndim == grid.ndim``).
     quad_order:
@@ -90,7 +100,9 @@ def project_on_grid(
     # weights folded into the Vandermonde columns: coef[:, q] is the
     # product ``wts[q] * vander[:, q]`` both tiers multiply each value by
     coef = wts[None, :] * basis.eval_at(pts)  # (Np, Nq)
-    centers = grid.meshgrid_centers()
+    centers = np.meshgrid(
+        *(grid.centers(d) for d in range(grid.ndim)), indexing="ij", sparse=True
+    )
     half_dx = [0.5 * dx for dx in grid.dx]
     ba = int(basis_axis)
     cells = grid.cells
@@ -107,6 +119,7 @@ def project_on_grid(
     accumulate = _compiled_accumulate()
     if accumulate is not None:
         ncfg, nvel = math.prod(cells[:ba]), math.prod(cells[ba:])
+        threads = cell_threads(ncfg, ncfg * npb * nvel)
         size = min(_BLOCK, npb, npts)
         block = np.empty((size,) + cells)
         for q0 in range(0, npts, size):
@@ -116,7 +129,7 @@ def project_on_grid(
             cols = np.ascontiguousarray(coef[:, q0 : q0 + nb], dtype=float)
             accumulate(
                 nb, npb, ncfg, nvel,
-                cols.ctypes.data, block.ctypes.data, out.ctypes.data,
+                cols.ctypes.data, block.ctypes.data, out.ctypes.data, threads,
             )
         return out
     vshape = (1,) * ba + (-1,) + (1,) * (grid.ndim - ba)

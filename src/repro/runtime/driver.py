@@ -49,9 +49,14 @@ _S_CKPT = _OBS_SLOT["checkpoints"]
 _S_CKPT_MS = _OBS_SLOT["checkpoint_ms"]
 
 
-def build_app(spec: SimulationSpec):
+def build_app(
+    spec: SimulationSpec, state: Optional[Mapping[str, np.ndarray]] = None
+):
     """Instantiate the :class:`~repro.systems.system.System` described by
-    ``spec`` (ICs projected, t=0).
+    ``spec`` (ICs projected, t=0) — or, given ``state`` (a checkpoint's
+    arrays), starting from that state: it is set before a process backend
+    copies the state into shared memory, so the initial condition is never
+    projected.
 
     The spec's ``plan_cache`` is adopted into the process-global compiler
     configuration *before* anything compiles, so every plan of the run —
@@ -70,7 +75,10 @@ def build_app(spec: SimulationSpec):
     # observability is process-global for the same fork-inheritance reason;
     # configuring before the shard fork means workers adopt the mode too
     _obs_configure(spec)
-    return _maybe_shard(build_system(spec), spec)
+    app = build_system(spec)
+    if state is not None:
+        app.set_state(state)
+    return _maybe_shard(app, spec)
 
 
 def _maybe_shard(app, spec: SimulationSpec):
@@ -115,6 +123,11 @@ class Driver:
         outdir: Optional[PathLike] = None,
         wall_clock_budget: Optional[float] = None,
     ):
+        self._open(spec, outdir, wall_clock_budget, None)
+
+    def _open(self, spec, outdir, wall_clock_budget, state) -> None:
+        """What :meth:`__init__` does; ``state`` is the app's starting state
+        when it resumes one (see :func:`build_app`)."""
         self.spec = spec.validate()
         self.outdir = Path(outdir) if outdir is not None else None
         self.wall_clock_budget = wall_clock_budget
@@ -123,7 +136,7 @@ class Driver:
         from ..engine.compile import STATS as _PLAN_STATS
 
         self._plan_stats0 = _PLAN_STATS.begin()
-        self.app = build_app(self.spec)
+        self.app = build_app(self.spec, state)
         self.history = EnergyHistory(record_jdote=spec.diagnostics.record_jdote)
         self.wall_time = 0.0
         self._stream = None
@@ -233,12 +246,14 @@ class Driver:
         spec = SimulationSpec.from_dict(meta["spec"])
         if overrides:
             spec = spec.with_overrides(overrides)
-        drv = cls(spec, outdir=outdir, wall_clock_budget=wall_clock_budget)
-        drv._stream_mode = "a"  # continue the interrupted run's stream
         app_state = {
-            k: v for k, v in state.items() if not k.startswith(_HISTORY_PREFIX)
+            k: np.array(v)
+            for k, v in state.items()
+            if not k.startswith(_HISTORY_PREFIX)
         }
-        drv.app.set_state({k: np.array(v) for k, v in app_state.items()})
+        drv = cls.__new__(cls)
+        drv._open(spec, outdir, wall_clock_budget, app_state)
+        drv._stream_mode = "a"  # continue the interrupted run's stream
         drv.app.time = float(meta["time"])
         drv.app.step_count = int(meta["step_count"])
         drv.wall_time = float(meta.get("wall_time", 0.0))

@@ -138,11 +138,9 @@ def _maxwellian(vs, drifts, vt, vdim):
 
 
 def _broadcaster(coords):
-    """Zero-valued array spanning every coordinate's shape (broadcast glue)."""
-    out = 0.0
-    for c in coords:
-        out = out + 0.0 * c
-    return out
+    """``+0.0``-valued array spanning every coordinate's shape (broadcast
+    glue)."""
+    return np.zeros(np.broadcast(*coords).shape)
 
 
 def _drift_list(p: _Params, key: str, vdim: int):

@@ -16,6 +16,7 @@ from repro.grid import Grid
 from repro.io.checkpoint import load_checkpoint
 from repro.runtime import Driver, SpecError, build
 from repro.runtime.driver import build_app
+from repro.systems.blocks import KineticSpecies
 
 pytestmark = pytest.mark.shard
 
@@ -147,6 +148,36 @@ def test_checkpoint_cross_resume_bitwise(tmp_path, scenario, overrides):
     got, _ = load_checkpoint(tmp_path / "b2" / "checkpoint.npz")
     for key in ref:
         assert np.array_equal(ref[key], got[key]), f"serial->proc diverged in {key}"
+
+
+def test_sharded_resume_projects_no_initial_condition(tmp_path, monkeypatch):
+    """A ``process:2`` resume starts from the checkpoint's state: the
+    parent never projects the initial condition it would overwrite, and the
+    run ends in the bits of the uninterrupted one."""
+    short = build("two_stream", nx=8, nv=8, poly_order=1, steps=2)
+    full = short.with_overrides({"steps": 4})
+    Driver(full, outdir=tmp_path / "ref").run()
+    ref, _ = load_checkpoint(tmp_path / "ref" / "checkpoint.npz")
+    Driver(short, outdir=tmp_path / "a").run()
+
+    def refuse(self):
+        raise AssertionError("a resume projected an initial condition")
+
+    monkeypatch.setattr(KineticSpecies, "project_initial", refuse)
+    resumed = Driver.from_checkpoint(
+        tmp_path / "a" / "checkpoint.npz",
+        outdir=tmp_path / "a2",
+        overrides={"steps": 4, "backend": "process:2"},
+    )
+    try:
+        assert isinstance(resumed.app, ShardedApp)
+        resumed.run()
+    finally:
+        resumed.close()
+    got, _ = load_checkpoint(tmp_path / "a2" / "checkpoint.npz")
+    assert set(got) == set(ref)
+    for key in ref:
+        assert np.array_equal(ref[key], got[key]), f"resume diverged in {key}"
 
 
 def test_streamed_diagnostics_identical(tmp_path):

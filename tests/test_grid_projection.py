@@ -15,6 +15,12 @@ from repro.cas.codegen import cc_available
 from repro.engine.compile import STATS, compiler_config
 from repro.grid import Grid, PhaseGrid
 from repro.projection import project_on_grid, project_phase_function
+from repro.runtime.profiles import (
+    CONF_PROFILES,
+    PHASE_PROFILES,
+    build_conf_profile,
+    build_phase_profile,
+)
 
 needs_cc = pytest.mark.skipif(cc_available() is None, reason="no C compiler")
 TIERS = ["numpy", pytest.param("cc", marks=needs_cc)]
@@ -143,7 +149,9 @@ def reference_projection(fn, grid, basis, quad_order=None, basis_axis=0):
     nq = quad_order if quad_order is not None else basis.poly_order + 3
     pts, wts = tensor_gauss_points(nq, grid.ndim)
     vander = basis.eval_at(pts)
-    centers = grid.meshgrid_centers()
+    centers = np.meshgrid(
+        *(grid.centers(d) for d in range(grid.ndim)), indexing="ij"
+    )
     half_dx = [0.5 * dx for dx in grid.dx]
     ba = basis_axis
     cells = grid.cells
@@ -207,6 +215,84 @@ def test_projection_broadcasts_lower_rank_values(tier):
             want = reference_projection(fn, grid, basis, None, basis_axis)
             got = _project(tier, fn, grid, basis, None, basis_axis)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_registry_profiles_project_to_the_per_point_bits(tier):
+    """Every registered profile kind sees the projection's broadcastable
+    coordinates and ends in the bytes of the dense per-point loop."""
+    cdim, vdim = 2, 2
+    grid = Grid(*LAYOUTS[(cdim, vdim)])
+    pert = {"amp": 0.05, "k": 1.5, "axis": 1, "phase": 0.2}
+    phase = [
+        {"kind": "maxwellian", "vt": 0.7, "drift": [0.3, -0.2],
+         "perturbation": pert},
+        {"kind": "counter_beams", "drift": 0.8, "vt": 0.4, "axis": 1,
+         "perturbation": pert},
+    ]
+    fns = [(build_phase_profile(s, cdim, vdim), grid, cdim) for s in phase]
+    grid_1x1v = Grid(*LAYOUTS[(1, 1)])
+    bump = {"kind": "bump_on_tail", "perturbation": {"amp": 0.1, "k": 2.0}}
+    fns.append((build_phase_profile(bump, 1, 1), grid_1x1v, 1))
+    conf = Grid([0.0, 0.0], [2.0, 1.0], [4, 3])
+    for spec in (
+        {"kind": "constant", "value": -0.4},
+        {"kind": "cosine", "amp": 0.3, "k": 2.0, "axis": 1, "offset": 1.0},
+        {"kind": "sine", "amp": -0.5, "k": 3.0, "phase": 0.1},
+    ):
+        fns.append((build_conf_profile(spec, 2), conf, 2))
+    assert {PHASE_PROFILES[s["kind"]] for s in phase + [bump]} == set(
+        PHASE_PROFILES.values())
+    assert len(fns) == len(PHASE_PROFILES) + len(CONF_PROFILES)
+    for fn, g, g_cdim in fns:
+        basis = ModalBasis(g.ndim, 2, "serendipity")
+        for basis_axis in (0, g_cdim):
+            want = reference_projection(fn, g, basis, None, basis_axis)
+            got = _project(tier, fn, g, basis, None, basis_axis)
+            assert got.tobytes() == want.tobytes(), (fn, basis_axis)
+
+
+def test_the_integrand_sees_the_grid_axes_not_its_volume():
+    """Coordinate ``d`` spans the grid along axis ``d`` only: size 1 off
+    its own axis."""
+    grid = Grid(*LAYOUTS[(2, 2)])
+    basis = ModalBasis(grid.ndim, 1, "serendipity")
+    shapes = set()
+
+    def fn(*xs):
+        shapes.add(tuple(x.shape for x in xs))
+        return _wavy(*xs)
+
+    project_on_grid(fn, grid, basis)
+    eye = np.eye(grid.ndim, dtype=int)
+    assert shapes == {
+        tuple(tuple(n if e else 1 for n, e in zip(grid.cells, row)) for row in eye)
+    }
+
+
+@needs_cc
+@pytest.mark.parametrize("threads", ["1", "2", "3", "ncfg", "2ncfg+1"])
+def test_threaded_accumulate_keeps_the_bits(monkeypatch, threads):
+    """``project_accumulate`` split over any thread count — one per CPU
+    or not, at most one per configuration cell (the kernel clamps it) —
+    ends in the per-point bytes."""
+    grid = Grid(*LAYOUTS[(2, 2)])
+    basis = ModalBasis(grid.ndim, 2, "serendipity")
+    cdim = 2
+    ncfg = grid.cells[0] * grid.cells[1]
+    n = {"ncfg": ncfg, "2ncfg+1": 2 * ncfg + 1}.get(threads) or int(threads)
+    asked = []
+
+    def forced(cells, work):
+        asked.append(cells)
+        return n
+
+    monkeypatch.setattr(projection, "cell_threads", forced)
+    for basis_axis in (0, cdim):
+        want = reference_projection(_wavy, grid, basis, None, basis_axis)
+        got = _project("cc", _wavy, grid, basis, None, basis_axis)
+        assert got.tobytes() == want.tobytes(), basis_axis
+    assert asked == [1, ncfg]  # split over configuration cells
 
 
 @pytest.mark.parametrize("tier", TIERS)
