@@ -744,6 +744,14 @@ static void project_range(const void* args, int64_t lo, int64_t hi, int64_t u)
                 PROJECT_SPAN(vec, 4)
             for (; i + VLEN <= nvel; i += VLEN)
                 PROJECT_SPAN(vec, 1)
+#if VLEN > 4
+            for (; i + 4 <= nvel; i += 4)
+                PROJECT_SPAN(vec4, 1)
+#endif
+#if VLEN > 2
+            for (; i + 2 <= nvel; i += 2)
+                PROJECT_SPAN(vec2, 1)
+#endif
             for (; i < nvel; ++i)
                 PROJECT_SPAN(double, 1)
         }

@@ -25,12 +25,13 @@ end in the same bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis.modal import ModalBasis, tensor_gauss_points
+from .basis.modal import ModalBasis, gauss_points_1d, tensor_gauss_points
 from .cas.codegen import cell_threads, compile_fused_sweep, select_tier
 from .engine.compile import active_config
 from .engine.plancache import resolve_cache_root
@@ -103,18 +104,18 @@ def project_on_grid(
     centers = np.meshgrid(
         *(grid.centers(d) for d in range(grid.ndim)), indexing="ij", sparse=True
     )
+    # coordinate d at a point is one of nq arrays, one per 1-D Gauss node;
+    # the points run through them in product order (the order of ``pts``)
+    nodes = gauss_points_1d(nq)[0]
     half_dx = [0.5 * dx for dx in grid.dx]
+    axes = [[c + h * x for x in nodes] for c, h in zip(centers, half_dx)]
+    values = (
+        np.asarray(fn(*coords), dtype=float) for coords in itertools.product(*axes)
+    )
     ba = int(basis_axis)
     cells = grid.cells
     npb = basis.num_basis
     out = np.zeros(cells[:ba] + (npb,) + cells[ba:])
-
-    def values(q: int) -> np.ndarray:
-        coords = [
-            centers[d] + half_dx[d] * pts[q, d] for d in range(grid.ndim)
-        ]
-        return np.asarray(fn(*coords), dtype=float)
-
     npts = pts.shape[0]
     accumulate = _compiled_accumulate()
     if accumulate is not None:
@@ -125,7 +126,7 @@ def project_on_grid(
         for q0 in range(0, npts, size):
             nb = min(size, npts - q0)
             for j in range(nb):
-                block[j] = values(q0 + j)
+                block[j] = next(values)
             cols = np.ascontiguousarray(coef[:, q0 : q0 + nb], dtype=float)
             accumulate(
                 nb, npb, ncfg, nvel,
@@ -135,7 +136,7 @@ def project_on_grid(
     vshape = (1,) * ba + (-1,) + (1,) * (grid.ndim - ba)
     tmp = np.empty_like(out)
     for q in range(npts):
-        vals = np.broadcast_to(values(q), cells)
+        vals = np.broadcast_to(next(values), cells)
         vals_b = vals.reshape(cells[:ba] + (1,) + cells[ba:])
         np.multiply(coef[:, q].reshape(vshape), vals_b, out=tmp)
         out += tmp
