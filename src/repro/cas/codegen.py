@@ -35,10 +35,11 @@ products pulled out.  This module does the same in Python, at two levels:
   scipy's ``csr_matvecs`` over the same groups at any vector width; the
   ISA flag is dropped once if the compiler rejects it), loads the shared
   object through :mod:`ctypes` once per process, and keys the artifact by
-  a content digest of the source, the flags, the compiler version and the
-  host's resolved target, so repeated runs — and sibling worker processes
-  — reuse the compiled kernel without recompiling, and a host with another
-  instruction set sharing the cache directory never loads it.  Without a
+  a content digest of the source, the flags, the compiler file's identity
+  (:func:`cc_available`, which runs nothing) and the host's resolved
+  target, so repeated runs — and sibling worker processes — reuse the
+  compiled kernel without recompiling or starting a child, and a host with
+  another instruction set sharing the cache directory never loads it.  Without a
   compiler (or under ``$REPRO_KERNEL_TIER=numpy``, :func:`select_tier`) the
   plan runs the scipy sweep instead (the only tier that imports scipy): two
   sweep kernels, picked by what the process can observe.  A build that
@@ -52,6 +53,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import shutil
 import subprocess
 import tempfile
 import warnings
@@ -166,35 +168,33 @@ def count_multiplications(termset: "TermSet") -> int:
 # the compiled sweep kernel (the cc tier)
 
 
-_CC = None  # cached (compiler path, version line) or False
+_CC = None  # cached (compiler path, file identity) or False
 
 
 def cc_available() -> Optional[Tuple[str, str]]:
-    """The system C compiler as ``(path, version line)``, or None.
+    """The system C compiler as ``(path, file identity)``, or None.
 
-    Probed once per process: the first of ``$CC``, ``cc``, ``gcc``,
-    ``clang`` that answers ``--version``.  The version string participates
-    in the kernel artifact digest so a toolchain change recompiles.
+    Resolved once per process without running anything: the first of
+    ``$CC``, ``cc``, ``gcc``, ``clang`` on ``PATH``, followed through its
+    links to the file it runs and identified by that file's path, size,
+    modification time and inode.  The identity participates in the kernel
+    artifact digest, so a replaced toolchain recompiles, and a process that
+    finds its shared object starts no child process.
     """
     global _CC
     if _CC is None:
         _CC = False
-        candidates = [os.environ.get("CC"), "cc", "gcc", "clang"]
-        for cand in candidates:
-            if not cand:
+        for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
+            path = shutil.which(cand) if cand else None
+            if path is None:
                 continue
+            real = os.path.realpath(path)
             try:
-                out = subprocess.run(
-                    [cand, "--version"],
-                    capture_output=True,
-                    text=True,
-                    timeout=30,
-                )
-            except (OSError, subprocess.SubprocessError):
+                st = os.stat(real)
+            except OSError:
                 continue
-            if out.returncode == 0 and out.stdout:
-                _CC = (cand, out.stdout.splitlines()[0].strip())
-                break
+            _CC = (path, f"{real} {st.st_size} {st.st_mtime_ns} {st.st_ino}")
+            break
     return _CC or None
 
 
@@ -946,6 +946,16 @@ def _build_sweep(cc: str, src_path: Path, out_path: str) -> None:
         subprocess.run(cmd, **run)
 
 
+def _sweep_digest(cc: Tuple[str, str]) -> str:
+    """The kernel artifact's name: a digest of the source, the flags, the
+    compiler's identity and the host's target."""
+    return hashlib.sha256(
+        "\0".join(
+            (FUSED_SWEEP_C, " ".join(CC_FLAGS), cc[1], _native_target(cc[0]))
+        ).encode()
+    ).hexdigest()[:20]
+
+
 def compile_fused_sweep(
     kernel_dir: Optional[str] = None, claim: bool = True
 ) -> Optional[CcSweep]:
@@ -967,11 +977,7 @@ def compile_fused_sweep(
     cc = cc_available()
     if cc is None:
         return None
-    digest = hashlib.sha256(
-        "\0".join(
-            (FUSED_SWEEP_C, " ".join(CC_FLAGS), cc[1], _native_target(cc[0]))
-        ).encode()
-    ).hexdigest()[:20]
+    digest = _sweep_digest(cc)
     key = (kernel_dir, digest)
     if key in _LOADED_KERNELS:
         kern = _LOADED_KERNELS[key]

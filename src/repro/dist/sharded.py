@@ -297,18 +297,13 @@ class ShardedApp:
     ----------
     app:
         A freshly built serial :class:`~repro.systems.system.System`
-        (modal scheme, one of the three built-in field closures).
+        (one of the three built-in field closures).
     shards:
         Worker-process count; the configuration grid is factorized into
         this many blocks (must keep >= 2 cells along an axis per block).
     """
 
     def __init__(self, app, shards: int):
-        if getattr(app, "scheme", "modal") != "modal":
-            raise ValueError(
-                "process sharding supports the modal scheme only "
-                f"(got scheme={app.scheme!r})"
-            )
         field_kind = getattr(app, "field_kind", "maxwell")
         if field_kind not in ("maxwell", "poisson", "none"):
             # a closure this package does not know may read neighbour cells

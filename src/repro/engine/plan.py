@@ -5,7 +5,9 @@ symbolically; *how* to evaluate it efficiently depends on where each factor
 varies.  An :class:`ExecutionPlan` performs that analysis once — against an
 **aux signature**, the classification of every symbol as scalar (``s``),
 configuration-varying (``c``), velocity-varying (``v``) or irregular
-(``x``) — and freezes the result into a flat program, its one executor:
+(``x``) — and freezes the result into a flat program, its one executor.
+An irregular symbol is refused (:class:`PlanSignatureError`): every plan is
+a grouped sweep.
 
 * terms are grouped by their velocity factor and each group is **merged
   into one sparse sweep** over a per-cell CSR pattern — the update stays the
@@ -22,9 +24,7 @@ configuration-varying (``c``), velocity-varying (``v``) or irregular
   union of its terms' exact non-zeros; per application one gather plus one
   broadcast multiply fills the coefficient rows and one small product
   ``data[c] = Σ_i coef_i[c] K_i`` against the term stack restricted to that
-  union refills the rows;
-* symbols varying on both cell groups fall back to the exact sparse
-  reference path (:meth:`TermSet.apply_cm`).
+  union refills the rows.
 
 The executor's single variation point is the **sparse-sweep kernel**
 (:func:`repro.cas.codegen.select_tier`): the compiled C sweep, one call per
@@ -79,7 +79,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cas.codegen import cell_threads, compile_fused_sweep, select_tier
-from ..kernels.termset import CSR, AuxValue, Symbol, TermSet, csr_accumulate, symbol_value
+from ..kernels.termset import CSR, AuxValue, TermSet, csr_accumulate, symbol_value
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from .faces import FaceMap
@@ -101,7 +101,8 @@ Signature = Tuple[Tuple[str, str], ...]
 
 
 class PlanSignatureError(ValueError):
-    """An ExecutionPlan was applied to aux it was not compiled for."""
+    """An ExecutionPlan was applied to aux it was not compiled for, or asked
+    to compile a symbol whose aux value is irregular (``x``)."""
 
 
 def classify_aux_value(val: AuxValue, cdim: int, vdim: int) -> str:
@@ -426,6 +427,13 @@ class ExecutionPlan:
         self.pool = pool if pool is not None else ScratchPool()
         self.names = sorted({n for sym in termset.entries_by_symbol() for n in sym})
         self.signature = aux_signature(self.names, aux, self.cdim, self.vdim)
+        irregular = ", ".join(repr(str(n)) for n, tok in self.signature if tok == "x")
+        if irregular:
+            raise PlanSignatureError(
+                f"aux value of {irregular} varies on both the configuration and "
+                "the velocity cell axes, or does not span the phase axes; a plan "
+                "sweeps scalar, configuration- and velocity-varying factors only"
+            )
 
     @classmethod
     def from_artifacts(
@@ -458,19 +466,11 @@ class ExecutionPlan:
     def _compile(self, tokens: Dict[str, str]) -> None:
         groups: Dict[Tuple[bool, Tuple[str, ...]], _SweepGroup] = {}
         mats: Dict[Tuple[bool, Tuple[str, ...]], List[CSR]] = {}
-        fallback: Dict[Symbol, list] = {}
         for sym, triples in self.termset.entries_by_symbol().items():
             scalar_names, cfg_names, vel_names = [], [], []
-            irregular = False
             for name in sym:
                 tok = tokens[name]
-                if tok == "x":
-                    irregular = True
-                    break
                 (scalar_names if tok == "s" else cfg_names if tok == "c" else vel_names).append(name)
-            if irregular:
-                fallback[sym] = triples
-                continue
             key = (bool(cfg_names), tuple(sorted(vel_names)))
             rows = np.array([t[0] for t in triples], dtype=np.int64)
             cols = np.array([t[1] for t in triples], dtype=np.int64)
@@ -484,9 +484,6 @@ class ExecutionPlan:
         for key, grp in groups.items():
             grp.merge(mats[key], self.nout, self.nin)
         self._groups = list(groups.values())
-        self._fallback = (
-            TermSet(self.nout, self.nin, fallback) if fallback else None
-        )
 
     # ------------------------------------------------------------------ #
     def to_artifacts(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -496,8 +493,7 @@ class ExecutionPlan:
         to rebuild: per group the merged per-cell pattern and its values —
         the concatenated entries with their term index (shared row) or the
         term stack on the union pattern (per-cell rows).  Symbol structure
-        and the fallback's entries come back from the termset, which the
-        loader always has in hand.
+        comes back from the termset, which the loader always has in hand.
         """
         meta: dict = {
             "nout": self.nout,
@@ -507,7 +503,6 @@ class ExecutionPlan:
             "cell_shape": [int(n) for n in self.cell_shape],
             "signature": [[name, tok] for name, tok in self.signature],
             "groups": [],
-            "fallback_syms": [],
         }
         arrays: Dict[str, np.ndarray] = {}
         for gi, grp in enumerate(self._groups):
@@ -525,10 +520,6 @@ class ExecutionPlan:
             else:
                 arrays[f"g{gi}b"] = grp.base
                 arrays[f"g{gi}t"] = grp.tid
-        if self._fallback is not None:
-            meta["fallback_syms"] = [
-                list(sym) for sym in self._fallback.entries_by_symbol()
-            ]
         return meta, arrays
 
     def _hydrate(self, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
@@ -543,7 +534,6 @@ class ExecutionPlan:
             != self.signature
         ):
             raise ValueError("stored plan artifacts do not match this plan key")
-        entries = self.termset.entries_by_symbol()
         self._groups = []
         for gi, gmeta in enumerate(meta["groups"]):
             grp = _SweepGroup(tuple(gmeta["vel_names"]), bool(gmeta["per_cell"]))
@@ -557,13 +547,6 @@ class ExecutionPlan:
                 grp.tid = np.ascontiguousarray(arrays[f"g{gi}t"], dtype=np.int64)
             grp.check(self.nout, self.nin)
             self._groups.append(grp)
-        fb_syms = [tuple(sym) for sym in meta.get("fallback_syms", [])]
-        if fb_syms:
-            self._fallback = TermSet(
-                self.nout, self.nin, {sym: entries[sym] for sym in fb_syms}
-            )
-        else:
-            self._fallback = None
 
     # ------------------------------------------------------------------ #
     def _lower(self, tier: str, kernel_dir: Optional[str]) -> None:
@@ -849,8 +832,6 @@ class ExecutionPlan:
             self._cc(fin.ctypes.data, out.ctypes.data, accumulate, *self._cc_tail)
         else:
             self._sweep_numpy(fin, out, accumulate)
-        if self._fallback is not None:
-            self._fallback.apply_cm(fin, aux, out, self.cdim)
         return out
 
     def _sweep_numpy(self, fin, out, accumulate: bool) -> None:
@@ -887,8 +868,6 @@ class ExecutionPlan:
         """Check ``fm`` and the two buffers against this plan — the compiled
         kernel trusts all of it — and prebind its call (None on the numpy
         tier); redone only when another map or buffer arrives."""
-        if self._fallback is not None:
-            raise ValueError("a plan with irregular symbols has no face form")
         if fm.cell_shape != self.cell_shape or not fm.nf == self.nin == self.nout:
             raise ValueError(
                 f"face map for cells {fm.cell_shape}, {fm.nf} face modes; plan "
@@ -985,13 +964,11 @@ class ExecutionPlan:
             "uniform_terms": sum(len(g.terms) for g in shared),
             "cfg_groups": len(self._per_cell),
             "cfg_items": sum(len(g.terms) for g in self._per_cell),
-            "fallback_terms": 0 if self._fallback is None else len(self._fallback.terms),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
         s = self.stats
         return (
             f"ExecutionPlan(cells={self.cell_shape}, uniform={s['uniform_terms']}, "
-            f"cfg={s['cfg_items']}, fallback={s['fallback_terms']}, "
-            f"tier={self.tier!r})"
+            f"cfg={s['cfg_items']}, tier={self.tier!r})"
         )

@@ -475,9 +475,7 @@ class CellProgram:
         if all(":" in label for label in labels):
             digest = hashlib.sha256("".join(labels).encode()).hexdigest()
             self.obs_label = f"plan_apply:{digest[:12]}"
-        compiled = f.flags.c_contiguous and all(
-            plan.tier == "cc" and plan._fallback is None for plan in plans
-        )
+        compiled = f.flags.c_contiguous and all(plan.tier == "cc" for plan in plans)
         if compiled:
             self._call = self._bind_compiled(plans, f, out, stage)
         self._bound = key

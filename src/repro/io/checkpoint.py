@@ -109,7 +109,6 @@ def save_app(path: PathLike, app) -> None:
         "step_count": app.step_count,
         "poly_order": app.poly_order,
         "family": app.family,
-        "scheme": app.scheme,
         "species": [s.name for s in app.species],
     }
     save_checkpoint(path, app.state(), meta)

@@ -17,6 +17,11 @@ into :class:`~repro.engine.plan.ExecutionPlan` objects:
    the field coefficients are constant within a configuration cell.  No
    ``Np x Np`` operator is formed.
 
+A symbol whose value varies on both axis groups has no such split and is
+refused (:class:`~repro.engine.plan.PlanSignatureError`);
+:meth:`TermSet.apply_cm <repro.kernels.termset.TermSet.apply_cm>` remains
+the term-by-term reference the tests compare against.
+
 States are cell-major ``(*cfg_cells, N, *vel_cells)``
 (:mod:`repro.engine.layout`): the sweeps consume the contiguous
 per-configuration-cell blocks directly, with no transpose pass.
@@ -57,8 +62,8 @@ class GroupedOperator:
     cdim, vdim:
         Phase-space split; aux arrays varying on the first ``cdim`` cell
         axes are treated as configuration fields, on the last ``vdim`` axes
-        as velocity factors.  Symbols varying on both fall back to the
-        sparse path.
+        as velocity factors.  A symbol varying on both is refused
+        (:class:`~repro.engine.plan.PlanSignatureError`).
     pool:
         Optional shared :class:`~repro.engine.pool.ScratchPool`; solvers
         pass one pool to all their operators so scratch is allocated once.

@@ -45,7 +45,6 @@ __all__ = [
     "parse_backend",
 ]
 
-SCHEMES = ("modal", "quadrature")
 COLLISION_KINDS = ("lbo",)
 EM_COMPONENTS = ("Ex", "Ey", "Ez", "Bx", "By", "Bz", "phi", "psi")
 
@@ -411,6 +410,8 @@ class SimulationSpec(_Spec):
     poly_order: int = wire("integer", 2)
     family: str = wire("string", "serendipity")
     cfl: float = wire("number", 0.9)
+    #: always ``"modal"``: kept on the wire so stored specs and their
+    #: digests do not move
     scheme: str = wire("string", "modal")
     stepper: str = wire("string", "ssp-rk3")
     backend: str = wire("string", "numpy")
@@ -467,7 +468,13 @@ class SimulationSpec(_Spec):
 
         _name(self.name, f"{path}.name")
         _known(self.model, f"{path}.model", "model", known_models())
-        _known(self.scheme, f"{path}.scheme", "scheme", SCHEMES)
+        if self.scheme != "modal":
+            raise SpecError(
+                f"{path}.scheme",
+                f"unknown scheme {self.scheme!r}: every species runs the modal "
+                "scheme; the alias-free nodal comparator of Table I is the "
+                "solver repro.vlasov.VlasovQuadratureSolver",
+            )
         _known(self.stepper, f"{path}.stepper", "stepper", available_steppers())
         parse_backend(self.backend, f"{path}.backend")
         if not isinstance(self.plan_cache, str) or not self.plan_cache:
@@ -494,12 +501,6 @@ class SimulationSpec(_Spec):
             raise SpecError(f"{path}.species", f"species names must be unique, got {names}")
         for i, sp in enumerate(self.species):
             sp.validate(f"{path}.species[{i}]", cdim)
-            if sp.collisions is not None and self.scheme != "modal":
-                raise SpecError(
-                    f"{path}.species[{i}].collisions",
-                    "collisions run in the modal scheme's cell program; "
-                    f"the {self.scheme} scheme is collisionless",
-                )
         # model-specific constraints live with the registered system
         kind = get_system_kind(self.model)
         if self.diagnostics.record_jdote and not kind.supports_jdote:

@@ -5,7 +5,7 @@ reusable parts — the Gkeyll-style decomposition of an "App" into declared
 pieces instead of a bespoke class per equation set:
 
 * :class:`KineticSpecies` — one species' built solver stack: phase grid,
-  modal/quadrature Vlasov solver, moment calculator, collision operator,
+  modal Vlasov solver, moment calculator, collision operator,
   and the projected initial distribution;
 * a field block closing the kinetic equation —
   :class:`MaxwellBlock` (evolved EM field), :class:`PoissonBlock`
@@ -69,8 +69,8 @@ class Species:
     initial:
         Vectorized callable ``f0(x..., v...)`` for the initial condition.
     collisions:
-        Optional collision operator run inside the species' cell program
-        (modal scheme only): an object with a ``cell_table``, ``refresh``,
+        Optional collision operator run inside the species' cell program:
+        an object with a ``cell_table``, ``refresh``,
         ``max_frequency`` and ``on_grid`` —
         :class:`~repro.collisions.LBOCollisions`.
     """
@@ -138,13 +138,14 @@ class ExternalField:
 class KineticSpecies:
     """One species' built solver stack on a configuration grid.
 
-    Owns the phase grid, the Vlasov solver (modal or the alias-free nodal
-    baseline), the moment calculator, and the collision operator (modal
-    only: its cell table runs inside the solver's program); projects the
-    declared initial condition on demand.  The evolved distribution
-    array itself lives in the owning :class:`~repro.systems.system.System`
-    state, which projects it only if nobody hands it one first (a
-    checkpoint resume and a shard worker both do).
+    Owns the phase grid, the modal Vlasov solver, the moment calculator,
+    and the collision operator (its cell table runs inside the solver's
+    program); projects the declared initial condition on demand.  The
+    evolved distribution array itself lives in the owning
+    :class:`~repro.systems.system.System` state, which projects it only if
+    nobody hands it one first (a checkpoint resume and a shard worker both
+    do).  The solver applies a Shu–Osher stage as it forms ``df/dt``
+    (``rhs(..., stage=)``), collisions included: it is the last writer.
     """
 
     def __init__(
@@ -153,48 +154,32 @@ class KineticSpecies:
         conf_grid: Grid,
         poly_order: int,
         family: str,
-        scheme: str,
         ic_quad_order: Optional[int],
     ):
+        from ..vlasov.modal_solver import VlasovModalSolver
+
         self.decl = decl
         self.name = decl.name
         self.collisions = decl.collisions
         pg = PhaseGrid(conf_grid, decl.velocity_grid)
         self.phase_grid = pg
-        if scheme == "modal":
-            from ..vlasov.modal_solver import VlasovModalSolver
-
-            # the collision operator's cell table rides the solver's program
-            self.solver = VlasovModalSolver(
-                pg, poly_order, family, decl.charge, decl.mass,
-                collisions=decl.collisions,
-            )
-            kernels = self.solver.kernels
-        else:
-            from ..kernels.registry import get_vlasov_kernels
-            from ..vlasov.quadrature_solver import VlasovQuadratureSolver
-
-            self.solver = VlasovQuadratureSolver(
-                pg, poly_order, family, decl.charge, decl.mass
-            )
-            kernels = get_vlasov_kernels(pg.cdim, pg.vdim, poly_order, family)
-        #: the solver can apply a Shu–Osher stage as it forms ``df/dt``
-        #: (``rhs(..., stage=)``), collisions included: it is the last writer
-        self.stages = scheme == "modal"
-        self.moments = MomentCalculator(
-            pg, kernels, pool=getattr(self.solver, "pool", None)
+        # the collision operator's cell table rides the solver's program
+        self.solver = VlasovModalSolver(
+            pg, poly_order, family, decl.charge, decl.mass,
+            collisions=decl.collisions,
         )
+        self.moments = MomentCalculator(pg, self.solver.kernels, pool=self.solver.pool)
         self._basis = ModalBasis(pg.pdim, poly_order, family)
         self._ic_quad_order = ic_quad_order
 
     def rhs(self, f, own, em, out=None, stage=None, token=None) -> np.ndarray:
         """``df/dt`` of the species, collisions included, into ``out`` — or
-        with ``stage`` (:attr:`stages` species only) that Shu–Osher stage
-        applied in its place.  ``f`` carries the grid's ghost layers, ``own``
-        is the species' state without them (what the collision operator's
-        moments read; the two are one array on a whole grid).  ``token``:
-        the owning system's state token, when ``own`` is its state under it
-        (the collision moments computed for it earlier are reused)."""
+        with ``stage`` that Shu–Osher stage applied in its place.  ``f``
+        carries the grid's ghost layers, ``own`` is the species' state
+        without them (what the collision operator's moments read; the two
+        are one array on a whole grid).  ``token``: the owning system's
+        state token, when ``own`` is its state under it (the collision
+        moments computed for it earlier are reused)."""
         if self.collisions is not None:
             # the moments first: the stage may overwrite ``own`` cell by cell
             self.collisions.refresh(own, self.moments, token)

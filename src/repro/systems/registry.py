@@ -250,7 +250,6 @@ def build_vlasov_maxwell(spec) -> System:
         poly_order=spec.poly_order,
         family=spec.family,
         cfl=spec.cfl,
-        scheme=spec.scheme,
         stepper=spec.stepper,
         external=build_external_field(spec),
         name="maxwell",
@@ -264,10 +263,6 @@ def _validate_poisson(spec, path: str) -> None:
         raise SpecError(
             f"{path}.conf_grid.cells",
             "the poisson model supports 1-D configuration space only",
-        )
-    if spec.scheme != "modal":
-        raise SpecError(
-            f"{path}.scheme", "the poisson model only supports the modal scheme"
         )
     if spec.field is not None:
         raise SpecError(
@@ -299,7 +294,6 @@ def build_vlasov_poisson(spec) -> System:
         poly_order=spec.poly_order,
         family=spec.family,
         cfl=spec.cfl,
-        scheme="modal",
         stepper=spec.stepper,
         external=build_external_field(spec),
         name="poisson",
@@ -345,7 +339,6 @@ def build_advection(spec) -> System:
         poly_order=spec.poly_order,
         family=spec.family,
         cfl=spec.cfl,
-        scheme=spec.scheme,
         stepper=spec.stepper,
         external=build_external_field(spec),
         name="advection",

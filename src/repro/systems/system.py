@@ -82,9 +82,6 @@ class System:
         DG basis selection.
     cfl:
         CFL number (fraction of the stability limit).
-    scheme:
-        ``"modal"`` (the paper's algorithm) or ``"quadrature"``
-        (the alias-free nodal-style baseline of Table I, collisionless).
     stepper:
         ``"ssp-rk3"`` (default), ``"ssp-rk2"`` or ``"forward-euler"``.
     external:
@@ -108,15 +105,12 @@ class System:
         poly_order: int = 2,
         family: str = "serendipity",
         cfl: float = 0.9,
-        scheme: str = "modal",
         stepper: str = "ssp-rk3",
         ic_quad_order: Optional[int] = None,
         external: Optional[ExternalField] = None,
         name: Optional[str] = None,
         halo=None,
     ):
-        if scheme not in ("modal", "quadrature"):
-            raise ValueError("scheme must be 'modal' or 'quadrature'")
         if not species:
             raise ValueError("need at least one species")
         names = [s.name for s in species]
@@ -127,11 +121,6 @@ class System:
             # inside the modal solver's program, and only there
             if sp.collisions is None:
                 continue
-            if scheme != "modal":
-                raise ValueError(
-                    f"species {sp.name!r}: collisions run in the modal scheme's "
-                    f"cell program; the {scheme} scheme is collisionless"
-                )
             if getattr(sp.collisions, "cell_table", None) is None:
                 raise ValueError(
                     f"species {sp.name!r}: a collision operator needs a "
@@ -151,7 +140,6 @@ class System:
         self.poly_order = int(poly_order)
         self.family = family
         self.cfl = float(cfl)
-        self.scheme = scheme
         self.stepper = get_stepper(stepper)
         self.halo = halo
         self.time = 0.0
@@ -164,9 +152,8 @@ class System:
         self._staged: List[str] = []
         # what on_block() rebuilds this declaration from
         self._decl = dict(
-            poly_order=poly_order, family=family, cfl=cfl, scheme=scheme,
-            stepper=stepper, ic_quad_order=ic_quad_order, external=external,
-            name=name,
+            poly_order=poly_order, family=family, cfl=cfl, stepper=stepper,
+            ic_quad_order=ic_quad_order, external=external, name=name,
         )
 
         from ..basis.modal import ModalBasis
@@ -175,9 +162,7 @@ class System:
         field.bind_to(conf_grid, self.cfg_basis, external)
 
         self.blocks: List[KineticSpecies] = [
-            KineticSpecies(
-                sp, conf_grid, self.poly_order, family, scheme, ic_quad_order
-            )
+            KineticSpecies(sp, conf_grid, self.poly_order, family, ic_quad_order)
             for sp in self.species
         ]
         # per-species views of the block stacks (tests, examples, and the
@@ -352,8 +337,7 @@ class System:
         # every stage); stage 1 reads the state the token names, later
         # stages do not
         self._staged = [
-            key for blk, key in self._species_keys
-            if blk.stages and state[key].flags.c_contiguous
+            key for _blk, key in self._species_keys if state[key].flags.c_contiguous
         ]
         self._stage_token = self._state_token()
         try:
@@ -450,5 +434,5 @@ class System:
         names = ",".join(sp.name for sp in self.species)
         return (
             f"System({self.name!r}, species=[{names}], field={self.field.kind}, "
-            f"p={self.poly_order}, scheme={self.scheme}, t={self.time:.6g})"
+            f"p={self.poly_order}, t={self.time:.6g})"
         )

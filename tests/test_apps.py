@@ -1,4 +1,4 @@
-"""App-level integration: multi-species runs, checkpoint/restart, schemes."""
+"""App-level integration: multi-species runs, checkpoint/restart."""
 
 import numpy as np
 import pytest
@@ -39,36 +39,6 @@ def test_two_species_energy_and_mass():
     assert abs(app.particle_number("elc") - n_elc) / n_elc < 1e-12
     assert abs(app.particle_number("ion") - n_ion) / n_ion < 1e-12
     assert hist.relative_drift() < 1e-5
-
-
-def test_modal_and_quadrature_apps_agree():
-    """The Table I comparison is meaningful because both schemes integrate
-    the same discrete system: one step must agree to near machine precision."""
-    k = 0.5
-
-    def f0(x, v):
-        return (1 + 0.1 * np.cos(k * x)) * np.exp(-v ** 2 / 2) / np.sqrt(2 * np.pi)
-
-    def make(scheme):
-        elc = Species("elc", -1.0, 1.0, Grid([-6.0], [6.0], [8]), f0)
-        return System(
-            Grid([0.0], [2 * np.pi / k], [4]),
-            [elc],
-            field=MaxwellBlock(FieldSpec(initial={"Ex": lambda x: -0.1 / k * np.sin(k * x)})),
-            poly_order=2,
-            scheme=scheme,
-            cfl=0.5,
-        )
-
-    a = make("modal")
-    b = make("quadrature")
-    dt = min(a.suggested_dt(), b.suggested_dt())
-    for app in (a, b):
-        app.step(dt)
-        app.step(dt)
-    scale = np.max(np.abs(b.f["elc"]))
-    assert np.max(np.abs(a.f["elc"] - b.f["elc"])) / scale < 1e-12
-    assert np.allclose(a.em, b.em, atol=1e-12)
 
 
 def test_static_field_mode():
@@ -136,11 +106,6 @@ def test_app_validation_errors():
         System(Grid([0.0], [1.0], [4]), [], field=MaxwellBlock(static), poly_order=1)
     with pytest.raises(ValueError):
         System(Grid([0.0], [1.0], [4]), [sp, sp], field=MaxwellBlock(static), poly_order=1)
-    with pytest.raises(ValueError):
-        System(
-            Grid([0.0], [1.0], [4]), [sp], field=MaxwellBlock(static), poly_order=1,
-            scheme="pic",
-        )
 
 
 def test_vlasov_poisson_requires_1d():

@@ -516,7 +516,7 @@ def test_system_step_equals_the_generic_stage_arithmetic(kind_name, stepper):
     system, generic, composed = (build_system(spec) for _ in range(3))
     if kind_name == "collisional_relaxation":
         (blk,) = system.blocks
-        assert blk.stages and blk.solver.collisions is blk.collisions
+        assert blk.solver.collisions is blk.collisions
     for _ in range(2):
         dt = system.suggested_dt()
         system.step(dt)

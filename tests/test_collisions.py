@@ -144,7 +144,7 @@ def test_a_collisional_run_keeps_the_lbo_in_the_cell_program(monkeypatch, tmp_pa
     assert metrics["steps"] == steps
     assert metrics["plan_applies"] / steps <= 15
     (blk,) = driver.app.blocks
-    assert blk.stages and blk.solver.collisions is blk.collisions
+    assert blk.solver.collisions is blk.collisions
     keys = [key for pool in (blk.solver.pool, blk.collisions.pool) for key, _ in pool._arrays]
     assert keys and not [key for key in keys if key.startswith("lbo.")]
 
@@ -177,7 +177,7 @@ def test_lbo_plans_bind_once_and_never_serve_stale_moments(setup, monkeypatch):
 
 def test_a_system_takes_collisions_only_as_a_modal_cell_table(setup):
     """A collision operator runs inside the modal solver's cell program:
-    one without a cell table, or any on the quadrature scheme, is refused."""
+    one without a cell table is refused."""
     from repro.systems import Species, System
 
     pg, p, _, _, _ = setup
@@ -193,8 +193,6 @@ def test_a_system_takes_collisions_only_as_a_modal_cell_table(setup):
 
     with pytest.raises(ValueError, match="'elc'.*needs a cell_table"):
         System(pg.conf, [elc(AddedAfterTheSolver())], poly_order=p)
-    with pytest.raises(ValueError, match="'elc'.*quadrature scheme is collisionless"):
-        System(pg.conf, [elc(LBOCollisions(pg, p))], poly_order=p, scheme="quadrature")
 
 
 def test_lbo_2v_conservation():

@@ -14,7 +14,7 @@ from repro.dist import BlockGrid, ShardedApp, ShardPlan, fill_padded
 from repro.dist.plan import HaloStats
 from repro.grid import Grid
 from repro.io.checkpoint import load_checkpoint
-from repro.runtime import Driver, SpecError, build
+from repro.runtime import Driver, build
 from repro.runtime.driver import build_app
 from repro.systems.blocks import KineticSpecies
 
@@ -299,12 +299,3 @@ def test_fill_padded_periodic_ghosts():
     assert stats.messages == 2
     assert stats.doubles == 4
     assert stats.bytes == 32
-
-
-def test_process_backend_rejects_quadrature_scheme():
-    spec = build(
-        "landau_damping", nx=8, nv=8, poly_order=1, steps=1,
-        **{"scheme": "quadrature", "backend": "process:2"},
-    )
-    with pytest.raises(SpecError, match="modal"):
-        build_app(spec)

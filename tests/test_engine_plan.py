@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     ExecutionPlan,
+    PlanSignatureError,
     ScratchPool,
     aux_signature,
     classify_aux_value,
@@ -32,7 +33,7 @@ def _make_aux(names_kinds, cdim, vdim, cfg_shape, vel_shape, rng):
             aux[name] = rng.standard_normal(cfg_shape + (1,) * vdim)
         elif kind == "vel":
             aux[name] = rng.standard_normal((1,) * cdim + vel_shape)
-        else:  # mixed: varies on both cell groups -> sparse fallback
+        else:  # mixed: varies on both cell groups -> refused
             aux[name] = rng.standard_normal(cfg_shape + vel_shape)
     return aux
 
@@ -59,7 +60,8 @@ def _random_termset(n, nout, nin, names, rng):
 )
 def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     """Randomized termsets: the planned/batched path equals ``TermSet.apply``
-    to tight tolerance for every scalar/config/velocity aux mix."""
+    to tight tolerance for every scalar/config/velocity aux mix; a symbol
+    irregular in the mix is refused by name."""
     rng = np.random.default_rng(seed)
     cfg_shape = tuple(rng.integers(1, 4, size=cdim))
     vel_shape = tuple(rng.integers(2, 4, size=vdim))
@@ -70,6 +72,15 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     ts = _random_termset(int(rng.integers(1, 6)), nout, nin, list(names_kinds), rng)
     aux = _make_aux(names_kinds, cdim, vdim, cfg_shape, vel_shape, rng)
     f = rng.standard_normal((nin,) + cfg_shape + vel_shape)
+    used = sorted({n for sym in ts.entries_by_symbol() for n in sym})
+    irregular = [n for n in used if classify_aux_value(aux[n], cdim, vdim) == "x"]
+    if irregular:
+        with pytest.raises(PlanSignatureError, match=f"'{irregular[0]}'"):
+            GroupedOperator(ts, cdim, vdim).apply(
+                phase_to_cell_major(f, cdim), aux,
+                np.zeros(cfg_shape + (nout,) + vel_shape),
+            )
+        return
 
     ref = np.zeros((nout,) + cfg_shape + vel_shape)
     ts.apply(f, aux, ref)
@@ -100,7 +111,8 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
 # --------------------------------------------------------------------- #
 def test_stale_plan_invalidated_on_signature_change():
     """The historical hazard: a plan built from the first aux dict must not
-    be silently reused when a later aux changes layout."""
+    be silently reused when a later aux changes layout — and a layout no
+    plan sweeps is refused, not run."""
     ts = TermSet(3, 3, {("e",): [(0, 1, 2.0), (2, 0, -1.0)], (): [(1, 1, 1.0)]})
     op = GroupedOperator(ts, cdim=1, vdim=1)
     rng = np.random.default_rng(0)
@@ -111,18 +123,22 @@ def test_stale_plan_invalidated_on_signature_change():
         1.5,                                   # scalar
         rng.standard_normal((4, 1)),           # configuration-varying
         rng.standard_normal((1, 5)),           # velocity-varying
-        rng.standard_normal((4, 5)),           # mixed -> sparse fallback
+        rng.standard_normal((4, 5)),           # mixed -> refused
         -0.25,                                 # back to scalar
     ):
         aux = {"e": e_val}
+        got = np.zeros_like(f_cm)
+        if classify_aux_value(e_val, 1, 1) == "x":
+            with pytest.raises(PlanSignatureError, match="'e'"):
+                op.apply(f_cm, aux, got)
+            continue
         ref = np.zeros_like(f)
         ts.apply(f, aux, ref)
-        got = np.zeros_like(f_cm)
         op.apply(f_cm, aux, got)
         assert np.allclose(
             phase_to_mode_major(got, 1), ref, rtol=1e-13, atol=1e-13
         ), f"e={e_val!r}"
-    assert op.num_plans == 4  # scalar signature compiled once, then reused
+    assert op.num_plans == 3  # scalar signature compiled once, then reused
 
 
 def test_plan_cache_per_cell_shape():

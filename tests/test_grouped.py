@@ -4,6 +4,7 @@ to roundoff — it evaluates the same generated coefficients, reassociated."""
 import numpy as np
 import pytest
 
+from repro.engine import PlanSignatureError
 from repro.engine.layout import phase_to_cell_major, phase_to_mode_major
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import four_sided_kernels, get_vlasov_kernels
@@ -79,18 +80,17 @@ def test_grouped_on_sliced_cells(setup):
 
 
 def test_grouped_fallback_for_mixed_symbols():
-    """A symbol varying on both config and velocity axes must fall back to
-    the sparse path (still correct)."""
+    """A symbol varying on both config and velocity axes has no grouped
+    sweep: the plan refuses it by name instead of falling back."""
     ts = TermSet(2, 2, {("mix",): [(0, 1, 2.0)], (): [(1, 0, 1.0)]})
     op = GroupedOperator(ts, cdim=1, vdim=1)
     rng = np.random.default_rng(0)
     f = rng.standard_normal((2, 3, 4))
     aux = {"mix": rng.standard_normal((3, 4))}
-    out_a = np.zeros_like(f)
-    ts.apply(f, aux, out_a)
     out_b = np.zeros((3, 2, 4))
-    op.apply(phase_to_cell_major(f, 1), aux, out_b)
-    assert np.allclose(out_a, phase_to_mode_major(out_b, 1), atol=1e-14)
+    with pytest.raises(PlanSignatureError, match="'mix'"):
+        op.apply(phase_to_cell_major(f, 1), aux, out_b)
+    assert op.num_plans == 0
 
 
 def test_grouped_empty_termset():

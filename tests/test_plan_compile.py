@@ -398,6 +398,43 @@ def test_failed_kernel_build_is_counted_and_reported(case, tmp_path, monkeypatch
     )
 
 
+@needs_cc
+def test_a_process_that_finds_its_kernel_starts_no_child(tmp_path, monkeypatch):
+    """Identifying the compiler and loading a kernel already on disk run no
+    process: a child would be charged the caller's whole resident size."""
+    assert codegen.compile_fused_sweep(str(tmp_path)) is not None
+    monkeypatch.setattr(codegen, "_CC", None)
+    monkeypatch.setattr(codegen, "_LOADED_KERNELS", {})
+
+    def no_child(*args, **kwargs):  # pragma: no cover - the assertion
+        raise AssertionError(f"started a child process: {args[0]!r}")
+
+    monkeypatch.setattr(codegen.subprocess, "run", no_child)
+    kern = codegen.compile_fused_sweep(str(tmp_path))
+    assert kern is not None and not kern.fresh
+
+
+def test_the_kernel_digest_follows_the_compiler_file(tmp_path, monkeypatch):
+    """A compiler file with another size, modification time or inode names
+    another kernel artifact, so a replaced toolchain rebuilds."""
+    stub = tmp_path / "stubcc"
+    stub.write_text("#!/bin/sh\nexit 1\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("CC", str(stub))
+
+    def digest():
+        monkeypatch.setattr(codegen, "_CC", None)
+        cc = cc_available()
+        assert cc[0] == str(stub)
+        return codegen._sweep_digest(cc)
+
+    first = digest()
+    assert digest() == first
+    mtime = stub.stat().st_mtime_ns
+    os.utime(stub, ns=(mtime, mtime + 10**9))
+    assert digest() != first
+
+
 # --------------------------------------------------------------------- #
 # configuration
 # --------------------------------------------------------------------- #

@@ -213,20 +213,15 @@ def test_malformed_profile_is_a_clean_error(capsys, scenario, override, field):
             "spec.species[0].collisions.kind: the BGK collision operator was removed; use 'lbo'",
         ),
         ("collisional_relaxation", ["operator=bgk"], "operator: unknown field 'operator'"),
-        (
-            "landau_damping",
-            ["scheme=quadrature", "species.elc.collisions.nu=0.5"],
-            "spec.species[0].collisions: collisions run in the modal scheme's cell program",
-        ),
     ],
-    ids=["bgk-kind", "operator-param", "quadrature-collisions"],
+    ids=["bgk-kind", "operator-param"],
 )
 def test_a_collision_the_cell_program_cannot_run_is_a_clean_error(
     capsys, scenario, overrides, error
 ):
     """Collisions are the LBO in a modal species' cell program: the removed
-    BGK kind, the dropped ``operator`` parameter, and collisions on the
-    quadrature scheme are each one ``error:`` line (exit 2)."""
+    BGK kind and the dropped ``operator`` parameter are each one ``error:``
+    line (exit 2)."""
     argv = ["run", scenario]
     for override in overrides:
         argv += ["--set", override]

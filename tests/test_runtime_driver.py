@@ -21,11 +21,6 @@ def test_build_app_selects_model():
     assert "em" not in app.state()
 
 
-def test_build_app_quadrature_scheme():
-    app = build_app(build("landau_damping", nx=4, nv=8, scheme="quadrature"))
-    assert app.scheme == "quadrature"
-
-
 def test_build_app_wires_collisions():
     app = build_app(build("collisional_relaxation", nv=8))
     assert isinstance(app.species[0].collisions, LBOCollisions)
