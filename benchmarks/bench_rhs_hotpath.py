@@ -103,13 +103,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     from repro.cas.codegen import select_tier
-    from repro.engine.compile import STATS
+    from repro.engine.compile import plan_counts
+    from repro.obs import OBS
 
     repeats = args.repeats or (2 if args.smoke else 5)
     iters = args.iters or (3 if args.smoke else 8)
 
-    stats0 = STATS.snapshot()
     nx, nv = CONFIGS[args.config][0 if args.smoke else 1]
+    # build_app starts the metrics window the plan counts are read from
     app = build_app(build(args.config, nx=nx, nv=nv, plan_cache=args.cache))
     name = app.species[0].name
     solver = app.solvers[name]
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     # compile (or hydrate) every plan before timing
     solver.rhs(f, em, out)
     app.rhs(state, out=out_state)
-    plans = STATS.delta(STATS.snapshot(), stats0)
+    plans = plan_counts(OBS.metrics.snapshot())
 
     t_solver = _best(lambda: solver.rhs(f, em, out), repeats, iters)
     t_app = _best(lambda: app.rhs(state, out=out_state), repeats, iters)
@@ -131,8 +132,6 @@ def main(argv=None) -> int:
     # observability-off overhead: System.rhs is the guarded wrapper (one
     # module-level flag check), _rhs_impl is the unwrapped body.  Paired A/B
     # with obs forced off isolates the cost of the instrumentation seam.
-    from repro.obs import OBS
-
     OBS.configure("off")
     t_rhs_bare, t_seam = _paired(
         lambda: app._rhs_impl(state, out=out_state),

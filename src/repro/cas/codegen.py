@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from ..io.atomic import publish, publish_text
+from ..obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ..kernels.termset import Symbol, TermSet
@@ -819,8 +820,6 @@ _TARGET: Optional[str] = None
 WORK_PER_THREAD = 1 << 16
 #: set in a forked child (see :func:`_one_thread_in_child`)
 _FORKED = False
-#: the largest count :func:`cell_threads` returned (see :func:`threads_mark`)
-_THREADS_MARK = 1
 
 
 def _cpus() -> int:
@@ -837,23 +836,13 @@ def cell_threads(n: int, work: int) -> int:
 
     A forked child (a ``process:N`` shard, a serve worker: the machine is
     already split between them) runs one.  Called once per bound call, so
-    the call itself carries the count."""
-    global _THREADS_MARK
+    the call itself carries the count; the most a process bound is the
+    ``cell_threads`` gauge of its metrics registry."""
     if _FORKED:
         return 1
     threads = max(1, min(_cpus(), n, work // WORK_PER_THREAD))
-    _THREADS_MARK = max(_THREADS_MARK, threads)
+    OBS.metrics.gauge_max("cell_threads", threads)
     return threads
-
-
-def threads_mark(restart: bool = False) -> int:
-    """The largest count :func:`cell_threads` returned since the last
-    restart (1 if none); with ``restart`` start over."""
-    global _THREADS_MARK
-    mark = _THREADS_MARK
-    if restart:
-        _THREADS_MARK = 1
-    return mark
 
 
 def _inherited_kernels_are_not_fresh() -> None:
@@ -866,8 +855,8 @@ def _inherited_kernels_are_not_fresh() -> None:
 
 def _one_thread_in_child() -> None:
     """In a forked child: every call it binds runs on one thread."""
-    global _FORKED, _THREADS_MARK
-    _FORKED, _THREADS_MARK = True, 1
+    global _FORKED
+    _FORKED = True
 
 
 if hasattr(os, "register_at_fork"):

@@ -8,7 +8,11 @@ process per configuration-cell block, each stepping an ordinary
 :class:`~repro.systems.system.System` on its :class:`BlockGrid`.  This
 package holds no numerics — only what a block needs from the others: the
 ghost-layer fill (:func:`fill_padded`, shared memory, two barriers per
-stage) and the charge-density gather.
+stage) and the charge-density gather.  Each worker counts its halo slabs
+and plan compiles into its metrics registry, backed by a shared-memory
+:class:`~repro.obs.ring.ObsChannel` the parent reads in every
+observability mode; ``ShardedApp.halo_stats`` is a view over those
+snapshots.
 :class:`LeaseLock` is the lock-file lease the job queue
 (:mod:`repro.serve`, which ``repro campaign`` and ``repro worker`` run on)
 claims work through.
@@ -17,7 +21,7 @@ claims work through.
 from .blocks import BlockGrid, fill_padded
 from .decomp import ConfDecomposition, block_ranges, factor_ranks, memory_report
 from .lease import LeaseLock
-from .plan import HaloStats, ShardPlan
+from .plan import ShardPlan
 from .scaling import ClusterModel, ProblemSpec, strong_scaling_series, weak_scaling_series
 from .sharded import ShardedApp
 
@@ -32,7 +36,6 @@ __all__ = [
     "strong_scaling_series",
     "BlockGrid",
     "fill_padded",
-    "HaloStats",
     "ShardPlan",
     "ShardedApp",
     "LeaseLock",

@@ -29,7 +29,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..grid.cartesian import Grid
-from .plan import HaloStats
 
 __all__ = ["BlockGrid", "fill_padded"]
 
@@ -119,16 +118,15 @@ def fill_padded(
     ranges: Sequence[Tuple[int, int]],
     pad: Sequence[int],
     conf_cells: Sequence[int],
-    stats: Optional[HaloStats] = None,
-) -> None:
+) -> Tuple[int, int]:
     """Copy a shard's block (+ periodic ghost layers) from a globally-shaped
     array into its padded private buffer.
 
     Cell-major layout: the configuration axes *lead* every state array
     (distribution and EM alike), so the slices below address leading axes
-    and each ghost slab is a contiguous span of the shared segment.  Only
-    the ghost slabs count as halo traffic in ``stats`` — the interior copy
-    is a node-local load that a real MPI run would not send.
+    and each ghost slab is a contiguous span of the shared segment.
+    Returns the halo traffic, ``(ghost slabs, their doubles)``: the
+    interior copy is a node-local load that a real MPI run would not send.
     """
     cdim = len(ranges)
     interior = tuple(
@@ -136,6 +134,7 @@ def fill_padded(
     )
     own = tuple(slice(lo, hi) for lo, hi in ranges)
     pad_buf[interior] = shared[own]
+    messages = doubles = 0
     for d in range(cdim):
         if not pad[d]:
             continue
@@ -153,5 +152,6 @@ def fill_padded(
             )
             ghost = shared[src]
             pad_buf[dst] = ghost
-            if stats is not None:
-                stats.record(ghost)
+            messages += 1
+            doubles += ghost.size
+    return messages, doubles

@@ -7,8 +7,8 @@ padded by a single ghost layer along every decomposed axis, with the full
 velocity grid attached.  The block arithmetic is exactly
 :class:`repro.dist.decomp.ConfDecomposition` (the object the Fig. 3
 scaling model is built on), so the *measured* halo traffic of a sharded run
-(:class:`HaloStats`: messages / doubles per shard) can be compared against
-the model's prediction for the same decomposition.
+(``ShardedApp.halo_stats``: messages / doubles per shard) can be compared
+against the model's prediction for the same decomposition.
 """
 
 from __future__ import annotations
@@ -20,30 +20,7 @@ import numpy as np
 
 from .decomp import ConfDecomposition
 
-__all__ = ["HaloStats", "ShardPlan"]
-
-
-@dataclass
-class HaloStats:
-    """Halo-exchange accounting for one shard."""
-
-    messages: int = 0
-    doubles: int = 0
-
-    @property
-    def bytes(self) -> int:
-        return 8 * self.doubles
-
-    def record(self, arr: np.ndarray) -> None:
-        self.messages += 1
-        self.doubles += int(arr.size)
-
-    def merge(self, other: "HaloStats") -> None:
-        self.messages += other.messages
-        self.doubles += other.doubles
-
-    def as_dict(self) -> dict:
-        return {"messages": self.messages, "doubles": self.doubles, "bytes": self.bytes}
+__all__ = ["ShardPlan"]
 
 
 @dataclass(frozen=True)

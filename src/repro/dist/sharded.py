@@ -17,9 +17,11 @@ configuration-cell block of a :class:`~repro.dist.plan.ShardPlan`:
   :class:`_SharedHalo`: ghost layers are an in-place copy out of the
   neighbours' slabs between two barriers (writes-visible, reads-done — a
   fast shard never overwrites state a slow neighbour is still reading),
-  counted per shard in doubles/messages so the Fig. 3 traffic model can be
-  checked against *measured* bytes; the Poisson charge density is gathered
-  through one more shared array.
+  counted per shard in doubles/messages (into the worker's metrics
+  registry, which the parent reads through shared memory in every
+  observability mode) so the Fig. 3 traffic model can be checked against
+  *measured* bytes; the Poisson charge density is gathered through one
+  more shared array.
 
 The parent keeps the serial system for everything that is not stepping:
 initial-condition projection, diagnostics, energies, CFL, checkpoint
@@ -51,11 +53,12 @@ import numpy as np
 
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
-from ..obs.ring import ObsChannel
+from ..obs.metrics import merge_snapshots
+from ..obs.ring import SPAN_RING, ObsChannel
 from ..obs.tracer import SpanEvent
 from ..systems.model import run_loop
 from .blocks import BlockGrid, fill_padded
-from .plan import HaloStats, ShardPlan
+from .plan import ShardPlan
 
 __all__ = ["ShardedApp"]
 
@@ -65,6 +68,9 @@ _S_HALO_MS = _OBS_SLOT["halo_wait_ms"]
 _S_HALO_BYTES = _OBS_SLOT["halo_bytes"]
 _S_BARRIER = _OBS_SLOT["barrier_waits"]
 _S_BARRIER_MS = _OBS_SLOT["barrier_wait_ms"]
+#: (messages, doubles) slots of the distribution and of the EM field halo
+_S_HALO_F = (_OBS_SLOT["halo_f_messages"], _OBS_SLOT["halo_f_doubles"])
+_S_HALO_EM = (_OBS_SLOT["halo_em_messages"], _OBS_SLOT["halo_em_doubles"])
 
 _READY_TIMEOUT = 600.0   # worker start + block-plan generation
 _STEP_TIMEOUT = 3600.0   # one full step on one shard
@@ -90,7 +96,6 @@ class _SharedHalo:
         self.shared = shared
         self.gather = gather
         self.barrier = barrier
-        self.stats = {"f": HaloStats(), "em": HaloStats()}
         self._ghosted: Dict[str, np.ndarray] = {}
 
     def _wait(self) -> None:
@@ -107,8 +112,9 @@ class _SharedHalo:
         every shard's writes are in before anyone reads, every read is
         done before anyone writes again."""
         self._wait()
-        grid, stats = self.grid, self.stats
-        doubles0 = stats["f"].doubles + stats["em"].doubles
+        grid = self.grid
+        values = _OBS.metrics.values
+        moved = 0
         t0 = _perf_counter()
         out = {}
         for key in state:
@@ -119,16 +125,17 @@ class _SharedHalo:
                     tuple(n + 2 * g for n, g in zip(grid.cells, grid.ghost))
                     + whole.shape[grid.ndim:]
                 )
-            fill_padded(
-                whole, buf, grid.ranges, grid.ghost, grid.parent.cells,
-                stats["em" if key == "em" else "f"],
+            messages, doubles = fill_padded(
+                whole, buf, grid.ranges, grid.ghost, grid.parent.cells
             )
+            s_messages, s_doubles = _S_HALO_EM if key == "em" else _S_HALO_F
+            values[s_messages] += messages
+            values[s_doubles] += doubles
+            moved += doubles
             out[key] = buf
         if _OBS.on:
             _OBS.finish("halo_exchange", t0, _S_HALO, _S_HALO_MS)
-            _OBS.metrics.values[_S_HALO_BYTES] += 8 * (
-                stats["f"].doubles + stats["em"].doubles - doubles0
-            )
+            values[_S_HALO_BYTES] += 8 * moved
         self._wait()
         return out
 
@@ -145,24 +152,17 @@ class _ShardWorker:
 
     def __init__(
         self, app, plan: ShardPlan, shard: int, shared, gather, barrier,
-        obs_buf=None,
+        channel: ObsChannel,
     ):
-        # observability: rebind the process-global runtime onto this
-        # worker's shared-memory channel *before* block plans compile, so
-        # even compile counters land where the parent can read them
-        self.obs_channel = None
-        if obs_buf is not None:
-            self.obs_channel = ObsChannel(obs_buf)
-            _OBS.adopt_channel(self.obs_channel)
-        # plan-compilation counters forked from the parent are the parent's
-        # history; this worker's own contribution is the delta from here
-        from ..engine.compile import STATS as _PLAN_STATS
-
-        self._plan_stats = _PLAN_STATS
-        self._plan_stats0 = _PLAN_STATS.snapshot()
+        # rebind the process-global registry onto this worker's
+        # shared-memory channel *before* block plans compile, so every
+        # count — compiles, halo slabs — lands where the parent reads it
+        # (the registry forked from the parent is the parent's history)
+        _OBS.adopt_channel(channel)
         grid = BlockGrid(app.conf_grid, plan.ranges(shard), plan.pad)
-        self.halo = _SharedHalo(grid, shared, gather, barrier)
-        self.system = app.on_block(grid, self.halo)
+        self.system = app.on_block(
+            grid, _SharedHalo(grid, shared, gather, barrier)
+        )
         # the block's state *is* its slab of the shared arrays (cell-major:
         # configuration axes lead, so one leading slice addresses f and em
         # alike): stepped in place, read by the neighbours' halo fills and
@@ -171,19 +171,11 @@ class _ShardWorker:
             {key: grid.restrict(arr) for key, arr in shared.items()}
         )
 
-    def stats_payload(self) -> dict:
-        payload = {
-            "f": self.halo.stats["f"].as_dict(),
-            "em": self.halo.stats["em"].as_dict(),
-            "plans": self._plan_stats.delta(
-                self._plan_stats.snapshot(), self._plan_stats0
-            ),
-        }
-        if self.obs_channel is not None:
-            # the span ring carries label *ids*; the interned table is tiny
-            # and changes rarely, so it just rides the step responses
-            payload["obs_labels"] = list(_OBS.tracer.labels)
-        return payload
+    @staticmethod
+    def span_labels() -> Optional[List[str]]:
+        """When tracing: the span ring carries label *ids*; the interned
+        table is tiny and changes rarely, so it just rides the replies."""
+        return list(_OBS.tracer.labels) if _OBS.mode == "trace" else None
 
     def step(self, dt: float, t: float, step_index: int) -> None:
         # the parent owns the clock: its time drives the external-field
@@ -207,18 +199,14 @@ def _watch_parent(ppid: int) -> None:
             os._exit(2)
 
 
-def _worker_main(
-    app, plan, shard, shared, gather, barrier, conn, obs_buf=None
-) -> None:
+def _worker_main(app, plan, shard, shared, gather, barrier, conn, channel) -> None:
     threading.Thread(
         target=_watch_parent, args=(os.getppid(),), daemon=True,
         name="repro-parent-watchdog",
     ).start()
     try:
-        worker = _ShardWorker(
-            app, plan, shard, shared, gather, barrier, obs_buf=obs_buf
-        )
-        conn.send(("ready", worker.stats_payload()))
+        worker = _ShardWorker(app, plan, shard, shared, gather, barrier, channel)
+        conn.send(("ready", worker.span_labels()))
     except Exception:  # noqa: BLE001
         # broad on purpose: whatever broke building this shard's system, the
         # parent raises it (traceback attached) instead of timing out
@@ -236,7 +224,7 @@ def _worker_main(
             if cmd != "step":
                 raise ValueError(f"unknown worker command {cmd!r}")
             worker.step(msg[1], msg[2], msg[3])
-            conn.send(("ok", worker.stats_payload()))
+            conn.send(("ok", worker.span_labels()))
         except Exception:  # noqa: BLE001
             # broad on purpose: any failure inside a step is the parent's to
             # raise (it closes every shard); this worker then exits
@@ -247,6 +235,19 @@ def _worker_main(
 # --------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------- #
+def _halo_view(snap: Dict[str, float]) -> dict:
+    """The halo counts of a metrics snapshot, per field."""
+    out = {}
+    for part in ("f", "em"):
+        doubles = int(snap[f"halo_{part}_doubles"])
+        out[part] = {
+            "messages": int(snap[f"halo_{part}_messages"]),
+            "doubles": doubles,
+            "bytes": 8 * doubles,
+        }
+    return out
+
+
 def _release(segments: List[shared_memory.SharedMemory]) -> None:
     for seg in segments:
         try:
@@ -335,22 +336,22 @@ class ShardedApp:
             np.zeros(app.conf_grid.cells + (app.cfg_basis.num_basis,))
         )
 
-        # observability channels ride the same shared-memory plumbing as
-        # the state (allocated before the fork, released with the segments)
-        obs_bufs: List[Optional[np.ndarray]] = [None] * self.nshards
-        self._obs_channels: List[ObsChannel] = []
-        self._obs_events: List[List[Tuple[int, float, float]]] = []
-        self._obs_lost: List[int] = []
+        # each worker's metrics registry (and, when tracing, its span ring)
+        # rides the same shared-memory plumbing as the state, in every
+        # observability mode (allocated before the fork, released with the
+        # segments)
+        ring = SPAN_RING if _OBS.mode == "trace" else 0
+        self._obs_channels: List[ObsChannel] = [
+            ObsChannel(self._alloc(np.zeros(ObsChannel.length(ring))), ring)
+            for _ in range(self.nshards)
+        ]
+        self._obs_events: List[List[Tuple[int, float, float]]] = [
+            [] for _ in range(self.nshards)
+        ]
+        self._obs_lost = [0] * self.nshards
+        self._obs_labels: List[List[str]] = [[] for _ in range(self.nshards)]
         self._obs_final_metrics: Optional[List[dict]] = None
         self._obs_final_spans: Optional[List[SpanEvent]] = None
-        if _OBS.on:
-            obs_bufs = [
-                self._alloc(np.zeros(ObsChannel.length()))
-                for _ in range(self.nshards)
-            ]
-            self._obs_channels = [ObsChannel(buf) for buf in obs_bufs]
-            self._obs_events = [[] for _ in range(self.nshards)]
-            self._obs_lost = [0] * self.nshards
 
         ctx = mp.get_context("fork")
         self._barrier = ctx.Barrier(self.nshards, timeout=_BARRIER_TIMEOUT)
@@ -362,7 +363,7 @@ class ShardedApp:
                 target=_worker_main,
                 args=(
                     app, self.plan, shard, self._shared, gather,
-                    self._barrier, child_conn, obs_bufs[shard],
+                    self._barrier, child_conn, self._obs_channels[shard],
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard}",
@@ -374,17 +375,13 @@ class ShardedApp:
         self._finalizer = weakref.finalize(
             self, _shutdown, self._procs, self._conns, self._segments
         )
-        self.shard_stats: List[dict] = [
-            {"f": HaloStats().as_dict(), "em": HaloStats().as_dict(), "plans": {}}
-            for _ in range(self.nshards)
-        ]
         for shard, conn in enumerate(self._conns):
             kind, payload = self._recv(shard, conn, _READY_TIMEOUT)
             if kind != "ready":
                 self.close()
                 raise RuntimeError(f"shard {shard} failed to start:\n{payload}")
-            if payload:
-                self.shard_stats[shard] = payload
+            if payload is not None:
+                self._obs_labels[shard] = payload
 
     # ------------------------------------------------------------------ #
     def _alloc(self, arr: np.ndarray) -> np.ndarray:
@@ -414,13 +411,19 @@ class ShardedApp:
             if kind == "error":
                 self.close()
                 raise RuntimeError(f"shard {shard} failed:\n{payload}")
-            self.shard_stats[shard] = payload
-        # workers are idle between commands, so draining the span rings
-        # here never races their (single-writer) pushes
+            if payload is not None:
+                self._obs_labels[shard] = payload
+        self._drain_spans()
+
+    def _drain_spans(self) -> None:
+        """Move new worker spans out of the rings (when tracing).  Workers
+        are idle between commands, so this never races their
+        (single-writer) pushes."""
         for shard, channel in enumerate(self._obs_channels):
-            records, lost = channel.drain()
-            self._obs_events[shard].extend(records)
-            self._obs_lost[shard] += lost
+            if channel.capacity:
+                records, lost = channel.drain()
+                self._obs_events[shard].extend(records)
+                self._obs_lost[shard] += lost
 
     # ------------------------------------------------------------------ #
     # the App interface
@@ -474,25 +477,14 @@ class ShardedApp:
     # ------------------------------------------------------------------ #
     @property
     def halo_stats(self) -> dict:
-        """Cumulative measured halo traffic."""
-        total_f, total_em = HaloStats(), HaloStats()
-        for entry in self.shard_stats:
-            total_f.merge(HaloStats(**{k: entry["f"][k] for k in ("messages", "doubles")}))
-            total_em.merge(HaloStats(**{k: entry["em"][k] for k in ("messages", "doubles")}))
-        return {
-            "per_shard": [dict(e) for e in self.shard_stats],
-            "f": total_f.as_dict(),
-            "em": total_em.as_dict(),
-            "messages": total_f.messages + total_em.messages,
-            "doubles": total_f.doubles + total_em.doubles,
-            "bytes": total_f.bytes + total_em.bytes,
-        }
-
-    def plan_stats(self) -> List[dict]:
-        """Per-worker plan-compilation counter deltas (each worker compiles
-        its own block plans after forking; a warm disk cache shows up here
-        as ``hydrated`` instead of ``compiled``)."""
-        return [dict(entry.get("plans", {})) for entry in self.shard_stats]
+        """Cumulative measured halo traffic: a view over the workers'
+        metric snapshots."""
+        snaps = self.obs_metrics()
+        out = _halo_view(merge_snapshots(snaps))
+        out["per_shard"] = [_halo_view(snap) for snap in snaps]
+        for key in ("messages", "doubles", "bytes"):
+            out[key] = out["f"][key] + out["em"][key]
+        return out
 
     # ------------------------------------------------------------------ #
     # observability (parent-side view of the worker channels)
@@ -515,8 +507,7 @@ class ShardedApp:
         if self._obs_final_spans is not None:
             return list(self._obs_final_spans)
         events: List[SpanEvent] = []
-        for shard in range(len(self._obs_channels)):
-            labels = self.shard_stats[shard].get("obs_labels", [])
+        for shard, labels in enumerate(self._obs_labels):
             pid = self._procs[shard].pid
             for label_id, t0, t1 in self._obs_events[shard]:
                 label = (
@@ -536,17 +527,13 @@ class ShardedApp:
         if self._closed:
             return
         self._closed = True
-        if self._obs_channels:
-            # snapshot the shared-memory telemetry into plain Python before
-            # the segments are unlinked, so Driver.summary() (and trace
-            # writing) keep working after close
-            for shard, channel in enumerate(self._obs_channels):
-                records, lost = channel.drain()
-                self._obs_events[shard].extend(records)
-                self._obs_lost[shard] += lost
-            self._obs_final_spans = self.obs_spans()
-            self._obs_final_metrics = self.obs_metrics()
-            self._obs_channels = []
+        # snapshot the shared-memory telemetry into plain Python before the
+        # segments are unlinked, so Driver.summary(), halo_stats and trace
+        # writing keep working after close
+        self._drain_spans()
+        self._obs_final_spans = self.obs_spans()
+        self._obs_final_metrics = self.obs_metrics()
+        self._obs_channels = []
         self._inner.set_state({k: np.array(v) for k, v in self._shared.items()})
         self._shared.clear()
         if self._finalizer.detach() is not None:

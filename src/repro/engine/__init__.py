@@ -42,13 +42,12 @@ from .layout import (
 )
 from .compile import (
     CompilerConfig,
-    CompileStats,
-    STATS,
     active_config,
     compile_plan,
     compiler_config,
     configure,
     configure_from_spec,
+    plan_counts,
 )
 from .faces import FaceMap
 from .plan import (
@@ -72,13 +71,12 @@ __all__ = [
     "classify_aux_value",
     "plan_digest",
     "CompilerConfig",
-    "CompileStats",
-    "STATS",
     "active_config",
     "configure",
     "configure_from_spec",
     "compiler_config",
     "compile_plan",
+    "plan_counts",
     "PlanCache",
     "default_cache_dir",
     "resolve_cache_root",

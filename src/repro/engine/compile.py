@@ -18,8 +18,9 @@ plan payloads, one per toolchain and target.
 Configuration is process-global (set from ``SimulationSpec`` by the runtime
 driver, from the environment for library use) because plan identity is
 process-global too; :func:`compiler_config` scopes overrides for tests.
-Every decision increments :data:`STATS`, the counter block surfaced in
-``Driver.summary()["plans"]`` and the benchmark JSON.
+Every decision increments its slot of the obs metrics registry
+(:mod:`repro.obs.metrics`) in every observability mode;
+:func:`plan_counts` reads them back as ``Driver.summary()["plans"]``.
 """
 
 from __future__ import annotations
@@ -31,23 +32,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..cas.codegen import threads_mark
 from ..kernels.termset import AuxValue, TermSet
 from ..obs import OBS as _OBS
-from ..obs.metrics import SLOT as _OBS_SLOT
 from .plan import ExecutionPlan, aux_signature, plan_digest
 from .plancache import PlanCache, resolve_cache_root
 from .pool import ScratchPool
 
 __all__ = [
     "CompilerConfig",
-    "CompileStats",
-    "STATS",
     "active_config",
     "configure",
     "configure_from_spec",
     "compiler_config",
     "compile_plan",
+    "plan_counts",
 ]
 
 
@@ -118,8 +116,21 @@ def compiler_config(
 
 
 # --------------------------------------------------------------------- #
-class CompileStats:
-    """Process-global plan-compilation counters.
+#: ``Driver.summary()["plans"]`` key -> the registry slot it reads
+_PLAN_SLOTS = {
+    "compiled": "plan_compiled",
+    "hydrated": "plan_hydrated",
+    "cache_hits": "plan_cache_hits",
+    "cache_misses": "plan_cache_misses",
+    "cache_stores": "plan_cache_stores",
+    "kernels_built": "kernels_built",
+    "kernels_loaded": "kernels_loaded",
+    "kernels_failed": "kernels_failed",
+}
+
+
+def plan_counts(snapshot: Dict[str, float]) -> Dict[str, float]:
+    """The plan-compilation counts of a metrics snapshot.
 
     ``compiled`` counts real ``ExecutionPlan`` compilations (a warm-cache
     run reports zero); ``hydrated`` counts cache loads, whether the
@@ -131,63 +142,16 @@ class CompileStats:
     toolchain and cache directory), ``kernels_loaded`` (it reused the
     artifact) or ``kernels_failed`` (the build failed and the plan sweeps
     with scipy instead).  ``compile_seconds`` is the wall time spent inside
-    :func:`compile_plan` either way.
-
-    ``cell_threads`` is a level, not a count: the most threads any C call
-    bound since :meth:`begin` splits over
-    (:func:`repro.cas.codegen.cell_threads`; 1 when none splits).
+    :func:`compile_plan` either way.  ``cell_threads`` is the most threads
+    any C call split over (:func:`repro.cas.codegen.cell_threads`; 1 when
+    none splits).
     """
-
-    FIELDS = (
-        "compiled",
-        "hydrated",
-        "cache_hits",
-        "cache_misses",
-        "cache_stores",
-        "kernels_built",
-        "kernels_loaded",
-        "kernels_failed",
-        "compile_seconds",
-    )
-    #: fields that :meth:`delta` passes through as they stand
-    LEVELS = ("cell_threads",)
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.compiled = 0
-        self.hydrated = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stores = 0
-        self.kernels_built = 0
-        self.kernels_loaded = 0
-        self.kernels_failed = 0
-        self.compile_seconds = 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        snap = {name: getattr(self, name) for name in self.FIELDS}
-        snap["cell_threads"] = threads_mark()
-        return snap
-
-    def begin(self) -> Dict[str, float]:
-        """The snapshot a run's :meth:`delta` starts from; ``cell_threads``
-        starts over."""
-        threads_mark(restart=True)
-        return self.snapshot()
-
-    @classmethod
-    def delta(
-        cls, after: Dict[str, float], before: Dict[str, float]
-    ) -> Dict[str, float]:
-        return {
-            k: v if k in cls.LEVELS else v - before.get(k, 0)
-            for k, v in after.items()
-        }
-
-
-STATS = CompileStats()
+    out: Dict[str, float] = {
+        key: int(snapshot[slot]) for key, slot in _PLAN_SLOTS.items()
+    }
+    out["compile_seconds"] = snapshot["plan_compile_ms"] / 1e3
+    out["cell_threads"] = max(1, int(snapshot["cell_threads"]))
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -220,6 +184,7 @@ def compile_plan(
         names = sorted({n for sym in termset.entries_by_symbol() for n in sym})
         signature = aux_signature(names, aux, cdim, vdim)
         digest = plan_digest(termset, cdim, vdim, signature, cell_shape)
+    metrics = _OBS.metrics
     if root is not None:
         cache = PlanCache(root)
         payload = cache.load(digest)
@@ -228,41 +193,29 @@ def compile_plan(
                 plan = ExecutionPlan.from_artifacts(
                     termset, cdim, vdim, aux, cell_shape, *payload, **build
                 )
-                STATS.cache_hits += 1
-                STATS.hydrated += 1
+                metrics.add("plan_cache_hits")
             except (OSError, ValueError, KeyError, zipfile.BadZipFile):
                 # stale or damaged payload (``_hydrate`` and
                 # ``_SweepGroup.check`` raise ValueError): recompile and
                 # overwrite below.  Anything else is a bug and propagates.
                 plan = None
         if plan is None:
-            STATS.cache_misses += 1
+            metrics.add("plan_cache_misses")
     hydrated = plan is not None
     if plan is None:
 
         def publish(compiled: ExecutionPlan) -> None:
             if cache is not None and cache.store(digest, *compiled.to_artifacts()):
-                STATS.cache_stores += 1
+                metrics.add("plan_cache_stores")
 
         plan = ExecutionPlan(
             termset, cdim, vdim, aux, cell_shape, **build, on_compiled=publish
         )
-        STATS.compiled += 1
+    metrics.add("plan_hydrated" if hydrated else "plan_compiled")
     if digest is not None:
         plan.obs_label = f"plan_apply:{digest[:12]}"
-    if plan.kernel_status == "built":
-        STATS.kernels_built += 1
-    elif plan.kernel_status == "loaded":
-        STATS.kernels_loaded += 1
-    elif plan.kernel_status == "failed":
-        STATS.kernels_failed += 1
-    STATS.compile_seconds += time.perf_counter() - t0
-    if _OBS.on:
-        # mirror into the obs registry so one snapshot carries the whole
-        # performance picture (STATS stays the plans-specific source)
-        slot = "plan_hydrated" if hydrated else "plan_compiled"
-        _OBS.finish(
-            "plan_compile", t0,
-            _OBS_SLOT[slot], _OBS_SLOT["plan_compile_ms"],
-        )
+    if plan.kernel_status is not None:
+        metrics.add("kernels_" + plan.kernel_status)
+    # the span when tracing; the time in every mode
+    metrics.add("plan_compile_ms", _OBS.finish("plan_compile", t0) * 1e3)
     return plan

@@ -11,8 +11,12 @@ tracing/metrics substrate threaded through every layer:
   sharded worker pid;
 * a **metrics registry** (:mod:`repro.obs.metrics`) — fixed-slot counters,
   gauges and histograms with no locks and no allocation on the hot path;
+  the process's only counter store, so its cold-path counts (plan
+  compiles, cache and kernel outcomes, threads, halo slabs) are kept in
+  every mode;
 * a **cross-process collector** (:mod:`repro.obs.ring`) — per-worker
-  shared-memory blocks the parent drains each step.
+  shared-memory blocks the parent reads (metrics, every mode) and drains
+  each step (spans, when tracing).
 
 Configuration is process-global (like the plan-compiler config, and for
 the same reason: sharded workers fork from the configured parent).  The
@@ -20,8 +24,8 @@ runtime driver adopts ``spec.observability`` via :func:`configure_from_spec`;
 ``$REPRO_OBS`` overrides the spec (the CI trace leg runs the whole suite
 with ``REPRO_OBS=trace`` to prove instrumentation never changes results).
 
-**Off is free.**  ``mode="off"`` (the default) reduces every instrumented
-site to one module-level flag check — no context managers, no allocation,
+**Off is free.**  ``mode="off"`` (the default) reduces every hot-path
+instrumented site to one module-level flag check — no context managers, no allocation,
 no clock reads; the perf-smoke gate asserts the coupled-RHS cost of the
 check is within noise of an uninstrumented call.
 """
@@ -91,7 +95,8 @@ class ObsRuntime:
         self, mode: str = "off", sample: int = 1, reset: bool = True
     ) -> "ObsRuntime":
         """Set the mode and sampling; ``reset`` clears counters and spans
-        (each Driver starts a fresh window, like the plan-STATS deltas)."""
+        (each Driver starts a fresh window: ``summary()["plans"]`` counts
+        from here)."""
         if mode not in OBS_MODES:
             raise ValueError(
                 f"unknown observability mode {mode!r} "

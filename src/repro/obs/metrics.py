@@ -14,9 +14,13 @@ lock.  Merging is positional: counters and histogram buckets sum, gauges
 take the max.
 
 The schema is fixed (``SLOT_NAMES``) so every process of a run agrees on
-the layout; plan-compilation counters mirror
-:data:`repro.engine.compile.STATS` (the obs registry absorbs them so one
-snapshot carries the whole performance picture).
+the layout.  The registry is the process's only counter store, in every
+observability mode: cold-path events (plan compile / hydrate, plan-cache
+and kernel outcomes, the most threads a C call split over) and the halo
+slabs are counted whatever the mode; the hot-path timing counters
+(``rhs_ms``, ``plan_applies`` ...) are written only behind ``OBS.on``.
+``Driver.summary()["plans"]`` and ``ShardedApp.halo_stats`` are views over
+a merged snapshot.
 """
 
 from __future__ import annotations
@@ -59,6 +63,18 @@ COUNTER_NAMES = (
     "checkpoints",
     "checkpoint_ms",
     "spans_dropped",
+    # plan-cache and compiled-kernel outcomes, one per compile_plan call
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "plan_cache_stores",
+    "kernels_built",
+    "kernels_loaded",
+    "kernels_failed",
+    # ghost slabs a shard copied out of its neighbours' blocks
+    "halo_f_messages",
+    "halo_f_doubles",
+    "halo_em_messages",
+    "halo_em_doubles",
     # repro.serve job-service telemetry (zero in plain simulation runs)
     "jobs_submitted",
     "jobs_deduped",
@@ -67,7 +83,7 @@ COUNTER_NAMES = (
 )
 
 #: gauges (merge: max) — high-water marks / point-in-time levels
-GAUGE_NAMES = ("scratch_bytes", "queue_depth")
+GAUGE_NAMES = ("scratch_bytes", "queue_depth", "cell_threads")
 
 #: fixed step-wall-time histogram bucket upper bounds [ms]
 STEP_MS_BUCKETS = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)

@@ -1,10 +1,10 @@
 """Cross-process observability transport: one shared-memory block per worker.
 
-Reuses the PR 3 transport exactly — the parent allocates one
-``multiprocessing.shared_memory`` segment per sharded worker *before*
-forking (through the same ``ShardedApp._alloc`` plumbing that carries the
-state arrays, so cleanup is shared too), and the worker inherits the
-mapping.  The block is a single ``float64`` array laid out as::
+Reuses the state's transport — the parent allocates one
+``multiprocessing.shared_memory`` segment per sharded worker, in every
+observability mode, *before* forking (through the same
+``ShardedApp._alloc`` plumbing that carries the state arrays, so cleanup
+is shared too), and the worker inherits the mapping.  The block is a single ``float64`` array laid out as::
 
     [ write_count | dropped |  span ring (capacity x 3)  |  metric slots ]
 
@@ -14,7 +14,8 @@ mapping.  The block is a single ``float64`` array laid out as::
   (the workers are idle between commands, so reads never race writes).
   Overwritten records — the parent falling more than ``capacity`` behind —
   are counted, never silently lost.  Label ids index the worker's interned
-  label table, which travels in the existing pipe payloads.
+  label table, which travels in the existing pipe payloads.  The ring has
+  capacity only when tracing.
 * **Metric slots** — the worker's :class:`~repro.obs.metrics.MetricsRegistry`
   is *backed by* this slice, so worker counters are parent-readable at any
   moment with zero copies and zero messages.
@@ -28,8 +29,10 @@ import numpy as np
 
 from .metrics import SLOT_NAMES, MetricsRegistry
 
-__all__ = ["ObsChannel"]
+__all__ = ["ObsChannel", "SPAN_RING"]
 
+#: span records a tracing worker's ring holds between two drains
+SPAN_RING = 8192
 _HEADER = 2   # [0] = write_count, [1] = reserved (writer-side drop count)
 _REC = 3      # label_id, t0, t1
 
@@ -39,7 +42,7 @@ class ObsChannel:
 
     __slots__ = ("buf", "capacity", "_ring", "metrics", "_read")
 
-    def __init__(self, buf: np.ndarray, capacity: int = 8192):
+    def __init__(self, buf: np.ndarray, capacity: int = SPAN_RING):
         need = self.length(capacity)
         if buf.shape != (need,):
             raise ValueError(
@@ -52,7 +55,7 @@ class ObsChannel:
         self._read = 0  # parent-side drain cursor
 
     @staticmethod
-    def length(capacity: int = 8192) -> int:
+    def length(capacity: int = SPAN_RING) -> int:
         """Total float64 slots a channel of this capacity needs."""
         return _HEADER + int(capacity) * _REC + len(SLOT_NAMES)
 

@@ -97,6 +97,11 @@ def _print_summary(result: Dict[str, object], as_json: bool) -> None:
     print(f"wall/step     : {1e3 * result['wall_per_step']:.2f} ms")
 
 
+def _exit_code(result: Dict[str, object]) -> int:
+    """1 for a run that diverged (2 stays a bad spec or checkpoint)."""
+    return 1 if result["status"] == "diverged" else 0
+
+
 def _cmd_list(args) -> int:
     scenarios = list_scenarios()
     width = max(len(sc.name) for sc in scenarios)
@@ -143,7 +148,7 @@ def _cmd_run(args) -> int:
             print(f"checkpoint    : {driver.checkpoint_path}")
         if args.trace and driver.trace_path is not None:
             print(f"trace         : {driver.trace_path}")
-    return 0
+    return _exit_code(result)
 
 
 def _cmd_resume(args) -> int:
@@ -161,7 +166,7 @@ def _cmd_resume(args) -> int:
     finally:
         driver.close()
     _print_summary(result, args.json)
-    return 0
+    return _exit_code(result)
 
 
 def _job_progress(record) -> None:
@@ -410,7 +415,8 @@ def _cmd_plans_warm(args) -> int:
     — serial drivers, sharded parents — hydrate instead of compiling."""
     import numpy as np
 
-    from ..engine.compile import STATS
+    from ..engine.compile import plan_counts
+    from ..obs import OBS
     from .driver import build_app
 
     cache = _plans_cache(args.cache)
@@ -420,12 +426,11 @@ def _cmd_plans_warm(args) -> int:
     overrides["backend"] = "numpy"
     overrides["plan_cache"] = str(cache.root)
     spec = build(args.scenario, **overrides)
-    before = STATS.snapshot()
-    app = build_app(spec)
+    app = build_app(spec)  # starts the metrics window
     state = app.state()
     out = {k: np.empty_like(v) for k, v in state.items()}
     app.rhs(state, out=out)
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plan_counts(OBS.metrics.snapshot())
     print(
         f"warmed {args.scenario!r}: compiled {delta['compiled']}, "
         f"hydrated {delta['hydrated']}, stored {delta['cache_stores']}, "

@@ -19,6 +19,7 @@ the full spec, so resuming needs nothing but the ``.npz`` file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -26,8 +27,8 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from ..cas.codegen import threads_mark
 from ..diagnostics.energy import EnergyHistory
+from ..engine.compile import plan_counts
 from ..io.atomic import publish_text
 from ..io.checkpoint import load_checkpoint, save_checkpoint
 from ..obs import OBS, chrome_trace, merge_snapshots
@@ -131,11 +132,8 @@ class Driver:
         self.spec = spec.validate()
         self.outdir = Path(outdir) if outdir is not None else None
         self.wall_clock_budget = wall_clock_budget
-        # plan-compilation counters are process-global; summary() reports
-        # this driver's contribution as the delta from here
-        from ..engine.compile import STATS as _PLAN_STATS
-
-        self._plan_stats0 = _PLAN_STATS.begin()
+        # build_app resets the process's metrics registry: summary() reports
+        # this driver's window from here
         self.app = build_app(self.spec, state)
         self.history = EnergyHistory(record_jdote=spec.diagnostics.record_jdote)
         self.wall_time = 0.0
@@ -270,9 +268,10 @@ class Driver:
         return drv
 
     # ------------------------------------------------------------------ #
-    def _record(self) -> None:
+    def _record(self) -> bool:
+        """Record (and stream) the energies; False when one is not finite."""
         if not self.spec.diagnostics.energy_interval:
-            return
+            return True
         if OBS.on:
             # what ``driver_overhead`` is made of, besides suggested_dt: the
             # state-sized energy moments, and the record's write + flush
@@ -287,6 +286,10 @@ class Driver:
         else:
             self.history(self.app)
             self._stream_record()
+        h = self.history
+        return math.isfinite(h.field_energy[-1]) and all(
+            math.isfinite(vals[-1]) for vals in h.particle_energy.values()
+        )
 
     def _stream_record(self) -> None:
         """Append the newest history entry to the JSONL stream (if open)."""
@@ -324,12 +327,12 @@ class Driver:
         """Append a cumulative merged-counter snapshot to metrics.jsonl."""
         if self._metrics_stream is None:
             return
+        metrics = self._obs_merged()
         rec: Dict[str, object] = {
             "time": self.app.time,
             "step": self.app.step_count,
-            "metrics": self._obs_merged(),
-            # this process's: forked shard workers run one thread
-            "cell_threads": threads_mark(),
+            "metrics": metrics,
+            "cell_threads": plan_counts(metrics)["cell_threads"],
         }
         if self._run_start is not None:
             elapsed = time.perf_counter() - self._run_start
@@ -376,8 +379,11 @@ class Driver:
         """Advance to ``t_end`` (default: the spec's) or the step cap.
 
         Returns a JSON-serializable summary.  ``status`` is ``"complete"``,
-        ``"max_steps"`` (step cap hit first) or ``"budget_exhausted"``
-        (wall-clock budget hit; a checkpoint is written when configured).
+        ``"max_steps"`` (step cap hit first), ``"budget_exhausted"``
+        (wall-clock budget hit; a checkpoint is written when configured) or
+        ``"diverged"``: an energy record or the CFL frequency is not finite.
+        A diverged run writes no further checkpoint, so the last one on
+        disk is the last periodic checkpoint of a finite state.
 
         While running, diagnostics records stream incrementally to
         :attr:`stream_path` as JSON lines (flushed per record), so long
@@ -422,16 +428,28 @@ class Driver:
                 if obs.on:
                     obs.begin_step(app.step_count)
                     ts = time.perf_counter()
-                    dt = min(app.suggested_dt(), t_end - app.time)
+                    dt = app.suggested_dt()
                     obs.finish("driver.suggested_dt", ts)
+                else:
+                    dt = app.suggested_dt()
+                if not dt > 0.0:  # NaN: a non-finite CFL frequency
+                    status = "diverged"
+                    break
+                dt = min(dt, t_end - app.time)
+                if obs.on:
                     ts = time.perf_counter()
                     app.step(dt)
                     elapsed = obs.finish("step", ts, _S_STEPS)
                     obs.metrics.observe_step_ms(elapsed * 1e3)
                 else:
-                    app.step(min(app.suggested_dt(), t_end - app.time))
-                if diag.energy_interval and app.step_count % diag.energy_interval == 0:
-                    self._record()
+                    app.step(dt)
+                if (
+                    diag.energy_interval
+                    and app.step_count % diag.energy_interval == 0
+                    and not self._record()
+                ):
+                    status = "diverged"
+                    break
                 if diag.checkpoint_interval and app.step_count % diag.checkpoint_interval == 0:
                     self.checkpoint()
             else:
@@ -450,7 +468,7 @@ class Driver:
             if obs.mode == "trace":
                 self._write_trace()
         self.wall_time += time.perf_counter() - start
-        if self.checkpoint_path is not None:
+        if self.checkpoint_path is not None and status != "diverged":
             self.checkpoint()
         return self.summary(status)
 
@@ -485,25 +503,14 @@ class Driver:
         }
         if self.history.times:
             out["energy_drift"] = self.history.relative_drift()
-        from ..engine.compile import STATS as _PLAN_STATS
-
-        plans = _PLAN_STATS.delta(_PLAN_STATS.snapshot(), self._plan_stats0)
-        worker_stats = getattr(app, "plan_stats", None)
-        if callable(worker_stats):
-            # sharded runs: fold in the counters the forked workers report
-            # (their compiles happen in child processes, not this one)
-            for payload in worker_stats():
-                for key, val in payload.items():
-                    if key in _PLAN_STATS.LEVELS:
-                        plans[key] = max(plans.get(key, 1), val)
-                    else:
-                        plans[key] = plans.get(key, 0) + val
-        out["plans"] = plans
+        # sharded: merged with every worker's, which compiles its own plans
+        metrics = self._obs_merged()
+        out["plans"] = plan_counts(metrics)
         if OBS.on:
             out["obs"] = {
                 "mode": OBS.mode,
                 "sample": OBS.sample,
-                "metrics": self._obs_merged(),
+                "metrics": metrics,
                 "steps_per_s": self._steps_per_s,
             }
         return out

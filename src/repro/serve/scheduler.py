@@ -63,7 +63,7 @@ def _worker_id() -> str:
 def run_job(store: FileJobStore, record: dict) -> dict:
     """Execute one claimed job: build the spec, run the Driver into the
     job's output directory, persist ``result.json``.  Returns the run
-    summary.  (Import of the Driver is local so worker processes pay for
+    summary; a run that diverged raises instead (the job fails).  (Import of the Driver is local so worker processes pay for
     the runtime stack only when they actually run something.)"""
     from ..runtime.driver import Driver
     from ..runtime.spec import SimulationSpec
@@ -81,6 +81,11 @@ def run_job(store: FileJobStore, record: dict) -> dict:
         result = driver.run()
     finally:
         driver.close()
+    if result["status"] == "diverged":
+        # the job fails, naming the status; its last good checkpoint stays
+        raise RuntimeError(
+            f"run diverged at step {result['steps']} (t={result['time']:.6g})"
+        )
     publish_text(store.result_path(record["id"]), json.dumps(result, indent=2))
     return result
 

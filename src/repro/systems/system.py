@@ -17,6 +17,7 @@ worker's shared-memory slab, a checkpoint — never projects one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Sequence
@@ -313,15 +314,19 @@ class System:
         :meth:`set_state`, never into its arrays."""
         state = self.state()
         token = self._state_token()
-        freq = self.field.max_frequency()
+        freqs = [self.field.max_frequency()]
         em_eff = self.field.em_for_species(self, state, token)
         for blk, key in self._species_keys:
-            freq = max(freq, blk.solver.max_frequency(em_eff))
+            freqs.append(blk.solver.max_frequency(em_eff))
             if blk.collisions is not None:
-                freq = max(
-                    freq, blk.collisions.max_frequency(state[key], blk.moments, token)
+                freqs.append(
+                    blk.collisions.max_frequency(state[key], blk.moments, token)
                 )
-        return cfl_dt(self.cfl, freq)
+        # max() keeps a finite first entry over a NaN: a state that is no
+        # longer finite gets a NaN step instead (``Driver.run``: diverged)
+        if not all(map(math.isfinite, freqs)):
+            return math.nan
+        return cfl_dt(self.cfl, max(freqs))
 
     def step(self, dt: Optional[float] = None) -> float:
         """Advance one step (in place; the state arrays are mutated);

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.cas.codegen as codegen
 from repro.collisions import LBOCollisions
-from repro.engine import STATS, CellProgram, Stage, compiler_config
+from repro.engine import CellProgram, Stage, compiler_config, plan_counts
 from repro.engine.program import Faces, Scale, Subtract, Sweep
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import modal_update_traffic
@@ -32,6 +32,7 @@ from repro.kernels.generator import FACE_SIGN
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import stack_termsets
 from repro.moments import MomentCalculator
+from repro.obs import OBS
 from repro.runtime import build
 from repro.systems import build_system, get_system_kind, list_system_kinds
 from repro.timestepping import ForwardEuler, SSPRK2, SSPRK3
@@ -348,7 +349,7 @@ def test_failed_kernel_build_degrades_to_the_reference_form(monkeypatch, tmp_pat
 
     monkeypatch.setattr(codegen, "_build_sweep", broken)
     monkeypatch.setattr(codegen, "_LOADED_KERNELS", {})
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with compiler_config(tier="cc", cache=str(tmp_path)):
@@ -358,7 +359,8 @@ def test_failed_kernel_build_degrades_to_the_reference_form(monkeypatch, tmp_pat
             solver.rhs(f, em)
     built = [w for w in caught if "C sweep kernel build failed" in str(w.message)]
     assert len(built) == 1 and built[0].category is RuntimeWarning
-    delta = STATS.delta(STATS.snapshot(), before)
+    after = OBS.metrics.snapshot()
+    delta = plan_counts({k: after[k] - before[k] for k in after})
     assert delta["kernels_failed"] > 0 and delta["kernels_built"] == 0
     assert solver._program.tier == "numpy"
     assert target.tobytes() == want.tobytes()

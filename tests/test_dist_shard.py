@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.dist import BlockGrid, ShardedApp, ShardPlan, fill_padded
-from repro.dist.plan import HaloStats
 from repro.grid import Grid
 from repro.io.checkpoint import load_checkpoint
 from repro.runtime import Driver, build
@@ -289,13 +288,10 @@ def test_block_grid_geometry_is_bitwise_parent():
 def test_fill_padded_periodic_ghosts():
     # cell-major layout: the configuration axis leads, trailing axes carry
     # the per-cell coefficient block — each ghost slab is contiguous
-    stats = HaloStats()
     arr = np.arange(6 * 2, dtype=float).reshape(6, 2)
     pad = np.zeros((5, 2))
-    fill_padded(arr, pad, ranges=[(0, 3)], pad=[1], conf_cells=(6,), stats=stats)
+    halo = fill_padded(arr, pad, ranges=[(0, 3)], pad=[1], conf_cells=(6,))
     assert np.array_equal(pad[1:4], arr[0:3])
     assert np.array_equal(pad[0], arr[5])   # periodic wrap low
     assert np.array_equal(pad[4], arr[3])   # high neighbour
-    assert stats.messages == 2
-    assert stats.doubles == 4
-    assert stats.bytes == 32
+    assert halo == (2, 4)  # two ghost slabs, four doubles

@@ -12,8 +12,9 @@ from repro import projection
 from repro.basis.modal import ModalBasis, tensor_gauss_points
 from repro.cas import codegen
 from repro.cas.codegen import cc_available
-from repro.engine.compile import STATS, compiler_config
+from repro.engine.compile import compiler_config, plan_counts
 from repro.grid import Grid, PhaseGrid
+from repro.obs import OBS
 from repro.projection import project_on_grid, project_phase_function
 from repro.runtime.profiles import (
     CONF_PROFILES,
@@ -329,11 +330,11 @@ def test_projection_counts_no_kernel_and_leaves_the_build_to_a_plan(
     monkeypatch.setattr(codegen, "_LOADED_KERNELS", {})
     grid = Grid(*LAYOUTS[(1, 1)])
     basis = ModalBasis(2, 1, "serendipity")
-    before = STATS.snapshot()
+    before = plan_counts(OBS.metrics.snapshot())
     with compiler_config(tier="cc", cache=str(tmp_path)):
         project_phase_function(_wavy, PhaseGrid(
             Grid([0.0], [2.0], [5]), Grid([-3.0], [3.0], [7])), basis)
-    assert STATS.snapshot() == before
+    assert plan_counts(OBS.metrics.snapshot()) == before
     assert list(tmp_path.glob("ccsweep-*.so"))
     (key, kern), = codegen._LOADED_KERNELS.items()
     assert kern.fresh  # unclaimed

@@ -6,6 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.basis.multiindex import num_basis
+from repro.cas.codegen import select_tier
+from repro.dist import ShardPlan
 from repro.obs import OBS
 from repro.runtime import Driver, build
 
@@ -74,6 +77,38 @@ def test_sharded_counters_follow_worker_model(tmp_path):
         assert driver.summary()["obs"]["metrics"]["steps"] == 3.0
     finally:
         driver.close()
+
+
+@pytest.mark.parametrize("backend", ["numpy", "process:2"])
+def test_counts_do_not_depend_on_the_mode(backend):
+    """Plan, kernel, thread and halo counts are kept in every mode: off
+    mode reads the workers' through their shared-memory channels alone,
+    and a sharded run's halo doubles are the Fig. 3 model's."""
+    spec = build(
+        "weibel_2x2v", nx=4, nv=6, poly_order=1, steps=2, plan_cache="off",
+        backend=backend,
+    )
+    # builds the C kernel in this process first, so both runs below load it
+    Driver(spec.with_overrides({"backend": "numpy"})).run()
+    seen = {}
+    for mode in ("off", "summary"):
+        driver = Driver(spec.with_overrides({"observability.mode": mode}))
+        try:
+            plans = driver.run()["plans"]
+        finally:
+            driver.close()
+        plans.pop("compile_seconds")  # a time, not a count
+        seen[mode] = (plans, getattr(driver.app, "halo_stats", None))
+    assert seen["off"] == seen["summary"]
+    plans, halo = seen["off"]
+    assert plans["compiled"] > 0 and plans["kernels_failed"] == 0
+    if select_tier() == "cc":
+        assert plans["kernels_built"] + plans["kernels_loaded"] == plans["compiled"]
+    if backend != "numpy":
+        plan = ShardPlan.create(spec.conf_grid.cells, 2)
+        per_exchange = plan.model_halo_doubles(num_basis(4, 1, "serendipity"), (6, 6))
+        assert halo["f"]["doubles"] == per_exchange * 3 * spec.steps  # ssp-rk3
+        assert halo["bytes"] == 8 * halo["doubles"] > 8 * halo["f"]["doubles"]
 
 
 def test_sharded_bit_identical_with_tracing_on(tmp_path):

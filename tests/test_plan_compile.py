@@ -26,16 +26,17 @@ import pytest
 from repro.cas import codegen
 from repro.cas.codegen import cc_available, compile_kernel, select_tier
 from repro.engine.compile import (
-    STATS,
     CompilerConfig,
     compile_plan,
     compiler_config,
+    plan_counts,
 )
 from repro.engine.plan import ExecutionPlan, aux_signature, plan_digest
 from repro.engine import plancache
 from repro.engine.plancache import PlanCache, resolve_cache_root
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import TermSet
+from repro.obs import OBS
 
 CDIM, VDIM = 1, 1
 NCX, NCV = 3, 4
@@ -44,6 +45,12 @@ NCX, NCV = 3, 4
 #: velocity-cell counts on either side of every tile boundary of the C sweep
 #: (scalar tail, half vectors, one vector, four vectors) at any vector width
 NVELS = (1, 2, 3, 7, 8, 9, 31, 32, 33, 67)
+
+
+def plans_since(before):
+    """The plan counts of the metrics registry since snapshot ``before``."""
+    after = OBS.metrics.snapshot()
+    return plan_counts({k: after[k] - before[k] for k in after})
 
 
 def random_termset(rng, nout=5, nin=6, nterms=7):
@@ -383,13 +390,13 @@ def test_failed_kernel_build_is_counted_and_reported(case, tmp_path, monkeypatch
     stub.chmod(0o755)
     monkeypatch.setenv("CC", str(stub))
     monkeypatch.setattr(codegen, "_CC", None)  # re-probe: finds the stub
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     with compiler_config(tier="cc", cache="off"):
         assert select_tier("cc") == "cc"
         with pytest.warns(RuntimeWarning, match="stubcc: cannot compile anything"):
             plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
         out = plan.apply(f_cm, aux, np.zeros((NCX, ts.nout, NCV)))
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert plan.tier == "numpy" and plan.kernel_status == "failed"
     assert delta["kernels_failed"] == 1
     assert delta["kernels_built"] == delta["kernels_loaded"] == 0
@@ -467,14 +474,14 @@ def test_resolve_cache_root():
 def test_cache_hydration_is_bit_identical_and_compile_free(case, tmp_path):
     ts, aux, f_cm = case
     cache = str(tmp_path / "plans")
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     cold = apply_with(ts, aux, f_cm, cache=cache)
-    d1 = STATS.delta(STATS.snapshot(), before)
+    d1 = plans_since(before)
     assert d1["compiled"] >= 1 and d1["cache_stores"] >= 1
 
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     warm = apply_with(ts, aux, f_cm, cache=cache)
-    d2 = STATS.delta(STATS.snapshot(), before)
+    d2 = plans_since(before)
     assert d2["compiled"] == 0
     assert d2["hydrated"] >= 1 and d2["cache_hits"] >= 1
     assert np.array_equal(cold, warm)
@@ -504,16 +511,16 @@ def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path):
         assert entries
         for path in entries:
             damage(path)
-        before = STATS.snapshot()
+        before = OBS.metrics.snapshot()
         got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-        delta = STATS.delta(STATS.snapshot(), before)
+        delta = plans_since(before)
         assert delta["cache_misses"] >= 1 and delta["compiled"] >= 1
         assert delta["hydrated"] == 0  # rejected, never served
         assert np.array_equal(cold, got)
         # the recompile re-published good payloads: next load hydrates again
-        before = STATS.snapshot()
+        before = OBS.metrics.snapshot()
         again = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-        assert STATS.delta(STATS.snapshot(), before)["compiled"] == 0
+        assert plans_since(before)["compiled"] == 0
         assert np.array_equal(cold, again)
 
 
@@ -539,9 +546,9 @@ def test_a_second_load_of_unchanged_bytes_opens_no_archive(case, tmp_path, monke
     cold = apply_with(ts, aux, f_cm, cache=cache)  # compiles and publishes
     apply_with(ts, aux, f_cm, cache=cache)  # parses the entries
     opened = _count_archive_opens(monkeypatch)
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     warm = apply_with(ts, aux, f_cm, cache=cache)
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert opened == []
     assert delta["compiled"] == 0 and delta["hydrated"] >= 1 and delta["cache_hits"] >= 1
     assert np.array_equal(cold, warm)
@@ -555,9 +562,9 @@ def test_an_entry_damaged_after_it_was_memoized_is_recompiled(case, tmp_path, da
     apply_with(ts, aux, f_cm, cache=str(cache_dir))  # memoizes the payloads
     for path in cache_dir.glob("plan-*.npz"):
         damage(path)
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert delta["cache_misses"] >= 1 and delta["compiled"] >= 1
     assert delta["hydrated"] == 0  # other bytes, other key: never served
     assert np.array_equal(cold, got)
@@ -607,9 +614,9 @@ def test_only_a_bad_payload_falls_back_to_compile(case, tmp_path, monkeypatch):
             arrays = {key: z[key] for key in z.files}
         arrays["g0i"][0] = ts.nin  # one column past the input rows
         np.savez(path, **arrays)
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert delta["hydrated"] == 0 and delta["compiled"] >= 1
     assert np.array_equal(cold, got)
 
@@ -649,8 +656,9 @@ def test_cache_reuse_across_processes(tmp_path):
     out_file = tmp_path / "child_out.npy"
     script = f"""
 import numpy as np
-from repro.engine.compile import STATS, compiler_config
+from repro.engine.compile import compiler_config, plan_counts
 from repro.kernels.grouped import GroupedOperator
+from repro.obs import OBS
 from test_plan_compile import NCX, NCV, CDIM, VDIM, random_termset, random_aux
 
 rng = np.random.default_rng(1234)
@@ -660,7 +668,8 @@ with compiler_config(cache={str(cache_dir)!r}):
     op = GroupedOperator(ts, CDIM, VDIM)
     out = np.zeros((NCX, ts.nout, NCV))
     op.apply(f_cm, aux, out)
-assert STATS.compiled >= 1 and STATS.cache_stores >= 1
+counts = plan_counts(OBS.metrics.snapshot())
+assert counts["compiled"] >= 1 and counts["cache_stores"] >= 1
 np.save({str(out_file)!r}, out)
 """
     root = Path(__file__).resolve().parent.parent
@@ -675,9 +684,9 @@ np.save({str(out_file)!r}, out)
     rng = np.random.default_rng(1234)
     ts, aux = random_termset(rng), random_aux(rng)
     f_cm = rng.standard_normal((NCX, ts.nin, NCV))
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     got = apply_with(ts, aux, f_cm, cache=str(cache_dir))
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert delta["compiled"] == 0 and delta["hydrated"] >= 1
     assert np.array_equal(np.load(out_file), got)
 
@@ -711,10 +720,10 @@ def test_compile_plan_counts_kernels(case, tmp_path):
     ts, aux, f_cm = case
     if select_tier("auto") == "numpy":
         pytest.skip("no compiled kernel tier available")
-    before = STATS.snapshot()
+    before = OBS.metrics.snapshot()
     with compiler_config(cache=str(tmp_path / "plans")):
         compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
-    delta = STATS.delta(STATS.snapshot(), before)
+    delta = plans_since(before)
     assert delta["kernels_built"] + delta["kernels_loaded"] == 1
     assert delta["compiled"] == 1 and delta["compile_seconds"] > 0
 

@@ -105,6 +105,30 @@ def _munged_key_names(path, state, meta):
     )
 
 
+def test_a_diverged_run_exits_1(capsys, tmp_path):
+    """``run`` and ``resume`` exit 1 on status ``diverged`` (2 stays a bad
+    spec or checkpoint): cfl=2 blows weibel up, a NaN resumes as one."""
+    from repro.io import load_checkpoint, save_checkpoint
+
+    small = ["--set", "nx=4", "--set", "nv=6", "--set", "poly_order=1"]
+    assert main([
+        "run", "weibel_2x2v", *small, "--set", "cfl=2.0",
+        "--set", "steps=1000", "--set", "t_end=1e9", "--json",
+    ]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "diverged"
+    assert main([
+        "run", "weibel_2x2v", *small, "--set", "steps=2",
+        "--outdir", str(tmp_path),
+    ]) == 0
+    ckpt = tmp_path / "checkpoint.npz"
+    state, meta = load_checkpoint(ckpt)
+    state["f/elc"].flat[0] = np.nan
+    save_checkpoint(ckpt, state, meta)
+    capsys.readouterr()
+    assert main(["resume", str(ckpt), "--set", "steps=4", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "diverged"
+
+
 @pytest.mark.parametrize(
     "damage", [_truncate, _flip_one_byte, _untagged_mode_major, _munged_key_names]
 )

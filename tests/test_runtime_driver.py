@@ -7,6 +7,7 @@ import pytest
 
 import repro.cas.codegen as codegen
 from repro.collisions import LBOCollisions
+from repro.io import load_checkpoint
 from repro.runtime import Driver, SpecError, build, build_app
 from repro.systems import System
 
@@ -291,6 +292,38 @@ def test_summary_reports_the_threads_the_run_split_over(monkeypatch):
     assert two["plans"]["cell_threads"] == (2 if codegen.select_tier() == "cc" else 1)
     assert one["plans"]["cell_threads"] == 1  # each run starts over
     assert two["total_energy"] == one["total_energy"]
+
+
+@pytest.mark.parametrize(
+    "scenario,overrides",
+    [
+        # Poisson: the charge density, hence the CFL frequency, goes NaN
+        ("two_stream", {"nx": 4, "nv": 8}),
+        # Maxwell: the CFL frequency stays finite; the energy record does not
+        ("weibel_2x2v", {"nx": 4, "nv": 6, "poly_order": 1}),
+    ],
+)
+def test_a_diverging_run_stops_with_its_last_good_checkpoint(
+    tmp_path, scenario, overrides
+):
+    spec = build(
+        scenario, steps=2, t_end=1e6, **overrides,
+        **{"diagnostics.checkpoint_interval": 1},
+    )
+    Driver(spec, outdir=tmp_path).run()
+    path = tmp_path / "checkpoint.npz"
+    good, _ = load_checkpoint(path)
+    drv = Driver.from_checkpoint(path, outdir=tmp_path, overrides={"steps": 6})
+    state = {k: np.array(v) for k, v in drv.app.state().items()}
+    next(v for k, v in state.items() if k.startswith("f/")).flat[0] = np.nan
+    drv.app.set_state(state)
+    result = drv.run()
+    assert result["status"] == "diverged" and result["steps"] <= 3
+    kept, meta = load_checkpoint(path)
+    assert meta["step_count"] == 2
+    assert kept.keys() == good.keys()
+    for key, ref in good.items():
+        assert np.isfinite(kept[key]).all() and np.array_equal(kept[key], ref), key
 
 
 def test_second_driver_hydrates_from_disk_cache(tmp_path):

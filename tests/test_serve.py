@@ -189,6 +189,21 @@ def test_a_damaged_job_record_does_not_stop_the_queue(tmp_path):
     assert store.get(rec["id"])["status"] == "done"
 
 
+def test_a_diverging_job_fails_naming_the_status(tmp_path):
+    """A run that ends ``diverged`` (cfl=2 blows weibel up within a few
+    hundred steps) finishes its job ``failed``, with no result."""
+    store = FileJobStore(tmp_path, lease_timeout=5.0)
+    rec, _ = store.submit(build(
+        "weibel_2x2v", nx=4, nv=6, poly_order=1, cfl=2.0, steps=1000, t_end=1e9
+    ))
+    assert worker_loop(tmp_path, lease_timeout=5.0, exit_when_idle=True) == {
+        "ran": [], "failed": [rec["id"]]
+    }
+    done = store.get(rec["id"])
+    assert done["status"] == "failed" and "diverged" in done["error"]
+    assert not store.result_path(rec["id"]).exists()
+
+
 # ---------------------------------------------------------------------- #
 # HTTP end-to-end: dedup + byte-identical streaming
 # ---------------------------------------------------------------------- #
