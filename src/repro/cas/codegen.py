@@ -16,15 +16,19 @@ products pulled out.  This module does the same in Python, at two levels:
   coefficient vectors.
 * :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
   the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes, with four entry points: three over one loop body —
+  freezes, with six entry points: four over one loop body —
   ``fused_sweep`` (state in, state out), ``face_flux`` (the same groups
   across the faces of one direction: two trace slots in, both overwritten
-  with the flux) and ``cell_rhs`` (a
+  with the flux), ``cell_rhs`` (a
   :class:`~repro.engine.program.CellProgram`: per configuration cell, a
   table of sweeps and velocity-face fluxes on cell-local blocks, optionally
-  the Shu–Osher stage) — and ``project_accumulate``, the quadrature sum of
-  the initial-condition projection (:mod:`repro.projection`).  The first
-  three split their loop over configuration cells (faces) across the CPUs
+  the Shu–Osher stage) and ``moments`` (per configuration cell, several
+  plans' sweeps, each row summed over the velocity cells in numpy's order:
+  :class:`~repro.moments.MomentCalculator`) — ``project_accumulate``, the
+  quadrature sum of the initial-condition projection
+  (:mod:`repro.projection`), and ``weak_primitive``, the LBO's per-cell weak
+  division (:mod:`repro.moments.weak_ops`).  All but the last split their
+  loop over configuration cells (faces) across the CPUs
   the process may run on, with threads started and joined inside each call
   (:func:`cell_threads` decides how many; one in a forked child).  Its
   source is a constant — shapes, the ``accumulate`` flag, the group and face
@@ -76,6 +80,8 @@ __all__ = [
     "FACE_FLUX_ARGTYPES",
     "CELL_RHS_ARGTYPES",
     "PROJECT_ACCUMULATE_ARGTYPES",
+    "MOMENTS_ARGTYPES",
+    "WEAK_PRIMITIVE_ARGTYPES",
     "CC_FLAGS",
     "CC_ISA_FLAG",
     "compile_fused_sweep",
@@ -221,13 +227,14 @@ def select_tier(tier: str = "auto") -> str:
 
 #: C source of the sweep kernels — a constant: every shape is an argument, so
 #: one shared object per toolchain and target ISA serves every plan.  It has
-#: four entry points: three over one group-table format, and the
-#: projection's accumulate.
+#: six entry points: four over one group-table format, the projection's
+#: accumulate and the LBO's weak division.
 #:
-#: *Threads.*  Every entry point takes a trailing ``nthreads``
-#: (:func:`cell_threads` picks it when the call is bound) and splits its
-#: outer loop — configuration cells for ``fused_sweep``, ``cell_rhs`` and
-#: ``project_accumulate``, face rows for ``face_flux`` — into ``nthreads``
+#: *Threads.*  Every entry point but ``weak_primitive`` takes a trailing
+#: ``nthreads`` (:func:`cell_threads` picks it when the call is bound) and
+#: splits its outer loop — configuration cells for ``fused_sweep``,
+#: ``cell_rhs``, ``moments`` and ``project_accumulate``, face rows for
+#: ``face_flux`` — into ``nthreads``
 #: contiguous ranges (at most one per cell or face; ``run_split``).  Range
 #: 0 runs on the calling thread, every other range on a thread started for
 #: this call (on the caller, should one fail to start), and all are joined
@@ -236,8 +243,9 @@ def select_tier(tier: str = "auto") -> str:
 #: reads what another writes — a sweep cell writes only its own output
 #: cell, a face only its own two slots (``FaceMap.in_place``), a program
 #: cell only its own output and its thread's scratch, reading the state and
-#: the streaming buffer finished before the call, a projection cell only
-#: its own output rows.  No thread outlives a call, so a fork (a
+#: the streaming buffer finished before the call, a moment cell only its
+#: own output rows and its thread's row buffer, a projection cell only its
+#: own output rows.  No thread outlives a call, so a fork (a
 #: ``process:N`` shard, a serve worker) inherits none — nothing to rebuild
 #: after it, unlike a persistent pool (OpenMP's hangs in a forked child).
 #:
@@ -343,6 +351,34 @@ def select_tier(tier: str = "auto") -> str:
 #: element the product rounded, then the add, point after point: the float
 #: sequence of the per-point numpy loop ``out += (wts[q] * vander[:, q]) *
 #: vals``, so with contraction off the bits are that loop's.
+#:
+#: ``moments(f, out, cs, ms, ncfg, nin, nvel, nmom, table, rows, rs,
+#: nthreads)`` reduces ``f`` ``(ncfg, nin, nvel)`` over velocity: ``table``
+#: is ``nmom`` rows of 3 int64 — a moment plan's ``nout``, its group count
+#: and the address of its group table.  Per configuration cell ``c`` and
+#: moment ``j`` it sweeps the groups over the cell into the thread's row
+#: buffer (``rows`` + thread × ``rs`` doubles; ``fused_sweep``'s element
+#: sequence) and writes each row's sum to ``out[c * cs + j * ms + r]``:
+#: ``+0.0`` plus the row summed as numpy's ``pairwise_sum`` does — fewer
+#: than 8 values in order from ``+0.0``; up to 128 into 8 accumulators
+#: (``r[t] += a[i + t]``), combined as ``((r0 + r1) + (r2 + r3)) + ((r4 +
+#: r5) + (r6 + r7))``, then the tail in order; longer rows split at half
+#: the length rounded down to a multiple of 8, the two sums added.  That is
+#: the float sequence of ``np.sum`` over the trailing velocity axes of the
+#: swept phase-space buffer (its identity ``+0.0`` plus one pairwise
+#: reduction per output), so the bits are the numpy tier's.
+#:
+#: ``weak_primitive(m, cs, ms, prim, ncfg, n, vdim, t)`` is the LBO's weak
+#: division: per configuration cell ``c`` (moments ``M0, M1_0 ..,
+#: M1_{vdim-1}, M2`` at ``m + c * cs + k * ms``, ``t`` the ``(n, n, n)``
+#: triple-product tensor) it forms ``A[l, m] = sum_k t[l, m, k] M0[k]``,
+#: factors it by LU with partial pivoting (the first largest magnitude
+#: wins, a NaN at once), solves for each ``u_j`` and then for ``vtsq``
+#: from ``(M2 - sum_j Proj(u_j M1_j)) / vdim``, and writes them to ``prim``
+#: ``(vdim + 1, n, ncfg)``; every sum is sequential from ``+0.0``, in the
+#: order of :func:`repro.moments.weak_ops.weak_primitive`, so the bits are
+#: that function's.  It returns ``-1``, or the first cell whose pivot is an
+#: exact zero (that cell and the later ones are not written).
 FUSED_SWEEP_C = r"""#include <pthread.h>
 #include <stdint.h>
 
@@ -765,6 +801,168 @@ void project_accumulate(int64_t nq, int64_t np, int64_t ncfg, int64_t nvel,
     const project_args a = {nq, np, ncfg, nvel, C, V, out};
     run_split(project_range, &a, ncfg, nthreads);
 }
+
+/* the n contiguous doubles at a summed in numpy's pairwise order */
+static double pairwise_sum(const double* a, int64_t n)
+{
+    int64_t i, n2;
+    int j;
+    double r[8], res = 0.0;
+    if (n < 8) {
+        for (i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; ++j)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+typedef struct {
+    const double* f;
+    double* out;
+    int64_t cs, ms, nin, nvel, nmom;
+    const int64_t* table;
+    double* rows;
+    int64_t rs;
+} moment_args;
+
+static void moment_range(const void* args, int64_t lo, int64_t hi, int64_t t)
+{
+    const moment_args* a = args;
+    const int64_t nvel = a->nvel;
+    double* rows = a->rows + t * a->rs;
+    int64_t c, j, r;
+    for (c = lo; c < hi; ++c) {
+        const double* fc = a->f + c * a->nin * nvel;
+        for (j = 0; j < a->nmom; ++j) {
+            const int64_t* m = a->table + 3 * j;
+            double* o = a->out + c * a->cs + j * a->ms;
+            sweep_cell(fc, rows, nvel, c, 0, m[0], m[1], GROUPS(m[2]));
+            for (r = 0; r < m[0]; ++r)
+                o[r] = 0.0 + pairwise_sum(rows + r * nvel, nvel);
+        }
+    }
+}
+
+void moments(const double* f, double* out, int64_t cs, int64_t ms,
+             int64_t ncfg, int64_t nin, int64_t nvel, int64_t nmom,
+             const int64_t* table, double* rows, int64_t rs, int64_t nthreads)
+{
+    const moment_args a = {f, out, cs, ms, nin, nvel, nmom, table, rows, rs};
+    run_split(moment_range, &a, ncfg, nthreads);
+}
+
+/* a[l, m] = sum_k t[l, m, k] * v[k], k ascending from +0.0 */
+static void contract(const double* t, const double* v, double* a, int64_t n)
+{
+    int64_t lm, k;
+    for (lm = 0; lm < n * n; ++lm) {
+        double acc = 0.0;
+        for (k = 0; k < n; ++k)
+            acc += t[lm * n + k] * v[k];
+        a[lm] = acc;
+    }
+}
+
+/* x = a^-1 b for the factors of lu_factor (b is overwritten) */
+static void lu_solve(const double* a, const int64_t* piv, double* b,
+                     double* x, int64_t n)
+{
+    int64_t i, j, k;
+    for (k = 0; k < n; ++k) {
+        const double bk = b[piv[k]];
+        b[piv[k]] = b[k];
+        b[k] = bk;
+        for (i = k + 1; i < n; ++i)
+            b[i] = b[i] - a[i * n + k] * b[k];
+    }
+    for (i = n - 1; i >= 0; --i) {
+        double s = b[i];
+        for (j = i + 1; j < n; ++j)
+            s = s - a[i * n + j] * x[j];
+        x[i] = s / a[i * n + i];
+    }
+}
+
+/* LU with partial pivoting in place (the first largest magnitude wins, a
+   NaN wins at once); 0 for an exact-zero pivot */
+static int lu_factor(double* a, int64_t* piv, int64_t n)
+{
+    int64_t i, j, k, p;
+    for (k = 0; k < n; ++k) {
+        double best = __builtin_fabs(a[k * n + k]);
+        for (p = k, i = k + 1; i < n && best == best; ++i) {
+            const double v = __builtin_fabs(a[i * n + k]);
+            if (v > best || v != v) {
+                best = v;
+                p = i;
+            }
+        }
+        piv[k] = p;
+        if (a[p * n + k] == 0.0)
+            return 0;
+        for (j = 0; j < n; ++j) {
+            const double s = a[k * n + j];
+            a[k * n + j] = a[p * n + j];
+            a[p * n + j] = s;
+        }
+        for (i = k + 1; i < n; ++i) {
+            const double l = a[i * n + k] / a[k * n + k];
+            a[i * n + k] = l;
+            for (j = k + 1; j < n; ++j)
+                a[i * n + j] = a[i * n + j] - l * a[k * n + j];
+        }
+    }
+    return 1;
+}
+
+int64_t weak_primitive(const double* m, int64_t cs, int64_t ms, double* prim,
+                       int64_t ncfg, int64_t n, int64_t vdim, const double* t)
+{
+    double a[n * n], b[n * n], w[n], x[n], udm[n];
+    int64_t piv[n], c, j, l, k;
+    for (c = 0; c < ncfg; ++c) {
+        const double* mc = m + c * cs;
+        contract(t, mc, a, n);
+        if (!lu_factor(a, piv, n))
+            return c;
+        for (l = 0; l < n; ++l)
+            udm[l] = 0.0;
+        for (j = 0; j < vdim; ++j) {
+            const double* m1 = mc + (1 + j) * ms;
+            for (l = 0; l < n; ++l)
+                w[l] = m1[l];
+            lu_solve(a, piv, w, x, n);
+            for (l = 0; l < n; ++l)
+                prim[(j * n + l) * ncfg + c] = x[l];
+            contract(t, m1, b, n);
+            for (l = 0; l < n; ++l) {
+                double acc = 0.0;
+                for (k = 0; k < n; ++k)
+                    acc += b[l * n + k] * x[k];
+                udm[l] = udm[l] + acc;
+            }
+        }
+        for (l = 0; l < n; ++l)
+            w[l] = (mc[(vdim + 1) * ms + l] - udm[l]) / (double)vdim;
+        lu_solve(a, piv, w, x, n);
+        for (l = 0; l < n; ++l)
+            prim[(vdim * n + l) * ncfg + c] = x[l];
+    }
+    return -1;
+}
 """
 
 #: ctypes signature of ``fused_sweep``: two pointers, six integers, the
@@ -797,6 +995,17 @@ CELL_RHS_ARGTYPES = (
 #: pointers, the thread count
 PROJECT_ACCUMULATE_ARGTYPES = (
     [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
+)
+#: ctypes signature of ``moments``: two pointers, six integers, the table,
+#: the row buffers and their stride, the thread count
+MOMENTS_ARGTYPES = (
+    [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 2
+    + [ctypes.c_int64] * 2
+)
+#: ctypes signature of ``weak_primitive`` (it returns an int64)
+WEAK_PRIMITIVE_ARGTYPES = (
+    [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
 )
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
@@ -907,14 +1116,16 @@ def _native_target(cc: str) -> str:
 class CcSweep(NamedTuple):
     """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    #: ctypes entry points of :data:`FUSED_SWEEP_C`, all four:
-    #: ``fused_sweep``, ``face_flux``, ``cell_rhs`` and
-    #: ``project_accumulate`` (pointers are passed as ``arr.ctypes.data``
-    #: integers)
+    #: ctypes entry points of :data:`FUSED_SWEEP_C`, all six:
+    #: ``fused_sweep``, ``face_flux``, ``cell_rhs``, ``project_accumulate``,
+    #: ``moments`` and ``weak_primitive`` (pointers are passed as
+    #: ``arr.ctypes.data`` integers)
     fn: object
     faces: object
     cells: object
     project: object
+    moments: object
+    divide: object
     #: whether this process ran the compiler for it and no earlier claiming
     #: request (see :func:`compile_fused_sweep`) took that news (False:
     #: reuse of the content-addressed artifact, from disk or from this
@@ -983,7 +1194,7 @@ def compile_fused_sweep(
                 _build_sweep(cc[0], src_path, str(tmp))
         lib = ctypes.CDLL(str(so_path))
         fn, faces, cells = lib.fused_sweep, lib.face_flux, lib.cell_rhs
-        project = lib.project_accumulate
+        project, moments, divide = lib.project_accumulate, lib.moments, lib.weak_primitive
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not
         # writable; the object does not load: degrade to the numpy tier,
@@ -999,11 +1210,14 @@ def compile_fused_sweep(
             stacklevel=2,
         )
         return None
-    fn.restype = faces.restype = cells.restype = project.restype = None
+    fn.restype = faces.restype = cells.restype = project.restype = moments.restype = None
+    divide.restype = ctypes.c_int64
     fn.argtypes = FUSED_SWEEP_ARGTYPES
     faces.argtypes = FACE_FLUX_ARGTYPES
     cells.argtypes = CELL_RHS_ARGTYPES
     project.argtypes = PROJECT_ACCUMULATE_ARGTYPES
-    kern = CcSweep(fn, faces, cells, project, fresh)
+    moments.argtypes = MOMENTS_ARGTYPES
+    divide.argtypes = WEAK_PRIMITIVE_ARGTYPES
+    kern = CcSweep(fn, faces, cells, project, moments, divide, fresh)
     _LOADED_KERNELS[key] = kern if not claim else kern._replace(fresh=False)
     return kern

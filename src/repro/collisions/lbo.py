@@ -30,8 +30,9 @@ value for both cells, so it factors through the face modes as well
 No velocity face leaves its configuration cell, so after its moments the
 whole operator is a table of cell instructions (:attr:`LBOCollisions.cell_table`)
 that a modal species' solver appends to its cell program
-(:mod:`repro.engine.program`); :meth:`LBOCollisions.refresh` computes the
-moments first, :meth:`LBOCollisions.rhs` runs the table as state-sized
+(:mod:`repro.engine.program`); :meth:`LBOCollisions.refresh` sets the
+primitive moments first (two compiled calls: the moments, then the per-cell
+weak division), :meth:`LBOCollisions.rhs` runs the table as state-sized
 passes — the reference form, bit for bit the compiled one.
 
 Conservation: density is conserved to machine precision (all interior face
@@ -46,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..engine.compile import compiled_kernel
 from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
 from ..engine.program import Faces, Scale, Subtract, Sweep, bound_plans, run_passes
@@ -53,7 +55,7 @@ from ..grid.phase import PhaseGrid
 from ..kernels.grouped import GroupedOperator
 from ..kernels.registry import get_lbo_kernels
 from ..moments.calc import MomentCalculator
-from ..moments.weak_ops import weak_divide, weak_multiplication_matrix, weak_multiply
+from ..moments.weak_ops import triple_product_tensor, weak_primitive
 
 __all__ = ["LBOCollisions"]
 
@@ -94,8 +96,7 @@ class LBOCollisions:
         self.kernels = get_lbo_kernels(cdim, vdim, poly_order, family)
         self.basis = self.kernels.phase_basis
         self.cfg_basis = self.kernels.cfg_basis
-        self.fixed_u = fixed_u
-        self.fixed_vtsq = fixed_vtsq
+        self.fixed_u, self.fixed_vtsq = fixed_u, fixed_vtsq
         npc = self.cfg_basis.num_basis
         self._moment_names = ("M0",) + tuple(f"M1{'xyz'[j]}" for j in range(vdim)) + ("M2",)
         #: the symbols the operators read: ``u{j}_{k}`` / ``vtsq_{k}`` are
@@ -106,6 +107,12 @@ class LBOCollisions:
         self._prim = np.zeros((vdim + 1, npc) + phase_grid.conf.cells)
         # (state token, id of f) that ``_prim`` holds the moments of
         self._prim_key: Optional[tuple] = None
+        # ``_prim`` cell-major, and the moments the division last read with
+        # its compiled call
+        self._u = np.moveaxis(self._prim[:vdim], 1, -1)
+        self._vtsq = np.moveaxis(self._prim[vdim], 0, -1)
+        self._triple = triple_product_tensor(self.cfg_basis)
+        self._division: tuple = (None, None)
         self._norm0 = self.cfg_basis.norm(0)
         for k in range(npc):
             for j in range(vdim):
@@ -165,37 +172,41 @@ class LBOCollisions:
         configuration-local, so on a block of this grid it is this operator
         restricted to the block's cells)."""
         if self.fixed_u is not None or self.fixed_vtsq is not None:
-            raise ValueError(
-                "frozen LBO moments are shaped on their grid; build the "
-                "operator on the new grid instead"
-            )
+            raise ValueError("frozen LBO moments are shaped on their grid; "
+                             "build the operator on the new grid instead")
         return LBOCollisions(phase_grid, self.poly_order, self.family, nu=self.nu)
 
     # ------------------------------------------------------------------ #
     def primitive_moments(self, f: np.ndarray, moments: MomentCalculator):
-        """Weak-division primitive moments ``(u, vtsq)`` from ``f``
-        (cell-major: ``u`` is ``(vdim, *cfg, Npc)``, ``vtsq`` ``(*cfg, Npc)``),
-        a frozen one in place of its computed counterpart."""
-        if self.fixed_u is not None and self.fixed_vtsq is not None:
-            return self.fixed_u, self.fixed_vtsq
-        vdim = self.grid.vdim
-        m = moments.stacked(self._moment_names, f)
-        m0, m2 = m[0], m[vdim + 1]
-        a = weak_multiplication_matrix(m0, self.cfg_basis)  # one for every division
-        u = np.zeros((vdim,) + m0.shape)
-        u_dot_m1 = np.zeros_like(m0)
-        for j in range(vdim):
-            u[j] = weak_divide(m[1 + j], m0, self.cfg_basis, a)
-            u_dot_m1 += weak_multiply(u[j], m[1 + j], self.cfg_basis)
-        vtsq = weak_divide((m2 - u_dot_m1) / vdim, m0, self.cfg_basis, a)
-        return (
-            u if self.fixed_u is None else self.fixed_u,
-            vtsq if self.fixed_vtsq is None else self.fixed_vtsq,
-        )
+        """Weak-division primitive moments ``(u, vtsq)`` of ``f``, a frozen
+        one in place of its computed counterpart, written into the symbols of
+        :attr:`aux` and returned as cell-major views of them (``u`` is
+        ``(vdim, *cfg, Npc)``, ``vtsq`` ``(*cfg, Npc)``).  Two calls: the
+        moments, then per configuration cell one LU of ``M0``'s weak
+        multiplication matrix and ``vdim + 1`` solves with it (the compiled
+        kernel's ``weak_primitive`` or, in the same bits, its numpy form);
+        a singular cell raises ``numpy.linalg.LinAlgError``."""
+        if self.fixed_u is None or self.fixed_vtsq is None:
+            m = moments.sums(self._moment_names, f)
+            if m is not self._division[0]:
+                kern = compiled_kernel()
+                self._division = (m, None if kern is None else (kern.divide, (
+                    m.ctypes.data, m[0].size, m.shape[2], self._prim.ctypes.data,
+                    m.shape[0], m.shape[2], self.grid.vdim, self._triple.ctypes.data)))
+            call = self._division[1]
+            if call is None:
+                weak_primitive(m, self._triple, self._prim.reshape(len(self._prim), m.shape[2], -1))
+            elif call[0](*call[1]) >= 0:
+                raise np.linalg.LinAlgError("weak division by a singular density")
+        out = []
+        for view, frozen in ((self._u, self.fixed_u), (self._vtsq, self.fixed_vtsq)):
+            if frozen is not None:
+                view[...] = frozen
+            out.append(view if frozen is None else frozen)
+        return tuple(out)
 
-    def refresh(
-        self, f: np.ndarray, moments: MomentCalculator, token: Optional[tuple] = None
-    ) -> None:
+    def refresh(self, f: np.ndarray, moments: MomentCalculator,
+                token: Optional[tuple] = None) -> None:
         """Set the primitive-moment symbols of :attr:`aux` to those of ``f``
         (the own cells) — what :attr:`cell_table` reads; run it before the
         table, whose stage may overwrite ``f``.  With ``token``, the owning
@@ -204,21 +215,12 @@ class LBOCollisions:
         key = None if token is None else (token, id(f))
         if key is not None and key == self._prim_key:
             return
-        u, vtsq = self.primitive_moments(f, moments)
-        cdim, vdim = self.grid.cdim, self.grid.vdim
-        cells = tuple(range(cdim))
-        # the coefficient axis ahead of the configuration cells
-        self._prim[:vdim] = u.transpose((0, cdim + 1) + tuple(c + 1 for c in cells))
-        self._prim[vdim] = vtsq.transpose((cdim,) + cells)
+        self._prim_key = None
+        self.primitive_moments(f, moments)
         self._prim_key = key
 
-    def rhs(
-        self,
-        f: np.ndarray,
-        moments: MomentCalculator,
-        out: Optional[np.ndarray] = None,
-        accumulate: bool = False,
-    ) -> np.ndarray:
+    def rhs(self, f: np.ndarray, moments: MomentCalculator,
+            out: Optional[np.ndarray] = None, accumulate: bool = False) -> np.ndarray:
         """Evaluate (or accumulate) ``C[f]``: :attr:`cell_table` as
         state-sized passes."""
         if out is None:
@@ -236,23 +238,20 @@ class LBOCollisions:
         run_passes(table, plans, arrays, self.aux)
         return out
 
-    def max_frequency(
-        self, f: np.ndarray, moments: MomentCalculator, token: Optional[tuple] = None
-    ) -> float:
+    def max_frequency(self, f: np.ndarray, moments: MomentCalculator,
+                      token: Optional[tuple] = None) -> float:
         """CFL estimate: drag ``nu (2p+1) vmax/dv`` plus parabolic diffusion
         limit ``nu vtsq (2p+1)^2 / dv^2`` per velocity direction, with
         ``vtsq`` the largest cell-average thermal speed of ``f`` — a
         function of the state alone, like the Vlasov solver's estimate.
         The moments are taken through :meth:`refresh` (``token`` as there),
         so the next stage with that token reuses them."""
-        g = self.grid
-        p = self.poly_order
+        g, p = self.grid, self.poly_order
         self.refresh(f, moments, token)
         vtsq_max = max(float(np.max(np.abs(self._prim[g.vdim, 0]))) * self._norm0, 1e-30)
         freq = 0.0
         for j in range(g.vdim):
             dv = g.vel.dx[j]
-            vmax = g.max_velocity(j)
-            freq += self.nu * (2 * p + 1) * vmax / dv
+            freq += self.nu * (2 * p + 1) * g.max_velocity(j) / dv
             freq += self.nu * vtsq_max * (2 * p + 1) ** 2 / dv ** 2
         return freq

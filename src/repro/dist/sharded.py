@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..fields.poisson import NonNeutralError
 from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 from ..obs.metrics import merge_snapshots
@@ -225,6 +226,10 @@ def _worker_main(app, plan, shard, shared, gather, barrier, conn, channel) -> No
                 raise ValueError(f"unknown worker command {cmd!r}")
             worker.step(msg[1], msg[2], msg[3])
             conn.send(("ok", worker.span_labels()))
+        except NonNeutralError as exc:
+            # a blown-up Poisson run: the parent raises it as itself
+            conn.send(("nonneutral", str(exc)))
+            break
         except Exception:  # noqa: BLE001
             # broad on purpose: any failure inside a step is the parent's to
             # raise (it closes every shard); this worker then exits
@@ -411,6 +416,9 @@ class ShardedApp:
             if kind == "error":
                 self.close()
                 raise RuntimeError(f"shard {shard} failed:\n{payload}")
+            if kind == "nonneutral":
+                self.close()
+                raise NonNeutralError(payload)
             if payload is not None:
                 self._obs_labels[shard] = payload
         self._drain_spans()

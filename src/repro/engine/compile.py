@@ -8,7 +8,10 @@ or, when a cache root is configured, hashes the key
 (:func:`repro.engine.plan.plan_digest`) and hydrates a stored payload via
 :meth:`ExecutionPlan.from_artifacts` — bit-identical to a fresh compile,
 skipping the symbol analysis.  A payload that is missing, stale or damaged
-falls back to compiling and re-publishing atomically.  Either way the plan
+falls back to compiling and re-publishing atomically, under the entry's
+lock (:meth:`~repro.engine.plancache.PlanCache.lock`) with the cache checked
+again once it is held, so processes sharing a cold root — the shards of a
+``process:N`` run — compile each plan key once and hydrate it otherwise.  Either way the plan
 picks its sparse-sweep kernel from the configured ``tier``
 (:func:`repro.cas.codegen.select_tier`: the C sweep when a compiler is
 present, scipy's ``csr_matvecs`` otherwise — the compiled tier never imports
@@ -32,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from ..cas.codegen import CcSweep, compile_fused_sweep, select_tier
 from ..kernels.termset import AuxValue, TermSet
 from ..obs import OBS as _OBS
 from .plan import ExecutionPlan, aux_signature, plan_digest
@@ -45,6 +49,7 @@ __all__ = [
     "configure_from_spec",
     "compiler_config",
     "compile_plan",
+    "compiled_kernel",
     "plan_counts",
 ]
 
@@ -115,6 +120,18 @@ def compiler_config(
         _config = saved
 
 
+def compiled_kernel() -> Optional[CcSweep]:
+    """The compiled kernel (every entry point of
+    :data:`~repro.cas.codegen.FUSED_SWEEP_C`) under the active
+    configuration, or None where plans sweep with numpy.  It counts nothing:
+    the artifact's ``fresh`` news is left to the first plan that loads it."""
+    cfg = _config
+    if select_tier(cfg.tier) != "cc":
+        return None
+    root = resolve_cache_root(cfg.cache)
+    return compile_fused_sweep(str(root) if root is not None else None, claim=False)
+
+
 # --------------------------------------------------------------------- #
 #: ``Driver.summary()["plans"]`` key -> the registry slot it reads
 _PLAN_SLOTS = {
@@ -175,9 +192,7 @@ def compile_plan(
         tier=cfg.tier,
         kernel_dir=str(root) if root is not None else None,
     )
-    plan: Optional[ExecutionPlan] = None
     digest = None
-    cache = None
     if root is not None or _OBS.on:
         # observability wants the digest even without a cache: it is the
         # plan's identity in spans (``plan_apply:<digest12>``) and reports
@@ -185,32 +200,44 @@ def compile_plan(
         signature = aux_signature(names, aux, cdim, vdim)
         digest = plan_digest(termset, cdim, vdim, signature, cell_shape)
     metrics = _OBS.metrics
-    if root is not None:
-        cache = PlanCache(root)
+
+    def hydrate() -> Optional[ExecutionPlan]:
         payload = cache.load(digest)
-        if payload is not None:
-            try:
-                plan = ExecutionPlan.from_artifacts(
-                    termset, cdim, vdim, aux, cell_shape, *payload, **build
-                )
-                metrics.add("plan_cache_hits")
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-                # stale or damaged payload (``_hydrate`` and
-                # ``_SweepGroup.check`` raise ValueError): recompile and
-                # overwrite below.  Anything else is a bug and propagates.
-                plan = None
+        if payload is None:
+            return None
+        try:
+            loaded = ExecutionPlan.from_artifacts(
+                termset, cdim, vdim, aux, cell_shape, *payload, **build
+            )
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+            # stale or damaged payload (``_hydrate`` and
+            # ``_SweepGroup.check`` raise ValueError): recompile and
+            # overwrite below.  Anything else is a bug and propagates.
+            return None
+        metrics.add("plan_cache_hits")
+        return loaded
+
+    def publish(compiled: ExecutionPlan) -> None:
+        if cache.store(digest, *compiled.to_artifacts()):
+            metrics.add("plan_cache_stores")
+
+    hydrated = root is not None
+    if root is None:
+        plan = ExecutionPlan(termset, cdim, vdim, aux, cell_shape, **build)
+    else:
+        cache = PlanCache(root)
+        plan = hydrate()
         if plan is None:
-            metrics.add("plan_cache_misses")
-    hydrated = plan is not None
-    if plan is None:
-
-        def publish(compiled: ExecutionPlan) -> None:
-            if cache is not None and cache.store(digest, *compiled.to_artifacts()):
-                metrics.add("plan_cache_stores")
-
-        plan = ExecutionPlan(
-            termset, cdim, vdim, aux, cell_shape, **build, on_compiled=publish
-        )
+            # one compile per digest among the processes sharing the root: a
+            # process that waited for the lock finds the payload stored
+            with cache.lock(digest):
+                plan = hydrate()
+                if plan is None:
+                    metrics.add("plan_cache_misses")
+                    hydrated = False
+                    plan = ExecutionPlan(
+                        termset, cdim, vdim, aux, cell_shape, **build, on_compiled=publish
+                    )
     metrics.add("plan_hydrated" if hydrated else "plan_compiled")
     if digest is not None:
         plan.obs_label = f"plan_apply:{digest[:12]}"

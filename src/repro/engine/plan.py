@@ -572,6 +572,7 @@ class ExecutionPlan:
                 self.kernel_status = "failed"
             else:
                 self._cc, self._cc_faces, self._cc_cells = kern.fn, kern.faces, kern.cells
+                self._cc_moments = kern.moments
                 self.tier = "cc"
                 self.kernel_status = "built" if kern.fresh else "loaded"
         for grp in self._groups:

@@ -30,6 +30,7 @@ of different jobs share them, and the memo holds at most
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import io
 import json
@@ -37,6 +38,7 @@ import os
 import threading
 import zipfile
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -157,6 +159,26 @@ class PlanCache:
         _MEMO.put(key, (meta, arrays))
         return meta, arrays
 
+    @contextmanager
+    def lock(self, digest: str):
+        """Hold the entry's lock (an exclusive ``flock`` on its hidden
+        ``.plan-<digest>.lock`` file, released by the kernel should the
+        holder die) for the ``with`` block: concurrent compilers of one plan
+        key take turns, so the later ones can load what the first stored.
+        Where no lock file can be made (a read-only root) the block runs
+        unlocked."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.root / f".plan-{digest}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            yield
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
     def store(self, digest: str, meta: dict, arrays: Dict[str, np.ndarray]) -> bool:
         """Publish a payload; returns False on an I/O failure (a read-only
         or full cache dir degrades to compile-every-time)."""
@@ -208,8 +230,8 @@ class PlanCache:
         return sorted(self.root.glob("ccsweep-*.so"))
 
     def clear(self) -> int:
-        """Remove every entry, compiled kernel object, and stale tmp file;
-        returns the count of plan entries removed."""
+        """Remove every entry, compiled kernel object, stale tmp file and
+        entry lock file; returns the count of plan entries removed."""
         removed = 0
         if not self.root.is_dir():
             return removed
@@ -219,7 +241,7 @@ class PlanCache:
                 removed += 1
             except OSError:
                 pass
-        for extra in ("ccsweep-*.so", "ccsweep-*.c", ".*.tmp"):
+        for extra in ("ccsweep-*.so", "ccsweep-*.c", ".*.tmp", ".plan-*.lock"):
             for path in list(self.root.glob(extra)):
                 try:
                     path.unlink()

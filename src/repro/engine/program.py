@@ -68,6 +68,7 @@ __all__ = [
     "Subtract",
     "Sweep",
     "bound_plans",
+    "joint_label",
     "run_passes",
 ]
 
@@ -160,6 +161,16 @@ def bound_plans(ops: Sequence[Tuple[object, Tuple[int, ...]]], aux) -> List:
         plan._ready(aux)
         plans.append(plan)
     return plans
+
+
+def joint_label(plans) -> str:
+    """The span label of one call running ``plans``:
+    ``plan_apply:<digest12>`` of their labels, or ``plan_apply`` where a
+    plan has no digest."""
+    labels = [plan.obs_label for plan in plans]
+    if not all(":" in label for label in labels):
+        return "plan_apply"
+    return f"plan_apply:{hashlib.sha256(''.join(labels).encode()).hexdigest()[:12]}"
 
 
 def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux) -> None:
@@ -470,11 +481,7 @@ class CellProgram:
                     stage.u0, f
                 ):
                     raise ValueError("stage.u0 aliases the state")
-        labels = [plan.obs_label for plan in plans]
-        self.obs_label = "plan_apply"
-        if all(":" in label for label in labels):
-            digest = hashlib.sha256("".join(labels).encode()).hexdigest()
-            self.obs_label = f"plan_apply:{digest[:12]}"
+        self.obs_label = joint_label(plans)
         compiled = f.flags.c_contiguous and all(plan.tier == "cc" for plan in plans)
         if compiled:
             self._call = self._bind_compiled(plans, f, out, stage)

@@ -24,7 +24,14 @@ import numpy as np
 from ..basis.modal import ModalBasis
 from ..grid.cartesian import Grid
 
-__all__ = ["Poisson1D"]
+__all__ = ["NonNeutralError", "Poisson1D"]
+
+
+class NonNeutralError(ValueError):
+    """The charge density handed to :meth:`Poisson1D.solve` is not neutral:
+    a periodic domain has no field for it.  Raised at set-up by a
+    non-neutral initial condition, and by a run that has blown up
+    (:meth:`repro.runtime.Driver.run` then ends ``diverged``)."""
 
 
 class Poisson1D:
@@ -60,7 +67,7 @@ class Poisson1D:
         neutral_tol:
             Absolute net-charge guard.  Periodicity requires a neutral
             domain; roundoff-level residuals are redistributed uniformly,
-            anything larger raises.
+            anything larger raises :class:`NonNeutralError`.
 
         Returns
         -------
@@ -70,7 +77,7 @@ class Poisson1D:
         charge = self._charge_weight * rho[:, 0]
         total = float(charge.sum())
         if abs(total) > neutral_tol:
-            raise ValueError(
+            raise NonNeutralError(
                 f"periodic Poisson solve requires a neutral domain; net charge "
                 f"{total:.3e} exceeds {neutral_tol:.1e}"
             )

@@ -32,9 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis.modal import ModalBasis, gauss_points_1d, tensor_gauss_points
-from .cas.codegen import cell_threads, compile_fused_sweep, select_tier
-from .engine.compile import active_config
-from .engine.plancache import resolve_cache_root
+from .cas.codegen import cell_threads
+from .engine.compile import compiled_kernel
 from .grid.cartesian import Grid
 from .grid.phase import PhaseGrid
 
@@ -49,15 +48,8 @@ _BLOCK = 25
 
 def _compiled_accumulate():
     """``project_accumulate`` of the configured tier's compiled kernel, or
-    None.  The projection counts no plan kernel: the artifact's ``fresh``
-    news is left to the first plan that loads it."""
-    cfg = active_config()
-    if select_tier(cfg.tier) != "cc":
-        return None
-    root = resolve_cache_root(cfg.cache)
-    kern = compile_fused_sweep(
-        str(root) if root is not None else None, claim=False
-    )
+    None (see :func:`~repro.engine.compile.compiled_kernel`)."""
+    kern = compiled_kernel()
     return None if kern is None else kern.project
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..diagnostics.energy import EnergyHistory
 from ..engine.compile import plan_counts
+from ..fields.poisson import NonNeutralError
 from ..io.atomic import publish_text
 from ..io.checkpoint import load_checkpoint, save_checkpoint
 from ..obs import OBS, chrome_trace, merge_snapshots
@@ -381,7 +382,9 @@ class Driver:
         Returns a JSON-serializable summary.  ``status`` is ``"complete"``,
         ``"max_steps"`` (step cap hit first), ``"budget_exhausted"``
         (wall-clock budget hit; a checkpoint is written when configured) or
-        ``"diverged"``: an energy record or the CFL frequency is not finite.
+        ``"diverged"``: an energy record or the CFL frequency is not finite,
+        or the charge of a Poisson run stopped being neutral after a step
+        (:class:`~repro.fields.poisson.NonNeutralError`).
         A diverged run writes no further checkpoint, so the last one on
         disk is the last periodic checkpoint of a finite state.
 
@@ -418,6 +421,7 @@ class Driver:
             if mpath is not None:
                 mpath.parent.mkdir(parents=True, exist_ok=True)
                 self._metrics_stream = open(mpath, "w")
+        steps0 = app.step_count
         try:
             if not self.history.times and app.step_count == 0:
                 self._record()
@@ -455,6 +459,12 @@ class Driver:
             else:
                 if app.time < t_end - 1e-12:
                     status = "max_steps"
+        except NonNeutralError:
+            # a Poisson run that blows up loses neutrality before its state
+            # stops being finite; before any step it is the set-up's error
+            if app.step_count == steps0:
+                raise
+            status = "diverged"
         finally:
             if obs.on:
                 elapsed = time.perf_counter() - start
@@ -483,7 +493,13 @@ class Driver:
 
     def summary(self, status: str = "complete") -> Dict[str, object]:
         app = self.app
-        energies = app.energies()
+        try:
+            energies = app.energies()
+        except NonNeutralError:
+            if status != "diverged":
+                raise
+            # a state that lost neutrality has no periodic field
+            energies = {"field": math.nan, "total": math.nan}
         observables = app.observables()
         number_prefix = "particle_number/"
         out: Dict[str, object] = {

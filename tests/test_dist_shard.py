@@ -244,6 +244,36 @@ def test_warm_cache_sharded_run_compiles_nothing(tmp_path):
         assert np.array_equal(ref, cold.app.state()[key]), key
 
 
+def test_a_cold_sharded_run_compiles_each_plan_key_once(tmp_path):
+    """The parent and both workers share one cold plan cache: each plan key
+    is compiled by whichever process takes its lock first and hydrated by
+    the others, so three fresh caches give the same split, with one compile
+    per stored digest.  (The C kernel is copied in after the first run: it
+    is keyed apart from the plans, and building it is not what is counted.)"""
+    import shutil
+
+    kernels, counts = [], []
+    for run in range(3):
+        cache = tmp_path / f"plans-{run}"
+        cache.mkdir()
+        for path in kernels:
+            shutil.copy(path, cache)
+        drv = Driver(build(
+            "weibel_2x2v", nx=4, nv=6, poly_order=1, steps=1,
+            backend="process:2", plan_cache=str(cache),
+        ))
+        try:
+            plans = drv.run()["plans"]
+        finally:
+            drv.close()
+        digests = len(list(cache.glob("plan-*.npz")))
+        counts.append((plans["compiled"], plans["hydrated"], digests))
+        kernels = list(cache.glob("ccsweep-*.so"))
+    assert counts[0] == counts[1] == counts[2], counts
+    compiled, hydrated, digests = counts[0]
+    assert compiled == digests > 0 and hydrated > 0, counts
+
+
 # --------------------------------------------------------------------- #
 # plan / block unit tests (no worker processes)
 # --------------------------------------------------------------------- #

@@ -129,6 +129,33 @@ def test_a_diverged_run_exits_1(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["status"] == "diverged"
 
 
+def test_a_poisson_run_that_loses_neutrality_ends_diverged(capsys, tmp_path):
+    """cfl=2 blows two_stream up: its charge stops being neutral before its
+    state stops being finite.  ``run`` and ``resume`` end ``diverged`` with
+    exit 1 and no traceback, and the last checkpoint on disk is a finite
+    state; a non-neutral initial condition stays an error at set-up."""
+    from repro.fields import NonNeutralError
+    from repro.io import load_checkpoint
+    from repro.runtime import Driver, build
+
+    small = ["--set", "nx=4", "--set", "nv=8", "--set", "cfl=2"]
+    args = ["--set", "steps=3000", "--set", "t_end=1e9", "--json"]
+    assert main([
+        "run", "two_stream", *small, *args,
+        "--set", "diagnostics.checkpoint_interval=5", "--outdir", str(tmp_path),
+    ]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["status"] == "diverged" and 0 < result["steps"] < 3000
+    ckpt = tmp_path / "checkpoint.npz"
+    state, meta = load_checkpoint(ckpt)
+    assert 0 < meta["step_count"] <= result["steps"] and meta["step_count"] % 5 == 0
+    assert all(np.isfinite(v).all() for v in state.values())
+    assert main(["resume", str(ckpt), *args, "--outdir", str(tmp_path / "resumed")]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "diverged"
+    with pytest.raises(NonNeutralError):
+        Driver(build("two_stream", nx=4, nv=8, steps=2, neutralize=False)).run()
+
+
 @pytest.mark.parametrize(
     "damage", [_truncate, _flip_one_byte, _untagged_mode_major, _munged_key_names]
 )
