@@ -12,12 +12,14 @@ and for all layers:
   row per configuration cell refilled from the field coefficients) —
   keyed by the aux *signature* so a plan is compiled once and reused for
   every RK stage of every step (and invalidated if the signature changes).
-  The plan is also its own, only, executor; the one thing that varies is
+  The plan is also its own, only, executor — one entry path: ``bind``
+  the aux values, then ``run`` / ``run_faces`` (or ``refresh`` before a
+  compiled program call over its group table); the one thing that varies is
   the sparse-sweep kernel (compiled C when a compiler is present, else
   scipy, imported by that tier only — ``$REPRO_KERNEL_TIER``), same bits;
 * :mod:`~repro.engine.faces` holds the :class:`FaceMap`, the table of
   trace-buffer slots meeting at each face of one phase direction, which
-  ``ExecutionPlan.apply_faces`` runs a flux plan across;
+  ``ExecutionPlan.run_faces`` runs a flux plan across;
 * :mod:`~repro.engine.program` holds the :class:`CellProgram`, one species'
   volume + trace + flux + lift plans — and a collision operator's, appended
   to its instruction table — run as one program per configuration cell

@@ -1,7 +1,7 @@
 """The plan-compilation seam: memory vs disk, and the process-wide config.
 
-Every plan the engine builds — :class:`~repro.kernels.grouped.GroupedOperator`
-misses, sharded worker blocks, campaign fleet members — routes through
+Every plan the engine builds — :meth:`GroupedOperator.plan_for
+<repro.kernels.grouped.GroupedOperator.plan_for>` misses, sharded worker blocks, campaign fleet members — routes through
 :func:`compile_plan`, which per plan key (termset content, aux signature,
 cell shape) either compiles an :class:`~repro.engine.plan.ExecutionPlan`
 or, when a cache root is configured, hashes the key

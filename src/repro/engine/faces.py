@@ -8,7 +8,7 @@ whole grid, a ghost cell's trace on a ``process:N`` block, the next velocity
 cell inside one configuration cell — is the only thing that differs between
 those cases, so it is data: a :class:`FaceMap`, built and checked once by
 the solver and consumed by
-:meth:`repro.engine.plan.ExecutionPlan.apply_faces` (the compiled
+:meth:`repro.engine.plan.ExecutionPlan.run_faces` (the compiled
 ``face_flux`` kernel trusts the table exactly as the sweep trusts a checked
 CSR pattern).
 """
@@ -32,7 +32,7 @@ def _cells_index(cells: np.ndarray, count: int):
 
 class FaceMap:
     """The faces of one phase direction as slots of cell-major trace
-    buffers — the argument of :meth:`ExecutionPlan.apply_faces`.
+    buffers — the argument of :meth:`ExecutionPlan.run_faces`.
 
     A trace buffer is ``(*cells, nrows, *vel_cells)``; the direction owns
     two ``nf``-row slots of every cell: the cell's trace on its upper face

@@ -28,14 +28,14 @@ a grouped sweep.
 
 The executor's single variation point is the **sparse-sweep kernel**
 (:func:`repro.cas.codegen.select_tier`): the compiled C sweep, one call per
-apply covering every group with the velocity weighting done in-register and
+run covering every group with the velocity weighting done in-register and
 the accumulators held in registers across all of an output row's entries,
 when a C compiler is present and the build succeeds (``cc``); otherwise
 scipy's ``csr_matvecs`` over the block-diagonal expansion of the same
 groups (``numpy``) — scipy loads only then.  Both sweep the same entries
 in the same order and produce the same bits.  The kernel has a second entry
-point over the same groups, :meth:`ExecutionPlan.apply_faces`: an ``nf x
-nf`` flux plan applied across the faces of one phase direction — per face of
+point over the same groups, :meth:`ExecutionPlan.run_faces`: an ``nf x
+nf`` flux plan run across the faces of one phase direction — per face of
 a :class:`~repro.engine.faces.FaceMap`, gather the two trace slots that meet
 there into the face state, sweep, scatter the flux to both slots — in the compiled kernel
 (``face_flux``) a tile of velocity cells at a time with nothing state-sized
@@ -43,17 +43,22 @@ in between, in the numpy tier as array passes around the same
 ``csr_matvecs`` groups, which is the byte-for-byte reference.  The tier fork
 stays inside the plan; callers see one method per entry point.  The third
 entry point runs several plans' group tables at once, one configuration
-cell at a time: :class:`~repro.engine.program.CellProgram`, which binds
-plans through :meth:`ExecutionPlan._ready` / :meth:`~ExecutionPlan._refresh`
-and calls their untimed ``_run`` / ``_run_faces`` bodies as its reference.
+cell at a time: :class:`~repro.engine.program.CellProgram`, whose reference
+form is :meth:`ExecutionPlan.run` / :meth:`~ExecutionPlan.run_faces` per
+instruction (:func:`~repro.engine.program.run_passes`).
 
-Everything shape-dependent is prebound when the plan is built (scratch
-buffers, reshaped views, the C argument vector), and
-runtime symbol values are **bound under an identity guard**: the same aux
-value objects arriving again (every RK stage of every step) skip all
+There is one way to run a plan: :meth:`ExecutionPlan.bind` the aux values
+(:func:`~repro.engine.program.bound_plans` looks the plan up and binds it),
+then :meth:`~ExecutionPlan.run` / :meth:`~ExecutionPlan.run_faces`, or
+:meth:`~ExecutionPlan.refresh` before a compiled call over the plan's group
+table.  Everything shape-dependent is prebound when the plan is built
+(scratch buffers, reshaped views, the C argument vector), and :meth:`bind`
+rebinds only when the aux value objects differ from the bound ones: the
+same objects arriving again (every RK stage of every step) skip all
 dictionary walking and scalar evaluation.  Arrays are bound as views, and
-scalars held in mutable size-one arrays are re-read on every apply, so
-in-place parameter mutation is always seen.
+scalars held in mutable size-one arrays are re-read on every bind, so
+in-place parameter mutation is always seen.  Spans and apply counts are
+the caller's: one program or moment call is one ``plan_apply`` span.
 
 State is **cell-major** (:mod:`repro.engine.layout`): ``fin``/``out`` are
 ``(*cfg_cells, n, *vel_cells)``, whose C-contiguous view *is* the
@@ -64,24 +69,22 @@ allocates nothing and copies nothing: the one normalizing copy (a
 non-contiguous ``fin``) is reported through
 :meth:`ScratchPool.record_layout_copy`, which the copy-assert tests turn
 into a hard failure.  A plan is only valid for the signature and cell shape
-it was compiled against; :class:`~repro.kernels.grouped.GroupedOperator`
-keys its plan cache on both, which is what fixes the historical stale-plan
-hazard.
+it was compiled against; :meth:`GroupedOperator.plan_for
+<repro.kernels.grouped.GroupedOperator.plan_for>` keys its plan cache on
+both, so a changed aux layout compiles a fresh plan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from time import perf_counter as _perf_counter
+from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cas.codegen import cell_threads, compile_fused_sweep, select_tier
 from ..kernels.termset import CSR, AuxValue, TermSet, csr_accumulate, symbol_value
-from ..obs import OBS as _OBS
-from ..obs.metrics import SLOT as _OBS_SLOT
 from .faces import FaceMap
 from .plancache import ARTIFACT_VERSION
 from .pool import ScratchPool
@@ -94,15 +97,12 @@ __all__ = [
     "PlanSignatureError",
 ]
 
-_S_PLAN_APPLIES = _OBS_SLOT["plan_applies"]
-_S_PLAN_APPLY_MS = _OBS_SLOT["plan_apply_ms"]
-
 Signature = Tuple[Tuple[str, str], ...]
 
 
 class PlanSignatureError(ValueError):
-    """An ExecutionPlan was applied to aux it was not compiled for, or asked
-    to compile a symbol whose aux value is irregular (``x``)."""
+    """An ExecutionPlan was asked to compile a symbol whose aux value is
+    irregular (``x``)."""
 
 
 def classify_aux_value(val: AuxValue, cdim: int, vdim: int) -> str:
@@ -553,12 +553,12 @@ class ExecutionPlan:
         """Freeze the executor over the compiled groups: pick the sweep
         kernel, allocate the swept entries, prebind scratch and views."""
         pool = self.pool
-        # identity guard over every symbol value; scalar values held in
-        # mutable size-one arrays are re-read per apply (cheap) so in-place
-        # mutation stays visible — immutable Python numbers are guarded by
+        # bind() compares every symbol value by identity; scalar values held
+        # in mutable size-one arrays are re-read per bind (cheap) so in-place
+        # mutation stays visible — immutable Python numbers are compared by
         # identity alone
         self._scalar_names = [n for n, tok in self.signature if tok == "s"]
-        self._guard_names = [
+        self._bind_names = [
             n for n, tok in self.signature if tok != "s"
         ] + self._scalar_names
         self._bound_ids: Optional[List[object]] = None  # None: never bound
@@ -614,7 +614,7 @@ class ExecutionPlan:
         # which is fine — callers pass persistent state/pool arrays)
         self._fviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._oviews: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # the face map and buffers of the last apply_faces and, for those,
+        # the face map and buffers of the last run_faces and, for those,
         # the checked and prebound call (see _bind_faces)
         self._face_call: tuple = (None, None, None, None)
 
@@ -632,21 +632,6 @@ class ExecutionPlan:
         return entry[1]
 
     # ------------------------------------------------------------------ #
-    def ensure_signature(self, aux: Dict[str, AuxValue]) -> None:
-        """Raise :class:`PlanSignatureError` if ``aux`` no longer matches the
-        signature this plan was compiled against."""
-        sig = aux_signature(self.names, aux, self.cdim, self.vdim)
-        if sig != self.signature:
-            changed = [
-                f"{name}: {dict(self.signature)[name]!r} -> {tok!r}"
-                for name, tok in sig
-                if dict(self.signature)[name] != tok
-            ]
-            raise PlanSignatureError(
-                "aux layout changed since this plan was compiled "
-                f"({'; '.join(changed)}); rebuild the plan"
-            )
-
     def _cfg_row(self, val: AuxValue) -> np.ndarray:
         """A configuration-varying factor flattened to ``(ncfg,)`` —
         a view in the standard layout ``cfg_cells + (1,)*vdim``."""
@@ -700,99 +685,28 @@ class ExecutionPlan:
                 self._cc_weights.append(
                     (np.broadcast_to(wsrc, self.vel_shape), wbuf)
                 )
-        self._bound_ids = [aux[n] for n in self._guard_names]
 
-    def apply(
-        self,
-        fin: np.ndarray,
-        aux: Dict[str, AuxValue],
-        out: np.ndarray,
-        accumulate: bool = True,
-    ) -> np.ndarray:
-        """Accumulate the kernel action into ``out``.
-
-        ``fin`` is cell-major ``(*cfg_cells, nin, *vel_cells)`` and ``out``
-        cell-major ``(*cfg_cells, nout, *vel_cells)``; ``out`` must be
-        C-contiguous (it is accumulated in place), and a non-contiguous
-        ``fin`` incurs one audited normalizing copy.
-
-        With ``accumulate=False`` the prior contents of ``out`` are
-        discarded (``out = K f`` rather than ``out += K f``) without the
-        caller having to zero it — the sweep's accumulators start at zero.
-        """
-        self._guard(aux)
-        return self.apply_trusted(fin, aux, out, accumulate)
-
-    def _guard(self, aux: Dict[str, AuxValue]) -> None:
-        """Rebind when ``aux`` holds other value objects than last time."""
+    def bind(self, aux: Dict[str, AuxValue]) -> None:
+        """Bind the runtime symbol values of ``aux``: rebinds when the plan
+        was never bound, when any aux value object differs from the bound
+        ones, or when a scalar held in a mutable size-one array moved.  The
+        same value objects arriving again (every RK stage of every step)
+        cost one identity scan."""
         bound = self._bound_ids
-        if bound is not None and not all(
-            aux[n] is b for n, b in zip(self._guard_names, bound)
+        if bound is None or not all(
+            map(is_, map(aux.__getitem__, self._bind_names), bound)
         ):
             self._bind(aux)
-
-    def apply_trusted(
-        self,
-        fin: np.ndarray,
-        aux: Dict[str, AuxValue],
-        out: np.ndarray,
-        accumulate: bool = True,
-    ) -> np.ndarray:
-        """:meth:`apply`, skipping the aux identity scan.
-
-        The caller asserts that every aux value object is identical to the
-        previous application through this plan — which is exactly what
-        :class:`~repro.kernels.grouped.GroupedOperator`'s value-identity
-        fast path already established, so re-scanning here would be pure
-        overhead.  Mutable scalar values are still re-read.
-        """
-        return self._timed(self._run, aux, fin, out, accumulate)
-
-    def apply_faces(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        face_map: FaceMap,
-        aux: Dict[str, AuxValue],
-        trusted: bool = False,
-    ) -> np.ndarray:
-        """Apply this ``nf x nf`` flux operator across the faces of one
-        phase direction: per face of ``face_map``, gather its state from two
-        trace slots of ``src``, apply the operator, and overwrite the face's
-        two slots in ``dst`` with the flux (see
-        :class:`~repro.engine.faces.FaceMap`).
-
-        ``src`` and ``dst`` are C-contiguous trace buffers of the map's
-        shapes and may be the same array when the map is ``in_place``.
-        ``trusted`` skips the aux identity scan as :meth:`apply_trusted`
-        does.  One application counts and is traced as one apply of this
-        plan.
-        """
-        if not trusted:
-            self._guard(aux)
-        return self._timed(self._run_faces, aux, src, dst, face_map)
-
-    def _ready(self, aux: Dict[str, AuxValue]) -> None:
-        """Rebind if never bound or a mutable scalar moved."""
-        if self._bound_ids is None or (
-            self._vol_scalar_names
-            and tuple(_scalar_value(aux[n]) for n in self._vol_scalar_names)
+            # the record of the bound value objects, replaced only when they
+            # change: a program holding this plan checks its identity
+            self._bound_ids = [aux[n] for n in self._bind_names]
+        elif self._vol_scalar_names and (
+            tuple(_scalar_value(aux[n]) for n in self._vol_scalar_names)
             != self._bound_vsvals
         ):
             self._bind(aux)
 
-    def _timed(self, run, aux: Dict[str, AuxValue], *args) -> np.ndarray:
-        """One application: ``run`` on the bound values, under the plan's
-        span and apply count."""
-        self._ready(aux)
-        if _OBS.on:
-            t0 = _perf_counter()
-            out = run(aux, *args)
-            _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
-            return out
-        return run(aux, *args)
-
-    def _refresh(self, aux: Dict[str, AuxValue]) -> None:
+    def refresh(self, aux: Dict[str, AuxValue]) -> None:
         """Bring the swept entries and velocity factors up to the bound aux
         values' current contents."""
         for vals, prod in self._vel_products:
@@ -805,7 +719,17 @@ class ExecutionPlan:
             for wsrc, wbuf in self._cc_weights:
                 np.copyto(wbuf, wsrc)
 
-    def _run(self, aux, fin, out, accumulate: bool) -> np.ndarray:
+    def run(self, aux, fin, out, accumulate: bool = True) -> np.ndarray:
+        """Accumulate the kernel action into ``out`` with the values
+        :meth:`bind` bound (mutable contents re-read).
+
+        ``fin`` is cell-major ``(*cfg_cells, nin, *vel_cells)`` and ``out``
+        cell-major ``(*cfg_cells, nout, *vel_cells)``; ``out`` must be
+        C-contiguous (it is accumulated in place), and a non-contiguous
+        ``fin`` incurs one audited normalizing copy.  With
+        ``accumulate=False`` the prior contents of ``out`` are discarded
+        without the caller having to zero it — the sweep's accumulators
+        start at zero."""
         if fin.shape != self.in_shape:
             raise ValueError(
                 f"plan compiled for input {self.in_shape}, got {fin.shape}"
@@ -825,7 +749,7 @@ class ExecutionPlan:
             fcontig = pool.get("plan.fcontig", fin.shape)
             np.copyto(fcontig, fin)
             fin = fcontig
-        self._refresh(aux)
+        self.refresh(aux)
         if self._cc is not None:
             # one call: every group, the weighting in-register, and with
             # accumulate off the accumulators start at zero, so ``out`` is
@@ -897,11 +821,18 @@ class ExecutionPlan:
         self._face_call = (fm, src, dst, call)
         return call
 
-    def _run_faces(self, aux, src, dst, fm: FaceMap) -> np.ndarray:
+    def run_faces(self, aux, src, dst, fm: FaceMap) -> np.ndarray:
+        """Apply this ``nf x nf`` flux operator across the faces of one
+        phase direction with the bound values: per face of ``fm``, gather
+        its state from two trace slots of ``src``, apply the operator, and
+        overwrite the face's two slots in ``dst`` with the flux (see
+        :class:`~repro.engine.faces.FaceMap`).  ``src`` and ``dst`` are
+        C-contiguous trace buffers of the map's shapes and may be the same
+        array when the map is ``in_place``."""
         bound_fm, bound_src, bound_dst, call = self._face_call
         if fm is not bound_fm or src is not bound_src or dst is not bound_dst:
             call = self._bind_faces(src, dst, fm)
-        self._refresh(aux)
+        self.refresh(aux)
         if call is not None:
             self._cc_faces(*call)
         else:

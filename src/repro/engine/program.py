@@ -40,6 +40,10 @@ followed by the stage arithmetic in numpy.  Per output element both perform
 the same float operations in the same order, so they end in the same bytes;
 the tier fork stays inside this object.
 
+Plans come from :func:`bound_plans` — ``plan_for`` then ``bind`` per
+operator, the one way any caller runs a plan — and a program skips even that
+while the aux value objects and every plan's bound-value record are the ones
+it saw last; a plan that another caller bound to other values is bound back.
 One call is one ``plan_apply:<digest12>`` span and one count in the
 ``plan_applies`` / ``plan_apply_ms`` slots, whichever form runs.
 """
@@ -74,7 +78,7 @@ __all__ = [
 
 _S_PLAN_APPLIES = _OBS_SLOT["plan_applies"]
 _S_PLAN_APPLY_MS = _OBS_SLOT["plan_apply_ms"]
-_FAST_VALS = attrgetter("_fast_vals")
+_BOUND_IDS = attrgetter("_bound_ids")
 
 
 def _tuple_getter(names: Sequence[str]):
@@ -147,18 +151,18 @@ _READ_ONLY = ("f", "stream")
 
 
 def bound_plans(ops: Sequence[Tuple[object, Tuple[int, ...]]], aux) -> List:
-    """The plan of each ``(operator, cell shape)`` for ``aux``, bound to its
-    values (``operator.lookup``: a :class:`~repro.kernels.grouped.GroupedOperator`;
-    None for a None operator)."""
+    """The plan of each ``(operator, cell shape)`` for ``aux``
+    (:meth:`GroupedOperator.plan_for
+    <repro.kernels.grouped.GroupedOperator.plan_for>`), bound to its values
+    (:meth:`~repro.engine.plan.ExecutionPlan.bind`); None for a None
+    operator."""
     plans = []
     for op, cell_shape in ops:
         if op is None:
             plans.append(None)
             continue
-        plan, trusted = op.lookup(aux, cell_shape)
-        if not trusted:
-            plan._guard(aux)
-        plan._ready(aux)
+        plan = op.plan_for(aux, cell_shape)
+        plan.bind(aux)
         plans.append(plan)
     return plans
 
@@ -180,10 +184,10 @@ def run_passes(table, plans, arrays: Dict[str, np.ndarray], aux) -> None:
     scalar steps) — per element the float operations of ``cell_rhs``."""
     for ins, plan in zip(table, plans):
         if type(ins) is Sweep:
-            plan._run(aux, arrays[ins.src], arrays[ins.dst], ins.accumulate)
+            plan.run(aux, arrays[ins.src], arrays[ins.dst], ins.accumulate)
         elif type(ins) is Faces:
             buf = arrays[ins.block]
-            plan._run_faces(aux, buf, buf, ins.faces)
+            plan.run_faces(aux, buf, buf, ins.faces)
         elif type(ins) is Scale:
             np.multiply(arrays[ins.block], ins.factor, out=arrays[ins.block])
         else:
@@ -212,7 +216,7 @@ class CellProgram:
         Number of leading configuration-cell axes.
     volume:
         The ``Np x Np`` volume operator (an object with
-        ``lookup(aux, cell_shape) -> (plan, trusted)``:
+        ``plan_for(aux, cell_shape) -> plan``:
         :class:`~repro.kernels.grouped.GroupedOperator`).
     stream, accel:
         ``(trace operator, lift operator, [(flux operator, FaceMap), ...])``
@@ -342,7 +346,6 @@ class CellProgram:
         # the memo of _plans
         self._names = sorted({n for op, _c in self._ops for n in op._names})
         self._values = _tuple_getter(self._names)
-        self._operators = [op for op, _c in self._ops]
         self._memo: Optional[tuple] = None
         # the factors the compiled table's scale instructions read
         self._consts = np.array([ins.factor for ins in table if type(ins) is Scale], dtype=float)
@@ -424,23 +427,24 @@ class CellProgram:
     def _plans(self, aux) -> List:
         """:func:`bound_plans` of the operators, without their one lookup
         each when nothing moved since the last call: the same aux value
-        objects, and every operator's last lookup still this program's (an
-        operator applied with other values since replaced its memo)."""
+        objects, and every plan still bound to this program's values (a plan
+        another caller bound to other values since holds a new bound-value
+        record)."""
         memo = self._memo
         if memo is not None:
             vals, seen, plans, volatile = memo
             if all(map(is_, self._values(aux), vals)) and all(
-                map(is_, map(_FAST_VALS, self._operators), seen)
+                map(is_, map(_BOUND_IDS, plans), seen)
             ):
-                # ``_ready`` where it can rebind: whether a plan binds a
+                # ``bind`` where it can rebind: whether a plan binds a
                 # volatile scalar is fixed while its aux values are
                 for plan in volatile:
-                    plan._ready(aux)
+                    plan.bind(aux)
                 return plans
         plans = bound_plans(self._ops, aux)
         self._memo = (
             self._values(aux),
-            [op._fast_vals for op in self._operators],
+            [plan._bound_ids for plan in plans],
             plans,
             [plan for plan in plans if plan._vol_scalar_names],
         )
@@ -566,7 +570,7 @@ class CellProgram:
         self.tier = "cc"
         sweep, trace_call, face_calls, cells, head, tail, refreshed, _code = self._call
         for plan in refreshed:
-            plan._refresh(aux)
+            plan.refresh(aux)
         sweep(*trace_call)
         for faces, call in face_calls:
             faces(*call)
@@ -592,9 +596,9 @@ class CellProgram:
             f_own = pool.get("program.own", self.own_shape)
             np.copyto(f_own, own)
         gs_in, gs = self._buffers()
-        s_trace._run(aux, f, gs_in, False)
+        s_trace.run(aux, f, gs_in, False)
         for plan, fm in zip(s_flux, self._s_maps):
-            plan._run_faces(aux, gs_in, gs, fm)
+            plan.run_faces(aux, gs_in, gs, fm)
         arrays = {"f": f_own, "stream": gs, "out": out}
         for name in self._offsets:
             arrays[name] = pool.get(f"program.{name}", self.block_shape(self.rows[name]))

@@ -265,7 +265,7 @@ def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
     the two cells share there (the LBO drag ``nu (u - v_dim)``: the face
     velocity ``w + dv/2`` of the lower cell is ``w - dv/2`` of the upper one)
     — and the caller reads the symbols at the lower cell, as
-    :meth:`~repro.engine.plan.ExecutionPlan.apply_faces` does.
+    :meth:`~repro.engine.plan.ExecutionPlan.run_faces` does.
     """
     d = flux.dim
     terms = [

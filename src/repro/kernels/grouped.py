@@ -31,20 +31,21 @@ The result is exactly the contraction
 count, which is what the Fig. 2 scaling claims measure; the solver-level
 exactness tests cover this path.
 
-Plans are cached per ``(cell shape, aux signature)`` and **invalidated when
-the signature changes** — an aux dict whose arrays change layout between
-calls (the historical stale-plan hazard) now transparently compiles a fresh
-plan instead of silently producing garbage.
+The operator holds the termset and its plan cache, nothing else: plans are
+cached per ``(cell shape, aux signature)`` (:meth:`GroupedOperator.plan_for`),
+so an aux dict whose arrays change layout between calls compiles a fresh
+plan instead of reusing a stale one.  Running a plan is the plan's own
+business — :func:`repro.engine.program.bound_plans` looks it up and binds
+the values, :meth:`ExecutionPlan.run <repro.engine.plan.ExecutionPlan.run>`
+/ :meth:`~repro.engine.plan.ExecutionPlan.run_faces` or a compiled
+:class:`~repro.engine.program.CellProgram` call runs it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..engine.compile import compile_plan
-from ..engine.faces import FaceMap
 from ..engine.plan import ExecutionPlan, Signature, aux_signature
 from ..engine.pool import ScratchPool
 from .termset import AuxValue, TermSet
@@ -53,7 +54,8 @@ __all__ = ["GroupedOperator"]
 
 
 class GroupedOperator:
-    """Plan-cached grouped evaluation of a :class:`TermSet`.
+    """A :class:`TermSet` and its compiled plans, one per ``(cell shape, aux
+    signature)``.
 
     Parameters
     ----------
@@ -86,13 +88,6 @@ class GroupedOperator:
             {n for sym in termset.entries_by_symbol() for n in sym}
         )
         self._plans: Dict[Tuple[Tuple[int, ...], Signature], ExecutionPlan] = {}
-        # identity fast path: when the exact same aux value objects arrive
-        # again (in-place stepping reuses them every stage), skip the
-        # signature computation; the values are held by reference so object
-        # identity cannot be recycled
-        self._fast_vals = None
-        self._fast_shape = None
-        self._fast_plan = None
 
     # ------------------------------------------------------------------ #
     def plan_for(
@@ -124,63 +119,3 @@ class GroupedOperator:
     @property
     def num_plans(self) -> int:
         return len(self._plans)
-
-    # ------------------------------------------------------------------ #
-    def cell_shape_of(self, fin: np.ndarray) -> Tuple[int, ...]:
-        """The ``(*cfg_cells, *vel_cells)`` axes of a cell-major state
-        (basis axis at position ``cdim`` removed)."""
-        return fin.shape[: self.cdim] + fin.shape[self.cdim + 1 :]
-
-    def apply(
-        self,
-        fin: np.ndarray,
-        aux: Dict[str, AuxValue],
-        out: np.ndarray,
-        accumulate: bool = True,
-    ) -> np.ndarray:
-        """Accumulate the kernel action on cell-major state.
-
-        ``fin``/``out`` have shape ``(*cfg_cells, N, *vel_cells)``; with
-        ``accumulate=False`` the prior contents of ``out`` are discarded.
-        """
-        plan, trusted = self.lookup(aux, self.cell_shape_of(fin))
-        if trusted:
-            return plan.apply_trusted(fin, aux, out, accumulate)
-        return plan.apply(fin, aux, out, accumulate=accumulate)
-
-    def apply_faces(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        face_map: FaceMap,
-        aux: Dict[str, AuxValue],
-    ) -> np.ndarray:
-        """Apply this flux operator across the faces of ``face_map``, from
-        the trace slots of ``src`` into those of ``dst``
-        (:meth:`ExecutionPlan.apply_faces`)."""
-        plan, trusted = self.lookup(aux, face_map.cell_shape)
-        return plan.apply_faces(src, dst, face_map, aux, trusted)
-
-    def lookup(
-        self, aux: Dict[str, AuxValue], cell_shape: Tuple[int, ...]
-    ) -> Tuple[ExecutionPlan, bool]:
-        """The plan for ``aux`` and ``cell_shape``, and whether the aux value
-        objects are the very ones its last application here saw (the plan's
-        own identity guard would re-scan the same objects)."""
-        try:
-            vals = [aux[n] for n in self._names]
-        except KeyError:
-            vals = None
-        fast = self._fast_vals
-        if (
-            vals is not None
-            and fast is not None
-            and cell_shape == self._fast_shape
-            and all(a is b for a, b in zip(vals, fast))
-        ):
-            return self._fast_plan, True
-        plan = self.plan_for(aux, cell_shape)
-        self._fast_vals = vals
-        self._fast_shape = cell_shape
-        self._fast_plan = plan
-        return plan, False

@@ -112,7 +112,7 @@ class MomentCalculator:
             by_moment = res.reshape(self.grid.conf.cells + res.shape[1:])
             for j, plan in enumerate(plans):
                 full = self.pool.get("moments.full", self._full_shape)
-                plan._run(self._aux, f, full, False)
+                plan.run(self._aux, f, full, False)
                 np.sum(full, axis=self._vel_axes, out=by_moment[..., j, :])
             return res
         entry = self._addresses.get(id(f))
@@ -132,8 +132,8 @@ class MomentCalculator:
             if name not in self._ops:
                 raise KeyError(f"moment {name!r} not generated; available: {self.available()}")
             plan = self._ops[name].plan_for(self._aux, self._cells)
-            plan._ready(self._aux)
-            plan._refresh(self._aux)
+            plan.bind(self._aux)
+            plan.refresh(self._aux)
             plans.append(plan)
         npc, ncfg, nmom = self.num_conf_basis, self._ncfg, len(names)
         res = np.empty((ncfg, nmom, npc))

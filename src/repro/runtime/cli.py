@@ -58,6 +58,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..fields.poisson import NonNeutralError
 from ..io.checkpoint import CheckpointError
 from .campaign import CampaignSpec, run_campaign
 from .driver import Driver
@@ -98,7 +99,8 @@ def _print_summary(result: Dict[str, object], as_json: bool) -> None:
 
 
 def _exit_code(result: Dict[str, object]) -> int:
-    """1 for a run that diverged (2 stays a bad spec or checkpoint)."""
+    """1 for a run that diverged (2 stays a bad spec, checkpoint or
+    initial condition)."""
     return 1 if result["status"] == "diverged" else 0
 
 
@@ -620,7 +622,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, CheckpointError, FileNotFoundError) as exc:
+    except (SpecError, CheckpointError, FileNotFoundError, NonNeutralError) as exc:
+        # a NonNeutralError reaching here was raised before any step: the
+        # initial condition is the bad input (after a step it is ``diverged``)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -261,7 +261,9 @@ class ChargeCoupling:
         if halo is not None:
             rho = halo.allgather(rho)
         if self.neutralize:
-            rho[..., 0] -= rho[..., 0].mean()
+            # sum / size: the bits of ``ndarray.mean``, without its overhead
+            rho0 = rho[..., 0]
+            rho0 -= rho0.sum() / rho0.size
         return rho
 
 

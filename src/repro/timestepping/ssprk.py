@@ -17,23 +17,19 @@ of the :class:`repro.systems.Model` protocol — which keeps multi-species +
 field systems in lockstep through the stages exactly as Gkeyll's App system
 does.
 
-Two stepping interfaces run the same table through the same float
-operations (``t = k * dt; t = u + t; t = t * b; s = u0 * a; u = t + s``), so
-they end in the same bits:
-
-* :meth:`~ShuOsherStepper.step` — functional: returns a fresh state dict
-  (allocates).
-* :meth:`~ShuOsherStepper.step_inplace` — buffer-donating: mutates the
-  state arrays using persistent per-stepper workspaces (a state snapshot
-  when the table combines, and stage-RHS buffers, each allocated on first
-  use), and evaluates the RHS through a ``rhs_into(state, out_state)``
-  callback that fills donated arrays.  A steady-state step then performs
-  zero avoidable allocations.  Its optional ``fused`` callback
-  ``fused(state, k, u0, a, b, dt) -> keys`` stands in for ``rhs_into`` and
-  may apply the stage to some keys itself (a right-hand side that forms
-  the update cell by cell and never holds ``L`` whole: it returns the keys
-  it has already updated, the stepper combines the rest from ``k``; ``u0``
-  is None for a table that never combines).
+One stepping interface, :meth:`~ShuOsherStepper.step_inplace`, runs the
+table through the float operations ``t = k * dt; t = u + t; t = t * b;
+s = u0 * a; u = t + s``.  It is buffer-donating: it mutates the state
+arrays using persistent per-stepper workspaces (a state snapshot when the
+table combines, and stage-RHS buffers, each allocated on first use), and
+evaluates the RHS through a ``rhs_into(state, out_state)`` callback that
+fills donated arrays.  A steady-state step then performs zero avoidable
+allocations.  Its optional ``fused`` callback ``fused(state, k, u0, a, b,
+dt) -> keys`` stands in for ``rhs_into`` and may apply the stage to some
+keys itself (a right-hand side that forms the update cell by cell and never
+holds ``L`` whole: it returns the keys it has already updated, the stepper
+combines the rest from ``k``; ``u0`` is None for a table that never
+combines).
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from ..obs import OBS as _OBS
 from ..obs.metrics import SLOT as _OBS_SLOT
 
 State = Dict[str, np.ndarray]
-RhsFn = Callable[[State], State]
 RhsIntoFn = Callable[[State, State], None]
 
 __all__ = [
@@ -57,20 +52,7 @@ __all__ = [
     "SSPRK3",
     "get_stepper",
     "available_steppers",
-    "state_axpy",
 ]
-
-
-def state_axpy(coeffs_states) -> State:
-    """Linear combination of states: ``sum_i a_i * s_i``."""
-    out: State = {}
-    for a, s in coeffs_states:
-        for k, v in s.items():
-            if k in out:
-                out[k] = out[k] + a * v
-            else:
-                out[k] = a * v
-    return out
 
 
 class _LikeState(dict):
@@ -131,17 +113,6 @@ class ShuOsherStepper:
             ws = self._workspaces[name] = _LikeState(state)
         ws.state = state
         return ws
-
-    def step(self, state: State, rhs: RhsFn, dt: float) -> State:
-        u = state
-        for a, b in self.table:
-            k = rhs(u)
-            new = {}
-            for key, arr in u.items():
-                t = arr + k[key] * dt
-                new[key] = t if (a, b) == _EULER else t * b + state[key] * a
-            u = new
-        return u
 
     def step_inplace(
         self,

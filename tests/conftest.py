@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionPlan
+from repro.engine.program import Sweep, bound_plans, run_passes
 from repro.grid import Grid, PhaseGrid
 
 
@@ -82,3 +84,30 @@ def random_em(rng, npc, conf_cells, amplitude=1.0):
 
 def random_f(rng, np_, cells, amplitude=1.0):
     return amplitude * rng.standard_normal((np_,) + tuple(cells))
+
+
+@pytest.fixture(scope="session")
+def run_op():
+    """``run_op(op, src, aux, dst, accumulate=True, faces=None) -> dst``: run
+    ``op`` the way the runtime does.
+
+    ``op`` is a :class:`~repro.kernels.grouped.GroupedOperator`, looked up
+    and bound by ``bound_plans``, or an ``ExecutionPlan``, bound as it is.
+    Without ``faces``: ``dst (+)= op(src)`` on cell-major state, one
+    ``Sweep`` through ``run_passes``; with a ``FaceMap``: the flux across
+    its faces from the trace slots of ``src`` into those of ``dst``
+    (``ExecutionPlan.run_faces``)."""
+
+    def run(op, src, aux, dst, accumulate=True, faces=None):
+        if isinstance(op, ExecutionPlan):
+            op.bind(aux)
+            plan = op
+        else:
+            cells = src.shape[: op.cdim] + src.shape[op.cdim + 1 :]
+            (plan,) = bound_plans([(op, cells if faces is None else faces.cell_shape)], aux)
+        if faces is not None:
+            return plan.run_faces(aux, src, dst, faces)
+        run_passes([Sweep(op, "src", "dst", accumulate)], [plan], {"src": src, "dst": dst}, aux)
+        return dst
+
+    return run

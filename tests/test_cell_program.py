@@ -377,7 +377,7 @@ def _no_compiled_program(monkeypatch, solver):
             monkeypatch.setattr(plan, "_cc_cells", no_call)
 
 
-def test_an_operator_applied_elsewhere_is_looked_up_again():
+def test_an_operator_applied_elsewhere_is_looked_up_again(run_op):
     """A call skips its operators' lookups while nothing moved; one of them
     applied with other values in between is bound back to the program's."""
     solver, f, em = _small_solver()
@@ -385,7 +385,7 @@ def test_an_operator_applied_elsewhere_is_looked_up_again():
     want, got = np.empty(shape), np.empty(shape)
     solver.rhs(f, em, out=want)
     other = {name: 2.0 * val if name.startswith("E") else val for name, val in solver._aux.items()}
-    _parts(solver._program)["volume"].apply(f, other, np.empty(shape), accumulate=False)
+    run_op(_parts(solver._program)["volume"], f, other, np.empty(shape), accumulate=False)
     solver.rhs(f, em, out=got)
     assert got.tobytes() == want.tobytes()
 
@@ -546,11 +546,20 @@ def test_step_inplace_equals_step_bitwise(stepper):
         for key, val in rhs(state).items():
             out[key][...] = val
 
-    functional, inplace = stepper(), stepper()
+    def step(u0, dt):
+        """The table as fresh arrays: ``a u0 + b (u + dt L(u))`` per stage."""
+        u = u0
+        for a, b in stepper.table:
+            k = rhs(u)
+            t = {key: u[key] + k[key] * dt for key in u}
+            u = t if (a, b) == (0.0, 1.0) else {key: t[key] * b + u0[key] * a for key in u}
+        return u
+
+    inplace = stepper()
     want = start
     state = {key: arr.copy() for key, arr in start.items()}
     for _ in range(3):
-        want = functional.step(want, rhs, 0.37)
+        want = step(want, 0.37)
         inplace.step_inplace(state, rhs_into, 0.37)
         for key in start:
             assert state[key].tobytes() == want[key].tobytes(), key

@@ -58,7 +58,7 @@ def _random_termset(n, nout, nin, names, rng):
     vdim=st.integers(1, 2),
     accumulate=st.booleans(),
 )
-def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
+def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate, run_op):
     """Randomized termsets: the planned/batched path equals ``TermSet.apply``
     to tight tolerance for every scalar/config/velocity aux mix; a symbol
     irregular in the mix is refused by name."""
@@ -76,8 +76,8 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     irregular = [n for n in used if classify_aux_value(aux[n], cdim, vdim) == "x"]
     if irregular:
         with pytest.raises(PlanSignatureError, match=f"'{irregular[0]}'"):
-            GroupedOperator(ts, cdim, vdim).apply(
-                phase_to_cell_major(f, cdim), aux,
+            run_op(
+                GroupedOperator(ts, cdim, vdim), phase_to_cell_major(f, cdim), aux,
                 np.zeros(cfg_shape + (nout,) + vel_shape),
             )
         return
@@ -90,7 +90,7 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     op = GroupedOperator(ts, cdim, vdim)
     base = rng.standard_normal(phase_to_cell_major(ref, cdim).shape)
     got = base.copy()
-    op.apply(f_cm, aux, got, accumulate=accumulate)
+    run_op(op, f_cm, aux, got, accumulate=accumulate)
     ref_cm = phase_to_cell_major(ref, cdim)
     expected = base + ref_cm if accumulate else ref_cm
     scale = max(np.max(np.abs(expected)), 1.0)
@@ -102,14 +102,14 @@ def test_plan_matches_sparse_reference(seed, cdim, vdim, accumulate):
     ref2 = np.zeros_like(ref)
     ts.apply(f2, aux2, ref2)
     got2 = np.zeros_like(ref_cm)
-    op.apply(phase_to_cell_major(f2, cdim), aux2, got2)
+    run_op(op, phase_to_cell_major(f2, cdim), aux2, got2)
     assert op.num_plans == 1
     scale2 = max(np.max(np.abs(ref2)), 1.0)
     assert np.max(np.abs(phase_to_mode_major(got2, cdim) - ref2)) / scale2 < 1e-12
 
 
 # --------------------------------------------------------------------- #
-def test_stale_plan_invalidated_on_signature_change():
+def test_stale_plan_invalidated_on_signature_change(run_op):
     """The historical hazard: a plan built from the first aux dict must not
     be silently reused when a later aux changes layout — and a layout no
     plan sweeps is refused, not run."""
@@ -130,18 +130,18 @@ def test_stale_plan_invalidated_on_signature_change():
         got = np.zeros_like(f_cm)
         if classify_aux_value(e_val, 1, 1) == "x":
             with pytest.raises(PlanSignatureError, match="'e'"):
-                op.apply(f_cm, aux, got)
+                run_op(op, f_cm, aux, got)
             continue
         ref = np.zeros_like(f)
         ts.apply(f, aux, ref)
-        op.apply(f_cm, aux, got)
+        run_op(op, f_cm, aux, got)
         assert np.allclose(
             phase_to_mode_major(got, 1), ref, rtol=1e-13, atol=1e-13
         ), f"e={e_val!r}"
     assert op.num_plans == 3  # scalar signature compiled once, then reused
 
 
-def test_plan_cache_per_cell_shape():
+def test_plan_cache_per_cell_shape(run_op):
     ts = TermSet(2, 2, {("w",): [(0, 0, 1.0), (1, 1, 0.5)]})
     op = GroupedOperator(ts, cdim=1, vdim=1)
     rng = np.random.default_rng(3)
@@ -151,20 +151,24 @@ def test_plan_cache_per_cell_shape():
         ref = np.zeros_like(f)
         ts.apply(f, aux, ref)
         got = np.zeros((ncfg, 2, 6))
-        op.apply(phase_to_cell_major(f, 1), aux, got)
+        run_op(op, phase_to_cell_major(f, 1), aux, got)
         assert np.allclose(got, phase_to_cell_major(ref, 1), atol=1e-14)
     assert op.num_plans == 2
 
 
-def test_ensure_signature_raises():
-    from repro.engine import PlanSignatureError
+def test_plan_surface_snapshot():
+    """One way to run a plan: ``bind`` then ``run`` / ``run_faces`` (or
+    ``refresh`` before a compiled call); the operator only finds the plan.
+    A new entry point is a reviewed edit of this list."""
 
-    ts = TermSet(2, 2, {("e",): [(0, 0, 1.0)]})
-    aux_scalar = {"e": 2.0}
-    plan = ExecutionPlan(ts, 1, 1, aux_scalar, (3, 4))
-    plan.ensure_signature({"e": 3.0})  # same layout: fine
-    with pytest.raises(PlanSignatureError):
-        plan.ensure_signature({"e": np.ones((3, 1))})
+    def public(cls):
+        return sorted(name for name in vars(cls) if not name.startswith("_"))
+
+    assert public(ExecutionPlan) == [
+        "bind", "from_artifacts", "obs_label", "refresh", "run", "run_faces",
+        "stats", "to_artifacts",
+    ]
+    assert public(GroupedOperator) == ["num_plans", "plan_for"]
 
 
 def test_aux_signature_missing_symbol_message():
@@ -226,7 +230,7 @@ def test_scaled_termset():
 
 
 # --------------------------------------------------------------------- #
-def test_plan_accepts_strided_input():
+def test_plan_accepts_strided_input(run_op):
     """A non-contiguous (strided) cell-major input still evaluates
     exactly — through one audited normalizing copy."""
     ts = TermSet(3, 3, {("e",): [(0, 1, 1.0)], ("w",): [(2, 2, 0.5)]})
@@ -239,21 +243,21 @@ def test_plan_accepts_strided_input():
     ref = np.zeros((3, 4, 5))
     ts.apply(phase_to_mode_major(f_view, 1), aux, ref)
     got = np.zeros((4, 3, 5))
-    op.apply(f_view, aux, got)
+    run_op(op, f_view, aux, got)
     assert np.allclose(got, phase_to_cell_major(ref, 1), atol=1e-14)
     assert op.pool.layout_copies == 1  # the audited normalizing copy
 
 
-def test_plan_rejects_noncontiguous_out():
+def test_plan_rejects_noncontiguous_out(run_op):
     ts = TermSet(2, 2, {(): [(0, 0, 1.0)]})
     op = GroupedOperator(ts, 1, 1)
     f = np.zeros((2, 2, 2))
     big = np.zeros((2, 2, 4))
     with pytest.raises(ValueError, match="C-contiguous"):
-        op.apply(f, {}, big[:, :, ::2])
+        run_op(op, f, {}, big[:, :, ::2])
 
 
-def test_copy_debug_rejects_layout_copies():
+def test_copy_debug_rejects_layout_copies(run_op):
     """With ``ScratchPool.copy_debug`` on, a strided full-state input is a
     hard error — the assertion the RHS hot-path copy test builds on."""
     ts = TermSet(2, 2, {("e",): [(0, 1, 1.0)]})
@@ -264,7 +268,7 @@ def test_copy_debug_rejects_layout_copies():
     out = np.zeros((3, 2, 4))
     op.pool.copy_debug = True
     with pytest.raises(RuntimeError, match="layout-normalizing copy"):
-        op.apply(f, aux, out)
+        run_op(op, f, aux, out)
 
 
 def test_single_config_cell_grid_steps():

@@ -6,7 +6,7 @@ apply only the factors, so the pinned side kernels (``test_kernel_bits.py``)
 are the oracle here: every entry of every side kernel must come back from the
 factors, with the same sparsity pattern.
 
-The flux factor runs through ``ExecutionPlan.apply_faces`` (gather two trace
+The flux factor runs through ``ExecutionPlan.run_faces`` (gather two trace
 slots, ``Nf x Nf`` flux, scatter to both slots): the compiled ``face_flux``
 must equal the numpy reference byte for byte and touch nothing but the
 direction's slots — on one thread and split over several, as must the
@@ -248,8 +248,8 @@ def forced_threads(threads):
         yield
 
 
-def _apply_every_direction(case, tier, ghost, threads=1):
-    """Trace buffers after one ``apply_faces`` per direction, each starting
+def _apply_every_direction(run_op, case, tier, ghost, threads=1):
+    """Trace buffers after one ``run_faces`` per direction, each starting
     from the same random traces with every row outside the direction's two
     slots NaN: ``[(direction, src allocation, dst allocation)]``; then the
     volume operator (per-cell groups) swept over random own cells into a
@@ -269,7 +269,7 @@ def _apply_every_direction(case, tier, ghost, threads=1):
                 rows = np.ones(faces.nrows, dtype=bool)
                 rows[faces.up : faces.up + faces.nf] = rows[faces.dn : faces.dn + faces.nf] = False
                 buf[(slice(None),) * cdim + (rows,)] = np.nan
-            flux_op.apply_faces(src, dst, faces, aux)
+            run_op(flux_op, src, aux, dst, faces=faces)
             own = dst[(slice(None),) * cdim + (~rows,)]
             assert np.isfinite(own).all()  # nothing read from outside the slots
             out.append((q, src_alloc, dst_alloc))
@@ -277,15 +277,15 @@ def _apply_every_direction(case, tier, ghost, threads=1):
         f = _guarded(shape, rng)[1]
         for accumulate in (False, True):
             y_alloc, y = _guarded(shape, rng)
-            solver._vol_op.apply(f, aux, y, accumulate)
+            run_op(solver._vol_op, f, aux, y, accumulate)
             out.append((f"volume, accumulate={accumulate}", y_alloc))
     return out
 
 
-def _assert_tiers_agree(case, ghost):
-    want = _apply_every_direction(case, "numpy", ghost)
+def _assert_tiers_agree(run_op, case, ghost):
+    want = _apply_every_direction(run_op, case, "numpy", ghost)
     for threads in (1,) + thread_counts(case[3], ghost):
-        got = _apply_every_direction(case, "cc", ghost, threads)
+        got = _apply_every_direction(run_op, case, "cc", ghost, threads)
         for (q, *cc), (_, *ref) in zip(got, want, strict=True):
             for a, b in zip(cc, ref):
                 # whole allocations: the slots equal as bytes, every other
@@ -295,15 +295,15 @@ def _assert_tiers_agree(case, ghost):
 
 @settings(max_examples=25, deadline=None)
 @given(face_flux_cases())
-def test_face_flux_in_place_equals_the_numpy_reference(case):
+def test_face_flux_in_place_equals_the_numpy_reference(run_op, case):
     """Periodic streaming and central acceleration faces on a whole grid,
     ``dst is src``, and the volume sweep, on one thread and split."""
-    _assert_tiers_agree(case, ghost=(0,) * case[0])
+    _assert_tiers_agree(run_op, case, ghost=(0,) * case[0])
 
 
 @settings(max_examples=25, deadline=None)
 @given(face_flux_cases(), st.integers(1, 3))
-def test_face_flux_ghost_window_equals_the_numpy_reference(case, which):
+def test_face_flux_ghost_window_equals_the_numpy_reference(run_op, case, which):
     """A ``process:N`` block: ghosted traces in, ghost-free fluxes out, with
     ghost layers on one configuration axis and on both; one thread and
     split."""
@@ -311,17 +311,17 @@ def test_face_flux_ghost_window_equals_the_numpy_reference(case, which):
     ghost = tuple((which >> d) & 1 for d in range(cdim))
     if not any(ghost):
         ghost = (1,) * cdim
-    _assert_tiers_agree(case, ghost)
+    _assert_tiers_agree(run_op, case, ghost)
 
 
-def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch):
+def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch, run_op):
     pg = PhaseGrid(Grid([0.0], [1.0], [4]), Grid([-3.0], [3.0], [6]))
     with compiler_config(tier="cc", cache="off"):
         solver = VlasovModalSolver(pg, 2)
         aux = solver.field_aux(np.zeros(pg.conf.cells + (8, solver.num_conf_basis)))
         flux_op, good = solver._flux_ops[0]
         g = np.zeros(good.dst_shape)
-        flux_op.apply_faces(g, g, good, aux)  # the plan exists from here on
+        run_op(flux_op, g, aux, g, faces=good)  # the plan exists from here on
         (plan,) = flux_op._plans.values()
 
         def no_call(*args):  # pragma: no cover - the assertion
@@ -354,8 +354,8 @@ def test_malformed_face_map_is_rejected_before_the_kernel_runs(monkeypatch):
         strided = np.zeros((4, 2 * good.nrows, 6))[:, ::2]
         for src, dst in ((g, strided), (strided, g), (g, np.zeros((5,) + g.shape[1:]))):
             with pytest.raises(ValueError, match="C-contiguous float64 trace buffer"):
-                flux_op.apply_faces(src, dst, good, aux)
+                run_op(flux_op, src, aux, dst, faces=good)
         shifted = face_map(np.roll(good.table, 1, axis=0)[:, [0, 2, 1, 3, 4]])
         assert good.in_place and not shifted.in_place
         with pytest.raises(ValueError, match="own their slots"):
-            flux_op.apply_faces(g, g, shifted, aux)
+            run_op(flux_op, g, aux, g, faces=shifted)

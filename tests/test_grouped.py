@@ -31,7 +31,7 @@ def setup(rng):
 
 
 @pytest.mark.parametrize("which", ["vol0", "vol1", "surfLL", "surfRL"])
-def test_grouped_matches_sparse(setup, which):
+def test_grouped_matches_sparse(setup, which, run_op):
     pg, bundle, aux, f = setup
     ts = {
         "vol0": bundle.vol_accel[0],
@@ -43,26 +43,26 @@ def test_grouped_matches_sparse(setup, which):
     ts.apply(f, aux, out_sparse)
     op = GroupedOperator(ts, pg.cdim, pg.vdim)
     out_grouped = np.zeros(phase_to_cell_major(f, pg.cdim).shape)
-    op.apply(phase_to_cell_major(f, pg.cdim), aux, out_grouped)
+    run_op(op, phase_to_cell_major(f, pg.cdim), aux, out_grouped)
     scale = max(np.max(np.abs(out_sparse)), 1.0)
     assert np.max(
         np.abs(out_sparse - phase_to_mode_major(out_grouped, pg.cdim))
     ) / scale < 1e-13
 
 
-def test_grouped_accumulates(setup):
+def test_grouped_accumulates(setup, run_op):
     pg, bundle, aux, f = setup
     op = GroupedOperator(bundle.vol_accel[0], pg.cdim, pg.vdim)
     f_cm = phase_to_cell_major(f, pg.cdim)
     base = np.ones_like(f_cm)
     out = base.copy()
-    op.apply(f_cm, aux, out)
+    run_op(op, f_cm, aux, out)
     ref = np.zeros_like(f_cm)
-    op.apply(f_cm, aux, ref)
+    run_op(op, f_cm, aux, ref)
     assert np.allclose(out - base, ref, atol=1e-14)
 
 
-def test_grouped_on_sliced_cells(setup):
+def test_grouped_on_sliced_cells(setup, run_op):
     """Surface applications pass face subsets; the grouped plan is shape
     independent and must broadcast the sliced aux correctly."""
     pg, bundle, aux, f = setup
@@ -73,13 +73,13 @@ def test_grouped_on_sliced_cells(setup):
     ts.apply(f_sub, aux, out_a)
     f_sub_cm = phase_to_cell_major(f_sub, pg.cdim)
     out_b = np.zeros_like(f_sub_cm)
-    op.apply(f_sub_cm, aux, out_b)
+    run_op(op, f_sub_cm, aux, out_b)
     assert np.allclose(
         out_a, phase_to_mode_major(out_b, pg.cdim), rtol=1e-13, atol=1e-13
     )
 
 
-def test_grouped_fallback_for_mixed_symbols():
+def test_grouped_fallback_for_mixed_symbols(run_op):
     """A symbol varying on both config and velocity axes has no grouped
     sweep: the plan refuses it by name instead of falling back."""
     ts = TermSet(2, 2, {("mix",): [(0, 1, 2.0)], (): [(1, 0, 1.0)]})
@@ -89,14 +89,14 @@ def test_grouped_fallback_for_mixed_symbols():
     aux = {"mix": rng.standard_normal((3, 4))}
     out_b = np.zeros((3, 2, 4))
     with pytest.raises(PlanSignatureError, match="'mix'"):
-        op.apply(phase_to_cell_major(f, 1), aux, out_b)
+        run_op(op, phase_to_cell_major(f, 1), aux, out_b)
     assert op.num_plans == 0
 
 
-def test_grouped_empty_termset():
+def test_grouped_empty_termset(run_op):
     ts = TermSet(3, 3, {})
     op = GroupedOperator(ts, 1, 1)
     f = np.ones((2, 3, 2))  # cell-major (cfg, nb, vel)
     out = np.zeros_like(f)
-    op.apply(f, {}, out)
+    run_op(op, f, {}, out)
     assert np.all(out == 0)

@@ -63,7 +63,7 @@ def test_layout_conversions_roundtrip():
 # --------------------------------------------------------------------- #
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), cdim=st.integers(1, 2), vdim=st.integers(1, 2))
-def test_plan_matches_termset_apply_cm(seed, cdim, vdim):
+def test_plan_matches_termset_apply_cm(seed, cdim, vdim, run_op):
     """Randomized termsets: the compiled plan equals the term-by-term sparse
     evaluator ``TermSet.apply_cm`` to <= 2e-15."""
     rng = np.random.default_rng(seed)
@@ -101,7 +101,7 @@ def test_plan_matches_termset_apply_cm(seed, cdim, vdim):
     ref = np.zeros(cfg_shape + (nout,) + vel_shape)
     ts.apply_cm(f, aux, ref, cdim)
     got = np.zeros_like(ref)
-    GroupedOperator(ts, cdim, vdim).apply(f, aux, got)
+    run_op(GroupedOperator(ts, cdim, vdim), f, aux, got)
     scale = max(float(np.max(np.abs(ref))), 1.0)
     assert np.max(np.abs(got - ref)) / scale <= 2e-15
 

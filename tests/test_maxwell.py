@@ -11,14 +11,13 @@ from repro.timestepping import SSPRK3
 
 def _advance(solver, q, t_end, cfl=0.3):
     stepper = SSPRK3()
-    t = 0.0
+    t, state = 0.0, {"q": q.copy()}
     dt = cfl / solver.max_frequency()
     while t < t_end - 1e-12:
         step = min(dt, t_end - t)
-        state = {"q": q}
-        q = stepper.step(state, lambda s: {"q": solver.rhs(s["q"])}, step)["q"]
+        stepper.step_inplace(state, lambda s, k: np.copyto(k["q"], solver.rhs(s["q"])), step)
         t += step
-    return q
+    return state["q"]
 
 
 @pytest.fixture(scope="module")

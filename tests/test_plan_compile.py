@@ -90,19 +90,21 @@ def random_aux(rng, ncv=NCV):
     }
 
 
-def apply_with(ts, aux, f_cm, tier="auto", cache="off", base=None):
-    """One fresh GroupedOperator application under a scoped config:
-    assigned (``accumulate=False``, into a NaN-poisoned array — no prior
-    content may leak into the result), or accumulated onto a copy of
-    ``base``."""
-    with compiler_config(tier=tier, cache=cache):
-        op = GroupedOperator(ts, CDIM, VDIM)
-        if base is None:
-            out = np.full((NCX, ts.nout, f_cm.shape[-1]), np.nan)
-        else:
-            out = base.copy()
-        op.apply(f_cm, aux, out, accumulate=base is not None)
-    return out
+@pytest.fixture(scope="session")
+def apply_with(run_op):
+    def apply_with(ts, aux, f_cm, tier="auto", cache="off", base=None):
+        """One fresh GroupedOperator run under a scoped config: assigned
+        (``accumulate=False``, into a NaN-poisoned array — no prior content
+        may leak into the result), or accumulated onto a copy of ``base``."""
+        with compiler_config(tier=tier, cache=cache):
+            op = GroupedOperator(ts, CDIM, VDIM)
+            if base is None:
+                out = np.full((NCX, ts.nout, f_cm.shape[-1]), np.nan)
+            else:
+                out = base.copy()
+            return run_op(op, f_cm, aux, out, accumulate=base is not None)
+
+    return apply_with
 
 
 def reference(ts, aux, f_cm, base=None):
@@ -131,7 +133,7 @@ def case(rng):
 # executor equivalence
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("tier", TIERS)
-def test_plan_matches_sparse_reference(case, rng, tier):
+def test_plan_matches_sparse_reference(case, rng, tier, apply_with):
     ts, _, _ = case
     for ncv in NVELS:
         aux = random_aux(rng, ncv)
@@ -146,7 +148,7 @@ def test_plan_matches_sparse_reference(case, rng, tier):
             ), ncv
 
 
-def test_tiers_agree_on_many_random_termsets(rng):
+def test_tiers_agree_on_many_random_termsets(rng, apply_with):
     """Property check across random sparsity patterns, including degenerate
     ones (empty groups, repeated entries), and velocity-cell counts around
     every tile size of the C sweep: the plan matches the sparse reference to
@@ -169,15 +171,15 @@ def test_tiers_agree_on_many_random_termsets(rng):
             ), trial
 
 
-def test_accumulate_and_assign(case):
+def test_accumulate_and_assign(case, run_op, apply_with):
     ts, aux, f_cm = case
     with compiler_config(cache="off"):
         op = GroupedOperator(ts, CDIM, VDIM)
         base = np.ones((NCX, ts.nout, NCV))
         acc = base.copy()
-        op.apply(f_cm, aux, acc, accumulate=True)
+        run_op(op, f_cm, aux, acc, accumulate=True)
         fresh = np.zeros_like(base)
-        op.apply(f_cm, aux, fresh, accumulate=False)
+        run_op(op, f_cm, aux, fresh, accumulate=False)
     # accumulate interleaves term adds with the base, so (acc - base) and
     # fresh differ in summation order — tight tolerance, not bitwise
     assert np.allclose(acc - base, fresh, rtol=1e-13, atol=1e-13)
@@ -190,7 +192,7 @@ def test_accumulate_and_assign(case):
 
 
 @pytest.mark.parametrize("tier", TIERS)
-def test_plan_tracks_inplace_aux_mutation(case, rng, tier):
+def test_plan_tracks_inplace_aux_mutation(case, rng, tier, run_op, apply_with):
     """Velocity factors and cfg coefficients mutated *in place* (same array
     objects — the identity fast path stays hot) must be re-read per apply:
     the bound operator equals one freshly built on the mutated values."""
@@ -199,13 +201,13 @@ def test_plan_tracks_inplace_aux_mutation(case, rng, tier):
     with compiler_config(tier=tier, cache="off"):
         op = GroupedOperator(ts, CDIM, VDIM)
         out = np.zeros((NCX, ts.nout, NCV))
-        op.apply(f_cm, aux, out)  # binds the plan to these aux objects
+        run_op(op, f_cm, aux, out)  # binds the plan to these aux objects
         for _ in range(3):
             aux["w0"] *= 1.5
             aux["w1"] -= 0.5  # one factor of the multi-name (w1, s0) group
             aux["c0"] += 0.25
             out.fill(0.0)
-            op.apply(f_cm, aux, out)
+            run_op(op, f_cm, aux, out)
             assert np.array_equal(apply_with(ts, aux, f_cm, tier=tier), out)
 
 
@@ -270,12 +272,12 @@ FOSSIL_SHA256 = {
 
 @pytest.mark.parametrize("tier", SWEEP_TIERS)
 @pytest.mark.parametrize("name,accumulate", sorted(FOSSIL_SHA256))
-def test_fossil_of_the_interpreted_executor(name, accumulate, tier):
+def test_fossil_of_the_interpreted_executor(name, accumulate, tier, run_op):
     ts, aux, f_cm, base = fossil_case(name)
     with compiler_config(tier=tier, cache="off"):
         plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
         assert plan.tier == tier and plan.stats["cfg_groups"] == 0
-        out = plan.apply(f_cm, aux, base.copy(), accumulate=accumulate)
+        out = run_op(plan, f_cm, aux, base.copy(), accumulate=accumulate)
     digest = hashlib.sha256(out.astype("<f8").tobytes()).hexdigest()
     assert digest == FOSSIL_SHA256[name, accumulate]
 
@@ -295,7 +297,7 @@ def test_unrolled_kernel_roundtrip(rng):
 
 
 @needs_cc
-def test_cc_tier_bitwise_matches_numpy_tier(case, monkeypatch):
+def test_cc_tier_bitwise_matches_numpy_tier(case, monkeypatch, apply_with):
     """Holds on the CI numpy-tier leg too: an explicit tier beats the
     environment, so this never compares numpy with numpy."""
     monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
@@ -310,7 +312,7 @@ def test_cc_tier_bitwise_matches_numpy_tier(case, monkeypatch):
 
 
 @pytest.mark.parametrize("tier", SWEEP_TIERS)
-def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier):
+def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier, run_op):
     """Two configuration-varying groups with the same term count, the same
     pattern size and the same ``ncfg``: every group's per-cell rows are live
     at the one kernel call, so each must own its own."""
@@ -326,7 +328,7 @@ def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier):
     f_cm = rng.standard_normal((NCX, nin, NCV))
     with compiler_config(tier=tier, cache="off"):
         plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
-        out = plan.apply(f_cm, aux, np.zeros((NCX, nout, NCV)))
+        out = run_op(plan, f_cm, aux, np.zeros((NCX, nout, NCV)))
     assert plan.tier == tier and plan.stats["cfg_groups"] == 2
     a, b = (g.data for g in plan._groups)
     assert a.shape == b.shape and not np.shares_memory(a, b)
@@ -334,7 +336,7 @@ def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier):
 
 
 @needs_cc
-def test_sweep_bits_do_not_depend_on_the_isa_flag(case, tmp_path):
+def test_sweep_bits_do_not_depend_on_the_isa_flag(case, tmp_path, run_op):
     """The kernel source built with and without ``-march=native`` (any
     vector width the host offers, down to the baseline ISA) produces the
     bits the plan's own kernel does: with contraction off and no
@@ -368,14 +370,16 @@ def test_sweep_bits_do_not_depend_on_the_isa_flag(case, tmp_path):
             # the plan's apply refreshes the per-cell rows and the weight
             # buffers the group table points at; the rebuilt kernel then
             # sweeps the very same table
-            want = plan.apply(f_cm, aux, base.copy(), accumulate=accumulate)
+            want = run_op(plan, f_cm, aux, base.copy(), accumulate=accumulate)
             got = base.copy()
             fn(f_cm.ctypes.data, got.ctypes.data, accumulate, *plan._cc_tail)
             assert np.array_equal(got, want), (name, accumulate)
     assert built >= 1
 
 
-def test_failed_kernel_build_is_counted_and_reported(case, tmp_path, monkeypatch):
+def test_failed_kernel_build_is_counted_and_reported(
+    case, tmp_path, monkeypatch, run_op, apply_with
+):
     """A compiler that starts but cannot build the kernel: the plan runs the
     scipy sweep, says so (``tier``, ``kernels_failed``, one warning with the
     compiler's complaint) and computes the same bytes."""
@@ -395,7 +399,7 @@ def test_failed_kernel_build_is_counted_and_reported(case, tmp_path, monkeypatch
         assert select_tier("cc") == "cc"
         with pytest.warns(RuntimeWarning, match="stubcc: cannot compile anything"):
             plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
-        out = plan.apply(f_cm, aux, np.zeros((NCX, ts.nout, NCV)))
+        out = run_op(plan, f_cm, aux, np.zeros((NCX, ts.nout, NCV)))
     delta = plans_since(before)
     assert plan.tier == "numpy" and plan.kernel_status == "failed"
     assert delta["kernels_failed"] == 1
@@ -471,7 +475,7 @@ def test_resolve_cache_root():
 # --------------------------------------------------------------------- #
 # the disk cache
 # --------------------------------------------------------------------- #
-def test_cache_hydration_is_bit_identical_and_compile_free(case, tmp_path):
+def test_cache_hydration_is_bit_identical_and_compile_free(case, tmp_path, apply_with):
     ts, aux, f_cm = case
     cache = str(tmp_path / "plans")
     before = OBS.metrics.snapshot()
@@ -502,7 +506,7 @@ def _flip_payload_byte(path):
     path.write_bytes(bytes(raw))
 
 
-def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path):
+def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path, apply_with):
     ts, aux, f_cm = case
     cache_dir = tmp_path / "plans"
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
@@ -540,7 +544,9 @@ def _count_archive_opens(monkeypatch):
     return opened
 
 
-def test_a_second_load_of_unchanged_bytes_opens_no_archive(case, tmp_path, monkeypatch):
+def test_a_second_load_of_unchanged_bytes_opens_no_archive(
+    case, tmp_path, monkeypatch, apply_with
+):
     ts, aux, f_cm = case
     cache = str(tmp_path / "plans")
     cold = apply_with(ts, aux, f_cm, cache=cache)  # compiles and publishes
@@ -555,7 +561,9 @@ def test_a_second_load_of_unchanged_bytes_opens_no_archive(case, tmp_path, monke
 
 
 @pytest.mark.parametrize("damage", [_truncate, _flip_payload_byte])
-def test_an_entry_damaged_after_it_was_memoized_is_recompiled(case, tmp_path, damage):
+def test_an_entry_damaged_after_it_was_memoized_is_recompiled(
+    case, tmp_path, damage, apply_with
+):
     ts, aux, f_cm = case
     cache_dir = tmp_path / "plans"
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
@@ -570,7 +578,7 @@ def test_an_entry_damaged_after_it_was_memoized_is_recompiled(case, tmp_path, da
     assert np.array_equal(cold, got)
 
 
-def test_memoized_arrays_are_read_only(case, tmp_path):
+def test_memoized_arrays_are_read_only(case, tmp_path, apply_with):
     ts, aux, f_cm = case
     cache = PlanCache(tmp_path / "plans")
     apply_with(ts, aux, f_cm, cache=str(cache.root))
@@ -602,7 +610,9 @@ def test_the_memo_stays_within_its_byte_cap(tmp_path, rng, monkeypatch):
     assert len(opened) == 1  # least recently used: evicted, parsed again
 
 
-def test_only_a_bad_payload_falls_back_to_compile(case, tmp_path, monkeypatch):
+def test_only_a_bad_payload_falls_back_to_compile(
+    case, tmp_path, monkeypatch, apply_with
+):
     """A payload that loads (good CRCs) but holds a pattern the C sweep
     would overrun on is a cache miss; an error that is not about the payload
     — a bug in the hydration code — is not swallowed into a recompile."""
@@ -628,7 +638,7 @@ def test_only_a_bad_payload_falls_back_to_compile(case, tmp_path, monkeypatch):
         apply_with(ts, aux, f_cm, cache=str(cache_dir))
 
 
-def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng):
+def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng, apply_with):
     """The same termset with a re-classified symbol (velocity factor ->
     configuration field) must compile a distinct plan, not reuse the
     cached one."""
@@ -649,7 +659,7 @@ def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng):
     assert np.array_equal(apply_with(ts, aux2, f_cm), got)
 
 
-def test_cache_reuse_across_processes(tmp_path):
+def test_cache_reuse_across_processes(tmp_path, apply_with):
     """A child process warms the cache; this process hydrates the same
     digests without compiling and reproduces the child's output bitwise."""
     cache_dir = tmp_path / "plans"
@@ -658,6 +668,7 @@ def test_cache_reuse_across_processes(tmp_path):
 import numpy as np
 from repro.engine.compile import compiler_config, plan_counts
 from repro.kernels.grouped import GroupedOperator
+from repro.engine.program import bound_plans
 from repro.obs import OBS
 from test_plan_compile import NCX, NCV, CDIM, VDIM, random_termset, random_aux
 
@@ -665,9 +676,8 @@ rng = np.random.default_rng(1234)
 ts, aux = random_termset(rng), random_aux(rng)
 f_cm = rng.standard_normal((NCX, ts.nin, NCV))
 with compiler_config(cache={str(cache_dir)!r}):
-    op = GroupedOperator(ts, CDIM, VDIM)
-    out = np.zeros((NCX, ts.nout, NCV))
-    op.apply(f_cm, aux, out)
+    (plan,) = bound_plans([(GroupedOperator(ts, CDIM, VDIM), (NCX, NCV))], aux)
+    out = plan.run(aux, f_cm, np.zeros((NCX, ts.nout, NCV)))
 counts = plan_counts(OBS.metrics.snapshot())
 assert counts["compiled"] >= 1 and counts["cache_stores"] >= 1
 np.save({str(out_file)!r}, out)
@@ -691,7 +701,7 @@ np.save({str(out_file)!r}, out)
     assert np.array_equal(np.load(out_file), got)
 
 
-def test_hydrated_plan_artifacts_roundtrip(case):
+def test_hydrated_plan_artifacts_roundtrip(case, run_op):
     """ExecutionPlan.to_artifacts/from_artifacts is the serialization the
     cache stores; the round trip must preserve every operator block."""
     ts, aux, f_cm = case
@@ -706,8 +716,8 @@ def test_hydrated_plan_artifacts_roundtrip(case):
     )
     out_a = np.zeros((NCX, ts.nout, NCV))
     out_b = np.zeros_like(out_a)
-    plan.apply(f_cm, aux, out_a)
-    clone.apply(f_cm, aux, out_b)
+    run_op(plan, f_cm, aux, out_a)
+    run_op(clone, f_cm, aux, out_b)
     assert np.array_equal(out_a, out_b)
     # the C sweep trusts the stored pattern, so a payload that is not one
     # is refused (compile_plan then treats it as a miss and recompiles)

@@ -156,6 +156,15 @@ def test_a_poisson_run_that_loses_neutrality_ends_diverged(capsys, tmp_path):
         Driver(build("two_stream", nx=4, nv=8, steps=2, neutralize=False)).run()
 
 
+def test_a_non_neutral_initial_condition_is_one_error_line(capsys):
+    assert main([
+        "run", "two_stream", "--set", "nx=4", "--set", "nv=8",
+        "--set", "steps=2", "--set", "neutralize=false",
+    ]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "neutral" in err[0]
+
+
 @pytest.mark.parametrize(
     "damage", [_truncate, _flip_one_byte, _untagged_mode_major, _munged_key_names]
 )

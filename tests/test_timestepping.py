@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro.timestepping import ForwardEuler, SSPRK2, SSPRK3, get_stepper
-from repro.timestepping.ssprk import state_axpy
+
+
+def _into(rhs):
+    """The ``rhs_into(state, out)`` of a functional ``rhs(state) -> state``."""
+
+    def rhs_into(state, out):
+        for key, val in rhs(state).items():
+            np.copyto(out[key], val)
+
+    return rhs_into
 
 
 def _integrate(stepper, lam, y0, t_end, n):
@@ -15,7 +24,7 @@ def _integrate(stepper, lam, y0, t_end, n):
         return {"y": lam * s["y"]}
 
     for _ in range(n):
-        state = stepper.step(state, rhs, dt)
+        stepper.step_inplace(state, _into(rhs), dt)
     return state["y"][0]
 
 
@@ -42,9 +51,9 @@ def test_multi_key_state():
     def rhs(s):
         return {"a": -s["a"], "b": 0.5 * s["b"]}
 
-    out = stepper.step(state, rhs, 0.1)
-    assert out["a"] == pytest.approx(np.exp(-0.1) * np.ones(3), abs=1e-5)
-    assert out["b"] == pytest.approx(np.exp(0.05) * np.full(2, 2.0), abs=1e-5)
+    stepper.step_inplace(state, _into(rhs), 0.1)
+    assert state["a"] == pytest.approx(np.exp(-0.1) * np.ones(3), abs=1e-5)
+    assert state["b"] == pytest.approx(np.exp(0.05) * np.full(2, 2.0), abs=1e-5)
 
 
 def test_get_stepper():
@@ -53,13 +62,6 @@ def test_get_stepper():
     assert isinstance(get_stepper("forward-euler"), ForwardEuler)
     with pytest.raises(ValueError):
         get_stepper("rk4")
-
-
-def test_state_axpy():
-    a = {"x": np.ones(2)}
-    b = {"x": np.full(2, 3.0)}
-    out = state_axpy([(2.0, a), (-1.0, b)])
-    assert np.allclose(out["x"], -1.0)
 
 
 def test_ssp_property_linear_advection_no_overshoot():
@@ -71,5 +73,5 @@ def test_ssp_property_linear_advection_no_overshoot():
         return {"y": -s["y"]}
 
     for _ in range(10):
-        y = stepper.step(y, rhs, 0.5)
+        stepper.step_inplace(y, _into(rhs), 0.5)
         assert 0.0 < y["y"][0] <= 1.0
