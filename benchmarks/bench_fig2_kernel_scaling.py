@@ -65,13 +65,15 @@ def _measure(cdim, vdim, p, family, rng, streaming_only=False) -> Tuple[int, flo
         solver.rhs(f, em, out)
 
     update()  # warm up
-    # the fastest single call of a 0.25 s window: a call another process
-    # delayed only lengthens its own time, where a window mean would carry it
+    # the least CPU time of a single call in a 0.25 s window: the processor
+    # time this process spent (its threads' included), which a competing
+    # process that takes the CPU away does not add to, as it does to wall
+    # time; the minimum drops calls slowed by cache eviction
     best, t0 = float("inf"), time.perf_counter()
     while time.perf_counter() - t0 < 0.25:
-        t1 = time.perf_counter()
+        t1 = time.process_time()
         update()
-        best = min(best, time.perf_counter() - t1)
+        best = min(best, time.process_time() - t1)
     per_cell = best / pg.num_cells
     return solver.num_basis, per_cell
 

@@ -16,7 +16,7 @@ products pulled out.  This module does the same in Python, at two levels:
   coefficient vectors.
 * :data:`FUSED_SWEEP_C` is the executor's compiled form: one C sweep over
   the per-cell sparse groups an :class:`~repro.engine.plan.ExecutionPlan`
-  freezes, with six entry points: four over one loop body —
+  freezes, with eight entry points: four over one loop body —
   ``fused_sweep`` (state in, state out), ``face_flux`` (the same groups
   across the faces of one direction: two trace slots in, both overwritten
   with the flux), ``cell_rhs`` (a
@@ -24,11 +24,13 @@ products pulled out.  This module does the same in Python, at two levels:
   table of sweeps and velocity-face fluxes on cell-local blocks, optionally
   the Shu–Osher stage) and ``moments`` (per configuration cell, several
   plans' sweeps, each row summed over the velocity cells in numpy's order:
-  :class:`~repro.moments.MomentCalculator`) — ``project_accumulate``, the
-  quadrature sum of the initial-condition projection
-  (:mod:`repro.projection`), and ``weak_primitive``, the LBO's per-cell weak
-  division (:mod:`repro.moments.weak_ops`).  All but the last split their
-  loop over configuration cells (faces) across the CPUs
+  :class:`~repro.moments.MomentCalculator`) — ``form_entries``, the
+  per-cell sweep entries of a plan run on its own, ``project_accumulate``,
+  the quadrature sum of the initial-condition projection
+  (:mod:`repro.projection`), ``weak_primitive``, the LBO's per-cell weak
+  division (:mod:`repro.moments.weak_ops`), and ``poisson_1d``, the 1-D
+  field solve (:mod:`repro.fields.poisson`).  The first four and the
+  projection split their loop over configuration cells (faces) across the CPUs
   the process may run on, with threads started and joined inside each call
   (:func:`cell_threads` decides how many; one in a forked child).  Its
   source is a constant — shapes, the ``accumulate`` flag, the group and face
@@ -82,6 +84,8 @@ __all__ = [
     "PROJECT_ACCUMULATE_ARGTYPES",
     "MOMENTS_ARGTYPES",
     "WEAK_PRIMITIVE_ARGTYPES",
+    "FORM_ENTRIES_ARGTYPES",
+    "POISSON_1D_ARGTYPES",
     "CC_FLAGS",
     "CC_ISA_FLAG",
     "compile_fused_sweep",
@@ -227,12 +231,14 @@ def select_tier(tier: str = "auto") -> str:
 
 #: C source of the sweep kernels — a constant: every shape is an argument, so
 #: one shared object per toolchain and target ISA serves every plan.  It has
-#: six entry points: four over one group-table format, the projection's
-#: accumulate and the LBO's weak division.
+#: eight entry points: four over one group-table format and ``form_entries``
+#: over its form records, the projection's accumulate, the LBO's weak
+#: division and the 1-D Poisson solve.
 #:
-#: *Threads.*  Every entry point but ``weak_primitive`` takes a trailing
-#: ``nthreads`` (:func:`cell_threads` picks it when the call is bound) and
-#: splits its outer loop — configuration cells for ``fused_sweep``,
+#: *Threads.*  ``fused_sweep``, ``face_flux``, ``cell_rhs``, ``moments``
+#: and ``project_accumulate`` take a trailing ``nthreads``
+#: (:func:`cell_threads` picks it when the call is bound) and split their
+#: outer loop — configuration cells for ``fused_sweep``,
 #: ``cell_rhs``, ``moments`` and ``project_accumulate``, face rows for
 #: ``face_flux`` — into ``nthreads``
 #: contiguous ranges (at most one per cell or face; ``run_split``).  Range
@@ -242,7 +248,8 @@ def select_tier(tier: str = "auto") -> str:
 #: still made by one thread, in its one-thread float sequence, and no range
 #: reads what another writes — a sweep cell writes only its own output
 #: cell, a face only its own two slots (``FaceMap.in_place``), a program
-#: cell only its own output and its thread's scratch, reading the state and
+#: cell only its own output, its own row of each per-cell entry table and
+#: its thread's scratch, reading the state and
 #: the streaming buffer finished before the call, a moment cell only its
 #: own output rows and its thread's row buffer, a projection cell only its
 #: own output rows.  No thread outlives a call, so a fork (a
@@ -253,7 +260,27 @@ def select_tier(tier: str = "auto") -> str:
 #: its entries, the stride in doubles between configuration cells' entry
 #: rows (0: one row shared by every cell), the addresses of the per-cell CSR
 #: ``indptr`` / ``indices`` (int64) and of the flattened ``(nvel,)`` velocity
-#: factor (0: unweighted).
+#: factor (0: unweighted; the factor's own memory where it is a contiguous
+#: ``vel_shape`` array, else a copy the plan re-gathers before each call).
+#:
+#: *Per-cell entries.*  A group with configuration-varying factors has one
+#: entry row per configuration cell, ``d[c] = sum_t coef_t * s_t`` over the
+#: ``nterms`` rows ``s_t`` of its term stack, described by an int64 *form
+#: record*: the address of the entries, ``nnz``, ``nterms``, the addresses
+#: of the ``(nterms, nnz)`` stack and of the ``(nterms,)`` scalar products
+#: ``scal``; then per term its row count ``nr`` and ``nr`` pairs (address,
+#: stride in doubles) of its ``(ncfg,)`` configuration rows.
+#: ``form_range`` writes rows ``[lo, hi)``, per row ``coef_t = row_0[c] * scal_t``, times each further row
+#: in order, then ``d[c, k] = coef_0 * s_0[k]`` and ``d[c, k] = d[c, k] +
+#: coef_t * s_t[k]`` term after term — the float sequence of
+#: ``ExecutionPlan``'s numpy form, so both tiers sweep the same entries.
+#: ``form_entries(nform, forms, ncfg)`` runs it for every cell of the
+#: ``nform`` records whose addresses ``forms`` lists (a plan run on its
+#: own); ``cell_rhs`` runs it over each thread's range of cells before
+#: their instructions.  The cells go 16 at a time, each register tile of
+#: the stack serving all of them: formed one cell at a time, the stack was
+#: re-read from cache per cell and the formation ran at a third of the speed
+#: of numpy's BLAS product on ``weibel_2x2v`` (2-vCPU x86-64 box).
 #:
 #: ``fused_sweep(f, y, accumulate, ncfg, nout, nin, nvel, ngroups, groups,
 #: nthreads)`` applies the groups to cell-major ``f`` ``(ncfg, nin, nvel)``
@@ -307,9 +334,12 @@ def select_tier(tier: str = "auto") -> str:
 #: each face owns its two slots and ``dst`` may be ``src``.
 #:
 #: ``cell_rhs(f, held, out, ncfg, np, nvel, stream, ns, block, bs, nins, ins,
-#: consts, staged, sa, sb, dt, u0, target, nthreads)`` runs a
-#: :class:`~repro.engine.program.CellProgram`: one instruction table per
-#: configuration cell, over the loop bodies of the other two entry points
+#: consts, staged, sa, sb, dt, u0, target, nform, forms, nthreads)`` runs a
+#: :class:`~repro.engine.program.CellProgram`: the entries of the ``nform``
+#: form records ``forms`` lists (the table plans' per-cell groups; the
+#: thread that owns cell ``c`` writes their row ``c``, for its range of cells
+#: before their instructions), then per configuration cell one instruction
+#: table, over the loop bodies of the other two entry points
 #: (``sweep_span``, ``face_span``).  ``f`` is the cell-major state handed in
 #: (``held[c]`` its index of own cell ``c``, or no table: ``c``), ``stream``
 #: the ``(ncfg, ns, nvel)`` buffer already holding the *streaming* face
@@ -379,6 +409,17 @@ def select_tier(tier: str = "auto") -> str:
 #: order of :func:`repro.moments.weak_ops.weak_primitive`, so the bits are
 #: that function's.  It returns ``-1``, or the first cell whose pivot is an
 #: exact zero (that cell and the later ones are not written).
+#:
+#: ``poisson_1d(rho, e, q, nx, np, local, weight, edge)`` is
+#: :meth:`repro.fields.poisson.Poisson1D.solve`: ``e[i, j] = rho[i, 0] *
+#: local[0, j]`` plus ``rho[i, k] * local[k, j]`` for ``k = 1 ..`` in turn;
+#: the cell charges ``q[i] = weight * rho[i, 0]``, their sum ``total`` as
+#: ``+0.0`` plus numpy's pairwise sum, ``q[i] = q[i] - total / nx``; ``e[i +
+#: 1, 0] = e[i + 1, 0] + s_i * edge`` with ``s`` the running sum of ``q``
+#: (``np.cumsum``'s sequential order); then ``e[:, 0]`` less its mean (the
+#: pairwise sum over ``nx``).  That is the numpy form's float sequence, so
+#: the bits are its.  It returns ``total``: the caller refuses a
+#: non-neutral charge.
 FUSED_SWEEP_C = r"""#include <pthread.h>
 #include <stdint.h>
 
@@ -646,6 +687,76 @@ sweep_cell(const double* restrict fc, double* restrict yc, int64_t nvel,
                groups);
 }
 
+/* NV * (lanes of T) entries from k on of every cell of the chunk, each
+   held in registers while the terms are added in order */
+#define FORM_TILES(T, NV)                                                   \
+    for (i = 0; i < m; ++i) {                                               \
+        const double* coef = cf + i * nterms;                               \
+        T acc[NV];                                                          \
+        for (j = 0; j < NV; ++j)                                            \
+            acc[j] = coef[0] * ((const T*)(s + k))[j];                      \
+        for (t = 1; t < nterms; ++t)                                        \
+            for (j = 0; j < NV; ++j)                                        \
+                acc[j] += coef[t] * ((const T*)(s + t * nnz + k))[j];       \
+        for (j = 0; j < NV; ++j)                                            \
+            ((T*)(d + (c0 + i) * nnz + k))[j] = acc[j];                     \
+    }
+
+#define FORM_CHUNK 16
+
+/* the entry rows of configuration cells [lo, hi) of nform per-cell groups,
+   each given by its form record: entries, nnz, nterms, term stack,
+   per-term scalars, then per term its number of coefficient rows and their
+   (address, stride) pairs.  Row c becomes sum_t coef_t * stack_t, the
+   first term's product, then the others added in term order; the cells go
+   FORM_CHUNK at a time, each tile of the stack serving the whole chunk */
+static __attribute__((noinline)) void
+form_range(int64_t lo, int64_t hi, int64_t nform, const int64_t* restrict forms)
+{
+    int64_t g, c0, m, i, t, r, k;
+    int j;
+    for (g = 0; g < nform; ++g) {
+        const int64_t* h = (const int64_t*)(intptr_t)forms[g];
+        const int64_t nnz = h[1], nterms = h[2];
+        double* restrict d = (double*)(intptr_t)h[0];
+        const double* restrict s = (const double*)(intptr_t)h[3];
+        const double* scal = (const double*)(intptr_t)h[4];
+        double cf[FORM_CHUNK * nterms];
+        for (c0 = lo; c0 < hi; c0 += FORM_CHUNK) {
+            m = hi - c0 < FORM_CHUNK ? hi - c0 : FORM_CHUNK;
+            for (i = 0; i < m; ++i) {
+                const int64_t* x = h + 5;
+                for (t = 0; t < nterms; ++t) {
+                    double v = ((const double*)(intptr_t)x[1])[(c0 + i) * x[2]] * scal[t];
+                    for (r = 1; r < x[0]; ++r)
+                        v = v * ((const double*)(intptr_t)x[1 + 2 * r])[(c0 + i) * x[2 + 2 * r]];
+                    cf[i * nterms + t] = v;
+                    x += 1 + 2 * x[0];
+                }
+            }
+            for (k = 0; k + 8 * VLEN <= nnz; k += 8 * VLEN)
+                FORM_TILES(vec, 8)
+            for (; k + VLEN <= nnz; k += VLEN)
+                FORM_TILES(vec, 1)
+#if VLEN > 4
+            for (; k + 4 <= nnz; k += 4)
+                FORM_TILES(vec4, 1)
+#endif
+#if VLEN > 2
+            for (; k + 2 <= nnz; k += 2)
+                FORM_TILES(vec2, 1)
+#endif
+            for (; k < nnz; ++k)
+                FORM_TILES(double, 1)
+        }
+    }
+}
+
+void form_entries(int64_t nform, const int64_t* forms, int64_t ncfg)
+{
+    form_range(0, ncfg, nform, forms);
+}
+
 /* the block of one cell an instruction names: a row of the scratch block,
    or the cell of the state / of the streaming fluxes / of the output */
 #define AT(loc) ((loc) >= 0 ? block + (loc) * nvel                          \
@@ -668,6 +779,8 @@ typedef struct {
     double sa, sb, dt;
     const double* u0;
     double* target;
+    int64_t nform;
+    const int64_t* forms;
 } cell_args;
 
 static void cell_range(const void* args, int64_t lo, int64_t hi, int64_t t)
@@ -678,6 +791,8 @@ static void cell_range(const void* args, int64_t lo, int64_t hi, int64_t t)
     const double* restrict consts = a->consts;
     double* block = a->block + t * a->bs;
     int64_t c, n, k;
+    if (a->nform)
+        form_range(lo, hi, a->nform, a->forms);
     for (c = lo; c < hi; ++c) {
         const double* fc = a->f + (a->held ? a->held[c] : c) * np * nvel;
         const double* sc = a->stream + c * a->ns * nvel;
@@ -732,10 +847,12 @@ void cell_rhs(const double* f, const int64_t* held, double* out,
               const double* stream, int64_t ns, double* block, int64_t bs,
               int64_t nins, const int64_t* ins, const double* consts,
               int64_t staged, double sa, double sb, double dt,
-              const double* u0, double* target, int64_t nthreads)
+              const double* u0, double* target, int64_t nform,
+              const int64_t* forms, int64_t nthreads)
 {
     const cell_args a = {f, held, out, np, nvel, stream, ns, block, bs, nins,
-                         ins, consts, staged, sa, sb, dt, u0, target};
+                         ins, consts, staged, sa, sb, dt, u0, target, nform,
+                         forms};
     run_split(cell_range, &a, ncfg, nthreads);
 }
 
@@ -864,6 +981,40 @@ void moments(const double* f, double* out, int64_t cs, int64_t ms,
     run_split(moment_range, &a, ncfg, nthreads);
 }
 
+/* the zero-mean periodic field of repro.fields.poisson.Poisson1D: rho
+   (nx, np) through the per-cell map local (np, np) into e (nx, np), the
+   cell charges into q (nx, scratch); returns the net charge */
+double poisson_1d(const double* restrict rho, double* restrict e,
+                  double* restrict q, int64_t nx, int64_t np,
+                  const double* restrict local, double weight, double edge)
+{
+    int64_t i, j, k;
+    double total, shift, run = 0.0, mean;
+    for (i = 0; i < nx; ++i)
+        for (j = 0; j < np; ++j) {
+            double acc = rho[i * np] * local[j];
+            for (k = 1; k < np; ++k)
+                acc = acc + rho[i * np + k] * local[k * np + j];
+            e[i * np + j] = acc;
+        }
+    for (i = 0; i < nx; ++i)
+        q[i] = weight * rho[i * np];
+    total = 0.0 + pairwise_sum(q, nx);
+    shift = total / (double)nx;
+    for (i = 0; i < nx; ++i)
+        q[i] = q[i] - shift;
+    for (i = 0; i + 1 < nx; ++i) {
+        run = i ? run + q[i] : q[0];
+        e[(i + 1) * np] = e[(i + 1) * np] + run * edge;
+    }
+    for (i = 0; i < nx; ++i)
+        q[i] = e[i * np];
+    mean = (0.0 + pairwise_sum(q, nx)) / (double)nx;
+    for (i = 0; i < nx; ++i)
+        e[i * np] = e[i * np] - mean;
+    return total;
+}
+
 /* a[l, m] = sum_k t[l, m, k] * v[k], k ascending from +0.0 */
 static void contract(const double* t, const double* v, double* a, int64_t n)
 {
@@ -989,8 +1140,11 @@ CELL_RHS_ARGTYPES = (
     + [ctypes.c_int64]
     + [ctypes.c_double] * 3
     + [ctypes.c_void_p] * 2
-    + [ctypes.c_int64]
+    + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
 )
+#: ctypes signature of ``form_entries``: the form count, the form table,
+#: the configuration cells
+FORM_ENTRIES_ARGTYPES = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
 #: ctypes signature of ``project_accumulate``: four integers, three
 #: pointers, the thread count
 PROJECT_ACCUMULATE_ARGTYPES = (
@@ -1006,6 +1160,11 @@ MOMENTS_ARGTYPES = (
 WEAK_PRIMITIVE_ARGTYPES = (
     [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+)
+#: ctypes signature of ``poisson_1d`` (it returns the net charge)
+POISSON_1D_ARGTYPES = (
+    [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    + [ctypes.c_double] * 2
 )
 
 #: cc flags: optimize, but never contract multiply-add into FMA or
@@ -1116,16 +1275,18 @@ def _native_target(cc: str) -> str:
 class CcSweep(NamedTuple):
     """The compiled+loaded ``cc``-tier sweep kernel."""
 
-    #: ctypes entry points of :data:`FUSED_SWEEP_C`, all six:
+    #: ctypes entry points of :data:`FUSED_SWEEP_C`, all eight:
     #: ``fused_sweep``, ``face_flux``, ``cell_rhs``, ``project_accumulate``,
-    #: ``moments`` and ``weak_primitive`` (pointers are passed as
-    #: ``arr.ctypes.data`` integers)
+    #: ``moments``, ``weak_primitive``, ``form_entries`` and ``poisson_1d``
+    #: (pointers are passed as ``arr.ctypes.data`` integers)
     fn: object
     faces: object
     cells: object
     project: object
     moments: object
     divide: object
+    form: object
+    poisson: object
     #: whether this process ran the compiler for it and no earlier claiming
     #: request (see :func:`compile_fused_sweep`) took that news (False:
     #: reuse of the content-addressed artifact, from disk or from this
@@ -1195,6 +1356,7 @@ def compile_fused_sweep(
         lib = ctypes.CDLL(str(so_path))
         fn, faces, cells = lib.fused_sweep, lib.face_flux, lib.cell_rhs
         project, moments, divide = lib.project_accumulate, lib.moments, lib.weak_primitive
+        form, poisson = lib.form_entries, lib.poisson_1d
     except (OSError, subprocess.SubprocessError) as exc:
         # the compiler refused, vanished or hung; the directory is not
         # writable; the object does not load: degrade to the numpy tier,
@@ -1210,14 +1372,18 @@ def compile_fused_sweep(
             stacklevel=2,
         )
         return None
-    fn.restype = faces.restype = cells.restype = project.restype = moments.restype = None
+    fn.restype = faces.restype = cells.restype = project.restype = None
+    moments.restype = form.restype = None
     divide.restype = ctypes.c_int64
+    poisson.restype = ctypes.c_double
     fn.argtypes = FUSED_SWEEP_ARGTYPES
     faces.argtypes = FACE_FLUX_ARGTYPES
     cells.argtypes = CELL_RHS_ARGTYPES
     project.argtypes = PROJECT_ACCUMULATE_ARGTYPES
     moments.argtypes = MOMENTS_ARGTYPES
     divide.argtypes = WEAK_PRIMITIVE_ARGTYPES
-    kern = CcSweep(fn, faces, cells, project, moments, divide, fresh)
+    form.argtypes = FORM_ENTRIES_ARGTYPES
+    poisson.argtypes = POISSON_1D_ARGTYPES
+    kern = CcSweep(fn, faces, cells, project, moments, divide, form, poisson, fresh)
     _LOADED_KERNELS[key] = kern if not claim else kern._replace(fresh=False)
     return kern

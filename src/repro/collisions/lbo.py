@@ -50,7 +50,7 @@ import numpy as np
 from ..engine.compile import compiled_kernel
 from ..engine.faces import FaceMap
 from ..engine.pool import ScratchPool
-from ..engine.program import Faces, Scale, Subtract, Sweep, bound_plans, run_passes
+from ..engine.program import Faces, HeldPlans, Scale, Subtract, Sweep, run_passes
 from ..grid.phase import PhaseGrid
 from ..kernels.grouped import GroupedOperator
 from ..kernels.registry import get_lbo_kernels
@@ -166,6 +166,10 @@ class LBOCollisions:
         #: :class:`~repro.engine.program.CellProgram` ``tail``: its scratch
         #: blocks (name -> rows) and its instructions, every drag pass first
         self.cell_table = ({"trace": 2 * nf, "grad": nb, "vg": nb}, drag_table + ldg_table)
+        # the table's plans for :meth:`rhs`, bound once: the aux values are
+        # fixed (``_prim`` is rewritten in place)
+        cells = phase_grid.conf.cells + phase_grid.vel.cells
+        self._plans = HeldPlans([(getattr(ins, "op", None), cells) for ins in self.cell_table[1]])
 
     def on_grid(self, phase_grid: PhaseGrid) -> "LBOCollisions":
         """The same operator on another phase grid (collisions are
@@ -233,9 +237,7 @@ class LBOCollisions:
         arrays = {"f": f, "out": out}
         for name, rows in blocks.items():
             arrays[name] = self.pool.get(f"program.{name}", g.conf.cells + (rows,) + g.vel.cells)
-        cells = g.conf.cells + g.vel.cells
-        plans = bound_plans([(getattr(ins, "op", None), cells) for ins in table], self.aux)
-        run_passes(table, plans, arrays, self.aux)
+        run_passes(table, self._plans(self.aux), arrays, self.aux)
         return out
 
     def max_frequency(self, f: np.ndarray, moments: MomentCalculator,

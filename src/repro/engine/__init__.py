@@ -9,7 +9,8 @@ and for all layers:
   into an :class:`ExecutionPlan` — symbols pre-split into scalar /
   configuration-varying / velocity-varying factors, terms merged into one
   sparse sweep per velocity factor (entries shared by every cell, or one
-  row per configuration cell refilled from the field coefficients) —
+  row per configuration cell formed from the field coefficients, inside
+  the compiled call where one sweeps the cell) —
   keyed by the aux *signature* so a plan is compiled once and reused for
   every RK stage of every step (and invalidated if the signature changes).
   The plan is also its own, only, executor — one entry path: ``bind``

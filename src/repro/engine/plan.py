@@ -5,73 +5,61 @@ symbolically; *how* to evaluate it efficiently depends on where each factor
 varies.  An :class:`ExecutionPlan` performs that analysis once — against an
 **aux signature**, the classification of every symbol as scalar (``s``),
 configuration-varying (``c``), velocity-varying (``v``) or irregular
-(``x``) — and freezes the result into a flat program, its one executor.
-An irregular symbol is refused (:class:`PlanSignatureError`): every plan is
-a grouped sweep.
+(``x``, refused: :class:`PlanSignatureError`) — and freezes the terms into
+groups, one per velocity factor, each **one sparse sweep** over a per-cell
+CSR pattern: the paper's matrix-free contraction ``Σ C_lmn α_n f_m`` at a
+cost proportional to the exact non-zero count.
 
-* terms are grouped by their velocity factor and each group is **merged
-  into one sparse sweep** over a per-cell CSR pattern — the update stays the
-  paper's matrix-free contraction ``Σ C_lmn α_n f_m`` at a cost proportional
-  to the exact non-zero count; no ``Np x Np`` operator is ever formed;
 * a group without configuration dependence sweeps **one row of entries
-  shared by every cell**: the terms' blocks are concatenated row-wise in
-  term order with the scalar factors folded into the data, so the
-  per-output-element accumulation sequence is entry for entry that of
-  applying the terms one after another (the sha256 goldens in
-  ``tests/test_plan_compile.py`` pin it);
+  shared by every cell**: the terms' blocks concatenated row-wise in term
+  order with the scalar factors folded in, so each output element
+  accumulates as if the terms were applied one after another (the sha256
+  goldens in ``tests/test_plan_compile.py`` pin it);
 * a group with configuration-varying factors (the acceleration kernels'
-  modal field coefficients) sweeps **one row per configuration cell** on the
-  union of its terms' exact non-zeros; per application one gather plus one
-  broadcast multiply fills the coefficient rows and one small product
-  ``data[c] = Σ_i coef_i[c] K_i`` against the term stack restricted to that
-  union refills the rows.
+  modal field coefficients) sweeps **one row per configuration cell** on
+  the union of its terms' non-zeros, ``data[c] = Σ_t coef_t[c] · stack_t``
+  with ``coef_t = row_t · scal_t``: the first term's product, then each
+  further one added in term order, formed inside the compiled call that
+  sweeps the cell (``cell_rhs``), over every cell by :meth:`refresh
+  <ExecutionPlan.refresh>` (the compiled ``form_entries``), or as the same
+  sequence of whole-array numpy passes — no BLAS product.
 
 The executor's single variation point is the **sparse-sweep kernel**
-(:func:`repro.cas.codegen.select_tier`): the compiled C sweep, one call per
-run covering every group with the velocity weighting done in-register and
-the accumulators held in registers across all of an output row's entries,
-when a C compiler is present and the build succeeds (``cc``); otherwise
-scipy's ``csr_matvecs`` over the block-diagonal expansion of the same
-groups (``numpy``) — scipy loads only then.  Both sweep the same entries
-in the same order and produce the same bits.  The kernel has a second entry
-point over the same groups, :meth:`ExecutionPlan.run_faces`: an ``nf x
-nf`` flux plan run across the faces of one phase direction — per face of
-a :class:`~repro.engine.faces.FaceMap`, gather the two trace slots that meet
-there into the face state, sweep, scatter the flux to both slots — in the compiled kernel
-(``face_flux``) a tile of velocity cells at a time with nothing state-sized
-in between, in the numpy tier as array passes around the same
-``csr_matvecs`` groups, which is the byte-for-byte reference.  The tier fork
-stays inside the plan; callers see one method per entry point.  The third
-entry point runs several plans' group tables at once, one configuration
-cell at a time: :class:`~repro.engine.program.CellProgram`, whose reference
-form is :meth:`ExecutionPlan.run` / :meth:`~ExecutionPlan.run_faces` per
+(:func:`repro.cas.codegen.select_tier`): the compiled C sweep (``cc``; one
+call covers every group, weighting in-register, accumulators in registers
+across an output row's entries) when a C compiler is present and the build
+succeeds, otherwise scipy's ``csr_matvecs`` over the block-diagonal
+expansion of the same groups (``numpy``; scipy loads only then) — the same
+entries in the same order, the same bits.  :meth:`ExecutionPlan.run_faces`
+runs an ``nf x nf`` flux plan across the faces of a
+:class:`~repro.engine.faces.FaceMap` (gather the two trace slots that meet,
+sweep, scatter the flux to both): compiled (``face_flux``) a tile of
+velocity cells at a time, in the numpy tier as array passes around the same
+groups.  :class:`~repro.engine.program.CellProgram` runs several plans'
+group tables one configuration cell at a time; its reference form is
+:meth:`ExecutionPlan.run` / :meth:`~ExecutionPlan.run_faces` per
 instruction (:func:`~repro.engine.program.run_passes`).
 
 There is one way to run a plan: :meth:`ExecutionPlan.bind` the aux values
 (:func:`~repro.engine.program.bound_plans` looks the plan up and binds it),
 then :meth:`~ExecutionPlan.run` / :meth:`~ExecutionPlan.run_faces`, or
 :meth:`~ExecutionPlan.refresh` before a compiled call over the plan's group
-table.  Everything shape-dependent is prebound when the plan is built
-(scratch buffers, reshaped views, the C argument vector), and :meth:`bind`
-rebinds only when the aux value objects differ from the bound ones: the
-same objects arriving again (every RK stage of every step) skip all
-dictionary walking and scalar evaluation.  Arrays are bound as views, and
-scalars held in mutable size-one arrays are re-read on every bind, so
-in-place parameter mutation is always seen.  Spans and apply counts are
-the caller's: one program or moment call is one ``plan_apply`` span.
+table.  Everything shape-dependent is prebound when the plan is built, and
+:meth:`bind` rebinds only when the aux value objects differ from the bound
+ones.  Arrays are bound by address or as views (a broadcast factor as a
+copy re-gathered before each sweep), and scalars held in mutable size-one
+arrays are re-read on every bind, so in-place parameter mutation is always
+seen.  Spans and apply counts are the caller's.
 
 State is **cell-major** (:mod:`repro.engine.layout`): ``fin``/``out`` are
 ``(*cfg_cells, n, *vel_cells)``, whose C-contiguous view *is* the
-``(ncfg, n, nvel)`` batch the sweeps consume.  Besides their sweep entries
-plans hold only references into a shared
-:class:`~repro.engine.pool.ScratchPool`, so steady-state application
-allocates nothing and copies nothing: the one normalizing copy (a
-non-contiguous ``fin``) is reported through
-:meth:`ScratchPool.record_layout_copy`, which the copy-assert tests turn
-into a hard failure.  A plan is only valid for the signature and cell shape
-it was compiled against; :meth:`GroupedOperator.plan_for
-<repro.kernels.grouped.GroupedOperator.plan_for>` keys its plan cache on
-both, so a changed aux layout compiles a fresh plan.
+``(ncfg, n, nvel)`` batch the sweeps consume.  Plans draw scratch from a
+shared :class:`~repro.engine.pool.ScratchPool`, so steady-state application
+allocates nothing; the one normalizing copy (a non-contiguous ``fin``) is
+reported through :meth:`ScratchPool.record_layout_copy`, which the
+copy-assert tests turn into a hard failure.  A plan is valid for the
+signature and cell shape it was compiled against only, the key of
+:meth:`GroupedOperator.plan_for <repro.kernels.grouped.GroupedOperator.plan_for>`.
 """
 
 from __future__ import annotations
@@ -192,8 +180,9 @@ class _SweepGroup:
     """The terms sharing one velocity factor as a single sparse sweep: a
     per-cell CSR pattern plus its entries — one row shared by every
     configuration cell (no configuration symbol: scalar factors folded in at
-    bind time), or one row per configuration cell, refilled on every apply
-    from the bound field coefficients."""
+    bind time), or one row per configuration cell, formed from the bound
+    field coefficients before it is swept (:meth:`form`, or the compiled
+    kernel from :attr:`record`)."""
 
     __slots__ = (
         "vel_names",
@@ -208,20 +197,18 @@ class _SweepGroup:
         "data",      # the swept entries: (1, nnz) shared, (ncfg, nnz) per-cell
                      # (numpy tier: always (ncfg, nnz), the expansion's data)
         "spmat",     # numpy tier: block-diagonal expansion over cells
-        "coef",      # per-cell: pooled (n_terms, ncfg) coefficient buffer ...
-        "coef_t",    # ... its transpose, the assembly operand ...
-        "flat",      # ... and its flattening, the gather destination
-        "scal",      # (n_terms, 1) per-term scalar products
-        "extras",    # [(term index, (further cfg names...))], multi-factor terms
-        "rows",      # bound per-term cfg rows ((ncfg,) views)
-        "volatile",  # some row is a copy, not a view: re-gather every apply
+        "scal",      # per-cell: (n_terms,) per-term scalar products
+        "rows",      # per term its bound (ncfg,) float64 cfg rows
+        "coef",      # numpy tier: pooled (n_terms, ncfg, 1) coefficients ...
+        "term",      # ... and one term's pooled (ncfg, nnz) products
+        "record",    # cc tier: the form record the compiled kernel reads
     )
 
     def __init__(self, vel_names: Tuple[str, ...], per_cell: bool):
         self.vel_names = vel_names
         self.per_cell = per_cell
         self.terms: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-        self.base = self.tid = self.stack = self.spmat = None
+        self.base = self.tid = self.stack = self.spmat = self.record = None
 
     def merge(self, mats: List[CSR], nout: int, nin: int) -> None:
         """Freeze the terms' per-cell blocks into one pattern.
@@ -298,17 +285,19 @@ class _SweepGroup:
         if not self.per_cell:
             self.data[:] = self.base
             return
-        self.coef = pool.get("plan.coef", (len(self.terms), ncfg))
-        self.coef_t = self.coef.T
-        self.flat = self.coef.reshape(-1)
-        self.scal = np.ones((len(self.terms), 1))
-        self.extras = [
-            (i, cfg_names[1:])
-            for i, (_sn, cfg_names) in enumerate(self.terms)
-            if len(cfg_names) > 1
-        ]
-        self.rows: List[np.ndarray] = []
-        self.volatile = False
+        nterms = len(self.terms)
+        self.scal = np.ones(nterms)
+        if expand:
+            self.coef = pool.get("plan.coef", (nterms, ncfg, 1))
+            self.term = pool.get("plan.term", (ncfg, nnz))
+        else:
+            # entries, nnz, term count, stack, scalars; then per term its
+            # row count and each row's (address, stride in doubles)
+            self.record = np.zeros(
+                5 + sum(1 + 2 * len(cn) for _sn, cn in self.terms), dtype=np.int64
+            )
+            self.record[:5] = (self.data.ctypes.data, nnz, nterms,
+                               self.stack.ctypes.data, self.scal.ctypes.data)
 
     def rescale(self, svals: Dict[str, float]) -> None:
         """Shared row: fold the current scalar factor values into the sweep
@@ -318,32 +307,34 @@ class _SweepGroup:
             np.multiply(self.base, scale[self.tid], out=self.data)
 
     def bind(self, plan: "ExecutionPlan", aux, svals: Dict[str, float]) -> None:
-        self.rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.terms]
-        # broadcast-expanded rows are snapshots; they must be re-gathered
-        # per apply to track in-place aux mutation
-        self.volatile = not all(
-            np.shares_memory(row, np.asarray(aux[cn[0]]))
-            for row, (_sn, cn) in zip(self.rows, self.terms)
-        )
-        for i, (scalar_names, _cn) in enumerate(self.terms):
-            self.scal[i, 0] = symbol_value(svals, scalar_names)
+        """Per-cell rows: bind each term's scalar product and configuration
+        rows, also into :attr:`record`."""
+        self.rows, tail = [], []
+        for i, (scalar_names, cfg_names) in enumerate(self.terms):
+            self.scal[i] = symbol_value(svals, scalar_names)
+            rows = [plan._cfg_row(aux[name]) for name in cfg_names]
+            self.rows.append(rows)
+            tail.append(len(rows))
+            for row in rows:
+                tail += (row.ctypes.data, row.strides[0] // 8)
+        if self.record is not None:
+            self.record[5:] = tail
 
-    def assemble(self, plan: "ExecutionPlan", aux) -> None:
-        """Per-cell rows ``data[c] = Σ_i coef_i[c] · stack_i``: one gather and
-        one broadcast multiply fill the coefficient rows ``row * c``, one
-        small product combines the terms — a NumPy step both tiers share, so
-        both sweep the same entries."""
-        if self.volatile:
-            rows = [plan._cfg_row(aux[cn[0]]) for _sn, cn in self.terms]
-        else:
-            rows = self.rows
-        coef = self.coef
-        np.concatenate(rows, out=self.flat)
-        np.multiply(coef, self.scal, out=coef)
-        for i, extra_names in self.extras:
-            for name in extra_names:
-                coef[i] *= plan._cfg_row(aux[name])
-        np.matmul(self.coef_t, self.stack, out=self.data)
+    def form(self) -> None:
+        """Per-cell rows ``data[c] = Σ_t coef_t[c] · stack_t`` with
+        ``coef_t = row_t · scal_t`` (times any further rows, in order), as
+        whole-array passes: the first term's product, then each further
+        term's product added — per entry the float sequence of the compiled
+        kernel's ``form_range``, so both tiers sweep the same entries."""
+        coef, data, term = self.coef, self.data, self.term
+        for i, rows in enumerate(self.rows):
+            c = coef[i, :, 0]
+            np.multiply(rows[0], self.scal[i], out=c)
+            for row in rows[1:]:
+                np.multiply(c, row, out=c)
+            np.multiply(coef[i], self.stack[i], out=term if i else data)
+            if i:
+                np.add(data, term, out=data)
 
 
 class ExecutionPlan:
@@ -572,7 +563,7 @@ class ExecutionPlan:
                 self.kernel_status = "failed"
             else:
                 self._cc, self._cc_faces, self._cc_cells = kern.fn, kern.faces, kern.cells
-                self._cc_moments = kern.moments
+                self._cc_moments, self._cc_form = kern.moments, kern.form
                 self.tier = "cc"
                 self.kernel_status = "built" if kern.fresh else "loaded"
         for grp in self._groups:
@@ -580,25 +571,20 @@ class ExecutionPlan:
         self._per_cell = [g for g in self._groups if g.per_cell]
         self._gbufs: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
         if kern is not None:
-            # the kernel's group table (one row per group: entries, per-cell
-            # stride, indptr, indices, weight — addresses of arrays the
-            # groups keep alive); a weighted group gets a contiguous weight
-            # buffer refreshed from the bound velocity factor before each
-            # call, the weighting itself happens in-register
+            # the kernel's group table (per group the addresses of its
+            # entries, indptr, indices and — bound by bind — weight, and the
+            # per-cell entry stride), and the per-cell groups' form records
             table = np.zeros((len(self._groups), 5), dtype=np.int64)
-            self._cc_wbufs = {
-                g.vel_names: np.empty(self.vel_shape)
-                for g in self._groups
-                if g.vel_names
-            }
             for row, grp in zip(table, self._groups):
                 row[0] = grp.data.ctypes.data
                 row[1] = grp.data.shape[1] if grp.per_cell else 0
                 row[2] = grp.indptr.ctypes.data
                 row[3] = grp.indices.ctypes.data
-                if grp.vel_names:
-                    row[4] = self._cc_wbufs[grp.vel_names].ctypes.data
             self._cc_table = table
+            self._cc_forms = np.array(
+                [g.record.ctypes.data for g in self._per_cell], dtype=np.int64
+            )
+            self._cc_form_call = (len(self._per_cell), self._cc_forms.ctypes.data, self.ncfg)
             self._cc_tail = (
                 self.ncfg, self.nout, self.nin, self.nvel,
                 len(self._groups), table.ctypes.data,
@@ -633,14 +619,17 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------ #
     def _cfg_row(self, val: AuxValue) -> np.ndarray:
-        """A configuration-varying factor flattened to ``(ncfg,)`` —
-        a view in the standard layout ``cfg_cells + (1,)*vdim``."""
+        """A configuration-varying factor as a float64 ``(ncfg,)`` row: a
+        view of its memory where it is one (the standard layout ``cfg_cells
+        + (1,)*vdim``, any stride), else a buffer in :attr:`_copies`."""
         arr = np.asarray(val)
-        if arr.shape[: self.cdim] == self.cfg_shape:
-            return arr.reshape(self.ncfg)
-        return np.broadcast_to(
-            arr, self.cfg_shape + (1,) * self.vdim
-        ).reshape(self.ncfg)
+        if arr.dtype == np.float64 and arr.shape[: self.cdim] == self.cfg_shape:
+            row = arr.reshape(self.ncfg)
+            if np.may_share_memory(row, arr) and row.strides[0] % 8 == 0:
+                return row
+        row = np.empty(self.ncfg)
+        self._copies.append((row.reshape(self.cfg_shape + (1,) * self.vdim), arr))
+        return row
 
     # ------------------------------------------------------------------ #
     def _bind(self, aux: Dict[str, AuxValue]) -> None:
@@ -652,6 +641,8 @@ class ExecutionPlan:
                 if not grp.per_cell:
                     grp.rescale(svals)
             self._bound_svals = stuple
+        # (buffer, aux value): the broadcast factors _sync re-gathers
+        self._copies: List[Tuple[np.ndarray, np.ndarray]] = []
         for grp in self._per_cell:
             grp.bind(self, aux, svals)
         self._vol_scalar_names = tuple(
@@ -662,7 +653,7 @@ class ExecutionPlan:
         # inserted: a single-name factor is a reshaped *view* of its aux
         # array (fresh under in-place mutation); a multi-name product gets a
         # buffer that every apply recomputes in place
-        self._velb, self._vel_products = {}, []
+        self._velb, self._vel_products, waddr = {}, [], {(): 0}
         for grp in self._groups:
             names = grp.vel_names
             if not names or names in self._velb:
@@ -675,16 +666,19 @@ class ExecutionPlan:
             self._velb[names] = prod.reshape(
                 prod.shape[: self.cdim] + (1,) + prod.shape[self.cdim :]
             )
+            # the C sweep reads a factor that is a contiguous ``vel_shape``
+            # array in place, a broadcast view from a weight buffer
+            w = prod.reshape(prod.shape[self.cdim :])
+            if self._cc is not None and not (
+                w.shape == self.vel_shape and w.dtype == np.float64 and w.flags.c_contiguous
+            ):
+                self._copies.append((np.empty(self.vel_shape), w))
+                w = self._copies[-1][0]
+            waddr[names] = w.ctypes.data
         if self._cc is not None:
-            # broadcast views of the bound factors, flattened into the
-            # contiguous weight buffers before every call
-            self._cc_weights = []
-            for names, wbuf in self._cc_wbufs.items():
-                velb = self._velb[names]
-                wsrc = velb.reshape(velb.shape[self.cdim + 1 :])
-                self._cc_weights.append(
-                    (np.broadcast_to(wsrc, self.vel_shape), wbuf)
-                )
+            for row, grp in zip(self._cc_table, self._groups):
+                row[4] = waddr[grp.vel_names]
+        self._synced = bool(self._vel_products or self._copies)
 
     def bind(self, aux: Dict[str, AuxValue]) -> None:
         """Bind the runtime symbol values of ``aux``: rebinds when the plan
@@ -706,18 +700,29 @@ class ExecutionPlan:
         ):
             self._bind(aux)
 
-    def refresh(self, aux: Dict[str, AuxValue]) -> None:
-        """Bring the swept entries and velocity factors up to the bound aux
-        values' current contents."""
+    def _sync(self) -> None:
+        """Recompute the velocity products and re-gather the broadcast
+        factors (``_copies``), so in-place aux mutation stays visible."""
         for vals, prod in self._vel_products:
             np.multiply(vals[0], vals[1], out=prod)
             for val in vals[2:]:
                 np.multiply(prod, val, out=prod)
-        for grp in self._per_cell:
-            grp.assemble(self, aux)
+        for buf, val in self._copies:
+            np.copyto(buf, val)
+
+    def refresh(self, aux: Dict[str, AuxValue]) -> None:
+        """Bring the velocity factors and every configuration cell's swept
+        entries up to the bound aux values' current contents, before a
+        call over the group table that does not form them (``cell_rhs`` does)."""
+        if self._synced:
+            self._sync()
+        if not self._per_cell:
+            return
         if self._cc is not None:
-            for wsrc, wbuf in self._cc_weights:
-                np.copyto(wbuf, wsrc)
+            self._cc_form(*self._cc_form_call)
+        else:
+            for grp in self._per_cell:
+                grp.form()
 
     def run(self, aux, fin, out, accumulate: bool = True) -> np.ndarray:
         """Accumulate the kernel action into ``out`` with the values
@@ -897,10 +902,3 @@ class ExecutionPlan:
             "cfg_groups": len(self._per_cell),
             "cfg_items": sum(len(g.terms) for g in self._per_cell),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        s = self.stats
-        return (
-            f"ExecutionPlan(cells={self.cell_shape}, uniform={s['uniform_terms']}, "
-            f"cfg={s['cfg_items']}, tier={self.tier!r})"
-        )

@@ -30,8 +30,9 @@ appends its own (``tail``); the operator's primitive moments are refreshed
 by its owner before the call, so the in-place stage stays safe.
 
 The compiled form is the ``cell_rhs`` entry point of
-:data:`repro.cas.codegen.FUSED_SWEEP_C`, which interprets the table over
-the loop bodies of the plans' own ``fused_sweep`` / ``face_flux``; its cell
+:data:`repro.cas.codegen.FUSED_SWEEP_C`, which forms the cell's row of the
+table plans' per-cell sweep entries and then interprets the table over the
+loop bodies of the plans' own ``fused_sweep`` / ``face_flux``; its cell
 loop (and phase 1's) splits over threads, each with its own cell-local
 block, where the grid holds the work (:func:`repro.cas.codegen.cell_threads`).
 The reference form — the numpy tier, and any input the compiled one does not
@@ -41,9 +42,10 @@ the same float operations in the same order, so they end in the same bytes;
 the tier fork stays inside this object.
 
 Plans come from :func:`bound_plans` — ``plan_for`` then ``bind`` per
-operator, the one way any caller runs a plan — and a program skips even that
-while the aux value objects and every plan's bound-value record are the ones
-it saw last; a plan that another caller bound to other values is bound back.
+operator, the one way any caller runs a plan — held by :class:`HeldPlans`,
+which skips even that while the aux value objects and every plan's
+bound-value record are the ones it saw last; a plan that another caller
+bound to other values is bound back.
 One call is one ``plan_apply:<digest12>`` span and one count in the
 ``plan_applies`` / ``plan_apply_ms`` slots, whichever form runs.
 """
@@ -67,6 +69,7 @@ from .pool import ScratchPool
 __all__ = [
     "CellProgram",
     "Faces",
+    "HeldPlans",
     "Scale",
     "Stage",
     "Subtract",
@@ -165,6 +168,47 @@ def bound_plans(ops: Sequence[Tuple[object, Tuple[int, ...]]], aux) -> List:
         plan.bind(aux)
         plans.append(plan)
     return plans
+
+
+class HeldPlans:
+    """:func:`bound_plans` of fixed ``ops``, held while nothing moved: the
+    same aux value objects, and every plan still bound to these values (a
+    plan another caller bound to other values since holds a new bound-value
+    record).  A held plan that binds a scalar kept in a mutable size-one
+    array is bound again on every call (whether one does is fixed while its
+    aux values are).  :attr:`synced` lists the plans whose bound values
+    include a copy to re-gather before a compiled call
+    (``ExecutionPlan._sync``)."""
+
+    def __init__(self, ops: Sequence[Tuple[object, Tuple[int, ...]]]):
+        self.ops = list(ops)
+        self._values = _tuple_getter(
+            sorted({n for op, _c in self.ops if op is not None for n in op._names})
+        )
+        self._memo: Optional[tuple] = None
+        self.synced: List = []
+
+    def __call__(self, aux) -> List:
+        memo = self._memo
+        if memo is not None:
+            vals, seen, plans, live, volatile = memo
+            if all(map(is_, self._values(aux), vals)) and all(
+                map(is_, map(_BOUND_IDS, live), seen)
+            ):
+                for plan in volatile:
+                    plan.bind(aux)
+                return plans
+        plans = bound_plans(self.ops, aux)
+        live = [plan for plan in plans if plan is not None]
+        self._memo = (
+            self._values(aux),
+            [plan._bound_ids for plan in live],
+            plans,
+            live,
+            [plan for plan in live if plan._vol_scalar_names],
+        )
+        self.synced = [plan for plan in live if plan._synced]
+        return plans
 
 
 def joint_label(plans) -> str:
@@ -342,11 +386,7 @@ class CellProgram:
                 at = len(self._ops)
                 self._ops.append((op, own_cells))
             self._slot.append(at)
-        # every symbol the operators read (their values, as one tuple), and
-        # the memo of _plans
-        self._names = sorted({n for op, _c in self._ops for n in op._names})
-        self._values = _tuple_getter(self._names)
-        self._memo: Optional[tuple] = None
+        self._plans = HeldPlans(self._ops)
         # the factors the compiled table's scale instructions read
         self._consts = np.array([ins.factor for ins in table if type(ins) is Scale], dtype=float)
         self._bound: tuple = ()
@@ -423,32 +463,6 @@ class CellProgram:
             _OBS.finish(self.obs_label, t0, _S_PLAN_APPLIES, _S_PLAN_APPLY_MS)
             return res
         return self._run(f, aux, out, stage, plans)
-
-    def _plans(self, aux) -> List:
-        """:func:`bound_plans` of the operators, without their one lookup
-        each when nothing moved since the last call: the same aux value
-        objects, and every plan still bound to this program's values (a plan
-        another caller bound to other values since holds a new bound-value
-        record)."""
-        memo = self._memo
-        if memo is not None:
-            vals, seen, plans, volatile = memo
-            if all(map(is_, self._values(aux), vals)) and all(
-                map(is_, map(_BOUND_IDS, plans), seen)
-            ):
-                # ``bind`` where it can rebind: whether a plan binds a
-                # volatile scalar is fixed while its aux values are
-                for plan in volatile:
-                    plan.bind(aux)
-                return plans
-        plans = bound_plans(self._ops, aux)
-        self._memo = (
-            self._values(aux),
-            [plan._bound_ids for plan in plans],
-            plans,
-            [plan for plan in plans if plan._vol_scalar_names],
-        )
-        return plans
 
     def _bind(self, key: tuple, plans: List, stage: Optional[Stage]) -> None:
         """Check everything the compiled program trusts about the arrays of
@@ -553,14 +567,17 @@ class CellProgram:
             len(code), code.ctypes.data, self._consts.ctypes.data,
         )
         trace_call = (f.ctypes.data, gs_in.ctypes.data, 0, *s_trace._cc_tail)
-        # the plans whose swept entries or weights follow their aux values'
-        # contents (per-cell groups, velocity factors): refreshed every call
-        refreshed = [
-            plan for plan in plans if plan._per_cell or plan._vel_products or plan._cc_weights
-        ]
-        # the code is kept alive beside the addresses taken from it
+        # the table's per-cell entries are formed inside cell_rhs, by the
+        # thread that runs the cells; phase 1's (none in a Vlasov streaming
+        # direction) before the call
+        unique = list({id(plan): plan for plan in table_plans if plan is not None}.values())
+        forms = np.concatenate([np.zeros(0, np.int64)] + [plan._cc_forms for plan in unique])
+        formed = [(plan._cc_form, plan._cc_form_call) for plan in (s_trace, *s_flux) if plan._per_cell]
+        # the code and the form table are kept alive beside the addresses
+        # taken from them
         return (s_trace._cc, trace_call, face_calls, table_plans[0]._cc_cells, head,
-                (u0, target, self.threads), refreshed, code)
+                (u0, target, len(forms), forms.ctypes.data, self.threads), formed,
+                (code, forms))
 
     # ------------------------------------------------------------------ #
     def _run(self, f, aux, out, stage, plans) -> np.ndarray:
@@ -568,14 +585,16 @@ class CellProgram:
             self.tier = "numpy"
             return self._reference(f, aux, out, stage, plans)
         self.tier = "cc"
-        sweep, trace_call, face_calls, cells, head, tail, refreshed, _code = self._call
-        for plan in refreshed:
-            plan.refresh(aux)
+        sweep, trace_call, face_calls, cells, head, tail, formed, _keep = self._call
+        for plan in self._plans.synced:
+            plan._sync()
+        for form, call in formed:
+            form(*call)
         sweep(*trace_call)
         for faces, call in face_calls:
             faces(*call)
         if stage is None:
-            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0, tail[2])
+            cells(*head, 0, 0.0, 0.0, 0.0, 0, 0, *tail[2:])
             return out
         cells(*head, 2 if stage.combines else 1, stage.a, stage.b, stage.dt, *tail)
         return stage.target
