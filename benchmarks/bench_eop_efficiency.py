@@ -6,16 +6,17 @@ state-of-the-art nodal CFD solver of Fehn et al. [12], and ~8e6 once the
 Fokker–Planck (LBO) collision operator is added (footnote 7: collisions
 roughly double the cost).
 
-Here the same two measurements run on one core through the plan engine's
-compiled sweep; the collisional one takes the path a ``System`` takes, the
-LBO's cell table riding the solver's cell program after one refresh of its
-primitive moments.  On a 2-core Intel Xeon box (2026-10-15, six readings)
-the collisionless update measured 4.5-5.1e7 DOFs/s on this grid in five
-readings (2.3e7 in the sixth) against the paper's 1.67e7, and the update
-with the LBO 2.0-2.4e7 (1.5-1.6e7 while the LBO ran as state-sized passes
-after ``solver.rhs``): a slowdown of 2.07-2.45x, 1.01x in the sixth.  The
-*ratios* the paper argues from — collisions ~2x the collisionless cost —
-are asserted.
+Here the same two measurements run through the plan engine's compiled
+sweep; the collisional one takes the path a ``System`` takes, the LBO's cell
+table riding the solver's cell program after one refresh of its primitive
+moments.  Both are read per core: DOFs over the least processor time of one
+call (``time.process_time``, the threads of a split call included), the
+collisionless and collisional calls interleaved.  On a 2-core Intel Xeon
+box (2026-10-19, five idle readings) the collisionless update measured
+2.1-2.4e7 DOFs/s/core on this grid against the paper's 1.67e7, and the
+update with the LBO 1.0-1.2e7 against its ~8e6: a slowdown of 1.91-2.25x.
+The *ratios* the paper argues from — collisions ~2x the collisionless cost
+— are asserted.
 """
 
 import time
@@ -44,13 +45,23 @@ def setup(rng):
     return pg, solver, f, em
 
 
-def _rate(fn, dofs, budget=1.5):
-    fn()  # warm-up
-    n, t0 = 0, time.perf_counter()
+def _rates(fns, dofs, budget=1.5):
+    """DOFs per second of each function's fastest call, the calls of all of
+    them interleaved (ABAB...) over ``budget`` seconds of wall time.  A call
+    is read as its ``time.process_time`` — the processor time this process
+    spent, its threads' included, which a competing process that takes the
+    CPU away does not add to, as it does to wall time — and the minimum drops
+    calls slowed by cache eviction; interleaving gives every function the
+    same machine."""
+    for fn in fns:
+        fn()  # warm-up
+    best, t0 = [float("inf")] * len(fns), time.perf_counter()
     while time.perf_counter() - t0 < budget:
-        fn()
-        n += 1
-    return n * dofs / (time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t1 = time.process_time()
+            fn()
+            best[i] = min(best[i], time.process_time() - t1)
+    return [dofs / t for t in best]
 
 
 def _gbytes_per_s(dofs_per_s, pg, num_basis):
@@ -62,22 +73,10 @@ def _gbytes_per_s(dofs_per_s, pg, num_basis):
 
 
 @pytest.mark.paper
-# Not strict: with the LBO in the cell program the slowdown reads 2.07-2.45x
-# on a 2-core box, but in one run of six the collisionless rate, timed first,
-# read half its usual value and the ratio 1.01x, below the band.
-@pytest.mark.xfail(
-    strict=False,
-    reason="two rates timed one after the other on a shared core: a slow "
-    "collisionless reading drops the ratio below the band's lower edge",
-)
 def test_eop_collisionless_vs_collisional(benchmark, setup):
     pg, solver, f, em = setup
     out = np.zeros_like(f)
     dofs = f.size
-
-    eop_vlasov = benchmark.pedantic(
-        _rate, args=(lambda: solver.rhs(f, em, out), dofs), iterations=1, rounds=1
-    )
 
     kern = get_vlasov_kernels(pg.cdim, pg.vdim, POLY_ORDER, FAMILY)
     lbo = LBOCollisions(pg, POLY_ORDER, FAMILY, nu=1.0)
@@ -94,7 +93,12 @@ def test_eop_collisionless_vs_collisional(benchmark, setup):
         lbo.refresh(f_pos, mom)
         collisional.rhs(f_pos, em, out, collide=True)
 
-    eop_full = _rate(full_update, dofs)
+    eop_vlasov, eop_full = benchmark.pedantic(
+        _rates,
+        args=((lambda: solver.rhs(f, em, out), full_update), dofs),
+        iterations=1,
+        rounds=1,
+    )
     slowdown = eop_vlasov / eop_full
 
     print("\n=== Sec. III: E_op = DOFs/(cores * t_wall), 2X3V p=2 (112 DOF) ===")
@@ -114,7 +118,7 @@ def test_eop_vlasov_rhs(benchmark, setup):
     pg, solver, f, em = setup
     out = np.zeros_like(f)
     benchmark(solver.rhs, f, em, out)
-    rate = _rate(lambda: solver.rhs(f, em, out), f.size, budget=0.5)
+    (rate,) = _rates([lambda: solver.rhs(f, em, out)], f.size, budget=0.5)
     print(f"\ncollisionless Vlasov RHS: {rate:,.0f} DOFs/s/core, "
           f"{_gbytes_per_s(rate, pg, solver.num_basis):.2f} GB/s "
           "through state-sized arrays")

@@ -99,17 +99,17 @@ def _step_time(app: System, dt: float) -> float:
 
 
 def _time_steps(app: System, nodal, repeats: int = REPEATS):
-    """Median of ``repeats`` timed full SSP-RK3 steps, then of as many
-    modal and nodal Vlasov solves on the same state."""
+    """Medians of ``repeats`` timed full SSP-RK3 steps and of as many modal
+    and nodal Vlasov solves on the same state, the three interleaved (one
+    of each per repeat) so that a busy neighbour slows all three alike."""
     dt = app.suggested_dt()
     app.step(dt)  # warm-up (also builds caches)
-    per_step = median(_step_time(app, dt) for _ in range(repeats))
     _vlasov_time(app, nodal)  # warm-up of the nodal scratch
-    return (
-        per_step,
-        median(_vlasov_time(app, app.solvers) for _ in range(repeats)),
-        median(_vlasov_time(app, nodal) for _ in range(repeats)),
-    )
+    rows = [
+        (_step_time(app, dt), _vlasov_time(app, app.solvers), _vlasov_time(app, nodal))
+        for _ in range(repeats)
+    ]
+    return tuple(median(col) for col in zip(*rows))
 
 
 @pytest.mark.paper

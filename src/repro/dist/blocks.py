@@ -3,7 +3,8 @@
 Nothing in this module evaluates anything: the per-cell update is the
 serial solvers' — :class:`~repro.vlasov.modal_solver.VlasovModalSolver` and
 :class:`~repro.fields.maxwell.MaxwellSolver` read neighbour cells out of
-the ghost layers their grid declares — and a shard worker runs them inside
+the ghost layers their grid declares, through the face tables of
+:func:`~repro.engine.faces.conf_face_map` — and a shard worker runs them inside
 a real :class:`~repro.systems.system.System` built on a
 :class:`BlockGrid`.  Two things make that block System bit-identical to
 the serial one restricted to the block:

@@ -20,7 +20,10 @@ and for all layers:
   scipy, imported by that tier only — ``$REPRO_KERNEL_TIER``), same bits;
 * :mod:`~repro.engine.faces` holds the :class:`FaceMap`, the table of
   trace-buffer slots meeting at each face of one phase direction, which
-  ``ExecutionPlan.run_faces`` runs a flux plan across;
+  ``ExecutionPlan.run_faces`` runs a flux plan across, and
+  ``conf_face_map``, the faces of a configuration axis (periodic, or read
+  out of a block's ghost layers) that the Vlasov streaming directions and
+  the Maxwell field share;
 * :mod:`~repro.engine.program` holds the :class:`CellProgram`, one species'
   volume + trace + flux + lift plans — and a collision operator's, appended
   to its instruction table — run as one program per configuration cell

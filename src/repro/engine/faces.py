@@ -15,11 +15,11 @@ CSR pattern).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FaceMap"]
+__all__ = ["FaceMap", "conf_face_map"]
 
 
 def _cells_index(cells: np.ndarray, count: int):
@@ -165,3 +165,45 @@ class FaceMap:
             (_cells_index(faces, self.nfaces), _cells_index(data[faces], self.dst_cells))
             for faces in (np.flatnonzero(rank == r) for r in range(int(rank.max(initial=-1)) + 1))
         ]
+
+
+def conf_face_map(
+    cells: Tuple[int, ...],
+    ghost: Sequence[int],
+    axis: int,
+    nrows: int,
+    nf: int,
+    vel: Tuple[int, ...] = (),
+    upwind=(1.0, 1.0),
+) -> FaceMap:
+    """The faces normal to configuration axis ``axis`` as its slots of
+    ``nrows``-row trace buffers, read from every cell handed in (``cells``
+    plus ``ghost[d]`` layers on both sides of axis ``d``) and written to the
+    own ones.  Along an unghosted axis the grid spans it and face ``i + 1/2``
+    joins cell ``i`` and its periodic neighbour (no state-sized padding);
+    along a ghosted one the ``n + 1`` faces touching own cells join handed-in
+    cells ``i`` and ``i + 1``, and no face writes a ghost's slot."""
+    cdim = len(cells)
+    cells_in = tuple(n + 2 * g for n, g in zip(cells, ghost))
+    own = np.arange(int(np.prod(cells))).reshape(cells)
+    held = np.arange(int(np.prod(cells_in))).reshape(cells_in)
+    interior = [slice(g, g + n) for n, g in zip(cells, ghost)]
+    if ghost[axis]:
+        n = cells[axis]
+        lead = (slice(None),) * axis
+        lo, hi = lead + (slice(0, n + 1),), lead + (slice(1, n + 2),)
+        interior[axis] = slice(None)
+        held = held[tuple(interior)]
+        pad = [(0, 0)] * cdim
+        pad[axis] = (1, 1)
+        write = np.pad(own, pad, constant_values=-1)
+        up, dn = write[lo], write[hi]
+        cols = [np.where(up >= 0, up, dn), held[lo], held[hi], up, dn]
+    else:
+        read = held[tuple(interior)]
+        cols = [own, read, np.roll(read, -1, axis), own, np.roll(own, -1, axis)]
+    return FaceMap(
+        np.stack([np.ravel(col) for col in cols], axis=1),
+        cells_in + (nrows,) + tuple(vel), tuple(cells) + (nrows,) + tuple(vel), cdim,
+        slots=(2 * axis * nf, (2 * axis + 1) * nf), nf=nf, upwind=upwind,
+    )

@@ -2,9 +2,9 @@
 
 State layout: **cell-major** ``(*cfg_cells, 8, Npc)`` with components
 ``(Ex, Ey, Ez, Bx, By, Bz, phi, psi)`` on the second-to-last axis — the
-per-cell coefficient blocks are contiguous (the batched products below are
-plain ``matmul`` on the trailing axes) and a halo slab along a
-configuration axis is a contiguous span.  The equations (normalized,
+per-cell coefficient blocks are contiguous (a plan sweeps each as one
+``8 Npc`` row block) and a halo slab along a configuration axis is a
+contiguous span.  The equations (normalized,
 :math:`\\epsilon_0 = \\mu_0 = 1` by default):
 
 .. math::
@@ -22,22 +22,38 @@ energy equation of the alias-free Vlasov update — total energy is conserved
 (paper Sec. II).  Upwind (Rusanov) fluxes are available for damping of
 under-resolved waves at the cost of that exact conservation.
 
-Surface terms read each cell's two neighbours out of a one-cell ghost
-layer: on a whole grid :meth:`MaxwellSolver.rhs` wraps the state
-periodically to make it; on one block of a larger grid (a ``process:N``
-shard, whose grid declares ``Grid.ghost``) the caller passes the state with
-the neighbouring blocks' cells already in place.  One body serves both.
+The right-hand side is four constant plans of the engine that runs every
+species operator (:mod:`repro.engine`), over configuration space (``vdim =
+0``, every constant folded in, an empty aux): the **volume** term ``sum_d
+(2/dx_d) A_d (x) D_d``; the **trace** of each cell's face modes
+(:func:`~repro.kernels.generator.face_traces`) times ``(A_d + lam I) / 2``
+into its upper-face slot and ``(A_d - lam I) / 2`` into its lower one
+(``lam = 0``: central; ``c max(1, chi_e, chi_m)``: upwind, Rusanov); the
+**face flux**, the identity with unit weights across the faces of
+:func:`~repro.engine.faces.conf_face_map` — periodic on a whole grid, read
+out of the ghost layers the caller filled on a block of a larger grid (a
+``process:N`` shard, whose grid declares ``Grid.ghost``); and the **lift**
+of the fluxes back, times ``-+ 2/dx_d``.  Sources are added in numpy.
 """
 
 from __future__ import annotations
 
+from time import perf_counter as _perf_counter
 from typing import Dict, Optional
 
 import numpy as np
 
-from ..basis.matrices import derivative_matrix, face_matrices
+from ..basis.matrices import derivative_matrix
 from ..basis.modal import ModalBasis
+from ..engine.faces import conf_face_map
+from ..engine.pool import ScratchPool
+from ..engine.program import HeldPlans, joint_label
 from ..grid.cartesian import Grid
+from ..kernels.generator import FACE_SIGN, face_traces
+from ..kernels.grouped import GroupedOperator
+from ..kernels.termset import TermSet
+from ..obs import OBS as _OBS
+from ..obs.metrics import SLOT as _OBS_SLOT
 
 __all__ = ["MaxwellSolver", "COMPONENT_NAMES", "project_em_components"]
 
@@ -58,39 +74,32 @@ def project_em_components(grid, basis, funcs) -> "np.ndarray":
         q[..., comp, :] = project_conf_function(fn, grid, basis)
     return q
 
-# flux matrices: FLUX[d] maps state -> flux of each component along x_d,
-# as a list of (target_component, source_component, coefficient_kind)
-# where coefficient kinds are resolved with c at solver construction.
 
-
-def _flux_entries(c: float, chi_e: float, chi_m: float):
+def _flux_jacobians(c: float, chi_e: float, chi_m: float) -> np.ndarray:
+    """``A[d]``, ``(3, 8, 8)``: the flux of the components along ``x_d`` is
+    ``A[d] q``, and ``dq/dt = -sum_d d(A[d] q)/dx_d``."""
     c2 = c * c
-    # component indices
     EX, EY, EZ, BX, BY, BZ, PHI, PSI = range(8)
-    flux = {0: [], 1: [], 2: []}
-    # dE/dt = c^2 curl B  => flux_d entries
-    flux[1].append((EX, BZ, -c2))
-    flux[2].append((EX, BY, +c2))
-    flux[0].append((EY, BZ, +c2))
-    flux[2].append((EY, BX, -c2))
-    flux[0].append((EZ, BY, -c2))
-    flux[1].append((EZ, BX, +c2))
+    a = np.zeros((3, 8, 8))
+    # dE/dt = c^2 curl B
+    a[1, EX, BZ], a[2, EX, BY] = -c2, c2
+    a[0, EY, BZ], a[2, EY, BX] = c2, -c2
+    a[0, EZ, BY], a[1, EZ, BX] = -c2, c2
     # dB/dt = -curl E
-    flux[1].append((BX, EZ, +1.0))
-    flux[2].append((BX, EY, -1.0))
-    flux[0].append((BY, EZ, -1.0))
-    flux[2].append((BY, EX, +1.0))
-    flux[0].append((BZ, EY, +1.0))
-    flux[1].append((BZ, EX, -1.0))
-    if chi_e:
-        for d, e in enumerate((EX, EY, EZ)):
-            flux[d].append((e, PHI, -chi_e * c2))
-            flux[d].append((PHI, e, -chi_e))
-    if chi_m:
-        for d, b in enumerate((BX, BY, BZ)):
-            flux[d].append((b, PSI, -chi_m))
-            flux[d].append((PSI, b, -chi_m * c2))
-    return flux
+    a[1, BX, EZ], a[2, BX, EY] = 1.0, -1.0
+    a[0, BY, EZ], a[2, BY, EX] = -1.0, 1.0
+    a[0, BZ, EY], a[1, BZ, EX] = 1.0, -1.0
+    for d in range(3):
+        a[d, EX + d, PHI], a[d, PHI, EX + d] = -chi_e * c2, -chi_e
+        a[d, BX + d, PSI], a[d, PSI, BX + d] = -chi_m, -chi_m * c2
+    return a
+
+
+def _dense(ts: TermSet) -> np.ndarray:
+    mat = np.zeros((ts.nout, ts.nin))
+    for row, col, val in ts.entries_by_symbol()[()]:
+        mat[row, col] = val
+    return mat
 
 
 class MaxwellSolver:
@@ -132,28 +141,42 @@ class MaxwellSolver:
         self.chi_e = float(chi_e)
         self.chi_m = float(chi_m)
         self.num_basis = basis.num_basis
-        ndim = grid.ndim
-        self._flux_entries = _flux_entries(self.c, self.chi_e, self.chi_m)
-        # transposed operator matrices: cell-major blocks right-multiply
-        # (``g @ D^T`` batches over cells and components in one matmul)
-        self._deriv_t = [derivative_matrix(basis, d).T.copy() for d in range(ndim)]
-        self._faces_t = [
-            {side: m.T.copy() for side, m in face_matrices(basis, d).items()}
-            for d in range(ndim)
+        self.pool = ScratchPool()
+        ndim, cells, ghost = grid.ndim, grid.cells, grid.ghost
+        # dense 8 Npc-wide operators; direction d owns the trace rows
+        # [2 d, 2 d + 2) * 8 Nf: the cell's upper face ("L"), then its lower
+        jac = _flux_jacobians(self.c, self.chi_e, self.chi_m)
+        lam = self._max_speed() if flux == "upwind" else 0.0
+        rdx = [2.0 / dx for dx in grid.dx]
+        sides = [
+            (d, side, _dense(ts)) for d in range(ndim) for side, ts in face_traces(basis, d)[1].items()
         ]
-        self._rdx = [2.0 / dx for dx in grid.dx]
+        volume = sum(np.kron(jac[d], derivative_matrix(basis, d)) * rdx[d] for d in range(ndim))
+        trace = np.vstack(
+            [np.kron(0.5 * (jac[d] - FACE_SIGN[side] * lam * np.eye(8)), t) for d, side, t in sides]
+        )
+        lift = np.hstack([np.kron(np.eye(8), t.T) * (FACE_SIGN[side] * rdx[d]) for d, side, t in sides])
+
+        def op(mat):
+            rows, cols = np.nonzero(mat)
+            ts = TermSet.from_arrays(*mat.shape, {(): [(rows, cols, mat[rows, cols])]})
+            return GroupedOperator(ts, ndim, 0, pool=self.pool)
+
+        # traces are taken on every cell handed in (the grid's ghost layers
+        # included: none on a whole grid), everything else on the own cells
+        nrows, width = trace.shape[0], trace.shape[0] // (2 * ndim)
+        cells_in = tuple(n + 2 * g for n, g in zip(cells, ghost))
+        self._interior = tuple(slice(g, g + n) for n, g in zip(cells, ghost)) if any(ghost) else None
+        self._faces = [conf_face_map(cells, ghost, d, nrows, width) for d in range(ndim)]
+        self._plans = HeldPlans(
+            [(op(volume), cells), (op(trace), cells_in)]
+            + [(op(np.eye(width)), cells) for _d in range(ndim)] + [(op(lift), cells)]
+        )
+        self._aux: Dict[str, object] = {}
+        self._traces_in = np.zeros(cells_in + (nrows,))
+        self._traces = np.zeros(cells + (nrows,)) if any(ghost) else self._traces_in
 
     # ------------------------------------------------------------------ #
-    def allocate(self) -> np.ndarray:
-        return np.zeros(self.grid.cells + (8, self.num_basis))
-
-    def _apply_flux_jacobian(self, q: np.ndarray, d: int) -> np.ndarray:
-        """Compute ``A_d q`` component-wise (sparse in components)."""
-        out = np.zeros_like(q)
-        for tgt, src, coeff in self._flux_entries[d]:
-            out[..., tgt, :] += coeff * q[..., src, :]
-        return out
-
     def rhs(
         self,
         q: np.ndarray,
@@ -174,54 +197,28 @@ class MaxwellSolver:
         charge_density:
             Optional ``(*cfg_cells, Npc)`` for the phi cleaning source.
         out:
-            Optional output array, ``(*cfg_cells, 8, Npc)`` without ghosts
-            (contents discarded and replaced).
-        """
-        grid = self.grid
-        ndim = grid.ndim
+            Optional C-contiguous output array, ``(*cfg_cells, 8, Npc)``
+            without ghosts (contents discarded and replaced).
+
+        One call: volume into ``out``, then trace -> face fluxes -> lift
+        added to it — one ``plan_apply`` span and count."""
         if out is None:
-            out = np.zeros(grid.cells + (8, self.num_basis))
-        else:
-            out.fill(0.0)
-        # One body for a whole grid and for a block of one: every axis
-        # gets a ghost layer — a periodic wrap wherever the caller's halo
-        # did not supply the neighbouring block's cells (8 Npc doubles per
-        # configuration cell: nothing next to the distribution function).
-        if not all(grid.ghost):
-            q = np.pad(
-                q, [(1 - g, 1 - g) for g in grid.ghost] + [(0, 0)] * 2, mode="wrap"
-            )
-        own = (slice(1, -1),) * ndim
-
-        def shifted(arr, d, shift):  # own cells' neighbours along axis d
-            sl = list(own)
-            sl[d] = slice(1 + shift, arr.shape[d] - 1 + shift)
-            return arr[tuple(sl)]
-
-        if self.flux == "upwind":
-            jump_l = 0.5 * self._max_speed() * q
-            jump_r = -jump_l
-        for d in range(ndim):
-            rdx = self._rdx[d]
-            g = self._apply_flux_jacobian(q, d)
-            # volume: out[cell, c] += rdx * g[cell, c] @ D_d^T (batched matmul)
-            out += rdx * np.matmul(g[own], self._deriv_t[d])
-            # surfaces: a cell's upper face takes the "L" rows (this cell
-            # left of the face, the next one right), its lower face the
-            # "R" rows (the previous cell left, this one right)
-            g *= 0.5
-            fm = self._faces_t[d]
-            inc_left = np.matmul(g[own], fm[("L", "L")])
-            inc_left += np.matmul(shifted(g, d, +1), fm[("L", "R")])
-            inc_right = np.matmul(shifted(g, d, -1), fm[("R", "L")])
-            inc_right += np.matmul(g[own], fm[("R", "R")])
-            if self.flux == "upwind":
-                inc_left += np.matmul(jump_l[own], fm[("L", "L")])
-                inc_left += np.matmul(shifted(jump_r, d, +1), fm[("L", "R")])
-                inc_right += np.matmul(shifted(jump_l, d, -1), fm[("R", "L")])
-                inc_right += np.matmul(jump_r[own], fm[("R", "R")])
-            out += rdx * inc_left
-            out += rdx * inc_right
+            out = np.empty(self.grid.cells + (8, self.num_basis))
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous (the plans write it in place)")
+        t0 = _perf_counter()
+        aux, src, dst = self._aux, self._traces_in, self._traces
+        volume, trace, *fluxes, lift = plans = self._plans(aux)
+        own = q if self._interior is None else q[self._interior]
+        dq = out.reshape(volume.out_shape)
+        volume.run(aux, own.reshape(volume.in_shape), dq, False)
+        trace.run(aux, q.reshape(trace.in_shape), src, False)
+        for plan, fm in zip(fluxes, self._faces):
+            plan.run_faces(aux, src, dst, fm)
+        lift.run(aux, dst, dq)
+        if _OBS.on:
+            slots = (_OBS_SLOT["plan_applies"], _OBS_SLOT["plan_apply_ms"])
+            _OBS.finish(joint_label(plans), t0, *slots)
         if current is not None:
             out[..., 0:3, :] -= current / self.epsilon0
         if charge_density is not None and self.chi_e:

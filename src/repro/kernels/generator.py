@@ -49,6 +49,7 @@ __all__ = [
     "generate_surface_termsets",
     "FaceKernels",
     "FACE_SIGN",
+    "face_traces",
     "generate_face_termsets",
     "generate_moment_termset",
     "generate_multiply_termset",
@@ -247,31 +248,14 @@ def _mode_norms(indices: Sequence[Tuple[int, ...]]) -> np.ndarray:
     )
 
 
-def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
-    """Surface kernels of :func:`generate_surface_termsets` in the face-mode
-    space.
-
-    A mode restricted to the face ``xi_dim = +-1`` is its 1-D factor's value
-    there, ``sqrt((2 l_dim + 1) / 2) (+-1)^l_dim``, times the mode ``a(l)`` of
-    the orthonormal basis of the same family in the remaining ``ndim - 1``
-    variables (``l`` with its ``dim``-th index dropped).  So the weak-form
-    face integral is taken once over the ``Nf`` face modes and the traces
-    carry the rest.
-
-    The flux is evaluated on the face as seen from the cell below it: its
-    polynomial at ``xi_dim = +1``, with the runtime symbols of that cell.
-    This is exact when the flux is one value on the face for both cells —
-    independent of ``xi_dim``, or depending on it only through a coordinate
-    the two cells share there (the LBO drag ``nu (u - v_dim)``: the face
-    velocity ``w + dv/2`` of the lower cell is ``w - dv/2`` of the upper one)
-    — and the caller reads the symbols at the lower cell, as
-    :meth:`~repro.engine.plan.ExecutionPlan.run_faces` does.
-    """
-    d = flux.dim
-    terms = [
-        FluxTerm(term.sym, term.poly.substitute_value(d, 1), term.scale)
-        for term in flux.terms
-    ]
+def face_traces(basis: ModalBasis, d: int) -> Tuple[List[Tuple[int, ...]], Dict[str, TermSet]]:
+    """The ``Nf`` face modes of direction ``d`` (multi-indices, canonical
+    order) and per side the ``(Nf, Np)`` trace kernel (``"L"``: at ``xi_d =
+    +1``, the cell left of the face; ``"R"``: at ``-1``).  A mode restricted
+    to the face is its 1-D factor's value there, ``sqrt((2 l_d + 1) / 2)
+    (+-1)^l_d``, times the mode ``a(l)`` of the orthonormal basis of the
+    same family in the other ``ndim - 1`` variables (``l`` without its
+    ``d``-th index): one entry per mode, no runtime symbol."""
     dropped = [a[:d] + a[d + 1 :] for a in basis.indices]
     modes = sorted(set(dropped), key=lambda a: (sum(a), a))  # canonical order
     where = {a: i for i, a in enumerate(modes)}
@@ -287,6 +271,30 @@ def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
         )
         for side, sign in (("L", 1), ("R", -1))
     }
+    return modes, trace
+
+
+def generate_face_termsets(basis: ModalBasis, flux: FluxSpec) -> FaceKernels:
+    """Surface kernels of :func:`generate_surface_termsets` in the face-mode
+    space: the weak-form face integral is taken once over the ``Nf`` face
+    modes of :func:`face_traces`, and the traces carry the rest.
+
+    The flux is evaluated on the face as seen from the cell below it: its
+    polynomial at ``xi_dim = +1``, with the runtime symbols of that cell.
+    This is exact when the flux is one value on the face for both cells —
+    independent of ``xi_dim``, or depending on it only through a coordinate
+    the two cells share there (the LBO drag ``nu (u - v_dim)``: the face
+    velocity ``w + dv/2`` of the lower cell is ``w - dv/2`` of the upper one)
+    — and the caller reads the symbols at the lower cell, as
+    :meth:`~repro.engine.plan.ExecutionPlan.run_faces` does.
+    """
+    d = flux.dim
+    terms = [
+        FluxTerm(term.sym, term.poly.substitute_value(d, 1), term.scale)
+        for term in flux.terms
+    ]
+    modes, trace = face_traces(basis, d)
+    nf = len(modes)
     # face modes lifted back to ndim variables as degree 0 in xi_dim, whose
     # factor is then the flux polynomial's (constant) value on the face
     deg = np.insert(np.array(modes, dtype=int).reshape(nf, -1), d, 0, axis=1)

@@ -209,6 +209,7 @@ class CurrentCoupling:
         self.conf_grid = conf_grid
         self.cfg_basis = cfg_basis
         self._species_current: Optional[np.ndarray] = None
+        self._charge = ChargeCoupling(conf_grid, cfg_basis, neutralize=False)
 
     def total_current(
         self,
@@ -232,10 +233,7 @@ class CurrentCoupling:
     def total_charge_density(
         self, blocks: List[KineticSpecies], state: Dict[str, np.ndarray]
     ) -> np.ndarray:
-        rho = np.zeros(self.conf_grid.cells + (self.cfg_basis.num_basis,))
-        for blk in blocks:
-            rho += blk.moments.charge_density(state[f"f/{blk.name}"], blk.decl.charge)
-        return rho
+        return self._charge.charge_density(blocks, state)
 
 
 class ChargeCoupling:
@@ -246,18 +244,23 @@ class ChargeCoupling:
         self.conf_grid = conf_grid
         self.cfg_basis = cfg_basis
         self.neutralize = neutralize
+        self._rho = np.empty(conf_grid.cells + (cfg_basis.num_basis,))
+        self._scaled = np.empty_like(self._rho)
 
     def charge_density(
         self, blocks: List[KineticSpecies], state: Dict[str, np.ndarray], halo=None
     ) -> np.ndarray:
         """Charge density on the whole grid: with a ``halo`` (the owning
         system is one block of it) the blocks' densities are gathered
-        before the background is subtracted."""
-        rho = np.zeros(self.conf_grid.cells + (self.cfg_basis.num_basis,))
+        before the background is subtracted.  ``sum_s q_s M0_s`` is zero,
+        then each species' product added in order, in a buffer the coupling
+        owns (the next call rewrites it)."""
+        rho = self._rho
+        rho.fill(0.0)
         for blk in blocks:
-            rho += blk.decl.charge * blk.moments.compute(
-                "M0", state[f"f/{blk.name}"]
-            )
+            m0 = blk.moments.sums(("M0",), state[f"f/{blk.name}"])
+            np.multiply(m0.reshape(rho.shape), blk.decl.charge, out=self._scaled)
+            rho += self._scaled
         if halo is not None:
             rho = halo.allgather(rho)
         if self.neutralize:
@@ -363,7 +366,9 @@ class FieldBlock:
 
 class MaxwellBlock(FieldBlock):
     """Evolved electromagnetic field (Maxwell's equations, DG central or
-    upwind fluxes, with divergence-cleaning potentials)."""
+    upwind fluxes, with divergence-cleaning potentials): its
+    :class:`~repro.fields.maxwell.MaxwellSolver` runs volume, trace, face
+    flux and lift as plans of the engine the species run on."""
 
     kind = "maxwell"
     in_state = True

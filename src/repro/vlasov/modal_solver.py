@@ -80,7 +80,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..engine.layout import StateLayout
-from ..engine.faces import FaceMap
+from ..engine.faces import FaceMap, conf_face_map
 from ..engine.pool import ScratchPool
 from ..engine.program import CellProgram, Stage
 from ..grid.phase import PhaseGrid
@@ -219,60 +219,27 @@ class VlasovModalSolver:
                 tail=collisions.cell_table,
             )
 
-    def _cells_in(self) -> np.ndarray:
-        """The (flattened) index of every configuration cell handed to
-        ``rhs``, ghosts included, on those cells' axes."""
-        cells_in = self._in_shape[: self.grid.cdim]
-        return np.arange(int(np.prod(cells_in))).reshape(cells_in)
-
     def _face_map(self, q: int, nrows: int) -> FaceMap:
         """The faces normal to phase direction ``q``, as cells of its set's
-        ``nrows``-row trace buffers.  Streaming traces are read from the
-        buffer holding every cell handed to ``rhs`` (ghosts included) and
-        the fluxes written to the ghost-free one; velocity faces stay inside
-        their (own) configuration cell."""
+        ``nrows``-row trace buffers: streaming faces as
+        :func:`~repro.engine.faces.conf_face_map` lays them out, upwinded on
+        the velocity sign; velocity faces stay inside their (own)
+        configuration cell."""
         cdim = self.grid.cdim
         cfg = self.layout.cfg_cells
-        ghost = self.grid.conf.ghost
         vel = self.layout.shape[cdim + 1 :]
-        own = np.arange(self.layout.ncfg).reshape(cfg)
-        dst_shape = cfg + (nrows,) + vel
         nf = self.num_face_modes
-        if q >= cdim:
-            j = q - cdim
-            return FaceMap(
-                np.stack([np.ravel(own)] * 5, axis=1), dst_shape, dst_shape, cdim,
-                slots=(2 * j * nf, (2 * j + 1) * nf), nf=nf, vaxis=j,
+        if q < cdim:
+            pos = self._upwind_pos[q][(0,) * cdim]
+            return conf_face_map(
+                cfg, self.grid.conf.ghost, q, nrows, nf, vel, upwind=(pos, 1.0 - pos)
             )
-        pos = self._upwind_pos[q][(0,) * cdim]
-        if ghost[q]:
-            # the n + 1 faces touching own cells: face i joins ghosted
-            # cells i and i + 1, own cells i - 1 and i (-1: a ghost)
-            n = cfg[q]
-            lo = _axis_slice(cdim, q, slice(0, n + 1))
-            hi = _axis_slice(cdim, q, slice(1, n + 2))
-            window = list(self._interior)
-            window[q] = slice(None)
-            held = self._cells_in()[tuple(window)]
-            pad = [(0, 0)] * cdim
-            pad[q] = (1, 1)
-            write = np.pad(own, pad, constant_values=-1)
-            up, dn = write[lo], write[hi]
-            cols = [np.where(up >= 0, up, dn), held[lo], held[hi], up, dn]
-        else:
-            # the grid spans this axis: face i + 1/2 joins cell i and
-            # its periodic neighbour (ghost-padding a whole grid instead
-            # would cost a state-sized copy per call)
-            read = own if self._interior is None else self._cells_in()[self._interior]
-            cols = [own, read, np.roll(read, -1, q), own, np.roll(own, -1, q)]
+        j = q - cdim
+        dst_shape = cfg + (nrows,) + vel
+        own = np.arange(self.layout.ncfg)
         return FaceMap(
-            np.stack([np.ravel(col) for col in cols], axis=1),
-            self._in_shape[:cdim] + (nrows,) + vel,
-            dst_shape,
-            cdim,
-            slots=(2 * q * nf, (2 * q + 1) * nf),
-            nf=nf,
-            upwind=(pos, 1.0 - pos),
+            np.stack([own] * 5, axis=1), dst_shape, dst_shape, cdim,
+            slots=(2 * j * nf, (2 * j + 1) * nf), nf=nf, vaxis=j,
         )
 
     # ------------------------------------------------------------------ #
@@ -410,8 +377,3 @@ class CflEstimate:
             freq += self.kqm * accel / dv
         return freq
 
-
-def _axis_slice(ndim: int, axis: int, sl: slice):
-    out = [slice(None)] * ndim
-    out[axis] = sl
-    return tuple(out)

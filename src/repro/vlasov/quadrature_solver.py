@@ -34,7 +34,7 @@ from ..engine.layout import StateLayout, insert_basis_axis
 from ..engine.pool import ScratchPool
 from ..grid.phase import PhaseGrid
 from ..kernels.flops import alias_free_quadrature_points_1d
-from .modal_solver import CflEstimate, _axis_slice
+from .modal_solver import CflEstimate
 
 __all__ = ["VlasovQuadratureSolver"]
 
@@ -253,8 +253,8 @@ class VlasovQuadratureSolver:
                 np.matmul(interp_t["R"], f3, out=trr3)
                 trace_l = self._node_view(trl3, nqf, vel_cells)
                 trace_r = self._node_view(trr3, nqf, vel_cells)
-                sl_lo = _axis_slice(f.ndim, axis, slice(0, n - 1))
-                sl_hi = _axis_slice(f.ndim, axis, slice(1, n))
+                sl_lo = (slice(None),) * axis + (slice(0, n - 1),)
+                sl_hi = (slice(None),) * axis + (slice(1, n),)
                 # fresh contiguous face-shaped product (alpha has no
                 # dependence on this velocity direction, so no slicing)
                 fhat = wqf * alpha * 0.5 * (trace_l[sl_lo] + trace_r[sl_hi])

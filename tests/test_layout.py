@@ -181,14 +181,15 @@ def test_rhs_hot_path_is_copy_free(rng):
 
 def test_coupled_app_rhs_is_copy_free():
     """The full coupled (multi-solver) RHS is copy-free too, through the
-    runtime-built app on a real scenario."""
+    runtime-built app on a real scenario: the species' solvers and the
+    Maxwell solver."""
     from repro.runtime import build, build_app
 
     app = build_app(build("weibel_2x2v", nx=4, nv=6, steps=1))
     state = app.state()
     out = {k: np.empty_like(v) for k, v in state.items()}
     app.rhs(state, out=out)  # compile every plan
-    pools = [app.solvers[sp.name].pool for sp in app.species]
+    pools = [app.solvers[sp.name].pool for sp in app.species] + [app.field.solver.pool]
     for pool in pools:
         pool.copy_debug = True
     for _ in range(2):

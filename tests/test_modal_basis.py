@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basis.modal import ModalBasis, tensor_gauss_points
-from repro.basis.matrices import derivative_matrix, face_matrices, mass_matrix
+from repro.basis.matrices import derivative_matrix, mass_matrix
 
 
 @pytest.mark.parametrize("family", ["tensor", "serendipity", "maximal-order"])
@@ -34,23 +34,6 @@ def test_derivative_matrix_vs_quadrature(ndim, p):
 def test_mass_matrix_is_identity():
     basis = ModalBasis(2, 2, "serendipity")
     assert np.array_equal(mass_matrix(basis), np.eye(basis.num_basis))
-
-
-@pytest.mark.parametrize("ndim,p", [(2, 1), (2, 2)])
-def test_face_matrices_vs_quadrature(ndim, p):
-    basis = ModalBasis(ndim, p, "tensor")
-    n1, w1 = np.polynomial.legendre.leggauss(p + 2)
-    for d in range(ndim):
-        fm = face_matrices(basis, d)
-        # face quadrature points for the (ndim-1)-dim face
-        pts_hi = np.insert(n1[:, None], d, 1.0, axis=1)
-        pts_lo = np.insert(n1[:, None], d, -1.0, axis=1)
-        v_hi = basis.eval_at(pts_hi)
-        v_lo = basis.eval_at(pts_lo)
-        ref_ll = -(v_hi * w1) @ v_hi.T
-        ref_rl = (v_lo * w1) @ v_hi.T
-        assert np.allclose(fm[("L", "L")], ref_ll, atol=1e-12)
-        assert np.allclose(fm[("R", "L")], ref_rl, atol=1e-12)
 
 
 def test_face_sign_parity():
