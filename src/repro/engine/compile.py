@@ -19,8 +19,9 @@ scipy); the compiled sweep kernel is a content-addressed file beside the
 plan payloads, one per toolchain and target.
 
 Configuration is process-global (set from ``SimulationSpec`` by the runtime
-driver, from the environment for library use) because plan identity is
-process-global too; :func:`compiler_config` scopes overrides for tests.
+driver; the tier from ``$REPRO_KERNEL_TIER`` for library use) because plan
+identity is process-global too; :func:`compiler_config` scopes overrides for
+tests.
 Every decision increments its slot of the obs metrics registry
 (:mod:`repro.obs.metrics`) in every observability mode;
 :func:`plan_counts` reads them back as ``Driver.summary()["plans"]``.
@@ -69,14 +70,7 @@ class CompilerConfig:
     cache: Optional[str] = None
 
 
-def _env_default() -> CompilerConfig:
-    return CompilerConfig(
-        tier=os.environ.get("REPRO_KERNEL_TIER", "auto"),
-        cache=os.environ.get("REPRO_PLAN_CACHE"),
-    )
-
-
-_config = _env_default()
+_config = CompilerConfig(tier=os.environ.get("REPRO_KERNEL_TIER", "auto"))
 
 
 def active_config() -> CompilerConfig:

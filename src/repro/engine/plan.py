@@ -764,6 +764,7 @@ class ExecutionPlan:
             self._sweep_numpy(fin, out, accumulate)
         return out
 
+    @np.errstate(all="ignore")  # a diverging state is quiet, as on the cc tier
     def _sweep_numpy(self, fin, out, accumulate: bool) -> None:
         """The numpy tier's sweep: one ``csr_matvecs`` per group over the
         block-diagonal expansion."""
@@ -844,6 +845,7 @@ class ExecutionPlan:
             self._faces_numpy(src, dst, fm)
         return dst
 
+    @np.errstate(all="ignore")  # a diverging state is quiet, as on the cc tier
     def _faces_numpy(self, src, dst, fm: FaceMap) -> None:
         """The numpy tier's face application, and the reference for the
         compiled one: gather the two traces by the table, form the face

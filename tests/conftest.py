@@ -7,10 +7,15 @@ discretizations used across the suite so every test file hits the cache.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionPlan
+from repro.engine import ExecutionPlan, compiler_config
+from repro.engine.compile import compiled_kernel
 from repro.engine.program import Sweep, bound_plans, run_passes
 from repro.grid import Grid, PhaseGrid
 
@@ -54,6 +59,31 @@ def _isolated_plan_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = prev
+
+
+@pytest.fixture(scope="session")
+def _session_kernel(_isolated_plan_cache):
+    """The compiled C kernel's files (``ccsweep-*.so`` and its ``.c``),
+    built once per session into the session's cache directory."""
+    with compiler_config(tier="cc", cache=str(_isolated_plan_cache)):
+        compiled_kernel()
+    return sorted(_isolated_plan_cache.glob("ccsweep-*"))
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, _session_kernel):
+    """``fresh_cache() -> Path``: a new plan-cache directory under
+    ``tmp_path`` holding no plan, only the session's built C kernel, so a
+    run into it compiles every plan but does not build the kernel again (a
+    test about the build itself points at an empty directory)."""
+
+    def make():
+        path = Path(tempfile.mkdtemp(prefix="plans-", dir=tmp_path))
+        for file in _session_kernel:
+            shutil.copy(file, path)
+        return path
+
+    return make
 
 
 @pytest.fixture(scope="session")

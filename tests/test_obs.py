@@ -564,8 +564,8 @@ def test_format_helpers():
     assert format_bytes(3 * 1024**2) == "3.0MiB"
 
 
-def test_plans_list_uses_shared_table(capsys, tmp_path):
-    cache = tmp_path / "plans"
+def test_plans_list_uses_shared_table(capsys, fresh_cache):
+    cache = fresh_cache()
     assert main([
         "plans", "warm", "free_streaming", "--cache", str(cache),
         "--set", "nx=4", "--set", "nv=8",

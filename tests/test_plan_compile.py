@@ -475,9 +475,9 @@ def test_resolve_cache_root():
 # --------------------------------------------------------------------- #
 # the disk cache
 # --------------------------------------------------------------------- #
-def test_cache_hydration_is_bit_identical_and_compile_free(case, tmp_path, apply_with):
+def test_cache_hydration_is_bit_identical_and_compile_free(case, fresh_cache, apply_with):
     ts, aux, f_cm = case
-    cache = str(tmp_path / "plans")
+    cache = str(fresh_cache())
     before = OBS.metrics.snapshot()
     cold = apply_with(ts, aux, f_cm, cache=cache)
     d1 = plans_since(before)
@@ -506,9 +506,9 @@ def _flip_payload_byte(path):
     path.write_bytes(bytes(raw))
 
 
-def test_cache_corrupt_payload_falls_back_to_compile(case, tmp_path, apply_with):
+def test_cache_corrupt_payload_falls_back_to_compile(case, fresh_cache, apply_with):
     ts, aux, f_cm = case
-    cache_dir = tmp_path / "plans"
+    cache_dir = fresh_cache()
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
     for damage in (_truncate, _flip_payload_byte):
         entries = list(cache_dir.glob("plan-*.npz"))
@@ -545,10 +545,10 @@ def _count_archive_opens(monkeypatch):
 
 
 def test_a_second_load_of_unchanged_bytes_opens_no_archive(
-    case, tmp_path, monkeypatch, apply_with
+    case, fresh_cache, monkeypatch, apply_with
 ):
     ts, aux, f_cm = case
-    cache = str(tmp_path / "plans")
+    cache = str(fresh_cache())
     cold = apply_with(ts, aux, f_cm, cache=cache)  # compiles and publishes
     apply_with(ts, aux, f_cm, cache=cache)  # parses the entries
     opened = _count_archive_opens(monkeypatch)
@@ -562,10 +562,10 @@ def test_a_second_load_of_unchanged_bytes_opens_no_archive(
 
 @pytest.mark.parametrize("damage", [_truncate, _flip_payload_byte])
 def test_an_entry_damaged_after_it_was_memoized_is_recompiled(
-    case, tmp_path, damage, apply_with
+    case, fresh_cache, damage, apply_with
 ):
     ts, aux, f_cm = case
-    cache_dir = tmp_path / "plans"
+    cache_dir = fresh_cache()
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
     apply_with(ts, aux, f_cm, cache=str(cache_dir))  # memoizes the payloads
     for path in cache_dir.glob("plan-*.npz"):
@@ -578,9 +578,9 @@ def test_an_entry_damaged_after_it_was_memoized_is_recompiled(
     assert np.array_equal(cold, got)
 
 
-def test_memoized_arrays_are_read_only(case, tmp_path, apply_with):
+def test_memoized_arrays_are_read_only(case, fresh_cache, apply_with):
     ts, aux, f_cm = case
-    cache = PlanCache(tmp_path / "plans")
+    cache = PlanCache(fresh_cache())
     apply_with(ts, aux, f_cm, cache=str(cache.root))
     for path in cache.root.glob("plan-*.npz"):
         meta, arrays = cache.load(path.stem[len("plan-"):])
@@ -611,13 +611,13 @@ def test_the_memo_stays_within_its_byte_cap(tmp_path, rng, monkeypatch):
 
 
 def test_only_a_bad_payload_falls_back_to_compile(
-    case, tmp_path, monkeypatch, apply_with
+    case, fresh_cache, monkeypatch, apply_with
 ):
     """A payload that loads (good CRCs) but holds a pattern the C sweep
     would overrun on is a cache miss; an error that is not about the payload
     — a bug in the hydration code — is not swallowed into a recompile."""
     ts, aux, f_cm = case
-    cache_dir = tmp_path / "plans"
+    cache_dir = fresh_cache()
     cold = apply_with(ts, aux, f_cm, cache=str(cache_dir))
     for path in cache_dir.glob("plan-*.npz"):
         with np.load(path) as z:
@@ -638,12 +638,12 @@ def test_only_a_bad_payload_falls_back_to_compile(
         apply_with(ts, aux, f_cm, cache=str(cache_dir))
 
 
-def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng, apply_with):
+def test_cache_invalidated_by_aux_signature_change(case, fresh_cache, rng, apply_with):
     """The same termset with a re-classified symbol (velocity factor ->
     configuration field) must compile a distinct plan, not reuse the
     cached one."""
     ts, aux, f_cm = case
-    cache = str(tmp_path / "plans")
+    cache = str(fresh_cache())
     apply_with(ts, aux, f_cm, cache=cache)
 
     aux2 = dict(aux)
@@ -659,10 +659,10 @@ def test_cache_invalidated_by_aux_signature_change(case, tmp_path, rng, apply_wi
     assert np.array_equal(apply_with(ts, aux2, f_cm), got)
 
 
-def test_cache_reuse_across_processes(tmp_path, apply_with):
+def test_cache_reuse_across_processes(tmp_path, fresh_cache, apply_with):
     """A child process warms the cache; this process hydrates the same
     digests without compiling and reproduces the child's output bitwise."""
-    cache_dir = tmp_path / "plans"
+    cache_dir = fresh_cache()
     out_file = tmp_path / "child_out.npy"
     script = f"""
 import numpy as np
@@ -741,37 +741,3 @@ def test_compile_plan_counts_kernels(case, tmp_path):
 def test_default_config_is_auto_tier_no_cache():
     cfg = CompilerConfig()
     assert cfg.tier == "auto" and cfg.cache is None
-
-
-@needs_cc
-def test_whole_run_is_bitwise_equal_across_tiers():
-    """Serial runs under both sweep kernels end in the same bytes, energy
-    history included: the 2X2V Maxwell problem, the Poisson-coupled 1X1V one
-    (``E`` coefficients as per-cell rows) and the LBO one (per-cell rows in
-    most of its plans).  In the numpy tier the moment plans weight the state
-    by the same velocity factors as the solver's volume plan, and in-place
-    stepping keeps the state in one array: a weighted copy kept from one
-    apply must never be served to the next."""
-    from repro.runtime import Driver, build
-
-    specs = [
-        build("weibel_2x2v", nx=4, nv=6, poly_order=1, steps=3),
-        build("two_stream", nx=4, nv=9, steps=3),
-        build("collisional_relaxation", nx=2, nv=9, steps=3),
-    ]
-
-    def final_state(spec, tier):
-        with compiler_config(tier=tier):
-            drv = Driver(spec)
-            drv.run()
-        state = {k: np.array(v) for k, v in drv.app.state().items()}
-        for name, vals in drv.history.particle_energy.items():
-            state["particle_energy/" + name] = np.array(vals)
-        return state
-
-    for spec in specs:
-        want = final_state(spec, "cc")
-        got = final_state(spec, "numpy")
-        assert set(got) == set(want)
-        for key in want:
-            assert np.array_equal(got[key], want[key]), (spec.name, key)

@@ -1,11 +1,13 @@
 """CLI: list/show/run/resume/campaign subcommands end to end."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.cas.codegen import select_tier
+from repro.engine import compiler_config
 from repro.runtime.cli import main
 
 
@@ -129,6 +131,19 @@ def test_a_diverged_run_exits_1(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["status"] == "diverged"
 
 
+def test_a_diverging_numpy_tier_run_is_as_quiet_as_a_cc_run(capsys):
+    """A blow-up on the numpy tier writes no floating-point warning (raised
+    as an error here), as none comes out of the compiled kernel."""
+    with compiler_config(tier="numpy"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([
+            "run", "landau_damping", "--set", "nx=4", "--set", "nv=8",
+            "--set", "poly_order=1", "--set", "cfl=2.0",
+            "--set", "steps=1000", "--set", "t_end=1e9", "--json",
+        ]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "diverged"
+
+
 def test_a_poisson_run_that_loses_neutrality_ends_diverged(capsys, tmp_path):
     """cfl=2 blows two_stream up: its charge stops being neutral before its
     state stops being finite.  ``run`` and ``resume`` end ``diverged`` with
@@ -206,8 +221,8 @@ def test_campaign_subcommand(capsys, tmp_path):
     assert "0 ran, 2 skipped" in capsys.readouterr().out
 
 
-def test_plans_warm_list_clear_cycle(capsys, tmp_path):
-    cache = tmp_path / "plans"
+def test_plans_warm_list_clear_cycle(capsys, fresh_cache):
+    cache = fresh_cache()
     assert main([
         "plans", "warm", "free_streaming", "--cache", str(cache),
         "--set", "nx=4", "--set", "nv=8",

@@ -251,19 +251,6 @@ def test_checkpoint_written_the_pre_pr21_way_resumes_bit_identically(tmp_path):
     _assert_same_run(ref, resumed)
 
 
-def test_resume_maxwell_model(tmp_path):
-    common = dict(nx=4, nv=8, t_end=100.0)
-    ref = Driver(build("landau_damping", steps=6, **common))
-    ref.run()
-
-    part = Driver(build("landau_damping", steps=3, **common), outdir=tmp_path)
-    part.run()
-    resumed = Driver.from_checkpoint(tmp_path / "checkpoint.npz", overrides={"steps": 6})
-    resumed.run()
-    assert np.array_equal(ref.app.em, resumed.app.em)
-    assert np.array_equal(ref.app.f["elc"], resumed.app.f["elc"])
-
-
 def test_summary_is_json_serializable(tmp_path):
     import json
 
@@ -324,25 +311,6 @@ def test_a_diverging_run_stops_with_its_last_good_checkpoint(
     assert kept.keys() == good.keys()
     for key, ref in good.items():
         assert np.isfinite(kept[key]).all() and np.array_equal(kept[key], ref), key
-
-
-def test_second_driver_hydrates_from_disk_cache(tmp_path):
-    """A warm cache turns every plan compile into a hydrate, bit-identically."""
-    kwargs = dict(nx=4, nv=8, steps=2, **{"plan_cache": str(tmp_path)})
-
-    cold = Driver(build("two_stream", **kwargs))
-    cold_result = cold.run()
-    assert cold_result["plans"]["compiled"] > 0
-    assert cold_result["plans"]["cache_stores"] > 0
-
-    warm = Driver(build("two_stream", **kwargs))
-    warm_result = warm.run()
-    assert warm_result["plans"]["compiled"] == 0
-    assert warm_result["plans"]["hydrated"] == cold_result["plans"]["compiled"]
-    assert warm_result["plans"]["cache_hits"] == warm_result["plans"]["hydrated"]
-
-    for key, ref in cold.app.state().items():
-        assert np.array_equal(ref, warm.app.state()[key]), key
 
 
 def test_resume_from_checkpoint_with_legacy_plan_mode(tmp_path):

@@ -404,7 +404,10 @@ def test_sigterm_drains_without_losing_leased_jobs(tmp_path):
         wait_until(lambda: (root / "serve.json").exists(), what="serve.json")
         client = ServeClient.from_dir(root)
         store = FileJobStore(root, lease_timeout=5.0)
-        sub = client.submit(spec=slow_spec(steps=600))
+        # 5000 steps: at the default t_end the job ends after ~100 steps
+        # once the kernel is built, often within one 50 ms check below, and
+        # is never seen leased
+        sub = client.submit(spec=slow_spec(steps=5000, t_end=1e3))
         wait_until(
             lambda: store.get(sub["job"])["status"] == "running",
             what="job leased by a worker",

@@ -161,10 +161,11 @@ def test_array_construction_matches_triple_built_csr_bits(bundle_1x2v):
 def test_a_thrice_repeated_slot_adds_left_to_right_in_entry_order(rng):
     """Entries sharing a symbol's ``(l, m)`` slot add as ``(c0 + c1) + c2``
     in entry order, wherever they sit in the list (scipy's unstable sort
-    leaves that order open); the random magnitudes make the other grouping,
-    ``c0 + (c1 + c2)``, differ on some slot."""
+    leaves that order open); the first slot's triple makes the other
+    grouping, ``c0 + (c1 + c2)``, differ whatever the shared ``rng`` draws."""
     slots = [(l, m) for l in range(5) for m in range(4)]
     coeffs = rng.standard_normal((len(slots), 3)) * 10.0 ** rng.integers(-9, 9, (len(slots), 3))
+    coeffs[0] = (1.0, 1e-16, 1e-16)  # (1 + 1e-16) + 1e-16 == 1 != 1 + 2e-16
     entries = [(l, m, c) for (l, m), row in zip(slots, coeffs) for c in row]
     # shuffle the slots against each other, keep each slot's own order
     where = rng.permutation(len(entries))
