@@ -15,12 +15,7 @@ import numpy as np
 from ..cas.integrate import legendre_product_integral_1d
 from .modal import ModalBasis
 
-__all__ = ["derivative_matrix", "mass_matrix"]
-
-
-def mass_matrix(basis: ModalBasis) -> np.ndarray:
-    """The identity, by orthonormality — provided for tests/documentation."""
-    return np.eye(basis.num_basis)
+__all__ = ["derivative_matrix"]
 
 
 def derivative_matrix(basis: ModalBasis, d: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from .legendre import (
     eval_legendre_float,
     legendre_coefficients,
     legendre_norm_squared,
-    legendre_value_at_one,
 )
 from .multiindex import FAMILIES, multi_indices
 
@@ -98,15 +97,10 @@ class ModalBasis:
         self.family = family
         self.indices: List[Tuple[int, ...]] = multi_indices(ndim, poly_order, family)
         self.num_basis = len(self.indices)
-        self._index_lookup = {a: i for i, a in enumerate(self.indices)}
 
     # ------------------------------------------------------------------ #
     # exact data
     # ------------------------------------------------------------------ #
-    def norm_squared(self, i: int) -> Fraction:
-        """Exact squared normalization constant of basis function ``i``."""
-        return _norm_squared(self.indices[i])
-
     def norm(self, i: int) -> float:
         return _norm(self.indices[i])
 
@@ -116,7 +110,7 @@ class ModalBasis:
         With ``normalized=True`` the (generally irrational) normalization is
         folded in approximately via a float->Fraction conversion only for
         testing convenience; symbolic pipelines should use
-        ``normalized=False`` plus :meth:`norm_squared`.
+        ``normalized=False`` plus the exact :func:`_norm_squared`.
         """
         poly = Poly.one(self.ndim)
         for var, a in enumerate(self.indices[i]):
@@ -124,17 +118,6 @@ class ModalBasis:
         if normalized:
             poly = poly * Fraction(self.norm(i)).limit_denominator(10**15)
         return poly
-
-    def index_of(self, alpha: Tuple[int, ...]) -> int:
-        """Position of a multi-index in the canonical ordering."""
-        return self._index_lookup[tuple(alpha)]
-
-    def contains(self, alpha: Tuple[int, ...]) -> bool:
-        return tuple(alpha) in self._index_lookup
-
-    def face_sign(self, i: int, dim: int, sign: int) -> int:
-        """Parity factor of basis ``i`` on the face ``xi_dim = sign``."""
-        return legendre_value_at_one(self.indices[i][dim], sign)
 
     # ------------------------------------------------------------------ #
     # float evaluation
@@ -198,12 +181,6 @@ class ModalBasis:
         vals = np.asarray(func(pts), dtype=float)
         basis_vals = self.eval_at(pts)
         return basis_vals @ (wts * vals)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ModalBasis(ndim={self.ndim}, p={self.poly_order}, "
-            f"family={self.family!r}, Np={self.num_basis})"
-        )
 
 
 def _polyval_ascending(coeffs, x):

@@ -61,7 +61,6 @@ import os
 import platform
 import shutil
 import subprocess
-import tempfile
 import warnings
 from collections import defaultdict
 from pathlib import Path
@@ -1175,7 +1174,6 @@ CC_FLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 #: tried first, dropped once if the compiler rejects it
 CC_ISA_FLAG = "-march=native"
 
-_KERNEL_TMPDIR: Optional[str] = None
 #: (kernel dir, digest) -> loaded entry points, or None for a build that
 #: failed (reported once; the compiler is not run again in this process)
 _LOADED_KERNELS: Dict[Tuple[Optional[str], str], object] = {}
@@ -1234,15 +1232,13 @@ if hasattr(os, "register_at_fork"):
 
 def _kernel_dir(out_dir: Optional[str]) -> Path:
     """Artifact directory for compiled kernels: the caller's cache root
-    when configured, else one process-lifetime temp dir."""
-    global _KERNEL_TMPDIR
-    if out_dir:
-        path = Path(out_dir).expanduser()
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-    if _KERNEL_TMPDIR is None:
-        _KERNEL_TMPDIR = tempfile.mkdtemp(prefix="repro-kernels-")
-    return Path(_KERNEL_TMPDIR)
+    when configured, else the one ``plan_cache=auto`` uses — the kernel is
+    content-addressed, so every process finds the one built before it."""
+    from ..engine.plancache import default_cache_dir
+
+    path = Path(out_dir).expanduser() if out_dir else default_cache_dir()
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _native_target(cc: str) -> str:
@@ -1324,7 +1320,8 @@ def compile_fused_sweep(
 
     :data:`FUSED_SWEEP_C` is compiled — once per toolchain and target,
     whatever the plans' shapes — into a content-addressed shared object in
-    ``kernel_dir`` (or a process temp dir) and loaded once per process.
+    ``kernel_dir`` (or :func:`~repro.engine.plancache.default_cache_dir`)
+    and loaded once per process.
     Without a compiler, or when the build fails (reported by one
     ``RuntimeWarning`` per process carrying the compiler's complaint), this
     returns None and the caller sweeps with ``csr_matvecs``: execution never

@@ -91,10 +91,6 @@ class Poly:
         return cls(nvars, {tuple(expo): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, expo: Iterable[int], coeff: Scalar = 1) -> "Poly":
-        return cls(nvars, {tuple(expo): coeff})
-
-    @classmethod
     def from_univariate(cls, nvars: int, var: int, coeffs_1d: Iterable[Scalar]) -> "Poly":
         """Lift a 1-D polynomial (ascending coefficients in ``xi_var``)."""
         data: Dict[Exponents, Scalar] = {}

@@ -73,10 +73,6 @@ class LeaseLock:
         self._held = False
         self._beat: Optional[threading.Event] = None
 
-    @property
-    def held(self) -> bool:
-        return self._held
-
     def _payload(self) -> str:
         return json.dumps(
             {"host": socket.gethostname(), "pid": os.getpid(), "time": time.time()}

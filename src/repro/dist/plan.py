@@ -86,9 +86,3 @@ class ShardPlan:
             self.decomp.halo_doubles(shard, num_basis, nvel)
             for shard in range(self.nshards)
         )
-
-    def describe(self) -> str:
-        return (
-            f"{self.nshards} shards over {self.conf_cells} cells "
-            f"(blocks/axis {self.decomp.dims})"
-        )

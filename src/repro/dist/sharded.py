@@ -57,7 +57,6 @@ from ..obs.metrics import SLOT as _OBS_SLOT
 from ..obs.metrics import merge_snapshots
 from ..obs.ring import SPAN_RING, ObsChannel
 from ..obs.tracer import SpanEvent
-from ..systems.model import run_loop
 from .blocks import BlockGrid, fill_padded
 from .plan import ShardPlan
 
@@ -478,9 +477,6 @@ class ShardedApp:
         self._inner.time += dt
         self._inner.step_count += 1
         return dt
-
-    def run(self, t_end: float, diagnostics=None, max_steps: int = 10**9):
-        return run_loop(self, t_end, diagnostics=diagnostics, max_steps=max_steps)
 
     # ------------------------------------------------------------------ #
     @property

@@ -48,7 +48,6 @@ from .layout import (
 )
 from .compile import (
     CompilerConfig,
-    active_config,
     compile_plan,
     compiler_config,
     configure,
@@ -77,7 +76,6 @@ __all__ = [
     "classify_aux_value",
     "plan_digest",
     "CompilerConfig",
-    "active_config",
     "configure",
     "configure_from_spec",
     "compiler_config",

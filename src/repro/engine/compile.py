@@ -45,7 +45,6 @@ from .pool import ScratchPool
 
 __all__ = [
     "CompilerConfig",
-    "active_config",
     "configure",
     "configure_from_spec",
     "compiler_config",
@@ -60,10 +59,11 @@ class CompilerConfig:
     """How plans are compiled and executed in this process.
 
     ``cache`` follows :func:`~repro.engine.plancache.resolve_cache_root`
-    semantics: ``None``/``"off"`` disable the disk cache (the library
-    default — bare operators never touch the filesystem), ``"auto"``
-    selects ``$REPRO_CACHE_DIR`` or ``~/.cache/repro`` (the runtime-driver
-    default), any other string is a cache directory.
+    semantics: ``None``/``"off"`` disable the plan-payload cache (the
+    library default), ``"auto"`` selects ``$REPRO_CACHE_DIR`` or
+    ``~/.cache/repro`` (the runtime-driver default), any other string is a
+    cache directory.  The compiled sweep kernel is kept in the cache
+    directory, or in the ``"auto"`` one when the cache is off.
     """
 
     tier: str = "auto"
@@ -71,10 +71,6 @@ class CompilerConfig:
 
 
 _config = CompilerConfig(tier=os.environ.get("REPRO_KERNEL_TIER", "auto"))
-
-
-def active_config() -> CompilerConfig:
-    return _config
 
 
 def configure(

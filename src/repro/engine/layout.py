@@ -107,9 +107,6 @@ class StateLayout:
     def alloc(self) -> np.ndarray:
         return np.zeros(self.shape)
 
-    def empty(self) -> np.ndarray:
-        return np.empty(self.shape)
-
     def as3d(self, arr: np.ndarray) -> np.ndarray:
         """View a cell-major state as ``(ncfg, nbasis, nvel)`` (no copy; the
         array must be C-contiguous)."""

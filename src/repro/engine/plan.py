@@ -362,7 +362,8 @@ class ExecutionPlan:
     tier, kernel_dir:
         Sparse-sweep kernel request (``auto`` / ``cc`` / ``numpy``, see
         :func:`repro.cas.codegen.select_tier`) and where compiled sweep
-        kernels are kept (None: a process-lifetime temp dir).  ``tier`` and
+        kernels are kept (None:
+        :func:`~repro.engine.plancache.default_cache_dir`).  ``tier`` and
         ``kernel_status`` (``built`` / ``loaded`` / ``failed`` / None)
         report the outcome.
     on_compiled:

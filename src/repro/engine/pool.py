@@ -78,6 +78,3 @@ class ScratchPool:
 
     def __len__(self) -> int:
         return len(self._arrays)
-
-    def clear(self) -> None:
-        self._arrays.clear()

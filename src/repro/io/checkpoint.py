@@ -26,7 +26,6 @@ from .atomic import publish
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
-    "checkpoint_roundtrip_equal",
     "CheckpointError",
     "CANONICAL_LAYOUT",
 ]
@@ -93,33 +92,3 @@ def load_checkpoint(path: PathLike):
             "converter is in the git history of src/repro/io/checkpoint.py",
         )
     return state, meta
-
-
-def checkpoint_roundtrip_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(np.array_equal(a[k], b[k]) for k in a)
-
-
-def save_app(path: PathLike, app) -> None:
-    """Checkpoint a :class:`~repro.systems.system.System` (or any Model
-    exposing the discretization attributes recorded below)."""
-    meta = {
-        "time": app.time,
-        "step_count": app.step_count,
-        "poly_order": app.poly_order,
-        "family": app.family,
-        "species": [s.name for s in app.species],
-    }
-    save_checkpoint(path, app.state(), meta)
-
-
-def restore_app(path: PathLike, app) -> Dict:
-    """Restore Model state in place through the protocol
-    (``set_state``/``time``/``step_count``); returns the checkpoint
-    metadata."""
-    state, meta = load_checkpoint(path)
-    app.set_state({k: np.array(v) for k, v in state.items()})
-    app.time = float(meta["time"])
-    app.step_count = int(meta["step_count"])
-    return meta

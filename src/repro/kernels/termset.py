@@ -157,10 +157,6 @@ class TermSet:
         """Total exact-nonzero tensor entries (the paper's sparsity measure)."""
         return sum(t.matrix.nnz for t in self.terms)
 
-    @property
-    def symbols(self) -> List[Symbol]:
-        return [t.sym for t in self.terms]
-
     def entries_by_symbol(self) -> Dict[Symbol, List[Tuple[int, int, float]]]:
         """COO triples keyed by symbol (for code generation / inspection)."""
         return {
@@ -275,12 +271,6 @@ class TermSet:
             for c in range(ncfg):
                 csr_accumulate(mat, mat.data, g3[c], out3[c])
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"TermSet(nout={self.nout}, nin={self.nin}, "
-            f"terms={len(self.terms)}, nnz={self.num_entries})"
-        )
 
 
 def merge_termsets(termsets: List["TermSet"]) -> "TermSet":

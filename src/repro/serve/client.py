@@ -114,10 +114,6 @@ class ServeClient:
         status, data = self._request("GET", "/jobs")
         return self._check(status, data, "jobs")["jobs"]
 
-    def health(self) -> dict:
-        status, data = self._request("GET", "/healthz")
-        return self._check(status, data, "healthz")
-
     def metrics(self) -> dict:
         status, data = self._request("GET", "/metrics")
         return self._check(status, data, "metrics")

@@ -227,9 +227,6 @@ class WorkerPool:
     def alive(self) -> int:
         return sum(1 for p in self._procs if p.is_alive())
 
-    def pids(self) -> List[int]:
-        return [p.pid for p in self._procs if p.pid is not None]
-
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for every worker to exit (persistent workers want to only
         once the STOP sentinel is in place).  Returns True when all exited."""

@@ -202,16 +202,6 @@ class System:
         """Field-closure tag: ``"maxwell"``, ``"poisson"``, or ``"none"``."""
         return self.field.kind
 
-    @property
-    def maxwell(self):
-        """The bound :class:`~repro.fields.maxwell.MaxwellSolver`
-        (Maxwell field block only)."""
-        if self.field.kind != "maxwell":
-            raise AttributeError(
-                f"no Maxwell solver on a {self.field.kind!r}-closed System"
-            )
-        return self.field.solver
-
     # ------------------------------------------------------------------ #
     # state plumbing
     # ------------------------------------------------------------------ #

@@ -96,10 +96,6 @@ class ShuOsherStepper:
     table: Tuple[Tuple[float, float], ...]
     _workspaces: Optional[Dict[str, _LikeState]] = None
 
-    @property
-    def stages(self) -> int:
-        return len(self.table)
-
     def _work(self, name: str, state: State) -> _LikeState:
         """Persistent buffers for the arrays of ``state`` (dropped when the
         state's names or shapes change)."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.diagnostics import EnergyHistory
 from repro.grid import Grid
-from repro.io import load_checkpoint, restore_app, save_app, save_checkpoint
+from repro.io import load_checkpoint, save_checkpoint
 from repro.systems import FieldSpec, MaxwellBlock, PoissonBlock, Species, System
 
 
@@ -65,14 +65,18 @@ def test_checkpoint_restart_bitwise(tmp_path):
     for _ in range(3):
         app.step()
     path = tmp_path / "chk.npz"
-    save_app(path, app)
+    meta = {"time": app.time, "step_count": app.step_count,
+            "species": [s.name for s in app.species]}
+    save_checkpoint(path, app.state(), meta)
     f_ref = {k: v.copy() for k, v in app.f.items()}
     em_ref = app.em.copy()
     t_ref = app.time
     # continue 2 steps, then restore and redo them
     dts = [app.step() for _ in range(2)]
     f_after = {k: v.copy() for k, v in app.f.items()}
-    meta = restore_app(path, app)
+    state, meta = load_checkpoint(path)
+    app.set_state(state)
+    app.time, app.step_count = meta["time"], meta["step_count"]
     assert meta["species"] == ["elc", "ion"]
     assert app.time == t_ref
     for k in f_ref:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basis.modal import ModalBasis, tensor_gauss_points
-from repro.basis.matrices import derivative_matrix, mass_matrix
+from repro.basis.matrices import derivative_matrix
 
 
 @pytest.mark.parametrize("family", ["tensor", "serendipity", "maximal-order"])
@@ -29,18 +29,6 @@ def test_derivative_matrix_vs_quadrature(ndim, p):
         dv = basis.eval_deriv_at(pts, d)
         ref = (dv * wts) @ v.T
         assert np.allclose(derivative_matrix(basis, d), ref, atol=1e-12)
-
-
-def test_mass_matrix_is_identity():
-    basis = ModalBasis(2, 2, "serendipity")
-    assert np.array_equal(mass_matrix(basis), np.eye(basis.num_basis))
-
-
-def test_face_sign_parity():
-    basis = ModalBasis(2, 3, "tensor")
-    for i, alpha in enumerate(basis.indices):
-        assert basis.face_sign(i, 0, 1) == 1
-        assert basis.face_sign(i, 0, -1) == (-1) ** alpha[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,11 +56,3 @@ def test_eval_shapes_and_errors():
         basis.eval_at(np.zeros((5, 3)))
     with pytest.raises(ValueError):
         ModalBasis(2, 1, "bogus")
-
-
-def test_index_lookup_roundtrip():
-    basis = ModalBasis(3, 2, "serendipity")
-    for i, alpha in enumerate(basis.indices):
-        assert basis.index_of(alpha) == i
-        assert basis.contains(alpha)
-    assert not basis.contains((2, 2, 2))

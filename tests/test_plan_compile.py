@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -699,6 +700,28 @@ np.save({str(out_file)!r}, out)
     delta = plans_since(before)
     assert delta["compiled"] == 0 and delta["hydrated"] >= 1
     assert np.array_equal(np.load(out_file), got)
+
+
+def test_plan_cache_off_builds_the_kernel_once_into_the_cache_dir(tmp_path):
+    """With plan payloads off, the compiled kernel still lives in the one
+    cache directory: a second process loads what the first built, and no
+    per-process temp directory is left behind."""
+    if cc_available() is None:
+        pytest.skip("no C compiler")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), TMPDIR=str(tmp_path),
+               REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env.pop("REPRO_KERNEL_TIER", None)
+    cmd = [sys.executable, "-m", "repro", "run", "two_stream", "--set", "steps=1",
+           "--set", "nx=4", "--set", "nv=8", "--set", "plan_cache=off", "--json"]
+    built = []
+    for _ in range(2):
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        built.append(json.loads(proc.stdout)["plans"]["kernels_built"])
+    assert built[1] == 0, built
+    assert not list(tmp_path.glob("repro-kernels-*"))
 
 
 def test_hydrated_plan_artifacts_roundtrip(case, run_op):

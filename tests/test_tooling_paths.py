@@ -1,12 +1,17 @@
-"""The CI workflow and the run docs name only scripts that exist, and
-every ``python -m repro`` command in the workflow parses.
+"""The CI workflow and the run docs name only scripts that exist, every
+``python -m repro`` command in the workflow parses, and the reach map's
+keep-list names only functions that exist, each with a reason.
 
 Deleting a bench, an example or a CLI flag takes its CI step and its doc
 lines with it: a dangling path or flag would otherwise fail only in the CI
 leg that runs it, or never, in a doc."""
 
+import importlib
+import inspect
+import json
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,36 @@ def test_every_ci_repro_command_parses():
         except SystemExit:
             bad.append(" ".join(argv))
     assert not bad, f"ci.yml runs repro commands the CLI rejects: {bad}"
+
+
+def _code_of(key: str):
+    """The code object a ``module:qualname`` key names, found by import
+    (a ``<locals>`` step searches the enclosing function's constants)."""
+    module, qualname = key.split(":")
+    obj, code = importlib.import_module(module), None
+    parts = iter(qualname.split("."))
+    for part in parts:
+        if part == "<locals>":
+            name = next(parts)
+            code = next((c for c in code.co_consts
+                         if isinstance(c, types.CodeType) and c.co_name == name), None)
+            continue
+        obj = inspect.getattr_static(obj, part)
+        if isinstance(obj, property):
+            obj = obj.fget
+        if isinstance(obj, (classmethod, staticmethod)):
+            obj = obj.__func__
+        code = getattr(inspect.unwrap(obj), "__code__", None)
+    return code
+
+
+def test_every_reach_keep_entry_is_a_function_under_src_with_a_reason():
+    keep = json.loads((ROOT / "benchmarks" / "reach_keep.json").read_text())
+    assert keep, "the keep-list is empty: benchmarks/reach.py --check needs it"
+    package = ROOT / "src" / "repro"
+    for key, reason in keep.items():
+        assert isinstance(reason, str) and reason.strip(), f"{key}: no reason"
+        code = _code_of(key)
+        assert code is not None, f"{key} does not resolve to a function"
+        assert code.co_qualname == key.split(":")[1], key
+        assert Path(code.co_filename).resolve().is_relative_to(package), key
