@@ -24,9 +24,20 @@ Vlasov time plus the nodal Vlasov time.
 Times are CPU times (``time.process_time``, the process's threads
 included), the least of the repeats: a competing process that takes the
 CPU away adds to wall time, not to these, so the ratio does not depend on
-the load beside the run.
+the load beside the run.  They are taken in a child process whose BLAS runs
+one thread (``OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = MKL_NUM_THREADS =
+1``, set before numpy loads, as the perf ledger pins its children): the
+nodal solve is BLAS ``matmul``, and OpenBLAS threads that spin while they
+wait add CPU time that grows with the load beside the run.  The modal
+kernels' own threads (``cell_threads``) do not read these variables.
+
+    PYTHONPATH=src python benchmarks/bench_table1_modal_vs_nodal.py   # the child
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -42,6 +53,8 @@ CONF_CELLS = [4, 4]
 VEL_CELLS = [6, 6, 6]
 #: timed repeats of each Table I quantity (the least is reported)
 REPEATS = 5
+#: the BLAS thread counts the timing child runs with
+BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _make_app() -> System:
@@ -117,20 +130,34 @@ def _time_steps(app: System, nodal, repeats: int = REPEATS):
     return tuple(min(col) for col in zip(*rows))
 
 
+def _time_steps_one_blas_thread():
+    """:func:`_time_steps` of a fresh :func:`_make_app`, run by this file
+    as a child process whose BLAS runs one thread."""
+    import repro
+
+    env = dict(os.environ, **{name: "1" for name in BLAS_PINS})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
 @pytest.mark.paper
 def test_table1_modal_vs_nodal_cost(benchmark):
-    modal = _make_app()
-    assert modal.solvers["elc"].num_basis == 112  # the paper's 112 DOF/cell
     t_modal, t_modal_vlasov, t_nodal_vlasov = benchmark.pedantic(
-        _time_steps, args=(modal, _nodal_solvers(modal)), iterations=1, rounds=1
+        _time_steps_one_blas_thread, iterations=1, rounds=1
     )
-    del modal
     # derived: both schemes share every non-Vlasov line of the step
     t_nodal = t_modal - t_modal_vlasov + t_nodal_vlasov
 
     total_reduction = t_nodal / t_modal
     vlasov_reduction = t_nodal_vlasov / t_modal_vlasov
-    print("\n=== Table I: 2X3V p=2 Serendipity (112 DOF), two species ===")
+    print("\n=== Table I: 2X3V p=2 Serendipity (112 DOF), two species, "
+          "one BLAS thread ===")
     print(f"{'CPU time':18s} {'nodal':>12s} {'modal':>12s} {'reduction':>10s}")
     print(f"{'total s/step':18s} {t_nodal:12.3f} {t_modal:12.3f} "
           f"{total_reduction:9.1f}x   (nodal derived; paper: 1079.63 / 67.43 = ~16x)")
@@ -156,3 +183,9 @@ def test_table1_nodal_step(benchmark):
     app = _make_app()
     nodal = _nodal_solvers(app)
     benchmark.pedantic(_vlasov_time, args=(app, nodal), iterations=1, rounds=2)
+
+
+if __name__ == "__main__":
+    app = _make_app()
+    assert app.solvers["elc"].num_basis == 112  # the paper's 112 DOF/cell
+    print(json.dumps(_time_steps(app, _nodal_solvers(app))))

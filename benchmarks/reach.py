@@ -14,9 +14,16 @@ process of them under a ``sys.setprofile`` hook: the parent, each forked
 
 ``--check`` exits 1 when a function is neither reached nor named in
 ``benchmarks/reach_keep.json`` (``module:qualname`` -> one-line reason),
-when a keep-list entry is reached, or when a keep-list entry no longer
-exists.  Stdlib only; nothing is written outside the temp directory and
-the ``--out`` path.
+when a keep-list entry is reached, when a keep-list entry no longer
+exists, or when a reason does not begin with one of :data:`CATEGORIES`:
+a test oracle (the exact or term-by-term reference a named comparison
+reads), the Table I comparator, a paper figure, the numpy tier, a Model
+protocol or field-block or Grid interface declaration, a frozen-ledger
+import, public API, a CLI or spec surface, a runtime path or error path
+these commands do not take, or a safety valve.  "test reference" — a test
+calls it — is not one: such a function is deleted, moved into ``tests/``,
+or its test reads the same fact through the runtime path.  Stdlib only;
+nothing is written outside the temp directory and the ``--out`` path.
 """
 
 from __future__ import annotations
@@ -48,6 +55,13 @@ SMALL = ["--set", "steps=3", "--set", "nx=6", "--set", "nv=6",
 SCAN = {"name": "reach_scan", "scenario": "collisional_relaxation",
         "base": {"steps": 3}, "scan": {"nu": [0.6, 0.7]}}
 TIMEOUT = 600.0
+#: what a keep-list reason begins with
+CATEGORIES = (
+    "test oracle", "Table I comparator", "paper figure", "numpy tier",
+    "Model protocol", "field-block interface", "Grid interface",
+    "frozen ledger", "public API", "CLI", "spec surface", "runtime path",
+    "error path", "safety valve",
+)
 
 # Written as sitecustomize.py into a directory put first on PYTHONPATH, so
 # every interpreter a command starts imports it.  A forked multiprocessing
@@ -290,7 +304,7 @@ def reach_map() -> Tuple[List[str], Dict[str, List[str]]]:
 
 def check(defined: Set[str], reached: Dict[str, List[str]],
           keep: Dict[str, str]) -> List[str]:
-    """The keep-list's three failures, one line each."""
+    """The keep-list's four failures, one line each."""
     problems = [
         f"unreached and not in the keep-list: {key}"
         for key in sorted(defined - set(reached) - set(keep))
@@ -299,6 +313,9 @@ def check(defined: Set[str], reached: Dict[str, List[str]],
                  if key in reached]
     problems += [f"kept but gone: {key}" for key in sorted(keep)
                  if key not in defined]
+    problems += [f"kept for no category of CATEGORIES: {key}: {reason}"
+                 for key, reason in sorted(keep.items())
+                 if not reason.startswith(CATEGORIES)]
     return problems
 
 
@@ -306,7 +323,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, help="write the reach map here (JSON)")
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless reached + keep-list == every function")
+                    help="exit 1 unless reached + keep-list == every function "
+                    "and each kept one has a listed reason")
     args = ap.parse_args(argv)
     # a SIGTERM unwinds like an exception, so the daemon is stopped too
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))

@@ -24,7 +24,6 @@ from typing import List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ..cas.poly import Poly
 from .legendre import (
     eval_legendre_float,
     legendre_coefficients,
@@ -104,21 +103,6 @@ class ModalBasis:
     def norm(self, i: int) -> float:
         return _norm(self.indices[i])
 
-    def poly(self, i: int, normalized: bool = True) -> Poly:
-        """Basis function ``i`` as a :class:`Poly`.
-
-        With ``normalized=True`` the (generally irrational) normalization is
-        folded in approximately via a float->Fraction conversion only for
-        testing convenience; symbolic pipelines should use
-        ``normalized=False`` plus the exact :func:`_norm_squared`.
-        """
-        poly = Poly.one(self.ndim)
-        for var, a in enumerate(self.indices[i]):
-            poly = poly * Poly.from_univariate(self.ndim, var, legendre_coefficients(a))
-        if normalized:
-            poly = poly * Fraction(self.norm(i)).limit_denominator(10**15)
-        return poly
-
     # ------------------------------------------------------------------ #
     # float evaluation
     # ------------------------------------------------------------------ #
@@ -169,18 +153,6 @@ class ModalBasis:
                     vals = vals * eval_legendre_float(a, points[:, d])
             out[i] = vals
         return out
-
-    # ------------------------------------------------------------------ #
-    # projections
-    # ------------------------------------------------------------------ #
-    def project(self, func, quad_order: int | None = None) -> np.ndarray:
-        """L2-project a callable ``func(points) -> (npts,)`` defined on the
-        reference cube onto the basis; returns ``(num_basis,)`` coefficients."""
-        nq = quad_order if quad_order is not None else self.poly_order + 2
-        pts, wts = tensor_gauss_points(nq, self.ndim)
-        vals = np.asarray(func(pts), dtype=float)
-        basis_vals = self.eval_at(pts)
-        return basis_vals @ (wts * vals)
 
 
 def _polyval_ascending(coeffs, x):

@@ -66,15 +66,3 @@ class EnergyHistory:
         e0 = tot[0]
         scale = abs(e0) if e0 else 1.0
         return float(np.max(np.abs(tot - e0)) / scale)
-
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        out = {
-            "t": np.asarray(self.times),
-            "field": np.asarray(self.field_energy),
-            "total": self.total,
-        }
-        for name, vals in self.particle_energy.items():
-            out[f"particle/{name}"] = np.asarray(vals)
-        if self.jdote:
-            out["jdote"] = np.asarray(self.jdote)
-        return out

@@ -10,7 +10,7 @@ a real :class:`~repro.systems.system.System` built on a
 the serial one restricted to the block:
 
 * :class:`BlockGrid` gives the block the parent grid's geometry *bitwise*
-  (``dx``, centers, edges are taken from the parent, never recomputed from
+  (``dx`` and centers are taken from the parent, never recomputed from
   the block's own bounds, whose floating-point rounding could differ by an
   ulp and leak into every kernel coefficient), names the ghost layers
   (``ghost``: one per decomposed axis) and restricts parent-shaped arrays
@@ -37,10 +37,10 @@ __all__ = ["BlockGrid", "fill_padded"]
 class BlockGrid(Grid):
     """A contiguous sub-block of a parent grid with bitwise-parent geometry.
 
-    ``dx``, ``centers``, ``edges`` and ``cell_center`` delegate to the
-    parent so a solver built on the block sees exactly the numbers the
-    serial solver sees — the block's own ``lower``/``upper`` (kept for
-    repr/validation only) are never used in kernel arithmetic.  ``ghost``
+    ``dx`` and ``centers`` delegate to the parent so a solver built on the
+    block sees exactly the numbers the serial solver sees — the block's own
+    ``lower``/``upper`` (kept for repr/validation only) are never used in
+    kernel arithmetic.  ``ghost``
     is the number of neighbour-cell layers per axis that arrays handed to
     the block's solvers carry (:attr:`ShardPlan.pad
     <repro.dist.plan.ShardPlan>`; none by default).
@@ -94,15 +94,6 @@ class BlockGrid(Grid):
     def centers(self, dim: int) -> np.ndarray:
         lo, hi = self.ranges[dim]
         return self.parent.centers(dim)[lo:hi]
-
-    def edges(self, dim: int) -> np.ndarray:
-        lo, hi = self.ranges[dim]
-        return self.parent.edges(dim)[lo : hi + 1]
-
-    def cell_center(self, idx: Sequence[int]) -> Tuple[float, ...]:
-        return self.parent.cell_center(
-            [self.ranges[d][0] + int(i) for d, i in enumerate(idx)]
-        )
 
     def extend(self, other: Grid) -> "BlockGrid":
         return BlockGrid(

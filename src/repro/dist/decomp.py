@@ -84,16 +84,8 @@ class ConfDecomposition:
                 )
         return cls(cells=cells, dims=dims)
 
-    @property
-    def num_blocks(self) -> int:
-        return int(np.prod(self.dims))
-
     def block_index(self, rank: int) -> Tuple[int, ...]:
         return tuple(np.unravel_index(rank, self.dims))
-
-    def rank_of_block(self, idx: Sequence[int]) -> int:
-        wrapped = tuple(i % b for i, b in zip(idx, self.dims))
-        return int(np.ravel_multi_index(wrapped, self.dims))
 
     def local_ranges(self, rank: int) -> List[Tuple[int, int]]:
         idx = self.block_index(rank)
@@ -104,12 +96,6 @@ class ConfDecomposition:
 
     def local_cells(self, rank: int) -> Tuple[int, ...]:
         return tuple(hi - lo for lo, hi in self.local_ranges(rank))
-
-    def neighbor(self, rank: int, axis: int, shift: int) -> int:
-        """Periodic neighbour block along one axis."""
-        idx = list(self.block_index(rank))
-        idx[axis] += shift
-        return self.rank_of_block(idx)
 
     def ghost_cells(self, rank: int, ghost: int = 1) -> int:
         """Number of configuration ghost cells this rank receives per

@@ -56,25 +56,9 @@ class ShardPlan:
         return plan
 
     # ------------------------------------------------------------------ #
-    @property
-    def conf_cells(self) -> Tuple[int, ...]:
-        return self.decomp.cells
-
-    @property
-    def cdim(self) -> int:
-        return len(self.decomp.cells)
-
     def ranges(self, shard: int) -> List[Tuple[int, int]]:
         """Owned (lo, hi) cell range per configuration axis."""
         return self.decomp.local_ranges(shard)
-
-    def block_cells(self, shard: int) -> Tuple[int, ...]:
-        return self.decomp.local_cells(shard)
-
-    def padded_cells(self, shard: int) -> Tuple[int, ...]:
-        return tuple(
-            n + 2 * p for n, p in zip(self.block_cells(shard), self.pad)
-        )
 
     # ------------------------------------------------------------------ #
     def model_halo_doubles(self, num_basis: int, vel_cells: Sequence[int]) -> int:

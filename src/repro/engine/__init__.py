@@ -41,11 +41,7 @@ and for all layers:
   transpose or gather passes.
 """
 
-from .layout import (
-    StateLayout,
-    phase_to_cell_major,
-    phase_to_mode_major,
-)
+from .layout import StateLayout
 from .compile import (
     CompilerConfig,
     compile_plan,
@@ -86,6 +82,4 @@ __all__ = [
     "resolve_cache_root",
     "ScratchPool",
     "StateLayout",
-    "phase_to_cell_major",
-    "phase_to_mode_major",
 ]

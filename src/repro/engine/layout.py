@@ -17,10 +17,8 @@ and every hot path paid a transpose or ``ascontiguousarray`` pass to reach
 the cell-major products; those passes are gone.  Nothing in ``src/`` holds
 mode-major state any more (a checkpoint is cell-major or an error).
 
-:class:`StateLayout` owns the phase-space conventions (shapes, axis
-placement, view helpers).  :func:`phase_to_cell_major` /
-:func:`phase_to_mode_major` remain for the test oracles that compare
-against the mode-major ``TermSet.apply``.
+:class:`StateLayout` owns the phase-space conventions (shape and cell
+counts); :func:`insert_basis_axis` broadcasts an aux-style array over it.
 """
 
 from __future__ import annotations
@@ -30,12 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "StateLayout",
-    "insert_basis_axis",
-    "phase_to_cell_major",
-    "phase_to_mode_major",
-]
+__all__ = ["StateLayout", "insert_basis_axis"]
 
 
 def insert_basis_axis(val, cdim: int) -> np.ndarray:
@@ -82,11 +75,6 @@ class StateLayout:
 
     # ------------------------------------------------------------------ #
     @property
-    def basis_axis(self) -> int:
-        """Array axis holding the modal coefficients (= ``cdim``)."""
-        return self.cdim
-
-    @property
     def shape(self) -> Tuple[int, ...]:
         return self.cfg_cells + (self.num_basis,) + self.vel_cells
 
@@ -97,37 +85,3 @@ class StateLayout:
     @property
     def nvel(self) -> int:
         return int(np.prod(self.vel_cells)) if self.vel_cells else 1
-
-    def axis_of(self, phase_dim: int) -> int:
-        """Array axis of phase dimension ``d`` (the basis axis shifts the
-        velocity axes by one)."""
-        return phase_dim if phase_dim < self.cdim else phase_dim + 1
-
-    # ------------------------------------------------------------------ #
-    def alloc(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
-    def as3d(self, arr: np.ndarray) -> np.ndarray:
-        """View a cell-major state as ``(ncfg, nbasis, nvel)`` (no copy; the
-        array must be C-contiguous)."""
-        return arr.reshape(self.ncfg, arr.shape[self.cdim], self.nvel)
-
-    # ------------------------------------------------------------------ #
-    def mode_view(self, arr: np.ndarray) -> np.ndarray:
-        """Mode-major *view* ``(num_basis, *cfg, *vel)`` of a cell-major
-        array (strided, no copy) — for read-mostly consumers."""
-        return np.moveaxis(arr, self.cdim, 0)
-
-
-# --------------------------------------------------------------------- #
-# layout conversions (test oracles only)
-# --------------------------------------------------------------------- #
-def phase_to_cell_major(arr: np.ndarray, cdim: int) -> np.ndarray:
-    """Copy mode-major ``(Np, *cfg, *vel)`` to cell-major ``(*cfg, Np, *vel)``."""
-    return np.ascontiguousarray(np.moveaxis(arr, 0, cdim))
-
-
-def phase_to_mode_major(arr: np.ndarray, cdim: int) -> np.ndarray:
-    """Copy cell-major ``(*cfg, Np, *vel)`` to mode-major ``(Np, *cfg, *vel)``."""
-    return np.ascontiguousarray(np.moveaxis(arr, cdim, 0))
-

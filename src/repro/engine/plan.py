@@ -893,15 +893,3 @@ class ExecutionPlan:
             lower = x
         for (row, cells, faces), flux in zip(fm.writes, (y, lower)):
             d3[cells, row : row + nf] = flux[faces]
-
-    # ------------------------------------------------------------------ #
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Compile-time shape of the plan (for tests and diagnostics)."""
-        shared = [g for g in self._groups if not g.per_cell]
-        return {
-            "uniform_groups": len(shared),
-            "uniform_terms": sum(len(g.terms) for g in shared),
-            "cfg_groups": len(self._per_cell),
-            "cfg_items": sum(len(g.terms) for g in self._per_cell),
-        }

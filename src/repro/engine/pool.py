@@ -75,6 +75,3 @@ class ScratchPool:
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays.values())
-
-    def __len__(self) -> int:
-        return len(self._arrays)

@@ -10,7 +10,7 @@ independent up to the ``(w, dx)`` runtime symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class Grid:
             (u - l) / n for l, u, n in zip(self.lower, self.upper, self.cells)
         )
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.dx))
-
     # A grid may be one block of a larger periodic grid
     # (:class:`repro.dist.BlockGrid` overrides these three); a whole grid
     # is the trivial block of itself.
@@ -90,25 +86,8 @@ class Grid:
         dx = self.dx[dim]
         return self.lower[dim] + dx * (np.arange(self.cells[dim]) + 0.5)
 
-    def edges(self, dim: int) -> np.ndarray:
-        dx = self.dx[dim]
-        return self.lower[dim] + dx * np.arange(self.cells[dim] + 1)
-
-    def cell_center(self, idx: Sequence[int]) -> Tuple[float, ...]:
-        return tuple(
-            self.lower[d] + self.dx[d] * (int(i) + 0.5) for d, i in enumerate(idx)
-        )
-
     def extend(self, other: "Grid") -> "Grid":
         """Cartesian product grid (e.g. configuration x velocity)."""
         return Grid(
             self.lower + other.lower, self.upper + other.upper, self.cells + other.cells
         )
-
-    def refine(self, factor: int | Sequence[int]) -> "Grid":
-        """Uniformly refined copy (used by convergence tests)."""
-        if isinstance(factor, int):
-            factors: Iterable[int] = [factor] * self.ndim
-        else:
-            factors = factor
-        return Grid(self.lower, self.upper, [n * f for n, f in zip(self.cells, factors)])

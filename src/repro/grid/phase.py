@@ -17,8 +17,7 @@ conventions used throughout the solvers:
 Following Gkeyll practice, velocity grids should not have cells straddling
 ``v = 0`` (use an even cell count over a symmetric interval); the streaming
 upwind direction is then constant within each cell, keeping the upwind
-surface integrals exact.  :meth:`PhaseGrid.check_velocity_alignment` flags
-violations.
+surface integrals exact.
 """
 
 from __future__ import annotations
@@ -89,16 +88,6 @@ class PhaseGrid:
         for j in range(self.vdim):
             aux[f"w{self.cdim + j}"] = self.velocity_center_array(j)
         return aux
-
-    def check_velocity_alignment(self) -> bool:
-        """True when no velocity cell straddles v = 0 in any direction."""
-        for d in range(self.vdim):
-            edges = self.vel.edges(d)
-            interior = edges[1:-1]
-            lo, hi = edges[0], edges[-1]
-            if lo < 0.0 < hi and not np.any(np.isclose(interior, 0.0, atol=1e-12)):
-                return False
-        return True
 
     def max_velocity(self, vdir: int) -> float:
         """Largest |v| along a velocity direction (CFL bound for streaming)."""

@@ -19,7 +19,7 @@ from .generator import (
 # NOTE: GroupedOperator lives in repro.kernels.grouped and is imported from
 # there directly — importing it here would cycle through repro.engine, whose
 # plans consume this package's termsets.
-from .registry import clear_registry, get_lbo_kernels, get_vlasov_kernels, registry_stats
+from .registry import get_lbo_kernels, get_vlasov_kernels, registry_stats
 from .termset import Term, TermSet, merge_termsets, stack_termsets
 from .vlasov import VlasovKernels, acceleration_flux, build_vlasov_kernels, streaming_flux
 
@@ -41,7 +41,6 @@ __all__ = [
     "acceleration_flux",
     "get_vlasov_kernels",
     "get_lbo_kernels",
-    "clear_registry",
     "registry_stats",
     "compare_costs",
     "four_sided_kernels",

@@ -115,7 +115,3 @@ class GroupedOperator:
             )
             self._plans[key] = plan
         return plan
-
-    @property
-    def num_plans(self) -> int:
-        return len(self._plans)

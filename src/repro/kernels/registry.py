@@ -23,7 +23,7 @@ from typing import Callable, Dict, Tuple, Union
 from .lbo import LBOKernels, build_lbo_kernels
 from .vlasov import VlasovKernels, build_vlasov_kernels
 
-__all__ = ["get_vlasov_kernels", "get_lbo_kernels", "clear_registry", "registry_stats"]
+__all__ = ["get_vlasov_kernels", "get_lbo_kernels", "registry_stats"]
 
 _Key = Tuple[str, int, int, int, str]  # (bundle kind, cdim, vdim, poly_order, family)
 _Bundle = Union[VlasovKernels, LBOKernels]
@@ -63,11 +63,6 @@ def get_lbo_kernels(
     """Fetch (generating on first use) the LBO collision kernel bundle."""
     args = (int(cdim), int(vdim), int(poly_order), str(family))
     return _fetch(("lbo",) + args, lambda: build_lbo_kernels(get_vlasov_kernels(*args)))
-
-
-def clear_registry() -> None:
-    with _LOCK:
-        _CACHE.clear()
 
 
 def registry_stats() -> Dict[str, int]:

@@ -164,9 +164,6 @@ class TermSet:
             for sym, (rows, cols, vals) in self._arrays.items()
         }
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def scaled(self, factor: float) -> "TermSet":
         """A copy with every coefficient multiplied by ``factor`` (folds
         constant flux weights into the generated entries)."""

@@ -164,12 +164,6 @@ class MomentCalculator:
         np.copyto(out, res)
         return out
 
-    def stacked(self, names: Tuple[str, ...], f: np.ndarray) -> np.ndarray:
-        """Moments ``names`` as ``(len(names), *cfg_cells, Npc)``, each bit
-        for bit what :meth:`compute` returns, from one call."""
-        res = self.sums(names, f).reshape(self.grid.conf.cells + (len(names), -1))
-        return np.moveaxis(res, -2, 0).copy()
-
     def current_density(
         self, f: np.ndarray, charge: float, out: Optional[np.ndarray] = None
     ) -> np.ndarray:

@@ -19,15 +19,12 @@ in Perfetto / ``chrome://tracing``.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["SpanTracer", "SpanEvent", "chrome_trace", "base_name"]
 
 #: (pid, tid, label, t0, t1) — the merged-event form every exporter consumes
 SpanEvent = Tuple[int, int, str, float, float]
-
-_perf_counter = time.perf_counter
 
 
 def base_name(label: str) -> str:
@@ -78,10 +75,6 @@ class SpanTracer:
             self.events.append((label_id, t0, t1))
         else:
             self.dropped += 1
-
-    def record_name(self, label: str, t0: float) -> None:
-        """Close a span named ``label`` started at ``t0`` (ends now)."""
-        self.record(self.label_id(label), t0, _perf_counter())
 
     def resolved(self, pid: int, tid: int) -> List[SpanEvent]:
         """The buffered events with labels resolved, tagged ``(pid, tid)``."""

@@ -243,8 +243,8 @@ class System:
 
         This wrapper is the observability seam: with the default
         ``mode="off"`` it is one flag check over :meth:`_rhs_impl`
-        (``bench_rhs_hotpath.py --require-obs-overhead`` times the two
-        against each other, call by call).
+        (``benchmarks/bench_obs_overhead.py`` times the two against each
+        other, call by call, and allows 2 %).
         """
         return self._rhs_span(state, out, None, None)
 
@@ -387,11 +387,6 @@ class System:
     def particle_energy(self, name: str) -> float:
         sp = next(s for s in self.species if s.name == name)
         return self.moments[name].particle_energy(self.f[name], sp.mass)
-
-    def total_energy(self) -> float:
-        return self.field_energy() + sum(
-            self.particle_energy(sp.name) for sp in self.species
-        )
 
     def particle_number(self, name: str) -> float:
         return self.moments[name].number(self.f[name])

@@ -60,8 +60,7 @@ def test_energy_history_arrays():
         def energies(self):
             return {"field": 1.0, "particle/elc": 0.0, "total": 1.0}
     h(FakeModel())
-    arrs = h.as_arrays()
-    assert arrs["total"][0] == 1.0
+    assert h.total[0] == 1.0
     assert list(h.particle_energy) == ["elc"]
     assert h.relative_drift() == 0.0
 

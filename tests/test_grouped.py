@@ -4,12 +4,13 @@ to roundoff — it evaluates the same generated coefficients, reassociated."""
 import numpy as np
 import pytest
 
-from repro.engine import PlanSignatureError
-from repro.engine.layout import phase_to_cell_major, phase_to_mode_major
+from repro.engine import PlanSignatureError, plan_counts
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import four_sided_kernels, get_vlasov_kernels
 from repro.kernels.grouped import GroupedOperator
 from repro.kernels.termset import TermSet
+from repro.obs import OBS
+from layout_oracle import phase_to_cell_major, phase_to_mode_major
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +89,10 @@ def test_grouped_fallback_for_mixed_symbols(run_op):
     f = rng.standard_normal((2, 3, 4))
     aux = {"mix": rng.standard_normal((3, 4))}
     out_b = np.zeros((3, 2, 4))
+    before = plan_counts(OBS.metrics.snapshot())
     with pytest.raises(PlanSignatureError, match="'mix'"):
         run_op(op, phase_to_cell_major(f, 1), aux, out_b)
-    assert op.num_plans == 0
+    assert plan_counts(OBS.metrics.snapshot()) == before  # no plan was made
 
 
 def test_grouped_empty_termset(run_op):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.basis.modal import ModalBasis, tensor_gauss_points
 from repro.basis.matrices import derivative_matrix
+from repro.grid import Grid
+from repro.projection import project_on_grid
 
 
 @pytest.mark.parametrize("family", ["tensor", "serendipity", "maximal-order"])
@@ -35,14 +37,16 @@ def test_derivative_matrix_vs_quadrature(ndim, p):
 @given(st.integers(1, 3), st.integers(1, 3))
 def test_projection_reproduces_basis_functions(ndim, p):
     """Projecting w_i returns the unit coefficient vector (L2 projector is
-    the identity on the span)."""
+    the identity on the span): one cell whose coordinates are the reference
+    cube's, through the runtime's projection."""
     basis = ModalBasis(ndim, p, "serendipity")
     i = min(2, basis.num_basis - 1)
 
-    def func(pts):
-        return basis.eval_at(pts)[i]
+    def func(*x):
+        return basis.eval_at(np.array([[c.item() for c in x]]))[i, 0]
 
-    coeffs = basis.project(func)
+    cube = Grid([-1.0] * ndim, [1.0] * ndim, [1] * ndim)
+    coeffs = project_on_grid(func, cube, basis).reshape(basis.num_basis)
     expected = np.zeros(basis.num_basis)
     expected[i] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)

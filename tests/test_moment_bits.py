@@ -90,8 +90,9 @@ def test_pairwise_order_holds_at_every_block_size_and_thread_count(vel_cells, mo
 
 
 def test_every_entry_point_takes_the_one_call():
-    """``compute``, ``stacked``, ``charge_density``, ``current_density``,
-    ``particle_energy`` and ``number`` all read :meth:`sums`."""
+    """``compute``, ``charge_density``, ``current_density``,
+    ``particle_energy`` and ``number`` all read :meth:`sums`, and a
+    two-moment call's first row is ``compute``'s bytes."""
     pg = _phase_grid(1, (5, 4))
     kern = get_vlasov_kernels(1, 2, 2, "serendipity")
     f = _state(pg, kern.num_basis)
@@ -101,7 +102,7 @@ def test_every_entry_point_takes_the_one_call():
         sums = mom.sums
         mom.sums = lambda names, f: seen.append(names) or sums(names, f)
         m0 = mom.compute("M0", f)
-        assert mom.stacked(("M0", "M2"), f)[0].tobytes() == m0.tobytes()
+        assert mom.sums(("M0", "M2"), f)[:, 0].tobytes() == m0.tobytes()
         assert mom.charge_density(f, -2.0).tobytes() == (-2.0 * m0).tobytes()
         out = np.full(pg.conf.cells + (3, mom.num_conf_basis), np.nan)
         current = mom.current_density(f, 3.0, out=out)
@@ -110,7 +111,7 @@ def test_every_entry_point_takes_the_one_call():
         mom.particle_energy(f, 1.0)
         mom.number(f)
     assert seen == [("M0",), ("M0", "M2"), ("M0",), ("M1x", "M1y"), ("M1y",), ("M2",), ("M0",)]
-    assert len(mom.pool) == 0  # no phase-space buffer was taken
+    assert mom.pool.nbytes == 0  # no phase-space buffer was taken
 
 
 # --------------------------------------------------------------------- #
@@ -137,7 +138,10 @@ def test_lbo_primitive_moments_are_equal_on_both_tiers_and_near_lapack(cdim, vel
             u, vtsq = lbo.primitive_moments(f, mom)
             got[tier] = (u.copy(), vtsq.copy())
             names = ("M0",) + tuple(f"M1{'xyz'[j]}" for j in range(lbo.grid.vdim)) + ("M2",)
-            moments = mom.stacked(names, f)
+            # moment-first (len(names), *cfg_cells, Npc), as the oracle reads them
+            moments = np.moveaxis(mom.sums(names, f), 1, 0).reshape(
+                (len(names),) + lbo.grid.conf.cells + (-1,)
+            )
     for a, b in zip(*got.values()):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(got["cc"], oracle_primitive_moments(moments, lbo.cfg_basis)):

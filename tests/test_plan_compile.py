@@ -277,7 +277,7 @@ def test_fossil_of_the_interpreted_executor(name, accumulate, tier, run_op):
     ts, aux, f_cm, base = fossil_case(name)
     with compiler_config(tier=tier, cache="off"):
         plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
-        assert plan.tier == tier and plan.stats["cfg_groups"] == 0
+        assert plan.tier == tier and len(plan._per_cell) == 0
         out = run_op(plan, f_cm, aux, base.copy(), accumulate=accumulate)
     digest = hashlib.sha256(out.astype("<f8").tobytes()).hexdigest()
     assert digest == FOSSIL_SHA256[name, accumulate]
@@ -330,7 +330,7 @@ def test_per_cell_rows_of_equal_shape_do_not_alias(rng, tier, run_op):
     with compiler_config(tier=tier, cache="off"):
         plan = compile_plan(ts, CDIM, VDIM, aux, (NCX, NCV))
         out = run_op(plan, f_cm, aux, np.zeros((NCX, nout, NCV)))
-    assert plan.tier == tier and plan.stats["cfg_groups"] == 2
+    assert plan.tier == tier and len(plan._per_cell) == 2
     a, b = (g.data for g in plan._groups)
     assert a.shape == b.shape and not np.shares_memory(a, b)
     assert np.allclose(out, reference(ts, aux, f_cm), rtol=1e-13, atol=1e-13)
@@ -732,7 +732,7 @@ def test_hydrated_plan_artifacts_roundtrip(case, run_op):
     meta, arrays = plan.to_artifacts()
     # matrix-free on disk too: values live on the exact non-zeros, never on
     # a dense (nout x nin) block
-    assert plan.stats["cfg_items"] > 0
+    assert sum(len(g.terms) for g in plan._per_cell) > 0
     assert all(a.ndim == 1 or a.shape[1] < ts.nout * ts.nin for a in arrays.values())
     clone = ExecutionPlan.from_artifacts(
         ts, CDIM, VDIM, aux, (NCX, NCV), meta, arrays

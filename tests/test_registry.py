@@ -7,7 +7,6 @@ import time
 from repro.collisions import LBOCollisions
 from repro.grid import Grid, PhaseGrid
 from repro.kernels import (
-    clear_registry,
     four_sided_kernels,
     get_lbo_kernels,
     get_vlasov_kernels,
@@ -123,7 +122,7 @@ def test_lbo_operators_share_one_generated_bundle(monkeypatch):
     assert stats["total_nnz"] == sum(
         ts.num_entries for ts in vlasov.termsets() + a.kernels.termsets()
     )
-    clear_registry()
+    monkeypatch.setattr(registry, "_CACHE", {})  # a fresh registry
     assert registry_stats() == {"bundles": 0, "total_nnz": 0}
     fresh = LBOCollisions(pg, 2, nu=0.5)
     assert fresh.kernels is not a.kernels

@@ -223,24 +223,23 @@ def test_advection_rejects_unused_spec_fields():
 class _SerialArraysHalo:
     """The halo collaborator of one block, served out of a serial system's
     arrays in this process: ghost layers are copied from the whole-grid
-    state, and the gathered charge density is the serial system's own."""
+    state (as a shard's halo fills them, from its block grid), and the
+    gathered charge density is the serial system's own."""
 
-    def __init__(self, serial, plan, shard, grid):
-        self.serial, self.plan, self.shard, self.grid = serial, plan, shard, grid
+    def __init__(self, serial, grid):
+        self.serial, self.grid = serial, grid
 
     def exchange(self, state):
         from repro.dist import fill_padded
 
-        plan, whole = self.plan, self.serial.state()
+        grid, whole = self.grid, self.serial.state()
         out = {}
         for key in state:
             out[key] = np.zeros(
-                plan.padded_cells(self.shard) + whole[key].shape[plan.cdim:]
+                tuple(n + 2 * g for n, g in zip(grid.cells, grid.ghost))
+                + whole[key].shape[grid.ndim:]
             )
-            fill_padded(
-                whole[key], out[key], plan.ranges(self.shard), plan.pad,
-                plan.conf_cells,
-            )
+            fill_padded(whole[key], out[key], grid.ranges, grid.ghost, grid.parent.cells)
         return out
 
     def allgather(self, arr):
@@ -274,7 +273,7 @@ def test_block_system_rhs_is_the_serial_rhs_on_its_block(kind_name, nshards):
     reference = serial.rhs(state)
     for shard in range(nshards):
         grid = BlockGrid(serial.conf_grid, plan.ranges(shard), plan.pad)
-        block = serial.on_block(grid, _SerialArraysHalo(serial, plan, shard, grid))
+        block = serial.on_block(grid, _SerialArraysHalo(serial, grid))
         block.time = serial.time
         got = block.rhs({k: grid.restrict(v) for k, v in state.items()})
         assert set(got) == set(reference)

@@ -64,7 +64,7 @@ def test_multiplication_count_positive_and_consistent(bundle_1x2v):
 
 def test_empty_termset():
     ts = TermSet(4, 4, {})
-    assert ts.is_empty()
+    assert not ts.terms
     f = np.ones((4, 5))
     out = np.zeros((4, 5))
     ts.apply(f, {}, out)
